@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-parallel race-intern vet bench bench-json bench-smoke fuzz-smoke chaos-smoke serve-smoke persist-smoke check
+.PHONY: all build test race vet bench bench-json bench-smoke fuzz-smoke chaos-smoke serve-smoke persist-smoke check
 
 all: check
 
@@ -21,29 +21,6 @@ test:
 race:
 	$(GO) test -race ./internal/runner ./internal/telemetry ./internal/memview ./internal/interp ./internal/pointsto ./internal/chaos ./internal/serve ./internal/persist ./cmd/kscope-serve
 
-## race-parallel: the parallel wave solver's byte-identity harness under the
-## race detector — the full differential strategy cube (worklist / wave /
-## parallel x 1,2,8 workers x delta x prep), the parallel budget/resume,
-## determinism, telemetry, and tracer-fallback tests, the seeded corpus
-## of the parallel-equivalence fuzzer, the request-trace attachment test
-## (parallel wave spans land in traces without a sequential fallback), and
-## the concurrent trace/flight-recorder hammer
-race-parallel:
-	$(GO) test -race -run '^(TestDifferential|TestParallel|TestTopoOrderLevels|FuzzParallelEquivalence)' -v ./internal/pointsto
-	$(GO) test -race -run '^(TestCacheParallel|TestCacheComputeOptsParallel|TestParallel)' ./internal/runner ./internal/serve ./internal/telemetry
-
-## race-intern: the hash-consed interning layer's byte-identity harness
-## under the race detector — the full differential strategy cube with the
-## intern axis (worklist / wave / parallel x delta x prep x intern), the
-## incremental-restore oracle mutating shared sets through copy-on-write,
-## the interning unit and telemetry tests, the seeded corpora of the
-## intern-equivalence and intern-model fuzzers, and the cache / serve /
-## chaos plumbing legs that solve interned under load
-race-intern:
-	$(GO) test -race -run '^(TestDifferential|TestIntern|FuzzInternEquivalence)' -v ./internal/pointsto
-	$(GO) test -race -run '^(TestIntern|FuzzIntern)' ./internal/bitset
-	$(GO) test -race -short -run '^(TestCacheIntern|TestIntern|TestChaosIntern)' ./internal/runner ./internal/serve ./internal/chaos
-
 ## vet: static checks
 vet:
 	$(GO) vet ./...
@@ -52,14 +29,12 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-## bench-json: solver-core ablation (full / delta / prep / parallel /
-## intern) over the paper apps and the scaled randprog family, exported
-## machine-readable to BENCH_solver.json (ns/op, allocs/op, bytes/op, graph
-## sizes, propagated-bit and preprocessing counters per workload and mode).
-## On hosts with >= 4 CPUs it additionally gates a >= 2x parallel-solver
-## speedup on randprog-100k, and at the 10k tier a >= 5x allocated-bytes
-## reduction from interning. CI uploads the export as the bench-trajectory
-## artifact; the committed BENCH_solver.json is the reviewable snapshot.
+## bench-json: solver-core ablation (full / delta / prep) over the paper
+## apps and the scaled randprog family, exported machine-readable to
+## BENCH_solver.json (ns/op, allocs/op, bytes/op, graph sizes,
+## propagated-bit and preprocessing counters per workload and mode). CI
+## uploads the export as the bench-trajectory artifact; the committed
+## BENCH_solver.json is the reviewable snapshot.
 bench-json:
 	BENCH_JSON=BENCH_solver.json $(GO) test -run '^TestWriteBenchJSON$$' -timeout 30m -v .
 
@@ -104,9 +79,8 @@ persist-smoke:
 ## round-trip fuzzer
 fuzz-smoke:
 	$(GO) test ./internal/bitset -run '^$$' -fuzz '^FuzzBitsetModel$$' -fuzztime 5s
-	$(GO) test ./internal/bitset -run '^$$' -fuzz '^FuzzInternModel$$' -fuzztime 5s
 	$(GO) test ./internal/pointsto -run '^$$' -fuzz '^FuzzSolverEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzPersistRoundTrip$$' -fuzztime 5s
 
 ## check: everything a PR must pass
-check: build vet test race race-intern fuzz-smoke
+check: build vet test race fuzz-smoke

@@ -3,7 +3,6 @@ package repro
 import (
 	"encoding/json"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/invariant"
@@ -15,7 +14,7 @@ import (
 // machine-readable solver benchmark export.
 type solverBenchRow struct {
 	App            string  `json:"app"`
-	Mode           string  `json:"mode"` // "full", "delta", "prep", "parallel", "intern", or "parallel-gate"
+	Mode           string  `json:"mode"` // "full", "delta", or "prep"
 	GraphNodes     int     `json:"graph_nodes"`
 	NsPerOp        int64   `json:"ns_per_op"`
 	AllocsPerOp    int64   `json:"allocs_per_op"`
@@ -29,36 +28,23 @@ type solverBenchRow struct {
 	HCDCollapses   int     `json:"hcd_collapses,omitempty"`
 	LCDCollapses   int     `json:"lcd_collapses,omitempty"`
 	SpeedupVsFull  float64 `json:"speedup_vs_full,omitempty"`
-	Workers        int     `json:"workers,omitempty"`        // parallel mode only
-	SpeedupVsSeq   float64 `json:"speedup_vs_seq,omitempty"` // parallel vs same-config sequential
-	BytesVsFull    float64 `json:"bytes_vs_full,omitempty"`  // intern mode: full bytes/op over interned bytes/op
 }
 
-// benchModes are the solver configurations the export compares, all
+// benchModes are the three solver configurations the export compares, all
 // relative to "full" (plain worklist, full re-propagation, no offline
 // preprocessing):
 //
-//	delta    — difference propagation forced on, no preprocessing
-//	prep     — offline HVN + hybrid cycle detection, delta in auto mode
-//	           (the package default configuration)
-//	parallel — the prep configuration solved by the parallel wave strategy
-//	           at GOMAXPROCS workers (byte-identical fixpoint; the timing
-//	           delta against "prep" is the multicore payoff)
-//	intern   — the full configuration with hash-consed set interning
-//	           (byte-identical fixpoint; the bytes/op delta against "full"
-//	           is the sharing payoff, gated below)
+//	delta — difference propagation forced on, no preprocessing
+//	prep  — offline HVN + hybrid cycle detection, delta in auto mode
+//	        (the package default configuration)
 var benchModes = []struct {
-	name     string
-	delta    *bool // nil = auto
-	prep     bool
-	parallel bool
-	intern   bool
+	name  string
+	delta *bool // nil = auto
+	prep  bool
 }{
-	{"full", boolPtr(false), false, false, false},
-	{"delta", boolPtr(true), false, false, false},
-	{"prep", nil, true, false, false},
-	{"parallel", nil, true, true, false},
-	{"intern", boolPtr(false), false, false, true},
+	{"full", boolPtr(false), false},
+	{"delta", boolPtr(true), false},
+	{"prep", nil, true},
 }
 
 func boolPtr(b bool) *bool { return &b }
@@ -77,15 +63,7 @@ func boolPtr(b bool) *bool { return &b }
 //   - prep mode merges nodes offline (prep_merged > 0) and never runs more
 //     sccPass sweeps than the no-prep baseline;
 //   - on graphs of >= 10k nodes, prep mode is at least 1.5x faster than the
-//     no-prep full solver (the tentpole's acceptance bar; measured ~3x);
-//   - on graphs of >= 10k nodes, hash-consed set interning cuts allocated
-//     bytes per solve at least 5x against the identical full solve without
-//     regressing wall clock past 10% (measured ~20x less memory and ~5x
-//     faster: the memory-regression gate for the interning tentpole);
-//   - on machines with >= 4 CPUs, the parallel wave strategy solves
-//     randprog-100k at least 2x faster than the same-configuration
-//     sequential solve (skipped — and logged — on narrower machines, where
-//     there is no fan-out to measure; see EXPERIMENTS.md for the recipe).
+//     no-prep full solver (the tentpole's acceptance bar; measured ~3x).
 //
 // Small-app timing is reported, not asserted — CI machines are too noisy for
 // sub-millisecond gates; the exported JSON is the reviewable record.
@@ -94,7 +72,6 @@ func TestWriteBenchJSON(t *testing.T) {
 	if path == "" {
 		t.Skip("set BENCH_JSON=<file> to run the solver benchmark export")
 	}
-	workers := runtime.GOMAXPROCS(0)
 	apps := append(workload.Apps(), workload.ScaledApps()[:2]...)
 	var rows []solverBenchRow
 	var totalDelta, totalFull int
@@ -108,10 +85,6 @@ func TestWriteBenchJSON(t *testing.T) {
 					a.SetDelta(*mode.delta)
 				}
 				a.SetPrep(mode.prep)
-				if mode.parallel {
-					a.SetParallel(workers)
-				}
-				a.SetIntern(mode.intern)
 				r := a.Solve()
 				return r.Stats(), r.NodeCount()
 			}
@@ -157,77 +130,17 @@ func TestWriteBenchJSON(t *testing.T) {
 		}
 		d.SpeedupVsFull = float64(f.NsPerOp) / float64(d.NsPerOp)
 		p.SpeedupVsFull = float64(f.NsPerOp) / float64(p.NsPerOp)
-		par := perMode["parallel"]
-		par.Workers = workers
-		par.SpeedupVsFull = float64(f.NsPerOp) / float64(par.NsPerOp)
-		par.SpeedupVsSeq = float64(p.NsPerOp) / float64(par.NsPerOp)
-		in := perMode["intern"]
-		in.SpeedupVsFull = float64(f.NsPerOp) / float64(in.NsPerOp)
-		if in.BytesPerOp > 0 {
-			in.BytesVsFull = float64(f.BytesPerOp) / float64(in.BytesPerOp)
-		}
 		if f.GraphNodes >= 10000 && p.SpeedupVsFull < 1.5 {
 			t.Errorf("%s (%d nodes): prep speedup %.2fx vs full, want >= 1.5x",
 				app.Name, f.GraphNodes, p.SpeedupVsFull)
 		}
-		// Memory-regression gate for interning: at the 10k tier the
-		// hash-consed pool must cut allocated bytes by >= 5x against the
-		// identical full-propagation solve (measured ~20x: the fixpoint's
-		// repeated Elements() traffic collapses onto memoized canonical
-		// slices), and interning must never cost wall clock there — the
-		// issue's bar is no regression past 10%. Small-app timing stays
-		// reported-not-asserted, like every other mode.
-		if f.GraphNodes >= 10000 {
-			if f.BytesPerOp < 5*in.BytesPerOp {
-				t.Errorf("%s (%d nodes): interning cut bytes/op only %.2fx (%d -> %d), want >= 5x",
-					app.Name, f.GraphNodes, in.BytesVsFull, f.BytesPerOp, in.BytesPerOp)
-			}
-			if float64(in.NsPerOp) > 1.10*float64(f.NsPerOp) {
-				t.Errorf("%s (%d nodes): interning regressed wall clock %.2fx (%d ns vs %d ns), want <= 1.10x",
-					app.Name, f.GraphNodes, float64(in.NsPerOp)/float64(f.NsPerOp), in.NsPerOp, f.NsPerOp)
-			}
-		}
-		t.Logf("%-13s %7d nodes | full %9d ns | delta %9d ns (%.2fx) | prep %9d ns (%.2fx, merged=%d hcd=%d) | intern %9d ns (%.1fx bytes)",
+		t.Logf("%-13s %7d nodes | full %9d ns | delta %9d ns (%.2fx) | prep %9d ns (%.2fx, merged=%d hcd=%d)",
 			app.Name, f.GraphNodes, f.NsPerOp, d.NsPerOp, d.SpeedupVsFull,
-			p.NsPerOp, p.SpeedupVsFull, p.PrepMerged, p.HCDCollapses, in.NsPerOp, in.BytesVsFull)
+			p.NsPerOp, p.SpeedupVsFull, p.PrepMerged, p.HCDCollapses)
 	}
 	if totalDelta >= totalFull {
 		t.Errorf("aggregate: delta propagated %d bits, full %d — delta must be strictly lower",
 			totalDelta, totalFull)
-	}
-	// Multicore speedup gate: on a machine with real fan-out available, the
-	// parallel wave strategy must pay at scale — >= 2x over the identical
-	// sequential configuration on randprog-100k (wide levels, ~100k nodes).
-	// A narrower machine has nothing to fan out, so the gate is skipped (and
-	// said so) rather than diluted; EXPERIMENTS.md records the recipe for
-	// running it on a multicore host.
-	if runtime.NumCPU() >= 4 {
-		m := workload.ScaledApps()[2].MustModule() // randprog-100k
-		timeSolve := func(par int) int64 {
-			return testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					a := pointsto.New(m, invariant.All())
-					a.SetPrep(true)
-					if par > 0 {
-						a.SetParallel(par)
-					}
-					a.Solve()
-				}
-			}).NsPerOp()
-		}
-		seqNs := timeSolve(0)
-		parNs := timeSolve(workers)
-		speedup := float64(seqNs) / float64(parNs)
-		rows = append(rows, solverBenchRow{
-			App: "randprog-100k", Mode: "parallel-gate", NsPerOp: parNs,
-			Workers: workers, SpeedupVsSeq: speedup,
-		})
-		t.Logf("randprog-100k multicore gate: seq %d ns, parallel(%d) %d ns — %.2fx", seqNs, workers, parNs, speedup)
-		if speedup < 2.0 {
-			t.Errorf("randprog-100k: parallel speedup %.2fx with %d workers, want >= 2x", speedup, workers)
-		}
-	} else {
-		t.Logf("multicore speedup gate skipped: %d CPU(s) < 4; run `make bench-json` on a multicore host (see EXPERIMENTS.md)", runtime.NumCPU())
 	}
 	buf, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {

@@ -82,41 +82,6 @@ func TestGoldenOutput(t *testing.T) {
 			t.Errorf("-parallel %d traced render recorded no spans", p)
 		}
 	}
-	// The parallel wave solver (-parallel-solve) must be invisible to the
-	// artifacts: with every analysis solved by the level-parallel strategy —
-	// at 1 (inline phase-separated), 4, and 8 workers — the rendered bytes
-	// stay identical to the sequential golden reference. This is the
-	// byte-identity acceptance gate for the parallel strategy at the CLI
-	// surface.
-	for _, n := range []int{1, 4, 8} {
-		prevSolve := pointsto.SetDefaultParallel(n)
-		got := renderDeterministic(t, 1, nil)
-		pointsto.SetDefaultParallel(prevSolve)
-		if got != ref {
-			t.Errorf("-parallel-solve %d output diverges from sequential golden:\n%s", n, firstDiff(ref, got))
-		}
-	}
-	// Hash-consed set interning (-intern) must be invisible to the
-	// artifacts: with every analysis sharing canonical set storage under
-	// copy-on-write, the rendered bytes stay identical to the plain golden
-	// reference — both serially and under a parallel worker pool, where
-	// concurrently-built analyses each own a private pool. This is the
-	// byte-identity acceptance gate for interning at the CLI surface.
-	prevIntern := pointsto.SetDefaultIntern(true)
-	for _, p := range []int{1, 4} {
-		if got := renderDeterministic(t, p, nil); got != ref {
-			t.Errorf("-intern output at -parallel %d diverges from plain golden:\n%s", p, firstDiff(ref, got))
-		}
-	}
-	// And composed with the parallel wave solver, which interns only at
-	// level barriers.
-	prevSolve := pointsto.SetDefaultParallel(4)
-	got := renderDeterministic(t, 1, nil)
-	pointsto.SetDefaultParallel(prevSolve)
-	pointsto.SetDefaultIntern(prevIntern)
-	if got != ref {
-		t.Errorf("-intern -parallel-solve 4 output diverges from plain golden:\n%s", firstDiff(ref, got))
-	}
 	// Offline preprocessing must be invisible to the artifacts: with HVN +
 	// hybrid cycle detection disabled the rendered bytes stay identical to
 	// the (prep-on) golden reference at every pool width. This is the

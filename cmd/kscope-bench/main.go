@@ -19,13 +19,6 @@
 //	-fuzz N            fuzzing executions per application (default 400)
 //	-seed N            base RNG seed (default 1)
 //	-parallel N        worker-pool width (0 = GOMAXPROCS, 1 = serial)
-//	-parallel-solve N  solve every analysis with the parallel wave solver at
-//	                   N workers (0 = sequential); artifacts stay
-//	                   byte-identical to a sequential run
-//	-intern            hash-cons points-to sets during every solve (shared
-//	                   storage with copy-on-write promotion); a pure memory
-//	                   and allocation optimization — artifacts stay
-//	                   byte-identical, which the golden tests pin
 //	-metrics           print a solver/interpreter telemetry snapshot on stderr
 //	-metrics-json F    write the telemetry snapshot as JSON to F
 //	-trace F           write a Chrome trace-event JSON span trace to F
@@ -58,9 +51,9 @@
 //	-memprofile F      write a runtime/pprof heap profile to F
 //
 // All telemetry goes to stderr or to files; stdout carries only the rendered
-// artifacts, which stay byte-identical for every -parallel, -parallel-solve,
-// and -intern value and with telemetry on or off (Figure 13's wall-clock throughput numbers are the
-// only run-to-run variation, and they vary at -parallel 1 too).
+// artifacts, which stay byte-identical for every -parallel value and with
+// telemetry on or off (Figure 13's wall-clock throughput numbers are the only
+// run-to-run variation, and they vary at -parallel 1 too).
 package main
 
 import (
@@ -75,7 +68,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
-	"repro/internal/pointsto"
 	"repro/internal/telemetry"
 )
 
@@ -110,8 +102,6 @@ func run() int {
 	seed := flag.Int64("seed", 0, "base RNG seed")
 	csvDir := flag.String("csv", "", "also export points-to sets and CFI policies as CSV into this directory")
 	parallel := flag.Int("parallel", 1, "worker-pool width (0 = GOMAXPROCS)")
-	parallelSolve := flag.Int("parallel-solve", 0, "parallel wave solver workers per analysis (0 = sequential)")
-	intern := flag.Bool("intern", false, "hash-cons points-to sets during every solve (pure memory optimization)")
 	metrics := flag.Bool("metrics", false, "print a telemetry snapshot on stderr after the run")
 	metricsJSON := flag.String("metrics-json", "", "write the telemetry snapshot as JSON to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file of the pipeline spans")
@@ -136,19 +126,6 @@ func run() int {
 			fmt.Println(s)
 		}
 		return 0
-	}
-
-	// The parallel wave solver is a pure execution hint — every artifact is
-	// byte-identical to a sequential run — so it is a process-wide default
-	// rather than an Options field threaded through the pipeline.
-	if *parallelSolve > 0 {
-		pointsto.SetDefaultParallel(*parallelSolve)
-	}
-	// Likewise set interning: byte-identical artifacts (the golden tests run
-	// one leg with this default flipped on), so a process-wide default
-	// suffices.
-	if *intern {
-		pointsto.SetDefaultIntern(true)
 	}
 
 	opt := experiments.Options{

@@ -36,13 +36,6 @@
 //	                      balancers observe /readyz turn 503 before the
 //	                      socket closes); default 0
 //	-retry-after D        Retry-After hint on 503 responses (default 1s)
-//	-parallel-solve N     solve every analysis with the parallel wave solver
-//	                      at N workers (0 = sequential unless a request sets
-//	                      "parallel": true; results are byte-identical)
-//	-intern               hash-cons points-to sets during every solve
-//	                      (copy-on-write shared storage; results are
-//	                      byte-identical, so this only cuts memory — a
-//	                      request can also opt in with "intern": true)
 //	-fault-seed N         arm the seeded fault-injection plan N (0 = off),
 //	                      for chaos-testing the daemon
 //	-fault-list           print every fault-injection site and exit
@@ -96,8 +89,6 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "persistent result store directory (empty = memory only)")
 		drainGrace   = flag.Duration("drain-grace", 0, "listener grace period between SIGTERM and socket close")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on 503s")
-		parallel     = flag.Int("parallel-solve", 0, "parallel wave solver workers per analysis (0 = sequential)")
-		intern       = flag.Bool("intern", false, "hash-cons points-to sets during every solve (pure memory optimization)")
 		faultSeed    = flag.Int64("fault-seed", 0, "arm seeded fault injection (0 = off)")
 		faultList    = flag.Bool("fault-list", false, "print every fault-injection site and exit")
 		accessLog    = flag.String("access-log", "off", "JSON-lines access log: off, stderr, stdout, or a file path")
@@ -131,8 +122,6 @@ func main() {
 		MaxPrograms:    *maxPrograms,
 		CacheDir:       *cacheDir,
 		RetryAfter:     *retryAfter,
-		Parallel:       *parallel,
-		Intern:         *intern,
 		Metrics:        telemetry.New(),
 		TraceRecent:    *traceRecent,
 		TraceSlowest:   *traceSlowest,

@@ -15,19 +15,12 @@
 // (Add, Remove, UnionWith, UnionDelta, DifferenceWith, IntersectWith, Clear)
 // require exclusive access. Methods that only read the receiver and their
 // arguments (Has, Len, Empty, ForEach, Elements, Min, Max, SubsetOf, Equal,
-// Intersects, Clone, Difference, String) are safe to call from any number of
-// goroutines concurrently, provided no goroutine mutates the sets involved
-// for the duration — the read-only phases of the parallel wave solver
-// (internal/pointsto) rely on exactly this contract, with mutation confined
-// to the level barriers.
-//
-// Sharing: a vector-mode set may be interned in a Pool (intern.go), after
-// which its storage is canonical and shared with every other holder of the
-// same content. Shared sets keep the exact same API and concurrency
-// contract; the only behavioral differences are that mutators transparently
-// copy the storage back to private ownership before the first real write
-// (copy-on-write promotion) and that Elements returns the canonical memoized
-// slice, which callers must not modify.
+// Intersects, Clone, String) are safe to call from any number of goroutines
+// concurrently, provided no goroutine mutates the sets involved for the
+// duration. Finished pointsto Results rely on exactly this contract: the
+// cached analyses that runner workers and kscope-serve's snapshot projection
+// read from many goroutines are never mutated after Solve, so their sets are
+// shared without locks.
 package bitset
 
 import (
@@ -51,14 +44,11 @@ const InlineThreshold = 4
 //
 // Representation invariant: words == nil means inline mode, where
 // small[:count] holds the elements sorted ascending and distinct; words !=
-// nil means vector mode, where count caches the vector's cardinality. A
-// non-nil shared implies vector mode with words aliasing the pool entry's
-// canonical (immutable) storage; any mutator un-shares before writing.
+// nil means vector mode, where count caches the vector's cardinality.
 type Set struct {
-	small  [InlineThreshold]int32
-	words  []uint64
-	count  int
-	shared *internEntry
+	small [InlineThreshold]int32
+	words []uint64
+	count int
 }
 
 // New returns an empty set. A positive capacity hint n pre-sizes the
@@ -128,12 +118,11 @@ func (s *Set) Add(x int) bool {
 		}
 		s.promote(x)
 	}
+	s.grow(x)
 	w, b := x/wordBits, uint(x%wordBits)
-	if w < len(s.words) && s.words[w]&(1<<b) != 0 {
+	if s.words[w]&(1<<b) != 0 {
 		return false
 	}
-	s.unshare()
-	s.grow(x)
 	s.words[w] |= 1 << b
 	s.count++
 	return true
@@ -161,7 +150,6 @@ func (s *Set) Remove(x int) bool {
 	if s.words[w]&(1<<b) == 0 {
 		return false
 	}
-	s.unshare()
 	s.words[w] &^= 1 << b
 	s.count--
 	return true
@@ -209,14 +197,6 @@ func (s *Set) UnionWith(t *Set) bool {
 	}
 	if s.inline() {
 		s.promote(len(t.words)*wordBits - 1)
-	}
-	if s.shared != nil {
-		// Prove a real change before paying the copy-on-write: sharing the
-		// same canonical entry or already covering t means no write at all.
-		if s.shared == t.shared || t.SubsetOf(s) {
-			return false
-		}
-		s.unshare()
 	}
 	if len(t.words) > len(s.words) {
 		nw := make([]uint64, len(t.words))
@@ -269,12 +249,6 @@ func (s *Set) UnionDelta(t, delta *Set) int {
 		}
 		return added
 	}
-	if s.shared != nil {
-		if s.shared == t.shared || t.SubsetOf(s) {
-			return 0
-		}
-		s.unshare()
-	}
 	if len(t.words) > len(s.words) {
 		nw := make([]uint64, len(t.words))
 		copy(nw, s.words)
@@ -324,16 +298,6 @@ func (s *Set) DifferenceWith(t *Set) {
 		}
 		return
 	}
-	if s.shared != nil {
-		if s.shared == t.shared {
-			s.Clear()
-			return
-		}
-		if !s.Intersects(t) {
-			return
-		}
-		s.unshare()
-	}
 	n := len(s.words)
 	if len(t.words) < n {
 		n = len(t.words)
@@ -348,56 +312,8 @@ func (s *Set) DifferenceWith(t *Set) {
 	}
 }
 
-// Difference returns a new set holding s \ t without mutating either
-// operand. It reads both sets only, so concurrent callers may share s and t
-// freely (see the package concurrency note); the parallel solver's gather
-// workers use it to stage propagation diffs against live points-to sets. A
-// nil t yields a clone of s.
-func (s *Set) Difference(t *Set) *Set {
-	out := &Set{}
-	if s.count == 0 {
-		return out
-	}
-	if t != nil && s.shared != nil && s.shared == t.shared {
-		return out
-	}
-	if t == nil || t.count == 0 {
-		return s.Clone()
-	}
-	if s.inline() || t.inline() {
-		s.ForEach(func(x int) bool {
-			if !t.Has(x) {
-				out.Add(x)
-			}
-			return true
-		})
-		return out
-	}
-	words := make([]uint64, len(s.words))
-	n := 0
-	for i, sw := range s.words {
-		if i < len(t.words) {
-			sw &^= t.words[i]
-		}
-		words[i] = sw
-		n += bits.OnesCount64(sw)
-	}
-	if n == 0 {
-		return out
-	}
-	out.words = words
-	out.count = n
-	return out
-}
-
 // IntersectWith keeps only elements present in both s and t.
 func (s *Set) IntersectWith(t *Set) {
-	if s.shared != nil {
-		if (t != nil && s.shared == t.shared) || s.SubsetOf(t) {
-			return
-		}
-		s.unshare()
-	}
 	if s.inline() {
 		kept := 0
 		for i := 0; i < s.count; i++ {
@@ -443,9 +359,6 @@ func (s *Set) Intersects(t *Set) bool {
 	if t == nil {
 		return false
 	}
-	if s.shared != nil && s.shared == t.shared {
-		return s.count > 0
-	}
 	if s.inline() {
 		for i := 0; i < s.count; i++ {
 			if t.Has(int(s.small[i])) {
@@ -471,9 +384,6 @@ func (s *Set) Intersects(t *Set) bool {
 
 // SubsetOf reports whether every element of s is in t.
 func (s *Set) SubsetOf(t *Set) bool {
-	if t != nil && s.shared != nil && s.shared == t.shared {
-		return true
-	}
 	if s.inline() {
 		for i := 0; i < s.count; i++ {
 			if t == nil || !t.Has(int(s.small[i])) {
@@ -514,15 +424,10 @@ func (s *Set) SubsetOf(t *Set) bool {
 	return true
 }
 
-// Equal reports whether s and t contain exactly the same elements. On sets
-// interned in the same Pool this is a pointer comparison on the canonical
-// entry — content never gets touched.
+// Equal reports whether s and t contain exactly the same elements.
 func (s *Set) Equal(t *Set) bool {
 	if t == nil {
 		return s.count == 0
-	}
-	if s == t || (s.shared != nil && s.shared == t.shared) {
-		return true
 	}
 	if s.count != t.count {
 		return false
@@ -530,14 +435,8 @@ func (s *Set) Equal(t *Set) bool {
 	return s.SubsetOf(t)
 }
 
-// Clone returns an independent copy of s, preserving its representation. A
-// shared (interned) set clones for free: the copy aliases the same canonical
-// storage, and copy-on-write keeps the two independent under mutation.
+// Clone returns an independent copy of s, preserving its representation.
 func (s *Set) Clone() *Set {
-	if s.shared != nil {
-		c := *s
-		return &c
-	}
 	c := &Set{small: s.small, count: s.count}
 	if s.words != nil {
 		c.words = make([]uint64, len(s.words))
@@ -547,20 +446,8 @@ func (s *Set) Clone() *Set {
 }
 
 // Clear removes all elements, retaining a vector's capacity (an inline set
-// stays inline; a promoted set stays promoted). A shared set detaches from
-// its canonical entry with a fresh zero buffer instead of copying storage it
-// is about to erase.
+// stays inline; a promoted set stays promoted).
 func (s *Set) Clear() {
-	if s.count == 0 {
-		return
-	}
-	if e := s.shared; e != nil {
-		s.words = make([]uint64, len(s.words))
-		s.shared = nil
-		s.count = 0
-		e.pool.promotions.Add(1)
-		return
-	}
 	for i := range s.words {
 		s.words[i] = 0
 	}
@@ -589,14 +476,8 @@ func (s *Set) ForEach(f func(x int) bool) {
 	}
 }
 
-// Elements returns the elements in ascending order. On a shared (interned)
-// set this returns the canonical memoized slice — computed once per pool
-// entry and aliased by every holder of the same content — so callers must
-// treat the result as read-only. Private sets get a fresh slice as before.
+// Elements returns the elements in ascending order.
 func (s *Set) Elements() []int {
-	if e := s.shared; e != nil {
-		return e.elements()
-	}
 	out := make([]int, 0, s.count)
 	s.ForEach(func(x int) bool {
 		out = append(out, x)

@@ -73,8 +73,6 @@ type Options struct {
 	Runs     int                 // monitored executions per app (default 2)
 	Workers  int                 // pool width of one sweep (default 4)
 	Timeout  time.Duration       // per-app job timeout (default 2m)
-	Parallel int                 // parallel wave solver workers per analysis (0 = sequential)
-	Intern   bool                // hash-cons points-to sets during every solve (pure memory hint)
 	Metrics  *telemetry.Registry // fault + outcome counters (may be nil)
 }
 
@@ -216,16 +214,6 @@ func runAgainst(seed int64, ref []runner.Result[appArtifact], o Options) *Report
 func sweep(plan *faultinject.Plan, o Options) []runner.Result[appArtifact] {
 	cache := runner.NewCache(o.Metrics)
 	cache.SetFaults(plan)
-	// The parallel wave solver is byte-identical to the sequential one, so
-	// applying it to the reference and every fault sweep alike cannot perturb
-	// the Identical classification — it only moves where a budget fault lands
-	// (a level barrier instead of a worklist pop), which classify already
-	// treats as the same typed abort.
-	cache.SetParallel(o.Parallel)
-	// Same argument for set interning: byte-identical fixpoints mean the
-	// chaos matrix exercises the copy-on-write machinery without its
-	// classifications being able to shift.
-	cache.SetIntern(o.Intern)
 	apps := workload.Apps()
 	return runner.MapOpts(len(apps), o.Workers, runner.Opts{
 		Trace:            runner.Trace{Metrics: o.Metrics, Label: "chaos/app"},

@@ -49,53 +49,6 @@ func TestChaosDifferential(t *testing.T) {
 	}
 }
 
-// TestChaosParallelDifferential re-runs the acceptance matrix with every
-// analysis solved by the parallel wave strategy: the robustness contract —
-// identical / soundly-degraded / typed-error, never Unsound — must hold
-// unchanged when budget faults abort at level barriers instead of worklist
-// pops. Additionally the parallel fault-free reference must be byte-identical
-// to the sequential one, pinning the solver's byte-identity through the whole
-// harden→execute pipeline, not just the Result fingerprint.
-func TestChaosParallelDifferential(t *testing.T) {
-	plans := 50
-	if testing.Short() {
-		plans = 8
-	}
-	o := testOptions()
-	o.Parallel = 8
-	seqRef, err := reference(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRef, err := reference(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seqRef {
-		if string(seqRef[i].Value.bytes) != string(parRef[i].Value.bytes) {
-			t.Errorf("app %d: parallel-solved artifacts differ from sequential reference", i)
-		}
-	}
-	reports, err := RunMatrix(1, plans, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[Outcome]int{}
-	for _, rep := range reports {
-		for _, f := range rep.Failures() {
-			t.Errorf("seed %d (%s): %s UNSOUND under parallel solve: %s (%v)", rep.Seed, rep.Plan, f.App, f.Detail, f.Err)
-		}
-		for _, a := range rep.Results {
-			counts[a.Outcome]++
-		}
-	}
-	t.Logf("parallel outcomes over %d plans: identical=%d fallback=%d typed-error=%d unsound=%d",
-		plans, counts[Identical], counts[Fallback], counts[TypedError], counts[Unsound])
-	if counts[Fallback]+counts[TypedError] == 0 {
-		t.Error("no plan produced a degraded or errored outcome; fault injection is not reaching the parallel pipeline")
-	}
-}
-
 // A nil-fault sweep must be fully identical to itself and report no fired
 // sites (determinism of the reference).
 func TestChaosFaultFreeIsIdentical(t *testing.T) {
@@ -195,52 +148,5 @@ func TestChaosSpuriousViolationLandsOnFallback(t *testing.T) {
 	}
 	if fallbacks == 0 {
 		t.Error("spurious violation fired but no app classified as Fallback")
-	}
-}
-
-// TestChaosInternDifferential re-runs the acceptance matrix with hash-consed
-// set interning on: the robustness contract — identical / soundly-degraded /
-// typed-error, never Unsound — must hold when every solve shares canonical
-// set storage and mutates through copy-on-write. As with the parallel leg,
-// the interned fault-free reference must be byte-identical to the plain one,
-// pinning the byte-identity of interned solves through the whole
-// harden→execute pipeline.
-func TestChaosInternDifferential(t *testing.T) {
-	plans := 50
-	if testing.Short() {
-		plans = 8
-	}
-	o := testOptions()
-	o.Intern = true
-	plainRef, err := reference(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	internRef, err := reference(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plainRef {
-		if string(plainRef[i].Value.bytes) != string(internRef[i].Value.bytes) {
-			t.Errorf("app %d: interned artifacts differ from plain reference", i)
-		}
-	}
-	reports, err := RunMatrix(1, plans, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[Outcome]int{}
-	for _, rep := range reports {
-		for _, f := range rep.Failures() {
-			t.Errorf("seed %d (%s): %s UNSOUND under interned solve: %s (%v)", rep.Seed, rep.Plan, f.App, f.Detail, f.Err)
-		}
-		for _, a := range rep.Results {
-			counts[a.Outcome]++
-		}
-	}
-	t.Logf("interned outcomes over %d plans: identical=%d fallback=%d typed-error=%d unsound=%d",
-		plans, counts[Identical], counts[Fallback], counts[TypedError], counts[Unsound])
-	if counts[Fallback]+counts[TypedError] == 0 {
-		t.Error("no plan produced a degraded or errored outcome; fault injection is not reaching the interned pipeline")
 	}
 }

@@ -146,8 +146,7 @@ func RunRestartPlan(plan *faultinject.Plan, dir string, o Options) (*RestartRepo
 	// Generation A: fault plan armed, persistent store attached. Tracing
 	// off: trace ids live in headers, but the flight recorder is outside
 	// this leg's contract.
-	genA := serve.New(serve.Config{CacheDir: dir, Faults: plan, Parallel: o.Parallel,
-		Intern: o.Intern, DisableTracing: true})
+	genA := serve.New(serve.Config{CacheDir: dir, Faults: plan, DisableTracing: true})
 	if err := genA.PersistError(); err != nil {
 		return nil, fmt.Errorf("chaos restart: generation A store: %w", err)
 	}

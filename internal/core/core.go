@@ -73,8 +73,6 @@ type AnalyzeOpts struct {
 	Metrics  *telemetry.Registry // telemetry sink (may be nil)
 	Budget   pointsto.Budget     // per-stage solver step budget (zero = unlimited)
 	Faults   *faultinject.Plan   // fault-injection plan armed on both solver stages
-	Parallel int                 // >0 solves both stages with the parallel wave strategy at this many workers
-	Intern   bool                // hash-cons points-to sets in both stages (pure allocation hint)
 }
 
 // AnalyzeCtx is the cancellable, bounded, fault-injectable analysis entry.
@@ -91,51 +89,37 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o Analy
 	// handle; otherwise it lands in the registry as before.
 	ctx, span, finish := telemetry.StartSpanCtx(ctx, metrics, "core/analyze")
 	defer finish()
-	fallback := o.Fallback
-	if fallback == nil {
-		sp, fin := metrics.StartSpan("core/stage/fallback", span)
-		stop := metrics.Timer("core/stage/fallback").Start()
-		a := pointsto.New(m, invariant.Config{})
+	// solve runs one IGO stage under its own span and timer (both named
+	// core/stage/<stage>), nesting the solver's phase spans beneath it.
+	solve := func(stage string, c invariant.Config) (*pointsto.Result, error) {
+		sp, fin := metrics.StartSpan("core/stage/"+stage, span)
+		defer fin()
+		defer metrics.Timer("core/stage/" + stage).Start()()
+		a := pointsto.New(m, c)
 		a.SetMetrics(metrics)
 		a.SetSpan(sp)
 		a.SetFaults(o.Faults)
-		if o.Parallel > 0 {
-			a.SetParallel(o.Parallel)
-		}
-		if o.Intern {
-			a.SetIntern(true)
-		}
 		r, err := a.SolveCtx(ctx, o.Budget)
-		stop()
-		fin()
 		if err != nil {
-			return nil, fmt.Errorf("fallback stage: %w", err)
+			return nil, fmt.Errorf("%s stage: %w", stage, err)
 		}
-		fallback = r
+		return r, nil
 	}
-	s.Fallback = fallback
-	if cfg.Any() {
-		sp, fin := metrics.StartSpan("core/stage/optimistic", span)
-		stop := metrics.Timer("core/stage/optimistic").Start()
-		a := pointsto.New(m, cfg)
-		a.SetMetrics(metrics)
-		a.SetSpan(sp)
-		a.SetFaults(o.Faults)
-		if o.Parallel > 0 {
-			a.SetParallel(o.Parallel)
-		}
-		if o.Intern {
-			a.SetIntern(true)
-		}
-		r, err := a.SolveCtx(ctx, o.Budget)
-		stop()
-		fin()
+	s.Fallback = o.Fallback
+	if s.Fallback == nil {
+		r, err := solve("fallback", invariant.Config{})
 		if err != nil {
-			return nil, fmt.Errorf("optimistic stage: %w", err)
+			return nil, err
+		}
+		s.Fallback = r
+	}
+	s.Optimistic = s.Fallback
+	if cfg.Any() {
+		r, err := solve("optimistic", cfg)
+		if err != nil {
+			return nil, err
 		}
 		s.Optimistic = r
-	} else {
-		s.Optimistic = s.Fallback
 	}
 	metrics.Counter("core/analyses").Inc()
 	return s, nil

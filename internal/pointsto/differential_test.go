@@ -69,40 +69,11 @@ func fingerprint(r *Result) string {
 // solveVariant runs one configuration of the solver over a module and
 // returns the Result.
 func solveVariant(m *ir.Module, cfg invariant.Config, wave, delta, prep bool) *Result {
-	return solveStrategy(m, cfg, wave, 0, delta, prep)
-}
-
-// solveStrategy is solveVariant with the full strategy axis: parallel > 0
-// selects the parallel wave solver with that many workers (overriding wave).
-func solveStrategy(m *ir.Module, cfg invariant.Config, wave bool, parallel int, delta, prep bool) *Result {
-	return solveCube(m, cfg, wave, parallel, delta, prep, false)
-}
-
-// solveCube is the full configuration cube, including hash-consed set
-// interning (SetIntern) as its last axis.
-func solveCube(m *ir.Module, cfg invariant.Config, wave bool, parallel int, delta, prep, intern bool) *Result {
 	a := New(m, cfg)
 	a.SetWave(wave)
-	a.SetParallel(parallel)
 	a.SetDelta(delta)
 	a.SetPrep(prep)
-	a.SetIntern(intern)
 	return a.Solve()
-}
-
-// strategyAxis enumerates every iteration strategy the differential cube
-// covers: the plain worklist, sequential wave propagation, and the parallel
-// wave solver at 1 (inline), 2, and 8 workers.
-var strategyAxis = []struct {
-	name     string
-	wave     bool
-	parallel int
-}{
-	{"worklist", false, 0},
-	{"wave", true, 0},
-	{"parallel1", false, 1},
-	{"parallel2", false, 2},
-	{"parallel8", false, 8},
 }
 
 // oracleModules collects every corpus the oracle runs on: the nine synthetic
@@ -129,9 +100,8 @@ func oracleModules(t *testing.T) map[string]*ir.Module {
 
 // TestDifferentialDeltaOracle asserts that no solver optimization changes
 // anything observable: for every module and invariant configuration, every
-// point of the {worklist, wave, parallel x {1,2,8 workers}} x {delta on/off}
-// x {prep on/off} x {intern on/off} strategy cube fingerprints identically
-// to the plain worklist+full+no-prep solve.
+// point of the {worklist, wave} x {delta on/off} x {prep on/off} strategy
+// cube fingerprints identically to the plain worklist+full+no-prep solve.
 func TestDifferentialDeltaOracle(t *testing.T) {
 	cfgs := map[string]invariant.Config{
 		"fallback":   {},
@@ -143,20 +113,17 @@ func TestDifferentialDeltaOracle(t *testing.T) {
 		for cfgName, cfg := range cfgs {
 			t.Run(name+"/"+cfgName, func(t *testing.T) {
 				ref := fingerprint(solveVariant(m, cfg, false, false, false))
-				for _, strat := range strategyAxis {
+				for _, wave := range []bool{false, true} {
 					for _, delta := range []bool{false, true} {
 						for _, prep := range []bool{false, true} {
-							for _, intern := range []bool{false, true} {
-								if strat.name == "worklist" && !delta && !prep && !intern {
-									continue // the reference itself
-								}
-								label := fmt.Sprintf("%s delta=%v prep=%v intern=%v",
-									strat.name, delta, prep, intern)
-								got := fingerprint(solveCube(m, cfg, strat.wave, strat.parallel, delta, prep, intern))
-								if got != ref {
-									t.Errorf("%s diverges from worklist+full+no-prep reference:\n%s",
-										label, diffLines(ref, got))
-								}
+							if !wave && !delta && !prep {
+								continue // the reference itself
+							}
+							label := fmt.Sprintf("wave=%v delta=%v prep=%v", wave, delta, prep)
+							got := fingerprint(solveVariant(m, cfg, wave, delta, prep))
+							if got != ref {
+								t.Errorf("%s diverges from worklist+full+no-prep reference:\n%s",
+									label, diffLines(ref, got))
 							}
 						}
 					}
@@ -173,32 +140,29 @@ func TestDifferentialDeltaOracle(t *testing.T) {
 func TestDifferentialIncrementalOracle(t *testing.T) {
 	for name, m := range oracleModules(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, strat := range strategyAxis {
-				for _, intern := range []bool{false, true} {
-					// The reference runs full propagation without preprocessing;
-					// the candidate enables both delta and prep — and, on the
-					// second pass, set interning, so every Restore mutates shared
-					// fixpoint sets through the copy-on-write path.
-					full := solveStrategy(m, invariant.All(), strat.wave, strat.parallel, false, false)
-					delta := solveCube(m, invariant.All(), strat.wave, strat.parallel, true, true, intern)
-					if got, want := fingerprint(delta), fingerprint(full); got != want {
-						t.Fatalf("%s intern=%v: pre-restore divergence:\n%s", strat.name, intern, diffLines(want, got))
+			for _, wave := range []bool{false, true} {
+				// The reference runs full propagation without preprocessing;
+				// the candidate enables both delta and prep, so the restore
+				// sequence exercises re-solving on a prep-merged graph.
+				full := solveVariant(m, invariant.All(), wave, false, false)
+				delta := solveVariant(m, invariant.All(), wave, true, true)
+				if got, want := fingerprint(delta), fingerprint(full); got != want {
+					t.Fatalf("wave=%v: pre-restore divergence:\n%s", wave, diffLines(want, got))
+				}
+				// Restore records by stable identity, not index: both solves
+				// assumed the same invariants (asserted above), so drive both
+				// from the full solve's record list.
+				recs := full.Invariants()
+				for i, rec := range recs {
+					if err := full.Restore(rec); err != nil {
+						t.Fatalf("wave=%v: full restore %d (%+v): %v", wave, i, rec, err)
 					}
-					// Restore records by stable identity, not index: both solves
-					// assumed the same invariants (asserted above), so drive both
-					// from the full solve's record list.
-					recs := full.Invariants()
-					for i, rec := range recs {
-						if err := full.Restore(rec); err != nil {
-							t.Fatalf("%s: full restore %d (%+v): %v", strat.name, i, rec, err)
-						}
-						if err := delta.Restore(rec); err != nil {
-							t.Fatalf("%s intern=%v: delta restore %d (%+v): %v", strat.name, intern, i, rec, err)
-						}
-						if got, want := fingerprint(delta), fingerprint(full); got != want {
-							t.Errorf("%s intern=%v: divergence after restore %d (kind=%v site=%d):\n%s",
-								strat.name, intern, i, rec.Kind, rec.Site, diffLines(want, got))
-						}
+					if err := delta.Restore(rec); err != nil {
+						t.Fatalf("wave=%v: delta restore %d (%+v): %v", wave, i, rec, err)
+					}
+					if got, want := fingerprint(delta), fingerprint(full); got != want {
+						t.Errorf("wave=%v: divergence after restore %d (kind=%v site=%d):\n%s",
+							wave, i, rec.Kind, rec.Site, diffLines(want, got))
 					}
 				}
 			}

@@ -60,119 +60,3 @@ func FuzzSolverEquivalence(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParallelEquivalence extends the solver-equivalence fuzzing to the
-// parallel wave strategy: for a random well-formed module, the parallel
-// solver at 1 (inline), 2, and 8 workers — across delta and prep modes —
-// must fingerprint identically to the sequential worklist solve. The seed
-// corpus mirrors FuzzSolverEquivalence (including the prep-cycle seed 11) so
-// the parallel phase machinery is pinned to the same coverage from the first
-// run.
-func FuzzParallelEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0))
-	f.Add(int64(2), uint8(7))
-	f.Add(int64(1337), uint8(1))
-	f.Add(int64(-99), uint8(2))
-	f.Add(int64(424242), uint8(4))
-	f.Add(int64(11), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, cfgBits uint8) {
-		src := workload.RandomProgram(seed)
-		m, err := minic.Compile("fuzz", src)
-		if err != nil {
-			t.Fatalf("generated program does not compile (seed %d): %v\n%s", seed, err, src)
-		}
-		cfg := invariant.Config{
-			PA:  cfgBits&1 != 0,
-			PWC: cfgBits&2 != 0,
-			Ctx: cfgBits&4 != 0,
-		}
-		ref := fingerprint(solveVariant(m, cfg, false, false, false))
-		for _, v := range []struct {
-			label       string
-			parallel    int
-			delta, prep bool
-		}{
-			{"parallel1+full", 1, false, false},
-			{"parallel1+delta+prep", 1, true, true},
-			{"parallel2+delta", 2, true, false},
-			{"parallel2+full+prep", 2, false, true},
-			{"parallel8+delta+prep", 8, true, true},
-			{"parallel8+full", 8, false, false},
-		} {
-			if got := fingerprint(solveStrategy(m, cfg, false, v.parallel, v.delta, v.prep)); got != ref {
-				t.Errorf("seed %d cfg %+v: %s diverges from worklist+full:\n%s",
-					seed, cfg, v.label, diffLines(ref, got))
-			}
-		}
-		if t.Failed() {
-			t.Logf("program:\n%s", src)
-		}
-	})
-}
-
-// FuzzInternEquivalence extends the solver-equivalence fuzzing to hash-consed
-// set interning: for a random well-formed module, interned solves across the
-// strategy cube — worklist, wave, and parallel, under delta and prep modes —
-// must fingerprint identically to the plain un-interned worklist solve, and a
-// full Restore sequence on an interned analysis (mutating shared fixpoint
-// sets through copy-on-write) must track its un-interned twin step for step.
-// The seed corpus mirrors FuzzSolverEquivalence (including the prep-cycle
-// seed 11).
-func FuzzInternEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0))
-	f.Add(int64(2), uint8(7))
-	f.Add(int64(1337), uint8(1))
-	f.Add(int64(-99), uint8(2))
-	f.Add(int64(424242), uint8(4))
-	f.Add(int64(11), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, cfgBits uint8) {
-		src := workload.RandomProgram(seed)
-		m, err := minic.Compile("fuzz", src)
-		if err != nil {
-			t.Fatalf("generated program does not compile (seed %d): %v\n%s", seed, err, src)
-		}
-		cfg := invariant.Config{
-			PA:  cfgBits&1 != 0,
-			PWC: cfgBits&2 != 0,
-			Ctx: cfgBits&4 != 0,
-		}
-		ref := fingerprint(solveVariant(m, cfg, false, false, false))
-		for _, v := range []struct {
-			label       string
-			wave        bool
-			parallel    int
-			delta, prep bool
-		}{
-			{"worklist+full+intern", false, 0, false, false},
-			{"worklist+delta+prep+intern", false, 0, true, true},
-			{"wave+full+intern", true, 0, false, false},
-			{"wave+delta+prep+intern", true, 0, true, true},
-			{"parallel2+full+intern", false, 2, false, false},
-			{"parallel8+delta+prep+intern", false, 8, true, true},
-		} {
-			if got := fingerprint(solveCube(m, cfg, v.wave, v.parallel, v.delta, v.prep, true)); got != ref {
-				t.Errorf("seed %d cfg %+v: %s diverges from worklist+full:\n%s",
-					seed, cfg, v.label, diffLines(ref, got))
-			}
-		}
-		// Incremental leg: restore every assumed invariant on an interned and
-		// an un-interned analysis in lockstep.
-		plain := solveVariant(m, invariant.All(), false, true, true)
-		interned := solveCube(m, invariant.All(), false, 0, true, true, true)
-		for i, rec := range plain.Invariants() {
-			if err := plain.Restore(rec); err != nil {
-				t.Fatalf("seed %d: plain restore %d: %v", seed, i, err)
-			}
-			if err := interned.Restore(rec); err != nil {
-				t.Fatalf("seed %d: interned restore %d: %v", seed, i, err)
-			}
-			if got, want := fingerprint(interned), fingerprint(plain); got != want {
-				t.Errorf("seed %d: divergence after restore %d (kind=%v site=%d):\n%s",
-					seed, i, rec.Kind, rec.Site, diffLines(want, got))
-			}
-		}
-		if t.Failed() {
-			t.Logf("program:\n%s", src)
-		}
-	})
-}

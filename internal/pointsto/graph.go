@@ -165,9 +165,6 @@ type Analysis struct {
 	wave       bool            // use wave propagation instead of the plain worklist
 	noDelta    bool            // disable difference propagation (differential-oracle ablation)
 	deltaMode  uint8           // deltaAuto (resolved at first solve) / deltaOn / deltaOff
-	parallel   int             // >1: parallel wave strategy with this many gather workers
-	intern     bool            // hash-cons points-to sets in a per-analysis pool
-	pool       *bitset.Pool    // lazily created at first resolve when intern is set
 
 	// Offline preprocessing (prep.go / hcd.go): HVN variable substitution and
 	// hybrid cycle detection run once, lazily, at the first resolve — after
@@ -181,10 +178,9 @@ type Analysis struct {
 	hcdAt      [][]int32        // rep node -> indexes into hcdEntries
 	lcdSeen    map[edgeKey]bool // copy edges already probed by the LCD fallback
 
-	stats         Stats
-	flushed       Stats               // stats already exported to metrics
-	flushedIntern bitset.PoolStats    // intern-pool stats already exported
-	metrics       *telemetry.Registry // nil disables telemetry
+	stats   Stats
+	flushed Stats               // stats already exported to metrics
+	metrics *telemetry.Registry // nil disables telemetry
 
 	// Tracing state. The parent span (if any) nests this analysis's phase
 	// spans under the caller's stage span; build timing is captured in New
@@ -198,8 +194,6 @@ type Analysis struct {
 	hDeltaSize   *telemetry.Histogram // pointsto/delta/size
 	hWLDepth     *telemetry.Histogram // pointsto/worklist/depth
 	hPtsSize     *telemetry.Histogram // pointsto/pts/size
-	hLevelWidth  *telemetry.Histogram // pointsto/parallel/level-width
-	hOccupancy   *telemetry.Histogram // pointsto/parallel/worker-occupancy
 	cLivePops    *telemetry.Counter   // pointsto/progress/pops (live, for the watchdog)
 	gLiveDepth   *telemetry.Gauge     // pointsto/progress/worklist-depth (live)
 
@@ -272,54 +266,6 @@ func init() { defaultPrep.Store(true) }
 // callers can restore it.
 func SetDefaultPrep(on bool) bool { return defaultPrep.Swap(on) }
 
-// SetParallel selects the parallel wave strategy for this analysis: each
-// wave's topological order is split into independent levels and the nodes of
-// a level are gathered across n worker goroutines, with all graph mutation
-// applied deterministically at the level barrier (see parallel.go). n == 1
-// runs the same phase-separated strategy inline on the solver goroutine;
-// n <= 0 restores the sequential strategy selected by SetWave. The final fixpoint is
-// byte-identical to the sequential solvers (asserted by the differential
-// oracle and golden tests). An installed Tracer forces the sequential wave —
-// tracer callbacks are synchronous and order-sensitive. Must be called before
-// Solve.
-func (a *Analysis) SetParallel(n int) { a.parallel = n }
-
-// defaultParallel is the package-wide parallel-solve default, read by New:
-// 0 (the default) solves sequentially, n >= 1 makes every new analysis use
-// the parallel wave strategy with n gather workers. It exists for the same
-// reason as defaultPrep: pipeline entry points construct analyses without
-// exposing solver knobs, so CLI flags (kscope-bench -parallel-solve) and
-// byte-identity tests flip the default around a region.
-var defaultParallel atomic.Int64
-
-// SetDefaultParallel sets the package-wide parallel-solve default and
-// returns the previous value, so callers can restore it.
-func SetDefaultParallel(n int) int { return int(defaultParallel.Swap(int64(n))) }
-
-// SetIntern toggles hash-consed points-to-set sharing for this analysis: the
-// solver interns fixpoint sets in a per-analysis bitset.Pool, so nodes with
-// equal sets share one canonical storage block (and one memoized element
-// slice), and re-consuming an unchanged set in full-propagation mode costs no
-// allocation at all. Mutations through shared storage copy-on-write, so the
-// fixpoint is byte-identical to the un-interned solvers (asserted by the
-// differential strategy cube and the golden artifact tests); only allocation
-// behavior changes. Interning happens only in the solver's serial phases —
-// worklist pops, wave level barriers, and the post-fixpoint sweep — never in
-// parallel gather workers, which keeps sharing deterministic under the
-// parallel strategy. Must be called before Solve.
-func (a *Analysis) SetIntern(on bool) { a.intern = on }
-
-// defaultIntern is the package-wide interning default, read by New. It
-// exists for the same reason as defaultPrep and defaultParallel: pipeline
-// entry points construct analyses without exposing solver knobs, so CLI
-// flags (-intern) and byte-identity tests flip the default around a region.
-var defaultIntern atomic.Bool
-
-// SetDefaultIntern sets the package-wide default for hash-consed set
-// interning (off unless changed) and returns the previous value, so callers
-// can restore it.
-func SetDefaultIntern(on bool) bool { return defaultIntern.Swap(on) }
-
 // New builds the constraint graph for m under cfg. Call Solve to run the
 // analysis.
 func New(m *ir.Module, cfg invariant.Config) *Analysis {
@@ -341,8 +287,6 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		addrFacts:   map[int32][]int32{},
 	}
 	a.prep = defaultPrep.Load()
-	a.parallel = int(defaultParallel.Load())
-	a.intern = defaultIntern.Load()
 	a.buildStart = time.Now()
 	a.build()
 	a.buildDur = time.Since(a.buildStart)
@@ -361,8 +305,6 @@ func (a *Analysis) SetMetrics(r *telemetry.Registry) {
 	a.hDeltaSize = r.Histogram("pointsto/delta/size")
 	a.hWLDepth = r.Histogram("pointsto/worklist/depth")
 	a.hPtsSize = r.Histogram("pointsto/pts/size")
-	a.hLevelWidth = r.Histogram("pointsto/parallel/level-width")
-	a.hOccupancy = r.Histogram("pointsto/parallel/worker-occupancy")
 	a.cLivePops = r.Counter("pointsto/progress/pops")
 	a.gLiveDepth = r.Gauge("pointsto/progress/worklist-depth")
 }

@@ -111,19 +111,5 @@ func (r *Result) Restore(rec invariant.Record) error {
 	}
 	// Restore re-solves outside any SolveCtx budget, so this cannot abort;
 	// the error return is plumbed through for uniformity.
-	//
-	// The re-solve always runs sequentially, even when the analysis is
-	// configured for the parallel wave strategy. Post-restore convergence is
-	// path-dependent: re-admitted constraints trigger field-sensitivity
-	// collapse cascades whose extent depends on visit order, so different
-	// iteration strategies legitimately reach different (all sound) final
-	// collapse sets — worklist and wave already differ here. Forcing the
-	// sequential strategy keeps a parallel-configured analysis byte-identical
-	// to its sequential counterpart across restores; the re-convergence is a
-	// small residual solve where fan-out would not pay anyway.
-	save := a.parallel
-	a.parallel = 0
-	err := a.resolve()
-	a.parallel = save
-	return err
+	return a.resolve()
 }

@@ -68,10 +68,9 @@ func (r *Result) ObjectByFunc(name string) *Object { return r.a.objByFunc[name] 
 // the read-only find so a finished Result can serve concurrent readers.
 //
 // Serialization must never depend on set representation: this reads the set
-// only through ForEach (never Elements, whose backing slice an interned set
-// shares with other holders) and builds fresh, independently sorted output,
-// so inline, bit-vector, and hash-consed shared sets all render identically
-// — the golden -intern leg in cmd/kscope-bench pins this byte for byte.
+// only through ForEach and builds fresh, independently sorted output, so
+// inline and bit-vector sets render identically and callers never alias
+// solver storage.
 func (r *Result) canonicalRefs(ptsNode int) []ObjRef {
 	a := r.a
 	n := a.findRead(ptsNode)

@@ -44,25 +44,13 @@ func (a *Analysis) resolve() error {
 		if a.deltaMode == deltaAuto {
 			a.noDelta = len(a.nodes) < DeltaAutoThreshold
 		}
-		if a.intern {
-			a.pool = bitset.NewPool(0)
-		}
 		if a.prep && !a.naive {
 			a.runPrep()
 		}
 	}
 	solveSpan, finishSolve := a.metrics.StartSpan("pointsto/solve", a.parentSpan)
 	stop := a.metrics.Timer("pointsto/phase/solve").Start()
-	if a.parallel > 0 {
-		if a.tracer != nil {
-			// Tracer callbacks are synchronous and order-sensitive, which the
-			// parallel gather phase cannot honor: fall back to the sequential
-			// wave (results are identical either way).
-			a.solveWave(solveSpan)
-		} else {
-			a.solveParallel(solveSpan)
-		}
-	} else if a.wave {
+	if a.wave {
 		a.solveWave(solveSpan)
 	} else {
 		a.ensureWL()
@@ -107,19 +95,6 @@ func (a *Analysis) resolve() error {
 	// resolve representatives without path-compression writes; a finished
 	// analysis may then be read from many goroutines concurrently.
 	a.flattenReps()
-	if a.pool != nil {
-		// Post-fixpoint sweep: intern every surviving node's final set, so
-		// equal fixpoint sets share one storage block across nodes no matter
-		// which propagation strategy produced them (delta and parallel runs
-		// intern little during the solve itself). Content is untouched, so
-		// results stay byte-identical; an incremental Restore that later
-		// mutates a shared set simply copy-on-writes.
-		for i := range a.pts {
-			if a.pts[i] != nil {
-				a.pool.Intern(a.pts[i])
-			}
-		}
-	}
 	stop()
 	finishSolve()
 	a.flushMetrics()
@@ -171,18 +146,6 @@ func (a *Analysis) flushMetrics() {
 	m.Counter("pointsto/delta/full-bits-avoided").Add(int64(d.BitsAvoided - prev.BitsAvoided))
 	m.Gauge("pointsto/graph/nodes").SetMax(int64(len(a.nodes)))
 	m.Gauge("pointsto/graph/objects").SetMax(int64(len(a.objects)))
-	if a.pool != nil {
-		st, prevI := a.pool.Stats(), a.flushedIntern
-		a.flushedIntern = st
-		m.Counter("pointsto/intern/hits").Add(st.Hits - prevI.Hits)
-		m.Counter("pointsto/intern/self-hits").Add(st.SelfHits - prevI.SelfHits)
-		m.Counter("pointsto/intern/misses").Add(st.Misses - prevI.Misses)
-		m.Counter("pointsto/intern/promotions").Add(st.Promotions - prevI.Promotions)
-		m.Counter("pointsto/intern/evictions").Add(st.Evictions - prevI.Evictions)
-		m.Counter("pointsto/intern/bytes-shared").Add(st.BytesShared - prevI.BytesShared)
-		m.Gauge("pointsto/intern/pool-entries").Set(int64(st.Entries))
-		m.Gauge("pointsto/intern/pool-bytes").SetMax(st.WordBytes)
-	}
 	// Distribution of points-to set sizes at this fixpoint, over
 	// representative nodes with non-empty sets (reps are flattened by now).
 	for i := range a.nodes {
@@ -226,14 +189,6 @@ func (a *Analysis) processNode(n int) {
 	if a.noDelta {
 		work = a.pts[n]
 		if work != nil {
-			if a.pool != nil {
-				// Re-canonicalize at the pop (a serial point). Full-mode pops
-				// re-consume the whole set, and most pops see content the pool
-				// has already seen — a hit hands back the canonical storage
-				// whose memoized element slice makes the Elements call below
-				// allocation-free.
-				a.pool.Intern(work)
-			}
 			size := work.Len()
 			a.stats.BitsPropagated += size
 			a.hDeltaSize.Observe(int64(size))

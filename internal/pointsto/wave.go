@@ -27,7 +27,7 @@ func (a *Analysis) solveWave(solveSpan *telemetry.Span) {
 		// Collapse copy cycles first so the remaining graph is (nearly) a
 		// DAG; PWC handling follows the configured policy.
 		changed := a.sccPass()
-		order, _ := a.topoOrder()
+		order := a.topoOrder()
 		// One wave: process every node in topological order. processNode
 		// pushes downstream nodes; because we visit in topo order, most of
 		// those pushes are handled later in the same wave. Under delta
@@ -63,18 +63,13 @@ func (a *Analysis) solveWave(solveSpan *telemetry.Span) {
 }
 
 // topoOrder returns representative nodes in topological order of the
-// copy+gep subgraph, grouped into levels: order[starts[i]:starts[i+1]] is
-// level i, and every forward copy/gep edge crosses from its level into a
-// strictly later one, so the nodes of one level share no forward edges among
-// themselves. That independence is what the parallel wave solver fans out
-// over (parallel.go); the sequential wave simply walks the flat order, which
-// remains a valid topological order. Cycles, if any remain, are broken
-// arbitrarily by the DFS finish ordering, which is safe for both consumers:
-// the residual drain handles back edges.
-func (a *Analysis) topoOrder() (order []int, starts []int) {
+// copy+gep subgraph (reverse DFS post-order). Cycles, if any remain, are
+// broken arbitrarily by the DFS finish ordering, which is safe: the residual
+// drain handles back edges.
+func (a *Analysis) topoOrder() []int {
 	n := len(a.nodes)
 	state := make([]uint8, n) // 0 unvisited, 1 on stack, 2 done
-	order = make([]int, 0, n)
+	order := make([]int, 0, n)
 
 	// Successors are iterated lazily per frame (ci walks copyTo, gi walks
 	// gepTo) instead of materializing a fresh slice per node per wave, and
@@ -131,62 +126,5 @@ func (a *Analysis) topoOrder() (order []int, starts []int) {
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	return a.levelize(order)
-}
-
-// levelize partitions a topological order into antichain levels by
-// longest-path layering: level(v) = 1 + max(level(pred)) over forward
-// predecessors, 0 for roots. Edges that run against the given order (residual
-// cycle back edges) are ignored — they cannot be satisfied by any layering
-// and are handled by the residual drain, exactly as in the sequential wave.
-// The returned order is level-major (levels ascending, DFS order within a
-// level, so the whole layout is deterministic) and is itself a topological
-// order: a forward edge always lands in a strictly later level.
-func (a *Analysis) levelize(topo []int) (order []int, starts []int) {
-	pos := make([]int32, len(a.nodes))
-	for i, v := range topo {
-		pos[v] = int32(i)
-	}
-	level := make([]int32, len(a.nodes))
-	maxLevel := int32(0)
-	for _, v := range topo {
-		lv := level[v]
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-		bump := func(raw int) {
-			w := raw
-			if int(a.rep[w]) != w {
-				w = a.find(w)
-			}
-			if w != v && pos[w] > pos[v] && level[w] < lv+1 {
-				level[w] = lv + 1
-			}
-		}
-		for _, t := range a.copyTo[v] {
-			bump(int(t))
-		}
-		for _, e := range a.gepTo[v] {
-			bump(int(e.to))
-		}
-	}
-	// Counting sort by level, preserving the topological order within each
-	// level.
-	counts := make([]int, maxLevel+2)
-	for _, v := range topo {
-		counts[level[v]+1]++
-	}
-	starts = make([]int, maxLevel+2)
-	for i := int32(1); i < maxLevel+2; i++ {
-		counts[i] += counts[i-1]
-		starts[i] = counts[i]
-	}
-	next := make([]int, maxLevel+1)
-	copy(next, starts[:maxLevel+1])
-	order = make([]int, len(topo))
-	for _, v := range topo {
-		order[next[level[v]]] = v
-		next[level[v]]++
-	}
-	return order, starts
+	return order
 }

@@ -53,13 +53,11 @@ type cacheEntry struct {
 // of the flight that produced it, and at no point can a failed entry be
 // observed by a request that did not join that flight.
 type Cache struct {
-	metrics  *telemetry.Registry
-	faults   *faultinject.Plan // armed fault plan; fires CachePoison per compute
-	budget   pointsto.Budget   // per-stage solver budget applied to every compute
-	parallel int               // default parallel-solve worker count for every compute (0 = sequential)
-	intern   bool              // default set-interning mode for every compute
-	mu       sync.Mutex
-	entries  map[cacheKey]*cacheEntry
+	metrics *telemetry.Registry
+	faults  *faultinject.Plan // armed fault plan; fires CachePoison per compute
+	budget  pointsto.Budget   // per-stage solver budget applied to every compute
+	mu      sync.Mutex
+	entries map[cacheKey]*cacheEntry
 }
 
 // NewCache returns an empty cache. The registry (may be nil) receives
@@ -81,22 +79,6 @@ func (c *Cache) SetFaults(p *faultinject.Plan) { c.faults = p }
 // daemon uses this to keep one oversized submission from monopolizing the
 // solve capacity. Must be set before the cache is used.
 func (c *Cache) SetBudget(b pointsto.Budget) { c.budget = b }
-
-// SetParallel makes every analysis this cache computes use the parallel wave
-// solver with n workers (0, the default, solves sequentially). The parallel
-// strategy reaches a byte-identical fixpoint, so cache keys are unaffected —
-// a parallel-computed entry serves sequential requests and vice versa.
-// Per-request opt-in goes through SystemCtxOpts instead. Must be set before
-// the cache is used.
-func (c *Cache) SetParallel(n int) { c.parallel = n }
-
-// SetIntern makes every analysis this cache computes hash-cons its points-to
-// sets in a per-analysis pool (pointsto.SetIntern). Interned solves are
-// byte-identical to plain ones, so — exactly like SetParallel — cache keys
-// are unaffected and entries are interchangeable across the knob; it is a
-// pure memory/allocation hint. Per-request opt-in goes through
-// SystemCtxOpts. Must be set before the cache is used.
-func (c *Cache) SetIntern(on bool) { c.intern = on }
 
 // Forget drops every memoized entry (all configurations) of the named
 // application and reports how many entries were removed. In-flight
@@ -178,28 +160,6 @@ func (c *Cache) System(app *workload.App, cfg invariant.Config) *core.System {
 // one computation; if it fails, all of them receive the error and the entry
 // is invalidated so a later request retries.
 func (c *Cache) SystemCtx(ctx context.Context, app *workload.App, cfg invariant.Config) (*core.System, error) {
-	return c.SystemCtxOpts(ctx, app, cfg, ComputeOpts{})
-}
-
-// ComputeOpts carries per-request compute options. Only options that cannot
-// change the resulting System may live here — the cache key does not include
-// them, and whichever request becomes the flight leader applies its own.
-type ComputeOpts struct {
-	// Parallel > 0 solves with the parallel wave strategy at that many
-	// workers, overriding the cache-wide SetParallel default. Byte-identical
-	// results make this a pure execution hint.
-	Parallel int
-	// Intern hash-conses points-to sets during the solve (see
-	// pointsto.SetIntern). Byte-identical results make this, too, a pure
-	// execution hint; it cannot switch interning off when the cache-wide
-	// SetIntern default is on.
-	Intern bool
-}
-
-// SystemCtxOpts is SystemCtx with per-request compute options. A request
-// joining an existing flight shares that flight's outcome regardless of its
-// own options.
-func (c *Cache) SystemCtxOpts(ctx context.Context, app *workload.App, cfg invariant.Config, opts ComputeOpts) (*core.System, error) {
 	c.metrics.Counter("runner/cache/requests").Inc()
 	key := cacheKey{app: app.Name, cfg: cfg.Name()}
 	c.mu.Lock()
@@ -213,7 +173,7 @@ func (c *Cache) SystemCtxOpts(ctx context.Context, app *workload.App, cfg invari
 		// the shared error regardless of the map state; future requests
 		// never find the dead entry and recompute from scratch.
 		c.metrics.Counter("runner/cache/misses").Inc()
-		e.sys, e.err = c.compute(ctx, app, cfg, opts)
+		e.sys, e.err = c.compute(ctx, app, cfg)
 		if e.err != nil {
 			c.mu.Lock()
 			if c.entries[key] == e {
@@ -245,13 +205,13 @@ func (c *Cache) SystemCtxOpts(ctx context.Context, app *workload.App, cfg invari
 
 // compute runs one analysis, recursing to the Baseline entry (a different
 // key, so the nested flight cannot deadlock) for the shared fallback result.
-func (c *Cache) compute(ctx context.Context, app *workload.App, cfg invariant.Config, opts ComputeOpts) (*core.System, error) {
+func (c *Cache) compute(ctx context.Context, app *workload.App, cfg invariant.Config) (*core.System, error) {
 	if err := c.faults.Err(faultinject.CachePoison); err != nil {
 		return nil, fmt.Errorf("runner: analysis of %s/%s failed: %w", app.Name, cfg.Name(), err)
 	}
 	var fallback *pointsto.Result
 	if cfg.Any() {
-		base, err := c.SystemCtxOpts(ctx, app, invariant.Config{}, opts)
+		base, err := c.SystemCtx(ctx, app, invariant.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -261,17 +221,11 @@ func (c *Cache) compute(ctx context.Context, app *workload.App, cfg invariant.Co
 	if err != nil {
 		return nil, fmt.Errorf("runner: workload %s: %w", app.Name, err)
 	}
-	parallel := opts.Parallel
-	if parallel == 0 {
-		parallel = c.parallel
-	}
 	return core.AnalyzeCtx(ctx, m, cfg, core.AnalyzeOpts{
 		Fallback: fallback,
 		Metrics:  c.metrics,
 		Budget:   c.budget,
 		Faults:   c.faults,
-		Parallel: parallel,
-		Intern:   opts.Intern || c.intern,
 	})
 }
 

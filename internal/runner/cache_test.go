@@ -221,7 +221,8 @@ func TestCacheCompact(t *testing.T) {
 
 // TestCacheBudgetAbort asserts SetBudget turns an oversized solve into a
 // typed, uncached abort: waiters see ErrSolveAborted, the entry is
-// invalidated, and lifting the budget lets the same key solve.
+// invalidated (leaving nothing for Forget to find), and lifting the budget
+// lets the same key solve.
 func TestCacheBudgetAbort(t *testing.T) {
 	metrics := telemetry.New()
 	c := NewCache(metrics)
@@ -237,57 +238,47 @@ func TestCacheBudgetAbort(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("aborted entry stayed cached (%d entries)", c.Len())
 	}
-	c.SetBudget(pointsto.Budget{})
-	if _, err := c.SystemCtx(context.Background(), app, invariant.Config{}); err != nil {
-		t.Fatalf("unbudgeted recompute failed: %v", err)
-	}
-}
-
-// TestCacheParallelBudgetAbort is the parallel-solver leg of the budget
-// contract: an abort raised at a level barrier of the parallel wave strategy
-// must invalidate the entry exactly like a worklist-pop abort — typed error
-// to the flight's waiters, nothing cached — and compose with Forget without
-// leaving a resumable half-solve behind. Lifting the budget must then produce
-// a System whose results are byte-identical to a sequential compute.
-func TestCacheParallelBudgetAbort(t *testing.T) {
-	metrics := telemetry.New()
-	c := NewCache(metrics)
-	c.SetParallel(8)
-	c.SetBudget(pointsto.Budget{MaxSteps: 1})
-	app := testApp(t)
-	ctx := context.Background()
-	_, err := c.SystemCtx(ctx, app, invariant.Config{})
-	if !errors.Is(err, pointsto.ErrSolveAborted) {
-		t.Fatalf("budgeted parallel solve returned %v, want ErrSolveAborted", err)
-	}
-	if got := metrics.Snapshot().Counters["runner/cache/invalidations"]; got != 1 {
-		t.Fatalf("invalidations = %d, want 1", got)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("aborted parallel entry stayed cached (%d entries)", c.Len())
-	}
 	// Forget on the already-invalidated app must be a no-op — the abort may
 	// not leave a ghost entry for eviction accounting to find.
 	if n := c.Forget(app.Name); n != 0 {
 		t.Fatalf("Forget after abort removed %d entries, want 0", n)
 	}
 	c.SetBudget(pointsto.Budget{})
-	par, err := c.SystemCtx(ctx, app, invariant.All())
-	if err != nil {
-		t.Fatalf("unbudgeted parallel recompute failed: %v", err)
+	if _, err := c.SystemCtx(context.Background(), app, invariant.Config{}); err != nil {
+		t.Fatalf("unbudgeted recompute failed: %v", err)
 	}
-	seq, err := NewCache(nil).SystemCtx(ctx, app, invariant.All())
+}
+
+// TestCacheParallelBudgetAbort asserts a budget abort leaves no resumable
+// half-solve behind in the cache: once the budget is lifted, the same cache
+// computes a System whose results are byte-identical to a fresh cache's. The
+// name dates from when it covered the parallel wave strategy, which has been
+// removed.
+func TestCacheParallelBudgetAbort(t *testing.T) {
+	c := NewCache(nil)
+	c.SetBudget(pointsto.Budget{MaxSteps: 1})
+	app := testApp(t)
+	ctx := context.Background()
+	if _, err := c.SystemCtx(ctx, app, invariant.All()); !errors.Is(err, pointsto.ErrSolveAborted) {
+		t.Fatalf("budgeted solve returned %v, want ErrSolveAborted", err)
+	}
+	c.SetBudget(pointsto.Budget{})
+	got, err := c.SystemCtx(ctx, app, invariant.All())
+	if err != nil {
+		t.Fatalf("unbudgeted recompute failed: %v", err)
+	}
+	want, err := NewCache(nil).SystemCtx(ctx, app, invariant.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resultDump(par.Optimistic) != resultDump(seq.Optimistic) ||
-		resultDump(par.Fallback) != resultDump(seq.Fallback) {
-		t.Fatal("parallel-computed System differs from sequential compute")
+	if resultDump(got.Optimistic) != resultDump(want.Optimistic) ||
+		resultDump(got.Fallback) != resultDump(want.Fallback) {
+		t.Fatal("System recomputed after an abort differs from a fresh compute")
 	}
 }
 
 // resultDump canonically renders the externally observable facts of a Result
-// for byte comparison across solver strategies.
+// for byte comparison.
 func resultDump(r *pointsto.Result) string {
 	var b strings.Builder
 	for _, p := range r.TopLevelPointers() {
@@ -301,77 +292,4 @@ func resultDump(r *pointsto.Result) string {
 		fmt.Fprintf(&b, "icall %d -> %v\n", site, r.CallTargets(site))
 	}
 	return b.String()
-}
-
-// TestCacheComputeOptsParallel covers the per-request opt-in: a request
-// carrying ComputeOpts.Parallel solves parallel without flipping the
-// cache-wide default, and its entry answers later sequential requests.
-func TestCacheComputeOptsParallel(t *testing.T) {
-	metrics := telemetry.New()
-	c := NewCache(metrics)
-	app := testApp(t)
-	ctx := context.Background()
-	sys, err := c.SystemCtxOpts(ctx, app, invariant.All(), ComputeOpts{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := c.SystemCtx(ctx, app, invariant.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != sys {
-		t.Fatal("sequential request did not share the parallel-computed entry")
-	}
-	if got := metrics.Snapshot().Counters["runner/cache/misses"]; got != 2 { // Baseline + All
-		t.Fatalf("misses = %d, want 2", got)
-	}
-}
-
-// TestCacheInternIsPureHint covers both interning entry points on the cache:
-// the cache-wide SetIntern default and the per-request ComputeOpts.Intern
-// opt-in. Interned solves must engage the pool (visible through the attached
-// registry), render byte-identically to a plain cache's results, and leave
-// ordinary entries behind that later non-interned requests share.
-func TestCacheInternIsPureHint(t *testing.T) {
-	app := testApp(t)
-	ctx := context.Background()
-
-	metrics := telemetry.New()
-	c := NewCache(metrics)
-	c.SetIntern(true)
-	sys, err := c.SystemCtx(ctx, app, invariant.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := metrics.Snapshot()
-	if snap.Counters["pointsto/intern/misses"] == 0 {
-		t.Fatalf("SetIntern(true) cache never engaged the pool: %v", snap.Counters)
-	}
-
-	plain, err := NewCache(nil).SystemCtx(ctx, app, invariant.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := resultDump(sys.Optimistic), resultDump(plain.Optimistic); got != want {
-		t.Fatalf("interned analysis diverges from plain:\n%s\nvs\n%s", got, want)
-	}
-
-	// Per-request opt-in: no cache-wide default, one request asks. The entry
-	// it computes is a normal entry, shared with plain requests.
-	optMetrics := telemetry.New()
-	oc := NewCache(optMetrics)
-	optSys, err := oc.SystemCtxOpts(ctx, app, invariant.All(), ComputeOpts{Intern: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if optMetrics.Snapshot().Counters["pointsto/intern/misses"] == 0 {
-		t.Fatal("ComputeOpts.Intern request never engaged the pool")
-	}
-	again, err := oc.SystemCtx(ctx, app, invariant.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != optSys {
-		t.Fatal("plain request did not share the intern-computed entry")
-	}
 }

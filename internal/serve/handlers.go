@@ -19,16 +19,6 @@ type submission struct {
 	// Config selects the invariant configuration: baseline, ctx, pa, pwc,
 	// ctx-pa, ctx-pwc, pa-pwc, all. Empty means all (full Kaleidoscope).
 	Config string `json:"config,omitempty"`
-	// Parallel opts this request's solve into the parallel wave strategy
-	// (GOMAXPROCS workers unless the server sets its own count). A pure
-	// execution hint: the result is byte-identical to a sequential solve,
-	// so it shares the analysis cache either way.
-	Parallel bool `json:"parallel,omitempty"`
-	// Intern opts this request's solve into hash-consed set interning
-	// (copy-on-write shared points-to sets). A pure memory/allocation
-	// hint: the result is byte-identical either way, so it shares the
-	// analysis cache with non-interned requests.
-	Intern bool `json:"intern,omitempty"`
 }
 
 // analyzeResponse summarizes one analysis.

@@ -38,12 +38,20 @@ func TestMalformedJSONRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldRejected covers a typo and the retired solver hints
+// ("parallel", "intern"), which strict decoding rejects like any other
+// unknown field.
 func TestUnknownFieldRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	status, body, _ := post(t, ts, "/analyze",
-		map[string]any{"source": demoSource, "sourcecode": "typo"})
-	if status != http.StatusBadRequest || body["kind"] != "validation" {
-		t.Fatalf("unknown field: status %d kind %v, want 400/validation", status, body["kind"])
+	for _, req := range []map[string]any{
+		{"source": demoSource, "sourcecode": "typo"},
+		{"source": demoSource, "parallel": true},
+		{"source": demoSource, "intern": true},
+	} {
+		status, body, _ := post(t, ts, "/analyze", req)
+		if status != http.StatusBadRequest || body["kind"] != "validation" {
+			t.Fatalf("unknown field in %v: status %d kind %v, want 400/validation", req, status, body["kind"])
+		}
 	}
 }
 

@@ -7,12 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 
 	"repro/internal/invariant"
 	"repro/internal/pointsto"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -137,32 +135,12 @@ func (s *Server) system(ctx context.Context, req submission) (*analysis, *apiErr
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
 		defer cancel()
 	}
-	// Parallel solving is a pure execution hint — the fixpoint is
-	// byte-identical to a sequential solve — so it rides alongside the cache
-	// key rather than inside it: a parallel-computed analysis answers
-	// sequential requests and vice versa.
-	workers := s.cfg.Parallel
-	if req.Parallel && workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 0 {
-		s.metrics.Counter("serve/solve/parallel").Inc()
-		tr.Annotate("parallel_workers", strconv.Itoa(workers))
-	}
-	// So does set interning: byte-identical fixpoints, so the knob is
-	// invisible to the cache key and only changes how much the solve
-	// allocates.
-	intern := s.cfg.Intern || req.Intern
-	if intern {
-		s.metrics.Counter("serve/solve/intern").Inc()
-		tr.Annotate("intern", "on")
-	}
 	// serve/solve wraps the whole cache resolution: a flight leader's trace
 	// nests core/analyze and the solver phases under it, a coalesced waiter
 	// nests runner/cache/wait, and a content-cache hit closes it near
 	// instantly — three shapes that tell three different latency stories.
 	solveCtx, _, finishSolve := telemetry.StartSpanCtx(ctx, s.metrics, "serve/solve")
-	sys, err := s.cache.SystemCtxOpts(solveCtx, app, cfg, runner.ComputeOpts{Parallel: workers, Intern: intern})
+	sys, err := s.cache.SystemCtx(solveCtx, app, cfg)
 	finishSolve()
 	if err != nil {
 		if errors.Is(err, pointsto.ErrSolveAborted) {

@@ -97,23 +97,6 @@ type Config struct {
 	// retry_after_ms field). Default 1s.
 	RetryAfter time.Duration
 
-	// Parallel > 0 solves every admitted analysis with the parallel wave
-	// strategy at that many workers. 0 (the default) solves sequentially
-	// unless a request opts in (submission field "parallel"), which uses
-	// GOMAXPROCS workers. Either way the fixpoint is byte-identical to the
-	// sequential solvers, so cached entries are shared freely between
-	// parallel and sequential requests.
-	Parallel int
-
-	// Intern hash-conses points-to sets during every admitted solve
-	// (pointsto.SetIntern): equal sets share one canonical storage block
-	// with copy-on-write promotion, cutting resident memory for large
-	// programs. Like Parallel it is a pure execution hint — results are
-	// byte-identical — so cached entries are shared freely with
-	// non-interned requests; a request can also opt in per submission with
-	// the "intern" field.
-	Intern bool
-
 	// Faults optionally arms fault injection on the analysis pipeline
 	// (CachePoison, SolverBudget), for chaos-testing the daemon.
 	Faults *faultinject.Plan

@@ -191,6 +191,15 @@ func TestBudgetExhaustedTypedError(t *testing.T) {
 	if got := counter(s, "runner/cache/invalidations"); got == 0 {
 		t.Fatal("aborted solve did not invalidate its cache entry")
 	}
+	if got := s.cache.Len(); got != 0 {
+		t.Fatalf("aborted solve left %d cache entries", got)
+	}
+	// A resubmission is admitted again (not answered from a poisoned entry)
+	// and fails the same typed way while the budget stays in force.
+	status, body, _ = post(t, ts, "/analyze", map[string]any{"source": demoSource})
+	if status != http.StatusServiceUnavailable || body["kind"] != "budget" {
+		t.Fatalf("resubmission after abort: status %d kind %v, want 503/budget", status, body["kind"])
+	}
 }
 
 // TestOverloadSwitchesToFallbackView pins the server at capacity and walks
@@ -418,189 +427,5 @@ func TestRunLoadAgainstServer(t *testing.T) {
 	}
 	if !strings.Contains(rep.Text(), "trace=") || !strings.Contains(rep.Text(), "/tracez?id=") {
 		t.Fatalf("report text missing slow-request trace pointers:\n%s", rep.Text())
-	}
-}
-
-// TestParallelOptInRoundTrip covers the per-request parallel opt-in: a
-// submission carrying "parallel": true solves with the parallel wave
-// strategy (counted in serve/solve/parallel and visible in /metricsz), its
-// responses are byte-identical to a sequential server's, and the cached
-// entry it leaves behind answers sequential resubmissions without a solve.
-func TestParallelOptInRoundTrip(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	seqS, seqTS := newTestServer(t, Config{})
-
-	status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource, "parallel": true})
-	if status != http.StatusOK {
-		t.Fatalf("parallel submission: status %d: %v", status, body)
-	}
-	if got := counter(s, "serve/solve/parallel"); got != 1 {
-		t.Fatalf("serve/solve/parallel = %d, want 1", got)
-	}
-	seqStatus, seqBody, _ := post(t, seqTS, "/analyze", map[string]any{"source": demoSource})
-	if seqStatus != http.StatusOK {
-		t.Fatalf("sequential submission: status %d: %v", seqStatus, seqBody)
-	}
-	if counter(seqS, "serve/solve/parallel") != 0 {
-		t.Fatal("sequential server counted a parallel solve")
-	}
-	// solver_iterations measures solver effort, which differs by strategy;
-	// every artifact field must match exactly.
-	delete(body, "solver_iterations")
-	delete(seqBody, "solver_iterations")
-	if fmt.Sprint(body) != fmt.Sprint(seqBody) {
-		t.Fatalf("parallel analysis diverges from sequential:\n%v\nvs\n%v", body, seqBody)
-	}
-	for _, q := range []struct {
-		path string
-		req  map[string]any
-	}{
-		{"/pointsto", map[string]any{"source": demoSource, "fn": "pick", "parallel": true}},
-		{"/cfi-targets", map[string]any{"source": demoSource, "parallel": true}},
-	} {
-		seqReq := map[string]any{}
-		for k, v := range q.req {
-			if k != "parallel" {
-				seqReq[k] = v
-			}
-		}
-		_, par, _ := post(t, ts, q.path, q.req)
-		_, seq, _ := post(t, seqTS, q.path, seqReq)
-		if fmt.Sprint(par) != fmt.Sprint(seq) {
-			t.Fatalf("%s: parallel response diverges from sequential:\n%v\nvs\n%v", q.path, par, seq)
-		}
-	}
-
-	// The parallel-computed entry is a normal cache entry: a sequential
-	// resubmission is served from it without a new solve or a new parallel
-	// count.
-	status, body, _ = post(t, ts, "/analyze", map[string]any{"source": demoSource})
-	if status != http.StatusOK || body["cached"] != true {
-		t.Fatalf("sequential resubmission not served from cache: %d %v", status, body)
-	}
-	if got := counter(s, "serve/solve/parallel"); got != 1 {
-		t.Fatalf("cached resubmission bumped serve/solve/parallel to %d", got)
-	}
-
-	// The counter is part of the /metricsz surface.
-	status, metrics := get(t, ts, "/metricsz")
-	if status != http.StatusOK {
-		t.Fatalf("/metricsz: status %d", status)
-	}
-	counters, _ := metrics["counters"].(map[string]any)
-	if v, _ := counters["serve/solve/parallel"].(float64); v != 1 {
-		t.Fatalf("/metricsz serve/solve/parallel = %v, want 1", counters["serve/solve/parallel"])
-	}
-}
-
-// TestParallelServerDefaultCounts: a server started with Config.Parallel
-// (the -parallel-solve flag) solves every uncached submission in parallel
-// without the request asking.
-func TestParallelServerDefaultCounts(t *testing.T) {
-	s, ts := newTestServer(t, Config{Parallel: 2})
-	if status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource}); status != http.StatusOK {
-		t.Fatalf("status %d: %v", status, body)
-	}
-	if got := counter(s, "serve/solve/parallel"); got != 1 {
-		t.Fatalf("serve/solve/parallel = %d, want 1", got)
-	}
-}
-
-// TestParallelBudgetAbortNotCached is the serve-layer regression for budget
-// aborts raised at a parallel level barrier: the request fails with the same
-// typed 503 kind "budget" as a sequential abort, the cache entry is
-// invalidated (never a resumable half-solve left behind), and the program
-// stays resubmittable.
-func TestParallelBudgetAbortNotCached(t *testing.T) {
-	s, ts := newTestServer(t, Config{SolveSteps: 1, Parallel: 4})
-	status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource})
-	if status != http.StatusServiceUnavailable || body["kind"] != "budget" {
-		t.Fatalf("parallel budgeted solve: status %d kind %v, want 503/budget", status, body["kind"])
-	}
-	if got := counter(s, "runner/cache/invalidations"); got == 0 {
-		t.Fatal("aborted parallel solve did not invalidate its cache entry")
-	}
-	if got := s.cache.Len(); got != 0 {
-		t.Fatalf("aborted parallel solve left %d cache entries", got)
-	}
-	// A resubmission is admitted again (not answered from a poisoned entry)
-	// and fails the same typed way while the budget stays in force.
-	status, body, _ = post(t, ts, "/analyze", map[string]any{"source": demoSource})
-	if status != http.StatusServiceUnavailable || body["kind"] != "budget" {
-		t.Fatalf("resubmission after abort: status %d kind %v, want 503/budget", status, body["kind"])
-	}
-}
-
-// TestInternOptInRoundTrip covers the per-request intern opt-in: a
-// submission carrying "intern": true hash-conses its solve's points-to sets
-// (counted in serve/solve/intern), its responses are byte-identical to a
-// plain server's, and the cached entry it leaves behind answers plain
-// resubmissions without a solve — interning is invisible to everything but
-// the memory profile.
-func TestInternOptInRoundTrip(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	plainS, plainTS := newTestServer(t, Config{})
-
-	status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource, "intern": true})
-	if status != http.StatusOK {
-		t.Fatalf("interned submission: status %d: %v", status, body)
-	}
-	if got := counter(s, "serve/solve/intern"); got != 1 {
-		t.Fatalf("serve/solve/intern = %d, want 1", got)
-	}
-	plainStatus, plainBody, _ := post(t, plainTS, "/analyze", map[string]any{"source": demoSource})
-	if plainStatus != http.StatusOK {
-		t.Fatalf("plain submission: status %d: %v", plainStatus, plainBody)
-	}
-	if counter(plainS, "serve/solve/intern") != 0 {
-		t.Fatal("plain server counted an interned solve")
-	}
-	if fmt.Sprint(body) != fmt.Sprint(plainBody) {
-		t.Fatalf("interned analysis diverges from plain:\n%v\nvs\n%v", body, plainBody)
-	}
-	for _, q := range []struct {
-		path string
-		req  map[string]any
-	}{
-		{"/pointsto", map[string]any{"source": demoSource, "fn": "pick", "intern": true}},
-		{"/cfi-targets", map[string]any{"source": demoSource, "intern": true}},
-	} {
-		plainReq := map[string]any{}
-		for k, v := range q.req {
-			if k != "intern" {
-				plainReq[k] = v
-			}
-		}
-		_, in, _ := post(t, ts, q.path, q.req)
-		_, pl, _ := post(t, plainTS, q.path, plainReq)
-		if fmt.Sprint(in) != fmt.Sprint(pl) {
-			t.Fatalf("%s: interned response diverges from plain:\n%v\nvs\n%v", q.path, in, pl)
-		}
-	}
-
-	// The intern-computed entry is a normal cache entry: a plain
-	// resubmission is served from it without a new solve or intern count.
-	status, body, _ = post(t, ts, "/analyze", map[string]any{"source": demoSource})
-	if status != http.StatusOK || body["cached"] != true {
-		t.Fatalf("plain resubmission not served from cache: %d %v", status, body)
-	}
-	if got := counter(s, "serve/solve/intern"); got != 1 {
-		t.Fatalf("cached resubmission bumped serve/solve/intern to %d", got)
-	}
-}
-
-// TestInternServerDefaultCounts: a server started with Config.Intern (the
-// -intern flag) hash-conses every uncached solve without the request asking.
-// (The demo program's points-to sets all fit the inline representation, so
-// the pool sees no traffic here; pool instrumentation reaching a registry is
-// pinned by pointsto.TestInternTelemetry and the runner cache test.)
-func TestInternServerDefaultCounts(t *testing.T) {
-	s, ts := newTestServer(t, Config{Intern: true})
-	status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %v", status, body)
-	}
-	if got := counter(s, "serve/solve/intern"); got != 1 {
-		t.Fatalf("serve/solve/intern = %d, want 1", got)
 	}
 }

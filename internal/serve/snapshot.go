@@ -2,7 +2,7 @@ package serve
 
 // The result snapshot is the load-bearing abstraction of the persistence
 // layer: instead of answering queries from the live *core.System (whose
-// solver state — constraint graphs, union-find, interned bitsets — is
+// solver state — constraint graphs, union-find, points-to bitsets — is
 // neither serializable nor worth serializing), every solved analysis is
 // projected ONCE into a resultSnapshot holding the complete query surface
 // any endpoint can ever ask: the /analyze summary, every non-empty
@@ -88,8 +88,9 @@ func (r *servedResult) pointsTo(fn, reg string) (optimistic, fallback []string) 
 func (r *servedResult) site(id int) *cfiSite { return r.sites[id] }
 
 // project renders a solved System into its snapshot. Everything is read
-// through the Result's canonical accessors, so inline, bit-vector, interned,
-// and parallel-solved representations all project identically.
+// through the Result's canonical accessors, so inline and bit-vector sets,
+// and every solver strategy that reaches the same fixpoint, project
+// identically.
 func project(sys *core.System) *resultSnapshot {
 	opt, fb := sys.Optimistic, sys.Fallback
 	snap := &resultSnapshot{

@@ -1,7 +1,7 @@
 package serve
 
 // Request-tracing tests: header round-trip, flight-recorder retention, the
-// /tracez endpoints, parallel-solver span attachment, access logs, and the
+// /tracez endpoints, solver span attachment, access logs, and the
 // byte-identity guarantee (tracing must never change analysis output).
 
 import (
@@ -148,29 +148,26 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParallelTraceAttachment proves parallel wave solves attach their round
-// spans to the request trace without forcing a sequential fallback. (The
-// ^TestParallel name keeps it in the make race-parallel run.)
+// TestParallelTraceAttachment proves a default (worklist) solve attaches the
+// solver's own spans — the solve and its propagate/scc rounds — to the
+// request trace, nested under the request's serve/solve span. The name dates
+// from when it covered the parallel wave strategy, which has been removed.
 func TestParallelTraceAttachment(t *testing.T) {
-	s, ts := newTestServer(t, Config{Parallel: 2})
+	_, ts := newTestServer(t, Config{})
 	status, _, hdr := rawPost(t, ts.URL+"/analyze",
 		map[string]any{"source": demoSource, "config": "all"}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("analyze: status %d", status)
-	}
-	if got := counter(s, "serve/solve/parallel"); got != 1 {
-		t.Fatalf("serve/solve/parallel = %d, want 1 (tracing must not force sequential)", got)
 	}
 	status, chrome := rawGet(t, ts.URL+"/tracez?id="+hdr.Get(TraceHeader))
 	if status != http.StatusOK {
 		t.Fatalf("tracez export: status %d", status)
 	}
 	body := string(chrome)
-	if !strings.Contains(body, "pointsto/round/parallel") {
-		t.Fatalf("trace missing parallel wave spans:\n%s", body)
-	}
-	if !strings.Contains(body, `"parallel_workers"`) {
-		t.Fatalf("trace missing parallel_workers annotation:\n%s", body)
+	for _, want := range []string{"pointsto/solve", "pointsto/round/propagate", "pointsto/round/scc", `"solver_iterations"`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("trace missing %s:\n%s", want, body)
+		}
 	}
 }
 

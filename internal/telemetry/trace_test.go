@@ -176,8 +176,8 @@ func TestFlightRecorderRing(t *testing.T) {
 }
 
 // TestParallelTraceHammer hammers traces, spans, and the flight recorder
-// from many goroutines — the -race gate for the whole tracing layer (the
-// ^TestParallel name keeps it in make race-parallel).
+// from many goroutines — the -race gate for the whole tracing layer (make
+// race runs internal/telemetry in full).
 func TestParallelTraceHammer(t *testing.T) {
 	const workers, perWorker = 8, 50
 	r := New()
