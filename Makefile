@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-smoke fuzz-smoke chaos-smoke serve-smoke persist-smoke check
+.PHONY: all build test race vet kbench-test bench bench-json bench-smoke fuzz-smoke chaos-smoke serve-smoke persist-smoke check
 
 all: check
 
@@ -24,6 +24,13 @@ race:
 ## vet: static checks
 vet:
 	$(GO) vet ./...
+
+## kbench-test: vet and test the repository benchmark. kbench/ is a nested
+## module, so `go test ./...` at the root never reaches it; its tests drive
+## the daemon (serve.New, BeginDrain, FlushDirty) and the serve-mix FIFO
+## cached-flag oracle
+kbench-test:
+	cd kbench && $(GO) vet ./... && $(GO) test ./...
 
 ## bench: run the evaluation benchmarks
 bench:
@@ -83,4 +90,4 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzPersistRoundTrip$$' -fuzztime 5s
 
 ## check: everything a PR must pass
-check: build vet test race fuzz-smoke
+check: build vet test kbench-test race fuzz-smoke

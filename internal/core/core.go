@@ -42,22 +42,7 @@ type System struct {
 // configuration. With no invariants enabled the optimistic result aliases
 // the fallback.
 func Analyze(m *ir.Module, cfg invariant.Config) *System {
-	return AnalyzeWithMetrics(m, cfg, nil)
-}
-
-// AnalyzeWithMetrics is Analyze with an attached telemetry registry: the
-// fallback and optimistic stages are timed separately, and both solver runs
-// report their constraint/worklist/SCC statistics into the registry.
-func AnalyzeWithMetrics(m *ir.Module, cfg invariant.Config, metrics *telemetry.Registry) *System {
-	return AnalyzeWithFallback(m, cfg, nil, metrics)
-}
-
-// AnalyzeWithFallback is AnalyzeWithMetrics with an optionally precomputed
-// stage-① result. The fallback analysis is configuration-independent, so
-// batch drivers (internal/runner) solve it once per module and share it
-// across all optimistic configurations; passing nil computes it here.
-func AnalyzeWithFallback(m *ir.Module, cfg invariant.Config, fallback *pointsto.Result, metrics *telemetry.Registry) *System {
-	s, err := AnalyzeCtx(context.Background(), m, cfg, AnalyzeOpts{Fallback: fallback, Metrics: metrics})
+	s, err := AnalyzeCtx(context.Background(), m, cfg, AnalyzeOpts{})
 	if err != nil {
 		// Unreachable: without a cancellable context, a budget, or a fault
 		// plan, SolveCtx cannot abort.
@@ -67,7 +52,8 @@ func AnalyzeWithFallback(m *ir.Module, cfg invariant.Config, fallback *pointsto.
 }
 
 // AnalyzeOpts configures AnalyzeCtx. The zero value is a plain unbounded
-// analysis.
+// analysis. The fallback is configuration-independent: callers analyzing
+// one module under several configurations solve it once and pass it in.
 type AnalyzeOpts struct {
 	Fallback *pointsto.Result    // precomputed stage-① result; nil computes it
 	Metrics  *telemetry.Registry // telemetry sink (may be nil)

@@ -17,8 +17,8 @@
 //     optimistic→fallback switch path; CorruptRecord mutates one invariant
 //     record before runtime construction, exercising record validation
 //     (typed memview.CorruptRecordError);
-//   - runner cache: CachePoison fails a cache computation, exercising
-//     single-flight error invalidation;
+//   - analysis caches: CachePoison fails a cache computation, exercising
+//     single-flight error invalidation in runner.Cache and the daemon's;
 //   - persist: PersistWriteFail fails a result-store save before any byte is
 //     written (the entry stays memory-only and dirty), PersistTornWrite
 //     truncates a record mid-frame as if the process crashed with the rename
@@ -58,8 +58,9 @@ const (
 	// CorruptRecord corrupts one likely-invariant record before the monitor
 	// runtime is built from it.
 	CorruptRecord Site = "memview/corrupt-record"
-	// CachePoison fails an analysis computation inside the single-flight
-	// cache.
+	// CachePoison fails an analysis computation inside a single-flight
+	// cache; it fires once per analysis in runner.Cache and in the daemon's
+	// cache (internal/serve).
 	CachePoison Site = "runner/cache-poison"
 	// PersistWriteFail fails a persistent result-store save before anything
 	// is written (as if the disk returned EIO).

@@ -33,10 +33,11 @@ type cacheEntry struct {
 // Figures 10–13, Tables 4–5, the §8 extension drivers); the cache makes each
 // pair solve exactly once, and shares the configuration-independent fallback
 // result across all configurations of an application, halving the remaining
-// solver work. Safe for concurrent use from Map workers.
+// solver work. Safe for concurrent use from Map workers. It serves
+// experiments.Session and internal/chaos; the daemon has its own cache.
 //
-// Failures are never cached: when a computation errors (cancelled, budget
-// abort, injected fault), the waiters of that flight all receive the error,
+// Failures are never cached: when a computation errors (cancelled context,
+// injected fault), the waiters of that flight all receive the error,
 // the entry is invalidated, and the next request recomputes from scratch
 // (counter "runner/cache/invalidations").
 //
@@ -55,7 +56,6 @@ type cacheEntry struct {
 type Cache struct {
 	metrics *telemetry.Registry
 	faults  *faultinject.Plan // armed fault plan; fires CachePoison per compute
-	budget  pointsto.Budget   // per-stage solver budget applied to every compute
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
 }
@@ -71,76 +71,6 @@ func NewCache(metrics *telemetry.Registry) *Cache {
 // invalidation contract, is returned to that flight's waiters and not
 // cached). Must be set before the cache is used.
 func (c *Cache) SetFaults(p *faultinject.Plan) { c.faults = p }
-
-// SetBudget bounds every analysis this cache computes: each solver stage
-// runs under the given per-stage budget, and an exhausted budget surfaces to
-// the flight's waiters as a typed abort (errors.Is pointsto.ErrSolveAborted)
-// — which, per the invalidation contract, is never cached. The service
-// daemon uses this to keep one oversized submission from monopolizing the
-// solve capacity. Must be set before the cache is used.
-func (c *Cache) SetBudget(b pointsto.Budget) { c.budget = b }
-
-// Forget drops every memoized entry (all configurations) of the named
-// application and reports how many entries were removed. In-flight
-// computations are unaffected: a current leader still completes and
-// publishes to its waiters through the entry pointer they already hold —
-// the flight merely stops being findable, exactly like the error
-// invalidation path. Content-addressed frontends (internal/serve) use this
-// to evict a program's analyses when it falls out of their admission cache.
-func (c *Cache) Forget(app string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for key := range c.entries {
-		if key.app == app {
-			delete(c.entries, key)
-			n++
-		}
-	}
-	if n > 0 {
-		c.metrics.Counter("runner/cache/evictions").Add(int64(n))
-	}
-	return n
-}
-
-// Compact drops every memoized entry of the named application except those
-// whose configuration name is listed in keep, and reports how many entries
-// were removed. Snapshot-serving frontends (internal/serve) call this after
-// projecting a solved System into its wire snapshot: from then on every
-// answer comes from the snapshot and the live System is scaffolding — while
-// the Baseline entry keeps earning its residency as the shared fallback of
-// every further configuration of the program. Keeping Baseline and dropping
-// the rest bounds resident solver state on a long-lived daemon without
-// giving up cross-config sharing. Like Forget, in-flight computations are
-// unaffected: current waiters hold the entry pointer and still receive the
-// leader's outcome; the flight merely stops being findable, so a request
-// racing the compaction may recompute (byte-identical by construction)
-// instead of coalescing. Removals count into "runner/cache/compactions".
-func (c *Cache) Compact(app string, keep ...string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for key := range c.entries {
-		if key.app != app {
-			continue
-		}
-		kept := false
-		for _, k := range keep {
-			if key.cfg == k {
-				kept = true
-				break
-			}
-		}
-		if !kept {
-			delete(c.entries, key)
-			n++
-		}
-	}
-	if n > 0 {
-		c.metrics.Counter("runner/cache/compactions").Add(int64(n))
-	}
-	return n
-}
 
 // System returns the memoized analysis of app under cfg, computing it on
 // first request. It panics on computation failure; error-aware callers
@@ -186,17 +116,10 @@ func (c *Cache) SystemCtx(ctx context.Context, app *workload.App, cfg invariant.
 		return e.sys, e.err
 	}
 	c.mu.Unlock()
-	// A waiter joining an existing flight spends its whole time blocked on
-	// the leader; give the wait its own span so a traced request shows
-	// "coalesced onto an in-flight solve" instead of an unexplained gap.
-	_, _, finishWait := telemetry.StartSpanCtx(ctx, c.metrics, "runner/cache/wait")
-	telemetry.TraceFrom(ctx).Annotate("solve", "coalesced")
 	select {
 	case <-e.done:
-		finishWait()
 		return e.sys, e.err
 	case <-ctx.Done():
-		finishWait()
 		// This waiter gives up; the flight itself keeps running under the
 		// leader's context and stays cached for others.
 		return nil, fmt.Errorf("runner: cache wait for %s/%s: %w", key.app, key.cfg, ctx.Err())
@@ -224,7 +147,6 @@ func (c *Cache) compute(ctx context.Context, app *workload.App, cfg invariant.Co
 	return core.AnalyzeCtx(ctx, m, cfg, core.AnalyzeOpts{
 		Fallback: fallback,
 		Metrics:  c.metrics,
-		Budget:   c.budget,
 		Faults:   c.faults,
 	})
 }

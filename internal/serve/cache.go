@@ -1,0 +1,272 @@
+package serve
+
+// The daemon's one cache, under one mutex: a FIFO of programs keyed by
+// content hash, each with its source, its module (compiled lazily for
+// warm-loaded programs) and single-flight slots — one per configuration,
+// holding its snapshot once solved, and one for the fallback result (stage
+// ① of Figure 4) that all configurations share. Snapshots are written
+// through to the store; evictOldest is the only way a program leaves.
+//
+// Failures are never cached: the failing leader first unlinks its slot
+// (only if it is still its own, never a newer flight's), then closes done.
+// Its waiters hold the slot and still see the shared error; a request
+// arriving after the unlink recomputes. An error thus reaches exactly the
+// waiters of the flight that produced it.
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"sort"
+	"sync"
+
+	"repro/internal/core"
+	"repro/internal/faultinject"
+	"repro/internal/invariant"
+	"repro/internal/ir"
+	"repro/internal/minic"
+	"repro/internal/persist"
+	"repro/internal/pointsto"
+	"repro/internal/telemetry"
+)
+
+type program struct {
+	hash, source string
+	once         sync.Once // compiles mod on first need
+	mod          *ir.Module
+	err          error
+	slots        map[string]*slot // config name → slot, "" = the shared fallback; guarded by cache.mu
+}
+
+func (p *program) compile() error {
+	p.once.Do(func() { p.mod, p.err = minic.Compile("prog-"+p.hash[:16], p.source) })
+	return p.err
+}
+
+// slot is one single-flight computation. Its leader fills res (a snapshot)
+// or fb (the fallback), sets ok or err under cache.mu, and closes done,
+// which only requesters of a slot not yet ok wait on.
+type slot struct {
+	done  chan struct{}
+	res   *servedResult
+	fb    *pointsto.Result
+	err   error
+	ok    bool // guarded by cache.mu
+	dirty bool // guarded by cache.mu: solved, but the disk save failed
+}
+
+type cache struct {
+	metrics *telemetry.Registry
+	store   *persist.Store    // write-through target; nil = memory-only
+	max     int               // resident programs before FIFO eviction
+	budget  pointsto.Budget   // per-stage budget of every analysis
+	faults  *faultinject.Plan // CachePoison fires once per analysis
+
+	mu    sync.Mutex
+	progs map[string]*program // content hash → resident program
+	order []string            // resident hashes, oldest first
+}
+
+// lookup returns the solved snapshot of (hash, config) if it is resident:
+// the hit path, which needs neither a compile nor admission.
+func (c *cache) lookup(hash, cfg string) *servedResult {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.progs[hash]; p != nil && p.slots[cfg] != nil && p.slots[cfg].ok {
+		return p.slots[cfg].res
+	}
+	return nil
+}
+
+// program returns the resident program of hash, or compiles src and inserts
+// it: a malformed submission never enters the FIFO, so it evicts nothing.
+func (c *cache) program(hash, src string) (*program, error) {
+	c.mu.Lock()
+	p := c.progs[hash]
+	c.mu.Unlock()
+	if p == nil {
+		if p = (&program{hash: hash, source: src, slots: map[string]*slot{}}); p.compile() != nil {
+			return nil, p.err
+		}
+		c.mu.Lock()
+		p = c.insert(p) // a concurrent insert (e.g. a warm-load) may have won
+		c.mu.Unlock()
+	}
+	return p, p.compile()
+}
+
+// warm installs a snapshot loaded from disk through the same insert as a
+// live submission; a slot already there (a concurrent solve) wins.
+func (c *cache) warm(hash, src, cfg string, res *servedResult) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.insert(&program{hash: hash, source: src, slots: map[string]*slot{}})
+	if p.slots[cfg] != nil {
+		return false
+	}
+	p.slots[cfg] = &slot{res: res, ok: true}
+	return true
+}
+
+// insert makes p resident — unless its hash already is, and then returns
+// that program — evicting the oldest program past the cap. c.mu held.
+func (c *cache) insert(p *program) *program {
+	if q := c.progs[p.hash]; q != nil {
+		return q
+	}
+	if len(c.progs) >= c.max {
+		c.evictOldest()
+	}
+	c.progs[p.hash] = p
+	c.order = append(c.order, p.hash)
+	c.metrics.Gauge("serve/cache/programs").Set(int64(len(c.progs)))
+	return p
+}
+
+// evictOldest drops the oldest program with its slots and records, so a
+// restart never resurrects what the FIFO dropped. A flight still running
+// on it answers its own waiters but persists nothing. c.mu held.
+func (c *cache) evictOldest() {
+	p := c.progs[c.order[0]]
+	c.order = c.order[1:]
+	delete(c.progs, p.hash)
+	for cfg, sl := range p.slots {
+		if sl.ok && sl.res != nil && c.store != nil {
+			c.store.Delete(persistKey(p.hash, cfg))
+		}
+	}
+	c.metrics.Counter("serve/cache/programs-evicted").Inc()
+}
+
+// do returns p's slot for key — solved, awaited, or led through compute.
+// installed reports that this call led it to success with p still resident.
+func (c *cache) do(ctx context.Context, p *program, key string, compute func(*slot) error) (sl *slot, installed bool, err error) {
+	c.mu.Lock()
+	if sl = p.slots[key]; sl != nil {
+		ok := sl.ok
+		c.mu.Unlock()
+		if ok {
+			return sl, false, nil
+		}
+		_, _, finish := telemetry.StartSpanCtx(ctx, c.metrics, "serve/cache/wait")
+		defer finish()
+		telemetry.TraceFrom(ctx).Annotate("solve", "coalesced")
+		select {
+		case <-sl.done:
+			return sl, false, sl.err
+		case <-ctx.Done(): // this waiter gives up; the flight runs on for the others
+			return nil, false, fmt.Errorf("serve: cache wait for %s/%s: %w", p.hash[:16], key, ctx.Err())
+		}
+	}
+	sl = &slot{done: make(chan struct{})}
+	p.slots[key] = sl
+	c.mu.Unlock()
+	err = compute(sl)
+	c.mu.Lock()
+	sl.ok, sl.err = err == nil, err
+	if err != nil && p.slots[key] == sl {
+		delete(p.slots, key)
+	}
+	installed = err == nil && c.progs[p.hash] == p
+	c.mu.Unlock()
+	if err != nil {
+		c.metrics.Counter("serve/cache/invalidations").Inc()
+	}
+	close(sl.done)
+	return sl, installed, err
+}
+
+// solve returns p's snapshot under cfg: the optimistic stage over the
+// shared fallback, projected, and written through to the store.
+func (c *cache) solve(ctx context.Context, p *program, cfg invariant.Config) (*servedResult, error) {
+	sl, installed, err := c.do(ctx, p, cfg.Name(), func(sl *slot) error {
+		base, _, err := c.do(ctx, p, "", func(base *slot) (err error) {
+			base.fb, err = c.analyze(ctx, p, invariant.Config{}, nil)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		opt := base.fb
+		if cfg.Any() {
+			if opt, err = c.analyze(ctx, p, cfg, base.fb); err != nil {
+				return err
+			}
+		}
+		sl.res = newServedResult(project(opt, base.fb))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if installed && c.store != nil {
+		c.persist(p, cfg.Name(), sl) // a failed save leaves sl dirty; the answer stands
+	}
+	return sl.res, nil
+}
+
+// analyze runs one analysis of p (compiled by program) — the fallback when
+// fallback is nil, else cfg's optimistic stage over it — and returns its
+// optimistic view (the fallback itself without invariants). Each analysis
+// counts into serve/cache/solves and first fires the CachePoison site.
+func (c *cache) analyze(ctx context.Context, p *program, cfg invariant.Config, fallback *pointsto.Result) (*pointsto.Result, error) {
+	c.metrics.Counter("serve/cache/solves").Inc()
+	if err := c.faults.Err(faultinject.CachePoison); err != nil {
+		return nil, fmt.Errorf("serve: analysis of %s/%s failed: %w", p.hash[:16], cfg.Name(), err)
+	}
+	sys, err := core.AnalyzeCtx(ctx, p.mod, cfg, core.AnalyzeOpts{
+		Fallback: fallback, Metrics: c.metrics, Budget: c.budget, Faults: c.faults})
+	if err != nil {
+		return nil, err
+	}
+	return sys.Optimistic, nil
+}
+
+// persist writes a resident program's solved slot to the store and settles
+// its dirty bit (a failed save is retried by FlushDirty). A program evicted
+// during the save has its record taken back out, unless a resubmission of
+// it holds the configuration again: no record outlives its program.
+func (c *cache) persist(p *program, cfg string, sl *slot) error {
+	key := persistKey(p.hash, cfg)
+	payload, err := json.Marshal(persistRecord{Source: p.source, Config: cfg, Snapshot: sl.res.snap})
+	if err == nil {
+		err = c.store.Save(key, payload)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if q := c.progs[p.hash]; q == p {
+		sl.dirty = err != nil
+	} else if err == nil && (q == nil || q.slots[cfg] == nil) {
+		c.store.Delete(key)
+	}
+	return err
+}
+
+// FlushDirty retries, in record-key order, every save that failed. The
+// daemon calls it once the HTTP server has drained, so nothing solved in
+// the final generation is lost to a transient write error.
+func (s *Server) FlushDirty() (flushed, failed int) {
+	var keys []string
+	retry := map[string]func() error{}
+	s.cache.mu.Lock()
+	for _, p := range s.cache.progs {
+		for cfg, sl := range p.slots {
+			if sl.dirty {
+				keys = append(keys, persistKey(p.hash, cfg))
+				retry[keys[len(keys)-1]] = func() error { return s.cache.persist(p, cfg, sl) }
+			}
+		}
+	}
+	s.cache.mu.Unlock()
+	sort.Strings(keys)
+	for _, k := range keys {
+		if retry[k]() != nil {
+			failed++
+			s.metrics.Counter("serve/drain/flush-failures").Inc()
+		} else {
+			flushed++
+			s.metrics.Counter("serve/drain/flushed").Inc()
+		}
+	}
+	return flushed, failed
+}

@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
+	"repro/internal/invariant"
+	"repro/internal/pointsto"
 	"repro/internal/telemetry"
 )
 
@@ -19,6 +25,112 @@ type submission struct {
 	// Config selects the invariant configuration: baseline, ctx, pa, pwc,
 	// ctx-pa, ctx-pwc, pa-pwc, all. Empty means all (full Kaleidoscope).
 	Config string `json:"config,omitempty"`
+}
+
+// hashSource returns the content identity of a submission: the hex SHA-256
+// of the source text. The client-supplied name is deliberately excluded —
+// two submissions with the same bytes are the same program, whatever they
+// are called, so renamed resubmissions still hit the cache.
+func hashSource(src string) string {
+	sum := sha256.Sum256([]byte(src))
+	return hex.EncodeToString(sum[:])
+}
+
+// analysis is a served analysis plus its cache provenance.
+type analysis struct {
+	Res    *servedResult
+	Hash   string
+	Cfg    invariant.Config
+	Cached bool // answered from the content-hash cache, no new solve
+}
+
+// system resolves a submission to its result snapshot: a cache hit
+// (including a warm-loaded one) answers without a compile, admission or a
+// solve; a miss compiles, is admitted, and solves under the budget. Every
+// failure is a typed apiError: 400 for programs that do not compile or
+// configs that do not parse, 503 kind "overloaded" for shed requests, 503
+// kind "budget" for budget/timeout exhaustion, 500 for anything else (e.g.
+// injected faults).
+func (s *Server) system(ctx context.Context, req submission) (*analysis, *apiError) {
+	tr := telemetry.TraceFrom(ctx) // nil without tracing; every method no-ops
+	name, src := req.Name, req.Source
+	if src == "" {
+		return nil, &apiError{Status: http.StatusBadRequest, Kind: "validation",
+			Msg: "missing required field: source"}
+	}
+	cfg, err := parseConfig(req.Config)
+	if err != nil {
+		return nil, &apiError{Status: http.StatusBadRequest, Kind: "validation", Msg: err.Error()}
+	}
+	hash := hashSource(src)
+	tr.Annotate("program", hash[:16])
+	tr.Annotate("config", cfg.Name())
+	if res := s.cache.lookup(hash, cfg.Name()); res != nil {
+		s.metrics.Counter("serve/cache/hits").Inc()
+		tr.Annotate("cache", "hit")
+		s.annotateBudget(tr, res)
+		return &analysis{Res: res, Hash: hash, Cfg: cfg, Cached: true}, nil
+	}
+	// Compile before admission: a malformed program must cost a parse, not
+	// a solve slot.
+	prog, err := s.cache.program(hash, src)
+	if err != nil {
+		s.metrics.Counter("serve/errors/compile").Inc()
+		return nil, &apiError{Status: http.StatusBadRequest, Kind: "validation",
+			Msg: fmt.Sprintf("program %q does not compile: %v", name, err)}
+	}
+	s.metrics.Counter("serve/cache/misses").Inc()
+	tr.Annotate("cache", "miss")
+	// The admission span makes queueing visible per request: a trace
+	// whose serve/admission span dominates was slow because the daemon
+	// was at capacity, not because its solve was expensive.
+	admitCtx, _, finishAdmit := telemetry.StartSpanCtx(ctx, s.metrics, "serve/admission")
+	release, apiErr := s.admit(admitCtx)
+	finishAdmit()
+	if apiErr != nil {
+		tr.Annotate("admission", "shed")
+		return nil, apiErr
+	}
+	tr.Annotate("admission", "admitted")
+	defer release()
+	s.mu.Lock()
+	hold := s.testHoldSolve
+	s.mu.Unlock()
+	if hold != nil {
+		hold()
+	}
+	if s.cfg.SolveTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
+		defer cancel()
+	}
+	// serve/solve nests a flight leader's core/analyze and solver phases, or
+	// a coalesced waiter's serve/cache/wait.
+	solveCtx, _, finishSolve := telemetry.StartSpanCtx(ctx, s.metrics, "serve/solve")
+	res, err := s.cache.solve(solveCtx, prog, cfg)
+	finishSolve()
+	if err != nil {
+		if errors.Is(err, pointsto.ErrSolveAborted) {
+			tr.Annotate("budget", "exhausted")
+			return nil, &apiError{Status: http.StatusServiceUnavailable, Kind: "budget",
+				Msg:        fmt.Sprintf("analysis exceeded its solve budget and was aborted (no partial result): %v", err),
+				RetryAfter: s.cfg.RetryAfter}
+		}
+		return nil, &apiError{Status: http.StatusInternalServerError, Kind: "internal",
+			Msg: fmt.Sprintf("analysis failed: %v", err)}
+	}
+	s.annotateBudget(tr, res)
+	return &analysis{Res: res, Hash: hash, Cfg: cfg, Cached: false}, nil
+}
+
+// annotateBudget records the budget spent, in the solver's own currency
+// (constraint iterations of the optimistic stage); with a step budget
+// configured the pair shows how close this program runs to the ceiling.
+func (s *Server) annotateBudget(tr *telemetry.Trace, res *servedResult) {
+	tr.Annotate("solver_iterations", strconv.Itoa(res.snap.SolverIterations))
+	if s.cfg.SolveSteps > 0 {
+		tr.Annotate("budget_steps", strconv.FormatInt(s.cfg.SolveSteps, 10))
+	}
 }
 
 // analyzeResponse summarizes one analysis.
@@ -198,9 +310,9 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) *apiError {
-	s.mu.Lock()
-	programs := len(s.apps)
-	s.mu.Unlock()
+	s.cache.mu.Lock()
+	programs := len(s.cache.progs)
+	s.cache.mu.Unlock()
 	status, view := "ok", "optimistic"
 	if s.degraded.Load() {
 		status, view = "degraded", "fallback"

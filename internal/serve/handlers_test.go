@@ -152,8 +152,8 @@ func TestProgramEviction(t *testing.T) {
 	if got := counter(s, "serve/cache/programs-evicted"); got != 1 {
 		t.Fatalf("programs evicted = %d, want 1", got)
 	}
-	if got := counter(s, "runner/cache/evictions"); got != 1 {
-		t.Fatalf("runner entries evicted = %d, want 1", got)
+	if programs, flights := cacheSize(s.cache); programs != 2 || flights != 4 {
+		t.Fatalf("cache holds %d programs / %d flights, want 2 / 4 (the victim's slot and fallback gone)", programs, flights)
 	}
 	// The evicted program re-solves rather than hitting the cache.
 	solves := counter(s, "core/analyses")

@@ -9,11 +9,12 @@
 //   - A bounded admission semaphore (Config.MaxInflight) caps concurrent
 //     solves; a request that cannot get a slot within Config.QueueTimeout is
 //     shed with a typed 503 and a Retry-After hint.
-//   - Submissions are identified by the SHA-256 of their source; together
-//     with the invariant configuration that hash keys the analysis cache, so
-//     a repeated submission (whatever its claimed name) is answered without
-//     a second solve, and identical concurrent submissions coalesce into one
-//     solve through the single-flight runner.Cache underneath.
+//   - Submissions are identified by the SHA-256 of their source; with the
+//     invariant configuration that hash keys the daemon's one cache
+//     (cache.go), so a repeated submission (whatever its claimed name) is
+//     answered from its snapshot without a compile, admission or a second
+//     solve, identical concurrent submissions coalesce into one solve, and
+//     all configurations of a program share one fallback solve.
 //   - Every solve runs under the per-stage step budget and wall-clock
 //     timeout of the server; an exhausted budget is a typed 503
 //     (kind "budget"), never a partial result (pointsto.ErrSolveAborted).
@@ -28,12 +29,12 @@
 // Transitions count into "serve/switch/degraded" and
 // "serve/switch/recovered"; /healthz reports the current view.
 //
-// With Config.CacheDir set the daemon is additionally crash-safe: every
-// solved analysis is projected into a result snapshot (see snapshot.go) and
-// spilled through internal/persist's checksummed atomic-write store, a
-// restart warm-loads those records before /readyz reports ready, and any
-// record that fails verification is quarantined and transparently
-// re-solved — a damaged disk can cost a daemon warmth, never correctness.
+// With Config.CacheDir set the daemon is additionally crash-safe: the cache
+// writes every solved snapshot (see snapshot.go) through to internal/persist's
+// checksummed atomic-write store, a restart warm-loads those records before
+// /readyz reports ready, and any record that fails verification is
+// quarantined and transparently re-solved — a damaged disk can cost a daemon
+// warmth, never correctness.
 // Shutdown is symmetric: BeginDrain flips /readyz to 503 and refuses new
 // POST work with a typed "draining" error while in-flight requests finish,
 // then FlushDirty retries any record whose earlier save failed.
@@ -57,9 +58,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/persist"
 	"repro/internal/pointsto"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // Config configures a Server. The zero value gets sensible defaults from
@@ -137,18 +136,12 @@ type Config struct {
 // the id under which the request's trace is retained.
 const TraceHeader = "X-Kscope-Trace"
 
-// solvedKey identifies one completed analysis in the content-hash cache.
-type solvedKey struct {
-	hash string // SHA-256 of the submitted source
-	cfg  string // invariant configuration name
-}
-
 // Server is the analysis-as-a-service daemon. Create with New; it
 // implements http.Handler. Safe for concurrent use.
 type Server struct {
 	cfg     Config
 	metrics *telemetry.Registry
-	cache   *runner.Cache             // single-flight (program, config) → *core.System
+	cache   *cache                    // the one (content hash, config) → snapshot cache
 	flight  *telemetry.FlightRecorder // retained request traces (nil = tracing disabled)
 	sem     chan struct{}             // admission slots
 	mux     *http.ServeMux
@@ -159,9 +152,7 @@ type Server struct {
 	// true = fallback (shed uncached work immediately). See package doc.
 	degraded atomic.Bool
 
-	// store is the crash-safe persistent layer (nil = memory-only daemon);
 	// persistErr records why Config.CacheDir could not be opened.
-	store      *persist.Store
 	persistErr error
 
 	// state is the readiness machine: warming (loading the persistent
@@ -173,14 +164,9 @@ type Server struct {
 	warmLoaded      atomic.Int64
 	warmQuarantined atomic.Int64
 
-	mu      sync.Mutex
-	apps    map[string]*workload.App    // content hash → synthesized program
-	order   []string                    // insertion order, for eviction
-	results map[solvedKey]*servedResult // completed solves servable without admission
-	dirty   map[solvedKey]bool          // results whose disk save failed (retried at drain)
-
 	// testHoldSolve, when set by a test, runs while the request holds its
-	// admission slot, letting tests pin the server at capacity.
+	// admission slot, letting tests pin the server at capacity. mu guards it.
+	mu            sync.Mutex
 	testHoldSolve func()
 }
 
@@ -207,39 +193,30 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		metrics:  cfg.Metrics,
-		cache:    runner.NewCache(cfg.Metrics),
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		start:    time.Now(),
-		apps:     map[string]*workload.App{},
-		results:  map[solvedKey]*servedResult{},
-		dirty:    map[solvedKey]bool{},
 		warmDone: make(chan struct{}),
+		cache: &cache{metrics: cfg.Metrics, max: cfg.MaxPrograms, faults: cfg.Faults,
+			budget: pointsto.Budget{MaxSteps: cfg.SolveSteps}, progs: map[string]*program{}},
 	}
 	if !cfg.DisableTracing {
 		s.flight = telemetry.NewFlightRecorder(cfg.TraceRecent, cfg.TraceSlowest)
 	}
-	s.cache.SetBudget(pointsto.Budget{MaxSteps: cfg.SolveSteps})
 	if cfg.Faults != nil {
 		cfg.Faults.SetMetrics(cfg.Metrics)
-		s.cache.SetFaults(cfg.Faults)
 	}
 	s.mux = http.NewServeMux()
 	for _, rt := range Routes() {
 		s.mux.HandleFunc(rt.Path, s.instrumented(rt))
 	}
 	if cfg.CacheDir != "" {
-		st, err := persist.Open(cfg.CacheDir, cfg.Metrics)
-		if err != nil {
-			s.persistErr = err
+		if s.cache.store, s.persistErr = persist.Open(cfg.CacheDir, cfg.Metrics); s.persistErr != nil {
 			s.metrics.Counter("persist/open-failures").Inc()
-		} else {
-			s.store = st
-			if cfg.Faults != nil {
-				st.SetFaults(cfg.Faults)
-			}
+		} else if cfg.Faults != nil {
+			s.cache.store.SetFaults(cfg.Faults)
 		}
 	}
-	if s.store != nil {
+	if s.cache.store != nil {
 		s.state.Store(stateWarming)
 		go s.warmLoad()
 	} else {

@@ -162,8 +162,8 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 	if got := counter(s, "core/analyses"); got != 1 {
 		t.Fatalf("%d identical submissions ran %d analyses, want 1", clients, got)
 	}
-	if got := counter(s, "runner/cache/misses"); got != 1 {
-		t.Fatalf("runner cache misses = %d, want 1 (single flight)", got)
+	if got := counter(s, "serve/cache/solves"); got != 1 {
+		t.Fatalf("serve/cache/solves = %d, want 1 (single flight)", got)
 	}
 }
 
@@ -188,11 +188,11 @@ func TestBudgetExhaustedTypedError(t *testing.T) {
 		t.Fatalf("serve/errors/budget = %d, want 1", got)
 	}
 	// The abort is never cached: the entry was invalidated, not poisoned.
-	if got := counter(s, "runner/cache/invalidations"); got == 0 {
+	if got := counter(s, "serve/cache/invalidations"); got == 0 {
 		t.Fatal("aborted solve did not invalidate its cache entry")
 	}
-	if got := s.cache.Len(); got != 0 {
-		t.Fatalf("aborted solve left %d cache entries", got)
+	if _, flights := cacheSize(s.cache); flights != 0 {
+		t.Fatalf("aborted solve left %d cache entries", flights)
 	}
 	// A resubmission is admitted again (not answered from a poisoned entry)
 	// and fails the same typed way while the budget stays in force.

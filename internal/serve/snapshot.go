@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"repro/internal/cfi"
-	"repro/internal/core"
 	"repro/internal/pointsto"
 )
 
@@ -87,12 +86,11 @@ func (r *servedResult) pointsTo(fn, reg string) (optimistic, fallback []string) 
 // there, the handler's 400).
 func (r *servedResult) site(id int) *cfiSite { return r.sites[id] }
 
-// project renders a solved System into its snapshot. Everything is read
-// through the Result's canonical accessors, so inline and bit-vector sets,
-// and every solver strategy that reaches the same fixpoint, project
-// identically.
-func project(sys *core.System) *resultSnapshot {
-	opt, fb := sys.Optimistic, sys.Fallback
+// project renders a solved optimistic view and its fallback into a
+// snapshot. Everything is read through the Result's canonical accessors,
+// so inline and bit-vector sets, and every solver strategy that reaches
+// the same fixpoint, project identically.
+func project(opt, fb *pointsto.Result) *resultSnapshot {
 	snap := &resultSnapshot{
 		Objects:          len(opt.Objects()),
 		ConstraintNodes:  opt.NodeCount(),
@@ -101,7 +99,7 @@ func project(sys *core.System) *resultSnapshot {
 		ICallSites:       opt.ICallSites(),
 		Invariants:       []invariantRecord{},
 	}
-	for _, rec := range sys.Invariants() {
+	for _, rec := range opt.Invariants() {
 		snap.Invariants = append(snap.Invariants, invariantRecord{
 			Kind: rec.Kind.String(), Site: rec.Site, Desc: rec.Desc,
 		})
@@ -174,28 +172,26 @@ type persistRecord struct {
 	Snapshot *resultSnapshot `json:"snapshot"`
 }
 
-// persistKey renders a solvedKey as its record key: <sha256-hex>.<config>.
-func persistKey(k solvedKey) string { return k.hash + "." + k.cfg }
+// persistKey renders (content hash, config name) as its record key:
+// <sha256-hex>.<config>.
+func persistKey(hash, cfg string) string { return hash + "." + cfg }
 
 // splitPersistKey is persistKey's inverse; ok is false for keys the daemon
 // did not write (stray files in the store directory).
-func splitPersistKey(key string) (k solvedKey, ok bool) {
+func splitPersistKey(key string) (hash, cfg string, ok bool) {
 	const hashLen = sha256.Size * 2
 	if len(key) < hashLen+2 || key[hashLen] != '.' {
-		return solvedKey{}, false
+		return "", "", false
 	}
-	hash, cfg := key[:hashLen], key[hashLen+1:]
-	if _, err := hex.DecodeString(hash); err != nil {
-		return solvedKey{}, false
+	hash, cfg = key[:hashLen], key[hashLen+1:]
+	if _, err := hex.DecodeString(hash); err != nil || !knownConfigName(cfg) {
+		return "", "", false
 	}
-	if !knownConfigName(cfg) {
-		return solvedKey{}, false
-	}
-	return solvedKey{hash: hash, cfg: cfg}, true
+	return hash, cfg, true
 }
 
 // knownConfigName reports whether name is a resolved invariant-configuration
-// label (the cfg half of a solvedKey) — derived from parseConfig so the two
+// label (the config half of a record key) — derived from parseConfig so the two
 // vocabularies cannot drift.
 func knownConfigName(name string) bool {
 	for _, wire := range []string{"baseline", "ctx", "pa", "pwc", "ctx-pa", "ctx-pwc", "pa-pwc", "all"} {
