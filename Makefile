@@ -81,13 +81,14 @@ persist-smoke:
 	$(GO) test -race -run '^(TestGracefulDrain|TestCacheDirOpenFailure)' -v ./cmd/kscope-serve
 	$(GO) run ./cmd/kscope-bench -chaos 1 -chaos-plans 1 -chaos-restart
 
-## fuzz-smoke: ~10s native-fuzz sanity pass over the model-based bitset
-## fuzzer, the solver-equivalence fuzzer, and the persistent-store
-## round-trip fuzzer
+## fuzz-smoke: ~20s native-fuzz sanity pass over the model-based bitset
+## fuzzer, the solver-equivalence fuzzer, the persistent-store round-trip
+## fuzzer, and the MiniC front-end fuzzer
 fuzz-smoke:
 	$(GO) test ./internal/bitset -run '^$$' -fuzz '^FuzzBitsetModel$$' -fuzztime 5s
 	$(GO) test ./internal/pointsto -run '^$$' -fuzz '^FuzzSolverEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzPersistRoundTrip$$' -fuzztime 5s
+	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s
 
 ## check: everything a PR must pass
 check: build vet test kbench-test race fuzz-smoke

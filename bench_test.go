@@ -171,33 +171,6 @@ type nopTracer struct{}
 func (nopTracer) Growth(pointsto.GrowthEvent) {}
 func (nopTracer) Cycle(int, bool)             {}
 
-// BenchmarkSolverStrategy compares the three solving strategies (DESIGN.md
-// §5): worklist with cycle collapse, naive worklist (no copy-cycle
-// collapse), and wave propagation. Results are identical (asserted in
-// internal/pointsto tests); only cost differs.
-func BenchmarkSolverStrategy(b *testing.B) {
-	m := workload.ByName("mbedtls").MustModule()
-	b.Run("WorklistCollapse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pointsto.New(m, invariant.All()).Solve()
-		}
-	})
-	b.Run("NaiveWorklist", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a := pointsto.New(m, invariant.All())
-			a.SetNaive(true)
-			a.Solve()
-		}
-	})
-	b.Run("WavePropagation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a := pointsto.New(m, invariant.All())
-			a.SetWave(true)
-			a.Solve()
-		}
-	})
-}
-
 // BenchmarkSolverDelta compares difference propagation (the default) against
 // full re-propagation on the solver core, per workload. Results are
 // identical (asserted by the differential oracle in internal/pointsto); the

@@ -49,7 +49,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, err := parseConfig(*configName)
+	cfg, err := invariant.ParseConfig(*configName)
 	if err != nil {
 		fatal(err)
 	}
@@ -131,28 +131,6 @@ func main() {
 			fmt.Println("no likely-invariant violations: optimistic memory view held")
 		}
 	}
-}
-
-func parseConfig(name string) (invariant.Config, error) {
-	switch strings.ToLower(name) {
-	case "baseline", "none":
-		return invariant.Config{}, nil
-	case "ctx":
-		return invariant.Config{Ctx: true}, nil
-	case "pa":
-		return invariant.Config{PA: true}, nil
-	case "pwc":
-		return invariant.Config{PWC: true}, nil
-	case "ctx-pa":
-		return invariant.Config{Ctx: true, PA: true}, nil
-	case "ctx-pwc":
-		return invariant.Config{Ctx: true, PWC: true}, nil
-	case "pa-pwc":
-		return invariant.Config{PA: true, PWC: true}, nil
-	case "all", "kaleidoscope":
-		return invariant.All(), nil
-	}
-	return invariant.Config{}, fmt.Errorf("unknown configuration %q", name)
 }
 
 func loadModule(appName string, args []string) (*ir.Module, error) {

@@ -4,38 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/invariant"
 )
-
-func TestParseConfig(t *testing.T) {
-	cases := map[string]invariant.Config{
-		"baseline":     {},
-		"none":         {},
-		"ctx":          {Ctx: true},
-		"pa":           {PA: true},
-		"pwc":          {PWC: true},
-		"ctx-pa":       {Ctx: true, PA: true},
-		"ctx-pwc":      {Ctx: true, PWC: true},
-		"pa-pwc":       {PA: true, PWC: true},
-		"all":          invariant.All(),
-		"kaleidoscope": invariant.All(),
-		"ALL":          invariant.All(), // case-insensitive
-	}
-	for name, want := range cases {
-		got, err := parseConfig(name)
-		if err != nil {
-			t.Errorf("parseConfig(%q): %v", name, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("parseConfig(%q) = %+v, want %+v", name, got, want)
-		}
-	}
-	if _, err := parseConfig("bogus"); err == nil {
-		t.Error("parseConfig accepted bogus")
-	}
-}
 
 func TestParseInputs(t *testing.T) {
 	got, err := parseInputs("1, 2,3")

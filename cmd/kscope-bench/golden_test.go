@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/pointsto"
 	"repro/internal/telemetry"
 )
 
@@ -80,18 +79,6 @@ func TestGoldenOutput(t *testing.T) {
 		}
 		if len(reg.Snapshot().Spans) == 0 {
 			t.Errorf("-parallel %d traced render recorded no spans", p)
-		}
-	}
-	// Offline preprocessing must be invisible to the artifacts: with HVN +
-	// hybrid cycle detection disabled the rendered bytes stay identical to
-	// the (prep-on) golden reference at every pool width. This is the
-	// PWC-policy contract — prep may only merge what the online solver would
-	// have merged anyway.
-	prev := pointsto.SetDefaultPrep(false)
-	defer pointsto.SetDefaultPrep(prev)
-	for _, p := range []int{1, 4, 8} {
-		if got := renderDeterministic(t, p, nil); got != ref {
-			t.Errorf("-parallel %d output without preprocessing diverges from baseline:\n%s", p, firstDiff(ref, got))
 		}
 	}
 }

@@ -117,7 +117,7 @@ func run() int {
 	var exts, watch stringList
 	flag.Var(&tables, "table", "table number to regenerate (repeatable)")
 	flag.Var(&figs, "fig", "figure number to regenerate (repeatable)")
-	flag.Var(&exts, "ext", "extension experiment: debloat, graded (repeatable)")
+	flag.Var(&exts, "ext", "extension experiment: debloat, graded, incremental (repeatable)")
 	flag.Var(&watch, "watch", "instrument name to regression-check (repeatable)")
 	flag.Parse()
 

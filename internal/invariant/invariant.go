@@ -3,7 +3,10 @@
 // views). The three kinds mirror §4.2–§4.4 of the paper.
 package invariant
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Kind identifies a likely-invariant policy.
 type Kind int
@@ -68,6 +71,25 @@ func (c Config) Name() string {
 	default:
 		return "Kd-PWC"
 	}
+}
+
+// ParseConfig is the inverse of Name. It accepts, case-insensitively, every
+// Name label, the same label without its "Kd-" prefix (ctx, pa-pwc, ...),
+// and the aliases none (Baseline) and all or "" (Kaleidoscope).
+func ParseConfig(name string) (Config, error) {
+	switch {
+	case name == "" || strings.EqualFold(name, "all"):
+		return All(), nil
+	case strings.EqualFold(name, "none"):
+		return Config{}, nil
+	}
+	for _, c := range Ablations() {
+		label := c.Name()
+		if strings.EqualFold(name, label) || strings.EqualFold(name, strings.TrimPrefix(label, "Kd-")) {
+			return c, nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown config %q (want baseline|ctx|pa|pwc|ctx-pa|ctx-pwc|pa-pwc|all)", name)
 }
 
 // Ablations lists the eight configurations of Table 3 / Figures 10–13, in

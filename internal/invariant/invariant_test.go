@@ -37,6 +37,41 @@ func TestConfigNames(t *testing.T) {
 	}
 }
 
+// TestParseConfig: ParseConfig inverts Name over every ablation and accepts
+// the short command-line/wire forms and aliases.
+func TestParseConfig(t *testing.T) {
+	for _, c := range Ablations() {
+		if got, err := ParseConfig(c.Name()); err != nil || got != c {
+			t.Errorf("ParseConfig(%q) = %+v, %v; want %+v", c.Name(), got, err, c)
+		}
+	}
+	cases := map[string]Config{
+		"":             All(),
+		"baseline":     {},
+		"none":         {},
+		"ctx":          {Ctx: true},
+		"pa":           {PA: true},
+		"pwc":          {PWC: true},
+		"ctx-pa":       {Ctx: true, PA: true},
+		"ctx-pwc":      {Ctx: true, PWC: true},
+		"pa-pwc":       {PA: true, PWC: true},
+		"kd-pa-pwc":    {PA: true, PWC: true},
+		"all":          All(),
+		"kaleidoscope": All(),
+		"ALL":          All(), // case-insensitive
+	}
+	for name, want := range cases {
+		if got, err := ParseConfig(name); err != nil || got != want {
+			t.Errorf("ParseConfig(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"bogus", "kd-", "kd-baseline", "pa-ctx"} {
+		if _, err := ParseConfig(bad); err == nil {
+			t.Errorf("ParseConfig accepted %q", bad)
+		}
+	}
+}
+
 func TestAny(t *testing.T) {
 	if (Config{}).Any() {
 		t.Error("zero config Any")

@@ -10,8 +10,8 @@ import (
 
 // Budget bounds one SolveCtx call. The zero value is unlimited.
 type Budget struct {
-	// MaxSteps is the maximum number of solver steps (worklist pops / wave
-	// visits) the solve may consume; 0 means unlimited. When the budget runs
+	// MaxSteps is the maximum number of solver steps (worklist pops) the
+	// solve may consume; 0 means unlimited. When the budget runs
 	// out the solve aborts with a typed *AbortError — never a partial result
 	// presented as complete.
 	MaxSteps int64

@@ -130,23 +130,3 @@ func TestInjectedSolverFaultAborts(t *testing.T) {
 		t.Fatal("fixpoint after injected fault differs from clean solve")
 	}
 }
-
-// The wave strategy obeys the same budget contract as the worklist solver.
-func TestWaveSolveBudget(t *testing.T) {
-	m := workload.MbedTLS().MustModule()
-	clean := New(m, invariant.All())
-	clean.SetWave(true)
-	want := fingerprint(clean.Solve())
-	a := New(m, invariant.All())
-	a.SetWave(true)
-	if r, err := a.SolveCtx(context.Background(), Budget{MaxSteps: 5}); r != nil || !errors.Is(err, ErrSolveAborted) {
-		t.Fatalf("wave budget abort: r=%v err=%v", r, err)
-	}
-	r, err := a.SolveCtx(context.Background(), Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(r) != want {
-		t.Fatal("resumed wave fixpoint differs from uninterrupted wave solve")
-	}
-}

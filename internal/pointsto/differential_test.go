@@ -12,9 +12,9 @@ import (
 )
 
 // Differential solver oracle: the delta-propagation solver must be
-// bit-identical to a full-propagation solve under every combination of
-// iteration strategy (worklist, wave), invariant configuration (fallback,
-// optimistic), and incremental re-solve (Restore of each assumed invariant).
+// bit-identical to a full-propagation solve, with and without offline
+// preprocessing, under every invariant configuration of Ablations() and
+// every incremental re-solve (Restore of each assumed invariant).
 // "Bit-identical" means the complete observable Result — every top-level
 // points-to set, every object-slot content, field-sensitivity flags, CFI
 // target sets, and the recorded invariants with their PWC cycle groups —
@@ -68,16 +68,16 @@ func fingerprint(r *Result) string {
 
 // solveVariant runs one configuration of the solver over a module and
 // returns the Result.
-func solveVariant(m *ir.Module, cfg invariant.Config, wave, delta, prep bool) *Result {
+func solveVariant(m *ir.Module, cfg invariant.Config, delta, prep bool) *Result {
 	a := New(m, cfg)
-	a.SetWave(wave)
 	a.SetDelta(delta)
 	a.SetPrep(prep)
 	return a.Solve()
 }
 
 // oracleModules collects every corpus the oracle runs on: the nine synthetic
-// workload apps plus the in-package paper-figure fixtures.
+// workload apps, the in-package paper-figure fixtures, and the incremental
+// re-analysis demo (a live PA violation plus Ctx-assumed hooks).
 func oracleModules(t *testing.T) map[string]*ir.Module {
 	t.Helper()
 	mods := map[string]*ir.Module{}
@@ -88,6 +88,7 @@ func oracleModules(t *testing.T) map[string]*ir.Module {
 		"figure2": figure2, "figure6": figure6, "figure7": figure7,
 		"figure8": figure8, "ctxRet": ctxRetSrc, "icall": icallSrc,
 		"heapWrapper": heapWrapperSrc, "cycle": cycleSrc,
+		"incrementalDemo": workload.IncrementalDemoSrc,
 	} {
 		m, err := minic.Compile(name, src)
 		if err != nil {
@@ -98,33 +99,37 @@ func oracleModules(t *testing.T) map[string]*ir.Module {
 	return mods
 }
 
+// oracleConfigs names every invariant configuration of Ablations() for the
+// oracle's subtests.
+var oracleConfigs = map[invariant.Config]string{
+	{}:                     "fallback",
+	{Ctx: true}:            "ctx-only",
+	{PA: true}:             "pa-only",
+	{PWC: true}:            "pwc-only",
+	{Ctx: true, PA: true}:  "ctx-pa",
+	{Ctx: true, PWC: true}: "ctx-pwc",
+	{PA: true, PWC: true}:  "pa-pwc",
+	invariant.All():        "optimistic",
+}
+
 // TestDifferentialDeltaOracle asserts that no solver optimization changes
 // anything observable: for every module and invariant configuration, every
-// point of the {worklist, wave} x {delta on/off} x {prep on/off} strategy
-// cube fingerprints identically to the plain worklist+full+no-prep solve.
+// point of the {delta on/off} x {prep on/off} cube fingerprints identically
+// to the full-propagation, no-prep solve.
 func TestDifferentialDeltaOracle(t *testing.T) {
-	cfgs := map[string]invariant.Config{
-		"fallback":   {},
-		"optimistic": invariant.All(),
-		"pa-only":    {PA: true},
-		"pwc-only":   {PWC: true},
-	}
 	for name, m := range oracleModules(t) {
-		for cfgName, cfg := range cfgs {
-			t.Run(name+"/"+cfgName, func(t *testing.T) {
-				ref := fingerprint(solveVariant(m, cfg, false, false, false))
-				for _, wave := range []bool{false, true} {
-					for _, delta := range []bool{false, true} {
-						for _, prep := range []bool{false, true} {
-							if !wave && !delta && !prep {
-								continue // the reference itself
-							}
-							label := fmt.Sprintf("wave=%v delta=%v prep=%v", wave, delta, prep)
-							got := fingerprint(solveVariant(m, cfg, wave, delta, prep))
-							if got != ref {
-								t.Errorf("%s diverges from worklist+full+no-prep reference:\n%s",
-									label, diffLines(ref, got))
-							}
+		for _, cfg := range invariant.Ablations() {
+			t.Run(name+"/"+oracleConfigs[cfg], func(t *testing.T) {
+				ref := fingerprint(solveVariant(m, cfg, false, false))
+				for _, delta := range []bool{false, true} {
+					for _, prep := range []bool{false, true} {
+						if !delta && !prep {
+							continue // the reference itself
+						}
+						got := fingerprint(solveVariant(m, cfg, delta, prep))
+						if got != ref {
+							t.Errorf("delta=%v prep=%v diverges from full+no-prep reference:\n%s",
+								delta, prep, diffLines(ref, got))
 						}
 					}
 				}
@@ -133,36 +138,36 @@ func TestDifferentialDeltaOracle(t *testing.T) {
 	}
 }
 
-// TestDifferentialIncrementalOracle asserts that an incremental re-solve
-// (Restore of each assumed invariant, one at a time, in order) under delta
-// propagation matches the same sequence under full propagation, after every
-// individual step.
+// TestDifferentialIncrementalOracle asserts that, under every invariant
+// configuration, an incremental re-solve (Restore of each assumed
+// invariant, one at a time, in order) under delta propagation matches the
+// same sequence under full propagation, after every individual step.
 func TestDifferentialIncrementalOracle(t *testing.T) {
 	for name, m := range oracleModules(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, wave := range []bool{false, true} {
+			for _, cfg := range invariant.Ablations() {
+				label := oracleConfigs[cfg]
 				// The reference runs full propagation without preprocessing;
 				// the candidate enables both delta and prep, so the restore
 				// sequence exercises re-solving on a prep-merged graph.
-				full := solveVariant(m, invariant.All(), wave, false, false)
-				delta := solveVariant(m, invariant.All(), wave, true, true)
+				full := solveVariant(m, cfg, false, false)
+				delta := solveVariant(m, cfg, true, true)
 				if got, want := fingerprint(delta), fingerprint(full); got != want {
-					t.Fatalf("wave=%v: pre-restore divergence:\n%s", wave, diffLines(want, got))
+					t.Fatalf("%s: pre-restore divergence:\n%s", label, diffLines(want, got))
 				}
 				// Restore records by stable identity, not index: both solves
 				// assumed the same invariants (asserted above), so drive both
 				// from the full solve's record list.
-				recs := full.Invariants()
-				for i, rec := range recs {
+				for i, rec := range full.Invariants() {
 					if err := full.Restore(rec); err != nil {
-						t.Fatalf("wave=%v: full restore %d (%+v): %v", wave, i, rec, err)
+						t.Fatalf("%s: full restore %d (%+v): %v", label, i, rec, err)
 					}
 					if err := delta.Restore(rec); err != nil {
-						t.Fatalf("wave=%v: delta restore %d (%+v): %v", wave, i, rec, err)
+						t.Fatalf("%s: delta restore %d (%+v): %v", label, i, rec, err)
 					}
 					if got, want := fingerprint(delta), fingerprint(full); got != want {
-						t.Errorf("wave=%v: divergence after restore %d (kind=%v site=%d):\n%s",
-							wave, i, rec.Kind, rec.Site, diffLines(want, got))
+						t.Errorf("%s: divergence after restore %d (kind=%v site=%d):\n%s",
+							label, i, rec.Kind, rec.Site, diffLines(want, got))
 					}
 				}
 			}

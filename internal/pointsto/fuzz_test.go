@@ -9,9 +9,9 @@ import (
 )
 
 // FuzzSolverEquivalence drives the differential oracle from fuzz-generated
-// mini-C programs: for a random well-formed module, every iteration strategy
-// (worklist, wave), propagation mode (delta, full), and preprocessing mode
-// (prep on/off) must produce an identical Result, under the invariant
+// mini-C programs: for a random well-formed module, every propagation mode
+// (delta, full) and preprocessing mode (prep on/off) must produce an
+// identical Result, under the invariant
 // configuration selected by cfgBits. The generator (workload.RandomProgram)
 // emits the pointer-analysis-relevant constructs — multi-level pointers,
 // struct fields holding function pointers, heap wrappers, arbitrary
@@ -38,20 +38,17 @@ func FuzzSolverEquivalence(f *testing.F) {
 			PWC: cfgBits&2 != 0,
 			Ctx: cfgBits&4 != 0,
 		}
-		ref := fingerprint(solveVariant(m, cfg, false, false, false))
+		ref := fingerprint(solveVariant(m, cfg, false, false))
 		for _, v := range []struct {
-			label             string
-			wave, delta, prep bool
+			label       string
+			delta, prep bool
 		}{
-			{"worklist+delta", false, true, false},
-			{"wave+full", true, false, false},
-			{"wave+delta", true, true, false},
-			{"worklist+full+prep", false, false, true},
-			{"worklist+delta+prep", false, true, true},
-			{"wave+delta+prep", true, true, true},
+			{"delta", true, false},
+			{"full+prep", false, true},
+			{"delta+prep", true, true},
 		} {
-			if got := fingerprint(solveVariant(m, cfg, v.wave, v.delta, v.prep)); got != ref {
-				t.Errorf("seed %d cfg %+v: %s diverges from worklist+full:\n%s",
+			if got := fingerprint(solveVariant(m, cfg, v.delta, v.prep)); got != ref {
+				t.Errorf("seed %d cfg %+v: %s diverges from full+no-prep:\n%s",
 					seed, cfg, v.label, diffLines(ref, got))
 			}
 		}

@@ -2,7 +2,6 @@ package pointsto
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
@@ -76,7 +75,6 @@ type Stats struct {
 	FieldCollapses int // objects turned field-insensitive
 	SCCCollapses   int // cycle nodes merged
 	SCCPasses      int // cycle-detection sweeps over the constraint graph
-	Waves          int // wave-propagation rounds (wave strategy only)
 	PWCs           int // positive-weight cycles encountered
 	MonitorSites   int // runtime monitors implied by assumed invariants
 	DeltaFlushes   int // full-set flushes seeded by new edges / SCC merges / Restore
@@ -161,8 +159,6 @@ type Analysis struct {
 	pwcRecords map[string]bool // dedupe of recorded PWC cycles
 	paDisabled map[int]bool    // PtrAdd sites whose PA assumption was restored
 	pwcDone    map[int]bool    // PWC field sites already restored to baseline
-	naive      bool            // skip copy-cycle collapse (ablation)
-	wave       bool            // use wave propagation instead of the plain worklist
 	noDelta    bool            // disable difference propagation (differential-oracle ablation)
 	deltaMode  uint8           // deltaAuto (resolved at first solve) / deltaOn / deltaOff
 
@@ -207,12 +203,6 @@ type Analysis struct {
 	abortErr  error // pending *AbortError recorded by budgetStep
 }
 
-// SetNaive disables copy-cycle collapse (positive-weight-cycle handling is
-// unaffected: PWCs must still be mitigated for termination at baseline).
-// This exists for the cycle-elimination ablation benchmark; results are
-// identical, only solve cost changes. Must be called before Solve.
-func (a *Analysis) SetNaive(naive bool) { a.naive = naive }
-
 // Delta-propagation modes. The default is auto: difference propagation pays
 // per-node bookkeeping that only amortizes once sets are re-propagated many
 // times, so on graphs below DeltaAutoThreshold nodes the solver silently
@@ -246,25 +236,11 @@ func (a *Analysis) SetDelta(on bool) {
 }
 
 // SetPrep toggles offline constraint preprocessing (HVN variable substitution
-// plus hybrid cycle detection, see prep.go/hcd.go) for this analysis,
-// overriding the package default. Results are identical either way — merges
-// that could interact with the PWC policy are deferred — only solve cost
-// changes. Must be called before Solve.
+// plus hybrid cycle detection, see prep.go/hcd.go) for this analysis; New
+// turns it on. Results are identical either way — merges that could interact
+// with the PWC policy are deferred — only solve cost changes. Must be called
+// before Solve.
 func (a *Analysis) SetPrep(on bool) { a.prep = on }
-
-// defaultPrep is the package-wide preprocessing default, read by New. It
-// exists because pipeline entry points (internal/core) construct analyses
-// without exposing solver knobs; tests and benchmarks that need a no-prep
-// baseline either call SetPrep on the analysis or flip the default around a
-// region with SetDefaultPrep.
-var defaultPrep atomic.Bool
-
-func init() { defaultPrep.Store(true) }
-
-// SetDefaultPrep sets the package-wide default for offline constraint
-// preprocessing (on unless changed) and returns the previous value, so
-// callers can restore it.
-func SetDefaultPrep(on bool) bool { return defaultPrep.Swap(on) }
 
 // New builds the constraint graph for m under cfg. Call Solve to run the
 // analysis.
@@ -285,8 +261,8 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		paDisabled:  map[int]bool{},
 		pwcDone:     map[int]bool{},
 		addrFacts:   map[int32][]int32{},
+		prep:        true,
 	}
-	a.prep = defaultPrep.Load()
 	a.buildStart = time.Now()
 	a.build()
 	a.buildDur = time.Since(a.buildStart)
@@ -294,7 +270,7 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 }
 
 // SetMetrics attaches a telemetry registry; the solver reports constraint
-// counts, worklist pops, SCC/wave rounds, per-phase wall time, and
+// counts, worklist pops, SCC rounds, per-phase wall time, and
 // distribution histograms (delta sizes, fixpoint points-to set sizes,
 // worklist depth per round) into it at the end of every Solve (and of every
 // incremental re-solve), plus live progress counters for the stall
@@ -310,7 +286,7 @@ func (a *Analysis) SetMetrics(r *telemetry.Registry) {
 }
 
 // SetSpan nests this analysis's phase spans (build, solve, per-round
-// propagate/scc/wave) under parent in the attached registry's span log.
+// propagate/scc) under parent in the attached registry's span log.
 // Optional; without it the phase spans are roots. Must be called before
 // Solve.
 func (a *Analysis) SetSpan(parent *telemetry.Span) { a.parentSpan = parent }

@@ -248,9 +248,9 @@ func (a *Analysis) makeFieldInsensitive(o *Object) {
 // now maps every slot to the base, and the slot reps were just merged — so
 // constraints that consumed them before the collapse must re-derive through
 // the new resolution. Collapses are rare (FieldCollapses stat), so the full
-// node scan is the right trade; without it, the post-collapse fixed point
-// depends on the iteration strategy (wave revisits every node and heals,
-// the worklist does not).
+// node scan is the right trade; without it, a node whose pending delta was
+// already consumed never re-derives through the collapsed object, and the
+// fixed point misses edges (the differential oracle's delta legs catch it).
 func (a *Analysis) reseedSlotHolders(o *Object) {
 	if o.Size <= 1 {
 		return

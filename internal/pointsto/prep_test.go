@@ -39,10 +39,16 @@ int main() {
 }
 `
 
+// TestPrepMergesEquivalentNodes: prep is on by default (the prep-on leg is a
+// plain New), merges the chain offline, and changes nothing observable.
 func TestPrepMergesEquivalentNodes(t *testing.T) {
-	rOn, sOn := prepSolve(t, chainSrc, invariant.Config{}, true)
+	m, err := minic.Compile("prep", chainSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rOn := New(m, invariant.Config{}).Solve()
 	rOff, _ := prepSolve(t, chainSrc, invariant.Config{}, false)
-	if sOn.PrepMerged+sOn.HCDCollapses == 0 {
+	if sOn := rOn.Stats(); sOn.PrepMerged+sOn.HCDCollapses == 0 {
 		t.Errorf("prep found nothing to merge offline: %+v", sOn)
 	}
 	assertSameResult(t, rOff, rOn)
@@ -134,26 +140,5 @@ func TestDeltaAutoMode(t *testing.T) {
 	off.Solve()
 	if !off.noDelta {
 		t.Error("SetDelta(false) did not disable delta")
-	}
-}
-
-// TestSetDefaultPrep: the package default gates New, and restoring it works.
-func TestSetDefaultPrep(t *testing.T) {
-	m, err := minic.Compile("dflt", chainSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetDefaultPrep(false)
-	defer SetDefaultPrep(prev)
-	a := New(m, invariant.Config{})
-	a.Solve()
-	if st := a.stats; st.PrepMerged+st.HCDCollapses+st.LCDCollapses != 0 {
-		t.Errorf("SetDefaultPrep(false) run still preprocessed: %+v", st)
-	}
-	SetDefaultPrep(true)
-	b := New(m, invariant.Config{})
-	b.Solve()
-	if st := b.stats; st.PrepMerged+st.HCDCollapses == 0 {
-		t.Errorf("SetDefaultPrep(true) run did not preprocess: %+v", st)
 	}
 }

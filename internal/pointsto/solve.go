@@ -37,44 +37,38 @@ func (a *Analysis) resolve() error {
 	}
 	if !a.prepDone {
 		// First resolve: every Set* option is final now. Settle the delta
-		// auto mode, then run offline preprocessing (skipped under the naive
-		// ablation, whose point is to measure the solver without any cycle
-		// elimination).
+		// auto mode, then run offline preprocessing.
 		a.prepDone = true
 		if a.deltaMode == deltaAuto {
 			a.noDelta = len(a.nodes) < DeltaAutoThreshold
 		}
-		if a.prep && !a.naive {
+		if a.prep {
 			a.runPrep()
 		}
 	}
 	solveSpan, finishSolve := a.metrics.StartSpan("pointsto/solve", a.parentSpan)
 	stop := a.metrics.Timer("pointsto/phase/solve").Start()
-	if a.wave {
-		a.solveWave(solveSpan)
-	} else {
-		a.ensureWL()
-		for {
-			// One histogram sample of worklist depth per solver round, plus
-			// the live gauge the stall watchdog reads.
-			a.hWLDepth.Observe(int64(len(a.worklist)))
-			a.gLiveDepth.Set(int64(len(a.worklist)))
-			_, finP := a.metrics.StartSpan("pointsto/round/propagate", solveSpan)
-			stopP := a.metrics.Timer("pointsto/phase/propagate").Start()
-			a.drain()
-			stopP()
-			finP()
-			if a.abortErr != nil {
-				break
-			}
-			_, finS := a.metrics.StartSpan("pointsto/round/scc", solveSpan)
-			stopS := a.metrics.Timer("pointsto/phase/scc").Start()
-			changed := a.sccPass()
-			stopS()
-			finS()
-			if !changed {
-				break
-			}
+	a.ensureWL()
+	for {
+		// One histogram sample of worklist depth per solver round, plus
+		// the live gauge the stall watchdog reads.
+		a.hWLDepth.Observe(int64(len(a.worklist)))
+		a.gLiveDepth.Set(int64(len(a.worklist)))
+		_, finP := a.metrics.StartSpan("pointsto/round/propagate", solveSpan)
+		stopP := a.metrics.Timer("pointsto/phase/propagate").Start()
+		a.drain()
+		stopP()
+		finP()
+		if a.abortErr != nil {
+			break
+		}
+		_, finS := a.metrics.StartSpan("pointsto/round/scc", solveSpan)
+		stopS := a.metrics.Timer("pointsto/phase/scc").Start()
+		changed := a.sccPass()
+		stopS()
+		finS()
+		if !changed {
+			break
 		}
 	}
 	if a.abortErr != nil {
@@ -136,7 +130,6 @@ func (a *Analysis) flushMetrics() {
 	m.Counter("pointsto/scc/collapsed-nodes").Add(int64(d.SCCCollapses - prev.SCCCollapses))
 	m.Counter("pointsto/pwc/cycles").Add(int64(d.PWCs - prev.PWCs))
 	m.Counter("pointsto/field/collapses").Add(int64(d.FieldCollapses - prev.FieldCollapses))
-	m.Counter("pointsto/wave/rounds").Add(int64(d.Waves - prev.Waves))
 	m.Counter("pointsto/prep/merged-nodes").Add(int64(d.PrepMerged - prev.PrepMerged))
 	m.Counter("pointsto/prep/deferred-merges").Add(int64(d.PrepDeferred - prev.PrepDeferred))
 	m.Counter("pointsto/hcd/online-collapses").Add(int64(d.HCDCollapses - prev.HCDCollapses))
@@ -347,9 +340,6 @@ func (a *Analysis) sccPass() bool {
 			continue
 		}
 		if len(positive) == 0 {
-			if a.naive {
-				continue // ablation: leave copy cycles to plain propagation
-			}
 			// Simple copy cycle: safe to collapse.
 			if a.tracer != nil {
 				a.tracer.Cycle(len(scc), false)

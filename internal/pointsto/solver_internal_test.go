@@ -48,38 +48,6 @@ func TestSolveDeterministic(t *testing.T) {
 	}
 }
 
-// The cycle-elimination ablation: disabling copy-cycle collapse must not
-// change any points-to result, only the solve cost.
-func TestNaiveSolverMatchesCollapsing(t *testing.T) {
-	for _, app := range workload.Apps() {
-		t.Run(app.Name, func(t *testing.T) {
-			m := app.MustModule()
-			for _, cfg := range []invariant.Config{{}, invariant.All()} {
-				fast := New(m, cfg).Solve()
-				slow := New(m, cfg)
-				slow.SetNaive(true)
-				slowR := slow.Solve()
-				for _, p := range fast.TopLevelPointers() {
-					if p.Reg == "" {
-						continue
-					}
-					a := fmt.Sprint(fast.PointsTo(p.Fn, p.Reg))
-					b := fmt.Sprint(slowR.PointsTo(p.Fn, p.Reg))
-					if a != b {
-						t.Fatalf("%s (%s): %s:%s differs:\nfast %s\nnaive %s",
-							app.Name, cfg.Name(), p.Fn, p.Reg, a, b)
-					}
-				}
-				for _, site := range fast.ICallSites() {
-					if fmt.Sprint(fast.CallTargets(site)) != fmt.Sprint(slowR.CallTargets(site)) {
-						t.Fatalf("%s: icall %d differs", app.Name, site)
-					}
-				}
-			}
-		})
-	}
-}
-
 // Pearce field saturation: out-of-bounds field derivations are dropped, so
 // deep gep chains terminate even with the PWC invariant (no collapse).
 func TestPWCDeferralTerminates(t *testing.T) {
@@ -205,40 +173,5 @@ func TestPopulationStableAcrossConfigs(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// Wave propagation must produce identical results to the worklist solver on
-// every workload and configuration.
-func TestWaveSolverMatchesWorklist(t *testing.T) {
-	for _, app := range workload.Apps() {
-		t.Run(app.Name, func(t *testing.T) {
-			m := app.MustModule()
-			for _, cfg := range []invariant.Config{{}, invariant.All()} {
-				wl := New(m, cfg).Solve()
-				wv := New(m, cfg)
-				wv.SetWave(true)
-				wvR := wv.Solve()
-				for _, p := range wl.TopLevelPointers() {
-					if p.Reg == "" {
-						continue
-					}
-					a := fmt.Sprint(wl.PointsTo(p.Fn, p.Reg))
-					b := fmt.Sprint(wvR.PointsTo(p.Fn, p.Reg))
-					if a != b {
-						t.Fatalf("%s (%s): %s:%s differs:\nworklist %s\nwave %s",
-							app.Name, cfg.Name(), p.Fn, p.Reg, a, b)
-					}
-				}
-				for _, site := range wl.ICallSites() {
-					if fmt.Sprint(wl.CallTargets(site)) != fmt.Sprint(wvR.CallTargets(site)) {
-						t.Fatalf("%s (%s): icall %d differs", app.Name, cfg.Name(), site)
-					}
-				}
-				if fmt.Sprint(wl.Invariants()) != fmt.Sprint(wvR.Invariants()) {
-					t.Fatalf("%s (%s): invariants differ", app.Name, cfg.Name())
-				}
-			}
-		})
 	}
 }

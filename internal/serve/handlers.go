@@ -58,7 +58,7 @@ func (s *Server) system(ctx context.Context, req submission) (*analysis, *apiErr
 		return nil, &apiError{Status: http.StatusBadRequest, Kind: "validation",
 			Msg: "missing required field: source"}
 	}
-	cfg, err := parseConfig(req.Config)
+	cfg, err := invariant.ParseConfig(req.Config)
 	if err != nil {
 		return nil, &apiError{Status: http.StatusBadRequest, Kind: "validation", Msg: err.Error()}
 	}

@@ -49,13 +49,11 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/invariant"
 	"repro/internal/persist"
 	"repro/internal/pointsto"
 	"repro/internal/telemetry"
@@ -444,30 +442,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *apiEr
 			Msg: "malformed request body: " + err.Error()}
 	}
 	return nil
-}
-
-// parseConfig maps the wire config name to an invariant.Config. Empty
-// selects the full Kaleidoscope configuration.
-func parseConfig(name string) (invariant.Config, error) {
-	switch strings.ToLower(name) {
-	case "", "all", "kaleidoscope":
-		return invariant.All(), nil
-	case "baseline", "none":
-		return invariant.Config{}, nil
-	case "ctx":
-		return invariant.Config{Ctx: true}, nil
-	case "pa":
-		return invariant.Config{PA: true}, nil
-	case "pwc":
-		return invariant.Config{PWC: true}, nil
-	case "ctx-pa":
-		return invariant.Config{Ctx: true, PA: true}, nil
-	case "ctx-pwc":
-		return invariant.Config{Ctx: true, PWC: true}, nil
-	case "pa-pwc":
-		return invariant.Config{PA: true, PWC: true}, nil
-	}
-	return invariant.Config{}, fmt.Errorf("unknown config %q (want baseline|ctx|pa|pwc|ctx-pa|ctx-pwc|pa-pwc|all)", name)
 }
 
 // admit acquires an admission slot, waiting up to QueueTimeout on the

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"repro/internal/cfi"
+	"repro/internal/invariant"
 	"repro/internal/pointsto"
 )
 
@@ -191,14 +192,9 @@ func splitPersistKey(key string) (hash, cfg string, ok bool) {
 }
 
 // knownConfigName reports whether name is a resolved invariant-configuration
-// label (the config half of a record key) — derived from parseConfig so the two
-// vocabularies cannot drift.
+// label (the config half of a record key): one that invariant.ParseConfig
+// maps back to itself through Config.Name.
 func knownConfigName(name string) bool {
-	for _, wire := range []string{"baseline", "ctx", "pa", "pwc", "ctx-pa", "ctx-pwc", "pa-pwc", "all"} {
-		cfg, err := parseConfig(wire)
-		if err == nil && cfg.Name() == name {
-			return true
-		}
-	}
-	return false
+	cfg, err := invariant.ParseConfig(name)
+	return err == nil && cfg.Name() == name
 }
