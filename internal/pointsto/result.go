@@ -144,23 +144,53 @@ func (r *Result) PointsToContains(fn, reg string, target *Object) bool {
 // whose set sizes Table 3 reports.
 func (r *Result) TopLevelPointers() []PtrRef {
 	var out []PtrRef
-	for k, id := range r.a.regNodes {
-		if len(r.canonicalRefs(id)) > 0 {
-			out = append(out, PtrRef{Fn: k.fn, Reg: k.reg})
+	nonEmpty := map[int]bool{}
+	for _, p := range r.PointerReps() {
+		ne, ok := nonEmpty[p.Rep]
+		if !ok {
+			ne = len(r.canonicalRefs(p.Rep)) > 0
+			nonEmpty[p.Rep] = ne
+		}
+		if ne {
+			out = append(out, p.PtrRef)
 		}
 	}
-	for fn, id := range r.a.retNodes {
-		if len(r.canonicalRefs(id)) > 0 {
-			out = append(out, PtrRef{Fn: fn})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fn != out[j].Fn {
-			return out[i].Fn < out[j].Fn
-		}
-		return out[i].Reg < out[j].Reg
-	})
 	return out
+}
+
+// PtrRep pairs a top-level pointer with its solver representative node.
+// Pointers with equal Rep share one points-to set.
+type PtrRep struct {
+	PtrRef
+	Rep int
+}
+
+// PointerReps lists every register and return-value node, empty sets
+// included, with its representative, sorted by (Fn, Reg). A caller that
+// renders many pointers' sets can render each representative once: all
+// pointers sharing it have the same PointsTo/ReturnPointsTo answer. Like
+// every Result accessor it is read-only, so concurrent readers may share
+// the Result.
+func (r *Result) PointerReps() []PtrRep {
+	a := r.a
+	out := make([]PtrRep, 0, len(a.regNodes)+len(a.retNodes))
+	for k, id := range a.regNodes {
+		out = append(out, PtrRep{PtrRef{Fn: k.fn, Reg: k.reg}, a.findRead(id)})
+	}
+	for fn, id := range a.retNodes {
+		out = append(out, PtrRep{PtrRef{Fn: fn}, a.findRead(id)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].PtrRef.Less(out[j].PtrRef) })
+	return out
+}
+
+// Less orders pointers by function, then register; a function's return
+// node (Reg "") sorts before its registers.
+func (p PtrRef) Less(q PtrRef) bool {
+	if p.Fn != q.Fn {
+		return p.Fn < q.Fn
+	}
+	return p.Reg < q.Reg
 }
 
 // ReturnPointsTo returns the canonical points-to set of fn's return-value

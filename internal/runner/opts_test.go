@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -74,38 +73,13 @@ func TestMapOptsTimeout(t *testing.T) {
 	}
 }
 
-// Transient errors retry up to Opts.Retries times with backoff; the retried
-// attempts are counted and the job ultimately succeeds.
-func TestMapOptsRetriesTransient(t *testing.T) {
-	reg := telemetry.New()
-	var attempts [3]int64
-	out := MapOpts(3, 2, Opts{Trace: Trace{Metrics: reg}, Retries: 3, Backoff: time.Microsecond}, func(i int) (int, error) {
-		n := atomic.AddInt64(&attempts[i], 1)
-		if i == 1 && n <= 2 {
-			return 0, fmt.Errorf("flaky dependency: %w", ErrTransient)
-		}
-		return i, nil
-	})
-	if out[1].Err != nil || out[1].Value != 1 {
-		t.Fatalf("job 1 = %+v, want recovery on third attempt", out[1])
-	}
-	if attempts[1] != 3 {
-		t.Errorf("job 1 ran %d attempts, want 3", attempts[1])
-	}
-	if attempts[0] != 1 || attempts[2] != 1 {
-		t.Errorf("clean jobs retried: %v", attempts)
-	}
-	if got := reg.Counter("runner/jobs-retried").Value(); got != 2 {
-		t.Errorf("retried counter = %d, want 2", got)
-	}
-}
-
-// Non-transient errors, panics, and timeouts are never retried.
-func TestMapOptsNoRetryForPermanentFailures(t *testing.T) {
+// A job that errors, panics, or times out runs exactly once: the pool
+// reports the failure in its Result and never reruns the job.
+func TestMapOptsFailedJobsRunOnce(t *testing.T) {
 	var calls [3]int64
 	block := make(chan struct{})
 	defer close(block)
-	out := MapOpts(3, 1, Opts{Retries: 5, Timeout: 30 * time.Millisecond}, func(i int) (int, error) {
+	out := MapOpts(3, 1, Opts{Timeout: 30 * time.Millisecond}, func(i int) (int, error) {
 		atomic.AddInt64(&calls[i], 1)
 		switch i {
 		case 0:

@@ -12,14 +12,12 @@
 //
 // Degradation contract (MapOpts): a job may fail by error, panic, or
 // timeout; each failure lands in its own Result as a typed error
-// (*PanicError, *TimeoutError) and never takes down the batch. Transient
-// errors can be retried with exponential backoff, and a circuit breaker can
-// degrade the pool to serial execution after repeated panics — every job
-// still runs, results stay index-ordered.
+// (*PanicError, *TimeoutError) and never takes down the batch, and a
+// circuit breaker can degrade the pool to serial execution after repeated
+// panics — every job still runs exactly once, results stay index-ordered.
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -68,10 +66,6 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("job %d timed out after %v", e.Index, e.Timeout)
 }
 
-// ErrTransient marks an error as retryable under the default transiency
-// predicate: jobs wrap (or return) it to request a bounded retry.
-var ErrTransient = errors.New("runner: transient job failure")
-
 // Trace is the optional observability hookup of a Map call. With a nil
 // Metrics registry every field is inert and the pool behaves exactly like
 // the untraced Map. With a registry attached, each job records its latency
@@ -85,7 +79,7 @@ type Trace struct {
 }
 
 // Opts configures one MapOpts call. The zero value behaves exactly like the
-// plain Map: no tracing, no timeout, no retries, no breaker.
+// plain Map: no tracing, no timeout, no breaker.
 type Opts struct {
 	Trace Trace
 
@@ -93,18 +87,6 @@ type Opts struct {
 	// job's Result carries a *TimeoutError. The job goroutine is not killed
 	// (Go cannot), but its late outcome is discarded.
 	Timeout time.Duration
-
-	// Retries is the number of extra attempts granted to a job whose error
-	// is transient (per IsTransient). Panics and timeouts never retry.
-	Retries int
-
-	// Backoff is the sleep before the first retry, doubled on each further
-	// retry. 0 retries immediately.
-	Backoff time.Duration
-
-	// IsTransient classifies retryable errors; nil means
-	// errors.Is(err, ErrTransient).
-	IsTransient func(error) bool
 
 	// BreakerThreshold trips the circuit breaker after this many recovered
 	// panics: in-flight jobs finish, the pool's workers stand down, and the
@@ -123,7 +105,6 @@ type instruments struct {
 	latency  *telemetry.Histogram // runner/job-latency-ns
 	panicked *telemetry.Counter   // runner/jobs-panicked
 	timedOut *telemetry.Counter   // runner/jobs-timed-out
-	retried  *telemetry.Counter   // runner/jobs-retried
 	tripped  *telemetry.Counter   // runner/breaker-tripped
 }
 
@@ -152,9 +133,8 @@ func MapTraced[T any](n, workers int, tr Trace, fn func(i int) (T, error)) []Res
 	return MapOpts(n, workers, Opts{Trace: tr}, fn)
 }
 
-// MapOpts is Map with the full degradation toolkit: per-job timeouts,
-// bounded retry with backoff for transient errors, a panic circuit breaker,
-// and fault injection. See Opts. Results remain index-ordered and complete:
+// MapOpts is Map with the full degradation toolkit: per-job timeouts, a
+// panic circuit breaker, and fault injection. See Opts. Results remain index-ordered and complete:
 // every job gets exactly one Result whatever fails around it.
 func MapOpts[T any](n, workers int, o Opts, fn func(i int) (T, error)) []Result[T] {
 	if n <= 0 {
@@ -169,14 +149,10 @@ func MapOpts[T any](n, workers int, o Opts, fn func(i int) (T, error)) []Result[
 	if o.Trace.Label == "" {
 		o.Trace.Label = "runner/job"
 	}
-	if o.IsTransient == nil {
-		o.IsTransient = func(err error) bool { return errors.Is(err, ErrTransient) }
-	}
 	ins := instruments{
 		latency:  o.Trace.Metrics.Histogram("runner/job-latency-ns"),
 		panicked: o.Trace.Metrics.Counter("runner/jobs-panicked"),
 		timedOut: o.Trace.Metrics.Counter("runner/jobs-timed-out"),
-		retried:  o.Trace.Metrics.Counter("runner/jobs-retried"),
 		tripped:  o.Trace.Metrics.Counter("runner/breaker-tripped"),
 	}
 	out := make([]Result[T], n)
@@ -222,8 +198,8 @@ func MapOpts[T any](n, workers int, o Opts, fn func(i int) (T, error)) []Result[
 	return out
 }
 
-// runJob executes one job — with panic recovery, optional timeout, and
-// bounded retries for transient errors — under a span covering all attempts.
+// runJob executes one job once — with panic recovery and the optional
+// timeout — under its span.
 func runJob[T any](i, worker int, o Opts, ins instruments, br *breaker, fn func(i int) (T, error)) (res Result[T]) {
 	res.Index = i
 	sp, finish := o.Trace.Metrics.StartSpan(o.Trace.Label, o.Trace.Parent)
@@ -234,32 +210,12 @@ func runJob[T any](i, worker int, o Opts, ins instruments, br *breaker, fn func(
 		ins.latency.Observe(res.Elapsed.Nanoseconds())
 		finish()
 	}()
-	for attempt := 0; ; attempt++ {
-		res.Value, res.Err = callOnce(i, o, ins, br, fn)
-		if res.Err == nil || attempt >= o.Retries || !retryable(res.Err, o) {
-			return res
-		}
-		ins.retried.Inc()
-		if o.Backoff > 0 {
-			time.Sleep(o.Backoff << attempt)
-		}
-	}
+	res.Value, res.Err = callOnce(i, o, ins, br, fn)
+	return res
 }
 
-// retryable allows retries only for transient plain errors: a panic left
-// unknown state behind and a timeout already cost the full budget, so
-// neither is retried.
-func retryable(err error, o Opts) bool {
-	var pe *PanicError
-	var te *TimeoutError
-	if errors.As(err, &pe) || errors.As(err, &te) {
-		return false
-	}
-	return o.IsTransient(err)
-}
-
-// callOnce runs a single attempt, racing it against the per-job timeout when
-// one is configured.
+// callOnce runs the job, racing it against the per-job timeout when one is
+// configured.
 func callOnce[T any](i int, o Opts, ins instruments, br *breaker, fn func(i int) (T, error)) (T, error) {
 	if o.Timeout <= 0 {
 		return callRecover(i, o, ins, br, fn)

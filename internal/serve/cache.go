@@ -4,8 +4,10 @@ package serve
 // content hash, each with its source, its module (compiled lazily for
 // warm-loaded programs) and single-flight slots — one per configuration,
 // holding its snapshot once solved, and one for the fallback result (stage
-// ① of Figure 4) that all configurations share. Snapshots are written
-// through to the store; evictOldest is the only way a program leaves.
+// ① of Figure 4) that all configurations share. A configuration's flight
+// projects its snapshot and writes it through to the store before the slot
+// is installed, both under the request context; evictOldest is the only way
+// a program leaves.
 //
 // Failures are never cached: the failing leader first unlinks its slot
 // (only if it is still its own, never a newer flight's), then closes done.
@@ -16,6 +18,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -124,14 +127,15 @@ func (c *cache) insert(p *program) *program {
 }
 
 // evictOldest drops the oldest program with its slots and records, so a
-// restart never resurrects what the FIFO dropped. A flight still running
-// on it answers its own waiters but persists nothing. c.mu held.
+// restart never resurrects what the FIFO dropped. Records of flights still
+// running are deleted too: one may have been written already. Such a
+// flight answers its own waiters but persists nothing more. c.mu held.
 func (c *cache) evictOldest() {
 	p := c.progs[c.order[0]]
 	c.order = c.order[1:]
 	delete(c.progs, p.hash)
-	for cfg, sl := range p.slots {
-		if sl.ok && sl.res != nil && c.store != nil {
+	for cfg := range p.slots {
+		if cfg != "" && c.store != nil {
 			c.store.Delete(persistKey(p.hash, cfg))
 		}
 	}
@@ -139,48 +143,48 @@ func (c *cache) evictOldest() {
 }
 
 // do returns p's slot for key — solved, awaited, or led through compute.
-// installed reports that this call led it to success with p still resident.
-func (c *cache) do(ctx context.Context, p *program, key string, compute func(*slot) error) (sl *slot, installed bool, err error) {
+func (c *cache) do(ctx context.Context, p *program, key string, compute func(*slot) error) (*slot, error) {
 	c.mu.Lock()
-	if sl = p.slots[key]; sl != nil {
+	if sl := p.slots[key]; sl != nil {
 		ok := sl.ok
 		c.mu.Unlock()
 		if ok {
-			return sl, false, nil
+			return sl, nil
 		}
 		_, _, finish := telemetry.StartSpanCtx(ctx, c.metrics, "serve/cache/wait")
 		defer finish()
 		telemetry.TraceFrom(ctx).Annotate("solve", "coalesced")
 		select {
 		case <-sl.done:
-			return sl, false, sl.err
+			return sl, sl.err
 		case <-ctx.Done(): // this waiter gives up; the flight runs on for the others
-			return nil, false, fmt.Errorf("serve: cache wait for %s/%s: %w", p.hash[:16], key, ctx.Err())
+			return nil, fmt.Errorf("serve: cache wait for %s/%s: %w", p.hash[:16], key, ctx.Err())
 		}
 	}
-	sl = &slot{done: make(chan struct{})}
+	sl := &slot{done: make(chan struct{})}
 	p.slots[key] = sl
 	c.mu.Unlock()
-	err = compute(sl)
+	err := compute(sl)
 	c.mu.Lock()
 	sl.ok, sl.err = err == nil, err
 	if err != nil && p.slots[key] == sl {
 		delete(p.slots, key)
 	}
-	installed = err == nil && c.progs[p.hash] == p
 	c.mu.Unlock()
 	if err != nil {
 		c.metrics.Counter("serve/cache/invalidations").Inc()
 	}
 	close(sl.done)
-	return sl, installed, err
+	return sl, err
 }
 
 // solve returns p's snapshot under cfg: the optimistic stage over the
-// shared fallback, projected, and written through to the store.
+// shared fallback, projected, and written through to the store. A request
+// context that ends during projection or before the write fails the flight
+// with a typed abort: nothing is installed and no record is written.
 func (c *cache) solve(ctx context.Context, p *program, cfg invariant.Config) (*servedResult, error) {
-	sl, installed, err := c.do(ctx, p, cfg.Name(), func(sl *slot) error {
-		base, _, err := c.do(ctx, p, "", func(base *slot) (err error) {
+	sl, err := c.do(ctx, p, cfg.Name(), func(sl *slot) error {
+		base, err := c.do(ctx, p, "", func(base *slot) (err error) {
 			base.fb, err = c.analyze(ctx, p, invariant.Config{}, nil)
 			return err
 		})
@@ -193,14 +197,24 @@ func (c *cache) solve(ctx context.Context, p *program, cfg invariant.Config) (*s
 				return err
 			}
 		}
-		sl.res = newServedResult(project(opt, base.fb))
+		_, _, finish := telemetry.StartSpanCtx(ctx, c.metrics, "serve/project")
+		snap, err := project(ctx, opt, base.fb)
+		if err == nil {
+			sl.res = newServedResult(snap)
+		}
+		finish()
+		if err != nil || c.store == nil {
+			return err
+		}
+		// A failed save leaves sl dirty and the answer stands; only an
+		// abort fails the flight.
+		if err := c.persist(ctx, p, cfg.Name(), sl); errors.Is(err, pointsto.ErrSolveAborted) {
+			return err
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if installed && c.store != nil {
-		c.persist(p, cfg.Name(), sl) // a failed save leaves sl dirty; the answer stands
 	}
 	return sl.res, nil
 }
@@ -222,14 +236,27 @@ func (c *cache) analyze(ctx context.Context, p *program, cfg invariant.Config, f
 	return sys.Optimistic, nil
 }
 
-// persist writes a resident program's solved slot to the store and settles
-// its dirty bit (a failed save is retried by FlushDirty). A program evicted
-// during the save has its record taken back out, unless a resubmission of
-// it holds the configuration again: no record outlives its program.
-func (c *cache) persist(p *program, cfg string, sl *slot) error {
+// persist writes a program's snapshot in sl to the store, if the program
+// is resident, and settles the slot's dirty bit (a failed save is retried
+// by FlushDirty). If ctx ends before the write it returns a typed abort and
+// writes nothing. A program evicted during the save has its record taken
+// back out, unless a resubmission of it holds the configuration again: no
+// record outlives its program.
+func (c *cache) persist(ctx context.Context, p *program, cfg string, sl *slot) error {
+	_, _, finish := telemetry.StartSpanCtx(ctx, c.metrics, "serve/persist")
+	defer finish()
+	c.mu.Lock()
+	resident := c.progs[p.hash] == p
+	c.mu.Unlock()
+	if !resident {
+		return nil
+	}
 	key := persistKey(p.hash, cfg)
-	payload, err := json.Marshal(persistRecord{Source: p.source, Config: cfg, Snapshot: sl.res.snap})
+	payload, err := json.Marshal(persistRecord{Format: recordFormat, Source: p.source, Config: cfg, Snapshot: sl.res.snap})
 	if err == nil {
+		if err := abortIfDone(ctx, "record write"); err != nil {
+			return err
+		}
 		err = c.store.Save(key, payload)
 	}
 	c.mu.Lock()
@@ -253,7 +280,7 @@ func (s *Server) FlushDirty() (flushed, failed int) {
 		for cfg, sl := range p.slots {
 			if sl.dirty {
 				keys = append(keys, persistKey(p.hash, cfg))
-				retry[keys[len(keys)-1]] = func() error { return s.cache.persist(p, cfg, sl) }
+				retry[keys[len(keys)-1]] = func() error { return s.cache.persist(context.Background(), p, cfg, sl) }
 			}
 		}
 	}

@@ -11,7 +11,9 @@ package serve
 // disk and memory never disagree about what is cached. Every way a record
 // can be bad (unreadable frame, checksum mismatch, payload that does not
 // decode, payload that disagrees with its own key) converges on the same
-// outcome: quarantine + cache miss + fresh solve on first query.
+// outcome: quarantine + cache miss + fresh solve on first query. A record
+// written in another format (an older daemon's) is not bad, just stale: it
+// is deleted, counted in persist/warm-stale, and re-solved on first query.
 
 import (
 	"context"
@@ -141,8 +143,22 @@ func (s *Server) warmOne(hash, key string) {
 		return
 	}
 	var rec persistRecord
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Snapshot == nil {
+	if err := json.Unmarshal(payload, &rec); err != nil || rec.Format != recordFormat {
+		// Only a payload that names another format is stale; one whose
+		// format cannot even be read is damaged.
+		var head struct {
+			Format int `json:"format"`
+		}
+		if json.Unmarshal(payload, &head) == nil && head.Format != recordFormat {
+			s.cache.store.Delete(key)
+			s.metrics.Counter("persist/warm-stale").Inc()
+			return
+		}
 		s.quarantineWarm(key, "record payload does not decode to a result snapshot")
+		return
+	}
+	if rec.Snapshot == nil || rec.Snapshot.check() != nil {
+		s.quarantineWarm(key, "record snapshot is incomplete or names missing labels or sets")
 		return
 	}
 	if hashSource(rec.Source) != hash || rec.Config != cfg {

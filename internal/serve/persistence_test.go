@@ -9,10 +9,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/invariant"
+	"repro/internal/persist"
 )
 
 // postRaw is post without the JSON decode: byte-identity tests compare the
@@ -403,5 +408,156 @@ func TestTracezEvictedTraceTyped404(t *testing.T) {
 	}
 	if evicted == "" {
 		t.Fatal("no trace was evicted after overflowing the recorder")
+	}
+}
+
+// TestStaleFormatRecordResolved plants a record in the unversioned format
+// an older daemon wrote (a label list per pointer per view, no format
+// field), holding a set the program cannot produce. The restarted daemon
+// must delete it as stale rather than serve it or quarantine it, and then
+// answer by re-solving, byte-identically to a daemon that never saw it.
+func TestStaleFormatRecordResolved(t *testing.T) {
+	type staleReg struct {
+		Fn         string   `json:"fn"`
+		Reg        string   `json:"reg,omitempty"`
+		Optimistic []string `json:"optimistic"`
+		Fallback   []string `json:"fallback"`
+	}
+	stale, err := json.Marshal(map[string]any{
+		"source": demoSource,
+		"config": "Kaleidoscope",
+		"snapshot": map[string]any{
+			"objects": 1, "constraint_nodes": 1, "solver_iterations": 1, "monitor_sites": 0,
+			"icall_sites": []int{}, "cfi_sites": []any{}, "invariants": []any{},
+			"regs": []staleReg{{Fn: "pick", Optimistic: []string{"@planted"}, Fallback: []string{"@planted"}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := persist.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := persistKey(hashSource(demoSource), "Kaleidoscope")
+	if err := st.Save(key, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{CacheDir: dir})
+	waitWarm(t, s)
+	if got := counter(s, "persist/warm-stale"); got != 1 {
+		t.Fatalf("persist/warm-stale = %d, want 1", got)
+	}
+	if s.warmLoaded.Load() != 0 || s.warmQuarantined.Load() != 0 {
+		t.Fatalf("stale record loaded %d / quarantined %d, want 0 / 0", s.warmLoaded.Load(), s.warmQuarantined.Load())
+	}
+	if files := recordFiles(t, dir); len(files) != 0 {
+		t.Fatalf("stale record not deleted: %v", files)
+	}
+	_, fresh := newTestServer(t, Config{})
+	for _, q := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/analyze", map[string]any{"source": demoSource}},
+		{"/pointsto", map[string]any{"source": demoSource, "fn": "pick"}},
+		{"/pointsto", map[string]any{"source": demoSource, "fn": "main", "reg": "%t1"}},
+		{"/cfi-targets", map[string]any{"source": demoSource}},
+		{"/invariants", map[string]any{"source": demoSource}},
+	} {
+		status, got := postRaw(t, ts, q.path, q.body)
+		_, want := postRaw(t, fresh, q.path, q.body)
+		if status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s after a stale record: %d\n got %s\nwant %s", q.path, status, got, want)
+		}
+		if bytes.Contains(got, []byte("@planted")) {
+			t.Fatalf("%s served the stale record: %s", q.path, got)
+		}
+	}
+	if got := counter(s, "core/analyses"); got != 2 {
+		t.Fatalf("re-solve ran %d analyses, want 2 (fallback + optimistic)", got)
+	}
+	if files := recordFiles(t, dir); len(files) != 1 {
+		t.Fatalf("re-solve wrote %d records, want 1", len(files))
+	}
+}
+
+// pollCtx is a request context that ends on the k-th call of Err, so a test
+// can land a cancellation on one exact check of the miss path. Done closes
+// at that same moment, as the Context contract requires.
+type pollCtx struct {
+	context.Context
+	k     int64
+	polls atomic.Int64
+	once  sync.Once
+	done  chan struct{}
+}
+
+func newPollCtx(k int64) *pollCtx {
+	return &pollCtx{Context: context.Background(), k: k, done: make(chan struct{})}
+}
+
+func (c *pollCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(1) >= c.k {
+		c.once.Do(func() { close(c.done) })
+	}
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestMissOverrunAfterSolve cancels a miss after its solve has finished:
+// at the first projection check, and at the check before the record write.
+// Either way the client gets the solver's typed 503 budget error, no
+// snapshot is installed and no record is written; the next request solves
+// afresh and persists.
+func TestMissOverrunAfterSolve(t *testing.T) {
+	body, _ := json.Marshal(map[string]any{"source": demoSource})
+	miss := func(s *Server, ctx context.Context) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/analyze", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+	// Count the checks a clean miss makes; the last one precedes the write.
+	s, _ := newTestServer(t, Config{CacheDir: t.TempDir()})
+	waitWarm(t, s)
+	clean := newPollCtx(1 << 62)
+	if rec := miss(s, clean); rec.Code != http.StatusOK {
+		t.Fatalf("clean miss: %d %s", rec.Code, rec.Body)
+	}
+	checks := clean.polls.Load()
+	if checks < 2 {
+		t.Fatalf("a miss polled its context %d times, want projection and write checks", checks)
+	}
+	for k, stage := range map[int64]string{1: "during projection", checks: "during record write"} {
+		dir := t.TempDir()
+		s, ts := newTestServer(t, Config{CacheDir: dir})
+		waitWarm(t, s)
+		rec := miss(s, newPollCtx(k))
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusServiceUnavailable ||
+			e.Kind != "budget" || !strings.Contains(e.Error, stage) {
+			t.Fatalf("cancelled at check %d/%d: %d %s, want 503 budget %s", k, checks, rec.Code, rec.Body, stage)
+		}
+		if files := recordFiles(t, dir); len(files) != 0 {
+			t.Fatalf("cancelled at check %d/%d: records written: %v", k, checks, files)
+		}
+		if s.cache.lookup(hashSource(demoSource), invariant.All().Name()) != nil {
+			t.Fatalf("cancelled at check %d/%d: snapshot installed", k, checks)
+		}
+		if status, body, _ := post(t, ts, "/analyze", map[string]any{"source": demoSource}); status != http.StatusOK || body["cached"] != false {
+			t.Fatalf("retry after the overrun: %d %v, want 200 cached=false", status, body)
+		}
+		if files := recordFiles(t, dir); len(files) != 1 {
+			t.Fatalf("retry wrote %d records, want 1", len(files))
+		}
 	}
 }

@@ -13,58 +13,113 @@ package serve
 // from — there is only one rendering path.
 
 import (
+	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"errors"
+	"fmt"
 
 	"repro/internal/cfi"
 	"repro/internal/invariant"
 	"repro/internal/pointsto"
 )
 
+// recordFormat versions the persisted record's JSON shape (persistRecord
+// and the snapshot inside it). Change it with any change to either shape:
+// warm-load deletes and re-solves a record of any other format rather than
+// decoding it into the wrong shape. Format 1 was the unversioned shape that
+// stored a label list per pointer per view.
+const recordFormat = 2
+
 // resultSnapshot is the full query surface of one solved (program, config)
 // pair as plain data. It is the payload of a persisted record, so changing
-// its JSON shape is a disk-format change: bump persistFormat alongside.
+// its JSON shape is a disk-format change: bump recordFormat alongside.
+//
+// Points-to sets are stored once each, whichever view and however many
+// pointers hold them: Labels is the object-label table, Sets the table of
+// distinct canonical label sequences (indexes into Labels; set 0 is always
+// the empty set), and each Regs entry names its two views' sets by index.
 type resultSnapshot struct {
 	Objects          int               `json:"objects"`
 	ConstraintNodes  int               `json:"constraint_nodes"`
 	SolverIterations int               `json:"solver_iterations"`
 	MonitorSites     int               `json:"monitor_sites"`
 	ICallSites       []int             `json:"icall_sites"`
+	Labels           []string          `json:"labels"`
+	Sets             [][]int           `json:"sets"`
 	Regs             []regSnapshot     `json:"regs"`
 	CFISites         []cfiSite         `json:"cfi_sites"`
 	Invariants       []invariantRecord `json:"invariants"`
 }
 
-// regSnapshot is one top-level pointer's canonical points-to sets under both
-// memory views. Reg "" is fn's return-value node, mirroring the wire query.
+// regSnapshot is one top-level pointer's points-to sets under both memory
+// views, as indexes into resultSnapshot.Sets. Reg "" is fn's return-value
+// node, mirroring the wire query. Only pointers with a non-empty set in at
+// least one view are listed.
 type regSnapshot struct {
-	Fn         string   `json:"fn"`
-	Reg        string   `json:"reg,omitempty"`
-	Optimistic []string `json:"optimistic"`
-	Fallback   []string `json:"fallback"`
+	Fn         string `json:"fn"`
+	Reg        string `json:"reg,omitempty"`
+	Optimistic int    `json:"optimistic"`
+	Fallback   int    `json:"fallback"`
+}
+
+// check verifies that every index a snapshot holds is in range and that set
+// 0 is empty, so a served pointer can never render a missing set as empty.
+func (snap *resultSnapshot) check() error {
+	if len(snap.Sets) == 0 || len(snap.Sets[0]) != 0 {
+		return errors.New("set 0 is not the empty set")
+	}
+	for i, set := range snap.Sets {
+		for _, id := range set {
+			if id < 0 || id >= len(snap.Labels) {
+				return fmt.Errorf("set %d names label %d of %d", i, id, len(snap.Labels))
+			}
+		}
+	}
+	for _, rg := range snap.Regs {
+		for _, id := range []int{rg.Optimistic, rg.Fallback} {
+			if id < 0 || id >= len(snap.Sets) {
+				return fmt.Errorf("pointer %s:%s names set %d of %d", rg.Fn, rg.Reg, id, len(snap.Sets))
+			}
+		}
+	}
+	return nil
 }
 
 // servedResult is a snapshot plus the lookup indexes the handlers use; the
 // indexes are rebuilt on construction (never serialized).
 type servedResult struct {
 	snap  *resultSnapshot
-	regs  map[PtrKeyLite]*regSnapshot
+	regs  map[PtrKeyLite]regSets
 	sites map[int]*cfiSite
 }
 
 // PtrKeyLite keys the register index: (function, register), "" = return.
 type PtrKeyLite struct{ Fn, Reg string }
 
+// regSets is one pointer's rendered label lists; pointers with the same set
+// share one slice.
+type regSets struct{ optimistic, fallback []string }
+
+// newServedResult indexes a checked snapshot, rendering each set's label
+// list once.
 func newServedResult(snap *resultSnapshot) *servedResult {
+	sets := make([][]string, len(snap.Sets))
+	for i, ids := range snap.Sets {
+		labels := make([]string, len(ids))
+		for k, id := range ids {
+			labels[k] = snap.Labels[id]
+		}
+		sets[i] = labels
+	}
 	r := &servedResult{
 		snap:  snap,
-		regs:  make(map[PtrKeyLite]*regSnapshot, len(snap.Regs)),
+		regs:  make(map[PtrKeyLite]regSets, len(snap.Regs)),
 		sites: make(map[int]*cfiSite, len(snap.CFISites)),
 	}
-	for i := range snap.Regs {
-		rg := &snap.Regs[i]
-		r.regs[PtrKeyLite{rg.Fn, rg.Reg}] = rg
+	for _, rg := range snap.Regs {
+		r.regs[PtrKeyLite{rg.Fn, rg.Reg}] = regSets{sets[rg.Optimistic], sets[rg.Fallback]}
 	}
 	for i := range snap.CFISites {
 		site := &snap.CFISites[i]
@@ -77,8 +132,8 @@ func newServedResult(snap *resultSnapshot) *servedResult {
 // and pointers with empty sets render identically (empty, non-nil — the
 // wire's `[]`), exactly as querying the live result did.
 func (r *servedResult) pointsTo(fn, reg string) (optimistic, fallback []string) {
-	if rg := r.regs[PtrKeyLite{fn, reg}]; rg != nil {
-		return nonNil(rg.Optimistic), nonNil(rg.Fallback)
+	if rs, ok := r.regs[PtrKeyLite{fn, reg}]; ok {
+		return rs.optimistic, rs.fallback
 	}
 	return []string{}, []string{}
 }
@@ -87,17 +142,31 @@ func (r *servedResult) pointsTo(fn, reg string) (optimistic, fallback []string) 
 // there, the handler's 400).
 func (r *servedResult) site(id int) *cfiSite { return r.sites[id] }
 
+// abortIfDone returns the typed abort of a request whose context ended
+// during stage. Projection and the record write run under the solve's
+// deadline, so overrunning it there is the same 503 as in the solver.
+func abortIfDone(ctx context.Context, stage string) error {
+	if err := ctx.Err(); err != nil {
+		return &pointsto.AbortError{Reason: "context done during " + stage, Cause: err}
+	}
+	return nil
+}
+
 // project renders a solved optimistic view and its fallback into a
-// snapshot. Everything is read through the Result's canonical accessors,
-// so inline and bit-vector sets, and every solver strategy that reaches
-// the same fixpoint, project identically.
-func project(opt, fb *pointsto.Result) *resultSnapshot {
+// snapshot. Sets are read through the Result's canonical accessors, so
+// inline and bit-vector sets project identically, and each solver
+// representative is rendered once per view: the cost follows the number of
+// distinct sets, not the sum of their sizes. Table indexes are assigned in
+// first-use order along the sorted pointer list, so two solves of one
+// program marshal to the same bytes. ctx is polled every 256 pointers.
+func project(ctx context.Context, opt, fb *pointsto.Result) (*resultSnapshot, error) {
 	snap := &resultSnapshot{
 		Objects:          len(opt.Objects()),
 		ConstraintNodes:  opt.NodeCount(),
 		SolverIterations: opt.Stats().Iterations,
 		MonitorSites:     opt.Stats().MonitorSites,
 		ICallSites:       opt.ICallSites(),
+		Sets:             [][]int{{}},
 		Invariants:       []invariantRecord{},
 	}
 	for _, rec := range opt.Invariants() {
@@ -105,13 +174,36 @@ func project(opt, fb *pointsto.Result) *resultSnapshot {
 			Kind: rec.Kind.String(), Site: rec.Site, Desc: rec.Desc,
 		})
 	}
-	for _, p := range unionPointers(opt, fb) {
-		snap.Regs = append(snap.Regs, regSnapshot{
-			Fn:         p.Fn,
-			Reg:        p.Reg,
-			Optimistic: labelsOf(refsOf(opt, p)),
-			Fallback:   labelsOf(refsOf(fb, p)),
-		})
+	t := &setTable{snap: snap, labels: map[string]int{}, sets: map[string]int{"": 0}}
+	optSet, optPtrs := t.view(opt), opt.PointerReps()
+	fbSet, fbPtrs := optSet, optPtrs // the baseline's optimistic view is its fallback
+	if fb != opt {
+		fbSet, fbPtrs = t.view(fb), fb.PointerReps()
+	}
+	// Merge the two sorted pointer lists: the populations usually agree,
+	// but only usually.
+	for i, j, n := 0, 0, 0; i < len(optPtrs) || j < len(fbPtrs); n++ {
+		if n&255 == 0 {
+			if err := abortIfDone(ctx, "projection"); err != nil {
+				return nil, err
+			}
+		}
+		var rg regSnapshot
+		switch {
+		case j == len(fbPtrs) || i < len(optPtrs) && optPtrs[i].Less(fbPtrs[j].PtrRef):
+			rg = regSnapshot{Fn: optPtrs[i].Fn, Reg: optPtrs[i].Reg, Optimistic: optSet(optPtrs[i])}
+			i++
+		case i == len(optPtrs) || fbPtrs[j].Less(optPtrs[i].PtrRef):
+			rg = regSnapshot{Fn: fbPtrs[j].Fn, Reg: fbPtrs[j].Reg, Fallback: fbSet(fbPtrs[j])}
+			j++
+		default:
+			rg = regSnapshot{Fn: optPtrs[i].Fn, Reg: optPtrs[i].Reg,
+				Optimistic: optSet(optPtrs[i]), Fallback: fbSet(fbPtrs[j])}
+			i, j = i+1, j+1
+		}
+		if rg.Optimistic != 0 || rg.Fallback != 0 {
+			snap.Regs = append(snap.Regs, rg)
+		}
 	}
 	po, pf := cfi.PolicyFrom(opt), cfi.PolicyFrom(fb)
 	for _, site := range po.Sites {
@@ -121,53 +213,67 @@ func project(opt, fb *pointsto.Result) *resultSnapshot {
 			Fallback:   nonNil(pf.Targets[site]),
 		})
 	}
-	return snap
+	return snap, nil
 }
 
-// unionPointers merges both views' non-empty top-level pointers (the
-// optimistic population is usually a subset, but only usually), sorted.
-func unionPointers(opt, fb *pointsto.Result) []pointsto.PtrRef {
-	seen := map[pointsto.PtrRef]bool{}
-	var out []pointsto.PtrRef
-	for _, view := range []*pointsto.Result{opt, fb} {
-		for _, p := range view.TopLevelPointers() {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
+// setTable interns a snapshot's labels and sets, each distinct one once.
+type setTable struct {
+	snap   *resultSnapshot
+	labels map[string]int // label → index in snap.Labels
+	sets   map[string]int // a set's label indexes, varint-encoded → index in snap.Sets
+}
+
+// view returns the set-index function of one view, memoized on the solver
+// representative: a representative's set is rendered on first use only.
+func (t *setTable) view(r *pointsto.Result) func(pointsto.PtrRep) int {
+	memo := map[int]int{}
+	return func(p pointsto.PtrRep) int {
+		if id, ok := memo[p.Rep]; ok {
+			return id
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fn != out[j].Fn {
-			return out[i].Fn < out[j].Fn
+		refs := r.PointsTo(p.Fn, p.Reg)
+		if p.Reg == "" {
+			refs = r.ReturnPointsTo(p.Fn)
 		}
-		return out[i].Reg < out[j].Reg
-	})
-	return out
-}
-
-func refsOf(r *pointsto.Result, p pointsto.PtrRef) []pointsto.ObjRef {
-	if p.Reg == "" {
-		return r.ReturnPointsTo(p.Fn)
+		id := t.intern(refs)
+		memo[p.Rep] = id
+		return id
 	}
-	return r.PointsTo(p.Fn, p.Reg)
 }
 
-func labelsOf(refs []pointsto.ObjRef) []string {
-	out := make([]string, 0, len(refs))
-	for _, ref := range refs {
-		out = append(out, ref.String())
+// intern returns the index of refs' canonical label sequence in the set
+// table, adding the sequence (and any new labels) on first sight.
+func (t *setTable) intern(refs []pointsto.ObjRef) int {
+	ids := make([]int, len(refs))
+	var key []byte
+	for k, ref := range refs {
+		label := ref.String()
+		id, ok := t.labels[label]
+		if !ok {
+			id = len(t.snap.Labels)
+			t.labels[label] = id
+			t.snap.Labels = append(t.snap.Labels, label)
+		}
+		ids[k] = id
+		key = binary.AppendUvarint(key, uint64(id))
 	}
-	return out
+	id, ok := t.sets[string(key)]
+	if !ok {
+		id = len(t.snap.Sets)
+		t.sets[string(key)] = id
+		t.snap.Sets = append(t.snap.Sets, ids)
+	}
+	return id
 }
 
-// persistRecord is the JSON payload a stored record frames: the program
-// source (so a warm-loaded program can compile and solve further configs),
-// the resolved configuration name, and the snapshot. Source and config are
-// deliberately redundant with the record key — warm-load cross-checks both,
-// and a mismatch (a frame that verifies but describes a different program)
-// is quarantined exactly like a checksum failure.
+// persistRecord is the JSON payload a stored record frames: its format, the
+// program source (so a warm-loaded program can compile and solve further
+// configs), the resolved configuration name, and the snapshot. Source and
+// config are deliberately redundant with the record key — warm-load
+// cross-checks both, and a mismatch (a frame that verifies but describes a
+// different program) is quarantined exactly like a checksum failure.
 type persistRecord struct {
+	Format   int             `json:"format"`
 	Source   string          `json:"source"`
 	Config   string          `json:"config"`
 	Snapshot *resultSnapshot `json:"snapshot"`

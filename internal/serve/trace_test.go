@@ -291,3 +291,47 @@ func TestTracezDisabled(t *testing.T) {
 		t.Fatalf("disabled tracez lookup: status %d, want 404", status)
 	}
 }
+
+// TestMissTraceShowsProjectAndPersist: a traced miss on a persistent daemon
+// records serve/project and serve/persist spans nested under serve/solve,
+// so one trace shows what the miss spent after its solve; a hit records
+// neither.
+func TestMissTraceShowsProjectAndPersist(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	waitWarm(t, s)
+	spans := func() map[string]telemetry.SpanRecord {
+		status, _, hdr := rawPost(t, ts.URL+"/analyze", map[string]any{"source": demoSource}, nil)
+		if status != http.StatusOK {
+			t.Fatalf("analyze: status %d", status)
+		}
+		e, ok := s.flight.Lookup(hdr.Get(TraceHeader))
+		if !ok {
+			t.Fatal("request trace not retained")
+		}
+		byName := map[string]telemetry.SpanRecord{}
+		for _, sp := range e.Spans {
+			byName[sp.Name] = sp
+		}
+		return byName
+	}
+	miss := spans()
+	solve, ok := miss["serve/solve"]
+	if !ok {
+		t.Fatalf("miss trace has no serve/solve span: %v", miss)
+	}
+	for _, name := range []string{"serve/project", "serve/persist"} {
+		sp, ok := miss[name]
+		if !ok {
+			t.Fatalf("miss trace has no %s span", name)
+		}
+		if sp.Parent != solve.ID {
+			t.Errorf("%s is parented to span %d, want serve/solve (%d)", name, sp.Parent, solve.ID)
+		}
+	}
+	hit := spans()
+	for _, name := range []string{"serve/project", "serve/persist"} {
+		if _, ok := hit[name]; ok {
+			t.Errorf("hit trace records %s", name)
+		}
+	}
+}
