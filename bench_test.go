@@ -171,59 +171,6 @@ type nopTracer struct{}
 func (nopTracer) Growth(pointsto.GrowthEvent) {}
 func (nopTracer) Cycle(int, bool)             {}
 
-// BenchmarkSolverDelta compares difference propagation (the default) against
-// full re-propagation on the solver core, per workload. Results are
-// identical (asserted by the differential oracle in internal/pointsto); the
-// delta variant propagates strictly fewer pointee bits, which bench-json
-// verifies from the solver statistics.
-func BenchmarkSolverDelta(b *testing.B) {
-	for _, app := range workload.Apps() {
-		m := app.MustModule()
-		for _, mode := range []struct {
-			name  string
-			delta bool
-		}{{"delta", true}, {"full", false}} {
-			b.Run(app.Name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					a := pointsto.New(m, invariant.All())
-					a.SetDelta(mode.delta)
-					a.Solve()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSolverPrep compares offline preprocessing (HVN variable
-// substitution + hybrid cycle detection, the default) against the no-prep
-// worklist solver on the scaled benchmark family, where constraint graphs
-// are large enough (1k-100k nodes) for the strategies to actually diverge.
-// Results are identical (asserted by the differential oracle and the prep
-// tests in internal/pointsto); only cost differs. The 100k tier takes
-// seconds per solve — select it explicitly with
-// `-bench BenchmarkSolverPrep/randprog-100k` when needed.
-func BenchmarkSolverPrep(b *testing.B) {
-	for _, app := range workload.ScaledApps() {
-		app := app
-		for _, mode := range []struct {
-			name string
-			prep bool
-		}{{"prep", true}, {"noprep", false}} {
-			b.Run(app.Name+"/"+mode.name, func(b *testing.B) {
-				m := app.MustModule() // memoized; lazy so -bench filters skip the compile
-				b.ResetTimer()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					a := pointsto.New(m, invariant.All())
-					a.SetPrep(mode.prep)
-					a.Solve()
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkIncrementalRestore compares a full re-analysis against an
 // incremental Restore after one PA violation (the §8 trade-off).
 func BenchmarkIncrementalRestore(b *testing.B) {

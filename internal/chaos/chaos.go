@@ -215,11 +215,10 @@ func sweep(plan *faultinject.Plan, o Options) []runner.Result[appArtifact] {
 	cache := runner.NewCache(o.Metrics)
 	cache.SetFaults(plan)
 	apps := workload.Apps()
-	return runner.MapOpts(len(apps), o.Workers, runner.Opts{
-		Trace:            runner.Trace{Metrics: o.Metrics, Label: "chaos/app"},
-		Timeout:          o.Timeout,
-		BreakerThreshold: 3,
-		Faults:           plan,
+	return runner.Map(len(apps), o.Workers, runner.Opts{
+		Trace:   runner.Trace{Metrics: o.Metrics, Label: "chaos/app"},
+		Timeout: o.Timeout,
+		Faults:  plan,
 	}, func(i int) (appArtifact, error) {
 		return runApp(cache, apps[i], plan, o)
 	})

@@ -91,7 +91,7 @@ func (s *Session) AnalyzeAll() []*AppData {
 		cfi   []int
 	}
 	tr := runner.Trace{Metrics: s.Metrics, Parent: span, Label: "experiments/analyze-cell"}
-	res := runner.MapTraced(len(apps)*len(cfgs), s.workers(), tr, func(i int) (cell, error) {
+	res := runner.Map(len(apps)*len(cfgs), s.workers(), runner.Opts{Trace: tr}, func(i int) (cell, error) {
 		app, cfg := apps[i/len(cfgs)], cfgs[i%len(cfgs)]
 		sys := s.System(app, cfg)
 		return cell{
@@ -129,7 +129,7 @@ func (s *Session) AnalyzeAll() []*AppData {
 func perApp[T any](s *Session, workers int, label string, span *telemetry.Span, job func(app *workload.App) T, errRow func(app *workload.App, err error) T) []T {
 	apps := workload.Apps()
 	tr := runner.Trace{Metrics: s.Metrics, Parent: span, Label: label}
-	res := runner.MapTraced(len(apps), workers, tr, func(i int) (T, error) {
+	res := runner.Map(len(apps), workers, runner.Opts{Trace: tr}, func(i int) (T, error) {
 		return job(apps[i]), nil
 	})
 	rows := make([]T, len(apps))

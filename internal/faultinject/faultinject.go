@@ -10,8 +10,7 @@
 //   - pointsto: SolverBudget fires per worklist step and aborts the solve as
 //     if its step budget were exhausted (typed pointsto.AbortError);
 //   - runner: WorkerPanic fires at job start and panics inside the recovered
-//     region, exercising panic rows, the panic counter, and the circuit
-//     breaker;
+//     region, exercising panic rows and the panic counter;
 //   - memview: SpuriousViolation fires inside a monitor hook and reports a
 //     violation that no real invariant breach caused, exercising the secure
 //     optimistic→fallback switch path; CorruptRecord mutates one invariant

@@ -66,18 +66,26 @@ func fingerprint(r *Result) string {
 	return b.String()
 }
 
-// solveVariant runs one configuration of the solver over a module and
-// returns the Result.
+// solveVariant runs one point of the {delta on/off} x {prep on/off} cube
+// over a module and returns the Result. It overrides the choices New makes
+// (prep on, delta by DeltaAutoThreshold) through the unexported fields; the
+// delta-off, prep-off corner is the oracle's reference.
 func solveVariant(m *ir.Module, cfg invariant.Config, delta, prep bool) *Result {
 	a := New(m, cfg)
-	a.SetDelta(delta)
-	a.SetPrep(prep)
+	a.noDelta = !delta
+	a.prep = prep
 	return a.Solve()
 }
 
+// scaledSrc is ScaledProgram(1, 100): ~3k constraint nodes, so a plain New
+// runs it with delta propagation on (above DeltaAutoThreshold), on a
+// prep-merged graph — the path production takes on large programs.
+var scaledSrc = workload.ScaledProgram(1, 100)
+
 // oracleModules collects every corpus the oracle runs on: the nine synthetic
-// workload apps, the in-package paper-figure fixtures, and the incremental
-// re-analysis demo (a live PA violation plus Ctx-assumed hooks).
+// workload apps, the in-package paper-figure fixtures, the incremental
+// re-analysis demo (a live PA violation plus Ctx-assumed hooks), and one
+// scaled program above DeltaAutoThreshold.
 func oracleModules(t *testing.T) map[string]*ir.Module {
 	t.Helper()
 	mods := map[string]*ir.Module{}
@@ -96,6 +104,11 @@ func oracleModules(t *testing.T) map[string]*ir.Module {
 		}
 		mods["fig/"+name] = m
 	}
+	m, err := minic.Compile("scaled", scaledSrc)
+	if err != nil {
+		t.Fatalf("compile scaled: %v", err)
+	}
+	mods["scaled/1x100"] = m
 	return mods
 }
 

@@ -159,12 +159,12 @@ type Analysis struct {
 	pwcRecords map[string]bool // dedupe of recorded PWC cycles
 	paDisabled map[int]bool    // PtrAdd sites whose PA assumption was restored
 	pwcDone    map[int]bool    // PWC field sites already restored to baseline
-	noDelta    bool            // disable difference propagation (differential-oracle ablation)
-	deltaMode  uint8           // deltaAuto (resolved at first solve) / deltaOn / deltaOff
+	noDelta    bool            // full re-propagation: set by New below DeltaAutoThreshold nodes
 
 	// Offline preprocessing (prep.go / hcd.go): HVN variable substitution and
-	// hybrid cycle detection run once, lazily, at the first resolve — after
-	// every Set* option but before any propagation. addrFacts records the
+	// hybrid cycle detection run once, lazily, at the first resolve, before
+	// any propagation. New turns prep on; only the in-package tests turn it
+	// off, to build their no-prep reference. addrFacts records the
 	// primitive Addr-Of constraints per node (build-time pts is already
 	// polluted by eager copy propagation, so HVN hashing needs the raw facts).
 	prep       bool
@@ -203,44 +203,16 @@ type Analysis struct {
 	abortErr  error // pending *AbortError recorded by budgetStep
 }
 
-// Delta-propagation modes. The default is auto: difference propagation pays
-// per-node bookkeeping that only amortizes once sets are re-propagated many
-// times, so on graphs below DeltaAutoThreshold nodes the solver silently
-// falls back to full re-propagation (BENCH_solver.json showed delta at
-// 0.87–0.99x full speed on every sub-millisecond app).
-const (
-	deltaAuto uint8 = iota
-	deltaOn
-	deltaOff
-)
-
-// DeltaAutoThreshold is the node count below which delta-propagation auto
-// mode disables per-node delta bookkeeping.
+// DeltaAutoThreshold is the node count below which New turns difference
+// (delta) propagation off. With delta on, every node tracks the pointees
+// added since its last processing, and constraint processing consumes only
+// that delta, with new edges, SCC merges, and incremental Restores seeding
+// full-set flushes. That per-node bookkeeping only amortizes once sets are
+// re-propagated many times: delta ran at 0.87–0.99x full re-propagation's
+// speed on every sub-millisecond paper app (EXPERIMENTS.md, "Removed
+// execution hints"). Results are identical either way (asserted by the
+// differential oracle tests); only solve cost changes.
 const DeltaAutoThreshold = 2048
-
-// SetDelta toggles difference (delta) propagation explicitly, overriding the
-// default auto mode (see DeltaAutoThreshold). When on, every node tracks the
-// pointees added since its last processing, and constraint processing
-// consumes only that delta, with new edges, SCC merges, and incremental
-// Restores seeding full-set flushes. When off, the solver re-consumes the
-// full set on every visit — results are identical (asserted by the
-// differential oracle tests); only solve cost changes. Must be called before
-// Solve.
-func (a *Analysis) SetDelta(on bool) {
-	if on {
-		a.deltaMode = deltaOn
-	} else {
-		a.deltaMode = deltaOff
-	}
-	a.noDelta = !on
-}
-
-// SetPrep toggles offline constraint preprocessing (HVN variable substitution
-// plus hybrid cycle detection, see prep.go/hcd.go) for this analysis; New
-// turns it on. Results are identical either way — merges that could interact
-// with the PWC policy are deferred — only solve cost changes. Must be called
-// before Solve.
-func (a *Analysis) SetPrep(on bool) { a.prep = on }
 
 // New builds the constraint graph for m under cfg. Call Solve to run the
 // analysis.
@@ -266,6 +238,7 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 	a.buildStart = time.Now()
 	a.build()
 	a.buildDur = time.Since(a.buildStart)
+	a.noDelta = len(a.nodes) < DeltaAutoThreshold
 	return a
 }
 

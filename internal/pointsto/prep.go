@@ -37,7 +37,7 @@ import (
 
 // runPrep executes the offline stage: HVN substitution, then the offline
 // half of hybrid cycle detection (hcd.go). Called once, lazily, from the
-// first resolve — after every Set* option, before any propagation.
+// first resolve, before any propagation.
 func (a *Analysis) runPrep() {
 	start := time.Now()
 	a.offlineSubstitute()

@@ -15,7 +15,7 @@ func prepSolve(t *testing.T, src string, cfg invariant.Config, prep bool) (*Resu
 		t.Fatal(err)
 	}
 	a := New(m, cfg)
-	a.SetPrep(prep)
+	a.prep = prep
 	r := a.Solve()
 	return r, r.Stats()
 }
@@ -116,29 +116,72 @@ func assertSameResult(t *testing.T, want, got *Result) {
 	}
 }
 
-// TestDeltaAutoMode: below the threshold, auto mode must disable delta
-// bookkeeping; an explicit SetDelta(true) overrides it.
+// TestDeltaAutoMode: New turns delta propagation off below
+// DeltaAutoThreshold nodes and leaves it on above.
 func TestDeltaAutoMode(t *testing.T) {
-	m, err := minic.Compile("auto", chainSrc)
+	for _, tc := range []struct {
+		name, src string
+		noDelta   bool
+	}{
+		{"chain", chainSrc, true},
+		{"scaled", scaledSrc, false},
+	} {
+		m, err := minic.Compile(tc.name, tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := New(m, invariant.Config{})
+		if below := len(a.nodes) < DeltaAutoThreshold; below != tc.noDelta {
+			t.Fatalf("%s: %d nodes, want below threshold %d = %v",
+				tc.name, len(a.nodes), DeltaAutoThreshold, tc.noDelta)
+		}
+		if a.noDelta != tc.noDelta {
+			t.Errorf("%s (%d nodes): New set noDelta = %v, want %v",
+				tc.name, len(a.nodes), a.noDelta, tc.noDelta)
+		}
+	}
+}
+
+// TestPrepDoesWorkOnRandprog1k: on the smallest scaled workload, the
+// default solve (prep on) merges nodes offline, collapses cycles online,
+// never adds sccPass sweeps, pops fewer worklist items than the full,
+// no-prep reference, and fingerprints identically to it.
+func TestPrepDoesWorkOnRandprog1k(t *testing.T) {
+	m := workload.ByName("randprog-1k").MustModule()
+	ref := solveVariant(m, invariant.All(), false, false)
+	got := New(m, invariant.All()).Solve()
+	sRef, sGot := ref.Stats(), got.Stats()
+	if sGot.PrepMerged == 0 {
+		t.Errorf("prep merged no nodes offline: %+v", sGot)
+	}
+	if sGot.HCDCollapses == 0 {
+		t.Errorf("hybrid cycle detection fired no online collapses: %+v", sGot)
+	}
+	if sGot.SCCPasses > sRef.SCCPasses {
+		t.Errorf("prep ran %d sccPass sweeps, reference %d — prep must not add sweeps",
+			sGot.SCCPasses, sRef.SCCPasses)
+	}
+	if sGot.Iterations >= sRef.Iterations {
+		t.Errorf("prep popped %d worklist items, reference %d — the merged graph should be cheaper",
+			sGot.Iterations, sRef.Iterations)
+	}
+	assertSameResult(t, ref, got)
+}
+
+// TestDeltaPropagatesFewerBits: above DeltaAutoThreshold the default solve
+// runs delta propagation, which consumes fewer pointee bits than the full,
+// no-prep reference and fingerprints identically to it.
+func TestDeltaPropagatesFewerBits(t *testing.T) {
+	m, err := minic.Compile("scaled", scaledSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto := New(m, invariant.Config{})
-	auto.Solve()
-	if !auto.noDelta {
-		t.Errorf("auto mode kept delta bookkeeping on a %d-node graph (threshold %d)",
-			len(auto.nodes), DeltaAutoThreshold)
+	ref := solveVariant(m, invariant.All(), false, false)
+	got := New(m, invariant.All()).Solve()
+	b, r := got.Stats().BitsPropagated, ref.Stats().BitsPropagated
+	if b >= r {
+		t.Errorf("default solve propagated %d bits, reference %d — delta must propagate fewer", b, r)
 	}
-	forced := New(m, invariant.Config{})
-	forced.SetDelta(true)
-	forced.Solve()
-	if forced.noDelta {
-		t.Error("SetDelta(true) did not override auto mode")
-	}
-	off := New(m, invariant.Config{})
-	off.SetDelta(false)
-	off.Solve()
-	if !off.noDelta {
-		t.Error("SetDelta(false) did not disable delta")
-	}
+	t.Logf("bits propagated: default %d, reference %d", b, r)
+	assertSameResult(t, ref, got)
 }

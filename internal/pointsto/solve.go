@@ -36,12 +36,8 @@ func (a *Analysis) resolve() error {
 		a.metrics.RecordSpan("pointsto/build", a.parentSpan, a.buildStart, a.buildDur)
 	}
 	if !a.prepDone {
-		// First resolve: every Set* option is final now. Settle the delta
-		// auto mode, then run offline preprocessing.
+		// First resolve: run offline preprocessing once.
 		a.prepDone = true
-		if a.deltaMode == deltaAuto {
-			a.noDelta = len(a.nodes) < DeltaAutoThreshold
-		}
 		if a.prep {
 			a.runPrep()
 		}
@@ -169,11 +165,11 @@ func (a *Analysis) drain() {
 
 // processNode applies every outgoing constraint of n to its pending pointee
 // delta — the set of pointees added since n was last processed (the full set
-// on the node's first visit, or after a seedDelta flush). Disabling delta
-// propagation (SetDelta(false)) re-consumes the full set on every visit; the
-// results are identical because every constraint here is monotone and
-// idempotent per pointee, so re-deriving from old pointees only re-adds
-// facts that are already present.
+// on the node's first visit, or after a seedDelta flush). Without delta
+// propagation (noDelta, below DeltaAutoThreshold) it re-consumes the full
+// set on every visit; the results are identical because every constraint
+// here is monotone and idempotent per pointee, so re-deriving from old
+// pointees only re-adds facts that are already present.
 func (a *Analysis) processNode(n int) {
 	a.stats.Iterations++
 	a.cLivePops.Inc()

@@ -3,8 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,7 +21,7 @@ func TestMapInputValidation(t *testing.T) {
 	count := func(i int) (int, error) { atomic.AddInt64(&calls, 1); return i, nil }
 	for _, n := range []int{0, -1, -100} {
 		for _, workers := range []int{-4, 0, 1, 8} {
-			if got := Map(n, workers, count); got != nil {
+			if got := Map(n, workers, Opts{}, count); got != nil {
 				t.Errorf("Map(%d, %d) = %v, want nil", n, workers, got)
 			}
 		}
@@ -33,7 +31,7 @@ func TestMapInputValidation(t *testing.T) {
 	}
 	// workers far above n must clamp, not spawn idle goroutines that fight
 	// over three jobs; results stay index-complete either way.
-	out := Map(3, 64, count)
+	out := Map(3, 64, Opts{}, count)
 	if len(out) != 3 || calls != 3 {
 		t.Fatalf("Map(3, 64): len=%d calls=%d", len(out), calls)
 	}
@@ -50,7 +48,7 @@ func TestMapOptsTimeout(t *testing.T) {
 	reg := telemetry.New()
 	block := make(chan struct{})
 	defer close(block)
-	out := MapOpts(4, 2, Opts{Trace: Trace{Metrics: reg}, Timeout: 30 * time.Millisecond}, func(i int) (int, error) {
+	out := Map(4, 2, Opts{Trace: Trace{Metrics: reg}, Timeout: 30 * time.Millisecond}, func(i int) (int, error) {
 		if i == 1 {
 			<-block // holds well past the timeout
 		}
@@ -79,7 +77,7 @@ func TestMapOptsFailedJobsRunOnce(t *testing.T) {
 	var calls [3]int64
 	block := make(chan struct{})
 	defer close(block)
-	out := MapOpts(3, 1, Opts{Timeout: 30 * time.Millisecond}, func(i int) (int, error) {
+	out := Map(3, 1, Opts{Timeout: 30 * time.Millisecond}, func(i int) (int, error) {
 		atomic.AddInt64(&calls[i], 1)
 		switch i {
 		case 0:
@@ -105,67 +103,11 @@ func TestMapOptsFailedJobsRunOnce(t *testing.T) {
 	}
 }
 
-// After BreakerThreshold recovered panics the pool degrades to serial: no
-// new parallel claims, and every remaining job runs one at a time, in index
-// order, to completion.
-func TestMapOptsBreakerDegradesToSerial(t *testing.T) {
-	reg := telemetry.New()
-	tripped := reg.Counter("runner/breaker-tripped")
-	var concurrent, maxConcurrent int64
-	var mu sync.Mutex
-	var tailOrder []int
-	out := MapOpts(8, 2, Opts{Trace: Trace{Metrics: reg}, BreakerThreshold: 1}, func(i int) (int, error) {
-		switch {
-		case i == 0:
-			panic("worker corrupted")
-		case i == 1:
-			// Hold the second worker until the breaker has tripped, so the
-			// remaining jobs deterministically run in degraded mode.
-			for tripped.Value() == 0 {
-				runtime.Gosched()
-			}
-			return i, nil
-		default:
-			cur := atomic.AddInt64(&concurrent, 1)
-			for {
-				old := atomic.LoadInt64(&maxConcurrent)
-				if cur <= old || atomic.CompareAndSwapInt64(&maxConcurrent, old, cur) {
-					break
-				}
-			}
-			mu.Lock()
-			tailOrder = append(tailOrder, i)
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-			atomic.AddInt64(&concurrent, -1)
-			return i, nil
-		}
-	})
-	var pe *PanicError
-	if !errors.As(out[0].Err, &pe) {
-		t.Fatalf("job 0 err = %v, want panic", out[0].Err)
-	}
-	for i := 1; i < 8; i++ {
-		if out[i].Err != nil || out[i].Value != i {
-			t.Fatalf("job %d = %+v, want clean result", i, out[i])
-		}
-	}
-	if got := tripped.Value(); got != 1 {
-		t.Errorf("breaker tripped %d times, want 1", got)
-	}
-	if maxConcurrent != 1 {
-		t.Errorf("max concurrency after trip = %d, want 1 (serial degradation)", maxConcurrent)
-	}
-	if !sort.IntsAreSorted(tailOrder) || len(tailOrder) != 6 {
-		t.Errorf("degraded tail ran out of order: %v", tailOrder)
-	}
-}
-
 // An injected WorkerPanic fault surfaces as a *PanicError whose cause is the
 // typed *faultinject.Injected (via Unwrap).
 func TestMapOptsInjectedWorkerPanic(t *testing.T) {
 	plan := faultinject.ExplicitAt(faultinject.WorkerPanic, 2)
-	out := MapOpts(3, 1, Opts{Faults: plan}, func(i int) (int, error) { return i, nil })
+	out := Map(3, 1, Opts{Faults: plan}, func(i int) (int, error) { return i, nil })
 	failures := 0
 	for _, r := range out {
 		if r.Err == nil {

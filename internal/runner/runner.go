@@ -10,11 +10,10 @@
 // function of its inputs, so a run at -parallel 8 renders byte-identical
 // tables and figures to a run at -parallel 1 (asserted by tests).
 //
-// Degradation contract (MapOpts): a job may fail by error, panic, or
-// timeout; each failure lands in its own Result as a typed error
-// (*PanicError, *TimeoutError) and never takes down the batch, and a
-// circuit breaker can degrade the pool to serial execution after repeated
-// panics — every job still runs exactly once, results stay index-ordered.
+// Degradation contract: a job may fail by error, panic, or timeout; each
+// failure lands in its own Result as a typed error (*PanicError,
+// *TimeoutError) and never takes down the batch. Every job runs exactly
+// once, and results stay index-ordered.
 package runner
 
 import (
@@ -67,19 +66,18 @@ func (e *TimeoutError) Error() string {
 }
 
 // Trace is the optional observability hookup of a Map call. With a nil
-// Metrics registry every field is inert and the pool behaves exactly like
-// the untraced Map. With a registry attached, each job records its latency
-// into the "runner/job-latency-ns" histogram, recovered panics count into
-// "runner/jobs-panicked", and every job runs under a span (named Label,
-// parented to Parent) tagged with its worker lane.
+// Metrics registry every field is inert. With a registry attached, each job
+// records its latency into the "runner/job-latency-ns" histogram, recovered
+// panics count into "runner/jobs-panicked", and every job runs under a span
+// (named Label, parented to Parent) tagged with its worker lane.
 type Trace struct {
 	Metrics *telemetry.Registry
 	Parent  *telemetry.Span // parent of each per-job span (may be nil)
 	Label   string          // per-job span name; "" defaults to "runner/job"
 }
 
-// Opts configures one MapOpts call. The zero value behaves exactly like the
-// plain Map: no tracing, no timeout, no breaker.
+// Opts configures one Map call. The zero value means no tracing, no
+// timeout and no fault injection.
 type Opts struct {
 	Trace Trace
 
@@ -87,12 +85,6 @@ type Opts struct {
 	// job's Result carries a *TimeoutError. The job goroutine is not killed
 	// (Go cannot), but its late outcome is discarded.
 	Timeout time.Duration
-
-	// BreakerThreshold trips the circuit breaker after this many recovered
-	// panics: in-flight jobs finish, the pool's workers stand down, and the
-	// remaining jobs run serially (counter "runner/breaker-tripped"). 0
-	// disables the breaker.
-	BreakerThreshold int
 
 	// Faults optionally arms fault injection: the WorkerPanic site fires at
 	// job start, inside the recovered region.
@@ -105,38 +97,19 @@ type instruments struct {
 	latency  *telemetry.Histogram // runner/job-latency-ns
 	panicked *telemetry.Counter   // runner/jobs-panicked
 	timedOut *telemetry.Counter   // runner/jobs-timed-out
-	tripped  *telemetry.Counter   // runner/breaker-tripped
-}
-
-// breaker is the shared panic-count state of one MapOpts call.
-type breaker struct {
-	panics  int64
-	tripped atomic.Bool
 }
 
 // Map runs fn(0..n-1) across a pool of `workers` goroutines and returns the
 // results indexed by job number. Jobs are claimed from a shared atomic
 // cursor, so workers stay busy regardless of per-job cost skew; a panicking
-// job is recovered into its Result.
+// or timed-out job is recovered into its Result (see Opts), so every job
+// gets exactly one Result whatever fails around it. Tracing observes job
+// execution; it never reorders or alters it.
 //
 // Input contract (explicit, tested): n <= 0 returns nil without calling fn
 // or spawning any goroutine; workers <= 0 means GOMAXPROCS; workers > n is
 // clamped to n; workers == 1 runs serially on the calling goroutine.
-func Map[T any](n, workers int, fn func(i int) (T, error)) []Result[T] {
-	return MapOpts(n, workers, Opts{}, fn)
-}
-
-// MapTraced is Map with telemetry: job spans, a latency histogram, and a
-// panic counter (see Trace). The determinism contract is unchanged — tracing
-// observes job execution, it never reorders or alters it.
-func MapTraced[T any](n, workers int, tr Trace, fn func(i int) (T, error)) []Result[T] {
-	return MapOpts(n, workers, Opts{Trace: tr}, fn)
-}
-
-// MapOpts is Map with the full degradation toolkit: per-job timeouts, a
-// panic circuit breaker, and fault injection. See Opts. Results remain index-ordered and complete:
-// every job gets exactly one Result whatever fails around it.
-func MapOpts[T any](n, workers int, o Opts, fn func(i int) (T, error)) []Result[T] {
+func Map[T any](n, workers int, o Opts, fn func(i int) (T, error)) []Result[T] {
 	if n <= 0 {
 		return nil
 	}
@@ -153,16 +126,14 @@ func MapOpts[T any](n, workers int, o Opts, fn func(i int) (T, error)) []Result[
 		latency:  o.Trace.Metrics.Histogram("runner/job-latency-ns"),
 		panicked: o.Trace.Metrics.Counter("runner/jobs-panicked"),
 		timedOut: o.Trace.Metrics.Counter("runner/jobs-timed-out"),
-		tripped:  o.Trace.Metrics.Counter("runner/breaker-tripped"),
 	}
 	out := make([]Result[T], n)
-	br := &breaker{}
 	if workers == 1 {
 		// Serial fast path: no goroutine or scheduling overhead, identical
 		// semantics (this is the -parallel 1 reference the byte-identity
 		// tests compare against).
 		for i := 0; i < n; i++ {
-			out[i] = runJob(i, 0, o, ins, br, fn)
+			out[i] = runJob(i, 0, o, ins, fn)
 		}
 		return out
 	}
@@ -172,35 +143,22 @@ func MapOpts[T any](n, workers int, o Opts, fn func(i int) (T, error)) []Result[
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Workers re-check the breaker before claiming each job, so a
-			// trip stops new parallel claims but never abandons a claimed
-			// job mid-run.
-			for !br.tripped.Load() {
+			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= n {
 					return
 				}
-				out[i] = runJob(i, w, o, ins, br, fn)
+				out[i] = runJob(i, w, o, ins, fn)
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Degraded mode: the breaker tripped, the pool stood down, and whatever
-	// the workers had not claimed yet runs serially here. The same cursor
-	// continues, so no job is skipped or run twice.
-	for br.tripped.Load() {
-		i := int(atomic.AddInt64(&next, 1)) - 1
-		if i >= n {
-			break
-		}
-		out[i] = runJob(i, 0, o, ins, br, fn)
-	}
 	return out
 }
 
 // runJob executes one job once — with panic recovery and the optional
 // timeout — under its span.
-func runJob[T any](i, worker int, o Opts, ins instruments, br *breaker, fn func(i int) (T, error)) (res Result[T]) {
+func runJob[T any](i, worker int, o Opts, ins instruments, fn func(i int) (T, error)) (res Result[T]) {
 	res.Index = i
 	sp, finish := o.Trace.Metrics.StartSpan(o.Trace.Label, o.Trace.Parent)
 	sp.SetWorker(worker)
@@ -210,15 +168,15 @@ func runJob[T any](i, worker int, o Opts, ins instruments, br *breaker, fn func(
 		ins.latency.Observe(res.Elapsed.Nanoseconds())
 		finish()
 	}()
-	res.Value, res.Err = callOnce(i, o, ins, br, fn)
+	res.Value, res.Err = callOnce(i, o, ins, fn)
 	return res
 }
 
 // callOnce runs the job, racing it against the per-job timeout when one is
 // configured.
-func callOnce[T any](i int, o Opts, ins instruments, br *breaker, fn func(i int) (T, error)) (T, error) {
+func callOnce[T any](i int, o Opts, ins instruments, fn func(i int) (T, error)) (T, error) {
 	if o.Timeout <= 0 {
-		return callRecover(i, o, ins, br, fn)
+		return callRecover(i, o, ins, fn)
 	}
 	type outcome struct {
 		v   T
@@ -226,7 +184,7 @@ func callOnce[T any](i int, o Opts, ins instruments, br *breaker, fn func(i int)
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		v, err := callRecover(i, o, ins, br, fn)
+		v, err := callRecover(i, o, ins, fn)
 		ch <- outcome{v, err}
 	}()
 	timer := time.NewTimer(o.Timeout)
@@ -242,16 +200,11 @@ func callOnce[T any](i int, o Opts, ins instruments, br *breaker, fn func(i int)
 }
 
 // callRecover runs fn(i) inside the recovered region, firing the WorkerPanic
-// fault site first and feeding recovered panics to the circuit breaker.
-func callRecover[T any](i int, o Opts, ins instruments, br *breaker, fn func(i int) (T, error)) (v T, err error) {
+// fault site first and counting recovered panics.
+func callRecover[T any](i int, o Opts, ins instruments, fn func(i int) (T, error)) (v T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			ins.panicked.Inc()
-			if o.BreakerThreshold > 0 &&
-				atomic.AddInt64(&br.panics, 1) >= int64(o.BreakerThreshold) &&
-				br.tripped.CompareAndSwap(false, true) {
-				ins.tripped.Inc()
-			}
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()

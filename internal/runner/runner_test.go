@@ -17,7 +17,7 @@ import (
 // width, including widths above the job count.
 func TestMapOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
-		res := Map(20, workers, func(i int) (int, error) { return i * i, nil })
+		res := Map(20, workers, Opts{}, func(i int) (int, error) { return i * i, nil })
 		if len(res) != 20 {
 			t.Fatalf("workers=%d: got %d results", workers, len(res))
 		}
@@ -31,7 +31,7 @@ func TestMapOrdering(t *testing.T) {
 
 // TestMapEmpty checks n <= 0 is a no-op.
 func TestMapEmpty(t *testing.T) {
-	if res := Map(0, 4, func(i int) (int, error) { return 0, nil }); res != nil {
+	if res := Map(0, 4, Opts{}, func(i int) (int, error) { return 0, nil }); res != nil {
 		t.Errorf("Map(0) = %v, want nil", res)
 	}
 }
@@ -39,7 +39,7 @@ func TestMapEmpty(t *testing.T) {
 // TestMapError checks job errors land on their own row only.
 func TestMapError(t *testing.T) {
 	sentinel := errors.New("boom")
-	res := Map(5, 3, func(i int) (int, error) {
+	res := Map(5, 3, Opts{}, func(i int) (int, error) {
 		if i == 2 {
 			return 0, sentinel
 		}
@@ -61,7 +61,7 @@ func TestMapError(t *testing.T) {
 // TestMapPanicRecovery checks a panicking job becomes a PanicError row with
 // a stack trace while its siblings complete normally.
 func TestMapPanicRecovery(t *testing.T) {
-	res := Map(4, 2, func(i int) (string, error) {
+	res := Map(4, 2, Opts{}, func(i int) (string, error) {
 		if i == 1 {
 			panic(fmt.Sprintf("job %d exploded", i))
 		}
@@ -90,7 +90,7 @@ func TestMapPanicRecovery(t *testing.T) {
 func TestMapPanicCounter(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		reg := telemetry.New()
-		res := MapTraced(6, workers, Trace{Metrics: reg, Label: "test/job"}, func(i int) (int, error) {
+		res := Map(6, workers, Opts{Trace: Trace{Metrics: reg, Label: "test/job"}}, func(i int) (int, error) {
 			if i%3 == 0 {
 				panic("kaboom")
 			}
@@ -126,7 +126,7 @@ func TestMapPanicCounter(t *testing.T) {
 // TestMapUntracedInert checks the plain Map path records nothing (the Trace
 // zero value is inert).
 func TestMapUntracedInert(t *testing.T) {
-	res := Map(3, 2, func(i int) (int, error) { return i, nil })
+	res := Map(3, 2, Opts{}, func(i int) (int, error) { return i, nil })
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -137,7 +137,7 @@ func TestMapWorkerCap(t *testing.T) {
 	const workers = 3
 	var cur, peak int64
 	var mu sync.Mutex
-	Map(30, workers, func(i int) (int, error) {
+	Map(30, workers, Opts{}, func(i int) (int, error) {
 		n := atomic.AddInt64(&cur, 1)
 		mu.Lock()
 		if n > peak {
@@ -158,7 +158,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	reg := telemetry.New()
 	c := NewCache(reg)
 	app := workload.ByName("tinydtls")
-	res := Map(8, 8, func(i int) (any, error) {
+	res := Map(8, 8, Opts{}, func(i int) (any, error) {
 		return c.System(app, invariant.All()), nil
 	})
 	for i := 1; i < len(res); i++ {

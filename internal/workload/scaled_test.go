@@ -10,7 +10,7 @@ import (
 // TestScaledAppsCalibration pins the scaled family's contract: deterministic
 // sources, registry separation from the nine paper apps, and constraint
 // graphs within 25% of the advertised node counts (the calibration that
-// makes BENCH_solver.json rows interpretable).
+// makes size-dependent solver measurements interpretable).
 func TestScaledAppsCalibration(t *testing.T) {
 	apps := ScaledApps()
 	if len(apps) != 3 {
