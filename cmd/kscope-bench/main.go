@@ -32,8 +32,6 @@
 //	                   pointsto/worklist/pops, pointsto/delta/bits-propagated)
 //	-regress-threshold fraction of allowed growth for watched instruments
 //	                   (default 0.10)
-//	-watchdog D        report a stall diagnosis on stderr if the solver makes
-//	                   no progress for duration D (0 = off)
 //	-chaos N           run the fault-injection differential harness with base
 //	                   seed N instead of rendering artifacts; exit 1 if any
 //	                   app lands on an unsound outcome (0 = off)
@@ -107,7 +105,6 @@ func run() int {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file of the pipeline spans")
 	comparePath := flag.String("compare-metrics", "", "compare this run against a baseline: a -metrics-json file or a live /metricsz URL")
 	threshold := flag.Float64("regress-threshold", 0.10, "allowed fractional growth of watched instruments")
-	watchdog := flag.Duration("watchdog", 0, "stall-report window for the solver progress watchdog (0 = off)")
 	chaosSeed := flag.Int64("chaos", 0, "run the chaos differential harness with this base seed (0 = off)")
 	chaosPlans := flag.Int("chaos-plans", 8, "number of seeded fault plans for -chaos")
 	chaosRestart := flag.Bool("chaos-restart", false, "with -chaos, also run each plan's crash/restart leg against a persistent store")
@@ -160,18 +157,12 @@ func run() int {
 
 	// One session for the whole run: all artifacts share its worker pool and
 	// its per-(app, config) analysis cache, and report into one registry.
-	// Any telemetry consumer (snapshot, trace, comparison, watchdog) needs
-	// the registry attached; with none requested it stays nil and the whole
+	// Any telemetry consumer (snapshot, trace, comparison) needs the
+	// registry attached; with none requested it stays nil and the whole
 	// pipeline runs instrumentation-free.
 	var reg *telemetry.Registry
-	if *metrics || *metricsJSON != "" || *tracePath != "" || *comparePath != "" || *watchdog > 0 {
+	if *metrics || *metricsJSON != "" || *tracePath != "" || *comparePath != "" {
 		reg = telemetry.New()
-	}
-	if *watchdog > 0 {
-		wd := telemetry.NewWatchdog(reg, *watchdog/8, *watchdog,
-			[]string{"pointsto/progress/pops", "interp/runs", "runner/job-latency-ns"},
-			func(s telemetry.Stall) { fmt.Fprint(os.Stderr, s.Text()) })
-		defer wd.Stop()
 	}
 	if *chaosSeed != 0 {
 		code := runChaos(*chaosSeed, *chaosPlans, *chaosRestart, opt, *parallel, reg)

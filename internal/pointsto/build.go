@@ -85,12 +85,8 @@ func (a *Analysis) build() {
 	}
 }
 
-// addAddrOf installs the primitive Addr-Of constraint {obj} ⊆ pts(n) and
-// records the raw fact for offline HVN hashing: once copy edges propagate
-// eagerly at build time, pts(n) no longer distinguishes a node's own Addr-Of
-// constraints from inherited ones.
+// addAddrOf installs the primitive Addr-Of constraint {obj} ⊆ pts(n).
 func (a *Analysis) addAddrOf(n, objNode, site int) {
-	a.addrFacts[int32(n)] = append(a.addrFacts[int32(n)], int32(objNode))
 	a.addToPts(n, objNode, site, -1, false)
 }
 

@@ -80,8 +80,7 @@ type Stats struct {
 	DeltaFlushes   int // full-set flushes seeded by new edges / SCC merges / Restore
 	BitsPropagated int // pointee bits consumed by processNode visits
 	BitsAvoided    int // pointee bits a full re-propagation would have re-consumed
-	PrepMerged     int // nodes merged offline by HVN variable substitution
-	PrepDeferred   int // offline merges skipped to respect the PWC policy
+	PrepMerged     int // always 0 (prep merges online only); kept for the kbench ledger's reader
 	HCDCollapses   int // nodes merged online by hybrid cycle detection
 	LCDCollapses   int // nodes merged by the lazy-cycle-detection fallback
 }
@@ -161,15 +160,12 @@ type Analysis struct {
 	pwcDone    map[int]bool    // PWC field sites already restored to baseline
 	noDelta    bool            // full re-propagation: set by New below DeltaAutoThreshold nodes
 
-	// Offline preprocessing (prep.go / hcd.go): HVN variable substitution and
-	// hybrid cycle detection run once, lazily, at the first resolve, before
-	// any propagation. New turns prep on; only the in-package tests turn it
-	// off, to build their no-prep reference. addrFacts records the
-	// primitive Addr-Of constraints per node (build-time pts is already
-	// polluted by eager copy propagation, so HVN hashing needs the raw facts).
+	// Offline preprocessing (hcd.go): the offline half of hybrid cycle
+	// detection runs once, lazily, at the first resolve, before any
+	// propagation. New turns prep on; only the in-package tests turn it
+	// off, to build their no-prep reference.
 	prep       bool
 	prepDone   bool
-	addrFacts  map[int32][]int32
 	hcdEntries []hcdEntry
 	hcdAt      [][]int32        // rep node -> indexes into hcdEntries
 	lcdSeen    map[edgeKey]bool // copy edges already probed by the LCD fallback
@@ -190,8 +186,6 @@ type Analysis struct {
 	hDeltaSize   *telemetry.Histogram // pointsto/delta/size
 	hWLDepth     *telemetry.Histogram // pointsto/worklist/depth
 	hPtsSize     *telemetry.Histogram // pointsto/pts/size
-	cLivePops    *telemetry.Counter   // pointsto/progress/pops (live, for the watchdog)
-	gLiveDepth   *telemetry.Gauge     // pointsto/progress/worklist-depth (live)
 
 	// SolveCtx budget state (budget.go). budgeted gates every per-step check,
 	// so an unbounded Solve pays one bool test per pop and nothing else.
@@ -232,7 +226,6 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		pwcRecords:  map[string]bool{},
 		paDisabled:  map[int]bool{},
 		pwcDone:     map[int]bool{},
-		addrFacts:   map[int32][]int32{},
 		prep:        true,
 	}
 	a.buildStart = time.Now()
@@ -246,16 +239,14 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 // counts, worklist pops, SCC rounds, per-phase wall time, and
 // distribution histograms (delta sizes, fixpoint points-to set sizes,
 // worklist depth per round) into it at the end of every Solve (and of every
-// incremental re-solve), plus live progress counters for the stall
-// watchdog. A nil registry (the default) keeps the solver telemetry-free.
+// incremental re-solve). A nil registry (the default) keeps the solver
+// telemetry-free.
 // Must be called before Solve.
 func (a *Analysis) SetMetrics(r *telemetry.Registry) {
 	a.metrics = r
 	a.hDeltaSize = r.Histogram("pointsto/delta/size")
 	a.hWLDepth = r.Histogram("pointsto/worklist/depth")
 	a.hPtsSize = r.Histogram("pointsto/pts/size")
-	a.cLivePops = r.Counter("pointsto/progress/pops")
-	a.gLiveDepth = r.Gauge("pointsto/progress/worklist-depth")
 }
 
 // SetSpan nests this analysis's phase spans (build, solve, per-round

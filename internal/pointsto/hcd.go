@@ -1,5 +1,10 @@
 package pointsto
 
+import "time"
+
+// Offline constraint preprocessing ("prep") is hybrid cycle detection plus
+// its lazy-cycle-detection fallback, both after Hardekopf & Lin.
+//
 // Hybrid cycle detection (Hardekopf & Lin, "The Ant and the Grasshopper"):
 // the expensive part of online cycle detection is *finding* cycles that pass
 // through memory — a load t = *s and a store *s = t close a copy cycle only
@@ -20,6 +25,18 @@ package pointsto
 // sccPass, which also remains the sole discoverer of positive-weight cycles,
 // so PWC records are identical with preprocessing on or off.
 
+// runPrep executes the offline stage: the offline half of hybrid cycle
+// detection, plus the LCD fallback's probe set. Called once, lazily, from
+// the first resolve, before any propagation.
+func (a *Analysis) runPrep() {
+	start := time.Now()
+	a.offlineHCD()
+	a.lcdSeen = map[edgeKey]bool{}
+	if a.metrics != nil || a.parentSpan != nil {
+		a.metrics.RecordSpan("pointsto/prep", a.parentSpan, start, time.Since(start))
+	}
+}
+
 // hcdEntry is one offline SCC that mixes ref and regular nodes: when any
 // object lands in the points-to set of a node carrying this entry, the
 // regular members and the object collapse into target.
@@ -31,7 +48,7 @@ type hcdEntry struct {
 
 // offlineHCD builds the offline ref graph over current representatives and
 // records, per dereferenced pointer, the SCC collapse its future pointees
-// will trigger. Runs once, after offlineSubstitute.
+// will trigger. Runs once, from runPrep.
 func (a *Analysis) offlineHCD() {
 	n := len(a.nodes)
 	// Ids: [0,n) regular nodes, [n,2n) ref nodes (ref(v) = n+v), built only
@@ -53,11 +70,16 @@ func (a *Analysis) offlineHCD() {
 			adj[a.find(int(e.other))] = append(adj[a.find(int(e.other))], int32(n+v))
 		}
 	}
-	sccs := sccOf(adj)
 	a.hcdAt = make([][]int32, n)
-	for _, scc := range sccs {
+	succ := func(v, i int) (int, bool) {
+		if i < len(adj[v]) {
+			return int(adj[v][i]), true
+		}
+		return 0, false
+	}
+	tarjan(2*n, nil, succ, func(scc []int32) {
 		if len(scc) < 2 {
-			continue
+			return
 		}
 		var regs, refs []int32
 		for _, id := range scc {
@@ -68,9 +90,9 @@ func (a *Analysis) offlineHCD() {
 			}
 		}
 		if len(regs) == 0 || len(refs) == 0 {
-			// Pure copy SCCs were already collapsed by HVN; pure ref SCCs
+			// Pure copy SCCs are left to LCD and sccPass; pure ref SCCs
 			// carry no merge by themselves.
-			continue
+			return
 		}
 		target := regs[0]
 		for _, r := range regs[1:] {
@@ -83,7 +105,7 @@ func (a *Analysis) offlineHCD() {
 		for _, r := range refs {
 			a.hcdAt[r] = append(a.hcdAt[r], idx)
 		}
-	}
+	})
 }
 
 // hcdFire runs the recorded offline collapses for node v: every object slot
@@ -172,76 +194,4 @@ func (a *Analysis) lcdProbe(src, dst int) {
 			}
 		}
 	}
-}
-
-// sccOf computes SCCs of an explicit adjacency list (iterative Tarjan),
-// returning only components of size >= 2.
-func sccOf(adj [][]int32) [][]int32 {
-	n := len(adj)
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int32
-	var sccs [][]int32
-	next := int32(0)
-	type frame struct {
-		v int
-		i int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] != -1 {
-			continue
-		}
-		frames := []frame{{v: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, int32(root))
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(adj[f.v]) {
-				w := int(adj[f.v][f.i])
-				f.i++
-				if w == f.v {
-					continue
-				}
-				if index[w] == -1 {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, int32(w))
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			if low[f.v] == index[f.v] {
-				var scc []int32
-				for {
-					w := int(stack[len(stack)-1])
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, int32(w))
-					if w == f.v {
-						break
-					}
-				}
-				if len(scc) > 1 {
-					sccs = append(sccs, scc)
-				}
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[f.v] < low[p.v] {
-					low[p.v] = low[f.v]
-				}
-			}
-		}
-	}
-	return sccs
 }

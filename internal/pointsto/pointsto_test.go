@@ -120,7 +120,7 @@ int main() {
 func TestCopyCycleCollapse(t *testing.T) {
 	r := analyze(t, cycleSrc, invariant.Config{})
 	st := r.Stats()
-	if st.SCCCollapses+st.PrepMerged+st.HCDCollapses+st.LCDCollapses == 0 {
+	if st.SCCCollapses+st.HCDCollapses+st.LCDCollapses == 0 {
 		t.Error("no cycle collapse recorded for a copy cycle (by any mechanism)")
 	}
 	var pObj *Object

@@ -20,9 +20,9 @@ func prepSolve(t *testing.T, src string, cfg invariant.Config, prep bool) (*Resu
 	return r, r.Stats()
 }
 
-// Register-level copy chains (direct call parameter/return wiring) are the
-// HVN substitution target: pick2/pick3 thread a pointer through several
-// pointer-equivalent registers.
+// pick2/pick3 thread a pointer through several pointer-equivalent
+// registers, and the mutual assignment of the locals a and b closes a copy
+// cycle through memory that hybrid cycle detection predicts offline.
 const chainSrc = `
 int x;
 int y;
@@ -40,7 +40,8 @@ int main() {
 `
 
 // TestPrepMergesEquivalentNodes: prep is on by default (the prep-on leg is a
-// plain New), merges the chain offline, and changes nothing observable.
+// plain New), merges the chain's pointer-equivalent nodes through hybrid
+// cycle detection, and changes nothing observable.
 func TestPrepMergesEquivalentNodes(t *testing.T) {
 	m, err := minic.Compile("prep", chainSrc)
 	if err != nil {
@@ -48,16 +49,15 @@ func TestPrepMergesEquivalentNodes(t *testing.T) {
 	}
 	rOn := New(m, invariant.Config{}).Solve()
 	rOff, _ := prepSolve(t, chainSrc, invariant.Config{}, false)
-	if sOn := rOn.Stats(); sOn.PrepMerged+sOn.HCDCollapses == 0 {
-		t.Errorf("prep found nothing to merge offline: %+v", sOn)
+	if sOn := rOn.Stats(); sOn.HCDCollapses == 0 {
+		t.Errorf("hybrid cycle detection merged nothing on the chain: %+v", sOn)
 	}
 	assertSameResult(t, rOff, rOn)
 }
 
 // MiniC locals live in memory, so the mutual assignment of p and q below is
-// a copy cycle through loads and stores — invisible to offline value
-// numbering over registers, but predicted exactly by the offline HCD ref
-// graph and collapsed online in O(1) when the stack objects arrive.
+// a copy cycle through loads and stores — invisible to a cycle search over
+// register copy edges, but predicted exactly by the offline HCD ref graph and collapsed online in O(1) when the stack objects arrive.
 const hcdSrc = `
 int x;
 int main() {
@@ -82,18 +82,14 @@ func TestHCDCollapsesMemoryCycle(t *testing.T) {
 }
 
 // TestPrepRespectsPWCPolicy: on a PWC-heavy app (mbedtls's heap wrappers),
-// prep must defer merges that would cross Field-Of edge groups
-// (PrepDeferred > 0) so the optimistic policy sees every positive-weight
-// cycle intact, and the invariant records must be identical with prep on
-// and off under every configuration.
+// prep must leave every positive-weight cycle intact for the optimistic
+// policy: the PWC count and the invariant records must be identical with
+// prep on and off under every configuration.
 func TestPrepRespectsPWCPolicy(t *testing.T) {
 	src := workload.MbedTLS().Source
 	for _, cfg := range []invariant.Config{{}, {PWC: true}, {PA: true, PWC: true, Ctx: true}} {
 		rOn, sOn := prepSolve(t, src, cfg, true)
 		rOff, sOff := prepSolve(t, src, cfg, false)
-		if sOn.PrepDeferred == 0 {
-			t.Errorf("cfg %+v: prep deferred no merges on a PWC-heavy app", cfg)
-		}
 		if cfg.PWC && (sOn.PWCs == 0 || sOn.PWCs != sOff.PWCs) {
 			t.Errorf("cfg %+v: PWC count diverged: prep %d, no-prep %d", cfg, sOn.PWCs, sOff.PWCs)
 		}
@@ -143,17 +139,14 @@ func TestDeltaAutoMode(t *testing.T) {
 }
 
 // TestPrepDoesWorkOnRandprog1k: on the smallest scaled workload, the
-// default solve (prep on) merges nodes offline, collapses cycles online,
-// never adds sccPass sweeps, pops fewer worklist items than the full,
-// no-prep reference, and fingerprints identically to it.
+// default solve (prep on) collapses cycles online, never adds sccPass
+// sweeps, pops fewer worklist items than the full, no-prep reference, and
+// fingerprints identically to it.
 func TestPrepDoesWorkOnRandprog1k(t *testing.T) {
 	m := workload.ByName("randprog-1k").MustModule()
 	ref := solveVariant(m, invariant.All(), false, false)
 	got := New(m, invariant.All()).Solve()
 	sRef, sGot := ref.Stats(), got.Stats()
-	if sGot.PrepMerged == 0 {
-		t.Errorf("prep merged no nodes offline: %+v", sGot)
-	}
 	if sGot.HCDCollapses == 0 {
 		t.Errorf("hybrid cycle detection fired no online collapses: %+v", sGot)
 	}

@@ -46,10 +46,8 @@ func (a *Analysis) resolve() error {
 	stop := a.metrics.Timer("pointsto/phase/solve").Start()
 	a.ensureWL()
 	for {
-		// One histogram sample of worklist depth per solver round, plus
-		// the live gauge the stall watchdog reads.
+		// One histogram sample of worklist depth per solver round.
 		a.hWLDepth.Observe(int64(len(a.worklist)))
-		a.gLiveDepth.Set(int64(len(a.worklist)))
 		_, finP := a.metrics.StartSpan("pointsto/round/propagate", solveSpan)
 		stopP := a.metrics.Timer("pointsto/phase/propagate").Start()
 		a.drain()
@@ -126,8 +124,6 @@ func (a *Analysis) flushMetrics() {
 	m.Counter("pointsto/scc/collapsed-nodes").Add(int64(d.SCCCollapses - prev.SCCCollapses))
 	m.Counter("pointsto/pwc/cycles").Add(int64(d.PWCs - prev.PWCs))
 	m.Counter("pointsto/field/collapses").Add(int64(d.FieldCollapses - prev.FieldCollapses))
-	m.Counter("pointsto/prep/merged-nodes").Add(int64(d.PrepMerged - prev.PrepMerged))
-	m.Counter("pointsto/prep/deferred-merges").Add(int64(d.PrepDeferred - prev.PrepDeferred))
 	m.Counter("pointsto/hcd/online-collapses").Add(int64(d.HCDCollapses - prev.HCDCollapses))
 	m.Counter("pointsto/lcd/collapsed-nodes").Add(int64(d.LCDCollapses - prev.LCDCollapses))
 	m.Counter("pointsto/delta/flushes").Add(int64(d.DeltaFlushes - prev.DeltaFlushes))
@@ -172,7 +168,6 @@ func (a *Analysis) drain() {
 // pointees only re-adds facts that are already present.
 func (a *Analysis) processNode(n int) {
 	a.stats.Iterations++
-	a.cLivePops.Inc()
 	a.ensureWL()
 	var work *bitset.Set
 	if a.noDelta {
@@ -316,12 +311,11 @@ func (a *Analysis) connectICall(n int, s *icallSite, elems []int) {
 // changed (requiring another propagation round).
 func (a *Analysis) sccPass() bool {
 	a.stats.SCCPasses++
-	sccs := a.tarjan()
 	changed := false
-	for _, scc := range sccs {
+	for _, scc := range a.sccs() {
 		inSCC := map[int]bool{}
 		for _, n := range scc {
-			inSCC[n] = true
+			inSCC[int(n)] = true
 		}
 		// Collect internal positive gep edges.
 		var positive []*gepEdge
@@ -341,7 +335,7 @@ func (a *Analysis) sccPass() bool {
 				a.tracer.Cycle(len(scc), false)
 			}
 			for _, n := range scc[1:] {
-				a.union(scc[0], n)
+				a.union(int(scc[0]), int(n))
 			}
 			changed = true
 			continue
@@ -386,7 +380,7 @@ func (a *Analysis) sccPass() bool {
 			}
 		}
 		for _, n := range scc[1:] {
-			a.union(scc[0], n)
+			a.union(int(scc[0]), int(n))
 		}
 		changed = true
 	}
@@ -478,90 +472,28 @@ func (a *Analysis) invariantRecords() ([]invariant.Record, []invariant.Monitor) 
 	return recs, mons
 }
 
-// tarjan computes strongly connected components of the copy+gep subgraph
-// over representative nodes (iterative Tarjan). Components are returned in
-// reverse topological order; order is irrelevant to callers.
-func (a *Analysis) tarjan() [][]int {
-	n := len(a.nodes)
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int32
-	var sccs [][]int
-	next := int32(0)
-
-	succ := func(v int) []int {
-		var out []int
-		for _, t := range a.copyTo[v] {
-			out = append(out, a.find(int(t)))
+// sccs returns the strongly connected components of the copy+gep subgraph
+// over representative nodes that are cycles: every multi-node component,
+// plus singletons with a positive gep self-loop. Components come in
+// completion order, members in stack-pop order.
+func (a *Analysis) sccs() [][]int32 {
+	var out [][]int32
+	root := func(v int) bool { return a.find(v) == v }
+	succ := func(v, i int) (int, bool) {
+		if i < len(a.copyTo[v]) {
+			return a.find(int(a.copyTo[v][i])), true
 		}
-		for _, e := range a.gepTo[v] {
-			out = append(out, a.find(int(e.to)))
+		if i -= len(a.copyTo[v]); i < len(a.gepTo[v]) {
+			return a.find(int(a.gepTo[v][i].to)), true
 		}
-		return out
+		return 0, false
 	}
-
-	type frame struct {
-		v     int
-		succs []int
-		i     int
-	}
-	for root := 0; root < n; root++ {
-		if a.find(root) != root || index[root] != -1 {
-			continue
+	tarjan(len(a.nodes), root, succ, func(scc []int32) {
+		if len(scc) > 1 || a.hasSelfGep(int(scc[0])) {
+			out = append(out, append([]int32(nil), scc...))
 		}
-		frames := []frame{{v: root, succs: succ(root)}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, int32(root))
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(f.succs) {
-				w := f.succs[f.i]
-				f.i++
-				if w == f.v {
-					continue
-				}
-				if index[w] == -1 {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, int32(w))
-					onStack[w] = true
-					frames = append(frames, frame{v: w, succs: succ(w)})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			if low[f.v] == index[f.v] {
-				var scc []int
-				for {
-					w := int(stack[len(stack)-1])
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == f.v {
-						break
-					}
-				}
-				if len(scc) > 1 || a.hasSelfGep(scc[0]) {
-					sccs = append(sccs, scc)
-				}
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[f.v] < low[p.v] {
-					low[p.v] = low[f.v]
-				}
-			}
-		}
-	}
-	return sccs
+	})
+	return out
 }
 
 // hasSelfGep reports whether v has a positive-weight gep self-loop (a PWC

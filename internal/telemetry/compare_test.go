@@ -78,64 +78,3 @@ func TestComparisonText(t *testing.T) {
 		t.Errorf("clean comparison missing verdict:\n%s", clean)
 	}
 }
-
-// TestWatchdogStallAndRearm drives a registry through stall → progress →
-// stall and checks the watchdog fires once per stall with a diagnosis.
-func TestWatchdogStallAndRearm(t *testing.T) {
-	r := New()
-	r.Gauge("depth").Set(17)
-	stalls := make(chan Stall, 8)
-	wd := NewWatchdog(r, 2*time.Millisecond, 20*time.Millisecond,
-		[]string{"progress"}, func(s Stall) { stalls <- s })
-	defer wd.Stop()
-
-	// Phase 1: no progress at all — expect a stall report.
-	var first Stall
-	select {
-	case first = <-stalls:
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog never fired on a flat counter")
-	}
-	if first.Quiet < 20*time.Millisecond {
-		t.Errorf("stall quiet = %v, want >= window", first.Quiet)
-	}
-	if first.Gauges["depth"] != 17 {
-		t.Errorf("stall gauges = %v, want depth=17", first.Gauges)
-	}
-	if !strings.Contains(first.Text(), "no progress") {
-		t.Errorf("stall text = %q", first.Text())
-	}
-
-	// Phase 2: make progress for a while — the armed stall must clear and
-	// not re-fire while the counter moves.
-	deadline := time.Now().Add(60 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		r.Counter("progress").Inc()
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case s := <-stalls:
-		t.Fatalf("watchdog fired during progress: %+v", s)
-	default:
-	}
-
-	// Phase 3: go quiet again — expect exactly one more report.
-	select {
-	case <-stalls:
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog did not re-arm after progress")
-	}
-}
-
-// TestWatchdogNil checks the inert forms: nil registry, empty watch list.
-func TestWatchdogNil(t *testing.T) {
-	var r *Registry
-	if wd := NewWatchdog(r, time.Millisecond, time.Millisecond, []string{"x"}, func(Stall) {}); wd != nil {
-		t.Error("nil registry should yield a nil watchdog")
-	}
-	if wd := NewWatchdog(New(), time.Millisecond, time.Millisecond, nil, func(Stall) {}); wd != nil {
-		t.Error("empty watch list should yield a nil watchdog")
-	}
-	var wd *Watchdog
-	wd.Stop() // must not panic
-}
