@@ -2,12 +2,17 @@
 // analysis engine — the paper's primary contribution. It orchestrates the
 // three stages of Figure 4:
 //
-//  1. run the standard pointer analysis → the fallback memory view;
-//  2. run the analysis assuming the selected likely invariants → the
+//  1. the standard pointer analysis → the fallback memory view;
+//  2. the analysis assuming the selected likely invariants → the
 //     optimistic memory view;
 //  3. derive runtime monitors and the secure memory-view switcher so a
 //     hardened execution starts optimistic and degrades soundly on
 //     invariant violation.
+//
+// Stages 1 and 2 cost one solve: AnalyzeCtx solves the optimistic view and
+// derives the fallback from a copy of it with every invariant restored
+// (pointsto.Result.RestoreAll, paper §8), which equals a fresh standard
+// solve.
 package core
 
 import (
@@ -55,17 +60,24 @@ func Analyze(m *ir.Module, cfg invariant.Config) *System {
 // analysis. The fallback is configuration-independent: callers analyzing
 // one module under several configurations solve it once and pass it in.
 type AnalyzeOpts struct {
-	Fallback *pointsto.Result    // precomputed stage-① result; nil computes it
+	Fallback *pointsto.Result    // precomputed stage-① result; nil derives it
 	Metrics  *telemetry.Registry // telemetry sink (may be nil)
 	Budget   pointsto.Budget     // per-stage solver step budget (zero = unlimited)
 	Faults   *faultinject.Plan   // fault-injection plan armed on both solver stages
 }
 
 // AnalyzeCtx is the cancellable, bounded, fault-injectable analysis entry.
-// Each solver stage runs under the context and budget; an aborted stage
-// surfaces as a wrapped pointsto.AbortError (errors.Is ErrSolveAborted) and
-// the System is not produced — a degraded analysis is an explicit error,
-// never a partial result.
+// With invariants to assume it solves once: the optimistic stage solves the
+// module under cfg, then the fallback stage restores every invariant on a
+// copy of that result (pointsto.Result.RestoreAll) — unless o.Fallback is
+// given. The derived fallback equals a fresh standard solve in every answer,
+// but its Stats() are cumulative: the optimistic solve plus the restores.
+// A configuration without invariants runs one fresh solve, the fallback
+// stage, and the optimistic view aliases it. Each stage runs under the
+// context and budget; an aborted stage surfaces as a wrapped
+// pointsto.AbortError (errors.Is ErrSolveAborted) and the System is not
+// produced — a degraded analysis is an explicit error, never a partial
+// result.
 func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o AnalyzeOpts) (*System, error) {
 	metrics := o.Metrics
 	s := &System{Module: m, Config: cfg, Metrics: metrics}
@@ -75,37 +87,46 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o Analy
 	// handle; otherwise it lands in the registry as before.
 	ctx, span, finish := telemetry.StartSpanCtx(ctx, metrics, "core/analyze")
 	defer finish()
-	// solve runs one IGO stage under its own span and timer (both named
-	// core/stage/<stage>), nesting the solver's phase spans beneath it.
-	solve := func(stage string, c invariant.Config) (*pointsto.Result, error) {
-		sp, fin := metrics.StartSpan("core/stage/"+stage, span)
+	// stage runs one IGO stage under its own span and timer (both named
+	// core/stage/<name>); run nests the solver's phase spans beneath sp.
+	stage := func(name string, run func(sp *telemetry.Span) (*pointsto.Result, error)) (*pointsto.Result, error) {
+		sp, fin := metrics.StartSpan("core/stage/"+name, span)
 		defer fin()
-		defer metrics.Timer("core/stage/" + stage).Start()()
-		a := pointsto.New(m, c)
-		a.SetMetrics(metrics)
-		a.SetSpan(sp)
-		a.SetFaults(o.Faults)
-		r, err := a.SolveCtx(ctx, o.Budget)
+		defer metrics.Timer("core/stage/" + name).Start()()
+		r, err := run(sp)
 		if err != nil {
-			return nil, fmt.Errorf("%s stage: %w", stage, err)
+			return nil, fmt.Errorf("%s stage: %w", name, err)
 		}
 		return r, nil
 	}
-	s.Fallback = o.Fallback
-	if s.Fallback == nil {
-		r, err := solve("fallback", invariant.Config{})
-		if err != nil {
-			return nil, err
-		}
-		s.Fallback = r
+	solve := func(sp *telemetry.Span) (*pointsto.Result, error) {
+		a := pointsto.New(m, cfg)
+		a.SetMetrics(metrics)
+		a.SetSpan(sp)
+		a.SetFaults(o.Faults)
+		return a.SolveCtx(ctx, o.Budget)
 	}
-	s.Optimistic = s.Fallback
-	if cfg.Any() {
-		r, err := solve("optimistic", cfg)
-		if err != nil {
+	var err error
+	s.Fallback = o.Fallback
+	if !cfg.Any() {
+		if s.Fallback == nil {
+			if s.Fallback, err = stage("fallback", solve); err != nil {
+				return nil, err
+			}
+		}
+		s.Optimistic = s.Fallback
+	} else {
+		if s.Optimistic, err = stage("optimistic", solve); err != nil {
 			return nil, err
 		}
-		s.Optimistic = r
+		if s.Fallback == nil {
+			derive := func(sp *telemetry.Span) (*pointsto.Result, error) {
+				return s.Optimistic.RestoreAll(telemetry.WithSpan(ctx, sp), o.Budget)
+			}
+			if s.Fallback, err = stage("fallback", derive); err != nil {
+				return nil, err
+			}
+		}
 	}
 	metrics.Counter("core/analyses").Inc()
 	return s, nil

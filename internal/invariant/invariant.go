@@ -50,6 +50,19 @@ func All() Config { return Config{PA: true, PWC: true, Ctx: true} }
 // Any reports whether at least one policy is enabled.
 func (c Config) Any() bool { return c.PA || c.PWC || c.Ctx }
 
+// Assumes reports whether the configuration enables policy k.
+func (c Config) Assumes(k Kind) bool {
+	switch k {
+	case PA:
+		return c.PA
+	case PWC:
+		return c.PWC
+	case Ctx:
+		return c.Ctx
+	}
+	return false
+}
+
 // Name renders the paper's configuration label (Baseline, Kd-Ctx, ...,
 // Kaleidoscope).
 func (c Config) Name() string {

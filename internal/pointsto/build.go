@@ -52,7 +52,7 @@ func (a *Analysis) build() {
 				o := a.objByFunc[in.Func]
 				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.Copy:
-				a.addCopy(a.regNode(fn, in.Src), a.regNode(fn, in.Dest), in.ID, -1, false)
+				a.addCopy(a.regNode(fn, in.Src), a.regNode(fn, in.Dest), in.ID, false)
 			case *ir.Load:
 				a.addLoad(a.regNode(fn, in.Addr), a.regNode(fn, in.Dest), in.ID)
 			case *ir.Store:
@@ -65,7 +65,7 @@ func (a *Analysis) build() {
 			case *ir.IndexAddr:
 				// Array-index insensitive: the element shares the base's
 				// analysis slot.
-				a.addCopy(a.regNode(fn, in.Base), a.regNode(fn, in.Dest), in.ID, -1, false)
+				a.addCopy(a.regNode(fn, in.Base), a.regNode(fn, in.Dest), in.ID, false)
 			case *ir.PtrAdd:
 				a.addArith(a.regNode(fn, in.Base), a.regNode(fn, in.Dest), in.ID)
 			case *ir.Call:
@@ -74,7 +74,7 @@ func (a *Analysis) build() {
 				a.wireICallSite(fn, in)
 			case *ir.Ret:
 				if in.Src != "" && !a.ctxSkip[in.ID] {
-					a.addCopy(a.regNode(fn, in.Src), a.retNode(fn), in.ID, -1, false)
+					a.addCopy(a.regNode(fn, in.Src), a.retNode(fn), in.ID, false)
 				}
 			}
 		})
@@ -98,10 +98,10 @@ func (a *Analysis) wireDirectCall(caller string, c *ir.Call) {
 		if i >= len(callee.Params) {
 			break
 		}
-		a.addCopy(a.regNode(caller, arg), a.regNode(callee.Name, callee.Params[i]), c.ID, -1, false)
+		a.addCopy(a.regNode(caller, arg), a.regNode(callee.Name, callee.Params[i]), c.ID, false)
 	}
 	if c.Dest != "" {
-		a.addCopy(a.retNode(callee.Name), a.regNode(caller, c.Dest), c.ID, -1, false)
+		a.addCopy(a.retNode(callee.Name), a.regNode(caller, c.Dest), c.ID, false)
 	}
 }
 
@@ -168,7 +168,7 @@ func (a *Analysis) wireCtxCallsites() {
 			}
 			rec.Callsites = append(rec.Callsites, c.call.ID)
 			v := a.applyChain(a.regNode(c.caller, c.call.Args[cr.param]), cr.chain, c.call.ID)
-			a.addCopy(v, a.regNode(c.caller, c.call.Dest), c.call.ID, -1, false)
+			a.addCopy(v, a.regNode(c.caller, c.call.Dest), c.call.ID, false)
 		}
 		a.ctxRecords = append(a.ctxRecords, rec)
 	}
@@ -184,7 +184,7 @@ func (a *Analysis) applyChain(start int, chain []ctxStep, site int) int {
 		case stepField:
 			a.addGep(n, d, int(st.off), site)
 		case stepIndex:
-			a.addCopy(n, d, site, -1, false)
+			a.addCopy(n, d, site, false)
 		case stepLoad:
 			a.addLoad(n, d, site)
 		}

@@ -1,6 +1,7 @@
 package pointsto
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -25,34 +26,46 @@ import (
 // client of the package.
 func fingerprint(r *Result) string {
 	var b strings.Builder
-	for _, p := range r.TopLevelPointers() {
-		fmt.Fprintf(&b, "ptr %s:%s =", p.Fn, p.Reg)
-		var refs []ObjRef
-		if p.Reg == "" {
-			// Return nodes are not directly addressable via PointsTo; SizeOf
-			// covers the cardinality and the object-slot section below covers
-			// the contents reachable from them.
-			fmt.Fprintf(&b, " #%d\n", r.SizeOf(p))
-			continue
+	// Render each representative's set once: pointers and slots that share
+	// a representative share its set, and large programs have far fewer
+	// representatives than nodes.
+	names := map[ObjRef]string{}
+	sets := map[int]string{}
+	render := func(node int) string {
+		rep := r.a.findRead(node)
+		if set, ok := sets[rep]; ok {
+			return set
 		}
-		refs = r.PointsTo(p.Fn, p.Reg)
-		for _, ref := range refs {
-			fmt.Fprintf(&b, " %s", ref)
+		var sb strings.Builder
+		for _, ref := range r.canonicalRefs(rep) {
+			name, ok := names[ref]
+			if !ok {
+				name = ref.String()
+				names[ref] = name
+			}
+			sb.WriteByte(' ')
+			sb.WriteString(name)
 		}
-		b.WriteByte('\n')
+		sets[rep] = sb.String()
+		return sets[rep]
+	}
+	// Every top-level pointer with a non-empty set, as TopLevelPointers
+	// lists them, return nodes included.
+	for _, p := range r.PointerReps() {
+		if set := render(p.Rep); set != "" {
+			fmt.Fprintf(&b, "ptr %s:%s =%s\n", p.Fn, p.Reg, set)
+		}
 	}
 	for _, o := range r.Objects() {
 		fmt.Fprintf(&b, "obj %s size=%d insens=%v\n", o.Label(), o.Size, o.Insens)
 		for s := 0; s < o.Size; s++ {
-			refs := r.SlotPointsTo(o, s)
-			if len(refs) == 0 {
-				continue
+			node := o.NodeBase + s
+			if o.Insens {
+				node = o.NodeBase // SlotPointsTo's collapse onto slot 0
 			}
-			fmt.Fprintf(&b, "  slot %d =", s)
-			for _, ref := range refs {
-				fmt.Fprintf(&b, " %s", ref)
+			if set := render(node); set != "" {
+				fmt.Fprintf(&b, "  slot %d =%s\n", s, set)
 			}
-			b.WriteByte('\n')
 		}
 	}
 	for _, site := range r.ICallSites() {
@@ -84,8 +97,8 @@ var scaledSrc = workload.ScaledProgram(1, 100)
 
 // oracleModules collects every corpus the oracle runs on: the nine synthetic
 // workload apps, the in-package paper-figure fixtures, the incremental
-// re-analysis demo (a live PA violation plus Ctx-assumed hooks), and one
-// scaled program above DeltaAutoThreshold.
+// re-analysis demo (a live PA violation plus Ctx-assumed hooks), one scaled
+// program above DeltaAutoThreshold, and randprog-1k.
 func oracleModules(t *testing.T) map[string]*ir.Module {
 	t.Helper()
 	mods := map[string]*ir.Module{}
@@ -109,6 +122,19 @@ func oracleModules(t *testing.T) map[string]*ir.Module {
 		t.Fatalf("compile scaled: %v", err)
 	}
 	mods["scaled/1x100"] = m
+	mods["scaled/randprog-1k"] = workload.ScaledApps()[0].MustModule()
+	return mods
+}
+
+// restoreModules is oracleModules plus randprog-10k, whose full-propagation
+// reference is too slow for the delta and incremental oracles (about 2 s per
+// configuration) but whose restores are cheap. -short leaves it out.
+func restoreModules(t *testing.T) map[string]*ir.Module {
+	t.Helper()
+	mods := oracleModules(t)
+	if !testing.Short() {
+		mods["scaled/randprog-10k"] = workload.ScaledApps()[1].MustModule()
+	}
 	return mods
 }
 
@@ -153,11 +179,14 @@ func TestDifferentialDeltaOracle(t *testing.T) {
 
 // TestDifferentialIncrementalOracle asserts that, under every invariant
 // configuration, an incremental re-solve (Restore of each assumed
-// invariant, one at a time, in order) under delta propagation matches the
-// same sequence under full propagation, after every individual step.
+// invariant, one at a time, until none is left) under delta propagation
+// matches the same sequence under full propagation, after every individual
+// step — and that once every invariant is restored, the result equals a
+// fresh fallback (empty-configuration) solve.
 func TestDifferentialIncrementalOracle(t *testing.T) {
 	for name, m := range oracleModules(t) {
 		t.Run(name, func(t *testing.T) {
+			fallback := fingerprint(New(m, invariant.Config{}).Solve())
 			for _, cfg := range invariant.Ablations() {
 				label := oracleConfigs[cfg]
 				// The reference runs full propagation without preprocessing;
@@ -169,9 +198,16 @@ func TestDifferentialIncrementalOracle(t *testing.T) {
 					t.Fatalf("%s: pre-restore divergence:\n%s", label, diffLines(want, got))
 				}
 				// Restore records by stable identity, not index: both solves
-				// assumed the same invariants (asserted above), so drive both
-				// from the full solve's record list.
-				for i, rec := range full.Invariants() {
+				// assume the same invariants (asserted after every step), so
+				// drive both from the full solve's record list. A restore may
+				// surface a new PWC record, so the loop runs until the list
+				// is empty.
+				for i := 0; ; i++ {
+					recs := full.Invariants()
+					if len(recs) == 0 {
+						break
+					}
+					rec := recs[0]
 					if err := full.Restore(rec); err != nil {
 						t.Fatalf("%s: full restore %d (%+v): %v", label, i, rec, err)
 					}
@@ -179,9 +215,65 @@ func TestDifferentialIncrementalOracle(t *testing.T) {
 						t.Fatalf("%s: delta restore %d (%+v): %v", label, i, rec, err)
 					}
 					if got, want := fingerprint(delta), fingerprint(full); got != want {
-						t.Errorf("%s: divergence after restore %d (kind=%v site=%d):\n%s",
+						t.Fatalf("%s: divergence after restore %d (kind=%v site=%d):\n%s",
 							label, i, rec.Kind, rec.Site, diffLines(want, got))
 					}
+				}
+				if got := fingerprint(full); got != fallback {
+					t.Errorf("%s: restoring every invariant differs from a fresh fallback solve:\n%s",
+						label, diffLines(fallback, got))
+				}
+			}
+		})
+	}
+}
+
+// TestRestoreAllMatchesFallback asserts the one-solve derivation of the
+// fallback view: RestoreAll on an optimistic result equals a fresh fallback
+// solve under every configuration, and leaves its receiver unchanged.
+func TestRestoreAllMatchesFallback(t *testing.T) {
+	for name, m := range restoreModules(t) {
+		t.Run(name, func(t *testing.T) {
+			fallback := fingerprint(New(m, invariant.Config{}).Solve())
+			for _, cfg := range invariant.Ablations() {
+				opt := New(m, cfg).Solve()
+				before := fingerprint(opt)
+				derived, err := opt.RestoreAll(context.Background(), Budget{})
+				if err != nil {
+					t.Fatalf("%s: %v", oracleConfigs[cfg], err)
+				}
+				if got := fingerprint(derived); got != fallback {
+					t.Errorf("%s: derived fallback differs from a fresh one:\n%s",
+						oracleConfigs[cfg], diffLines(fallback, got))
+				}
+				if derived.Config() != (invariant.Config{}) {
+					t.Errorf("%s: derived config %+v, want the empty one", oracleConfigs[cfg], derived.Config())
+				}
+				if got := fingerprint(opt); got != before {
+					t.Errorf("%s: RestoreAll changed its receiver:\n%s",
+						oracleConfigs[cfg], diffLines(before, got))
+				}
+			}
+		})
+	}
+}
+
+// TestRestoreToConfigMatchesFreshSolve checks the evidence a per-config
+// derivation would rest on: solving under every invariant and restoring
+// only the kinds configuration c lacks equals a fresh solve of c.
+func TestRestoreToConfigMatchesFreshSolve(t *testing.T) {
+	for name, m := range restoreModules(t) {
+		t.Run(name, func(t *testing.T) {
+			all := New(m, invariant.All()).Solve()
+			for _, cfg := range invariant.Ablations() {
+				want := fingerprint(New(m, cfg).Solve())
+				r, err := all.restoreTo(context.Background(), Budget{}, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", oracleConfigs[cfg], err)
+				}
+				if got := fingerprint(r); got != want {
+					t.Errorf("%s: restored from %s differs from a fresh solve:\n%s",
+						oracleConfigs[cfg], oracleConfigs[invariant.All()], diffLines(want, got))
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package pointsto
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/invariant"
@@ -11,9 +12,10 @@ import (
 // FuzzSolverEquivalence drives the differential oracle from fuzz-generated
 // mini-C programs: for a random well-formed module, every propagation mode
 // (delta, full) and preprocessing mode (prep on/off) must produce an
-// identical Result, under the invariant
-// configuration selected by cfgBits. The generator (workload.RandomProgram)
-// emits the pointer-analysis-relevant constructs — multi-level pointers,
+// identical Result, under the invariant configuration selected by cfgBits,
+// and restoring every invariant of that Result must give back a fresh
+// fallback solve. The generator (workload.RandomProgram) emits the
+// pointer-analysis-relevant constructs — multi-level pointers,
 // struct fields holding function pointers, heap wrappers, arbitrary
 // arithmetic, indirect calls — so the fuzzer explores solver interleavings
 // the hand-written fixtures do not pin down.
@@ -51,6 +53,19 @@ func FuzzSolverEquivalence(f *testing.F) {
 				t.Errorf("seed %d cfg %+v: %s diverges from full+no-prep:\n%s",
 					seed, cfg, v.label, diffLines(ref, got))
 			}
+		}
+		// Restoring every invariant gives back the fallback view.
+		fallback := ref
+		if cfg.Any() {
+			fallback = fingerprint(solveVariant(m, invariant.Config{}, false, false))
+		}
+		derived, err := solveVariant(m, cfg, true, true).RestoreAll(context.Background(), Budget{})
+		if err != nil {
+			t.Fatalf("seed %d cfg %+v: RestoreAll: %v", seed, cfg, err)
+		}
+		if got := fingerprint(derived); got != fallback {
+			t.Errorf("seed %d cfg %+v: RestoreAll differs from a fresh fallback solve:\n%s",
+				seed, cfg, diffLines(fallback, got))
 		}
 		if t.Failed() {
 			t.Logf("program:\n%s", src)

@@ -44,15 +44,15 @@ type icallSite struct {
 	connected map[int]bool // object index -> already wired
 }
 
-// edgeKey identifies a copy edge for dedupe and origin tracking.
+// edgeKey identifies a copy edge for dedupe.
 type edgeKey struct{ from, to int32 }
 
-// Origin records why a derived copy edge exists: the load/store constraint
-// whose resolution created it (site) and the pointer node whose points-to set
-// triggered it.
+// Origin is one recorded derivation of an object in a points-to set
+// (Provenance): the constraint site that added it and the node it flowed
+// from.
 type Origin struct {
-	Site    int // load/store instruction ID (0 for primitive edges)
-	Trigger int // pointer node whose pts supplied the object
+	Site    int // constraint instruction ID (0 for primitive edges)
+	Trigger int // node the object flowed from (-1 for Addr-Of)
 }
 
 // provKey and provEntry implement derivation provenance for introspection:
@@ -130,7 +130,7 @@ type Analysis struct {
 	arithTo   [][]arithEdge
 	icallsAt  [][]*icallSite
 
-	copyEdges   map[edgeKey][]Origin // existing copy edges with ≤5 origins
+	copyEdges   map[edgeKey]struct{} // existing copy edges, for dedupe
 	regNodes    map[regKey]int
 	retNodes    map[string]int
 	objBySite   map[int]*Object
@@ -215,7 +215,7 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		mod:         m,
 		layouts:     ir.NewLayouts(),
 		cfg:         cfg,
-		copyEdges:   map[edgeKey][]Origin{},
+		copyEdges:   map[edgeKey]struct{}{},
 		regNodes:    map[regKey]int{},
 		retNodes:    map[string]int{},
 		objBySite:   map[int]*Object{},
@@ -465,22 +465,18 @@ func (a *Analysis) unionSetInto(dst int, set *bitset.Set, srcNode, site int, der
 	return true
 }
 
-// addCopy inserts a copy edge from→to. Derived edges record their origin
-// (≤5 retained, most recent last). The source's current points-to set is
-// propagated immediately.
-func (a *Analysis) addCopy(from, to, site, trigger int, derived bool) {
+// addCopy inserts a copy edge from→to, once per pair of representatives.
+// The source's current points-to set is propagated immediately.
+func (a *Analysis) addCopy(from, to, site int, derived bool) {
 	from, to = a.find(from), a.find(to)
 	if from == to {
 		return
 	}
 	k := edgeKey{int32(from), int32(to)}
-	if origins, exists := a.copyEdges[k]; exists {
-		if derived && len(origins) < 5 {
-			a.copyEdges[k] = append(origins, Origin{Site: site, Trigger: trigger})
-		}
+	if _, exists := a.copyEdges[k]; exists {
 		return
 	}
-	a.copyEdges[k] = []Origin{{Site: site, Trigger: trigger}}
+	a.copyEdges[k] = struct{}{}
 	a.copyTo[from] = append(a.copyTo[from], int32(to))
 	a.stats.CopyEdges++
 	if derived {

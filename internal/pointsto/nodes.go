@@ -5,9 +5,10 @@
 // handling per Pearce et al., and the paper's three optimistic
 // likely-invariant policies (PA, PWC, Ctx) layered on top.
 //
-// One Analysis run produces one points-to collection; the IGO engine
-// (internal/core) runs it twice — baseline and optimistic — to produce the
-// fallback and optimistic memory views.
+// One Analysis run produces one points-to collection. The IGO engine
+// (internal/core) solves the optimistic one and derives the fallback from
+// it by restoring every invariant (Result.RestoreAll), which yields the
+// baseline solve's collection.
 package pointsto
 
 import (

@@ -222,7 +222,7 @@ func (a *Analysis) processNode(n int) {
 			if a.nodes[o].kind != nodeObj {
 				continue
 			}
-			a.addCopy(a.find(o), int(e.other), int(e.site), n, true)
+			a.addCopy(a.find(o), int(e.other), int(e.site), true)
 		}
 	}
 	for _, e := range a.storeFrom[n] {
@@ -230,7 +230,7 @@ func (a *Analysis) processNode(n int) {
 			if a.nodes[o].kind != nodeObj {
 				continue
 			}
-			a.addCopy(int(e.other), a.find(o), int(e.site), n, true)
+			a.addCopy(int(e.other), a.find(o), int(e.site), true)
 		}
 	}
 	for _, e := range a.arithTo[n] {
@@ -295,10 +295,10 @@ func (a *Analysis) connectICall(n int, s *icallSite, elems []int) {
 			if i >= len(callee.Params) {
 				break
 			}
-			a.addCopy(int(argN), a.regNode(callee.Name, callee.Params[i]), int(s.site), n, true)
+			a.addCopy(int(argN), a.regNode(callee.Name, callee.Params[i]), int(s.site), true)
 		}
 		if s.dest >= 0 {
-			a.addCopy(a.retNode(callee.Name), int(s.dest), int(s.site), n, true)
+			a.addCopy(a.retNode(callee.Name), int(s.dest), int(s.site), true)
 		}
 	}
 }
@@ -307,8 +307,9 @@ func (a *Analysis) connectICall(n int, s *icallSite, elems []int) {
 // cycle: copy-only cycles collapse into a single node; positive-weight
 // cycles (PWCs) are treated per policy — baseline converts them per Pearce
 // (targets lose field sensitivity, then collapse), the PWC likely invariant
-// records them and defers any collapse (§4.3). Returns whether the graph
-// changed (requiring another propagation round).
+// records them and defers any collapse (§4.3) until every site of the cycle
+// is restored. Returns whether the graph changed (requiring another
+// propagation round).
 func (a *Analysis) sccPass() bool {
 	a.stats.SCCPasses++
 	changed := false
@@ -354,7 +355,7 @@ func (a *Analysis) sccPass() bool {
 				a.tracer.Cycle(len(scc), true)
 			}
 		}
-		if a.cfg.PWC {
+		if a.cfg.PWC && a.pwcAssumed(positive) {
 			if unseen {
 				a.recordPWC(positive)
 			}
@@ -385,6 +386,18 @@ func (a *Analysis) sccPass() bool {
 		changed = true
 	}
 	return changed
+}
+
+// pwcAssumed reports whether the PWC invariant still covers a cycle: some
+// positive edge's site has not been restored. A cycle whose sites are all
+// restored gets the baseline mitigation, as in a fresh baseline solve.
+func (a *Analysis) pwcAssumed(positive []*gepEdge) bool {
+	for _, e := range positive {
+		if !a.pwcDone[int(e.site)] {
+			return true
+		}
+	}
+	return false
 }
 
 // recordPWC emits the PWC likely-invariant record and one monitor per
