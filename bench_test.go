@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/fuzzer"
 	"repro/internal/interp"
 	"repro/internal/invariant"
+	"repro/internal/minic"
 	"repro/internal/pointsto"
 	"repro/internal/workload"
 )
@@ -104,6 +106,32 @@ func BenchmarkAnalyze(b *testing.B) {
 					pointsto.New(m, cfg).Solve()
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkScaledAnalysis is one analyze-30k operation of the repository
+// benchmark (kbench/analyze.go) without the harness: compile
+// ScaledProgram(1, 1000), about 29.6k constraint nodes, analyze it under
+// every invariant with zero options (the optimistic solve plus the derived
+// fallback), and harden it. It exists for profiling the solver-bound
+// pipeline, e.g.
+//
+//	go test -run '^$' -bench ScaledAnalysis -cpuprofile cpu.out
+func BenchmarkScaledAnalysis(b *testing.B) {
+	src := workload.ScaledProgram(1, 1000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := minic.Compile("scaled-1", src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := core.AnalyzeCtx(context.Background(), m, invariant.All(), core.AnalyzeOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sys.Harden() == nil {
+			b.Fatal("no hardened system")
 		}
 	}
 }

@@ -14,18 +14,19 @@
 // Concurrency: a Set carries no locks. Methods that mutate the receiver
 // (Add, Remove, UnionWith, UnionDelta, DifferenceWith, IntersectWith, Clear)
 // require exclusive access. Methods that only read the receiver and their
-// arguments (Has, Len, Empty, ForEach, Elements, Min, Max, SubsetOf, Equal,
-// Intersects, Clone, String) are safe to call from any number of goroutines
-// concurrently, provided no goroutine mutates the sets involved for the
-// duration. Finished pointsto Results rely on exactly this contract: the
-// cached analyses that runner workers and kscope-serve's snapshot projection
-// read from many goroutines are never mutated after Solve, so their sets are
-// shared without locks.
+// arguments (Has, Len, Empty, ForEach, Elements, AppendElements, Min, Max,
+// SubsetOf, Equal, Intersects, Clone, String) are safe to call from any
+// number of goroutines concurrently, provided no goroutine mutates the sets
+// involved for the duration. Finished pointsto Results rely on exactly this
+// contract: the cached analyses that runner workers and kscope-serve's
+// snapshot projection read from many goroutines are never mutated after
+// Solve, so their sets are shared without locks.
 package bitset
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -478,12 +479,28 @@ func (s *Set) ForEach(f func(x int) bool) {
 
 // Elements returns the elements in ascending order.
 func (s *Set) Elements() []int {
-	out := make([]int, 0, s.count)
-	s.ForEach(func(x int) bool {
-		out = append(out, x)
-		return true
-	})
-	return out
+	return s.AppendElements(make([]int, 0, s.count))
+}
+
+// AppendElements appends the elements to buf in ascending order and returns
+// the extended slice, so a caller that reuses buf[:0] across calls lists
+// sets without allocating once buf has grown to the largest of them.
+func (s *Set) AppendElements(buf []int) []int {
+	if s.inline() {
+		for i := 0; i < s.count; i++ {
+			buf = append(buf, int(s.small[i]))
+		}
+		return buf
+	}
+	buf = slices.Grow(buf, s.count)
+	for i, w := range s.words {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			buf = append(buf, i*wordBits+b)
+			w &^= 1 << uint(b)
+		}
+	}
+	return buf
 }
 
 // Min returns the smallest element, or -1 if the set is empty.

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,48 @@ func TestGrowthAcrossWords(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Elements = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestAppendElements checks that AppendElements lists an inline set and a
+// vector set in ascending order after whatever buf already holds, and that
+// Elements (built on it) agrees.
+func TestAppendElements(t *testing.T) {
+	inline, vector := New(0), New(0)
+	for _, x := range []int{7, 2, 40} {
+		inline.Add(x)
+	}
+	for _, x := range []int{500, 3, 64, 63, 9, 1000} {
+		vector.Add(x)
+	}
+	if !inline.inline() || vector.inline() {
+		t.Fatal("fixture sets are not one inline and one vector set")
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Set
+		want []int
+	}{
+		{"inline", inline, []int{2, 7, 40}},
+		{"vector", vector, []int{3, 9, 63, 64, 500, 1000}},
+		{"empty", New(0), nil},
+	} {
+		if got := tc.s.AppendElements(nil); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: AppendElements(nil) = %v, want %v", tc.name, got, tc.want)
+		}
+		buf := append(make([]int, 0, 1), -1, -2)
+		got := tc.s.AppendElements(buf)
+		if want := append([]int{-1, -2}, tc.want...); !slices.Equal(got, want) {
+			t.Errorf("%s: AppendElements(non-empty buf) = %v, want %v", tc.name, got, want)
+		}
+		// Reusing the grown buffer from empty must not allocate.
+		got = got[:0]
+		if n := testing.AllocsPerRun(10, func() { got = tc.s.AppendElements(got[:0]) }); n != 0 {
+			t.Errorf("%s: AppendElements into a reused buffer allocated %.0f times", tc.name, n)
+		}
+		if els := tc.s.Elements(); !slices.Equal(els, tc.want) {
+			t.Errorf("%s: Elements = %v, want %v", tc.name, els, tc.want)
 		}
 	}
 }

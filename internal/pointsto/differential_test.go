@@ -3,7 +3,9 @@ package pointsto
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/invariant"
@@ -256,6 +258,97 @@ func TestRestoreAllMatchesFallback(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRestoreAllConcurrent derives two fallbacks from one shared optimistic
+// Result at once while a third goroutine reads it, as the daemon's snapshot
+// readers and the IGO engine may. Both derived results must equal a fresh
+// fallback, and the receiver, its copy lists and their probe marks included,
+// must come out unchanged. A clone that shared copy-list arrays or scratch
+// buffers with its receiver fails the aliasing checks here, and under -race
+// the detector too.
+func TestRestoreAllConcurrent(t *testing.T) {
+	m, err := minic.Compile("scaled", scaledSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallback := fingerprint(New(m, invariant.Config{}).Solve())
+	opt := New(m, invariant.All()).Solve()
+	before := fingerprint(opt)
+	copyLists := make([][]copyEdge, len(opt.a.copyTo))
+	for n, es := range opt.a.copyTo {
+		copyLists[n] = slices.Clone(es)
+	}
+	ptrs := opt.TopLevelPointers()
+	sites := opt.ICallSites()
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	derived := make([]*Result, 2)
+	errs := make([]error, 2)
+	for i := range derived {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			derived[i], errs[i] = opt.RestoreAll(context.Background(), Budget{})
+		}()
+	}
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			for _, p := range ptrs {
+				opt.PointsTo(p.Fn, p.Reg)
+			}
+			for _, s := range sites {
+				opt.CallTargets(s)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	reader.Wait()
+
+	for i, d := range derived {
+		if errs[i] != nil {
+			t.Fatalf("RestoreAll %d: %v", i, errs[i])
+		}
+		if got := fingerprint(d); got != fallback {
+			t.Errorf("derived fallback %d differs from a fresh one:\n%s", i, diffLines(fallback, got))
+		}
+		if sharesArray(d.a.elemBuf, opt.a.elemBuf) || sharesArray(d.a.lcdVisit, opt.a.lcdVisit) ||
+			sharesArray(d.a.lcdStack, opt.a.lcdStack) {
+			t.Errorf("derived result %d shares a scratch buffer with its receiver", i)
+		}
+		for n, es := range d.a.copyTo {
+			if n < len(opt.a.copyTo) && sharesArray(es, opt.a.copyTo[n]) {
+				t.Fatalf("derived result %d shares node %d's copy list with its receiver", i, n)
+			}
+		}
+	}
+	if sharesArray(derived[0].a.elemBuf, derived[1].a.elemBuf) ||
+		sharesArray(derived[0].a.lcdVisit, derived[1].a.lcdVisit) {
+		t.Error("the two derived results share a scratch buffer")
+	}
+	if got := fingerprint(opt); got != before {
+		t.Errorf("concurrent RestoreAll changed its receiver:\n%s", diffLines(before, got))
+	}
+	for n, es := range opt.a.copyTo {
+		if !slices.Equal(es, copyLists[n]) {
+			t.Fatalf("concurrent RestoreAll changed node %d's copy list or probe marks", n)
+		}
+	}
+}
+
+// sharesArray reports whether two slices start at the same array element.
+func sharesArray[T any](x, y []T) bool {
+	return cap(x) > 0 && cap(y) > 0 && &x[:1][0] == &y[:1][0]
 }
 
 // TestRestoreToConfigMatchesFreshSolve checks the evidence a per-config

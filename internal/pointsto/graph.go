@@ -2,6 +2,7 @@ package pointsto
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"repro/internal/bitset"
@@ -46,6 +47,22 @@ type icallSite struct {
 
 // edgeKey identifies a copy edge for dedupe.
 type edgeKey struct{ from, to int32 }
+
+// copyEdge is one entry of copyTo[from], the constraint pts(to) ⊇
+// pts(from): the target node id, with the sign bit set once the LCD
+// fallback has probed the edge (hcd.go). The mark lives inside the int32 so
+// copy lists stay flat and merges concatenate them without allocating per
+// edge; read the target only through to.
+type copyEdge int32
+
+// probedBit marks a copy edge the LCD fallback has already probed.
+const probedBit = copyEdge(math.MinInt32)
+
+// to returns the edge's target node id, without the probe mark.
+func (e copyEdge) to() int { return int(e &^ probedBit) }
+
+// probed reports whether the LCD fallback has probed the edge.
+func (e copyEdge) probed() bool { return e&probedBit != 0 }
 
 // Origin is one recorded derivation of an object in a points-to set
 // (Provenance): the constraint site that added it and the node it flowed
@@ -123,7 +140,7 @@ type Analysis struct {
 	delta   []*bitset.Set // per-node pointees added since the node's last processing
 	objects []*Object
 
-	copyTo    [][]int32
+	copyTo    [][]copyEdge
 	gepTo     [][]*gepEdge
 	loadTo    [][]depEdge
 	storeFrom [][]depEdge
@@ -167,8 +184,23 @@ type Analysis struct {
 	prep       bool
 	prepDone   bool
 	hcdEntries []hcdEntry
-	hcdAt      [][]int32        // rep node -> indexes into hcdEntries
-	lcdSeen    map[edgeKey]bool // copy edges already probed by the LCD fallback
+	hcdAt      [][]int32 // rep node -> indexes into hcdEntries
+
+	// Scratch buffers reused across the propagation loop so it allocates
+	// nothing per pop: the pending pointees processNode lists, and the LCD
+	// probe's search state (a per-node visit stamp, valid only when it
+	// equals lcdGen, plus the DFS stack). They carry nothing between uses;
+	// clone leaves them unshared.
+	elemBuf  []int
+	lcdVisit []lcdVisit
+	lcdGen   uint32
+	lcdStack []int32
+
+	// Position of processNode's copy-list walk (solve.go): the node whose
+	// list it walks (-1 if none), and how far merges have moved the walked
+	// edges from the list's start.
+	walking int
+	walkOff int
 
 	stats   Stats
 	flushed Stats               // stats already exported to metrics
@@ -211,6 +243,10 @@ const DeltaAutoThreshold = 2048
 // New builds the constraint graph for m under cfg. Call Solve to run the
 // analysis.
 func New(m *ir.Module, cfg invariant.Config) *Analysis {
+	// Presize the per-node tables: one node per instruction, global and
+	// function covers the usual program, and nodes beyond the hint grow
+	// the tables by append.
+	hint := m.NumInstrs() + len(m.Globals) + len(m.Funcs)
 	a := &Analysis{
 		mod:         m,
 		layouts:     ir.NewLayouts(),
@@ -227,6 +263,18 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		paDisabled:  map[int]bool{},
 		pwcDone:     map[int]bool{},
 		prep:        true,
+		walking:     -1,
+		nodes:       make([]node, 0, hint),
+		rep:         make([]int32, 0, hint),
+		pts:         make([]*bitset.Set, 0, hint),
+		delta:       make([]*bitset.Set, 0, hint),
+		inWL:        make([]bool, 0, hint),
+		copyTo:      make([][]copyEdge, 0, hint),
+		gepTo:       make([][]*gepEdge, 0, hint),
+		loadTo:      make([][]depEdge, 0, hint),
+		storeFrom:   make([][]depEdge, 0, hint),
+		arithTo:     make([][]arithEdge, 0, hint),
+		icallsAt:    make([][]*icallSite, 0, hint),
 	}
 	a.buildStart = time.Now()
 	a.build()
@@ -273,19 +321,11 @@ func (a *Analysis) Module() *ir.Module { return a.mod }
 // push enqueues a node for re-processing.
 func (a *Analysis) push(n int) {
 	n = a.find(n)
-	a.ensureWL()
 	if a.inWL[n] {
 		return
 	}
 	a.inWL[n] = true
 	a.worklist = append(a.worklist, int32(n))
-}
-
-// ensureWL sizes the in-worklist flags to the node count.
-func (a *Analysis) ensureWL() {
-	for len(a.inWL) < len(a.nodes) {
-		a.inWL = append(a.inWL, false)
-	}
 }
 
 // ptsOf returns the points-to set of the representative of n, allocating it
@@ -477,7 +517,7 @@ func (a *Analysis) addCopy(from, to, site int, derived bool) {
 		return
 	}
 	a.copyEdges[k] = struct{}{}
-	a.copyTo[from] = append(a.copyTo[from], int32(to))
+	a.copyTo[from] = append(a.copyTo[from], copyEdge(to))
 	a.stats.CopyEdges++
 	if derived {
 		a.stats.DerivedEdges++
@@ -544,6 +584,14 @@ func (a *Analysis) mergeNodes(x, y int) bool {
 		a.pts[y] = nil
 	}
 	a.delta[y] = nil
+	// Copy lists are the longest adjacency lists; growing the longer one
+	// copies fewer edges. Their order only decides propagation order.
+	if len(a.copyTo[y]) > len(a.copyTo[x]) {
+		if x == a.walking {
+			a.walkOff += len(a.copyTo[y])
+		}
+		a.copyTo[x], a.copyTo[y] = a.copyTo[y], a.copyTo[x]
+	}
 	a.copyTo[x] = append(a.copyTo[x], a.copyTo[y]...)
 	a.copyTo[y] = nil
 	a.gepTo[x] = append(a.gepTo[x], a.gepTo[y]...)

@@ -25,13 +25,12 @@ import "time"
 // sccPass, which also remains the sole discoverer of positive-weight cycles,
 // so PWC records are identical with preprocessing on or off.
 
-// runPrep executes the offline stage: the offline half of hybrid cycle
-// detection, plus the LCD fallback's probe set. Called once, lazily, from
-// the first resolve, before any propagation.
+// runPrep executes the offline stage, the offline half of hybrid cycle
+// detection. Called once, lazily, from the first resolve, before any
+// propagation.
 func (a *Analysis) runPrep() {
 	start := time.Now()
 	a.offlineHCD()
-	a.lcdSeen = map[edgeKey]bool{}
 	if a.metrics != nil || a.parentSpan != nil {
 		a.metrics.RecordSpan("pointsto/prep", a.parentSpan, start, time.Since(start))
 	}
@@ -58,8 +57,8 @@ func (a *Analysis) offlineHCD() {
 		if a.find(v) != v {
 			continue
 		}
-		for _, t := range a.copyTo[v] {
-			if w := a.find(int(t)); w != v {
+		for _, e := range a.copyTo[v] {
+			if w := a.find(e.to()); w != v {
 				adj[v] = append(adj[v], int32(w))
 			}
 		}
@@ -148,35 +147,42 @@ func (a *Analysis) hcdFire(v int, elems []int) {
 // lcdBudget nodes of the condensed copy graph.
 const lcdBudget = 256
 
+// lcdVisit is the LCD probe's per-node search state: the node was reached
+// by the probe numbered gen, from prev (-1 for the probe's start).
+type lcdVisit struct {
+	gen  uint32
+	prev int32
+}
+
 // lcdProbe is the lazy-cycle-detection fallback: copy propagation from src
 // across edge src->dst added nothing, which is how cycle members behave once
 // their sets converge. A bounded DFS over copy edges looks for a path back
 // from dst to src; on a hit the whole path is one copy cycle and collapses
-// immediately instead of waiting for the next whole-graph sccPass. Each edge
-// is probed at most once.
+// immediately instead of waiting for the next whole-graph sccPass. The
+// caller marks the edge probed, so each edge is probed at most once. The
+// search state lives in reused per-analysis buffers: a new probe number
+// invalidates every visit stamp at once, so a probe allocates nothing.
 func (a *Analysis) lcdProbe(src, dst int) {
-	if dst == src {
-		return
+	if len(a.lcdVisit) < len(a.nodes) {
+		a.lcdVisit = append(a.lcdVisit, make([]lcdVisit, len(a.nodes)-len(a.lcdVisit))...)
 	}
-	k := edgeKey{int32(src), int32(dst)}
-	if a.lcdSeen[k] {
-		return
-	}
-	a.lcdSeen[k] = true
+	// One probe per copy edge at most, so the counter cannot wrap.
+	a.lcdGen++
+	gen, seen := a.lcdGen, a.lcdVisit
 	// DFS from dst over representative copy edges, searching for src.
-	prev := map[int]int{dst: -1}
-	stack := []int{dst}
+	seen[dst] = lcdVisit{gen: gen, prev: -1}
+	stack := append(a.lcdStack[:0], int32(dst))
 	budget := lcdBudget
 	for len(stack) > 0 && budget > 0 {
-		v := stack[len(stack)-1]
+		v := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		budget--
-		for _, t := range a.copyTo[v] {
-			w := a.find(int(t))
+		for _, e := range a.copyTo[v] {
+			w := a.find(e.to())
 			if w == src {
 				// Collapse the cycle src -> dst -> ... -> v -> src.
 				merged := 0
-				for u := v; u != -1; u = prev[u] {
+				for u := v; u != -1; u = int(seen[u].prev) {
 					if a.mergeNodes(src, u) {
 						a.stats.LCDCollapses++
 						merged++
@@ -186,12 +192,14 @@ func (a *Analysis) lcdProbe(src, dst int) {
 				if merged > 0 && a.tracer != nil {
 					a.tracer.Cycle(merged+1, false)
 				}
+				a.lcdStack = stack
 				return
 			}
-			if _, seen := prev[w]; !seen && w != v {
-				prev[w] = v
-				stack = append(stack, w)
+			if seen[w].gen != gen && w != v {
+				seen[w] = lcdVisit{gen: gen, prev: int32(v)}
+				stack = append(stack, int32(w))
 			}
 		}
 	}
+	a.lcdStack = stack
 }

@@ -182,7 +182,7 @@ func (a *Analysis) clone() *Analysis {
 	c.objByGlobal = remapObjects(a.objByGlobal, c.objects)
 	c.objByFunc = remapObjects(a.objByFunc, c.objects)
 
-	c.copyTo = clipEach(a.copyTo)
+	c.copyTo = cloneCopyLists(a.copyTo)
 	c.loadTo = clipEach(a.loadTo)
 	c.storeFrom = clipEach(a.storeFrom)
 	c.arithTo = clipEach(a.arithTo)
@@ -245,14 +245,37 @@ func (a *Analysis) clone() *Analysis {
 	c.paDisabled = maps.Clone(a.paDisabled)
 	c.pwcDone = maps.Clone(a.pwcDone)
 	c.hcdEntries = slices.Clone(a.hcdEntries)
-	if a.lcdSeen != nil {
-		// The LCD probe set only saves repeated probes; the copy starts
-		// empty instead of paying for a map copy.
-		c.lcdSeen = map[edgeKey]bool{}
-	}
+	// Scratch buffers are per solve: sharing them would let two copies
+	// derived concurrently from one Result write the same arrays.
+	c.elemBuf, c.lcdVisit, c.lcdGen, c.lcdStack = nil, nil, 0, nil
 	// The copy built nothing: the build span belongs to a alone.
 	c.buildEmitted = true
 	return &c
+}
+
+// cloneCopyLists deep-copies the copy lists into one backing array, with
+// every LCD probe mark cleared: the probe marks only save repeated probes,
+// and the copy starts as if nothing had been probed, while the receiver,
+// which may be read concurrently, keeps its own. Each list is clipped to its
+// length, so an append moves it out of the shared array.
+func cloneCopyLists(lists [][]copyEdge) [][]copyEdge {
+	edges := 0
+	for _, es := range lists {
+		edges += len(es)
+	}
+	all := make([]copyEdge, 0, edges)
+	out := make([][]copyEdge, len(lists))
+	for n, es := range lists {
+		if es == nil {
+			continue
+		}
+		start := len(all)
+		for _, e := range es {
+			all = append(all, e&^probedBit)
+		}
+		out[n] = all[start:len(all):len(all)]
+	}
+	return out
 }
 
 // cloneSets deep-copies a per-node set slice, keeping nil entries nil.

@@ -130,6 +130,7 @@ func (a *Analysis) newNode(n node) int {
 	a.rep = append(a.rep, int32(id))
 	a.pts = append(a.pts, nil)
 	a.delta = append(a.delta, nil)
+	a.inWL = append(a.inWL, false)
 	a.copyTo = append(a.copyTo, nil)
 	a.gepTo = append(a.gepTo, nil)
 	a.loadTo = append(a.loadTo, nil)

@@ -1,6 +1,7 @@
 package pointsto
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/invariant"
@@ -79,6 +80,89 @@ func TestHCDCollapsesMemoryCycle(t *testing.T) {
 		t.Errorf("no online HCD collapses on a memory cycle: %+v", sOn)
 	}
 	assertSameResult(t, rOff, rOn)
+}
+
+// The loop's two statements copy b into a and a back into b through the
+// pointers pa and pb: a copy cycle between the stack objects a and b, two
+// loads away from the registers that hold pa and pb. HCD's offline ref graph
+// sees four unrelated registers and predicts nothing; the cycle closes only
+// once the solver learns where pa and pb point, so the LCD fallback must
+// find it online.
+const lcdSrc = `
+int x;
+int main() {
+  int* a;
+  int* b;
+  int** pa;
+  int** pb;
+  pa = &a;
+  pb = &b;
+  a = &x;
+  while (input()) {
+    *pa = *pb;
+    *pb = *pa;
+  }
+  return *b;
+}
+`
+
+// TestLCDCollapsesUnpredictedCycle: the LCD fallback collapses the cycle HCD
+// cannot predict, the answer equals the no-prep reference, and the probe
+// marks the solve left on the copy edges stay with it: a clone starts with
+// none, and cloning leaves the receiver's marks in place.
+func TestLCDCollapsesUnpredictedCycle(t *testing.T) {
+	rOn, sOn := prepSolve(t, lcdSrc, invariant.Config{}, true)
+	rOff, _ := prepSolve(t, lcdSrc, invariant.Config{}, false)
+	if sOn.LCDCollapses == 0 || sOn.HCDCollapses != 0 {
+		t.Errorf("want LCD collapses and no HCD ones on an unpredicted cycle: %+v", sOn)
+	}
+	assertSameResult(t, rOff, rOn)
+	marks := probeMarks(rOn.a)
+	if marks == 0 {
+		t.Fatal("the solve left no probe marks on its copy edges")
+	}
+	c := rOn.a.clone()
+	if n := probeMarks(c); n != 0 {
+		t.Errorf("clone carries %d probe marks, want none", n)
+	}
+	if n := probeMarks(rOn.a); n != marks {
+		t.Errorf("cloning changed the receiver's probe marks: %d, was %d", n, marks)
+	}
+}
+
+// TestMergeKeepsWalkedEdges: a merge into the node whose copy list
+// processNode is walking may put the other node's longer list in front;
+// the walk offset must still point at the walked edges, marks included.
+func TestMergeKeepsWalkedEdges(t *testing.T) {
+	m, err := minic.Compile("lcd", lcdSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(m, invariant.Config{})
+	x, y := 0, 1
+	walked := []copyEdge{2 | probedBit, 3}
+	a.copyTo[x] = slices.Clone(walked)
+	a.copyTo[y] = []copyEdge{4, 5, 6}
+	a.walking, a.walkOff = x, 0
+	if !a.mergeNodes(x, y) {
+		t.Fatal("nodes 0 and 1 did not merge")
+	}
+	if got := a.copyTo[x]; len(got) != 5 || !slices.Equal(got[a.walkOff:a.walkOff+len(walked)], walked) {
+		t.Errorf("merged list %v, walk offset %d: lost the walked edges %v", got, a.walkOff, walked)
+	}
+}
+
+// probeMarks counts the copy edges of a marked as probed by LCD.
+func probeMarks(a *Analysis) int {
+	n := 0
+	for _, es := range a.copyTo {
+		for _, e := range es {
+			if e.probed() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestPrepRespectsPWCPolicy: on a PWC-heavy app (mbedtls's heap wrappers),

@@ -44,7 +44,6 @@ func (a *Analysis) resolve() error {
 	}
 	solveSpan, finishSolve := a.metrics.StartSpan("pointsto/solve", a.parentSpan)
 	stop := a.metrics.Timer("pointsto/phase/solve").Start()
-	a.ensureWL()
 	for {
 		// One histogram sample of worklist depth per solver round.
 		a.hWLDepth.Observe(int64(len(a.worklist)))
@@ -168,7 +167,6 @@ func (a *Analysis) drain() {
 // pointees only re-adds facts that are already present.
 func (a *Analysis) processNode(n int) {
 	a.stats.Iterations++
-	a.ensureWL()
 	var work *bitset.Set
 	if a.noDelta {
 		work = a.pts[n]
@@ -194,7 +192,8 @@ func (a *Analysis) processNode(n int) {
 		// set (new edges seed a flush before pushing the node here).
 		return
 	}
-	elems := work.Elements()
+	elems := work.AppendElements(a.elemBuf[:0])
+	a.elemBuf = elems
 	if a.hcdAt != nil && len(a.hcdAt[n]) > 0 {
 		// Hybrid cycle detection: new pointees of n close offline-predicted
 		// copy cycles; collapse them now, in O(members), instead of waiting
@@ -239,13 +238,26 @@ func (a *Analysis) processNode(n int) {
 	for _, s := range a.icallsAt[n] {
 		a.connectICall(n, s, elems)
 	}
-	for _, to := range a.copyTo[n] {
-		if !a.unionSetInto(int(to), work, n, 0, false) && a.lcdSeen != nil {
-			// Propagation miss: the target already had every pending pointee,
-			// the signature of a converged copy cycle. Probe lazily for one.
-			a.lcdProbe(n, a.find(int(to)))
+	// An LCD collapse merges into n while this loop walks n's list, and a
+	// merge may put the other node's longer list in front of n's edges;
+	// mergeNodes then advances walkOff, so the loop reads and marks the
+	// same edges in the live list.
+	a.walking, a.walkOff = n, 0
+	for i, k := 0, len(a.copyTo[n]); i < k; i++ {
+		j := a.walkOff + i
+		e := a.copyTo[n][j]
+		if a.unionSetInto(e.to(), work, n, 0, false) || !a.prep || e.probed() {
+			continue
+		}
+		// Propagation miss: the target already had every pending pointee,
+		// the signature of a converged copy cycle. Probe lazily for one,
+		// once per edge.
+		if dst := a.find(e.to()); dst != n {
+			a.copyTo[n][j] |= probedBit
+			a.lcdProbe(n, dst)
 		}
 	}
+	a.walking = -1
 }
 
 // processArith applies the arbitrary-pointer-arithmetic policy (§4.2) to one
@@ -494,7 +506,7 @@ func (a *Analysis) sccs() [][]int32 {
 	root := func(v int) bool { return a.find(v) == v }
 	succ := func(v, i int) (int, bool) {
 		if i < len(a.copyTo[v]) {
-			return a.find(int(a.copyTo[v][i])), true
+			return a.find(a.copyTo[v][i].to()), true
 		}
 		if i -= len(a.copyTo[v]); i < len(a.gepTo[v]) {
 			return a.find(int(a.gepTo[v][i].to)), true
