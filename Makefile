@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet kbench-test bench bench-json fuzz-smoke chaos-smoke serve-smoke persist-smoke check
+.PHONY: all build test race vet kbench-test bench profile bench-json fuzz-smoke chaos-smoke serve-smoke persist-smoke check
 
 all: check
 
@@ -35,6 +35,13 @@ kbench-test:
 ## bench: run the evaluation benchmarks
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+## profile: CPU and memory profiles of BenchmarkScaledAnalysis (one
+## analyze-30k operation: compile, solve, derive the fallback, harden), six
+## iterations, into scaled.pprof and scaled-mem.pprof; read them with
+## `go tool pprof -top repro.test scaled.pprof`
+profile:
+	$(GO) test -run '^$$' -bench ScaledAnalysis -benchtime 6x -cpuprofile scaled.pprof -memprofile scaled-mem.pprof .
 
 ## bench-json: the benchmark ledger — run the repository benchmark (kbench,
 ## see kbench/README.md) traced, seed 1, 20 s, on each BENCHMARK.json

@@ -3,6 +3,8 @@ package pointsto
 import (
 	"context"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/bitset"
@@ -45,9 +47,6 @@ type icallSite struct {
 	connected map[int]bool // object index -> already wired
 }
 
-// edgeKey identifies a copy edge for dedupe.
-type edgeKey struct{ from, to int32 }
-
 // copyEdge is one entry of copyTo[from], the constraint pts(to) ⊇
 // pts(from): the target node id, with the sign bit set once the LCD
 // fallback has probed the edge (hcd.go). The mark lives inside the int32 so
@@ -63,6 +62,69 @@ func (e copyEdge) to() int { return int(e &^ probedBit) }
 
 // probed reports whether the LCD fallback has probed the edge.
 func (e copyEdge) probed() bool { return e&probedBit != 0 }
+
+// edgeSet is the set of copy edges addCopy has inserted, for dedupe: an
+// open-addressing hash table of packed (from, to) keys with linear probing
+// and a Fibonacci hash, doubled at ¾ load. Slot value 0 marks an empty
+// slot; the only pair that packs to 0 is the self-edge 0→0, and addCopy
+// never inserts a self-edge. The zero value is an empty set.
+type edgeSet struct {
+	slots []uint64
+	n     int   // occupied slots
+	shift uint8 // 64 - log2(len(slots))
+}
+
+// edgeSetMinSlots is the table size of the first insert.
+const edgeSetMinSlots = 64
+
+// packEdge packs a copy edge into its edgeSet key.
+func packEdge(from, to int) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
+
+// insert adds key k (nonzero) and reports whether it was absent.
+func (s *edgeSet) insert(k uint64) bool {
+	if s.slots == nil {
+		s.resize(edgeSetMinSlots)
+	}
+	i := s.probe(k)
+	if s.slots[i] == k {
+		return false
+	}
+	if 4*(s.n+1) > 3*len(s.slots) {
+		s.resize(2 * len(s.slots))
+		i = s.probe(k)
+	}
+	s.slots[i] = k
+	s.n++
+	return true
+}
+
+// probe returns the slot holding k, or the empty slot where k belongs.
+func (s *edgeSet) probe(k uint64) int {
+	mask := len(s.slots) - 1
+	i := int((k * 0x9E3779B97F4A7C15) >> s.shift)
+	for s.slots[i] != 0 && s.slots[i] != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// resize rehashes every key into a table of size slots, a power of two.
+func (s *edgeSet) resize(size int) {
+	old := s.slots
+	s.slots = make([]uint64, size)
+	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for _, k := range old {
+		if k != 0 {
+			s.slots[s.probe(k)] = k
+		}
+	}
+}
+
+// clone returns an independent copy of s.
+func (s edgeSet) clone() edgeSet {
+	s.slots = slices.Clone(s.slots)
+	return s
+}
 
 // Origin is one recorded derivation of an object in a points-to set
 // (Provenance): the constraint site that added it and the node it flowed
@@ -147,7 +209,7 @@ type Analysis struct {
 	arithTo   [][]arithEdge
 	icallsAt  [][]*icallSite
 
-	copyEdges   map[edgeKey]struct{} // existing copy edges, for dedupe
+	copyEdges   edgeSet // every copy edge addCopy inserted, for dedupe
 	regNodes    map[regKey]int
 	retNodes    map[string]int
 	objBySite   map[int]*Object
@@ -251,7 +313,6 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		mod:         m,
 		layouts:     ir.NewLayouts(),
 		cfg:         cfg,
-		copyEdges:   map[edgeKey]struct{}{},
 		regNodes:    map[regKey]int{},
 		retNodes:    map[string]int{},
 		objBySite:   map[int]*Object{},
@@ -512,11 +573,9 @@ func (a *Analysis) addCopy(from, to, site int, derived bool) {
 	if from == to {
 		return
 	}
-	k := edgeKey{int32(from), int32(to)}
-	if _, exists := a.copyEdges[k]; exists {
+	if !a.copyEdges.insert(packEdge(from, to)) {
 		return
 	}
-	a.copyEdges[k] = struct{}{}
 	a.copyTo[from] = append(a.copyTo[from], copyEdge(to))
 	a.stats.CopyEdges++
 	if derived {

@@ -165,7 +165,8 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 // build is shared: the module, layouts, Ctx plan, and node descriptors.
 // Slices that only ever grow by append are shared with their capacity
 // clipped, so an append on either side reallocates instead of writing into
-// the other's backing array.
+// the other's backing array. The copy-edge set is one flat table, copied
+// whole.
 func (a *Analysis) clone() *Analysis {
 	c := *a
 	c.nodes = slices.Clip(a.nodes)
@@ -225,7 +226,7 @@ func (a *Analysis) clone() *Analysis {
 		}
 	}
 
-	c.copyEdges = maps.Clone(a.copyEdges)
+	c.copyEdges = a.copyEdges.clone()
 	c.provs = maps.Clone(a.provs)
 	for k, es := range c.provs {
 		c.provs[k] = slices.Clip(es)

@@ -152,6 +152,46 @@ func TestMergeKeepsWalkedEdges(t *testing.T) {
 	}
 }
 
+// TestProcessNodeDropsMergedEdges: before walking its copy list,
+// processNode drops the edges whose target a collapse already merged into
+// the node, and keeps the live ones in order with their probe marks.
+func TestProcessNodeDropsMergedEdges(t *testing.T) {
+	m, err := minic.Compile("lcd", lcdSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(m, invariant.Config{})
+	// v[0] is the processed node; v[1], v[2] and v[3] are merged into it,
+	// v[3] through v[1]; v[4], v[5] and v[6] are live targets.
+	obj := slices.IndexFunc(a.nodes, func(nd node) bool { return nd.kind == nodeObj })
+	var v []int
+	for i, nd := range a.nodes {
+		if nd.kind != nodeObj && len(v) < 7 {
+			v = append(v, i)
+		}
+	}
+	if obj < 0 || len(v) < 7 {
+		t.Fatalf("want an object node and 7 other nodes, got %d and %d", obj, len(v))
+	}
+	n := v[0]
+	a.rep[v[1]], a.rep[v[2]], a.rep[v[3]] = int32(n), int32(n), int32(v[1])
+	a.gepTo[n], a.loadTo[n], a.storeFrom[n], a.arithTo[n], a.icallsAt[n] = nil, nil, nil, nil, nil
+	e := func(i int) copyEdge { return copyEdge(v[i]) }
+	a.copyTo[n] = []copyEdge{e(1), e(4), e(2) | probedBit, e(5) | probedBit, e(3), e(6)}
+	a.noDelta = false
+	a.ptsOf(n).Add(obj)
+	a.deltaOf(n).Add(obj)
+	a.processNode(n)
+	if want := []copyEdge{e(4), e(5) | probedBit, e(6)}; !slices.Equal(a.copyTo[n], want) {
+		t.Errorf("copy list after processNode = %v, want %v", a.copyTo[n], want)
+	}
+	for _, to := range v[4:] {
+		if a.pts[to] == nil || !a.pts[to].Has(obj) {
+			t.Errorf("live edge to %d did not propagate the pending pointee", to)
+		}
+	}
+}
+
 // probeMarks counts the copy edges of a marked as probed by LCD.
 func probeMarks(a *Analysis) int {
 	n := 0

@@ -238,6 +238,16 @@ func (a *Analysis) processNode(n int) {
 	for _, s := range a.icallsAt[n] {
 		a.connectICall(n, s, elems)
 	}
+	// Drop the copy edges whose target a collapse already merged into n:
+	// they would propagate nothing, and since merges are never undone they
+	// never will. Order and probe marks of the live edges stay.
+	live := a.copyTo[n][:0]
+	for _, e := range a.copyTo[n] {
+		if a.find(e.to()) != n {
+			live = append(live, e)
+		}
+	}
+	a.copyTo[n] = live
 	// An LCD collapse merges into n while this loop walks n's list, and a
 	// merge may put the other node's longer list in front of n's edges;
 	// mergeNodes then advances walkOff, so the loop reads and marks the

@@ -2,6 +2,7 @@ package pointsto
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/invariant"
@@ -173,5 +174,41 @@ func TestPopulationStableAcrossConfigs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEdgeSet: the flat copy-edge set behaves as a set of packed pairs
+// across several doublings, ids up to math.MaxInt32 included, and a clone
+// shares no slot with its receiver.
+func TestEdgeSet(t *testing.T) {
+	var keys []uint64
+	for i := 0; i < 50000; i++ {
+		keys = append(keys, packEdge(i, i+1), packEdge(math.MaxInt32-i, i))
+	}
+	keys = append(keys, packEdge(math.MaxInt32, math.MaxInt32-1), packEdge(0, math.MaxInt32))
+	var s edgeSet
+	for i, k := range keys {
+		if !s.insert(k) {
+			t.Fatalf("key %d (%#x) reported present on its first insert", i, k)
+		}
+	}
+	if s.n != len(keys) || len(s.slots) < 4*len(keys)/3 {
+		t.Fatalf("%d keys in %d slots after %d inserts", s.n, len(s.slots), len(keys))
+	}
+	for i, k := range keys {
+		if s.insert(k) {
+			t.Fatalf("key %d (%#x) reported absent on a re-insert", i, k)
+		}
+	}
+	c := s.clone()
+	onlyC, onlyS := packEdge(7, math.MaxInt32), packEdge(math.MaxInt32, 7)
+	if !c.insert(onlyC) || !s.insert(onlyS) {
+		t.Fatal("a fresh key reported present")
+	}
+	if !s.insert(onlyC) {
+		t.Error("an insert into the clone is visible to the receiver")
+	}
+	if !c.insert(onlyS) {
+		t.Error("an insert into the receiver is visible to the clone")
 	}
 }
