@@ -12,7 +12,8 @@
 // Stages 1 and 2 cost one solve: AnalyzeCtx solves the optimistic view and
 // derives the fallback from a copy of it with every invariant restored
 // (pointsto.Result.RestoreAll, paper §8), which equals a fresh standard
-// solve.
+// solve. Every analysis derives its own fallback this way; none is shared
+// between configurations.
 package core
 
 import (
@@ -57,27 +58,25 @@ func Analyze(m *ir.Module, cfg invariant.Config) *System {
 }
 
 // AnalyzeOpts configures AnalyzeCtx. The zero value is a plain unbounded
-// analysis. The fallback is configuration-independent: callers analyzing
-// one module under several configurations solve it once and pass it in.
+// analysis.
 type AnalyzeOpts struct {
-	Fallback *pointsto.Result    // precomputed stage-① result; nil derives it
-	Metrics  *telemetry.Registry // telemetry sink (may be nil)
-	Budget   pointsto.Budget     // per-stage solver step budget (zero = unlimited)
-	Faults   *faultinject.Plan   // fault-injection plan armed on both solver stages
+	Metrics *telemetry.Registry // telemetry sink (may be nil)
+	Budget  pointsto.Budget     // per-stage solver step budget (zero = unlimited)
+	Faults  *faultinject.Plan   // fault-injection plan armed on both solver stages
 }
 
-// AnalyzeCtx is the cancellable, bounded, fault-injectable analysis entry.
-// With invariants to assume it solves once: the optimistic stage solves the
-// module under cfg, then the fallback stage restores every invariant on a
-// copy of that result (pointsto.Result.RestoreAll) — unless o.Fallback is
-// given. The derived fallback equals a fresh standard solve in every answer,
-// but its Stats() are cumulative: the optimistic solve plus the restores.
-// A configuration without invariants runs one fresh solve, the fallback
-// stage, and the optimistic view aliases it. Each stage runs under the
-// context and budget; an aborted stage surfaces as a wrapped
-// pointsto.AbortError (errors.Is ErrSolveAborted) and the System is not
-// produced — a degraded analysis is an explicit error, never a partial
-// result.
+// AnalyzeCtx is the cancellable, bounded, fault-injectable analysis entry,
+// and the only way an analysis gets its fallback. With invariants to assume
+// it solves once: the optimistic stage solves the module under cfg, then
+// the fallback stage restores every invariant on a copy of that result
+// (pointsto.Result.RestoreAll). The derived fallback equals a fresh
+// standard solve in every answer, but its Stats() are cumulative: the
+// optimistic solve plus the restores. A configuration without invariants
+// runs one fresh solve, the fallback stage, and the optimistic view
+// aliases it. Each stage runs under the context and budget; an aborted
+// stage surfaces as a wrapped pointsto.AbortError (errors.Is
+// ErrSolveAborted) and the System is not produced — a degraded analysis is
+// an explicit error, never a partial result.
 func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o AnalyzeOpts) (*System, error) {
 	metrics := o.Metrics
 	s := &System{Module: m, Config: cfg, Metrics: metrics}
@@ -107,25 +106,20 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o Analy
 		return a.SolveCtx(ctx, o.Budget)
 	}
 	var err error
-	s.Fallback = o.Fallback
 	if !cfg.Any() {
-		if s.Fallback == nil {
-			if s.Fallback, err = stage("fallback", solve); err != nil {
-				return nil, err
-			}
+		if s.Fallback, err = stage("fallback", solve); err != nil {
+			return nil, err
 		}
 		s.Optimistic = s.Fallback
 	} else {
 		if s.Optimistic, err = stage("optimistic", solve); err != nil {
 			return nil, err
 		}
-		if s.Fallback == nil {
-			derive := func(sp *telemetry.Span) (*pointsto.Result, error) {
-				return s.Optimistic.RestoreAll(telemetry.WithSpan(ctx, sp), o.Budget)
-			}
-			if s.Fallback, err = stage("fallback", derive); err != nil {
-				return nil, err
-			}
+		derive := func(sp *telemetry.Span) (*pointsto.Result, error) {
+			return s.Optimistic.RestoreAll(telemetry.WithSpan(ctx, sp), o.Budget)
+		}
+		if s.Fallback, err = stage("fallback", derive); err != nil {
+			return nil, err
 		}
 	}
 	metrics.Counter("core/analyses").Inc()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/invariant"
-	"repro/internal/pointsto"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -31,9 +30,8 @@ type cacheEntry struct {
 // Cache memoizes IGO analyses per (application, invariant configuration).
 // One evaluation run needs the same analysis in several artifacts (Table 3,
 // Figures 10–13, Tables 4–5, the §8 extension drivers); the cache makes each
-// pair solve exactly once, and shares the configuration-independent fallback
-// result across all configurations of an application, halving the remaining
-// solver work. Safe for concurrent use from Map workers. It serves
+// pair run exactly one analysis, which derives its own fallback
+// (core.AnalyzeCtx). Safe for concurrent use from Map workers. It serves
 // experiments.Session and internal/chaos; the daemon has its own cache.
 //
 // Failures are never cached: when a computation errors (cancelled context,
@@ -84,9 +82,7 @@ func (c *Cache) System(app *workload.App, cfg invariant.Config) *core.System {
 }
 
 // SystemCtx returns the memoized analysis of app under cfg, computing it on
-// first request. The fallback stage is taken from the memoized Baseline
-// entry, so it is solved once per application no matter how many
-// configurations are requested. Concurrent requests for the same key share
+// first request. Concurrent requests for the same key share
 // one computation; if it fails, all of them receive the error and the entry
 // is invalidated so a later request retries.
 func (c *Cache) SystemCtx(ctx context.Context, app *workload.App, cfg invariant.Config) (*core.System, error) {
@@ -126,29 +122,16 @@ func (c *Cache) SystemCtx(ctx context.Context, app *workload.App, cfg invariant.
 	}
 }
 
-// compute runs one analysis, recursing to the Baseline entry (a different
-// key, so the nested flight cannot deadlock) for the shared fallback result.
+// compute runs one analysis of app under cfg.
 func (c *Cache) compute(ctx context.Context, app *workload.App, cfg invariant.Config) (*core.System, error) {
 	if err := c.faults.Err(faultinject.CachePoison); err != nil {
 		return nil, fmt.Errorf("runner: analysis of %s/%s failed: %w", app.Name, cfg.Name(), err)
-	}
-	var fallback *pointsto.Result
-	if cfg.Any() {
-		base, err := c.SystemCtx(ctx, app, invariant.Config{})
-		if err != nil {
-			return nil, err
-		}
-		fallback = base.Fallback
 	}
 	m, err := app.Module()
 	if err != nil {
 		return nil, fmt.Errorf("runner: workload %s: %w", app.Name, err)
 	}
-	return core.AnalyzeCtx(ctx, m, cfg, core.AnalyzeOpts{
-		Fallback: fallback,
-		Metrics:  c.metrics,
-		Faults:   c.faults,
-	})
+	return core.AnalyzeCtx(ctx, m, cfg, core.AnalyzeOpts{Metrics: c.metrics, Faults: c.faults})
 }
 
 // Len returns the number of memoized entries (test/diagnostic use).

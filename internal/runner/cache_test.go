@@ -98,21 +98,21 @@ func TestCacheErrorInvalidationConcurrentWaiters(t *testing.T) {
 
 // TestCacheErrorInvalidationRecomputeRace stresses waiters racing a
 // recompute across repeated poisoned rounds: each round arms a fresh
-// poison, hammers the same key from many goroutines, and asserts every
-// outcome is either the typed injection or a fully computed system — a
-// cached failure or a nil system without an error would be a contract
+// poison, hammers three keys of one app from many goroutines, and asserts
+// every outcome is either the typed injection or a fully computed system —
+// a cached failure or a nil system without an error would be a contract
 // violation. Runs under -race via `make race`.
 func TestCacheErrorInvalidationRecomputeRace(t *testing.T) {
 	app := testApp(t)
-	cfg := invariant.All()
+	cfgs := []invariant.Config{invariant.All(), {}, {PA: true, PWC: true}}
 	rounds := 20
 	if testing.Short() {
 		rounds = 5
 	}
 	for round := 0; round < rounds; round++ {
 		metrics := telemetry.New()
-		// Vary the firing hit so the poison lands on different flights
-		// (baseline recursion makes several computes per round).
+		// Vary the firing hit so the poison lands on different flights:
+		// each key is at least one compute, so hits 1 to 3 always occur.
 		plan := faultinject.ExplicitAt(faultinject.CachePoison, int64(round%3+1))
 		plan.SetMetrics(metrics)
 		c := NewCache(metrics)
@@ -120,10 +120,10 @@ func TestCacheErrorInvalidationRecomputeRace(t *testing.T) {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
-			go func() {
+			go func(g int) {
 				defer wg.Done()
-				for i := 0; i < 3; i++ {
-					sys, err := c.SystemCtx(context.Background(), app, cfg)
+				for i := 0; i < 3*len(cfgs); i++ {
+					sys, err := c.SystemCtx(context.Background(), app, cfgs[(g+i)%len(cfgs)])
 					if err == nil && sys == nil {
 						t.Error("nil system without an error")
 						return
@@ -133,13 +133,21 @@ func TestCacheErrorInvalidationRecomputeRace(t *testing.T) {
 						return
 					}
 				}
-			}()
+			}(g)
 		}
 		wg.Wait()
-		// After the dust settles the fault has fired; the key must be
+		if !plan.Fired(faultinject.CachePoison) {
+			t.Fatalf("round %d: CachePoison at hit %d never fired", round, round%3+1)
+		}
+		// After the dust settles the fault has fired; every key must be
 		// recomputable and cacheable.
-		if _, err := c.SystemCtx(context.Background(), app, cfg); err != nil {
-			t.Fatalf("round %d: key not recomputable after poison: %v", round, err)
+		for _, cfg := range cfgs {
+			if _, err := c.SystemCtx(context.Background(), app, cfg); err != nil {
+				t.Fatalf("round %d: %s not recomputable after poison: %v", round, cfg.Name(), err)
+			}
+		}
+		if c.Len() != len(cfgs) {
+			t.Fatalf("round %d: cache holds %d entries, want %d", round, c.Len(), len(cfgs))
 		}
 	}
 }

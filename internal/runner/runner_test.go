@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/invariant"
+	"repro/internal/pointsto"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -153,7 +154,7 @@ func TestMapWorkerCap(t *testing.T) {
 }
 
 // TestCacheSingleFlight requests the same analysis from many goroutines and
-// checks it is solved exactly once, everyone sharing the same *System.
+// checks it runs exactly one analysis, everyone sharing the same *System.
 func TestCacheSingleFlight(t *testing.T) {
 	reg := telemetry.New()
 	c := NewCache(reg)
@@ -166,36 +167,57 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatal("concurrent requesters got different *System values")
 		}
 	}
-	// All()-config entry plus the Baseline entry it recursed into.
-	if got := c.Len(); got != 2 {
-		t.Errorf("cache has %d entries, want 2", got)
+	if got := c.Len(); got != 1 {
+		t.Errorf("cache has %d entries, want 1", got)
 	}
-	if got := reg.Counter("runner/cache/misses").Value(); got != 2 {
-		t.Errorf("misses = %d, want 2", got)
+	if got := reg.Counter("runner/cache/misses").Value(); got != 1 {
+		t.Errorf("misses = %d, want 1", got)
 	}
-	if got := reg.Counter("runner/cache/requests").Value(); got != 9 {
-		t.Errorf("requests = %d, want 9 (8 callers + 1 fallback recursion)", got)
+	if got := reg.Counter("runner/cache/requests").Value(); got != 8 {
+		t.Errorf("requests = %d, want 8 (one per caller)", got)
 	}
-	if got := reg.Counter("core/analyses").Value(); got != 2 {
-		t.Errorf("core/analyses = %d, want 2 (baseline + optimistic)", got)
+	if got := reg.Counter("core/analyses").Value(); got != 1 {
+		t.Errorf("core/analyses = %d, want 1 (the fallback is derived inside it)", got)
 	}
 }
 
-// TestCacheSharesFallback checks the configuration-independent fallback
-// result is pointer-shared between the Baseline entry and an invariant
-// configuration's entry.
-func TestCacheSharesFallback(t *testing.T) {
+// TestCacheFallbackMatchesBaseline checks every configuration's own
+// derived fallback answers exactly like the Baseline entry's fresh solve:
+// the same points-to set on every top-level pointer of either, and the same
+// CFI targets at every indirect callsite.
+func TestCacheFallbackMatchesBaseline(t *testing.T) {
 	c := NewCache(nil)
 	app := workload.ByName("tinydtls")
 	base := c.System(app, invariant.Config{})
-	full := c.System(app, invariant.All())
-	if base.Fallback != full.Fallback {
-		t.Error("fallback result not shared across configurations")
-	}
 	if base.Optimistic != base.Fallback {
 		t.Error("baseline optimistic view should alias its fallback")
 	}
-	if full.Optimistic == full.Fallback {
-		t.Error("invariant config should have a distinct optimistic result")
+	pointsTo := func(r *pointsto.Result, p pointsto.PtrRef) string {
+		if p.Reg == "" {
+			return fmt.Sprint(r.ReturnPointsTo(p.Fn))
+		}
+		return fmt.Sprint(r.PointsTo(p.Fn, p.Reg))
+	}
+	for _, cfg := range invariant.Ablations() {
+		if !cfg.Any() {
+			continue
+		}
+		sys := c.System(app, cfg)
+		if sys.Optimistic == sys.Fallback {
+			t.Errorf("%s: invariant config should have a distinct optimistic result", cfg.Name())
+		}
+		for _, p := range append(base.Fallback.TopLevelPointers(), sys.Fallback.TopLevelPointers()...) {
+			if got, want := pointsTo(sys.Fallback, p), pointsTo(base.Fallback, p); got != want {
+				t.Errorf("%s: fallback %s:%s = %s, baseline %s", cfg.Name(), p.Fn, p.Reg, got, want)
+			}
+		}
+		if got, want := sys.Fallback.ICallSites(), base.Fallback.ICallSites(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: fallback icall sites %v, baseline %v", cfg.Name(), got, want)
+		}
+		for _, site := range base.Fallback.ICallSites() {
+			if got, want := sys.Fallback.CallTargets(site), base.Fallback.CallTargets(site); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: fallback icall #%d targets %v, baseline %v", cfg.Name(), site, got, want)
+			}
+		}
 	}
 }

@@ -2,12 +2,13 @@ package serve
 
 // The daemon's one cache, under one mutex: a FIFO of programs keyed by
 // content hash, each with its source, its module (compiled lazily for
-// warm-loaded programs) and single-flight slots — one per configuration,
-// holding its snapshot once solved, and one for the fallback result (stage
-// ① of Figure 4) that all configurations share. A configuration's flight
-// projects its snapshot and writes it through to the store before the slot
-// is installed, both under the request context; evictOldest is the only way
-// a program leaves.
+// warm-loaded programs) and one single-flight slot per configuration,
+// holding its snapshot once solved. A configuration's flight runs one
+// analysis, which derives its own fallback (stage ① of Figure 4), projects
+// the two views into a snapshot and writes it through to the store before
+// the slot is installed, all under the request context. A resident program
+// pins only its snapshots, never a solver result; evictOldest is the only
+// way a program leaves.
 //
 // Failures are never cached: the failing leader first unlinks its slot
 // (only if it is still its own, never a newer flight's), then closes done.
@@ -38,21 +39,25 @@ type program struct {
 	once         sync.Once // compiles mod on first need
 	mod          *ir.Module
 	err          error
-	slots        map[string]*slot // config name → slot, "" = the shared fallback; guarded by cache.mu
+	slots        map[string]*slot // config name → slot; guarded by cache.mu
 }
 
-func (p *program) compile() error {
-	p.once.Do(func() { p.mod, p.err = minic.Compile("prog-"+p.hash[:16], p.source) })
+// compile compiles the program once, under a minic/compile span of ctx.
+func (p *program) compile(ctx context.Context, metrics *telemetry.Registry) error {
+	p.once.Do(func() {
+		_, _, finish := telemetry.StartSpanCtx(ctx, metrics, "minic/compile")
+		defer finish()
+		p.mod, p.err = minic.Compile("prog-"+p.hash[:16], p.source)
+	})
 	return p.err
 }
 
-// slot is one single-flight computation. Its leader fills res (a snapshot)
-// or fb (the fallback), sets ok or err under cache.mu, and closes done,
-// which only requesters of a slot not yet ok wait on.
+// slot is one single-flight computation. Its leader fills res, sets ok or
+// err under cache.mu, and closes done, which only requesters of a slot not
+// yet ok wait on.
 type slot struct {
 	done  chan struct{}
 	res   *servedResult
-	fb    *pointsto.Result
 	err   error
 	ok    bool // guarded by cache.mu
 	dirty bool // guarded by cache.mu: solved, but the disk save failed
@@ -83,19 +88,20 @@ func (c *cache) lookup(hash, cfg string) *servedResult {
 
 // program returns the resident program of hash, or compiles src and inserts
 // it: a malformed submission never enters the FIFO, so it evicts nothing.
-func (c *cache) program(hash, src string) (*program, error) {
+// A compile, if one runs, is a minic/compile span of ctx's trace.
+func (c *cache) program(ctx context.Context, hash, src string) (*program, error) {
 	c.mu.Lock()
 	p := c.progs[hash]
 	c.mu.Unlock()
 	if p == nil {
-		if p = (&program{hash: hash, source: src, slots: map[string]*slot{}}); p.compile() != nil {
+		if p = (&program{hash: hash, source: src, slots: map[string]*slot{}}); p.compile(ctx, c.metrics) != nil {
 			return nil, p.err
 		}
 		c.mu.Lock()
 		p = c.insert(p) // a concurrent insert (e.g. a warm-load) may have won
 		c.mu.Unlock()
 	}
-	return p, p.compile()
+	return p, p.compile(ctx, c.metrics)
 }
 
 // warm installs a snapshot loaded from disk through the same insert as a
@@ -134,8 +140,8 @@ func (c *cache) evictOldest() {
 	p := c.progs[c.order[0]]
 	c.order = c.order[1:]
 	delete(c.progs, p.hash)
-	for cfg := range p.slots {
-		if cfg != "" && c.store != nil {
+	if c.store != nil {
+		for cfg := range p.slots {
 			c.store.Delete(persistKey(p.hash, cfg))
 		}
 	}
@@ -178,27 +184,23 @@ func (c *cache) do(ctx context.Context, p *program, key string, compute func(*sl
 	return sl, err
 }
 
-// solve returns p's snapshot under cfg: the optimistic stage over the
-// shared fallback, projected, and written through to the store. A request
-// context that ends during projection or before the write fails the flight
-// with a typed abort: nothing is installed and no record is written.
+// solve returns p's snapshot under cfg: one analysis, which counts into
+// serve/cache/solves after the CachePoison site fires, projected over its
+// own derived fallback and written through to the store. A request context
+// that ends during the analysis, projection or before the write fails the
+// flight with a typed abort: nothing is installed and no record is written.
 func (c *cache) solve(ctx context.Context, p *program, cfg invariant.Config) (*servedResult, error) {
 	sl, err := c.do(ctx, p, cfg.Name(), func(sl *slot) error {
-		base, err := c.do(ctx, p, "", func(base *slot) (err error) {
-			base.fb, err = c.analyze(ctx, p, invariant.Config{}, nil)
-			return err
-		})
+		c.metrics.Counter("serve/cache/solves").Inc()
+		if err := c.faults.Err(faultinject.CachePoison); err != nil {
+			return fmt.Errorf("serve: analysis of %s/%s failed: %w", p.hash[:16], cfg.Name(), err)
+		}
+		sys, err := core.AnalyzeCtx(ctx, p.mod, cfg, core.AnalyzeOpts{Metrics: c.metrics, Budget: c.budget, Faults: c.faults})
 		if err != nil {
 			return err
 		}
-		opt := base.fb
-		if cfg.Any() {
-			if opt, err = c.analyze(ctx, p, cfg, base.fb); err != nil {
-				return err
-			}
-		}
 		_, _, finish := telemetry.StartSpanCtx(ctx, c.metrics, "serve/project")
-		snap, err := project(ctx, opt, base.fb)
+		snap, err := project(ctx, sys.Optimistic, sys.Fallback)
 		if err == nil {
 			sl.res = newServedResult(snap)
 		}
@@ -217,23 +219,6 @@ func (c *cache) solve(ctx context.Context, p *program, cfg invariant.Config) (*s
 		return nil, err
 	}
 	return sl.res, nil
-}
-
-// analyze runs one analysis of p (compiled by program) — the fallback when
-// fallback is nil, else cfg's optimistic stage over it — and returns its
-// optimistic view (the fallback itself without invariants). Each analysis
-// counts into serve/cache/solves and first fires the CachePoison site.
-func (c *cache) analyze(ctx context.Context, p *program, cfg invariant.Config, fallback *pointsto.Result) (*pointsto.Result, error) {
-	c.metrics.Counter("serve/cache/solves").Inc()
-	if err := c.faults.Err(faultinject.CachePoison); err != nil {
-		return nil, fmt.Errorf("serve: analysis of %s/%s failed: %w", p.hash[:16], cfg.Name(), err)
-	}
-	sys, err := core.AnalyzeCtx(ctx, p.mod, cfg, core.AnalyzeOpts{
-		Fallback: fallback, Metrics: c.metrics, Budget: c.budget, Faults: c.faults})
-	if err != nil {
-		return nil, err
-	}
-	return sys.Optimistic, nil
 }
 
 // persist writes a program's snapshot in sl to the store, if the program

@@ -1,7 +1,7 @@
 package serve
 
-// Tests of the daemon's one cache (cache.go): eviction, fallback sharing
-// across configurations, budget aborts and poisoned flights, plus two
+// Tests of the daemon's one cache (cache.go): eviction, one analysis per
+// (program, config), budget aborts and poisoned flights, plus two
 // regression tests for the coherence of the FIFO with memory and disk.
 
 import (
@@ -28,7 +28,7 @@ func newTestCache(max int, steps int64) (*cache, *telemetry.Registry) {
 }
 
 // cacheSize reports the resident programs and their slots (running or
-// solved, fallbacks included).
+// solved).
 func cacheSize(c *cache) (programs, slots int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -40,7 +40,7 @@ func cacheSize(c *cache) (programs, slots int) {
 
 func solveSource(t *testing.T, c *cache, src string, cfg invariant.Config) (*servedResult, error) {
 	t.Helper()
-	p, err := c.program(hashSource(src), src)
+	p, err := c.program(context.Background(), hashSource(src), src)
 	if err != nil {
 		t.Fatalf("program does not compile: %v", err)
 	}
@@ -57,22 +57,22 @@ func mustSolve(t *testing.T, c *cache, src string, cfg invariant.Config) *served
 }
 
 // TestCacheForget covers eviction: when a program falls out of the FIFO,
-// every configuration of it and its shared fallback go with it, other
-// programs stay, and the evicted program is recomputable afterwards. The
-// name dates from when this was runner.Cache.Forget.
+// every configuration of it goes with it, other programs stay, and the
+// evicted program is recomputable afterwards. The name dates from when this
+// was runner.Cache.Forget.
 func TestCacheForget(t *testing.T) {
 	c, metrics := newTestCache(2, 0)
 	a, b := variantSource(0), variantSource(1)
 	base := invariant.Config{}
-	mustSolve(t, c, a, invariant.All()) // fallback memo + Kaleidoscope slot
+	mustSolve(t, c, a, invariant.All())
 	mustSolve(t, c, a, base)
 	mustSolve(t, c, b, base)
-	if programs, flights := cacheSize(c); programs != 2 || flights != 5 {
-		t.Fatalf("cache holds %d programs / %d flights, want 2 / 5", programs, flights)
+	if programs, flights := cacheSize(c); programs != 2 || flights != 3 {
+		t.Fatalf("cache holds %d programs / %d flights, want 2 / 3", programs, flights)
 	}
 	mustSolve(t, c, variantSource(2), base) // evicts a
-	if programs, flights := cacheSize(c); programs != 2 || flights != 4 {
-		t.Fatalf("after eviction: %d programs / %d flights, want 2 / 4", programs, flights)
+	if programs, flights := cacheSize(c); programs != 2 || flights != 2 {
+		t.Fatalf("after eviction: %d programs / %d flights, want 2 / 2", programs, flights)
 	}
 	if got := metrics.Counter("serve/cache/programs-evicted").Value(); got != 1 {
 		t.Fatalf("serve/cache/programs-evicted = %d, want 1", got)
@@ -86,66 +86,64 @@ func TestCacheForget(t *testing.T) {
 	analyses := metrics.Counter("core/analyses").Value()
 	mustSolve(t, c, a, base)
 	if got := metrics.Counter("core/analyses").Value(); got != analyses+1 {
-		t.Fatalf("evicted program re-solve ran %d analyses, want 1 (its fallback went with it)", got-analyses)
+		t.Fatalf("evicted program re-solve ran %d analyses, want 1", got-analyses)
 	}
 }
 
-// TestCacheCompact covers fallback sharing: once a program has a snapshot,
-// a further configuration runs only the optimistic stage over the memoized
-// fallback, and concurrent configurations of a new program solve its
-// fallback once. The name dates from runner.Cache.Compact, which kept the
-// Baseline System resident for exactly this sharing.
+// TestCacheCompact covers the cost contract: each (program, config) runs
+// exactly one analysis, counted once in serve/cache/solves and deriving its
+// own fallback stage, a solved configuration runs none again, and
+// concurrent requests for several configurations of a new program run one
+// analysis per configuration. The name dates from runner.Cache.Compact.
 func TestCacheCompact(t *testing.T) {
 	c, metrics := newTestCache(4, 0)
 	paPWC := invariant.Config{PA: true, PWC: true}
+	want := func(what string, n int64) {
+		t.Helper()
+		solves, analyses := metrics.Counter("serve/cache/solves").Value(), metrics.Counter("core/analyses").Value()
+		if fallbacks := metrics.Timer("core/stage/fallback").Count(); solves != n || analyses != n || fallbacks != n {
+			t.Fatalf("%s: %d solves / %d analyses / %d fallback stages, want %d each", what, solves, analyses, fallbacks, n)
+		}
+	}
 	src := variantSource(0)
 	mustSolve(t, c, src, invariant.All())
-	analyses := metrics.Counter("core/analyses").Value()
-	fallbacks := metrics.Timer("core/stage/fallback").Count()
-	if fallbacks != 1 {
-		t.Fatalf("first solve ran %d fallback stages, want 1", fallbacks)
-	}
+	want("first config", 1)
 	mustSolve(t, c, src, paPWC)
-	if got := metrics.Counter("core/analyses").Value(); got != analyses+1 {
-		t.Fatalf("second config ran %d analyses, want 1", got-analyses)
-	}
-	if got := metrics.Timer("core/stage/fallback").Count(); got != fallbacks {
-		t.Fatalf("second config re-ran the fallback stage (%d -> %d)", fallbacks, got)
-	}
+	want("second config", 2)
+	mustSolve(t, c, src, invariant.All())
+	want("solved config again", 2)
 
 	fresh := variantSource(1)
-	p, err := c.program(hashSource(fresh), fresh)
+	p, err := c.program(context.Background(), hashSource(fresh), fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfgs := []invariant.Config{invariant.All(), paPWC, {}}
 	var wg sync.WaitGroup
-	for _, cfg := range []invariant.Config{invariant.All(), paPWC} {
+	for i := 0; i < 4*len(cfgs); i++ {
 		wg.Add(1)
 		go func(cfg invariant.Config) {
 			defer wg.Done()
 			if _, err := c.solve(context.Background(), p, cfg); err != nil {
 				t.Errorf("concurrent %s: %v", cfg.Name(), err)
 			}
-		}(cfg)
+		}(cfgs[i%len(cfgs)])
 	}
 	wg.Wait()
-	if got := metrics.Timer("core/stage/fallback").Count(); got != fallbacks+1 {
-		t.Fatalf("concurrent configs of a new program ran %d fallback stages, want 1", got-fallbacks)
-	}
+	want("concurrent configs of a new program", 2+int64(len(cfgs)))
 }
 
 // TestCacheBudgetAbort asserts a budget abort is typed and uncached: the
-// caller sees ErrSolveAborted, both failed flights (the slot and the
-// fallback memo it waited on) are invalidated, and lifting the budget lets
-// the same key solve.
+// caller sees ErrSolveAborted, the failed flight is invalidated, and
+// lifting the budget lets the same key solve.
 func TestCacheBudgetAbort(t *testing.T) {
 	c, metrics := newTestCache(1, 1)
 	base := invariant.Config{}
 	if _, err := solveSource(t, c, demoSource, base); !errors.Is(err, pointsto.ErrSolveAborted) {
 		t.Fatalf("budgeted solve returned %v, want ErrSolveAborted", err)
 	}
-	if got := metrics.Counter("serve/cache/invalidations").Value(); got != 2 {
-		t.Fatalf("serve/cache/invalidations = %d, want 2", got)
+	if got := metrics.Counter("serve/cache/invalidations").Value(); got != 1 {
+		t.Fatalf("serve/cache/invalidations = %d, want 1", got)
 	}
 	if programs, flights := cacheSize(c); programs != 1 || flights != 0 {
 		t.Fatalf("after abort: %d programs / %d flights, want 1 / 0", programs, flights)
@@ -184,7 +182,7 @@ func TestCachePoisonedFlightUncached(t *testing.T) {
 	plan := faultinject.Explicit(faultinject.CachePoison)
 	plan.SetMetrics(metrics)
 	c := New(Config{Metrics: metrics, MaxPrograms: 1, Faults: plan}).cache
-	p, err := c.program(hashSource(demoSource), demoSource)
+	p, err := c.program(context.Background(), hashSource(demoSource), demoSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +293,7 @@ func TestEvictedSolveLeavesNoOrphans(t *testing.T) {
 	if status, body, _ := post(t, ts, "/analyze", map[string]any{"source": p, "config": "all"}); status != http.StatusOK || body["cached"] != false {
 		t.Fatalf("evicted P resubmitted: %d cached=%v, want 200/false", status, body["cached"])
 	}
-	if got := counter(s, "core/analyses"); got != analyses+2 {
-		t.Fatalf("evicted P re-solve ran %d analyses, want 2 (fallback + optimistic)", got-analyses)
+	if got := counter(s, "core/analyses"); got != analyses+1 {
+		t.Fatalf("evicted P re-solve ran %d analyses, want 1", got-analyses)
 	}
 }

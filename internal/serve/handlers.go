@@ -73,7 +73,7 @@ func (s *Server) system(ctx context.Context, req submission) (*analysis, *apiErr
 	}
 	// Compile before admission: a malformed program must cost a parse, not
 	// a solve slot.
-	prog, err := s.cache.program(hash, src)
+	prog, err := s.cache.program(ctx, hash, src)
 	if err != nil {
 		s.metrics.Counter("serve/errors/compile").Inc()
 		return nil, &apiError{Status: http.StatusBadRequest, Kind: "validation",

@@ -152,8 +152,8 @@ func TestProgramEviction(t *testing.T) {
 	if got := counter(s, "serve/cache/programs-evicted"); got != 1 {
 		t.Fatalf("programs evicted = %d, want 1", got)
 	}
-	if programs, flights := cacheSize(s.cache); programs != 2 || flights != 4 {
-		t.Fatalf("cache holds %d programs / %d flights, want 2 / 4 (the victim's slot and fallback gone)", programs, flights)
+	if programs, flights := cacheSize(s.cache); programs != 2 || flights != 2 {
+		t.Fatalf("cache holds %d programs / %d flights, want 2 / 2 (the victim's slot gone)", programs, flights)
 	}
 	// The evicted program re-solves rather than hitting the cache.
 	solves := counter(s, "core/analyses")

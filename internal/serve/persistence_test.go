@@ -476,8 +476,8 @@ func TestStaleFormatRecordResolved(t *testing.T) {
 			t.Fatalf("%s served the stale record: %s", q.path, got)
 		}
 	}
-	if got := counter(s, "core/analyses"); got != 2 {
-		t.Fatalf("re-solve ran %d analyses, want 2 (fallback + optimistic)", got)
+	if got := counter(s, "core/analyses"); got != 1 {
+		t.Fatalf("re-solve ran %d analyses, want 1", got)
 	}
 	if files := recordFiles(t, dir); len(files) != 1 {
 		t.Fatalf("re-solve wrote %d records, want 1", len(files))
@@ -513,11 +513,13 @@ func (c *pollCtx) Err() error {
 	}
 }
 
-// TestMissOverrunAfterSolve cancels a miss after its solve has finished:
-// at the first projection check, and at the check before the record write.
-// Either way the client gets the solver's typed 503 budget error, no
-// snapshot is installed and no record is written; the next request solves
-// afresh and persists.
+// TestMissOverrunAfterSolve cancels a miss at each context check it makes
+// once the optimistic solve has finished: the restore check that opens the
+// fallback stage, the first projection check, and the check before the
+// record write. Each of the three is located by the stage its abort names,
+// not by its index. Whichever check it lands on, the client gets the
+// solver's typed 503 budget error, no snapshot is installed and no record is
+// written; the next request solves afresh and persists.
 func TestMissOverrunAfterSolve(t *testing.T) {
 	body, _ := json.Marshal(map[string]any{"source": demoSource})
 	miss := func(s *Server, ctx context.Context) *httptest.ResponseRecorder {
@@ -534,18 +536,21 @@ func TestMissOverrunAfterSolve(t *testing.T) {
 		t.Fatalf("clean miss: %d %s", rec.Code, rec.Body)
 	}
 	checks := clean.polls.Load()
-	if checks < 2 {
-		t.Fatalf("a miss polled its context %d times, want projection and write checks", checks)
-	}
-	for k, stage := range map[int64]string{1: "during projection", checks: "during record write"} {
+	stages := []string{"fallback stage", "during projection", "during record write"}
+	first := map[string]int64{} // stage → the first check that aborts in it
+	for k := int64(1); k <= checks; k++ {
 		dir := t.TempDir()
 		s, ts := newTestServer(t, Config{CacheDir: dir})
 		waitWarm(t, s)
 		rec := miss(s, newPollCtx(k))
 		var e errorBody
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusServiceUnavailable ||
-			e.Kind != "budget" || !strings.Contains(e.Error, stage) {
-			t.Fatalf("cancelled at check %d/%d: %d %s, want 503 budget %s", k, checks, rec.Code, rec.Body, stage)
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusServiceUnavailable || e.Kind != "budget" {
+			t.Fatalf("cancelled at check %d/%d: %d %s, want 503 budget", k, checks, rec.Code, rec.Body)
+		}
+		for _, stage := range stages {
+			if strings.Contains(e.Error, stage) && first[stage] == 0 {
+				first[stage] = k
+			}
 		}
 		if files := recordFiles(t, dir); len(files) != 0 {
 			t.Fatalf("cancelled at check %d/%d: records written: %v", k, checks, files)
@@ -559,5 +564,16 @@ func TestMissOverrunAfterSolve(t *testing.T) {
 		if files := recordFiles(t, dir); len(files) != 1 {
 			t.Fatalf("retry wrote %d records, want 1", len(files))
 		}
+	}
+	for i, stage := range stages {
+		if first[stage] == 0 {
+			t.Fatalf("no check of %d aborts %s (first aborts: %v)", checks, stage, first)
+		}
+		if i > 0 && first[stage] <= first[stages[i-1]] {
+			t.Fatalf("checks out of order: %v", first)
+		}
+	}
+	if first["during record write"] != checks {
+		t.Fatalf("the last check (%d) is not the record write: %v", checks, first)
 	}
 }

@@ -13,8 +13,8 @@
 //     invariant configuration that hash keys the daemon's one cache
 //     (cache.go), so a repeated submission (whatever its claimed name) is
 //     answered from its snapshot without a compile, admission or a second
-//     solve, identical concurrent submissions coalesce into one solve, and
-//     all configurations of a program share one fallback solve.
+//     solve, and identical concurrent submissions coalesce into one
+//     analysis per (program, config), which derives its own fallback.
 //   - Every solve runs under the per-stage step budget and wall-clock
 //     timeout of the server; an exhausted budget is a typed 503
 //     (kind "budget"), never a partial result (pointsto.ErrSolveAborted).
@@ -79,7 +79,9 @@ type Config struct {
 	QueueTimeout time.Duration
 
 	// SolveSteps bounds each solver stage of an admitted analysis
-	// (pointsto.Budget.MaxSteps); 0 = unlimited. Exhaustion is a typed 503.
+	// (pointsto.Budget.MaxSteps): the optimistic solve and the fallback
+	// stage, which is the restore's re-solve (a fresh solve without
+	// invariants); 0 = unlimited. Exhaustion is a typed 503.
 	SolveSteps int64
 
 	// SolveTimeout bounds an admitted analysis' wall clock; 0 = unlimited.

@@ -3,7 +3,8 @@ package serve
 // Tests of the deduplicating snapshot projection (snapshot.go): what every
 // handler serves must equal the live solver answer, on the paper apps and
 // the scaled family under every ablation, and two solves of one program
-// must persist identical bytes.
+// must persist identical bytes — also when the fallback is a fresh
+// standard solve rather than the configuration's own derived one.
 
 import (
 	"context"
@@ -33,24 +34,23 @@ func liveLabels(r *pointsto.Result, p pointsto.PtrRef) []string {
 	return out
 }
 
-// solveViews compiles src and solves its fallback, then every ablation's
-// optimistic view over it (the fallback itself for the baseline), as the
-// daemon's cache does.
-func solveViews(t *testing.T, name, src string) (fb *pointsto.Result, opts []*pointsto.Result) {
+// solveViews compiles src and runs one analysis per ablation, in
+// invariant.Ablations order, as the daemon's cache does: each System holds
+// the configuration's optimistic view and its own derived fallback.
+func solveViews(t *testing.T, name, src string) (systems []*core.System) {
 	t.Helper()
 	m, err := minic.Compile(name, src)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	fb = core.Analyze(m, invariant.Config{}).Fallback
 	for _, cfg := range invariant.Ablations() {
-		sys, err := core.AnalyzeCtx(context.Background(), m, cfg, core.AnalyzeOpts{Fallback: fb})
+		sys, err := core.AnalyzeCtx(context.Background(), m, cfg, core.AnalyzeOpts{})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, cfg.Name(), err)
 		}
-		opts = append(opts, sys.Optimistic)
+		systems = append(systems, sys)
 	}
-	return fb, opts
+	return systems
 }
 
 func mustProject(t *testing.T, opt, fb *pointsto.Result) *resultSnapshot {
@@ -70,7 +70,10 @@ func mustProject(t *testing.T, opt, fb *pointsto.Result) *resultSnapshot {
 // and randprog-1k under all eight ablation configs: every pointer of
 // either view serves exactly the live labels under both views, a pointer
 // the snapshot omits is empty in both, and two fresh solves marshal to
-// identical bytes.
+// identical bytes. Each snapshot also marshals to the same bytes as the
+// projection over one separately solved standard fallback (the baseline
+// projecting that fallback as both views), so records written when every
+// configuration shared one fresh fallback stay valid.
 func TestSnapshotDifferential(t *testing.T) {
 	type program struct{ name, src string }
 	var progs []program
@@ -86,10 +89,11 @@ func TestSnapshotDifferential(t *testing.T) {
 	progs = append(progs, program{"randprog-1k", workload.ScaledApps()[0].Source})
 
 	for _, pr := range progs {
-		fb, opts := solveViews(t, pr.name, pr.src)
-		fb2, opts2 := solveViews(t, pr.name, pr.src)
+		systems := solveViews(t, pr.name, pr.src)
+		systems2 := solveViews(t, pr.name, pr.src)
+		shared := systems2[0].Fallback // the Baseline analysis: one fresh standard solve
 		for i, cfg := range invariant.Ablations() {
-			opt := opts[i]
+			opt, fb := systems[i].Optimistic, systems[i].Fallback
 			snap := mustProject(t, opt, fb)
 			res := newServedResult(snap)
 			listed := map[pointsto.PtrRef]bool{}
@@ -110,9 +114,16 @@ func TestSnapshotDifferential(t *testing.T) {
 				}
 			}
 			first, _ := json.Marshal(snap)
-			second, _ := json.Marshal(mustProject(t, opts2[i], fb2))
+			second, _ := json.Marshal(mustProject(t, systems2[i].Optimistic, systems2[i].Fallback))
 			if string(first) != string(second) {
 				t.Fatalf("%s/%s: two fresh solves marshal to different snapshots", pr.name, cfg.Name())
+			}
+			sharedOpt := opt
+			if !cfg.Any() {
+				sharedOpt = shared
+			}
+			if third, _ := json.Marshal(mustProject(t, sharedOpt, shared)); string(first) != string(third) {
+				t.Fatalf("%s/%s: snapshot over the derived fallback differs from one over a fresh fallback", pr.name, cfg.Name())
 			}
 		}
 	}
@@ -121,8 +132,9 @@ func TestSnapshotDifferential(t *testing.T) {
 // TestSnapshotStoresEachSetOnce: the set table holds no duplicate, and
 // every pointer whose views agree names one set for both.
 func TestSnapshotStoresEachSetOnce(t *testing.T) {
-	fb, opts := solveViews(t, "randprog-1k", workload.ScaledApps()[0].Source)
-	snap := mustProject(t, opts[len(opts)-1], fb)
+	systems := solveViews(t, "randprog-1k", workload.ScaledApps()[0].Source)
+	all := systems[len(systems)-1]
+	snap := mustProject(t, all.Optimistic, all.Fallback)
 	seen := map[string]bool{}
 	for _, set := range snap.Sets {
 		key := fmt.Sprint(set)
@@ -153,11 +165,12 @@ func TestSnapshotStoresEachSetOnce(t *testing.T) {
 // TestProjectAbortsOnDoneContext: a projection whose context has ended
 // returns the solver's typed abort, carrying the context error.
 func TestProjectAbortsOnDoneContext(t *testing.T) {
-	fb, opts := solveViews(t, "demo", demoSource)
+	systems := solveViews(t, "demo", demoSource)
+	all := systems[len(systems)-1]
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
 	<-ctx.Done()
-	snap, err := project(ctx, opts[len(opts)-1], fb)
+	snap, err := project(ctx, all.Optimistic, all.Fallback)
 	if snap != nil || !errors.Is(err, pointsto.ErrSolveAborted) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("project under an expired context = %v, %v; want nil and a typed abort", snap, err)
 	}

@@ -109,8 +109,8 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("flight index missing request traces: %+v", idx.Recent)
 	}
 
-	// The first (uncached) trace exports as Chrome trace JSON with the solve
-	// pipeline's spans and the request annotations.
+	// The first (uncached) trace exports as Chrome trace JSON with the
+	// compile and solve pipeline's spans and the request annotations.
 	status, chrome := rawGet(t, ts.URL+"/tracez?id=my-trace-1")
 	if status != http.StatusOK {
 		t.Fatalf("tracez export: status %d: %s", status, chrome)
@@ -124,7 +124,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	body := string(chrome)
 	for _, want := range []string{
-		"serve/solve", "core/analyze", // request + analysis phases
+		"minic/compile", "serve/solve", "core/analyze", // request + analysis phases
 		`"cache"`, `"miss"`, // annotations
 		`"program"`, `"status"`,
 	} {
@@ -140,6 +140,9 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(string(chrome2), `"hit"`) {
 		t.Fatalf("cached request's trace not annotated cache=hit:\n%s", chrome2)
+	}
+	if strings.Contains(string(chrome2), "minic/compile") {
+		t.Fatalf("cached request's trace has a compile span:\n%s", chrome2)
 	}
 
 	// Unknown ids 404.
