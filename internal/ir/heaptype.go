@@ -21,16 +21,11 @@ func PropagateHeapTypes(m *Module) {
 		failed: map[string]bool{},
 	}
 	for _, f := range m.Funcs {
-		defs := map[string]Instr{}
 		f.Instrs(func(_ *Block, in Instr) {
-			if d := in.Def(); d != "" {
-				defs[d] = in
-			}
 			if c, ok := in.(*Call); ok {
 				p.sites[c.Callee] = append(p.sites[c.Callee], &callRef{caller: f.Name, call: c})
 			}
 		})
-		p.defs[f.Name] = defs
 	}
 	for _, f := range m.Funcs {
 		f.Instrs(func(_ *Block, in Instr) {
@@ -52,7 +47,7 @@ type callRef struct {
 
 type heapTypeProp struct {
 	m      *Module
-	defs   map[string]map[string]Instr
+	defs   map[string]map[string]Instr // per function, built on first use
 	sites  map[string][]*callRef
 	memo   map[string]Type
 	failed map[string]bool
@@ -117,11 +112,28 @@ func (p *heapTypeProp) resolveUncached(fn, reg string, depth int) Type {
 		}
 		return agreed
 	}
-	switch d := p.defs[fn][reg].(type) {
+	switch d := p.defsOf(f)[reg].(type) {
 	case *Const:
 		return d.SizeOfType
 	case *Copy:
 		return p.resolve(fn, d.Src, depth)
 	}
 	return nil
+}
+
+// defsOf returns f's register -> defining instruction map, building it the
+// first time a resolution walks into f. Where a register is defined more
+// than once, the last definition in block order wins.
+func (p *heapTypeProp) defsOf(f *Function) map[string]Instr {
+	defs, ok := p.defs[f.Name]
+	if !ok {
+		defs = map[string]Instr{}
+		f.Instrs(func(_ *Block, in Instr) {
+			if d := in.Def(); d != "" {
+				defs[d] = in
+			}
+		})
+		p.defs[f.Name] = defs
+	}
+	return defs
 }

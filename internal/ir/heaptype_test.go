@@ -116,3 +116,27 @@ func TestPropagateHeapTypesDirectConst(t *testing.T) {
 		t.Fatalf("copy-chained sizeof not recovered: %v", mallocIn(m, "main").SizeOf)
 	}
 }
+
+// TestPropagateHeapTypesLastDefinitionWins: a register defined twice
+// resolves through its last definition in block order, even when the first
+// one would resolve and the def map is built only once resolution needs it.
+func TestPropagateHeapTypesLastDefinitionWins(t *testing.T) {
+	first := &StructType{Name: "first", Fields: []Field{{Name: "x", Type: Int}}}
+	last := &StructType{Name: "last", Fields: []Field{{Name: "y", Type: Fn}}}
+	m := NewModule("redef")
+	b := NewFuncBuilder("main", nil, nil, Int)
+	b.Emit(&Const{Dest: "%n", Val: 1, SizeOfType: first})
+	b.NewBlockLinked("next")
+	b.Emit(&Const{Dest: "%n", Val: 1, SizeOfType: last})
+	h := b.Temp()
+	b.Emit(&Malloc{Dest: h, Size: "%n"})
+	b.Ret(b.Const(0))
+	m.AddFunc(b.F)
+	if err := m.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	PropagateHeapTypes(m)
+	if mal := mallocIn(m, "main"); mal.SizeOf == nil || BaseName(mal.SizeOf) != "last" {
+		t.Fatalf("redefined size register typed %v, want last", mal.SizeOf)
+	}
+}

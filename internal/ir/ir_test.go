@@ -209,6 +209,69 @@ func TestFinalizeAssignsIDsAndAddressTaken(t *testing.T) {
 	}
 }
 
+// TestInstrTables: a module built with FuncBuilder alone gets IDs 1..n in
+// block order, the ID tables answer every ID in range and nil outside it
+// (and before Finalize), and a second Finalize changes nothing.
+func TestInstrTables(t *testing.T) {
+	m := NewModule("tables")
+	if m.InstrByID(1) != nil || m.FuncOfInstr(1) != nil || m.InstrByID(0) != nil || m.FuncOfInstr(0) != nil {
+		t.Fatal("un-finalized module answers an instruction ID")
+	}
+	tb := NewFuncBuilder("leaf", []string{"%a"}, []Type{Int}, Int)
+	tb.Ret("%a")
+	m.AddFunc(tb.F)
+	b := NewFuncBuilder("main", nil, nil, Int)
+	c := b.Const(1)
+	b.CondJump(c, "then", "else")
+	b.NewBlock("then")
+	x := b.Temp()
+	b.Emit(&Call{Dest: x, Callee: "leaf", Args: []string{c}})
+	b.Ret(x)
+	b.NewBlock("else")
+	b.Ret(c)
+	m.AddFunc(b.F)
+	if m.InstrByID(1) != nil || m.FuncOfInstr(1) != nil {
+		t.Fatal("un-finalized module answers an instruction ID")
+	}
+	if err := m.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+
+	type entry struct {
+		in Instr
+		f  *Function
+	}
+	var order []entry
+	for _, f := range m.Funcs {
+		f.Instrs(func(_ *Block, in Instr) { order = append(order, entry{in, f}) })
+	}
+	check := func() {
+		t.Helper()
+		if m.NumInstrs() != len(order) {
+			t.Fatalf("NumInstrs = %d, want %d", m.NumInstrs(), len(order))
+		}
+		for i, e := range order {
+			id := i + 1
+			if got := InstrID(e.in); got != id {
+				t.Errorf("instruction %d (%q) has ID %d", id, e.in, got)
+			}
+			if m.InstrByID(id) != e.in || m.FuncOfInstr(id) != e.f {
+				t.Errorf("ID %d: InstrByID/FuncOfInstr = %q/%v, want %q/%s", id, m.InstrByID(id), m.FuncOfInstr(id), e.in, e.f.Name)
+			}
+		}
+		for _, id := range []int{0, -1, len(order) + 1} {
+			if m.InstrByID(id) != nil || m.FuncOfInstr(id) != nil {
+				t.Errorf("ID %d outside 1..%d answers %q/%v", id, len(order), m.InstrByID(id), m.FuncOfInstr(id))
+			}
+		}
+	}
+	check()
+	if err := m.Finalize(); err != nil {
+		t.Fatalf("second Finalize: %v", err)
+	}
+	check()
+}
+
 func TestValidateRejectsMissingTerminator(t *testing.T) {
 	m := NewModule("bad")
 	f := &Function{Name: "f", Blocks: []*Block{{Name: "entry"}}}
@@ -226,6 +289,23 @@ func TestValidateRejectsUndefinedRegister(t *testing.T) {
 	m.AddFunc(b.F)
 	if err := m.Finalize(); err == nil || !strings.Contains(err.Error(), "undefined register") {
 		t.Fatalf("Finalize err = %v, want undefined register error", err)
+	}
+}
+
+// TestValidateRegistersArePerFunction: a register defined in one function
+// does not count as defined in the next.
+func TestValidateRegistersArePerFunction(t *testing.T) {
+	m := NewModule("bad")
+	a := NewFuncBuilder("a", nil, nil, nil)
+	a.Emit(&Copy{Dest: "%x", Src: a.Const(1)})
+	a.Emit(&Ret{})
+	m.AddFunc(a.F)
+	b := NewFuncBuilder("b", nil, nil, nil)
+	b.Emit(&Copy{Dest: "%y", Src: "%x"})
+	b.Emit(&Ret{})
+	m.AddFunc(b.F)
+	if err := m.Finalize(); err == nil || !strings.Contains(err.Error(), "b/entry: use of undefined register \"%x\"") {
+		t.Fatalf("Finalize err = %v, want undefined register %%x in b", err)
 	}
 }
 

@@ -73,9 +73,8 @@ type Module struct {
 
 	funcIndex   map[string]*Function
 	globalIndex map[string]*Global
-	instrByID   map[int]Instr
-	instrFunc   map[int]*Function
-	nextID      int
+	instrByID   []Instr     // instrByID[id-1] is the instruction with ID id
+	instrFunc   []*Function // instrFunc[id-1] contains it
 	finalized   bool
 }
 
@@ -123,27 +122,44 @@ func (m *Module) Global(name string) *Global {
 	return nil
 }
 
-// InstrByID returns the instruction with the given Finalize-assigned ID.
-func (m *Module) InstrByID(id int) Instr { return m.instrByID[id] }
+// InstrByID returns the instruction with the given Finalize-assigned ID, or
+// nil if id is outside 1..NumInstrs().
+func (m *Module) InstrByID(id int) Instr {
+	if id < 1 || id > len(m.instrByID) {
+		return nil
+	}
+	return m.instrByID[id-1]
+}
 
-// FuncOfInstr returns the function containing the instruction with id.
-func (m *Module) FuncOfInstr(id int) *Function { return m.instrFunc[id] }
+// FuncOfInstr returns the function containing the instruction with id, or
+// nil if id is outside 1..NumInstrs().
+func (m *Module) FuncOfInstr(id int) *Function {
+	if id < 1 || id > len(m.instrFunc) {
+		return nil
+	}
+	return m.instrFunc[id-1]
+}
 
 // NumInstrs returns the number of instructions in the module (post-Finalize).
-func (m *Module) NumInstrs() int { return m.nextID - 1 }
+func (m *Module) NumInstrs() int { return len(m.instrByID) }
 
-// Finalize assigns module-unique instruction IDs, builds lookup indexes, and
-// computes address-taken facts. It must be called once construction is done
-// and before analysis or execution.
+// Finalize assigns module-unique instruction IDs 1..n in block order, builds
+// lookup indexes, and computes address-taken facts. It must be called once
+// construction is done and before analysis or execution.
 func (m *Module) Finalize() error {
 	if m.finalized {
 		return nil
 	}
-	m.funcIndex = map[string]*Function{}
-	m.globalIndex = map[string]*Global{}
-	m.instrByID = map[int]Instr{}
-	m.instrFunc = map[int]*Function{}
-	m.nextID = 1
+	n := 0
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			n += len(b.Instrs)
+		}
+	}
+	m.funcIndex = make(map[string]*Function, len(m.Funcs))
+	m.globalIndex = make(map[string]*Global, len(m.Globals))
+	m.instrByID = make([]Instr, 0, n)
+	m.instrFunc = make([]*Function, 0, n)
 	for _, g := range m.Globals {
 		if _, dup := m.globalIndex[g.Name]; dup {
 			return fmt.Errorf("ir: duplicate global %q", g.Name)
@@ -159,10 +175,9 @@ func (m *Module) Finalize() error {
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				in.base().ID = m.nextID
-				m.instrByID[m.nextID] = in
-				m.instrFunc[m.nextID] = f
-				m.nextID++
+				m.instrByID = append(m.instrByID, in)
+				m.instrFunc = append(m.instrFunc, f)
+				in.base().ID = len(m.instrByID)
 				if af, ok := in.(*AddrFunc); ok {
 					tgt := m.funcIndex[af.Func]
 					if tgt == nil {
@@ -182,6 +197,7 @@ func (m *Module) Finalize() error {
 // use within a function (conservatively: defined somewhere in the function),
 // and field indices are in range.
 func (m *Module) Validate() error {
+	defined := map[string]bool{}
 	for _, f := range m.Funcs {
 		if len(f.Blocks) == 0 {
 			return fmt.Errorf("ir: function %s has no blocks", f.Name)
@@ -196,7 +212,7 @@ func (m *Module) Validate() error {
 			}
 			blocks[b.Name] = true
 		}
-		defined := map[string]bool{}
+		clear(defined)
 		for _, p := range f.Params {
 			defined[p] = true
 		}

@@ -60,11 +60,17 @@ type lexer struct {
 	toks []token
 }
 
-// lex tokenizes src, returning all tokens (terminated by tokEOF).
+// lex tokenizes src, returning all tokens (terminated by tokEOF). The token
+// slice is sized once from the source length: generated and hand-written
+// MiniC both run above two bytes per token, so len(src)/2+1 holds every
+// token in one allocation (16 bytes per source byte up front); a denser
+// source grows by append.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
+	l := &lexer{src: src, line: 1, toks: make([]token, 0, len(src)/2+1)}
 	for {
-		l.skipSpaceAndComments()
+		if err := l.skipSpaceAndComments(); err != nil {
+			return nil, err
+		}
 		if l.pos >= len(l.src) {
 			l.toks = append(l.toks, token{kind: tokEOF, line: l.line})
 			return l.toks, nil
@@ -98,7 +104,9 @@ func lex(src string) ([]token, error) {
 	}
 }
 
-func (l *lexer) skipSpaceAndComments() {
+// skipSpaceAndComments advances past whitespace and comments. A block
+// comment without its closing "*/" is an error at the line it opened on.
+func (l *lexer) skipSpaceAndComments() error {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -112,34 +120,35 @@ func (l *lexer) skipSpaceAndComments() {
 				l.pos++
 			}
 		case strings.HasPrefix(l.src[l.pos:], "/*"):
-			l.pos += 2
-			for l.pos < len(l.src) && !strings.HasPrefix(l.src[l.pos:], "*/") {
-				if l.src[l.pos] == '\n' {
-					l.line++
-				}
-				l.pos++
+			body := l.src[l.pos+2:]
+			end := strings.Index(body, "*/")
+			if end < 0 {
+				return errf(l.line, "unterminated /* comment")
 			}
-			l.pos += 2
+			l.line += strings.Count(body[:end], "\n")
+			l.pos += 2 + end + 2
 		default:
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
-var twoCharPuncts = []string{"->", "==", "!=", "<=", ">=", "&&", "||"}
-
+// punct lexes one punctuator, two-character ones first. Its text is a
+// substring of the source, so a token costs no allocation of its own.
 func (l *lexer) punct() (string, error) {
 	rest := l.src[l.pos:]
-	for _, p := range twoCharPuncts {
-		if strings.HasPrefix(rest, p) {
+	if len(rest) >= 2 {
+		switch rest[:2] {
+		case "->", "==", "!=", "<=", ">=", "&&", "||":
 			l.pos += 2
-			return p, nil
+			return rest[:2], nil
 		}
 	}
 	c := l.src[l.pos]
-	if strings.ContainsRune("(){}[];,.&*+-/%=<>!", rune(c)) {
+	if strings.IndexByte("(){}[];,.&*+-/%=<>!", c) >= 0 {
 		l.pos++
-		return string(c), nil
+		return rest[:1], nil
 	}
 	return "", errf(l.line, "unexpected character %q", c)
 }

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -68,6 +69,64 @@ func TestLexBasics(t *testing.T) {
 func TestLexRejectsBadChar(t *testing.T) {
 	if _, err := lex("int x @ y;"); err == nil {
 		t.Fatal("lex accepted '@'")
+	}
+}
+
+// TestLexRejectsUnterminatedComment: a block comment that never closes is
+// an error at the line it opened on, not a silent end of the program.
+func TestLexRejectsUnterminatedComment(t *testing.T) {
+	cases := []struct {
+		src  string
+		line int
+	}{
+		{"/* unterminated", 1},
+		{"int x; /* oops", 1},
+		{"int main() {\n  int x;\n  /* cut off\n  x = 1;\n", 3},
+		{"int x; /* ends in a star *", 1},
+		{"int x; /*/", 1},
+	}
+	for _, c := range cases {
+		_, err := Compile("t", c.src)
+		var e *Error
+		if !errors.As(err, &e) {
+			t.Fatalf("Compile(%q) = %v, want *Error", c.src, err)
+		}
+		if e.Line != c.line || !strings.Contains(e.Msg, "unterminated") {
+			t.Errorf("Compile(%q) = %v, want unterminated comment at line %d", c.src, err, c.line)
+		}
+	}
+	// Closed comments, including "/*/" openers and one ending the source,
+	// still lex, and lines inside them are counted.
+	toks, err := lex("/*/ a */ int\n/* b\n*/ x; /* c */")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != 4 || toks[1].text != "x" || toks[1].line != 3 {
+		t.Fatalf("tokens = %v, want int, x (line 3), ;, EOF", toks)
+	}
+}
+
+// TestLexAllocs: lexing makes the same small number of allocations whatever
+// the source size (the token slice is sized once from the source length,
+// and token texts are substrings of the source).
+func TestLexAllocs(t *testing.T) {
+	small := mbedSnippet
+	large := strings.Repeat(mbedSnippet, 100)
+	var want float64
+	for i, src := range []string{small, large} {
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := lex(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 2 {
+			t.Errorf("lex(%d bytes): %.0f allocations, want <= 2", len(src), n)
+		}
+		if i == 0 {
+			want = n
+		} else if n != want {
+			t.Errorf("lex(%d bytes): %.0f allocations, lex(%d bytes): %.0f; want the same", len(small), want, len(src), n)
+		}
 	}
 }
 

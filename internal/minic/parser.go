@@ -622,10 +622,3 @@ func (p *parser) parsePrimary() (expr, error) {
 	}
 	return nil, errf(t.line, "unexpected token %s", t)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
