@@ -16,10 +16,10 @@ test:
 	$(GO) test ./...
 
 ## race: race-detect the concurrent packages (worker pool, telemetry,
-## switcher/monitor runtime, interpreter, solver, chaos harness, service,
+## switcher/monitor runtime, interpreter, solver, IGO engine, chaos harness, service,
 ## persistent store, daemon drain sequence)
 race:
-	$(GO) test -race ./internal/runner ./internal/telemetry ./internal/memview ./internal/interp ./internal/pointsto ./internal/chaos ./internal/serve ./internal/persist ./cmd/kscope-serve
+	$(GO) test -race ./internal/runner ./internal/telemetry ./internal/memview ./internal/interp ./internal/pointsto ./internal/core ./internal/chaos ./internal/serve ./internal/persist ./cmd/kscope-serve
 
 ## vet: static checks
 vet:

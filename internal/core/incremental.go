@@ -38,9 +38,11 @@ type IncrementalExecution struct {
 }
 
 // NewIncrementalExecution builds an execution whose violations trigger
-// incremental re-analysis. The system's optimistic analysis is mutated by
-// restores, so construct a fresh System per execution context when isolation
-// matters.
+// incremental re-analysis. Each restore re-solves on an analysis derived
+// from the optimistic one and switches s.Optimistic to it; s.Fallback, which
+// shares the optimistic analysis's state, is unchanged. The switch is not
+// synchronized, so construct a fresh System per execution context when
+// other goroutines read s.Optimistic.
 func (s *System) NewIncrementalExecution(track bool) *IncrementalExecution {
 	ctrl := &IncrementalController{opt: s.Optimistic}
 	ctrl.refresh()

@@ -57,6 +57,25 @@ func TestIncrementalRestoreOnViolation(t *testing.T) {
 	}
 }
 
+// TestIncrementalExecutionKeepsFallback: the fallback is derived from the
+// optimistic analysis and shares its state, so the restores an incremental
+// execution runs on the optimistic view must leave the fallback's answer
+// unchanged.
+func TestIncrementalExecutionKeepsFallback(t *testing.T) {
+	s := analyzeSrc(t, paViolationSrc, invariant.All())
+	fallback := render(s.Fallback)
+	e := s.NewIncrementalExecution(true)
+	if tr := e.Run("main", []int64{1, 0}); tr.Err != nil {
+		t.Fatalf("run: %v", tr.Err)
+	}
+	if e.Controller.Restores == 0 {
+		t.Fatalf("the run restored nothing (violations %v)", e.Controller.Violations)
+	}
+	if got := render(s.Fallback); got != fallback {
+		t.Errorf("an incremental execution changed the fallback:\nbefore:\n%s\nafter:\n%s", fallback, got)
+	}
+}
+
 // The incrementally restored solution must lie between the full optimistic
 // solution and the fallback: every restored points-to set is a superset of
 // the optimistic one and a subset of the fallback one.

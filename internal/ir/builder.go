@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // FuncBuilder incrementally constructs a Function. It manages fresh register
 // names and the current insertion block, which keeps front-end lowering and
@@ -29,7 +32,7 @@ func (b *FuncBuilder) SetLine(line int) { b.curLine = line }
 // Temp returns a fresh register name.
 func (b *FuncBuilder) Temp() string {
 	b.tmpSeq++
-	return fmt.Sprintf("%%t%d", b.tmpSeq)
+	return "%t" + strconv.Itoa(b.tmpSeq)
 }
 
 // NewBlock appends a block with a unique name derived from hint and selects

@@ -10,8 +10,10 @@ import (
 type Instr interface {
 	// Def returns the register defined by this instruction, or "".
 	Def() string
-	// Uses returns the registers read by this instruction.
-	Uses() []string
+	// AppendUses appends the registers read by this instruction to buf and
+	// returns the extended slice, so a caller that reuses buf allocates
+	// nothing per instruction.
+	AppendUses(buf []string) []string
 	// String renders the instruction in KIR assembly syntax.
 	String() string
 	// base returns the embedded instruction header.
@@ -66,8 +68,8 @@ type Const struct {
 	SizeOfType Type // non-nil when lowered from sizeof(T)
 }
 
-func (i *Const) Def() string    { return i.Dest }
-func (i *Const) Uses() []string { return nil }
+func (i *Const) Def() string                      { return i.Dest }
+func (i *Const) AppendUses(buf []string) []string { return buf }
 func (i *Const) String() string {
 	if i.SizeOfType != nil {
 		return fmt.Sprintf("%s = const %d ; sizeof(%s)", i.Dest, i.Val, i.SizeOfType)
@@ -83,9 +85,9 @@ type BinOp struct {
 	A, B string
 }
 
-func (i *BinOp) Def() string    { return i.Dest }
-func (i *BinOp) Uses() []string { return []string{i.A, i.B} }
-func (i *BinOp) String() string { return fmt.Sprintf("%s = %s %s %s", i.Dest, i.A, i.Op, i.B) }
+func (i *BinOp) Def() string                      { return i.Dest }
+func (i *BinOp) AppendUses(buf []string) []string { return append(buf, i.A, i.B) }
+func (i *BinOp) String() string                   { return fmt.Sprintf("%s = %s %s %s", i.Dest, i.A, i.Op, i.B) }
 
 // Input reads the next value from the execution driver's input stream.
 // Statically unknowable values (the paper's "difficult to determine
@@ -95,9 +97,9 @@ type Input struct {
 	Dest string
 }
 
-func (i *Input) Def() string    { return i.Dest }
-func (i *Input) Uses() []string { return nil }
-func (i *Input) String() string { return i.Dest + " = input" }
+func (i *Input) Def() string                      { return i.Dest }
+func (i *Input) AppendUses(buf []string) []string { return buf }
+func (i *Input) String() string                   { return i.Dest + " = input" }
 
 // Output appends a value to the execution trace (driver-visible effect).
 type Output struct {
@@ -105,9 +107,9 @@ type Output struct {
 	Src string
 }
 
-func (i *Output) Def() string    { return "" }
-func (i *Output) Uses() []string { return []string{i.Src} }
-func (i *Output) String() string { return "output " + i.Src }
+func (i *Output) Def() string                      { return "" }
+func (i *Output) AppendUses(buf []string) []string { return append(buf, i.Src) }
+func (i *Output) String() string                   { return "output " + i.Src }
 
 // Alloca creates a fresh stack object of type Ty: dest = &obj.
 type Alloca struct {
@@ -117,8 +119,8 @@ type Alloca struct {
 	Var  string // source-level variable name, for diagnostics
 }
 
-func (i *Alloca) Def() string    { return i.Dest }
-func (i *Alloca) Uses() []string { return nil }
+func (i *Alloca) Def() string                      { return i.Dest }
+func (i *Alloca) AppendUses(buf []string) []string { return buf }
 func (i *Alloca) String() string {
 	return fmt.Sprintf("%s = alloca %s ; %s", i.Dest, i.Ty, i.Var)
 }
@@ -130,9 +132,9 @@ type AddrGlobal struct {
 	Global string
 }
 
-func (i *AddrGlobal) Def() string    { return i.Dest }
-func (i *AddrGlobal) Uses() []string { return nil }
-func (i *AddrGlobal) String() string { return fmt.Sprintf("%s = &@%s", i.Dest, i.Global) }
+func (i *AddrGlobal) Def() string                      { return i.Dest }
+func (i *AddrGlobal) AppendUses(buf []string) []string { return buf }
+func (i *AddrGlobal) String() string                   { return fmt.Sprintf("%s = &@%s", i.Dest, i.Global) }
 
 // AddrFunc takes the address of a function: dest = &f. Marks f address-taken.
 type AddrFunc struct {
@@ -141,9 +143,9 @@ type AddrFunc struct {
 	Func string
 }
 
-func (i *AddrFunc) Def() string    { return i.Dest }
-func (i *AddrFunc) Uses() []string { return nil }
-func (i *AddrFunc) String() string { return fmt.Sprintf("%s = &%s", i.Dest, i.Func) }
+func (i *AddrFunc) Def() string                      { return i.Dest }
+func (i *AddrFunc) AppendUses(buf []string) []string { return buf }
+func (i *AddrFunc) String() string                   { return fmt.Sprintf("%s = &%s", i.Dest, i.Func) }
 
 // Copy is a register move: dest = src.
 type Copy struct {
@@ -151,9 +153,9 @@ type Copy struct {
 	Dest, Src string
 }
 
-func (i *Copy) Def() string    { return i.Dest }
-func (i *Copy) Uses() []string { return []string{i.Src} }
-func (i *Copy) String() string { return fmt.Sprintf("%s = %s", i.Dest, i.Src) }
+func (i *Copy) Def() string                      { return i.Dest }
+func (i *Copy) AppendUses(buf []string) []string { return append(buf, i.Src) }
+func (i *Copy) String() string                   { return fmt.Sprintf("%s = %s", i.Dest, i.Src) }
 
 // Load is an indirect read: dest = *addr.
 type Load struct {
@@ -161,9 +163,9 @@ type Load struct {
 	Dest, Addr string
 }
 
-func (i *Load) Def() string    { return i.Dest }
-func (i *Load) Uses() []string { return []string{i.Addr} }
-func (i *Load) String() string { return fmt.Sprintf("%s = load %s", i.Dest, i.Addr) }
+func (i *Load) Def() string                      { return i.Dest }
+func (i *Load) AppendUses(buf []string) []string { return append(buf, i.Addr) }
+func (i *Load) String() string                   { return fmt.Sprintf("%s = load %s", i.Dest, i.Addr) }
 
 // Store is an indirect write: *addr = src.
 type Store struct {
@@ -171,9 +173,9 @@ type Store struct {
 	Addr, Src string
 }
 
-func (i *Store) Def() string    { return "" }
-func (i *Store) Uses() []string { return []string{i.Addr, i.Src} }
-func (i *Store) String() string { return fmt.Sprintf("store %s, %s", i.Addr, i.Src) }
+func (i *Store) Def() string                      { return "" }
+func (i *Store) AppendUses(buf []string) []string { return append(buf, i.Addr, i.Src) }
+func (i *Store) String() string                   { return fmt.Sprintf("store %s, %s", i.Addr, i.Src) }
 
 // FieldAddr computes a field address: dest = &(base->field) where base points
 // to a value of Struct type. This is the Field-Of constraint of Table 1.
@@ -185,8 +187,8 @@ type FieldAddr struct {
 	Field  int // index into Struct.Fields
 }
 
-func (i *FieldAddr) Def() string    { return i.Dest }
-func (i *FieldAddr) Uses() []string { return []string{i.Base} }
+func (i *FieldAddr) Def() string                      { return i.Dest }
+func (i *FieldAddr) AppendUses(buf []string) []string { return append(buf, i.Base) }
 func (i *FieldAddr) String() string {
 	return fmt.Sprintf("%s = &%s->%s", i.Dest, i.Base, i.Struct.Fields[i.Field].Name)
 }
@@ -202,9 +204,9 @@ type IndexAddr struct {
 	Elem  Type // element type of the array being indexed
 }
 
-func (i *IndexAddr) Def() string    { return i.Dest }
-func (i *IndexAddr) Uses() []string { return []string{i.Base, i.Index} }
-func (i *IndexAddr) String() string { return fmt.Sprintf("%s = &%s[%s]", i.Dest, i.Base, i.Index) }
+func (i *IndexAddr) Def() string                      { return i.Dest }
+func (i *IndexAddr) AppendUses(buf []string) []string { return append(buf, i.Base, i.Index) }
+func (i *IndexAddr) String() string                   { return fmt.Sprintf("%s = &%s[%s]", i.Dest, i.Base, i.Index) }
 
 // PtrAdd is arbitrary pointer arithmetic: dest = base + off, where off is a
 // register holding a statically unknown slot offset. This is the construct
@@ -214,9 +216,9 @@ type PtrAdd struct {
 	Dest, Base, Off string
 }
 
-func (i *PtrAdd) Def() string    { return i.Dest }
-func (i *PtrAdd) Uses() []string { return []string{i.Base, i.Off} }
-func (i *PtrAdd) String() string { return fmt.Sprintf("%s = %s +p %s", i.Dest, i.Base, i.Off) }
+func (i *PtrAdd) Def() string                      { return i.Dest }
+func (i *PtrAdd) AppendUses(buf []string) []string { return append(buf, i.Base, i.Off) }
+func (i *PtrAdd) String() string                   { return fmt.Sprintf("%s = %s +p %s", i.Dest, i.Base, i.Off) }
 
 // Call is a direct call: dest = callee(args...). Dest may be "".
 type Call struct {
@@ -226,8 +228,8 @@ type Call struct {
 	Args   []string
 }
 
-func (i *Call) Def() string    { return i.Dest }
-func (i *Call) Uses() []string { return i.Args }
+func (i *Call) Def() string                      { return i.Dest }
+func (i *Call) AppendUses(buf []string) []string { return append(buf, i.Args...) }
 func (i *Call) String() string {
 	s := fmt.Sprintf("call %s(%s)", i.Callee, strings.Join(i.Args, ", "))
 	if i.Dest != "" {
@@ -246,8 +248,8 @@ type ICall struct {
 }
 
 func (i *ICall) Def() string { return i.Dest }
-func (i *ICall) Uses() []string {
-	return append([]string{i.FuncPtr}, i.Args...)
+func (i *ICall) AppendUses(buf []string) []string {
+	return append(append(buf, i.FuncPtr), i.Args...)
 }
 func (i *ICall) String() string {
 	s := fmt.Sprintf("icall %s(%s)", i.FuncPtr, strings.Join(i.Args, ", "))
@@ -272,11 +274,11 @@ type Malloc struct {
 }
 
 func (i *Malloc) Def() string { return i.Dest }
-func (i *Malloc) Uses() []string {
+func (i *Malloc) AppendUses(buf []string) []string {
 	if i.Size == "" {
-		return nil
+		return buf
 	}
-	return []string{i.Size}
+	return append(buf, i.Size)
 }
 func (i *Malloc) String() string {
 	switch {
@@ -296,11 +298,11 @@ type Ret struct {
 }
 
 func (i *Ret) Def() string { return "" }
-func (i *Ret) Uses() []string {
+func (i *Ret) AppendUses(buf []string) []string {
 	if i.Src == "" {
-		return nil
+		return buf
 	}
-	return []string{i.Src}
+	return append(buf, i.Src)
 }
 func (i *Ret) String() string {
 	if i.Src == "" {
@@ -315,9 +317,9 @@ type Jump struct {
 	Target string
 }
 
-func (i *Jump) Def() string    { return "" }
-func (i *Jump) Uses() []string { return nil }
-func (i *Jump) String() string { return "jmp " + i.Target }
+func (i *Jump) Def() string                      { return "" }
+func (i *Jump) AppendUses(buf []string) []string { return buf }
+func (i *Jump) String() string                   { return "jmp " + i.Target }
 
 // CondJump branches on cond != 0.
 type CondJump struct {
@@ -326,8 +328,8 @@ type CondJump struct {
 	True, False string
 }
 
-func (i *CondJump) Def() string    { return "" }
-func (i *CondJump) Uses() []string { return []string{i.Cond} }
+func (i *CondJump) Def() string                      { return "" }
+func (i *CondJump) AppendUses(buf []string) []string { return append(buf, i.Cond) }
 func (i *CondJump) String() string {
 	return fmt.Sprintf("br %s, %s, %s", i.Cond, i.True, i.False)
 }

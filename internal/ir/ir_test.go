@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -485,6 +486,48 @@ func TestQuickLayoutMapping(t *testing.T) {
 					t.Fatalf("seed %d: runtime offsets not increasing", seed)
 				}
 			}
+		}
+	}
+}
+
+// TestAppendUses: every instruction appends exactly the registers it reads,
+// after whatever the buffer already holds, and into a buffer with room it
+// allocates nothing.
+func TestAppendUses(t *testing.T) {
+	cases := []struct {
+		in   Instr
+		want []string
+	}{
+		{&Const{Dest: "%d"}, nil},
+		{&BinOp{Dest: "%d", A: "%a", B: "%b"}, []string{"%a", "%b"}},
+		{&Input{Dest: "%d"}, nil},
+		{&Output{Src: "%s"}, []string{"%s"}},
+		{&Alloca{Dest: "%d"}, nil},
+		{&AddrGlobal{Dest: "%d"}, nil},
+		{&AddrFunc{Dest: "%d"}, nil},
+		{&Copy{Dest: "%d", Src: "%s"}, []string{"%s"}},
+		{&Load{Dest: "%d", Addr: "%p"}, []string{"%p"}},
+		{&Store{Addr: "%p", Src: "%s"}, []string{"%p", "%s"}},
+		{&FieldAddr{Dest: "%d", Base: "%b"}, []string{"%b"}},
+		{&IndexAddr{Dest: "%d", Base: "%b", Index: "%i"}, []string{"%b", "%i"}},
+		{&PtrAdd{Dest: "%d", Base: "%b", Off: "%o"}, []string{"%b", "%o"}},
+		{&Call{Dest: "%d", Callee: "f", Args: []string{"%x", "%y"}}, []string{"%x", "%y"}},
+		{&ICall{Dest: "%d", FuncPtr: "%f", Args: []string{"%x"}}, []string{"%f", "%x"}},
+		{&Malloc{Dest: "%d", SizeOf: Int}, nil},
+		{&Malloc{Dest: "%d", Size: "%n"}, []string{"%n"}},
+		{&Ret{}, nil},
+		{&Ret{Src: "%r"}, []string{"%r"}},
+		{&Jump{Target: "b"}, nil},
+		{&CondJump{Cond: "%c", True: "t", False: "f"}, []string{"%c"}},
+	}
+	buf := make([]string, 0, 8)
+	for _, c := range cases {
+		got := c.in.AppendUses(append(buf[:0], "%prefix"))
+		if !slices.Equal(got, append([]string{"%prefix"}, c.want...)) {
+			t.Errorf("%T: AppendUses = %q, want %q after the prefix", c.in, got, c.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { buf = c.in.AppendUses(buf[:0]) }); n != 0 {
+			t.Errorf("%T: AppendUses into a buffer with room allocates %v times", c.in, n)
 		}
 	}
 }

@@ -198,6 +198,7 @@ func (m *Module) Finalize() error {
 // and field indices are in range.
 func (m *Module) Validate() error {
 	defined := map[string]bool{}
+	var uses []string // one instruction's uses, reused across instructions
 	for _, f := range m.Funcs {
 		if len(f.Blocks) == 0 {
 			return fmt.Errorf("ir: function %s has no blocks", f.Name)
@@ -230,7 +231,8 @@ func (m *Module) Validate() error {
 				if IsTerminator(in) && pos != len(b.Instrs)-1 {
 					return fmt.Errorf("ir: %s/%s: terminator %q not at block end", f.Name, b.Name, in)
 				}
-				for _, u := range in.Uses() {
+				uses = in.AppendUses(uses[:0])
+				for _, u := range uses {
 					if !defined[u] {
 						return fmt.Errorf("ir: %s/%s: use of undefined register %q in %q", f.Name, b.Name, u, in)
 					}

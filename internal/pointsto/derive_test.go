@@ -1,0 +1,379 @@
+package pointsto
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/bitset"
+	"repro/internal/invariant"
+	"repro/internal/ir"
+	"repro/internal/minic"
+	"repro/internal/workload"
+)
+
+// TestRestoreKeepsDerivedFallback: results derived by RestoreAll and
+// restoreTo share the optimistic analysis's state, so restoring the
+// optimistic Result invariant by invariant afterwards must leave every one
+// of them unchanged: the fallback, a view per ablation configuration, and
+// the view that restores nothing (a snapshot of the optimistic result,
+// which an in-place restore would change). Each view must also do the same
+// work as one derived from a fresh solve, and the finished analysis they all
+// derive from must end with its state unchanged, byte for byte (stateOf).
+// The optimistic result must end equal to the fallback.
+func TestRestoreKeepsDerivedFallback(t *testing.T) {
+	for name, m := range restoreModules(t) {
+		t.Run(name, func(t *testing.T) {
+			opt := New(m, invariant.All()).Solve()
+			if len(opt.Invariants()) == 0 {
+				t.Skip("assumes no invariant")
+			}
+			orig := opt.a
+			origState := stateOf(orig)
+			fb, err := opt.RestoreAll(context.Background(), Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			views := map[string]*Result{"derived fallback": fb}
+			for _, cfg := range invariant.Ablations() {
+				v, err := opt.restoreTo(context.Background(), Budget{}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Earlier derivations wrote nothing of opt's: this one does
+				// the same work as a derivation from a fresh solve.
+				ref, err := New(m, invariant.All()).Solve().restoreTo(context.Background(), Budget{}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.Stats() != ref.Stats() {
+					t.Errorf("%s view: stats %+v after earlier derivations, %+v from a fresh solve",
+						oracleConfigs[cfg], v.Stats(), ref.Stats())
+				}
+				views[oracleConfigs[cfg]] = v
+			}
+			want := map[string]string{}
+			for view, r := range views {
+				want[view] = fingerprint(r)
+			}
+			for recs := opt.Invariants(); len(recs) > 0; recs = opt.Invariants() {
+				if err := opt.Restore(recs[0]); err != nil {
+					t.Fatal(err)
+				}
+				for view, r := range views {
+					if got := fingerprint(r); got != want[view] {
+						t.Fatalf("restoring %v on the optimistic result changed the %s view:\n%s",
+							recs[0].Kind, view, diffLines(want[view], got))
+					}
+				}
+			}
+			if got := stateOf(orig); got != origState {
+				t.Errorf("deriving and restoring wrote the state of the finished optimistic analysis:\n%s",
+					diffLines(origState, got))
+			}
+			if got := fingerprint(opt); got != want["derived fallback"] {
+				t.Errorf("restoring every invariant in place differs from the derived fallback:\n%s",
+					diffLines(want["derived fallback"], got))
+			}
+		})
+	}
+}
+
+// TestDeriveOwnsOnlyWrittenNodes: the fallback derived from the scaled
+// program's optimistic solve re-solves a handful of nodes, so it must own a
+// handful: at most the nodes its re-solve popped plus those whose set or
+// copy list it changed. Every other node keeps the parent's set pointer.
+func TestDeriveOwnsOnlyWrittenNodes(t *testing.T) {
+	m, err := minic.Compile("scaled", scaledSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := New(m, invariant.All()).Solve()
+	d, err := opt.RestoreAll(context.Background(), Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, changed := 0, 0
+	for n := range opt.a.nodes {
+		if d.a.owned[n] {
+			owned++
+		}
+		p, q := opt.a.pts[n], d.a.pts[n]
+		if (p == nil) != (q == nil) || p != nil && !p.Equal(q) || len(opt.a.copyTo[n]) != len(d.a.copyTo[n]) {
+			changed++
+		}
+	}
+	pops := d.Stats().Iterations - opt.Stats().Iterations
+	if owned == 0 || owned > pops+changed {
+		t.Errorf("derived fallback owns %d of %d nodes; its re-solve popped %d and changed %d",
+			owned, len(opt.a.nodes), pops, changed)
+	}
+	checkOwnership(t, "derived fallback", d.a, opt.a)
+	t.Logf("owns %d of %d nodes (%d pops, %d changed)", owned, len(opt.a.nodes), pops, changed)
+}
+
+// TestSpareSetsDistinct: a delta set is held by at most one node or by the
+// spare list, never both, and the spare list holds only empty delta sets,
+// never a points-to set. Checked at every abort of a solve cut into short
+// budgets and resumed until it converges to the unbudgeted answer, and on
+// a derived re-solve cut the same way.
+func TestSpareSetsDistinct(t *testing.T) {
+	m, err := minic.Compile("scaled", scaledSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(a *Analysis, when string) {
+		t.Helper()
+		held := map[*bitset.Set]string{}
+		for n, s := range a.delta {
+			if s != nil {
+				if prev, ok := held[s]; ok {
+					t.Fatalf("%s: node %d's delta is also %s", when, n, prev)
+				}
+				held[s] = "a node's delta"
+			}
+		}
+		for n, s := range a.pts {
+			if s != nil {
+				if prev, ok := held[s]; ok {
+					t.Fatalf("%s: node %d's points-to set is also %s", when, n, prev)
+				}
+			}
+		}
+		for i, s := range a.spare {
+			if prev, ok := held[s]; ok {
+				t.Fatalf("%s: spare set %d is also %s", when, i, prev)
+			}
+			if !s.Empty() {
+				t.Fatalf("%s: spare set %d holds %d elements", when, i, s.Len())
+			}
+			held[s] = "on the spare list"
+		}
+	}
+	resume := func(a *Analysis, steps int64) (*Result, int) {
+		aborts := 0
+		for {
+			r, err := a.SolveCtx(context.Background(), Budget{MaxSteps: steps})
+			if err == nil {
+				check(a, "finished")
+				if len(a.spare) != 0 {
+					t.Errorf("a finished solve keeps %d spare sets", len(a.spare))
+				}
+				return r, aborts
+			}
+			aborts++
+			check(a, "aborted")
+		}
+	}
+	a := New(m, invariant.All())
+	if a.noDelta {
+		t.Fatal("the scaled program runs without delta sets")
+	}
+	opt, aborts := resume(a, 700)
+	if aborts == 0 {
+		t.Fatal("the budget never cut the solve")
+	}
+	if got, want := fingerprint(opt), fingerprint(New(m, invariant.All()).Solve()); got != want {
+		t.Fatalf("resumed solve differs from an unbudgeted one:\n%s", diffLines(want, got))
+	}
+	// A derived re-solve recycles into its own spare list: restore every
+	// invariant of mbedtls (PA, PWC and Ctx ones) with delta sets forced on,
+	// one step per SolveCtx.
+	root := New(workload.MbedTLS().MustModule(), invariant.All())
+	root.noDelta = false
+	parent := root.Solve()
+	d := parent.a.derive()
+	d.cfg = invariant.Config{}
+	for {
+		recs, _ := d.invariantRecords()
+		if len(recs) == 0 {
+			break
+		}
+		if err := d.readmit(recs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	derived, aborts := resume(d, 1)
+	if aborts == 0 {
+		t.Fatal("the budget never cut the derived re-solve")
+	}
+	checkOwnership(t, "derived re-solve", d, parent.a)
+	if got, want := fingerprint(derived), fingerprint(New(root.mod, invariant.Config{}).Solve()); got != want {
+		t.Errorf("resumed derived re-solve differs from a fresh fallback:\n%s", diffLines(want, got))
+	}
+}
+
+// stateOf renders every part of an analysis's state a re-solve may write:
+// per node the representative, points-to set, delta and every constraint
+// list (Field-Of flags and copy-edge probe marks included), each icall
+// site's connected targets, the HCD entries' fired marks, every object's
+// field sensitivity, and the sizes of the copy-edge set and node maps.
+func stateOf(a *Analysis) string {
+	var b strings.Builder
+	for n := range a.nodes {
+		fmt.Fprintf(&b, "%d rep=%d pts=%v delta=%v copy=%v load=%v store=%v arith=%v icall=%d",
+			n, a.rep[n], a.pts[n], a.delta[n], a.copyTo[n], a.loadTo[n], a.storeFrom[n], a.arithTo[n], len(a.icallsAt[n]))
+		for _, e := range a.gepTo[n] {
+			fmt.Fprintf(&b, " gep%+v", *e)
+		}
+		if a.hcdAt != nil {
+			fmt.Fprintf(&b, " hcd=%v", a.hcdAt[n])
+		}
+		b.WriteByte('\n')
+	}
+	for _, s := range a.icallSites {
+		fmt.Fprintf(&b, "icall %d %v\n", s.site, s.connected)
+	}
+	for i, e := range a.hcdEntries {
+		fmt.Fprintf(&b, "hcd %d fired=%v\n", i, e.fired)
+	}
+	for _, o := range a.objects {
+		fmt.Fprintf(&b, "%s insens=%v\n", o.Label(), o.Insens)
+	}
+	fmt.Fprintf(&b, "edges=%d regs=%d rets=%d\n", a.copyEdges.n, len(a.regNodes), len(a.retNodes))
+	// Appends past the end of a per-node table write its spare capacity.
+	fmt.Fprintf(&b, "spare capacity: pts %d delta %d copy %d gep %d load %d store %d arith %d icall %d rep %d\n",
+		pastLen(a.pts), pastLen(a.delta), listsPastLen(a.copyTo), listsPastLen(a.gepTo), listsPastLen(a.loadTo),
+		listsPastLen(a.storeFrom), listsPastLen(a.arithTo), listsPastLen(a.icallsAt), pastLen(a.rep))
+	return b.String()
+}
+
+// pastLen counts the non-zero entries in a table's capacity past its length.
+func pastLen[T comparable](table []T) int {
+	var zero T
+	n := 0
+	for _, v := range table[len(table):cap(table)] {
+		if v != zero {
+			n++
+		}
+	}
+	return n
+}
+
+// unfiredHCDSrc has an offline-predicted load/store cycle through two
+// pointers that never point anywhere, so its HCD entry never fires.
+const unfiredHCDSrc = `
+int** g;
+void swap(int** p, int** q) {
+  *p = *q;
+  *q = *p;
+}
+int main() {
+  swap(g, g);
+  return 0;
+}
+`
+
+// TestDerivedWritesNoParentState drives analyses derived from finished
+// ones down the write paths the restore corpus rarely reaches, each on a
+// fresh derivation so no earlier write has unshared the table it needs: a
+// positive-weight cycle first seen after the derivation, merges of nodes
+// with load and with store lists, a first HCD firing, a new node, and a
+// field collapse.
+// Each derived analysis re-solves, and the finished analysis must keep its
+// state byte for byte.
+func TestDerivedWritesNoParentState(t *testing.T) {
+	m, err := minic.Compile("unfired-hcd", unfiredHCDSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range derivedWrites {
+		took := false
+		for _, mod := range []*ir.Module{workload.MbedTLS().MustModule(), m} {
+			parent := New(mod, invariant.Config{}).Solve().a
+			before := stateOf(parent)
+			d := parent.derive()
+			if !w.apply(d) {
+				continue
+			}
+			took = true
+			if err := d.resolve(); err != nil {
+				t.Fatal(err)
+			}
+			if got := stateOf(parent); got != before {
+				t.Errorf("%s on %s wrote the parent's state:\n%s", w.name, mod.Name, diffLines(before, got))
+			}
+		}
+		if !took {
+			t.Errorf("no module offers the %s write", w.name)
+		}
+	}
+}
+
+// reps lists a's representative nodes that satisfy keep.
+func reps(a *Analysis, keep func(n int) bool) []int {
+	var out []int
+	for n := range a.nodes {
+		if a.find(n) == n && keep(n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// derivedWrites are the rare writes TestDerivedWritesNoParentState drives;
+// apply reports whether the analysis offered the write.
+var derivedWrites = []struct {
+	name  string
+	apply func(d *Analysis) bool
+}{
+	{"new positive-weight cycle", func(d *Analysis) bool {
+		// A positive Field-Of edge outside every cycle, closed by a new
+		// copy edge back to its source.
+		for _, n := range reps(d, func(int) bool { return true }) {
+			for _, e := range d.gepTo[n] {
+				if to := d.find(int(e.to)); e.off > 0 && !e.pwcSeen && to != n {
+					d.addCopy(to, n, 0, false)
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"merge of load holders", func(d *Analysis) bool {
+		ns := reps(d, func(n int) bool { return len(d.loadTo[n]) > 0 })
+		return len(ns) >= 2 && d.mergeNodes(ns[0], ns[1])
+	}},
+	{"merge of store holders", func(d *Analysis) bool {
+		ns := reps(d, func(n int) bool { return len(d.storeFrom[n]) > 0 })
+		return len(ns) >= 2 && d.mergeNodes(ns[0], ns[1])
+	}},
+	{"first HCD firing", func(d *Analysis) bool {
+		for v, es := range d.hcdAt {
+			for _, ei := range es {
+				if !d.hcdEntries[ei].fired && d.find(v) == v {
+					d.hcdFire(v, nil)
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"new register node", func(d *Analysis) bool {
+		n := d.regNode("main", "%fresh")
+		d.addCopy(n, n-1, 0, false)
+		return true
+	}},
+	{"field collapse", func(d *Analysis) bool {
+		for _, o := range d.objects {
+			if !o.Insens && o.Size > 1 {
+				d.makeFieldInsensitive(o)
+				return true
+			}
+		}
+		return false
+	}},
+}
+
+// listsPastLen counts the non-nil lists in a table's capacity past its
+// length.
+func listsPastLen[T any](table [][]T) int {
+	n := 0
+	for _, l := range table[len(table):cap(table)] {
+		if l != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/invariant"
 	"repro/internal/ir"
 	"repro/internal/minic"
@@ -264,8 +265,11 @@ func TestRestoreAllMatchesFallback(t *testing.T) {
 // Result at once while a third goroutine reads it, as the daemon's snapshot
 // readers and the IGO engine may. Both derived results must equal a fresh
 // fallback, and the receiver, its copy lists and their probe marks included,
-// must come out unchanged. A clone that shared copy-list arrays or scratch
-// buffers with its receiver fails the aliasing checks here, and under -race
+// must come out unchanged. A derived result shares the receiver's per-node
+// state until it writes it: every node it owns must share no set or copy
+// list with the receiver, and every node it does not own must still be the
+// receiver's own, unchanged. A derivation that wrote through a shared entry
+// or shared a scratch buffer fails the aliasing checks here, and under -race
 // the detector too.
 func TestRestoreAllConcurrent(t *testing.T) {
 	m, err := minic.Compile("scaled", scaledSrc)
@@ -326,11 +330,7 @@ func TestRestoreAllConcurrent(t *testing.T) {
 			sharesArray(d.a.lcdStack, opt.a.lcdStack) {
 			t.Errorf("derived result %d shares a scratch buffer with its receiver", i)
 		}
-		for n, es := range d.a.copyTo {
-			if n < len(opt.a.copyTo) && sharesArray(es, opt.a.copyTo[n]) {
-				t.Fatalf("derived result %d shares node %d's copy list with its receiver", i, n)
-			}
-		}
+		checkOwnership(t, fmt.Sprintf("derived result %d", i), d.a, opt.a)
 	}
 	if sharesArray(derived[0].a.elemBuf, derived[1].a.elemBuf) ||
 		sharesArray(derived[0].a.lcdVisit, derived[1].a.lcdVisit) {
@@ -342,6 +342,44 @@ func TestRestoreAllConcurrent(t *testing.T) {
 	for n, es := range opt.a.copyTo {
 		if !slices.Equal(es, copyLists[n]) {
 			t.Fatalf("concurrent RestoreAll changed node %d's copy list or probe marks", n)
+		}
+	}
+}
+
+// checkOwnership asserts the sharing contract of an analysis d derived from
+// parent: a set or copy list of a node d owns is in no array of the
+// parent's, and a node d does not own still has the parent's set and copy
+// list, the same memory and the same length.
+func checkOwnership(t *testing.T, what string, d, parent *Analysis) {
+	t.Helper()
+	parentSets := map[*bitset.Set]bool{}
+	parentLists := map[*copyEdge]bool{}
+	for n := range parent.nodes {
+		for _, s := range []*bitset.Set{parent.pts[n], parent.delta[n]} {
+			if s != nil {
+				parentSets[s] = true
+			}
+		}
+		if es := parent.copyTo[n]; cap(es) > 0 {
+			parentLists[&es[:1][0]] = true
+		}
+	}
+	for n := range parent.nodes {
+		if d.owned[n] {
+			if parentSets[d.pts[n]] || parentSets[d.delta[n]] {
+				t.Fatalf("%s owns node %d but shares a set with its parent", what, n)
+			}
+			if es := d.copyTo[n]; cap(es) > 0 && parentLists[&es[:1][0]] {
+				t.Fatalf("%s owns node %d but shares a copy list with its parent", what, n)
+			}
+			continue
+		}
+		if d.pts[n] != parent.pts[n] || d.delta[n] != parent.delta[n] {
+			t.Fatalf("%s does not own node %d but holds other sets than its parent", what, n)
+		}
+		if es, pes := d.copyTo[n], parent.copyTo[n]; len(es) != len(pes) || (cap(pes) > 0) != (cap(es) > 0) ||
+			(cap(pes) > 0 && !sharesArray(es, pes)) {
+			t.Fatalf("%s does not own node %d but holds another copy list than its parent", what, n)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"slices"
 	"time"
 
 	"repro/internal/bitset"
@@ -68,11 +67,20 @@ func (e copyEdge) probed() bool { return e&probedBit != 0 }
 // and a Fibonacci hash, doubled at ¾ load. Slot value 0 marks an empty
 // slot; the only pair that packs to 0 is the self-edge 0→0, and addCopy
 // never inserts a self-edge. The zero value is an empty set.
+//
+// A derived analysis layers its set on its parent's (derive): the keys
+// below are read through base, and inserts land in the top table alone.
 type edgeSet struct {
-	slots []uint64
-	n     int   // occupied slots
-	shift uint8 // 64 - log2(len(slots))
+	slots  []uint64
+	n      int      // occupied slots
+	shift  uint8    // 64 - log2(len(slots))
+	base   *edgeSet // read-only layers below this one; nil in a root
+	layers int      // length of the base chain
 }
+
+// maxEdgeLayers bounds the base chain a lookup walks; deriving past it
+// flattens every layer into one table.
+const maxEdgeLayers = 4
 
 // edgeSetMinSlots is the table size of the first insert.
 const edgeSetMinSlots = 64
@@ -82,6 +90,9 @@ func packEdge(from, to int) uint64 { return uint64(uint32(from))<<32 | uint64(ui
 
 // insert adds key k (nonzero) and reports whether it was absent.
 func (s *edgeSet) insert(k uint64) bool {
+	if s.base != nil && s.base.has(k) {
+		return false
+	}
 	if s.slots == nil {
 		s.resize(edgeSetMinSlots)
 	}
@@ -120,10 +131,51 @@ func (s *edgeSet) resize(size int) {
 	}
 }
 
-// clone returns an independent copy of s.
-func (s edgeSet) clone() edgeSet {
-	s.slots = slices.Clone(s.slots)
-	return s
+// has reports whether k is in s or in a layer below it.
+func (s *edgeSet) has(k uint64) bool {
+	for ; s != nil; s = s.base {
+		if s.slots != nil && s.slots[s.probe(k)] == k {
+			return true
+		}
+	}
+	return false
+}
+
+// derive returns a set holding every key of s, into which inserts do not
+// reach s. It reads s's tables as layers instead of copying them, so s must
+// not change while the derived set is in use; past maxEdgeLayers layers it
+// copies them into one table instead. The derived set holds its own copy
+// of s's header, so it does not keep the struct s lives in reachable.
+func (s *edgeSet) derive() edgeSet {
+	if s.n == 0 {
+		s = s.base // an empty table adds nothing to read through
+	}
+	if s == nil {
+		return edgeSet{}
+	}
+	if s.layers < maxEdgeLayers-1 {
+		layer := *s
+		return edgeSet{base: &layer, layers: s.layers + 1}
+	}
+	n := 0
+	for l := s; l != nil; l = l.base {
+		n += l.n // layers are disjoint: insert checks the ones below
+	}
+	size := edgeSetMinSlots
+	for 4*(n+1) > 3*size {
+		size *= 2
+	}
+	var f edgeSet
+	f.resize(size)
+	for l := s; l != nil; l = l.base {
+		for _, k := range l.slots {
+			if k != 0 {
+				f.slots[f.probe(k)] = k
+			}
+		}
+	}
+	f.n = n
+	return f
 }
 
 // Origin is one recorded derivation of an object in a points-to set
@@ -252,11 +304,27 @@ type Analysis struct {
 	// nothing per pop: the pending pointees processNode lists, and the LCD
 	// probe's search state (a per-node visit stamp, valid only when it
 	// equals lcdGen, plus the DFS stack). They carry nothing between uses;
-	// clone leaves them unshared.
+	// a derived analysis starts with its own.
 	elemBuf  []int
 	lcdVisit []lcdVisit
 	lcdGen   uint32
 	lcdStack []int32
+
+	// Consumed delta sets, emptied, that deltaOf hands out again before it
+	// allocates: processNode releases the set it propagated and mergeNodes
+	// the merged-away node's. Only delta sets ever enter the list, never a
+	// points-to set; it is per solve, so a derived analysis starts it empty
+	// and a finished solve drops it.
+	spare []*bitset.Set
+
+	// Copy-on-write derivation (incremental.go). A derived analysis shares
+	// its parent's state until its first write: shared marks the tables
+	// that are still the parent's, and owned[n] the nodes whose points-to
+	// set, delta and copy list are this analysis's own. A root analysis
+	// shares nothing and owns every node (owned is nil), so its solve pays
+	// one nil check per write.
+	shared tables
+	owned  []bool
 
 	// Position of processNode's copy-list walk (solve.go): the node whose
 	// list it walks (-1 if none), and how far merges have moved the walked
@@ -399,13 +467,26 @@ func (a *Analysis) ptsOf(n int) *bitset.Set {
 	return a.pts[n]
 }
 
-// deltaOf returns the pending-delta set of representative node n, allocating
-// it on first use. Callers must resolve n to its representative first.
+// deltaOf returns the pending-delta set of representative node n, taking a
+// spare set or allocating one on first use. Callers must resolve n to its
+// representative first.
 func (a *Analysis) deltaOf(n int) *bitset.Set {
 	if a.delta[n] == nil {
-		a.delta[n] = bitset.New(0)
+		if k := len(a.spare) - 1; k >= 0 {
+			a.delta[n] = a.spare[k]
+			a.spare = a.spare[:k]
+		} else {
+			a.delta[n] = bitset.New(0)
+		}
 	}
 	return a.delta[n]
+}
+
+// release empties a delta set no node holds any more and puts it on the
+// spare list.
+func (a *Analysis) release(s *bitset.Set) {
+	s.Clear()
+	a.spare = append(a.spare, s)
 }
 
 // seedDelta schedules a full-set flush of n: the node's entire points-to set
@@ -417,6 +498,7 @@ func (a *Analysis) deltaOf(n int) *bitset.Set {
 func (a *Analysis) seedDelta(n int) {
 	n = a.find(n)
 	if !a.noDelta && a.pts[n] != nil && !a.pts[n].Empty() {
+		a.own(n)
 		a.deltaOf(n).UnionWith(a.pts[n])
 		a.stats.DeltaFlushes++
 	}
@@ -488,6 +570,12 @@ func (a *Analysis) emitGrowth(n, added, site, obj int, derived bool) {
 // node's delta so the next processing propagates exactly them.
 func (a *Analysis) addToPts(n, o, site, srcNode int, derived bool) bool {
 	n = a.find(n)
+	if a.shares(n) {
+		if p := a.pts[n]; p != nil && p.Has(o) {
+			return false
+		}
+		a.ownNode(n)
+	}
 	if !a.ptsOf(n).Add(o) {
 		return false
 	}
@@ -524,6 +612,12 @@ func (a *Analysis) unionSetInto(dst int, set *bitset.Set, srcNode, site int, der
 	dst = a.find(dst)
 	if dst == srcNode || set == nil || set.Empty() {
 		return false
+	}
+	if a.shares(dst) {
+		if set.SubsetOf(a.pts[dst]) {
+			return false
+		}
+		a.ownNode(dst)
 	}
 	d := a.ptsOf(dst)
 	if a.traceProv {
@@ -576,6 +670,7 @@ func (a *Analysis) addCopy(from, to, site int, derived bool) {
 	if !a.copyEdges.insert(packEdge(from, to)) {
 		return
 	}
+	a.own(from)
 	a.copyTo[from] = append(a.copyTo[from], copyEdge(to))
 	a.stats.CopyEdges++
 	if derived {
@@ -588,6 +683,7 @@ func (a *Analysis) addCopy(from, to, site int, derived bool) {
 // so the node's full set is flushed back into its delta.
 func (a *Analysis) addGep(from, to, off, site int) {
 	from = a.find(from)
+	a.unshare(tabGep)
 	a.gepTo[from] = append(a.gepTo[from], &gepEdge{to: int32(to), off: int32(off), site: int32(site)})
 	a.seedDelta(from)
 }
@@ -595,6 +691,7 @@ func (a *Analysis) addGep(from, to, off, site int) {
 // addLoad registers the Load constraint dest = *addr, flushing addr's set.
 func (a *Analysis) addLoad(addr, dest, site int) {
 	addr = a.find(addr)
+	a.unshare(tabLoad)
 	a.loadTo[addr] = append(a.loadTo[addr], depEdge{other: int32(dest), site: int32(site)})
 	a.seedDelta(addr)
 }
@@ -602,6 +699,7 @@ func (a *Analysis) addLoad(addr, dest, site int) {
 // addStore registers the Store constraint *addr = src, flushing addr's set.
 func (a *Analysis) addStore(addr, src, site int) {
 	addr = a.find(addr)
+	a.unshare(tabStore)
 	a.storeFrom[addr] = append(a.storeFrom[addr], depEdge{other: int32(src), site: int32(site)})
 	a.seedDelta(addr)
 }
@@ -610,6 +708,7 @@ func (a *Analysis) addStore(addr, src, site int) {
 // set.
 func (a *Analysis) addArith(base, dest, site int) {
 	base = a.find(base)
+	a.unshare(tabArith)
 	a.arithTo[base] = append(a.arithTo[base], arithEdge{to: int32(dest), site: int32(site)})
 	a.seedDelta(base)
 }
@@ -637,12 +736,18 @@ func (a *Analysis) mergeNodes(x, y int) bool {
 	if x == y {
 		return false
 	}
+	a.own(x)
+	a.own(y)
+	a.unshare(tabRep | tabGep | tabLoad | tabStore | tabArith | tabICall | tabHCD)
 	a.rep[y] = int32(x)
 	if a.pts[y] != nil {
 		a.ptsOf(x).UnionWith(a.pts[y])
 		a.pts[y] = nil
 	}
-	a.delta[y] = nil
+	if a.delta[y] != nil {
+		a.release(a.delta[y])
+		a.delta[y] = nil
+	}
 	// Copy lists are the longest adjacency lists; growing the longer one
 	// copies fewer edges. Their order only decides propagation order.
 	if len(a.copyTo[y]) > len(a.copyTo[x]) {

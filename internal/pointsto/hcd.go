@@ -118,6 +118,8 @@ func (a *Analysis) hcdFire(v int, elems []int) {
 		t := a.find(int(e.target))
 		merged := 0
 		if !e.fired {
+			a.unshare(tabHCD)
+			e = &a.hcdEntries[ei]
 			e.fired = true
 			for _, m := range e.members {
 				if a.mergeNodes(t, int(m)) {

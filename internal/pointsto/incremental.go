@@ -6,7 +6,6 @@ import (
 	"maps"
 	"slices"
 
-	"repro/internal/bitset"
 	"repro/internal/invariant"
 	"repro/internal/ir"
 	"repro/internal/telemetry"
@@ -19,7 +18,13 @@ import (
 // solver from the current fixed point — far cheaper than a fresh solve, and
 // the result abandons only the violated assumption. Restoring every
 // invariant gives back the fallback view exactly; RestoreAll does that on a
-// copy, so one solve serves both views.
+// derived analysis, so one solve serves both views.
+//
+// Every restore runs on a derived analysis (derive), never on a finished
+// one: the derived analysis reads its parent's state until it first writes
+// it, and copies only what it writes. A finished analysis is therefore
+// never written again, and any number of results derived from it, and
+// readers of it, may share its state.
 //
 // Soundness note for callers: after a Restore, the remaining invariant set
 // (Invariants()) may carry updated PA filter sets, so runtime monitors must
@@ -28,41 +33,49 @@ import (
 
 // Restore abandons one previously assumed likely invariant, re-admits its
 // constraints, and incrementally re-solves. It returns an error if the
-// record does not correspond to an assumption of this analysis.
+// record does not correspond to an assumption of this analysis. The
+// re-solve runs on an analysis derived from the receiver's, which the
+// Result then switches to, so results derived from it earlier (RestoreAll)
+// keep their state.
 func (r *Result) Restore(rec invariant.Record) error {
-	if err := r.a.readmit(rec); err != nil {
+	a := r.a.derive()
+	if err := a.readmit(rec); err != nil {
 		return err
 	}
 	// Restore re-solves outside any SolveCtx budget, so this cannot abort;
 	// the error return is plumbed through for uniformity. RestoreAll is the
 	// bounded, cancellable form.
-	return r.a.resolve()
+	if err := a.resolve(); err != nil {
+		return err
+	}
+	r.a = a
+	return nil
 }
 
 // RestoreAll returns a new Result with every invariant this one assumes
 // restored: equal to a fresh solve under the empty configuration, at the
-// cost of a copy plus an incremental re-solve. The receiver is unchanged,
-// and both results stay independently restorable. The re-solve runs under
-// ctx and b and the armed fault plan, and an abort is a typed *AbortError,
-// exactly as in SolveCtx. Its phase spans nest under ctx's current span
-// (telemetry.WithSpan), and its Stats are cumulative: the receiver's solve
-// plus the restores.
+// cost of a derivation plus an incremental re-solve. The receiver is
+// unchanged, and both results stay independently restorable. The re-solve
+// runs under ctx and b and the armed fault plan, and an abort is a typed
+// *AbortError, exactly as in SolveCtx. Its phase spans nest under ctx's
+// current span (telemetry.WithSpan), and its Stats are cumulative: the
+// receiver's solve plus the restores.
 func (r *Result) RestoreAll(ctx context.Context, b Budget) (*Result, error) {
 	return r.restoreTo(ctx, b, invariant.Config{})
 }
 
 // restoreTo is RestoreAll down to cfg, which must be a subset of the
-// receiver's configuration: the copy restores every invariant of a kind cfg
-// does not assume, and from then on solves under cfg.
+// receiver's configuration: the derived analysis restores every invariant
+// of a kind cfg does not assume, and from then on solves under cfg.
 func (r *Result) restoreTo(ctx context.Context, b Budget, cfg invariant.Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		// Skip the copy: the re-solve would abort on its first poll.
+		// Skip the derivation: the re-solve would abort on its first poll.
 		return nil, &AbortError{Steps: int64(r.a.stats.Iterations), Reason: "context done", Cause: err}
 	}
-	a := r.a.clone()
+	a := r.a.derive()
 	a.cfg = cfg
 	a.parentSpan = telemetry.SpanFrom(ctx)
 	// Re-list after each readmit: restoring one PWC record also retires
@@ -119,6 +132,7 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 		// every site restored and applies the baseline mitigation exactly
 		// as a fresh solve does: the Field-Of edges collapse, the objects in
 		// the cycle lose field sensitivity, and the cycle merges.
+		a.unshare(tabGep)
 		for _, es := range a.gepTo {
 			for _, e := range es {
 				if sites[int(e.site)] {
@@ -158,83 +172,51 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 	return nil
 }
 
-// clone deep-copies the solver state of a finished analysis, so restoring
-// invariants on the copy leaves a untouched and each stays restorable.
-// Objects are copied because collapses set Object.Insens, and the node maps
-// because a Ctx restore may register nodes. Only what never changes after
-// build is shared: the module, layouts, Ctx plan, and node descriptors.
-// Slices that only ever grow by append are shared with their capacity
-// clipped, so an append on either side reallocates instead of writing into
-// the other's backing array. The copy-edge set is one flat table, copied
-// whole.
-func (a *Analysis) clone() *Analysis {
+// tables names the parts of an analysis's state a derived analysis shares
+// with its parent until it first writes them, one bit each.
+type tables uint16
+
+const (
+	tabPts     tables = 1 << iota // the points-to table (per node: owned)
+	tabDelta                      // the delta table (per node: owned)
+	tabCopy                       // the copy lists (per node: owned)
+	tabGep                        // the Field-Of lists and their edges
+	tabLoad                       // the load lists
+	tabStore                      // the store lists
+	tabArith                      // the PtrAdd lists
+	tabICall                      // the icall lists and their sites
+	tabHCD                        // the HCD lists and entries
+	tabRep                        // the union-find table
+	tabObjects                    // the objects and the maps onto them
+	tabNames                      // the register and return node maps
+
+	// nodeTables are the tables with one entry per node.
+	nodeTables = tabPts | tabDelta | tabCopy | tabGep | tabLoad | tabStore | tabArith | tabICall | tabHCD | tabRep
+	allTables  = nodeTables | tabObjects | tabNames
+)
+
+// derive returns an analysis that starts from a's state and shares it,
+// copying a table the first time it writes one (unshare) and a node's
+// points-to set, delta and copy list the first time it writes that node
+// (own). a must be finished: it is never written again, so any number of
+// analyses derived from it may run concurrently with its readers. Only what
+// a restore always writes is copied up front: the worklist, the invariant
+// bookkeeping and the provenance log. Only what never changes after build
+// is shared for good: the module, layouts, Ctx plan and node descriptors.
+func (a *Analysis) derive() *Analysis {
 	c := *a
+	c.shared = allTables
+	c.owned = make([]bool, len(a.nodes))
 	c.nodes = slices.Clip(a.nodes)
-	c.rep = slices.Clone(a.rep)
-	c.pts = cloneSets(a.pts)
-	c.delta = cloneSets(a.delta)
-	c.objects = make([]*Object, len(a.objects))
-	objs := make([]Object, len(a.objects))
-	for i, o := range a.objects {
-		objs[i] = *o
-		c.objects[i] = &objs[i]
-	}
-	c.objBySite = remapObjects(a.objBySite, c.objects)
-	c.objByGlobal = remapObjects(a.objByGlobal, c.objects)
-	c.objByFunc = remapObjects(a.objByFunc, c.objects)
-
-	c.copyTo = cloneCopyLists(a.copyTo)
-	c.loadTo = clipEach(a.loadTo)
-	c.storeFrom = clipEach(a.storeFrom)
-	c.arithTo = clipEach(a.arithTo)
-	c.hcdAt = clipEach(a.hcdAt)
-	// Field-Of edges carry mutable collapse and PWC flags; each edge sits
-	// in exactly one list, so one backing array holds all the copies.
-	edges := 0
-	for _, es := range a.gepTo {
-		edges += len(es)
-	}
-	gepCopies := make([]gepEdge, 0, edges)
-	c.gepTo = make([][]*gepEdge, len(a.gepTo))
-	for n, es := range a.gepTo {
-		if es == nil {
-			continue
-		}
-		c.gepTo[n] = make([]*gepEdge, len(es))
-		for i, e := range es {
-			gepCopies = append(gepCopies, *e)
-			c.gepTo[n][i] = &gepCopies[len(gepCopies)-1]
-		}
-	}
-	// Indirect callsites carry their connected-target sets.
-	sites := make(map[*icallSite]*icallSite, len(a.icallSites))
-	c.icallSites = make([]*icallSite, len(a.icallSites))
-	for i, s := range a.icallSites {
-		sc := *s
-		sc.connected = maps.Clone(s.connected)
-		sites[s] = &sc
-		c.icallSites[i] = &sc
-	}
-	c.icallsAt = make([][]*icallSite, len(a.icallsAt))
-	for n, ss := range a.icallsAt {
-		if ss == nil {
-			continue
-		}
-		c.icallsAt[n] = make([]*icallSite, len(ss))
-		for i, s := range ss {
-			c.icallsAt[n][i] = sites[s]
-		}
-	}
-
-	c.copyEdges = a.copyEdges.clone()
-	c.provs = maps.Clone(a.provs)
-	for k, es := range c.provs {
-		c.provs[k] = slices.Clip(es)
-	}
-	c.regNodes = maps.Clone(a.regNodes)
-	c.retNodes = maps.Clone(a.retNodes)
+	c.copyEdges = a.copyEdges.derive()
 	c.worklist = slices.Clone(a.worklist)
 	c.inWL = slices.Clone(a.inWL)
+	if a.provs != nil {
+		c.provs = maps.Clone(a.provs)
+		for k, es := range c.provs {
+			c.provs[k] = slices.Clip(es)
+		}
+	}
 	c.paFiltered = make(map[int]map[int]bool, len(a.paFiltered))
 	for site, objs := range a.paFiltered {
 		c.paFiltered[site] = maps.Clone(objs)
@@ -245,49 +227,157 @@ func (a *Analysis) clone() *Analysis {
 	c.pwcRecords = maps.Clone(a.pwcRecords)
 	c.paDisabled = maps.Clone(a.paDisabled)
 	c.pwcDone = maps.Clone(a.pwcDone)
-	c.hcdEntries = slices.Clone(a.hcdEntries)
-	// Scratch buffers are per solve: sharing them would let two copies
-	// derived concurrently from one Result write the same arrays.
-	c.elemBuf, c.lcdVisit, c.lcdGen, c.lcdStack = nil, nil, 0, nil
-	// The copy built nothing: the build span belongs to a alone.
+	// Scratch buffers and spare sets are per solve: sharing them would let
+	// two analyses derived concurrently from a write the same memory.
+	c.elemBuf, c.lcdVisit, c.lcdGen, c.lcdStack, c.spare = nil, nil, 0, nil, nil
+	// The derivation built nothing: the build span belongs to a alone.
 	c.buildEmitted = true
 	return &c
 }
 
-// cloneCopyLists deep-copies the copy lists into one backing array, with
-// every LCD probe mark cleared: the probe marks only save repeated probes,
-// and the copy starts as if nothing had been probed, while the receiver,
-// which may be read concurrently, keeps its own. Each list is clipped to its
-// length, so an append moves it out of the shared array.
-func cloneCopyLists(lists [][]copyEdge) [][]copyEdge {
+// shares reports whether node n's points-to set, delta and copy list are
+// still the parent's.
+func (a *Analysis) shares(n int) bool { return a.owned != nil && !a.owned[n] }
+
+// own makes node n's points-to set, delta and copy list this analysis's own
+// before a write.
+func (a *Analysis) own(n int) {
+	if a.shares(n) {
+		a.ownNode(n)
+	}
+}
+
+// ownNode copies node n's points-to set, delta and copy list. The copied
+// copy list carries no LCD probe marks: the marks only save repeated
+// probes, and the derived solve starts as if nothing had been probed, as a
+// fresh solve would.
+func (a *Analysis) ownNode(n int) {
+	a.unshare(tabPts | tabDelta | tabCopy)
+	a.owned[n] = true
+	if s := a.pts[n]; s != nil {
+		a.pts[n] = s.Clone()
+	}
+	if s := a.delta[n]; s != nil {
+		a.delta[n] = s.Clone()
+	}
+	if es := a.copyTo[n]; es != nil {
+		own := make([]copyEdge, len(es))
+		for i, e := range es {
+			own[i] = e &^ probedBit
+		}
+		a.copyTo[n] = own
+	}
+}
+
+// unshare makes the tables in t this analysis's own before a write; a root
+// analysis shares none, so it pays one test.
+func (a *Analysis) unshare(t tables) {
+	if t &= a.shared; t != 0 {
+		a.unshareTables(t)
+	}
+}
+
+// unshareTables copies the shared tables in t. The per-node tables get a
+// new outer slice whose entries are still the parent's: the owned-node
+// tables copy an entry in ownNode, and the lists that only grow by append
+// are clipped, so an append reallocates instead of writing past the end of
+// the parent's array. The Field-Of edges and icall sites carry mutable
+// flags, so their tables copy every edge and site.
+func (a *Analysis) unshareTables(t tables) {
+	a.shared &^= t
+	if t&tabPts != 0 {
+		a.pts = slices.Clone(a.pts)
+	}
+	if t&tabDelta != 0 {
+		a.delta = slices.Clone(a.delta)
+	}
+	if t&tabCopy != 0 {
+		a.copyTo = slices.Clone(a.copyTo)
+	}
+	if t&tabGep != 0 {
+		a.gepTo = copyGepLists(a.gepTo)
+	}
+	if t&tabLoad != 0 {
+		a.loadTo = clipEach(a.loadTo)
+	}
+	if t&tabStore != 0 {
+		a.storeFrom = clipEach(a.storeFrom)
+	}
+	if t&tabArith != 0 {
+		a.arithTo = clipEach(a.arithTo)
+	}
+	if t&tabICall != 0 {
+		a.icallSites, a.icallsAt = copyICalls(a.icallSites, a.icallsAt)
+	}
+	if t&tabHCD != 0 {
+		a.hcdAt = clipEach(a.hcdAt)
+		a.hcdEntries = slices.Clone(a.hcdEntries)
+	}
+	if t&tabRep != 0 {
+		a.rep = slices.Clone(a.rep)
+	}
+	if t&tabObjects != 0 {
+		objs := make([]Object, len(a.objects))
+		own := make([]*Object, len(a.objects))
+		for i, o := range a.objects {
+			objs[i] = *o
+			own[i] = &objs[i]
+		}
+		a.objects = own
+		a.objBySite = remapObjects(a.objBySite, a.objects)
+		a.objByGlobal = remapObjects(a.objByGlobal, a.objects)
+		a.objByFunc = remapObjects(a.objByFunc, a.objects)
+	}
+	if t&tabNames != 0 {
+		a.regNodes = maps.Clone(a.regNodes)
+		a.retNodes = maps.Clone(a.retNodes)
+	}
+}
+
+// copyGepLists copies every Field-Of edge into one backing array; each edge
+// sits in exactly one list.
+func copyGepLists(lists [][]*gepEdge) [][]*gepEdge {
 	edges := 0
 	for _, es := range lists {
 		edges += len(es)
 	}
-	all := make([]copyEdge, 0, edges)
-	out := make([][]copyEdge, len(lists))
+	all := make([]gepEdge, 0, edges)
+	out := make([][]*gepEdge, len(lists))
 	for n, es := range lists {
 		if es == nil {
 			continue
 		}
-		start := len(all)
-		for _, e := range es {
-			all = append(all, e&^probedBit)
+		out[n] = make([]*gepEdge, len(es))
+		for i, e := range es {
+			all = append(all, *e)
+			out[n][i] = &all[len(all)-1]
 		}
-		out[n] = all[start:len(all):len(all)]
 	}
 	return out
 }
 
-// cloneSets deep-copies a per-node set slice, keeping nil entries nil.
-func cloneSets(sets []*bitset.Set) []*bitset.Set {
-	out := make([]*bitset.Set, len(sets))
-	for i, s := range sets {
-		if s != nil {
-			out[i] = s.Clone()
+// copyICalls copies every indirect callsite with its connected-target set,
+// and points the site list and the per-node lists at the copies.
+func copyICalls(sites []*icallSite, lists [][]*icallSite) ([]*icallSite, [][]*icallSite) {
+	copies := make(map[*icallSite]*icallSite, len(sites))
+	outSites := make([]*icallSite, len(sites))
+	for i, s := range sites {
+		sc := *s
+		sc.connected = maps.Clone(s.connected)
+		copies[s] = &sc
+		outSites[i] = &sc
+	}
+	out := make([][]*icallSite, len(lists))
+	for n, ss := range lists {
+		if ss == nil {
+			continue
+		}
+		out[n] = make([]*icallSite, len(ss))
+		for i, s := range ss {
+			out[n][i] = copies[s]
 		}
 	}
-	return out
+	return outSites, out
 }
 
 // remapObjects points an object index at the copied objects.

@@ -114,17 +114,30 @@ func (a *Analysis) describeNode(id int) string {
 }
 
 // find resolves the union-find representative of node x with path
-// compression.
+// halving. A node whose parent is a root is left as it is, so on a flat
+// table (flattenReps) find writes nothing, and a derived analysis can read
+// its parent's table until its first merge.
 func (a *Analysis) find(x int) int {
-	for a.rep[x] != int32(x) {
-		a.rep[x] = a.rep[a.rep[x]]
-		x = int(a.rep[x])
+	for {
+		p := a.rep[x]
+		if int(p) == x {
+			return x
+		}
+		g := a.rep[p]
+		if g == p {
+			return int(p)
+		}
+		a.rep[x] = g
+		x = int(g)
 	}
-	return x
 }
 
 // newNode appends a node and its empty points-to set.
 func (a *Analysis) newNode(n node) int {
+	if a.owned != nil {
+		a.unshare(nodeTables)
+		a.owned = append(a.owned, true)
+	}
 	id := len(a.nodes)
 	a.nodes = append(a.nodes, n)
 	a.rep = append(a.rep, int32(id))
@@ -152,6 +165,7 @@ func (a *Analysis) regNode(fn, reg string) int {
 		return id
 	}
 	id := a.newNode(node{kind: nodeReg, fn: fn, reg: reg})
+	a.unshare(tabNames)
 	a.regNodes[k] = id
 	return id
 }
@@ -162,6 +176,7 @@ func (a *Analysis) retNode(fn string) int {
 		return id
 	}
 	id := a.newNode(node{kind: nodeRet, fn: fn})
+	a.unshare(tabNames)
 	a.retNodes[fn] = id
 	return id
 }
@@ -236,6 +251,8 @@ func (a *Analysis) makeFieldInsensitive(o *Object) {
 	if o.Insens {
 		return
 	}
+	a.unshare(tabObjects)
+	o = a.objects[o.Index]
 	o.Insens = true
 	a.stats.FieldCollapses++
 	base := o.NodeBase

@@ -108,8 +108,9 @@ int main() {
 
 // TestLCDCollapsesUnpredictedCycle: the LCD fallback collapses the cycle HCD
 // cannot predict, the answer equals the no-prep reference, and the probe
-// marks the solve left on the copy edges stay with it: a clone starts with
-// none, and cloning leaves the receiver's marks in place.
+// marks the solve left on the copy edges stay with it: a derived analysis
+// drops them from every copy list it owns, and owning them leaves the
+// receiver's marks in place.
 func TestLCDCollapsesUnpredictedCycle(t *testing.T) {
 	rOn, sOn := prepSolve(t, lcdSrc, invariant.Config{}, true)
 	rOff, _ := prepSolve(t, lcdSrc, invariant.Config{}, false)
@@ -121,12 +122,15 @@ func TestLCDCollapsesUnpredictedCycle(t *testing.T) {
 	if marks == 0 {
 		t.Fatal("the solve left no probe marks on its copy edges")
 	}
-	c := rOn.a.clone()
+	c := rOn.a.derive()
+	for n := range c.nodes {
+		c.own(n)
+	}
 	if n := probeMarks(c); n != 0 {
-		t.Errorf("clone carries %d probe marks, want none", n)
+		t.Errorf("the derived analysis's own copy lists carry %d probe marks, want none", n)
 	}
 	if n := probeMarks(rOn.a); n != marks {
-		t.Errorf("cloning changed the receiver's probe marks: %d, was %d", n, marks)
+		t.Errorf("deriving changed the receiver's probe marks: %d, was %d", n, marks)
 	}
 }
 

@@ -3,6 +3,7 @@ package pointsto
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -78,6 +79,8 @@ func (a *Analysis) resolve() error {
 	}
 	_, mons := a.invariantRecords()
 	a.stats.MonitorSites = len(mons)
+	// The spare delta sets only serve a running solve.
+	a.spare = nil
 	// Flatten the union-find so post-solve readers (Result methods) can
 	// resolve representatives without path-compression writes; a finished
 	// analysis may then be read from many goroutines concurrently.
@@ -88,10 +91,14 @@ func (a *Analysis) resolve() error {
 	return nil
 }
 
-// flattenReps fully path-compresses every union-find pointer.
+// flattenReps fully path-compresses every union-find pointer. It writes
+// only the pointers that change, so a table that is already flat, such as a
+// derived analysis's unmerged share of its parent's, stays untouched.
 func (a *Analysis) flattenReps() {
 	for i := range a.rep {
-		a.rep[i] = int32(a.find(i))
+		if r := int32(a.find(i)); a.rep[i] != r {
+			a.rep[i] = r
+		}
 	}
 }
 
@@ -160,34 +167,43 @@ func (a *Analysis) drain() {
 
 // processNode applies every outgoing constraint of n to its pending pointee
 // delta — the set of pointees added since n was last processed (the full set
-// on the node's first visit, or after a seedDelta flush). Without delta
-// propagation (noDelta, below DeltaAutoThreshold) it re-consumes the full
-// set on every visit; the results are identical because every constraint
-// here is monotone and idempotent per pointee, so re-deriving from old
-// pointees only re-adds facts that are already present.
+// on the node's first visit, or after a seedDelta flush) — and then releases
+// the consumed delta to the spare list. Without delta propagation (noDelta,
+// below DeltaAutoThreshold) it re-consumes the full set on every visit; the
+// results are identical because every constraint here is monotone and
+// idempotent per pointee, so re-deriving from old pointees only re-adds
+// facts that are already present.
 func (a *Analysis) processNode(n int) {
 	a.stats.Iterations++
-	var work *bitset.Set
-	if a.noDelta {
-		work = a.pts[n]
-		if work != nil {
-			size := work.Len()
-			a.stats.BitsPropagated += size
-			a.hDeltaSize.Observe(int64(size))
-		}
-	} else {
+	a.own(n)
+	work := a.pts[n]
+	if !a.noDelta {
+		// Take the delta: pointees that reach n while it is processed start
+		// a fresh one.
 		work = a.delta[n]
 		a.delta[n] = nil
-		if work != nil {
-			size := work.Len()
-			a.stats.BitsPropagated += size
-			a.hDeltaSize.Observe(int64(size))
-			if a.pts[n] != nil {
-				a.stats.BitsAvoided += a.pts[n].Len() - size
-			}
-		}
 	}
-	if work == nil || work.Empty() {
+	if work == nil {
+		return
+	}
+	size := work.Len()
+	a.stats.BitsPropagated += size
+	a.hDeltaSize.Observe(int64(size))
+	if a.noDelta {
+		a.applyConstraints(n, work)
+		return
+	}
+	if a.pts[n] != nil {
+		a.stats.BitsAvoided += a.pts[n].Len() - size
+	}
+	a.applyConstraints(n, work)
+	a.release(work)
+}
+
+// applyConstraints propagates work, n's pending pointees, through every
+// outgoing constraint of n.
+func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
+	if work.Empty() {
 		// Nothing pending: every edge has already consumed the node's full
 		// set (new edges seed a flush before pushing the node here).
 		return
@@ -234,6 +250,9 @@ func (a *Analysis) processNode(n int) {
 	}
 	for _, e := range a.arithTo[n] {
 		a.processArith(n, e, elems)
+	}
+	if len(a.icallsAt[n]) > 0 {
+		a.unshare(tabICall) // connectICall marks the sites' targets
 	}
 	for _, s := range a.icallsAt[n] {
 		a.connectICall(n, s, elems)
@@ -340,15 +359,7 @@ func (a *Analysis) sccPass() bool {
 		for _, n := range scc {
 			inSCC[int(n)] = true
 		}
-		// Collect internal positive gep edges.
-		var positive []*gepEdge
-		for _, n := range scc {
-			for _, e := range a.gepTo[n] {
-				if e.off > 0 && inSCC[a.find(int(e.to))] {
-					positive = append(positive, e)
-				}
-			}
-		}
+		positive := a.positiveEdges(scc, inSCC)
 		if len(scc) == 1 && len(positive) == 0 {
 			continue
 		}
@@ -363,7 +374,12 @@ func (a *Analysis) sccPass() bool {
 			changed = true
 			continue
 		}
-		// Positive-weight cycle.
+		// Positive-weight cycle. A first sighting writes the edges' flags,
+		// so the Field-Of edges must be this analysis's own first.
+		if a.shared&tabGep != 0 && slices.ContainsFunc(positive, func(e *gepEdge) bool { return !e.pwcSeen }) {
+			a.unshare(tabGep)
+			positive = a.positiveEdges(scc, inSCC)
+		}
 		unseen := false
 		for _, e := range positive {
 			if !e.pwcSeen {
@@ -408,6 +424,20 @@ func (a *Analysis) sccPass() bool {
 		changed = true
 	}
 	return changed
+}
+
+// positiveEdges collects the positive-offset Field-Of edges inside one
+// cycle.
+func (a *Analysis) positiveEdges(scc []int32, inSCC map[int]bool) []*gepEdge {
+	var positive []*gepEdge
+	for _, n := range scc {
+		for _, e := range a.gepTo[n] {
+			if e.off > 0 && inSCC[a.find(int(e.to))] {
+				positive = append(positive, e)
+			}
+		}
+	}
+	return positive
 }
 
 // pwcAssumed reports whether the PWC invariant still covers a cycle: some

@@ -178,8 +178,9 @@ func TestPopulationStableAcrossConfigs(t *testing.T) {
 }
 
 // TestEdgeSet: the flat copy-edge set behaves as a set of packed pairs
-// across several doublings, ids up to math.MaxInt32 included, and a clone
-// shares no slot with its receiver.
+// across several doublings, ids up to math.MaxInt32 included; a derived set
+// sees its base's keys and keeps its own inserts from the base, and a chain
+// of derivations longer than maxEdgeLayers flattens without losing a key.
 func TestEdgeSet(t *testing.T) {
 	var keys []uint64
 	for i := 0; i < 50000; i++ {
@@ -200,15 +201,41 @@ func TestEdgeSet(t *testing.T) {
 			t.Fatalf("key %d (%#x) reported absent on a re-insert", i, k)
 		}
 	}
-	c := s.clone()
-	onlyC, onlyS := packEdge(7, math.MaxInt32), packEdge(math.MaxInt32, 7)
-	if !c.insert(onlyC) || !s.insert(onlyS) {
+	c := s.derive()
+	for i, k := range keys {
+		if c.insert(k) {
+			t.Fatalf("key %d (%#x) of the base reported absent in the derived set", i, k)
+		}
+	}
+	onlyC := packEdge(7, math.MaxInt32)
+	if !c.insert(onlyC) {
 		t.Fatal("a fresh key reported present")
 	}
-	if !s.insert(onlyC) {
-		t.Error("an insert into the clone is visible to the receiver")
+	if s.has(onlyC) {
+		t.Error("an insert into the derived set is visible to its base")
 	}
-	if !c.insert(onlyS) {
-		t.Error("an insert into the receiver is visible to the clone")
+	// Derive a chain, one fresh key per level, past the layer bound.
+	chain := []*edgeSet{&s, &c}
+	fresh := []uint64{onlyC}
+	for level := 0; level < 2*maxEdgeLayers; level++ {
+		d := chain[len(chain)-1].derive()
+		if d.layers >= maxEdgeLayers {
+			t.Fatalf("level %d reads through %d layers, want fewer than %d", level, d.layers, maxEdgeLayers)
+		}
+		k := packEdge(1<<20+level, 3)
+		if !d.insert(k) {
+			t.Fatalf("level %d: fresh key reported present", level)
+		}
+		chain = append(chain, &d)
+		fresh = append(fresh, k)
+	}
+	last := chain[len(chain)-1]
+	for i, k := range append(keys, fresh...) {
+		if !last.has(k) {
+			t.Fatalf("key %d (%#x) lost along the derivation chain", i, k)
+		}
+	}
+	if empty := (&edgeSet{}).derive(); empty.base != nil || empty.slots != nil {
+		t.Error("deriving an empty set layers on it")
 	}
 }
