@@ -3,9 +3,14 @@
 
 GO ?= go
 
-.PHONY: all build test race vet kbench-test bench profile bench-json fuzz-smoke chaos-smoke serve-smoke persist-smoke check
+.PHONY: all fmt build test race vet kbench-test bench profile bench-json fuzz-smoke chaos-smoke serve-smoke persist-smoke check
 
 all: check
+
+## fmt: fail, listing the files, if any tracked Go file is not gofmt-clean
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
 
 ## build: compile every package and command
 build:
@@ -98,4 +103,4 @@ fuzz-smoke:
 	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s
 
 ## check: everything a PR must pass
-check: build vet test kbench-test race fuzz-smoke
+check: fmt build vet test kbench-test race fuzz-smoke

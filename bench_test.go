@@ -25,7 +25,7 @@ var benchOpt = experiments.Options{Requests: 100, PerfRequests: 400, Runs: 1, Fu
 // BenchmarkFigure1 regenerates the static-vs-observed CFI comparison.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d := experiments.Figure1Compute(benchOpt)
+		d := experiments.NewSession(benchOpt, 1, nil).Figure1Compute()
 		if len(d.Sites) == 0 {
 			b.Fatal("no callsites")
 		}
@@ -45,7 +45,7 @@ func BenchmarkTable2(b *testing.B) {
 // configurations × (fallback + optimistic) analyses.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3Data(experiments.AnalyzeAll())
+		rows := experiments.Table3Data(experiments.NewSession(experiments.Options{}, 1, nil).AnalyzeAll())
 		if len(rows) != 9 {
 			b.Fatal("bad table")
 		}
@@ -55,7 +55,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates the benchmark-driver coverage table.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table4Data(benchOpt)
+		rows := experiments.NewSession(benchOpt, 1, nil).Table4Data()
 		if len(rows) != 9 {
 			b.Fatal("bad table")
 		}
@@ -65,7 +65,7 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkTable5 regenerates the fuzzing-campaign coverage table.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table5Data(benchOpt)
+		rows := experiments.NewSession(benchOpt, 1, nil).Table5Data()
 		if len(rows) != 9 {
 			b.Fatal("bad table")
 		}
@@ -76,7 +76,7 @@ func BenchmarkTable5(b *testing.B) {
 // one analysis sweep).
 func BenchmarkFigure10to12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		data := experiments.AnalyzeAll()
+		data := experiments.NewSession(experiments.Options{}, 1, nil).AnalyzeAll()
 		if len(experiments.Figure10(data)) == 0 ||
 			len(experiments.Figure11(data)) == 0 ||
 			len(experiments.Figure12(data)) == 0 {
@@ -88,7 +88,7 @@ func BenchmarkFigure10to12(b *testing.B) {
 // BenchmarkFigure13 regenerates the throughput figure.
 func BenchmarkFigure13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure13Data(benchOpt)
+		rows := experiments.NewSession(benchOpt, 1, nil).Figure13Data()
 		if len(rows) != 9 {
 			b.Fatal("bad figure")
 		}
@@ -226,7 +226,7 @@ func BenchmarkIncrementalRestore(b *testing.B) {
 				b.Fatal("no PA invariant")
 			}
 			b.StartTimer()
-			if err := r.Restore(*rec); err != nil {
+			if _, err := r.Restore(*rec); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,7 +12,7 @@
 // The zero value of Set is an empty (inline) set ready for use.
 //
 // Concurrency: a Set carries no locks. Methods that mutate the receiver
-// (Add, Remove, UnionWith, UnionDelta, DifferenceWith, IntersectWith, Clear)
+// (Add, Remove, UnionWith, UnionDelta, Clear)
 // require exclusive access. Methods that only read the receiver and their
 // arguments (Has, Len, Empty, ForEach, Elements, AppendElements, Min, Max,
 // SubsetOf, Equal, Intersects, Clone, String) are safe to call from any
@@ -276,83 +276,6 @@ func (s *Set) UnionDelta(t, delta *Set) int {
 		}
 	}
 	return added
-}
-
-// DifferenceWith removes every element of t from s.
-func (s *Set) DifferenceWith(t *Set) {
-	if t == nil || t.count == 0 {
-		return
-	}
-	if s.inline() || t.inline() {
-		// Iterate the smaller structure element-wise.
-		if t.inline() {
-			for i := 0; i < t.count; i++ {
-				s.Remove(int(t.small[i]))
-			}
-			return
-		}
-		for i := s.count - 1; i >= 0; i-- {
-			if t.Has(int(s.small[i])) {
-				copy(s.small[i:s.count-1], s.small[i+1:s.count])
-				s.count--
-			}
-		}
-		return
-	}
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		old := s.words[i]
-		cleared := old &^ t.words[i]
-		if cleared != old {
-			s.words[i] = cleared
-			s.count -= bits.OnesCount64(old) - bits.OnesCount64(cleared)
-		}
-	}
-}
-
-// IntersectWith keeps only elements present in both s and t.
-func (s *Set) IntersectWith(t *Set) {
-	if s.inline() {
-		kept := 0
-		for i := 0; i < s.count; i++ {
-			if t != nil && t.Has(int(s.small[i])) {
-				s.small[kept] = s.small[i]
-				kept++
-			}
-		}
-		s.count = kept
-		return
-	}
-	if t == nil || t.inline() {
-		for i := range s.words {
-			w := s.words[i]
-			for bw := w; bw != 0; {
-				b := bits.TrailingZeros64(bw)
-				if t == nil || !t.Has(i*wordBits+b) {
-					w &^= 1 << uint(b)
-					s.count--
-				}
-				bw &^= 1 << uint(b)
-			}
-			s.words[i] = w
-		}
-		return
-	}
-	for i := range s.words {
-		var tw uint64
-		if i < len(t.words) {
-			tw = t.words[i]
-		}
-		old := s.words[i]
-		kept := old & tw
-		if kept != old {
-			s.words[i] = kept
-			s.count -= bits.OnesCount64(old) - bits.OnesCount64(kept)
-		}
-	}
 }
 
 // Intersects reports whether s and t share any element.

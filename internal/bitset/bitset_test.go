@@ -134,37 +134,6 @@ func TestUnionWith(t *testing.T) {
 	}
 }
 
-func TestDifferenceWith(t *testing.T) {
-	a, b := New(0), New(0)
-	for _, e := range []int{1, 2, 3, 200} {
-		a.Add(e)
-	}
-	b.Add(2)
-	b.Add(200)
-	b.Add(999) // not in a
-	a.DifferenceWith(b)
-	if a.Has(2) || a.Has(200) {
-		t.Fatal("difference retained removed elements")
-	}
-	if !a.Has(1) || !a.Has(3) || a.Len() != 2 {
-		t.Fatalf("difference wrong: %v", a)
-	}
-}
-
-func TestIntersectWith(t *testing.T) {
-	a, b := New(0), New(0)
-	for _, e := range []int{1, 2, 3, 64, 65} {
-		a.Add(e)
-	}
-	for _, e := range []int{2, 65, 1000} {
-		b.Add(e)
-	}
-	a.IntersectWith(b)
-	if a.Len() != 2 || !a.Has(2) || !a.Has(65) {
-		t.Fatalf("intersect wrong: %v", a)
-	}
-}
-
 func TestIntersectsAndSubset(t *testing.T) {
 	a, b := New(0), New(0)
 	a.Add(10)
@@ -327,9 +296,12 @@ func TestQuickUnionDifferenceLaws(t *testing.T) {
 		if !a.SubsetOf(u) || !b.SubsetOf(u) {
 			return false
 		}
-		d := u.Clone()
-		d.DifferenceWith(b)
-		return d.SubsetOf(a)
+		inA := true
+		u.ForEach(func(x int) bool {
+			inA = b.Has(x) || a.Has(x)
+			return inA
+		})
+		return inA
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -513,7 +485,10 @@ func TestQuickUnionDeltaMatchesUnion(t *testing.T) {
 		viaUnion := a.Clone()
 		viaUnion.UnionWith(b)
 		wantDelta := viaUnion.Clone()
-		wantDelta.DifferenceWith(a)
+		a.ForEach(func(x int) bool {
+			wantDelta.Remove(x)
+			return true
+		})
 		delta := New(0)
 		n := a.UnionDelta(b, delta)
 		return a.Equal(viaUnion) && delta.Equal(wantDelta) && n == wantDelta.Len()

@@ -38,11 +38,9 @@ type IncrementalExecution struct {
 }
 
 // NewIncrementalExecution builds an execution whose violations trigger
-// incremental re-analysis. Each restore re-solves on an analysis derived
-// from the optimistic one and switches s.Optimistic to it; s.Fallback, which
-// shares the optimistic analysis's state, is unchanged. The switch is not
-// synchronized, so construct a fresh System per execution context when
-// other goroutines read s.Optimistic.
+// incremental re-analysis. Each restore returns a new result that the
+// controller switches to; s.Optimistic and s.Fallback are never written, so
+// any number of executions may run on one System concurrently.
 func (s *System) NewIncrementalExecution(track bool) *IncrementalExecution {
 	ctrl := &IncrementalController{opt: s.Optimistic}
 	ctrl.refresh()
@@ -58,6 +56,10 @@ func (s *System) NewIncrementalExecution(track bool) *IncrementalExecution {
 func (e *IncrementalExecution) Run(entry string, inputs []int64) *interp.Trace {
 	return e.Machine.Run(entry, inputs)
 }
+
+// Result returns the controller's current result: the optimistic result it
+// started from, less every invariant restored since.
+func (c *IncrementalController) Result() *pointsto.Result { return c.opt }
 
 // refresh rebuilds the CFI policy and monitor runtime from the (possibly
 // restored) analysis state.
@@ -88,7 +90,8 @@ func (c *IncrementalController) OnViolation(v memview.Violation) {
 		if !match {
 			continue
 		}
-		if err := c.opt.Restore(rec); err == nil {
+		if next, err := c.opt.Restore(rec); err == nil {
+			c.opt = next
 			c.Restores++
 			c.refresh()
 		}

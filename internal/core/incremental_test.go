@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/invariant"
@@ -41,7 +42,7 @@ func TestIncrementalRestoreOnViolation(t *testing.T) {
 	if e.Controller.Restores != 1 {
 		t.Fatalf("restores = %d, want 1 (violations %v)", e.Controller.Restores, e.Controller.Violations)
 	}
-	if got := len(s.Invariants()); got >= before {
+	if got := len(e.Controller.Result().Invariants()); got >= before {
 		t.Errorf("invariant count did not shrink: %d -> %d", before, got)
 	}
 	// The restored analysis must re-admit evil at the callsite, so the
@@ -52,18 +53,20 @@ func TestIncrementalRestoreOnViolation(t *testing.T) {
 	}
 	// The restored analysis is sound for this run: the violated assumption
 	// is gone and the remaining ones held.
-	if bad := SoundnessReport(s.Optimistic, tr); len(bad) != 0 {
+	if bad := SoundnessReport(e.Controller.Result(), tr); len(bad) != 0 {
 		t.Errorf("restored analysis unsound:\n%v", bad)
 	}
 }
 
 // TestIncrementalExecutionKeepsFallback: the fallback is derived from the
-// optimistic analysis and shares its state, so the restores an incremental
-// execution runs on the optimistic view must leave the fallback's answer
-// unchanged.
+// optimistic analysis and shares its state, and every restore returns a new
+// result, so a violating incremental execution must leave both views'
+// answers unchanged, while the controller's result assumes one invariant
+// fewer.
 func TestIncrementalExecutionKeepsFallback(t *testing.T) {
 	s := analyzeSrc(t, paViolationSrc, invariant.All())
-	fallback := render(s.Fallback)
+	opt, fallback := render(s.Optimistic), render(s.Fallback)
+	before := len(s.Invariants())
 	e := s.NewIncrementalExecution(true)
 	if tr := e.Run("main", []int64{1, 0}); tr.Err != nil {
 		t.Fatalf("run: %v", tr.Err)
@@ -73,6 +76,44 @@ func TestIncrementalExecutionKeepsFallback(t *testing.T) {
 	}
 	if got := render(s.Fallback); got != fallback {
 		t.Errorf("an incremental execution changed the fallback:\nbefore:\n%s\nafter:\n%s", fallback, got)
+	}
+	if got := render(s.Optimistic); got != opt {
+		t.Errorf("an incremental execution changed the optimistic result:\nbefore:\n%s\nafter:\n%s", opt, got)
+	}
+	if got := len(s.Invariants()); got != before {
+		t.Errorf("the optimistic result's invariants changed: %d -> %d", before, got)
+	}
+	if got := len(e.Controller.Result().Invariants()); got != before-1 {
+		t.Errorf("the controller's result assumes %d invariants, want %d", got, before-1)
+	}
+}
+
+// TestIncrementalExecutionsConcurrent: nothing an incremental execution
+// restores is written into its System, so two violating executions may run
+// on one System at once (run under -race by make race), each restoring to
+// the same answer.
+func TestIncrementalExecutionsConcurrent(t *testing.T) {
+	s := analyzeSrc(t, paViolationSrc, invariant.All())
+	var execs [2]*IncrementalExecution
+	var wg sync.WaitGroup
+	for i := range execs {
+		execs[i] = s.NewIncrementalExecution(true)
+		wg.Add(1)
+		go func(e *IncrementalExecution) {
+			defer wg.Done()
+			if tr := e.Run("main", []int64{1, 0}); tr.Err != nil || tr.Result != 666 {
+				t.Errorf("run: result %d, err %v; want 666", tr.Result, tr.Err)
+			}
+		}(execs[i])
+	}
+	wg.Wait()
+	for i, e := range execs {
+		if e.Controller.Restores != 1 {
+			t.Fatalf("execution %d restored %d times, want 1", i, e.Controller.Restores)
+		}
+	}
+	if a, b := render(execs[0].Controller.Result()), render(execs[1].Controller.Result()); a != b {
+		t.Errorf("concurrent executions restored to different answers:\n%s\nand:\n%s", a, b)
 	}
 }
 
@@ -84,8 +125,8 @@ func TestIncrementalSolutionBracketedByViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := Analyze(m, invariant.All()) // pristine optimistic reference
-	s := Analyze(m, invariant.All())    // mutated by the restore below
+	full := Analyze(m, invariant.All()) // independent optimistic reference
+	s := Analyze(m, invariant.All())
 	fallback := s.Fallback
 
 	recs := s.Optimistic.Invariants()
@@ -98,7 +139,8 @@ func TestIncrementalSolutionBracketedByViews(t *testing.T) {
 	if paRec == nil {
 		t.Fatal("no PA invariant to restore")
 	}
-	if err := s.Optimistic.Restore(*paRec); err != nil {
+	res, err := s.Optimistic.Restore(*paRec)
+	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	for _, p := range s.Population() {
@@ -106,7 +148,7 @@ func TestIncrementalSolutionBracketedByViews(t *testing.T) {
 			continue
 		}
 		restored := map[string]bool{}
-		for _, ref := range s.Optimistic.PointsTo(p.Fn, p.Reg) {
+		for _, ref := range res.PointsTo(p.Fn, p.Reg) {
 			restored[ref.Obj.Label()] = true
 		}
 		for _, ref := range full.Optimistic.PointsTo(p.Fn, p.Reg) {
@@ -125,7 +167,7 @@ func TestIncrementalSolutionBracketedByViews(t *testing.T) {
 		}
 	}
 	// Restoring the same record twice must fail.
-	if err := s.Optimistic.Restore(*paRec); err == nil {
+	if _, err := res.Restore(*paRec); err == nil {
 		t.Error("double restore succeeded")
 	}
 }
@@ -143,7 +185,7 @@ func TestIncrementalCtxRestore(t *testing.T) {
 	if e.Controller.Restores != 1 {
 		t.Fatalf("restores = %d, want 1 (violations %v)", e.Controller.Restores, e.Controller.Violations)
 	}
-	if bad := SoundnessReport(s.Optimistic, tr); len(bad) != 0 {
+	if bad := SoundnessReport(e.Controller.Result(), tr); len(bad) != 0 {
 		t.Errorf("restored analysis unsound:\n%v", bad)
 	}
 }
@@ -168,10 +210,11 @@ func TestIncrementalPWCRestoreMatchesBaselineMitigation(t *testing.T) {
 	if pwcRec == nil {
 		t.Fatal("no PWC invariant")
 	}
-	if err := s.Optimistic.Restore(*pwcRec); err != nil {
+	res, err := s.Optimistic.Restore(*pwcRec)
+	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	restoredAvg := stats.Mean(s.Sizes(s.Optimistic))
+	restoredAvg := stats.Mean(s.Sizes(res))
 	if restoredAvg < optAvg {
 		t.Errorf("restore increased precision: %.3f -> %.3f", optAvg, restoredAvg)
 	}
@@ -180,8 +223,8 @@ func TestIncrementalPWCRestoreMatchesBaselineMitigation(t *testing.T) {
 	if restoredAvg != baseAvg {
 		t.Errorf("restore did not land on the baseline: %.3f, baseline %.3f", restoredAvg, baseAvg)
 	}
-	if len(s.Optimistic.Invariants()) != len(recs)-1 {
-		t.Errorf("PWC record not dropped: %d -> %d", len(recs), len(s.Optimistic.Invariants()))
+	if len(res.Invariants()) != len(recs)-1 {
+		t.Errorf("PWC record not dropped: %d -> %d", len(recs), len(res.Invariants()))
 	}
 }
 
@@ -221,23 +264,23 @@ func TestIncrementalPWCViolationStaysSound(t *testing.T) {
 	if len(vs) == 0 || vs[0].Kind != invariant.PWC || e.Controller.Restores != 1 {
 		t.Fatalf("violations %v, restores %d; want a PWC violation and one restore", vs, e.Controller.Restores)
 	}
-	if bad := SoundnessReport(s.Optimistic, tr); len(bad) != 0 {
+	if bad := SoundnessReport(e.Controller.Result(), tr); len(bad) != 0 {
 		t.Errorf("refreshed view unsound after the PWC violation:\n%v", bad)
 	}
-	if render(s.Optimistic) != render(pointsto.New(s.Module, invariant.Config{}).Solve()) {
+	if render(e.Controller.Result()) != render(pointsto.New(s.Module, invariant.Config{}).Solve()) {
 		t.Error("restoring the only invariant does not give back a fresh fallback solve")
 	}
 }
 
 func TestRestoreRejectsUnknownRecords(t *testing.T) {
 	s := analyzeSrc(t, paViolationSrc, invariant.All())
-	if err := s.Optimistic.Restore(invariant.Record{Kind: invariant.PA, Site: 99999}); err == nil {
+	if _, err := s.Optimistic.Restore(invariant.Record{Kind: invariant.PA, Site: 99999}); err == nil {
 		t.Error("restore of unknown PA site succeeded")
 	}
-	if err := s.Optimistic.Restore(invariant.Record{Kind: invariant.PWC}); err == nil {
+	if _, err := s.Optimistic.Restore(invariant.Record{Kind: invariant.PWC}); err == nil {
 		t.Error("restore of empty PWC record succeeded")
 	}
-	if err := s.Optimistic.Restore(invariant.Record{Kind: invariant.Ctx, Site: 99999}); err == nil {
+	if _, err := s.Optimistic.Restore(invariant.Record{Kind: invariant.Ctx, Site: 99999}); err == nil {
 		t.Error("restore of unknown Ctx site succeeded")
 	}
 }

@@ -62,27 +62,6 @@ type AppData struct {
 	CFICounts map[string][]int
 }
 
-// AnalyzeApp runs all eight configurations on one application. The baseline
-// analysis is shared: every System's fallback equals the Baseline system's
-// result population-wise (object spaces are deterministic).
-func AnalyzeApp(app *workload.App) *AppData {
-	d := &AppData{
-		App:       app,
-		Systems:   map[string]*core.System{},
-		Sizes:     map[string][]int{},
-		CFICounts: map[string][]int{},
-	}
-	m := app.MustModule()
-	for _, cfg := range invariant.Ablations() {
-		s := core.Analyze(m, cfg)
-		name := cfg.Name()
-		d.Systems[name] = s
-		d.Sizes[name] = s.Sizes(s.Optimistic)
-		d.CFICounts[name] = s.Harden().Optimistic.TargetCounts()
-	}
-	return d
-}
-
 // ConfigNames returns the eight configuration labels in the paper's column
 // order.
 func ConfigNames() []string {
@@ -91,11 +70,4 @@ func ConfigNames() []string {
 		out = append(out, cfg.Name())
 	}
 	return out
-}
-
-// AnalyzeAll analyzes every application serially. Batch callers that want
-// worker-pool parallelism, telemetry, or analysis reuse across artifacts
-// should construct a Session and call its AnalyzeAll instead.
-func AnalyzeAll() []*AppData {
-	return serialSession(Options{}).AnalyzeAll()
 }

@@ -11,6 +11,9 @@ import (
 
 var small = Options{Requests: 30, Runs: 2, FuzzIters: 40, Seed: 1}
 
+// serialSession runs every driver on one worker, without telemetry.
+func serialSession(opt Options) *Session { return NewSession(opt, 1, nil) }
+
 func TestTable2ListsAllApps(t *testing.T) {
 	s := Table2()
 	for _, name := range []string{"mbedtls", "libtiff", "curl", "lighttpd", "memcached", "libpng", "libxml", "wget", "tinydtls"} {
@@ -21,7 +24,7 @@ func TestTable2ListsAllApps(t *testing.T) {
 }
 
 func TestTable3ShapesHold(t *testing.T) {
-	data := AnalyzeAll()
+	data := serialSession(Options{}).AnalyzeAll()
 	rows := Table3Data(data)
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
@@ -62,7 +65,7 @@ func TestTable3ShapesHold(t *testing.T) {
 }
 
 func TestFigure1StaticOverapproximatesRuntime(t *testing.T) {
-	d := Figure1Compute(small)
+	d := serialSession(small).Figure1Compute()
 	if len(d.Sites) == 0 {
 		t.Fatal("no indirect callsites")
 	}
@@ -78,13 +81,13 @@ func TestFigure1StaticOverapproximatesRuntime(t *testing.T) {
 	if !looser {
 		t.Error("static analysis not looser than runtime anywhere: no imprecision to show")
 	}
-	if s := Figure1(small); !strings.Contains(s, "Runtime Observed") {
+	if s := serialSession(small).Figure1(); !strings.Contains(s, "Runtime Observed") {
 		t.Error("Figure 1 rendering incomplete")
 	}
 }
 
 func TestFigures10to12Render(t *testing.T) {
-	data := AnalyzeAll()
+	data := serialSession(Options{}).AnalyzeAll()
 	f10 := Figure10(data)
 	f11 := Figure11(data)
 	f12 := Figure12(data)
@@ -106,7 +109,7 @@ func TestFigures10to12Render(t *testing.T) {
 }
 
 func TestTable4CoverageAndZeroViolations(t *testing.T) {
-	rows := Table4Data(small)
+	rows := serialSession(small).Table4Data()
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -130,7 +133,7 @@ func TestTable4CoverageAndZeroViolations(t *testing.T) {
 }
 
 func TestTable5FuzzingZeroViolations(t *testing.T) {
-	rows := Table5Data(small)
+	rows := serialSession(small).Table5Data()
 	for _, r := range rows {
 		if r.Violations != 0 {
 			t.Errorf("%s: %d invariant violations under fuzzing", r.App, r.Violations)
@@ -145,7 +148,7 @@ func TestTable5FuzzingZeroViolations(t *testing.T) {
 }
 
 func TestFigure13ThroughputAndDensity(t *testing.T) {
-	rows := Figure13Data(Options{Requests: 60, PerfRequests: 200, Runs: 2, Seed: 1})
+	rows := serialSession(Options{Requests: 60, PerfRequests: 200, Runs: 2, Seed: 1}).Figure13Data()
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -160,7 +163,7 @@ func TestFigure13ThroughputAndDensity(t *testing.T) {
 			t.Errorf("%s: implausible check density %.3f", r.App, r.CheckDensity)
 		}
 	}
-	if s := Figure13(Options{Requests: 40, PerfRequests: 120, Runs: 1, Seed: 1}); !strings.Contains(s, "overhead") {
+	if s := serialSession(Options{Requests: 40, PerfRequests: 120, Runs: 1, Seed: 1}).Figure13(); !strings.Contains(s, "overhead") {
 		t.Error("Figure 13 rendering incomplete")
 	}
 }
@@ -192,7 +195,7 @@ func TestFactorHelper(t *testing.T) {
 }
 
 func TestExtDebloat(t *testing.T) {
-	rows := ExtDebloatData()
+	rows := serialSession(Options{}).ExtDebloatData()
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -208,13 +211,13 @@ func TestExtDebloat(t *testing.T) {
 	if !anyExtra {
 		t.Error("no app shows extra optimistic debloating")
 	}
-	if s := ExtDebloat(); !strings.Contains(s, "debloating") {
+	if s := serialSession(Options{}).ExtDebloat(); !strings.Contains(s, "debloating") {
 		t.Error("rendering incomplete")
 	}
 }
 
 func TestExtGraded(t *testing.T) {
-	rows := ExtGradedData()
+	rows := serialSession(Options{}).ExtGradedData()
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -223,7 +226,7 @@ func TestExtGraded(t *testing.T) {
 			t.Errorf("%s: full level looser than baseline", r.App)
 		}
 	}
-	if s := ExtGraded(); !strings.Contains(s, "degradation") {
+	if s := serialSession(Options{}).ExtGraded(); !strings.Contains(s, "degradation") {
 		t.Error("rendering incomplete")
 	}
 }
@@ -239,7 +242,7 @@ func TestExtIncremental(t *testing.T) {
 
 func TestWriteCSVs(t *testing.T) {
 	dir := t.TempDir()
-	data := AnalyzeAll()[:2] // two apps suffice for the format check
+	data := serialSession(Options{}).AnalyzeAll()[:2] // two apps suffice for the format check
 	if err := WriteCSVs(dir, data); err != nil {
 		t.Fatalf("WriteCSVs: %v", err)
 	}

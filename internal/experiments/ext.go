@@ -38,9 +38,6 @@ func (s *Session) ExtDebloatData() []ExtDebloatRow {
 	}, func(app *workload.App, err error) ExtDebloatRow { panic(err) })
 }
 
-// ExtDebloatData is the serial convenience form of Session.ExtDebloatData.
-func ExtDebloatData() []ExtDebloatRow { return serialSession(Options{}).ExtDebloatData() }
-
 // ExtDebloat renders the debloating extension experiment.
 func (s *Session) ExtDebloat() string {
 	var b strings.Builder
@@ -57,9 +54,6 @@ func (s *Session) ExtDebloat() string {
 	b.WriteString("a likely-invariant violation restores access to fallback-kept code (dynamic debloating)\n")
 	return b.String()
 }
-
-// ExtDebloat is the serial convenience form of Session.ExtDebloat.
-func ExtDebloat() string { return serialSession(Options{}).ExtDebloat() }
 
 // ExtGradedRow summarizes graded-fallback CFI tightness per level for one
 // application (§8's finer-grained fallback).
@@ -84,9 +78,6 @@ func (s *Session) ExtGradedData() []ExtGradedRow {
 	}, func(app *workload.App, err error) ExtGradedRow { panic(err) })
 }
 
-// ExtGradedData is the serial convenience form of Session.ExtGradedData.
-func ExtGradedData() []ExtGradedRow { return serialSession(Options{}).ExtGradedData() }
-
 // ExtGraded renders the graded-fallback extension experiment: the CFI
 // tightness of every degradation level between full Kaleidoscope and the
 // fallback.
@@ -106,9 +97,6 @@ func (s *Session) ExtGraded() string {
 	b.WriteString("one violation degrades a single policy: the system lands on an intermediate\ncolumn instead of falling all the way back to Baseline\n")
 	return b.String()
 }
-
-// ExtGraded is the serial convenience form of Session.ExtGraded.
-func ExtGraded() string { return serialSession(Options{}).ExtGraded() }
 
 // ExtIncremental demonstrates restore-on-violation: one PA violation
 // triggers an incremental re-analysis that abandons only the PA assumption;
@@ -134,9 +122,9 @@ func ExtIncremental() string {
 	}
 	fmt.Fprintf(&b, "violating run: %d violation(s), %d incremental restore(s)\n",
 		len(e.Controller.Violations), e.Controller.Restores)
-	refreshed := cfi.PolicyFrom(sys.Optimistic)
+	restored := e.Controller.Result()
 	fmt.Fprintf(&b, "restored policy:        avg %.2f CFI targets/site, %d invariants still assumed\n",
-		refreshed.AvgTargets(), len(sys.Invariants()))
+		cfi.PolicyFrom(restored).AvgTargets(), len(restored.Invariants()))
 	b.WriteString("only the violated PA assumption was abandoned; the Ctx assumptions survive,\n")
 	b.WriteString("so the restored policy stays tighter than the pre-generated fallback\n")
 	return b.String()

@@ -41,9 +41,6 @@ func (s *Session) Figure1Compute() *Figure1Data {
 	return d
 }
 
-// Figure1Compute is the serial convenience form of Session.Figure1Compute.
-func Figure1Compute(opt Options) *Figure1Data { return serialSession(opt).Figure1Compute() }
-
 // Figure1 renders the static-vs-observed comparison.
 func (s *Session) Figure1() string {
 	d := s.Figure1Compute()
@@ -63,9 +60,6 @@ func (s *Session) Figure1() string {
 		stats.Factor(float64(sSum), float64(oSum)))
 	return b.String()
 }
-
-// Figure1 is the serial convenience form of Session.Figure1.
-func Figure1(opt Options) string { return serialSession(opt).Figure1() }
 
 // boxFigure renders a per-app, per-config ASCII box-plot figure.
 func boxFigure(title string, data []*AppData, series func(d *AppData, cfg string) []int) string {

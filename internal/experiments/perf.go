@@ -79,9 +79,6 @@ func (s *Session) Figure13Data() []PerfRow {
 	})
 }
 
-// Figure13Data is the serial convenience form of Session.Figure13Data.
-func Figure13Data(opt Options) []PerfRow { return serialSession(opt).Figure13Data() }
-
 // median returns the middle sample (0 for empty input).
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -133,6 +130,3 @@ func (s *Session) Figure13() string {
 	}
 	return b.String()
 }
-
-// Figure13 is the serial convenience form of Session.Figure13.
-func Figure13(opt Options) string { return serialSession(opt).Figure13() }

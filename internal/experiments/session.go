@@ -12,9 +12,8 @@ import (
 
 // Session is one evaluation run: sizing options, a worker-pool width, a
 // shared per-(application, configuration) analysis cache, and an optional
-// telemetry registry. All table/figure drivers hang off a Session; the
-// package-level functions are serial single-artifact conveniences that each
-// build a throwaway session.
+// telemetry registry. Every table/figure driver that runs analyses hangs
+// off a Session; a serial run is NewSession(opt, 1, nil).
 //
 // Parallelism contract: every driver fans its matrix out through
 // runner.Map, which preserves submission order, and the underlying analyses
@@ -46,10 +45,6 @@ func NewSession(opt Options, parallel int, metrics *telemetry.Registry) *Session
 		cache:    runner.NewCache(metrics),
 	}
 }
-
-// serialSession is the implementation behind the package-level convenience
-// functions: one worker, no telemetry.
-func serialSession(opt Options) *Session { return NewSession(opt, 1, nil) }
 
 // workers returns the effective worker-pool width.
 func (s *Session) workers() int {

@@ -115,9 +115,6 @@ func (s *Session) Table4Data() []CoverageRow {
 	}, coverageErrRow)
 }
 
-// Table4Data is the serial convenience form of Session.Table4Data.
-func Table4Data(opt Options) []CoverageRow { return serialSession(opt).Table4Data() }
-
 // Table5Data runs the fuzzing campaign (paper Table 5), one application per
 // worker-pool job.
 func (s *Session) Table5Data() []CoverageRow {
@@ -140,9 +137,6 @@ func (s *Session) Table5Data() []CoverageRow {
 		}
 	}, coverageErrRow)
 }
-
-// Table5Data is the serial convenience form of Session.Table5Data.
-func Table5Data(opt Options) []CoverageRow { return serialSession(opt).Table5Data() }
 
 // coverageErrRow turns a crashed per-app driver into an error row.
 func coverageErrRow(app *workload.App, err error) CoverageRow {
@@ -189,13 +183,7 @@ func (s *Session) Table4() string {
 	return renderCoverage("Table 4: Branch and runtime monitor coverage for CFI evaluation", s.Table4Data())
 }
 
-// Table4 is the serial convenience form of Session.Table4.
-func Table4(opt Options) string { return serialSession(opt).Table4() }
-
 // Table5 renders branch and monitor coverage after the fuzzing campaign.
 func (s *Session) Table5() string {
 	return renderCoverage("Table 5: Coverage for likely-invariant validation through fuzzing", s.Table5Data())
 }
-
-// Table5 is the serial convenience form of Session.Table5.
-func Table5(opt Options) string { return serialSession(opt).Table5() }

@@ -45,14 +45,6 @@ func (r *Report) BranchCoverage() float64 {
 	return float64(r.BranchExec) / float64(r.BranchTotal)
 }
 
-// MonitorCoverage returns the executed monitor fraction.
-func (r *Report) MonitorCoverage() float64 {
-	if r.MonitorTotal == 0 {
-		return 0
-	}
-	return float64(r.MonitorExec) / float64(r.MonitorTotal)
-}
-
 // Run fuzzes the hardened program's entry function starting from seeds.
 func Run(h *core.Hardened, entry string, seeds [][]int64, cfg Config) *Report {
 	if cfg.Iterations == 0 {

@@ -34,9 +34,6 @@ func (b *InstrBase) base() *InstrBase { return b }
 // Module.Finalize).
 func InstrID(in Instr) int { return in.base().ID }
 
-// InstrPos returns the source line recorded for an instruction.
-func InstrPos(in Instr) int { return in.base().Pos }
-
 // BinOpKind enumerates interpreter arithmetic/comparison operators.
 type BinOpKind string
 

@@ -101,18 +101,6 @@ type RuntimeOpts struct {
 	Faults *faultinject.Plan
 }
 
-// NewRuntime builds the monitor runtime and the matching interpreter
-// instrumentation from the optimistic analysis result, with the default
-// secure-switch violation handler. It panics on a corrupt invariant record;
-// error-aware callers use BuildRuntime.
-func NewRuntime(opt *pointsto.Result, sw *Switcher, secret uint64) (*Runtime, *interp.Instrumentation) {
-	rt, ins, err := BuildRuntime(opt, RuntimeOpts{Switcher: sw, Secret: secret})
-	if err != nil {
-		panic(err)
-	}
-	return rt, ins
-}
-
 // NewRuntimeWithHandler builds the monitor runtime with a custom violation
 // handler and no attached switcher; CheckICall is only usable when a
 // switcher is attached (the graded controller performs its own lookups).

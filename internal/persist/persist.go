@@ -116,9 +116,6 @@ func Open(dir string, metrics *telemetry.Registry) (*Store, error) {
 // be set before the store is used concurrently.
 func (s *Store) SetFaults(p *faultinject.Plan) { s.faults = p }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) counter(name string) *telemetry.Counter {
 	if s.metrics == nil {
 		return telemetry.New().Counter(name) // throwaway; keeps call sites branch-free

@@ -1,7 +1,6 @@
 package pointsto
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -50,32 +49,6 @@ func (e *AbortError) Unwrap() error { return e.Cause }
 // exhaustion would. Callers that arm faults must use SolveCtx (Solve treats
 // any abort as a programming error). Must be called before Solve/SolveCtx.
 func (a *Analysis) SetFaults(p *faultinject.Plan) { a.faults = p }
-
-// SolveCtx runs the solver to a fixed point under a context and a step
-// budget. On success it returns the finished Result. On budget exhaustion,
-// context cancellation/deadline, or an injected solver fault it returns a
-// nil Result and a typed *AbortError (errors.Is ErrSolveAborted): a bounded
-// solve never passes off partial points-to sets as a fixpoint. The aborted
-// analysis keeps its pending worklist, so calling SolveCtx again with a
-// larger budget resumes and converges to the identical fixpoint.
-func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	a.solveCtx = ctx
-	a.stepsLeft = b.MaxSteps // 0 = unlimited
-	a.budgeted = b.MaxSteps > 0 || ctx.Done() != nil || a.faults.Armed(faultinject.SolverBudget)
-	a.abortErr = nil
-	err := a.resolve()
-	a.solveCtx, a.budgeted, a.stepsLeft = nil, false, 0
-	if err != nil {
-		if a.metrics != nil {
-			a.metrics.Counter("pointsto/solve/aborts").Inc()
-		}
-		return nil, err
-	}
-	return newResult(a), nil
-}
 
 // budgetStep accounts one solver step against the active budget, returning
 // false (and recording the abort) when the solve must stop before taking the

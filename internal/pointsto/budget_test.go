@@ -130,3 +130,35 @@ func TestInjectedSolverFaultAborts(t *testing.T) {
 		t.Fatal("fixpoint after injected fault differs from clean solve")
 	}
 }
+
+// Restore cannot abort: a result whose analysis carries an armed
+// SolverBudget fault still restores, without firing the fault, to the same
+// answer as an unarmed restore. The restored result keeps the plan for the
+// bounded form, RestoreAll, whose re-solve the fault then aborts.
+func TestRestoreIgnoresArmedSolverBudget(t *testing.T) {
+	m := workload.MbedTLS().MustModule()
+	r := New(m, invariant.All()).Solve()
+	recs := r.Invariants()
+	if len(recs) < 2 {
+		t.Fatalf("mbedtls assumes %d invariants, want several", len(recs))
+	}
+	want, err := r.Restore(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faultinject.ExplicitAt(faultinject.SolverBudget, 1)
+	r.a.faults = plan
+	got, err := r.Restore(recs[0])
+	if err != nil {
+		t.Fatalf("restore with an armed solver fault: %v", err)
+	}
+	if plan.Fired(faultinject.SolverBudget) {
+		t.Error("restore fired the solver fault")
+	}
+	if fingerprint(got) != fingerprint(want) {
+		t.Error("restore with an armed solver fault differs from an unarmed one")
+	}
+	if _, err := got.RestoreAll(context.Background(), Budget{}); !errors.Is(err, ErrSolveAborted) {
+		t.Errorf("RestoreAll from the restored result: err = %v, want the armed fault's abort", err)
+	}
+}

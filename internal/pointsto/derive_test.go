@@ -14,14 +14,15 @@ import (
 )
 
 // TestRestoreKeepsDerivedFallback: results derived by RestoreAll and
-// restoreTo share the optimistic analysis's state, so restoring the
+// restoreTo share the optimistic analysis's state, so restoring from the
 // optimistic Result invariant by invariant afterwards must leave every one
 // of them unchanged: the fallback, a view per ablation configuration, and
-// the view that restores nothing (a snapshot of the optimistic result,
-// which an in-place restore would change). Each view must also do the same
-// work as one derived from a fresh solve, and the finished analysis they all
-// derive from must end with its state unchanged, byte for byte (stateOf).
-// The optimistic result must end equal to the fallback.
+// the view that restores nothing (a snapshot of the optimistic result).
+// Each view must also do the same work as one derived from a fresh solve.
+// Every Restore must leave its receiver's answer (fingerprint) and state
+// (stateOf) byte-identical, and the finished analysis they all derive from
+// must end with its state unchanged. The last restored result must equal
+// the fallback.
 func TestRestoreKeepsDerivedFallback(t *testing.T) {
 	for name, m := range restoreModules(t) {
 		t.Run(name, func(t *testing.T) {
@@ -57,23 +58,33 @@ func TestRestoreKeepsDerivedFallback(t *testing.T) {
 			for view, r := range views {
 				want[view] = fingerprint(r)
 			}
-			for recs := opt.Invariants(); len(recs) > 0; recs = opt.Invariants() {
-				if err := opt.Restore(recs[0]); err != nil {
+			cur := opt
+			for recs := cur.Invariants(); len(recs) > 0; recs = cur.Invariants() {
+				curPrint, curState := fingerprint(cur), stateOf(cur.a)
+				next, err := cur.Restore(recs[0])
+				if err != nil {
 					t.Fatal(err)
+				}
+				if got := fingerprint(cur); got != curPrint {
+					t.Fatalf("restoring %v changed its receiver's answer:\n%s", recs[0].Kind, diffLines(curPrint, got))
+				}
+				if got := stateOf(cur.a); got != curState {
+					t.Fatalf("restoring %v wrote its receiver's state:\n%s", recs[0].Kind, diffLines(curState, got))
 				}
 				for view, r := range views {
 					if got := fingerprint(r); got != want[view] {
-						t.Fatalf("restoring %v on the optimistic result changed the %s view:\n%s",
+						t.Fatalf("restoring %v from the optimistic result changed the %s view:\n%s",
 							recs[0].Kind, view, diffLines(want[view], got))
 					}
 				}
+				cur = next
 			}
 			if got := stateOf(orig); got != origState {
 				t.Errorf("deriving and restoring wrote the state of the finished optimistic analysis:\n%s",
 					diffLines(origState, got))
 			}
-			if got := fingerprint(opt); got != want["derived fallback"] {
-				t.Errorf("restoring every invariant in place differs from the derived fallback:\n%s",
+			if got := fingerprint(cur); got != want["derived fallback"] {
+				t.Errorf("restoring every invariant one by one differs from the derived fallback:\n%s",
 					diffLines(want["derived fallback"], got))
 			}
 		})
@@ -111,6 +122,40 @@ func TestDeriveOwnsOnlyWrittenNodes(t *testing.T) {
 	}
 	checkOwnership(t, "derived fallback", d.a, opt.a)
 	t.Logf("owns %d of %d nodes (%d pops, %d changed)", owned, len(opt.a.nodes), pops, changed)
+}
+
+// TestFinishedSolveHoldsNoDelta: delta sets only serve a running solve, so
+// a finished Solve, a Restore and a RestoreAll leave no node holding one,
+// not even an empty one, under the fallback and the optimistic
+// configuration.
+func TestFinishedSolveHoldsNoDelta(t *testing.T) {
+	for name, m := range oracleModules(t) {
+		for _, cfg := range []invariant.Config{{}, invariant.All()} {
+			r := New(m, cfg).Solve()
+			views := map[string]*Result{"Solve": r}
+			fb, err := r.RestoreAll(context.Background(), Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			views["RestoreAll"] = fb
+			if recs := r.Invariants(); len(recs) > 0 {
+				if views["Restore"], err = r.Restore(recs[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for view, res := range views {
+				held := 0
+				for _, d := range res.a.delta {
+					if d != nil {
+						held++
+					}
+				}
+				if held != 0 {
+					t.Errorf("%s %s under %s: %d nodes hold a delta set", name, view, oracleConfigs[cfg], held)
+				}
+			}
+		}
+	}
 }
 
 // TestSpareSetsDistinct: a delta set is held by at most one node or by the
@@ -288,7 +333,7 @@ func TestDerivedWritesNoParentState(t *testing.T) {
 				continue
 			}
 			took = true
-			if err := d.resolve(); err != nil {
+			if _, err := d.SolveCtx(context.Background(), Budget{}); err != nil {
 				t.Fatal(err)
 			}
 			if got := stateOf(parent); got != before {

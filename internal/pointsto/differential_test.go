@@ -211,10 +211,11 @@ func TestDifferentialIncrementalOracle(t *testing.T) {
 						break
 					}
 					rec := recs[0]
-					if err := full.Restore(rec); err != nil {
+					var err error
+					if full, err = full.Restore(rec); err != nil {
 						t.Fatalf("%s: full restore %d (%+v): %v", label, i, rec, err)
 					}
-					if err := delta.Restore(rec); err != nil {
+					if delta, err = delta.Restore(rec); err != nil {
 						t.Fatalf("%s: delta restore %d (%+v): %v", label, i, rec, err)
 					}
 					if got, want := fingerprint(delta), fingerprint(full); got != want {

@@ -17,39 +17,38 @@ import (
 // violated invariant had optimistically removed and re-runs the (monotone)
 // solver from the current fixed point — far cheaper than a fresh solve, and
 // the result abandons only the violated assumption. Restoring every
-// invariant gives back the fallback view exactly; RestoreAll does that on a
-// derived analysis, so one solve serves both views.
+// invariant gives back the fallback view exactly; RestoreAll does that in
+// one derivation, so one solve serves both views.
 //
-// Every restore runs on a derived analysis (derive), never on a finished
-// one: the derived analysis reads its parent's state until it first writes
-// it, and copies only what it writes. A finished analysis is therefore
-// never written again, and any number of results derived from it, and
-// readers of it, may share its state.
+// Every restore runs on a derived analysis (derive) and returns a new
+// Result: the derived analysis reads its parent's state until it first
+// writes it, and copies only what it writes. A finished analysis is
+// therefore never written again, so a Result is a value: any number of
+// results derived from it, and readers of it, may share its state.
 //
-// Soundness note for callers: after a Restore, the remaining invariant set
-// (Invariants()) may carry updated PA filter sets, so runtime monitors must
-// be rebuilt from the refreshed result before execution continues. The
-// incremental execution controller in internal/core does this swap.
+// Soundness note for callers: a restored result may carry updated PA filter
+// sets in its invariants (Invariants()), so runtime monitors must be
+// rebuilt from it before execution continues. The incremental execution
+// controller in internal/core does this swap.
 
-// Restore abandons one previously assumed likely invariant, re-admits its
-// constraints, and incrementally re-solves. It returns an error if the
-// record does not correspond to an assumption of this analysis. The
-// re-solve runs on an analysis derived from the receiver's, which the
-// Result then switches to, so results derived from it earlier (RestoreAll)
-// keep their state.
-func (r *Result) Restore(rec invariant.Record) error {
+// Restore returns a new Result that abandons one previously assumed likely
+// invariant: its constraints are re-admitted and the re-solve continues
+// from the receiver's fixed point. It returns an error if the record does
+// not correspond to an assumption of the receiver, which is left unchanged
+// either way. Restore cannot abort: it re-solves without a budget and
+// without the receiver's fault plan. RestoreAll is the bounded, cancellable
+// form.
+func (r *Result) Restore(rec invariant.Record) (*Result, error) {
 	a := r.a.derive()
+	a.faults = nil
 	if err := a.readmit(rec); err != nil {
-		return err
+		return nil, err
 	}
-	// Restore re-solves outside any SolveCtx budget, so this cannot abort;
-	// the error return is plumbed through for uniformity. RestoreAll is the
-	// bounded, cancellable form.
-	if err := a.resolve(); err != nil {
-		return err
-	}
-	r.a = a
-	return nil
+	res, err := a.SolveCtx(context.Background(), Budget{})
+	// Like every derived analysis, the result keeps the receiver's plan for
+	// its own bounded restores.
+	a.faults = r.a.faults
+	return res, err
 }
 
 // RestoreAll returns a new Result with every invariant this one assumes

@@ -379,8 +379,7 @@ func TestFigure8CtxBaseline(t *testing.T) {
 	if !hasObj(refs, "@cb1") || !hasObj(refs, "@cb2") {
 		t.Fatalf("baseline PTS(slots1[0]) = %v, want cross-product {cb1, cb2}", objNames(refs))
 	}
-	stores, _ := r.CtxCandidates()
-	if stores != 1 {
+	if stores := len(r.a.ctxPlan.stores); stores != 1 {
 		t.Errorf("ctx candidate stores = %d, want 1", stores)
 	}
 }

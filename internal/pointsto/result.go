@@ -20,7 +20,9 @@ type ObjRef struct {
 	Slot int
 }
 
-// Result is an immutable view over a finished Analysis.
+// Result is an immutable view over a finished Analysis. Nothing writes the
+// analysis once its Result exists: a restore derives a new analysis and
+// returns a new Result, so a Result can be shared and read concurrently.
 type Result struct {
 	a *Analysis
 }
@@ -116,9 +118,6 @@ func (r *Result) PointsTo(fn, reg string) []ObjRef {
 	return r.canonicalRefs(id)
 }
 
-// PointsToSize returns the canonical points-to set size of a register.
-func (r *Result) PointsToSize(fn, reg string) int { return len(r.PointsTo(fn, reg)) }
-
 // SlotPointsTo returns the points-to set stored in slot of object obj (what
 // a load through that field would yield).
 func (r *Result) SlotPointsTo(obj *Object, slot int) []ObjRef {
@@ -126,17 +125,6 @@ func (r *Result) SlotPointsTo(obj *Object, slot int) []ObjRef {
 		slot = 0
 	}
 	return r.canonicalRefs(obj.NodeBase + slot)
-}
-
-// PointsToContains reports whether the points-to set of (fn, reg) includes
-// any slot of object target.
-func (r *Result) PointsToContains(fn, reg string, target *Object) bool {
-	for _, ref := range r.PointsTo(fn, reg) {
-		if ref.Obj == target {
-			return true
-		}
-	}
-	return false
 }
 
 // TopLevelPointers enumerates every register and return-value node with a
@@ -253,12 +241,6 @@ func (r *Result) PAFilteredAt(site int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// CtxCandidates reports how many precision-critical stores and returns the
-// pre-pass found (independent of whether the Ctx policy was enabled).
-func (r *Result) CtxCandidates() (stores, rets int) {
-	return len(r.a.ctxPlan.stores), len(r.a.ctxPlan.rets)
 }
 
 // Provenance returns up to five recorded derivations explaining how object

@@ -8,15 +8,15 @@ import (
 	"strings"
 
 	"repro/internal/bitset"
+	"repro/internal/faultinject"
 	"repro/internal/invariant"
 	"repro/internal/ir"
 )
 
 // Solve runs the inclusion-constraint solver to a fixed point and returns
-// the points-to result. Solving alternates worklist propagation with cycle
-// detection/collapse until neither changes the graph. Bounded or cancellable
-// solving goes through SolveCtx; Solve itself cannot abort (callers that arm
-// SolverBudget faults must use SolveCtx).
+// the points-to result. Bounded or cancellable solving goes through
+// SolveCtx; Solve itself cannot abort (callers that arm SolverBudget faults
+// must use SolveCtx).
 func (a *Analysis) Solve() *Result {
 	r, err := a.SolveCtx(context.Background(), Budget{})
 	if err != nil {
@@ -25,10 +25,24 @@ func (a *Analysis) Solve() *Result {
 	return r
 }
 
-// resolve runs propagation + cycle detection to a fixed point; it is also
-// the incremental re-solve entry used by Restore. A non-nil error is always
-// an *AbortError from the active budget, and leaves the analysis resumable.
-func (a *Analysis) resolve() error {
+// SolveCtx runs the solver to a fixed point under a context and a step
+// budget, alternating worklist propagation with cycle detection/collapse
+// until neither changes the graph. On success it returns the finished
+// Result. On budget exhaustion, context cancellation/deadline, or an
+// injected solver fault it returns a nil Result and a typed *AbortError
+// (errors.Is ErrSolveAborted): a bounded solve never passes off partial
+// points-to sets as a fixpoint. The aborted analysis keeps its pending
+// worklist, so calling SolveCtx again with a larger budget resumes and
+// converges to the identical fixpoint.
+func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	a.solveCtx = ctx
+	a.stepsLeft = b.MaxSteps // 0 = unlimited
+	a.budgeted = b.MaxSteps > 0 || ctx.Done() != nil || a.faults.Armed(faultinject.SolverBudget)
+	a.abortErr = nil
+	defer func() { a.solveCtx, a.budgeted, a.stepsLeft = nil, false, 0 }()
 	if (a.metrics != nil || a.parentSpan != nil) && !a.buildEmitted {
 		// Constraint-graph construction ran inside New, before a registry
 		// could be attached; export its interval retroactively, once. A
@@ -37,7 +51,7 @@ func (a *Analysis) resolve() error {
 		a.metrics.RecordSpan("pointsto/build", a.parentSpan, a.buildStart, a.buildDur)
 	}
 	if !a.prepDone {
-		// First resolve: run offline preprocessing once.
+		// First solve: run offline preprocessing once.
 		a.prepDone = true
 		if a.prep {
 			a.runPrep()
@@ -68,19 +82,30 @@ func (a *Analysis) resolve() error {
 	if a.abortErr != nil {
 		// Budget exhausted (or cancelled, or an injected solver fault): stop
 		// cleanly without presenting the intermediate state as a fixpoint.
-		// The unpopped worklist stays queued, so a later resolve resumes and
-		// converges to the identical fixpoint.
+		// The unpopped worklist stays queued, so a later SolveCtx resumes
+		// and converges to the identical fixpoint.
 		stop()
 		finishSolve()
 		a.flushMetrics()
 		err := a.abortErr
 		a.abortErr = nil
-		return err
+		if a.metrics != nil {
+			a.metrics.Counter("pointsto/solve/aborts").Inc()
+		}
+		return nil, err
 	}
 	_, mons := a.invariantRecords()
 	a.stats.MonitorSites = len(mons)
-	// The spare delta sets only serve a running solve.
+	// The spare delta sets only serve a running solve. So do the empty
+	// deltas a union that added nothing left behind (unionSetInto takes
+	// the target's delta first); a shared node's delta is its parent's,
+	// already dropped.
 	a.spare = nil
+	for n, d := range a.delta {
+		if d != nil && !a.shares(n) {
+			a.delta[n] = nil
+		}
+	}
 	// Flatten the union-find so post-solve readers (Result methods) can
 	// resolve representatives without path-compression writes; a finished
 	// analysis may then be read from many goroutines concurrently.
@@ -88,7 +113,7 @@ func (a *Analysis) resolve() error {
 	stop()
 	finishSolve()
 	a.flushMetrics()
-	return nil
+	return newResult(a), nil
 }
 
 // flattenReps fully path-compresses every union-find pointer. It writes

@@ -269,9 +269,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Metrics returns the server's telemetry registry (the /metricsz source).
 func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
 
-// Degraded reports whether the service is on its fallback view.
-func (s *Server) Degraded() bool { return s.degraded.Load() }
-
 // handler is the signature shared by all endpoint handlers: a nil return
 // means the handler already wrote its (successful) response.
 type handler func(w http.ResponseWriter, r *http.Request) *apiError
