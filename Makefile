@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build test race vet kbench-test bench profile bench-json fuzz-smoke chaos-smoke serve-smoke persist-smoke check
+.PHONY: all fmt build test race vet kbench-test examples bench profile bench-json fuzz-smoke chaos-smoke serve-smoke persist-smoke check
 
 all: check
 
@@ -36,6 +36,15 @@ vet:
 ## cached-flag oracle
 kbench-test:
 	cd kbench && $(GO) vet ./... && $(GO) test ./...
+
+## examples: run the four walk-throughs under examples/ and diff each one's
+## stdout (deterministic) against its committed examples/<name>/stdout.txt;
+## they print the switcher and monitor-runtime fields the library exposes
+EXAMPLES = cfihardening fallback introspection quickstart
+examples:
+	@set -e; for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e | diff -u examples/$$e/stdout.txt - || { echo "examples: $$e output changed" >&2; exit 1; }; \
+	done
 
 ## bench: run the evaluation benchmarks
 bench:
@@ -103,4 +112,4 @@ fuzz-smoke:
 	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s
 
 ## check: everything a PR must pass
-check: fmt build vet test kbench-test race fuzz-smoke
+check: fmt build vet test examples kbench-test race fuzz-smoke

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/memview"
 	"repro/internal/pointsto"
 )
 
@@ -32,11 +31,6 @@ func PolicyFrom(r *pointsto.Result) *Policy {
 	}
 	p.AddressTaken = len(r.Module().AddressTakenFuncs())
 	return p
-}
-
-// View converts the policy into a memory view.
-func (p *Policy) View(name string) *memview.View {
-	return memview.NewView(name, p.Targets)
 }
 
 // TargetCounts returns the number of permitted targets per callsite, in
@@ -74,14 +68,12 @@ func (p *Policy) MaxTargets() int {
 	return max
 }
 
-// Permits reports whether the policy allows target at site.
+// Permits reports whether the policy allows target at site. A policy is
+// read-only once built, so every execution of a hardened program shares it.
 func (p *Policy) Permits(site int, target string) bool {
-	for _, t := range p.Targets[site] {
-		if t == target {
-			return true
-		}
-	}
-	return false
+	ts := p.Targets[site]
+	i := sort.SearchStrings(ts, target)
+	return i < len(ts) && ts[i] == target
 }
 
 // Describe renders the policy for reports.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/minic"
 	"repro/internal/pointsto"
+	"repro/internal/workload"
 )
 
 const src = `
@@ -73,20 +74,32 @@ func TestPolicyStats(t *testing.T) {
 	}
 }
 
-func TestPolicyView(t *testing.T) {
-	p := policy(t)
-	v := p.View("optimistic")
-	if v.Name != "optimistic" {
-		t.Errorf("view name = %q", v.Name)
-	}
-	for _, site := range p.Sites {
+// TestPolicyPermitsMatchesScan checks the binary search in Permits against
+// a linear scan of the per-site list, on the optimistic and the baseline
+// policy of each of the nine apps: every site against every address-taken
+// function plus one name no function has.
+func TestPolicyPermitsMatchesScan(t *testing.T) {
+	scan := func(p *Policy, site int, target string) bool {
 		for _, fn := range p.Targets[site] {
-			if !v.Permits(site, fn) {
-				t.Errorf("view denies %s at %d", fn, site)
+			if fn == target {
+				return true
 			}
 		}
-		if v.Permits(site, "unused") {
-			t.Errorf("view permits unused at %d", site)
+		return false
+	}
+	for _, app := range workload.Apps() {
+		m := app.MustModule()
+		names := append(m.AddressTakenFuncs(), "no such function")
+		for _, cfg := range []invariant.Config{invariant.All(), {}} {
+			p := PolicyFrom(pointsto.New(m, cfg).Solve())
+			for _, site := range p.Sites {
+				for _, fn := range names {
+					if got, want := p.Permits(site, fn), scan(p, site, fn); got != want {
+						t.Errorf("%s %s: Permits(#%d, %s) = %v, linear scan says %v",
+							app.Name, cfg.Name(), site, fn, got, want)
+					}
+				}
+			}
 		}
 	}
 }

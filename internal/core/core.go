@@ -155,7 +155,8 @@ func (s *System) Sizes(r *pointsto.Result) []int {
 }
 
 // Hardened is a CFI-instrumented program: both policy views plus everything
-// needed to construct monitored executions.
+// needed to construct monitored executions. The policies are read-only, so
+// every execution shares them.
 type Hardened struct {
 	Sys        *System
 	Optimistic *cfi.Policy
@@ -181,7 +182,6 @@ type Execution struct {
 	Machine  *interp.Machine
 	Runtime  *memview.Runtime
 	Switcher *memview.Switcher
-	Instr    *interp.Instrumentation
 }
 
 // NewExecution builds a monitored execution. Each execution has its own
@@ -202,15 +202,8 @@ func (h *Hardened) NewExecution(track bool) *Execution {
 // *memview.CorruptRecordError; the SpuriousViolation site stays armed inside
 // the runtime's monitor hooks for the execution's lifetime.
 func (h *Hardened) NewExecutionChecked(track bool, faults *faultinject.Plan) (*Execution, error) {
-	sw, secret := memview.NewSwitcher(
-		h.Optimistic.View("optimistic"),
-		h.Fallback.View("fallback"),
-	)
-	rt, ins, err := memview.BuildRuntime(h.Sys.Optimistic, memview.RuntimeOpts{
-		Switcher: sw,
-		Secret:   secret,
-		Faults:   faults,
-	})
+	sw, secret := memview.NewSwitcher(h.Optimistic, h.Fallback)
+	rt, ins, err := memview.BuildRuntime(h.Sys.Optimistic, sw.Handler(secret), faults)
 	if err != nil {
 		return nil, err
 	}
@@ -220,13 +213,25 @@ func (h *Hardened) NewExecutionChecked(track bool, faults *faultinject.Plan) (*E
 		TrackPointsTo: track,
 		Metrics:       h.Sys.Metrics,
 	})
-	return &Execution{Machine: mc, Runtime: rt, Switcher: sw, Instr: ins}, nil
+	return &Execution{Machine: mc, Runtime: rt, Switcher: sw}, nil
 }
 
 // MonitorSites returns the number of distinct instrumented monitor sites in
 // a hardened execution (the "Total" column of Tables 4 and 5).
 func (h *Hardened) MonitorSites() int {
-	return h.NewExecution(false).Instr.NumMonitorSites()
+	return instrumentation(h.Sys.Optimistic).NumMonitorSites()
+}
+
+// instrumentation returns the interpreter instrumentation the monitors of
+// opt need.
+func instrumentation(opt *pointsto.Result) *interp.Instrumentation {
+	_, ins, err := memview.BuildRuntime(opt, nil, nil)
+	if err != nil {
+		// Unreachable: without a fault plan, only a defect in the analysis
+		// can produce a corrupt record.
+		panic(err)
+	}
+	return ins
 }
 
 // Run executes the entry function under monitoring.

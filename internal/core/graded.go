@@ -1,9 +1,6 @@
 package core
 
 import (
-	"crypto/rand"
-	"encoding/binary"
-
 	"repro/internal/cfi"
 	"repro/internal/interp"
 	"repro/internal/invariant"
@@ -25,39 +22,58 @@ type GradedSystem struct {
 	Module   *ir.Module
 	Systems  map[string]*System     // config name -> analysis
 	Policies map[string]*cfi.Policy // config name -> optimistic policy of that config
+	// instr is the union of every level's monitor sites, so degraded levels
+	// find their monitors already in place.
+	instr *interp.Instrumentation
 }
 
 // AnalyzeGraded runs every configuration (the same sweep Table 3 performs)
-// and prepares per-level CFI policies.
+// and prepares per-level CFI policies and the union instrumentation.
 func AnalyzeGraded(m *ir.Module) *GradedSystem {
 	g := &GradedSystem{
 		Module:   m,
 		Systems:  map[string]*System{},
 		Policies: map[string]*cfi.Policy{},
+		instr: &interp.Instrumentation{
+			PtrAddSites: map[int]bool{},
+			FieldSites:  map[int]bool{},
+			CtxCallArgs: map[int][]int{},
+			CtxChecks:   map[int][]invariant.CtxSample{},
+			CheckICalls: true,
+		},
 	}
 	for _, cfg := range invariant.Ablations() {
 		s := Analyze(m, cfg)
 		g.Systems[cfg.Name()] = s
 		g.Policies[cfg.Name()] = cfi.PolicyFrom(s.Optimistic)
+		ins := instrumentation(s.Optimistic)
+		for site := range ins.PtrAddSites {
+			g.instr.PtrAddSites[site] = true
+		}
+		for site := range ins.FieldSites {
+			g.instr.FieldSites[site] = true
+		}
+		for site, args := range ins.CtxCallArgs {
+			g.instr.CtxCallArgs[site] = args
+		}
+		for site, samples := range ins.CtxChecks {
+			g.instr.CtxChecks[site] = samples
+		}
 	}
 	return g
 }
 
-// GradedController implements interp.Hooks: it runs the monitors of the
-// currently active level and performs CFI lookups against that level's
-// view, degrading one invariant policy per violation through a secret-gated
-// transition (mirroring §5's switch integrity).
+// GradedController is the graded memview.Handler: it answers CFI lookups
+// from the active level's policy and, per violation, drops the violated
+// policy and installs that level's monitors into the execution's runtime.
 type GradedController struct {
-	g        *GradedSystem
-	cur      invariant.Config
-	runtimes map[string]*memview.Runtime
-	secret   uint64
+	g   *GradedSystem
+	rt  *memview.Runtime
+	cur invariant.Config
 
 	violations []memview.Violation
 	// Transitions records the sequence of installed configurations.
 	Transitions []string
-	// CFILookups counts indirect-call policy checks.
-	CFILookups int64
 }
 
 // Active returns the currently installed configuration.
@@ -66,27 +82,15 @@ func (c *GradedController) Active() invariant.Config { return c.cur }
 // Violations returns all recorded violations.
 func (c *GradedController) Violations() []memview.Violation { return c.violations }
 
-// ChecksPerformed sums monitor checks across all levels that ran.
-func (c *GradedController) ChecksPerformed() int64 {
-	var n int64
-	for _, rt := range c.runtimes {
-		n += rt.ChecksPerformed
-	}
-	return n
+// Permits looks the target up in the active level's CFI policy.
+func (c *GradedController) Permits(site int, target string) bool {
+	return c.g.Policies[c.cur.Name()].Permits(site, target)
 }
 
-// OnViolation implements memview.ViolationHandler: drop the violated policy
-// from the active configuration and install the corresponding level.
-func (c *GradedController) OnViolation(v Violation) { c.degrade(c.secret, v) }
-
-// Violation aliases memview.Violation for the handler signature.
-type Violation = memview.Violation
-
-// degrade performs the gated level transition.
-func (c *GradedController) degrade(gate uint64, v memview.Violation) {
-	if gate != c.secret {
-		return // illegitimate entry: refuse, like Switcher.Switch
-	}
+// OnViolation drops the violated policy from the active configuration and
+// installs the corresponding level. Monitor state of the invariants the
+// level still assumes survives the transition.
+func (c *GradedController) OnViolation(v memview.Violation) {
 	c.violations = append(c.violations, v)
 	next := c.cur
 	switch v.Kind {
@@ -100,83 +104,35 @@ func (c *GradedController) degrade(gate uint64, v memview.Violation) {
 	if next == c.cur {
 		return // policy already degraded; nothing further to drop
 	}
+	if _, err := c.rt.Install(c.g.Systems[next.Name()].Optimistic); err != nil {
+		panic(err) // unreachable: the controller arms no fault plan
+	}
 	c.cur = next
 	c.Transitions = append(c.Transitions, next.Name())
 }
 
-// current returns the active level's monitor runtime.
-func (c *GradedController) current() *memview.Runtime { return c.runtimes[c.cur.Name()] }
-
-// PtrAdd forwards to the active level's PA monitors (inactive levels have no
-// entry for the site and no-op).
-func (c *GradedController) PtrAdd(site int, base interp.Value) { c.current().PtrAdd(site, base) }
-
-// FieldAddr forwards to the active level's PWC monitors.
-func (c *GradedController) FieldAddr(site int, base, result interp.Value) {
-	c.current().FieldAddr(site, base, result)
-}
-
-// CtxCall forwards callsite recording to the active level.
-func (c *GradedController) CtxCall(site int, args []interp.Value) { c.current().CtxCall(site, args) }
-
-// CtxCheck forwards the critical-parameter check to the active level.
-func (c *GradedController) CtxCheck(site int, vals []interp.Value) { c.current().CtxCheck(site, vals) }
-
-// CheckICall looks the target up in the active level's CFI policy.
-func (c *GradedController) CheckICall(site int, target string) bool {
-	c.CFILookups++
-	return c.g.Policies[c.cur.Name()].Permits(site, target)
-}
-
-var _ interp.Hooks = (*GradedController)(nil)
-
 // GradedExecution is a monitored run with graded fallback.
 type GradedExecution struct {
 	Machine    *interp.Machine
+	Runtime    *memview.Runtime
 	Controller *GradedController
 }
 
-// NewExecution builds a graded execution starting at full Kaleidoscope. The
-// interpreter instrumentation is the union of every level's monitor sites,
-// so degraded levels find their monitors already in place.
+// NewExecution builds a graded execution starting at full Kaleidoscope,
+// instrumented with every level's monitor sites.
 func (g *GradedSystem) NewExecution(track bool) *GradedExecution {
-	var b [8]byte
-	_, _ = rand.Read(b[:])
-	ctrl := &GradedController{
-		g:        g,
-		cur:      invariant.All(),
-		runtimes: map[string]*memview.Runtime{},
-		secret:   binary.LittleEndian.Uint64(b[:]) | 1,
+	ctrl := &GradedController{g: g, cur: invariant.All()}
+	rt, _, err := memview.BuildRuntime(g.Systems[ctrl.cur.Name()].Optimistic, ctrl, nil)
+	if err != nil {
+		panic(err) // unreachable: no fault plan
 	}
-	union := &interp.Instrumentation{
-		PtrAddSites: map[int]bool{},
-		FieldSites:  map[int]bool{},
-		CtxCallArgs: map[int][]int{},
-		CtxChecks:   map[int][]invariant.CtxSample{},
-		CheckICalls: true,
-	}
-	for name, s := range g.Systems {
-		rt, ins := memview.NewRuntimeWithHandler(s.Optimistic, ctrl)
-		ctrl.runtimes[name] = rt
-		for site := range ins.PtrAddSites {
-			union.PtrAddSites[site] = true
-		}
-		for site := range ins.FieldSites {
-			union.FieldSites[site] = true
-		}
-		for site, args := range ins.CtxCallArgs {
-			union.CtxCallArgs[site] = args
-		}
-		for site, samples := range ins.CtxChecks {
-			union.CtxChecks[site] = samples
-		}
-	}
+	ctrl.rt = rt
 	mc := interp.New(g.Module, interp.Config{
-		Hooks:         ctrl,
-		Instr:         union,
+		Hooks:         rt,
+		Instr:         g.instr,
 		TrackPointsTo: track,
 	})
-	return &GradedExecution{Machine: mc, Controller: ctrl}
+	return &GradedExecution{Machine: mc, Runtime: rt, Controller: ctrl}
 }
 
 // Run executes the entry function under graded monitoring.

@@ -84,7 +84,7 @@ func TestGradedCleanRunStaysFull(t *testing.T) {
 	if len(e.Controller.Violations()) != 0 {
 		t.Errorf("violations: %v", e.Controller.Violations())
 	}
-	if e.Controller.CFILookups == 0 {
+	if e.Runtime.CFILookups == 0 {
 		t.Error("no CFI lookups")
 	}
 }

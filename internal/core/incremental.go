@@ -17,23 +17,25 @@ import (
 // finer-grained than even the graded controller, at the cost of an online
 // solver pass.
 
-// IncrementalController implements interp.Hooks with restore-on-violation.
+// IncrementalController is the restore-on-violation memview.Handler: it
+// answers CFI lookups from the policy of its current result and, per
+// violation, restores the violated invariant and installs the restored
+// result's monitors into the execution's runtime.
 type IncrementalController struct {
-	opt     *pointsto.Result
-	policy  *cfi.Policy
-	runtime *memview.Runtime
+	opt    *pointsto.Result
+	policy *cfi.Policy
+	rt     *memview.Runtime
 
 	// Violations lists every violation observed, in order.
 	Violations []memview.Violation
 	// Restores counts successful incremental re-analyses.
 	Restores int
-	// CFILookups counts indirect-call policy checks.
-	CFILookups int64
 }
 
 // IncrementalExecution is a monitored run with restore-on-violation.
 type IncrementalExecution struct {
 	Machine    *interp.Machine
+	Runtime    *memview.Runtime
 	Controller *IncrementalController
 }
 
@@ -42,14 +44,18 @@ type IncrementalExecution struct {
 // controller switches to; s.Optimistic and s.Fallback are never written, so
 // any number of executions may run on one System concurrently.
 func (s *System) NewIncrementalExecution(track bool) *IncrementalExecution {
-	ctrl := &IncrementalController{opt: s.Optimistic}
-	ctrl.refresh()
+	ctrl := &IncrementalController{opt: s.Optimistic, policy: cfi.PolicyFrom(s.Optimistic)}
+	rt, _, err := memview.BuildRuntime(s.Optimistic, ctrl, nil)
+	if err != nil {
+		panic(err) // unreachable: no fault plan
+	}
+	ctrl.rt = rt
 	mc := interp.New(s.Module, interp.Config{
-		Hooks:         ctrl,
+		Hooks:         rt,
 		Instr:         fullInstrumentation(s.Module, s.Optimistic),
 		TrackPointsTo: track,
 	})
-	return &IncrementalExecution{Machine: mc, Controller: ctrl}
+	return &IncrementalExecution{Machine: mc, Runtime: rt, Controller: ctrl}
 }
 
 // Run executes the entry function under incremental monitoring.
@@ -61,17 +67,14 @@ func (e *IncrementalExecution) Run(entry string, inputs []int64) *interp.Trace {
 // started from, less every invariant restored since.
 func (c *IncrementalController) Result() *pointsto.Result { return c.opt }
 
-// refresh rebuilds the CFI policy and monitor runtime from the (possibly
-// restored) analysis state.
-func (c *IncrementalController) refresh() {
-	c.policy = cfi.PolicyFrom(c.opt)
-	rt, _ := memview.NewRuntimeWithHandler(c.opt, c)
-	c.runtime = rt
+// Permits consults the current (possibly restored) CFI policy.
+func (c *IncrementalController) Permits(site int, target string) bool {
+	return c.policy.Permits(site, target)
 }
 
-// OnViolation implements memview.ViolationHandler: find the violated
-// invariant, restore its constraints incrementally, and refresh the policy
-// and monitors.
+// OnViolation finds the violated invariant, restores its constraints
+// incrementally, and refreshes the policy and monitors. Monitor state of
+// the invariants the restored result still assumes survives the refresh.
 func (c *IncrementalController) OnViolation(v memview.Violation) {
 	c.Violations = append(c.Violations, v)
 	for _, rec := range c.opt.Invariants() {
@@ -93,37 +96,14 @@ func (c *IncrementalController) OnViolation(v memview.Violation) {
 		if next, err := c.opt.Restore(rec); err == nil {
 			c.opt = next
 			c.Restores++
-			c.refresh()
+			c.policy = cfi.PolicyFrom(next)
+			if _, err := c.rt.Install(next); err != nil {
+				panic(err) // unreachable: the controller arms no fault plan
+			}
 		}
 		return
 	}
 }
-
-// PtrAdd forwards to the current monitor runtime.
-func (c *IncrementalController) PtrAdd(site int, base interp.Value) { c.runtime.PtrAdd(site, base) }
-
-// FieldAddr forwards to the current monitor runtime.
-func (c *IncrementalController) FieldAddr(site int, base, result interp.Value) {
-	c.runtime.FieldAddr(site, base, result)
-}
-
-// CtxCall forwards to the current monitor runtime.
-func (c *IncrementalController) CtxCall(site int, args []interp.Value) {
-	c.runtime.CtxCall(site, args)
-}
-
-// CtxCheck forwards to the current monitor runtime.
-func (c *IncrementalController) CtxCheck(site int, vals []interp.Value) {
-	c.runtime.CtxCheck(site, vals)
-}
-
-// CheckICall consults the current (possibly refreshed) CFI policy.
-func (c *IncrementalController) CheckICall(site int, target string) bool {
-	c.CFILookups++
-	return c.policy.Permits(site, target)
-}
-
-var _ interp.Hooks = (*IncrementalController)(nil)
 
 // fullInstrumentation instruments every PtrAdd and FieldAddr site plus all
 // Ctx sites of the current invariants. Restored analyses may grow PA filter

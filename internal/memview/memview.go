@@ -10,43 +10,9 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/cfi"
 	"repro/internal/invariant"
 )
-
-// View is one memory view: for the CFI use case, the set of permitted
-// function targets per indirect callsite.
-type View struct {
-	Name    string
-	Targets map[int]map[string]bool // icall instruction ID -> allowed functions
-}
-
-// NewView builds a view from per-site target lists.
-func NewView(name string, targets map[int][]string) *View {
-	v := &View{Name: name, Targets: map[int]map[string]bool{}}
-	for site, fns := range targets {
-		m := make(map[string]bool, len(fns))
-		for _, f := range fns {
-			m[f] = true
-		}
-		v.Targets[site] = m
-	}
-	return v
-}
-
-// Permits reports whether the view allows target at the callsite.
-func (v *View) Permits(site int, target string) bool { return v.Targets[site][target] }
-
-// AvgTargets returns the mean number of permitted targets per callsite.
-func (v *View) AvgTargets() float64 {
-	if len(v.Targets) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, t := range v.Targets {
-		sum += len(t)
-	}
-	return float64(sum) / float64(len(v.Targets))
-}
 
 // Violation records a likely-invariant violation observed at runtime.
 type Violation struct {
@@ -63,7 +29,8 @@ func (v Violation) String() string {
 // (an illegitimate jump into the MV switch code, §5).
 var ErrBadGate = fmt.Errorf("memview: secure gate check failed: invalid secret")
 
-// Switcher holds the two memory views and performs the secure, one-way
+// Switcher holds the two memory views, a hardened program's optimistic and
+// fallback CFI policies, and performs the secure, one-way
 // optimistic→fallback switch. Legitimate callers must present the 64-bit
 // secret issued at construction, modeling the stack-secret gate of §5.
 //
@@ -71,20 +38,21 @@ var ErrBadGate = fmt.Errorf("memview: secure gate check failed: invalid secret")
 // goroutines, and a violation storm produces exactly one view transition
 // while every violation is still recorded (Switch is one-way idempotent).
 type Switcher struct {
-	optimistic *View
-	fallback   *View
+	optimistic *cfi.Policy
+	fallback   *cfi.Policy
 	secret     uint64
 
 	mu         sync.Mutex
-	active     *View
+	active     *cfi.Policy
 	violations []Violation
 	badGates   int64
 }
 
 // NewSwitcher creates a switcher starting on the optimistic view and returns
 // it together with the gate secret that legitimate monitor code must
-// present.
-func NewSwitcher(optimistic, fallback *View) (*Switcher, uint64) {
+// present. The policies are only read, so any number of switchers may share
+// them.
+func NewSwitcher(optimistic, fallback *cfi.Policy) (*Switcher, uint64) {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// The gate secret only defends the simulated switch path; fall back
@@ -97,7 +65,7 @@ func NewSwitcher(optimistic, fallback *View) (*Switcher, uint64) {
 }
 
 // Active returns the currently installed view.
-func (s *Switcher) Active() *View {
+func (s *Switcher) Active() *cfi.Policy {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.active
@@ -142,4 +110,22 @@ func (s *Switcher) Switch(gate uint64, v Violation) error {
 	s.violations = append(s.violations, v)
 	s.active = s.fallback
 	return nil
+}
+
+// Handler returns the switcher's monitor-runtime handler: a violation
+// enters the switch presenting secret, and a CFI lookup reads the active
+// view. Monitors are legitimate switcher-entry code, so they hold the gate
+// secret (the stack-secret push of §5).
+func (s *Switcher) Handler(secret uint64) Handler { return &switchHandler{sw: s, secret: secret} }
+
+// switchHandler is the §5 two-view handler.
+type switchHandler struct {
+	sw     *Switcher
+	secret uint64
+}
+
+func (h *switchHandler) OnViolation(v Violation) { _ = h.sw.Switch(h.secret, v) }
+
+func (h *switchHandler) Permits(site int, target string) bool {
+	return h.sw.Active().Permits(site, target)
 }

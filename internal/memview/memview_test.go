@@ -3,44 +3,40 @@ package memview
 import (
 	"testing"
 
+	"repro/internal/cfi"
 	"repro/internal/invariant"
 )
 
-func twoViews() (*View, *View) {
-	opt := NewView("optimistic", map[int][]string{
+func twoViews() (*cfi.Policy, *cfi.Policy) {
+	opt := &cfi.Policy{Sites: []int{1, 2}, Targets: map[int][]string{
 		1: {"good"},
 		2: {"a", "b"},
-	})
-	fb := NewView("fallback", map[int][]string{
-		1: {"good", "evil"},
+	}}
+	fb := &cfi.Policy{Sites: []int{1, 2}, Targets: map[int][]string{
+		1: {"evil", "good"},
 		2: {"a", "b", "c"},
-	})
+	}}
 	return opt, fb
 }
 
-func TestViewPermits(t *testing.T) {
-	opt, _ := twoViews()
-	if !opt.Permits(1, "good") {
+// The switcher's handler answers CFI lookups from the active view: the
+// optimistic one until a violation enters the switch, the fallback after.
+func TestSwitchHandlerPermits(t *testing.T) {
+	opt, fb := twoViews()
+	sw, secret := NewSwitcher(opt, fb)
+	h := sw.Handler(secret)
+	if !h.Permits(1, "good") {
 		t.Error("optimistic denies good")
 	}
-	if opt.Permits(1, "evil") {
+	if h.Permits(1, "evil") {
 		t.Error("optimistic permits evil")
 	}
-	if opt.Permits(99, "good") {
+	if h.Permits(99, "good") {
 		t.Error("unknown site permitted")
 	}
-}
-
-func TestViewAvgTargets(t *testing.T) {
-	opt, fb := twoViews()
-	if got := opt.AvgTargets(); got != 1.5 {
-		t.Errorf("optimistic avg = %v, want 1.5", got)
-	}
-	if got := fb.AvgTargets(); got != 2.5 {
-		t.Errorf("fallback avg = %v, want 2.5", got)
-	}
-	if got := NewView("empty", nil).AvgTargets(); got != 0 {
-		t.Errorf("empty avg = %v", got)
+	h.OnViolation(Violation{Kind: invariant.PA, Site: 1})
+	if !sw.Switched() || !h.Permits(1, "evil") {
+		t.Error("the handler's violation did not install the fallback view")
 	}
 }
 

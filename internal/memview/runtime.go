@@ -15,40 +15,36 @@ type slotAddr struct {
 	off int
 }
 
-// ViolationHandler reacts to a detected likely-invariant violation. The
-// default handler performs the secure optimistic→fallback switch; the graded
-// controller (§8's finer-grained fallback) degrades one policy at a time.
-type ViolationHandler interface {
+// Handler decides what the runtime's monitors mean: what a detected
+// likely-invariant violation does and which CFI policy answers an indirect
+// call. The §5 switcher (Switcher.Handler) switches the whole memory view;
+// the §8 fallbacks (the graded and incremental controllers in core) degrade
+// one policy or one invariant at a time and Install the result they fall
+// back to.
+type Handler interface {
 	OnViolation(v Violation)
-}
-
-// switchHandler is the default two-view handler.
-type switchHandler struct {
-	sw     *Switcher
-	secret uint64
-}
-
-func (h *switchHandler) OnViolation(v Violation) {
-	// The monitor is legitimate switcher-entry code, so it holds the gate
-	// secret (the stack-secret push of §5).
-	_ = h.sw.Switch(h.secret, v)
+	Permits(site int, target string) bool
 }
 
 // Runtime implements interp.Hooks: it evaluates the likely-invariant
-// monitors emitted by the optimistic analysis and performs CFI target
-// lookups against the active memory view, reporting violations to its
-// handler (by default: the secure gate switch).
+// monitors of the installed analysis result and asks its handler for CFI
+// target lookups, reporting violations to the handler. An execution has
+// exactly one Runtime; a handler that degrades Installs another result's
+// monitors into it, and the monitor state of every invariant both results
+// assume carries over.
 type Runtime struct {
-	sw      *Switcher
-	handler ViolationHandler
+	handler Handler
 	faults  *faultinject.Plan // SpuriousViolation fires inside monitor hooks
 
+	// The installed result's monitor tables. A PWC invariant's generated
+	// field addresses and a Ctx invariant's recorded actuals are monitor
+	// state: Install keeps them, keyed by the record, for every record the
+	// new result still assumes.
 	paFiltered  map[int]map[interp.AbsKey]bool // PtrAdd site -> filtered objects
-	pwcGroups   map[int][]int                  // FieldAddr site -> invariant indexes
-	pwcGen      map[int]map[slotAddr]bool      // invariant index -> generated field addresses
-	ctxCallInv  map[int]int                    // callsite -> invariant index
-	ctxCheckInv map[int]int                    // store/ret site -> invariant index
-	ctxRecorded map[int][]interp.Value         // invariant index -> last recorded actuals
+	pwcGroups   map[int][]map[slotAddr]bool    // FieldAddr site -> generated addresses of each cycle through it
+	pwcGen      map[string]map[slotAddr]bool   // PWC cycle (its sorted field sites) -> generated field addresses
+	ctxCallInv  map[int]*ctxState              // callsite -> state of its Ctx invariant
+	ctxCheckInv map[int]*ctxState              // store/ret site (the record's Site) -> state of its Ctx invariant
 
 	// ChecksPerformed counts monitor checks (not CFI lookups), for the
 	// check-density figure (§7.2).
@@ -56,6 +52,10 @@ type Runtime struct {
 	// CFILookups counts indirect-call policy checks.
 	CFILookups int64
 }
+
+// ctxState is a Ctx invariant's monitor state: the critical actuals last
+// recorded at one of its callsites.
+type ctxState struct{ recorded []interp.Value }
 
 // AbsKeyOf maps an analysis object to its runtime abstract identity.
 func AbsKeyOf(o *pointsto.Object) interp.AbsKey {
@@ -72,8 +72,8 @@ func AbsKeyOf(o *pointsto.Object) interp.AbsKey {
 }
 
 // CorruptRecordError reports an invariant record that failed validation
-// while the monitor runtime was being built from it. Building refuses the
-// whole runtime: a monitor wired from a corrupt record could silently watch
+// while monitors were being installed from it. Installing refuses the whole
+// result: a monitor wired from a corrupt record could silently watch
 // the wrong site, which is exactly the failure mode the validation exists to
 // exclude.
 type CorruptRecordError struct {
@@ -86,55 +86,35 @@ func (e *CorruptRecordError) Error() string {
 	return fmt.Sprintf("memview: corrupt %s invariant record %d: %s", e.Kind, e.Index, e.Reason)
 }
 
-// RuntimeOpts configures BuildRuntime. Exactly one of Handler or Switcher
-// must be set: a Switcher (plus its Secret) gets the default secure-switch
-// handler and enables CheckICall; a custom Handler (graded controller)
-// performs its own lookups.
-type RuntimeOpts struct {
-	Handler  ViolationHandler
-	Switcher *Switcher
-	Secret   uint64
-	// Faults optionally arms fault injection: SpuriousViolation fires inside
-	// a monitor hook (reporting a violation no real breach caused), and
-	// CorruptRecord mutates one invariant record before wiring — which
-	// validation must then catch as a *CorruptRecordError.
-	Faults *faultinject.Plan
-}
-
-// NewRuntimeWithHandler builds the monitor runtime with a custom violation
-// handler and no attached switcher; CheckICall is only usable when a
-// switcher is attached (the graded controller performs its own lookups).
-// It panics on a corrupt invariant record; error-aware callers use
-// BuildRuntime.
-func NewRuntimeWithHandler(opt *pointsto.Result, h ViolationHandler) (*Runtime, *interp.Instrumentation) {
-	rt, ins, err := BuildRuntime(opt, RuntimeOpts{Handler: h})
+// BuildRuntime builds the monitor runtime of one execution, with h as its
+// handler and the monitors of the optimistic analysis result installed, and
+// returns it with the interpreter instrumentation those monitors need. A
+// caller that wants only the instrumentation may pass a nil handler and
+// drop the runtime. faults optionally arms fault injection: a
+// SpuriousViolation fires inside a monitor hook (reporting a violation no
+// real breach caused), and a CorruptRecord mutates one invariant record
+// before wiring, which validation must then catch.
+func BuildRuntime(opt *pointsto.Result, h Handler, faults *faultinject.Plan) (*Runtime, *interp.Instrumentation, error) {
+	rt := &Runtime{handler: h, faults: faults}
+	ins, err := rt.Install(opt)
 	if err != nil {
-		panic(err)
+		return nil, nil, err
 	}
-	return rt, ins
+	return rt, ins, nil
 }
 
-// BuildRuntime builds the monitor runtime and interpreter instrumentation
-// from the optimistic analysis result. Every invariant record is validated
-// before any monitor is wired from it; a record that fails validation —
-// whether from an injected CorruptRecord fault or a real defect upstream —
-// surfaces as a typed *CorruptRecordError and no runtime is produced.
-func BuildRuntime(opt *pointsto.Result, o RuntimeOpts) (*Runtime, *interp.Instrumentation, error) {
-	h := o.Handler
-	if h == nil {
-		h = &switchHandler{sw: o.Switcher, secret: o.Secret}
-	}
-	rt := &Runtime{
-		sw:          o.Switcher,
-		handler:     h,
-		faults:      o.Faults,
-		paFiltered:  map[int]map[interp.AbsKey]bool{},
-		pwcGroups:   map[int][]int{},
-		pwcGen:      map[int]map[slotAddr]bool{},
-		ctxCallInv:  map[int]int{},
-		ctxCheckInv: map[int]int{},
-		ctxRecorded: map[int][]interp.Value{},
-	}
+// Install replaces the runtime's monitors with those of opt and returns the
+// instrumentation they need. Monitor state carries over for every
+// invariant both results assume: a Ctx invariant by its site, a PWC
+// invariant by its cycle. Every invariant record is validated before any
+// monitor is wired from it; a record that fails validation, whether from an
+// injected CorruptRecord fault or a real defect upstream, surfaces as a
+// typed *CorruptRecordError and leaves the runtime as it was.
+//
+// A handler may Install from inside OnViolation, that is, inside a hook: a
+// hook that is still running finishes against the tables it started with,
+// and its writes to kept state land in the state the new tables hold.
+func (rt *Runtime) Install(opt *pointsto.Result) (*interp.Instrumentation, error) {
 	ins := &interp.Instrumentation{
 		PtrAddSites: map[int]bool{},
 		FieldSites:  map[int]bool{},
@@ -142,11 +122,15 @@ func BuildRuntime(opt *pointsto.Result, o RuntimeOpts) (*Runtime, *interp.Instru
 		CtxChecks:   map[int][]invariant.CtxSample{},
 		CheckICalls: true,
 	}
+	paFiltered := map[int]map[interp.AbsKey]bool{}
+	pwcGroups := map[int][]map[slotAddr]bool{}
+	pwcGen := map[string]map[slotAddr]bool{}
+	ctxCallInv := map[int]*ctxState{}
+	ctxCheckInv := map[int]*ctxState{}
 	objs := opt.Objects()
-	recs := corruptRecords(opt.Invariants(), o.Faults)
-	for idx, rec := range recs {
+	for idx, rec := range corruptRecords(opt.Invariants(), rt.faults) {
 		if reason := validateRecord(rec, len(objs)); reason != "" {
-			return nil, nil, &CorruptRecordError{Index: idx, Kind: rec.Kind, Reason: reason}
+			return nil, &CorruptRecordError{Index: idx, Kind: rec.Kind, Reason: reason}
 		}
 		switch rec.Kind {
 		case invariant.PA:
@@ -155,23 +139,36 @@ func BuildRuntime(opt *pointsto.Result, o RuntimeOpts) (*Runtime, *interp.Instru
 			for _, oi := range rec.FilteredObjs {
 				filtered[AbsKeyOf(objs[oi])] = true
 			}
-			rt.paFiltered[rec.Site] = filtered
+			paFiltered[rec.Site] = filtered
 		case invariant.PWC:
+			// Site is the cycle's first field site, which two cycles may
+			// share; the whole site list names the cycle.
+			cycle := fmt.Sprint(rec.CycleFieldSites)
+			gen := rt.pwcGen[cycle]
+			if gen == nil {
+				gen = map[slotAddr]bool{}
+			}
+			pwcGen[cycle] = gen
 			for _, site := range rec.CycleFieldSites {
 				ins.FieldSites[site] = true
-				rt.pwcGroups[site] = append(rt.pwcGroups[site], idx)
+				pwcGroups[site] = append(pwcGroups[site], gen)
 			}
-			rt.pwcGen[idx] = map[slotAddr]bool{}
 		case invariant.Ctx:
+			st := rt.ctxCheckInv[rec.Site]
+			if st == nil {
+				st = &ctxState{}
+			}
 			ins.CtxChecks[rec.Site] = rec.CtxSamples
-			rt.ctxCheckInv[rec.Site] = idx
+			ctxCheckInv[rec.Site] = st
 			for _, cs := range rec.Callsites {
 				ins.CtxCallArgs[cs] = rec.CtxParams
-				rt.ctxCallInv[cs] = idx
+				ctxCallInv[cs] = st
 			}
 		}
 	}
-	return rt, ins, nil
+	rt.paFiltered, rt.pwcGroups, rt.pwcGen = paFiltered, pwcGroups, pwcGen
+	rt.ctxCallInv, rt.ctxCheckInv = ctxCallInv, ctxCheckInv
+	return ins, nil
 }
 
 // validateRecord checks the structural integrity of one invariant record
@@ -262,8 +259,7 @@ func (rt *Runtime) PtrAdd(site int, base interp.Value) {
 func (rt *Runtime) FieldAddr(site int, base, result interp.Value) {
 	rt.ChecksPerformed++
 	rt.injectSpurious(invariant.PWC, site)
-	for _, g := range rt.pwcGroups[site] {
-		gen := rt.pwcGen[g]
+	for _, gen := range rt.pwcGroups[site] {
 		if base.Kind == interp.KindPtr && gen[slotAddr{base.Obj, base.Off}] {
 			rt.violate(invariant.PWC, site, "field address reused as base pointer: positive-weight cycle formed")
 		}
@@ -276,8 +272,8 @@ func (rt *Runtime) FieldAddr(site int, base, result interp.Value) {
 // CtxCall records the actual critical arguments at an instrumented callsite.
 func (rt *Runtime) CtxCall(site int, args []interp.Value) {
 	rt.ChecksPerformed++
-	if inv, ok := rt.ctxCallInv[site]; ok {
-		rt.ctxRecorded[inv] = args
+	if st := rt.ctxCallInv[site]; st != nil {
+		st.recorded = args
 	}
 }
 
@@ -286,14 +282,11 @@ func (rt *Runtime) CtxCall(site int, args []interp.Value) {
 func (rt *Runtime) CtxCheck(site int, vals []interp.Value) {
 	rt.ChecksPerformed++
 	rt.injectSpurious(invariant.Ctx, site)
-	inv, ok := rt.ctxCheckInv[site]
-	if !ok {
+	st := rt.ctxCheckInv[site]
+	if st == nil || st.recorded == nil {
 		return
 	}
-	rec := rt.ctxRecorded[inv]
-	if rec == nil {
-		return
-	}
+	rec := st.recorded
 	for i := range vals {
 		if i < len(rec) && !vals[i].Equal(rec[i]) {
 			rt.violate(invariant.Ctx, site, fmt.Sprintf("critical argument %d was redirected inside the callee", i))
@@ -302,10 +295,10 @@ func (rt *Runtime) CtxCheck(site int, vals []interp.Value) {
 	}
 }
 
-// CheckICall performs the CFI target lookup against the active memory view.
+// CheckICall counts the CFI target lookup and asks the handler.
 func (rt *Runtime) CheckICall(site int, target string) bool {
 	rt.CFILookups++
-	return rt.sw.Active().Permits(site, target)
+	return rt.handler.Permits(site, target)
 }
 
 var _ interp.Hooks = (*Runtime)(nil)

@@ -60,12 +60,23 @@ func TestAbsKeyOf(t *testing.T) {
 // recorder collects violations without switching anything.
 type recorder struct{ got []Violation }
 
-func (r *recorder) OnViolation(v Violation) { r.got = append(r.got, v) }
+func (r *recorder) OnViolation(v Violation)      { r.got = append(r.got, v) }
+func (r *recorder) Permits(_ int, _ string) bool { return true }
+
+// buildRuntime builds a runtime whose handler is h.
+func buildRuntime(t *testing.T, r *pointsto.Result, h Handler) (*Runtime, *interp.Instrumentation) {
+	t.Helper()
+	rt, ins, err := BuildRuntime(r, h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, ins
+}
 
 func TestPAMonitorFiresOnlyForFilteredObjects(t *testing.T) {
 	r := optimisticResult(t)
 	rec := &recorder{}
-	rt, ins := NewRuntimeWithHandler(r, rec)
+	rt, ins := buildRuntime(t, r, rec)
 	var paSite int
 	for s := range ins.PtrAddSites {
 		paSite = s
@@ -93,18 +104,8 @@ func TestPAMonitorFiresOnlyForFilteredObjects(t *testing.T) {
 	}
 }
 
-func TestPWCMonitorDetectsAddressReuse(t *testing.T) {
-	// Build a runtime with a synthetic PWC invariant.
-	m, err := minic.Compile("rt", rtSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := pointsto.New(m, invariant.All()).Solve()
-	_ = r
-	// Use a hand-rolled runtime state through the public hook methods: fake
-	// the invariant by constructing a result with a PWC is hard here, so
-	// drive the real mbedtls-like fixture instead.
-	src := `
+// pwcSrc forms a positive-weight cycle through the field access &s2->f2.
+const pwcSrc = `
 struct cs { int* f1; int* f2; }
 void* arena(int n) { return malloc(n); }
 int main() {
@@ -125,13 +126,25 @@ int main() {
   return 0;
 }
 `
-	m2, err := minic.Compile("pwc", src)
+
+func TestPWCMonitorDetectsAddressReuse(t *testing.T) {
+	// Build a runtime with a synthetic PWC invariant.
+	m, err := minic.Compile("rt", rtSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := pointsto.New(m, invariant.All()).Solve()
+	_ = r
+	// Use a hand-rolled runtime state through the public hook methods: fake
+	// the invariant by constructing a result with a PWC is hard here, so
+	// drive the real mbedtls-like fixture instead.
+	m2, err := minic.Compile("pwc", pwcSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2 := pointsto.New(m2, invariant.Config{PWC: true}).Solve()
 	rec := &recorder{}
-	rt, ins := NewRuntimeWithHandler(r2, rec)
+	rt, ins := buildRuntime(t, r2, rec)
 	var site int
 	for s := range ins.FieldSites {
 		site = s
@@ -154,8 +167,8 @@ int main() {
 	}
 }
 
-func TestCtxMonitorComparesRecordedActuals(t *testing.T) {
-	src := `
+// ctxSrc gives insert a context-sensitive store through its parameter b.
+const ctxSrc = `
 struct holder { int n; int** slot; }
 holder h1;
 holder h2;
@@ -174,13 +187,15 @@ int main() {
   return 0;
 }
 `
-	m, err := minic.Compile("ctx", src)
+
+func TestCtxMonitorComparesRecordedActuals(t *testing.T) {
+	m, err := minic.Compile("ctx", ctxSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := pointsto.New(m, invariant.Config{Ctx: true}).Solve()
 	rec := &recorder{}
-	rt, ins := NewRuntimeWithHandler(r, rec)
+	rt, ins := buildRuntime(t, r, rec)
 	var callSite, checkSite int
 	for s := range ins.CtxCallArgs {
 		callSite = s
@@ -204,5 +219,72 @@ int main() {
 	rt.CtxCheck(checkSite, []interp.Value{interp.PtrVal(sneaky, 0), interp.PtrVal(v1, 0)})
 	if len(rec.got) != 1 || rec.got[0].Kind != invariant.Ctx {
 		t.Fatalf("redirected argument did not fire: %v", rec.got)
+	}
+}
+
+// solveSrc compiles src and solves it under cfg.
+func solveSrc(t *testing.T, src string, cfg invariant.Config) *pointsto.Result {
+	t.Helper()
+	m, err := minic.Compile("install", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pointsto.New(m, cfg).Solve()
+}
+
+// firstSite returns the smallest key of a non-empty site set.
+func firstSite[V any](t *testing.T, sites map[int]V) int {
+	t.Helper()
+	if len(sites) == 0 {
+		t.Fatal("no monitor site")
+	}
+	first := -1
+	for s := range sites {
+		if first < 0 || s < first {
+			first = s
+		}
+	}
+	return first
+}
+
+// Install carries a Ctx invariant's recorded actuals and a PWC invariant's
+// generated field addresses over to another result that assumes the same
+// record, and drops them with a result that does not.
+func TestInstallKeepsMonitorState(t *testing.T) {
+	ctx, base := solveSrc(t, ctxSrc, invariant.Config{Ctx: true}), solveSrc(t, ctxSrc, invariant.Config{})
+	rec := &recorder{}
+	rt, ins := buildRuntime(t, ctx, rec)
+	callSite, checkSite := firstSite(t, ins.CtxCallArgs), firstSite(t, ins.CtxChecks)
+	h1 := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "h1"}, Slots: make([]interp.Value, 2)}
+	h2 := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "h2"}, Slots: make([]interp.Value, 2)}
+	rt.CtxCall(callSite, []interp.Value{interp.PtrVal(h1, 0)})
+	install := func(r *pointsto.Result) {
+		t.Helper()
+		if _, err := rt.Install(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(solveSrc(t, ctxSrc, invariant.Config{Ctx: true}))
+	rt.CtxCheck(checkSite, []interp.Value{interp.PtrVal(h2, 0)})
+	if len(rec.got) != 1 || rec.got[0].Kind != invariant.Ctx {
+		t.Fatalf("redirect after an Install that keeps the record: violations %v, want one Ctx", rec.got)
+	}
+	install(base)
+	install(ctx)
+	rt.CtxCheck(checkSite, []interp.Value{interp.PtrVal(h2, 0)})
+	if len(rec.got) != 1 {
+		t.Fatalf("the recorded actuals outlived a result without the record: violations %v", rec.got)
+	}
+
+	pwc := solveSrc(t, pwcSrc, invariant.Config{PWC: true})
+	rec = &recorder{}
+	rt, ins = buildRuntime(t, pwc, rec)
+	site := firstSite(t, ins.FieldSites)
+	obj := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsHeap, Site: 1}, Slots: make([]interp.Value, 2)}
+	rt.FieldAddr(site, interp.PtrVal(obj, 0), interp.PtrVal(obj, 1))
+	install(solveSrc(t, pwcSrc, invariant.Config{PWC: true}))
+	rt.FieldAddr(site, interp.PtrVal(obj, 1), interp.PtrVal(obj, 2))
+	if len(rec.got) != 1 || rec.got[0].Kind != invariant.PWC {
+		t.Fatalf("reuse after an Install that keeps the cycle: violations %v, want one PWC", rec.got)
 	}
 }

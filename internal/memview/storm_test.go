@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cfi"
 	"repro/internal/faultinject"
 	"repro/internal/interp"
 	"repro/internal/invariant"
@@ -84,9 +85,9 @@ func TestBuildRuntimeRejectsCorruptRecord(t *testing.T) {
 	if len(r.Invariants()) == 0 {
 		t.Fatal("workload records no invariants; corrupt-record path untestable")
 	}
-	sw, secret := NewSwitcher(NewView("o", nil), NewView("f", nil))
+	sw, secret := NewSwitcher(&cfi.Policy{}, &cfi.Policy{})
 	plan := faultinject.Explicit(faultinject.CorruptRecord)
-	rt, ins, err := BuildRuntime(r, RuntimeOpts{Switcher: sw, Secret: secret, Faults: plan})
+	rt, ins, err := BuildRuntime(r, sw.Handler(secret), plan)
 	if rt != nil || ins != nil {
 		t.Fatal("corrupt record still produced a runtime")
 	}
@@ -99,7 +100,7 @@ func TestBuildRuntimeRejectsCorruptRecord(t *testing.T) {
 	}
 	// Clean build from the same (unmutated) result must still succeed: the
 	// corruption happened in a copy.
-	if _, _, err := BuildRuntime(r, RuntimeOpts{Switcher: sw, Secret: secret}); err != nil {
+	if _, _, err := BuildRuntime(r, sw.Handler(secret), nil); err != nil {
 		t.Fatalf("clean rebuild failed: %v", err)
 	}
 }
@@ -142,9 +143,9 @@ func TestValidateRecord(t *testing.T) {
 func TestInjectedSpuriousViolationSwitches(t *testing.T) {
 	m := workload.MbedTLS().MustModule()
 	r := pointsto.New(m, invariant.All()).Solve()
-	sw, secret := NewSwitcher(NewView("o", nil), NewView("f", nil))
+	sw, secret := NewSwitcher(&cfi.Policy{}, &cfi.Policy{})
 	plan := faultinject.Explicit(faultinject.SpuriousViolation)
-	rt, _, err := BuildRuntime(r, RuntimeOpts{Switcher: sw, Secret: secret, Faults: plan})
+	rt, _, err := BuildRuntime(r, sw.Handler(secret), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

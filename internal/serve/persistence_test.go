@@ -9,14 +9,17 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/invariant"
+	"repro/internal/minic"
 	"repro/internal/persist"
 )
 
@@ -202,6 +205,52 @@ func TestRecordKeyMismatchQuarantined(t *testing.T) {
 	}
 	if got := b.warmLoaded.Load(); got != 0 {
 		t.Fatalf("mismatched record installed: warm_loaded = %d", got)
+	}
+}
+
+// TestUnsortedRecordQuarantined: the daemon finds pointers and CFI sites by
+// binary search in a record's own lists, so a record whose frame verifies
+// but whose lists are out of order or repeat an entry would misanswer. It
+// is quarantined at warm-load instead, and the query re-solves.
+func TestUnsortedRecordQuarantined(t *testing.T) {
+	m, err := minic.Compile("demo", demoSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.Analyze(m, invariant.All())
+	for name, damage := range map[string]func(*resultSnapshot){
+		"pointers reversed": func(snap *resultSnapshot) { slices.Reverse(snap.Regs) },
+		"pointer repeated":  func(snap *resultSnapshot) { snap.Regs[1] = snap.Regs[0] },
+		"CFI site repeated": func(snap *resultSnapshot) { snap.CFISites = append(snap.CFISites, snap.CFISites[0]) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			snap := mustProject(t, sys.Optimistic, sys.Fallback)
+			damage(snap)
+			payload, err := json.Marshal(persistRecord{Format: recordFormat, Source: demoSource, Config: "Kaleidoscope", Snapshot: snap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			st, err := persist.Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Save(persistKey(hashSource(demoSource), "Kaleidoscope"), payload); err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, Config{CacheDir: dir})
+			waitWarm(t, s)
+			if got := counter(s, "persist/corrupt-quarantined"); got != 1 || s.warmLoaded.Load() != 0 {
+				t.Fatalf("persist/corrupt-quarantined = %d, warm_loaded = %d; want 1, 0", got, s.warmLoaded.Load())
+			}
+			_, fresh := newTestServer(t, Config{})
+			body := map[string]any{"source": demoSource, "fn": "pick"}
+			status, got := postRaw(t, ts, "/pointsto", body)
+			_, want := postRaw(t, fresh, "/pointsto", body)
+			if status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("/pointsto after quarantine: %d\n got %s\nwant %s", status, got, want)
+			}
+		})
 	}
 }
 

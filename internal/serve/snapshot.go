@@ -13,12 +13,15 @@ package serve
 // from — there is only one rendering path.
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cfi"
 	"repro/internal/invariant"
@@ -64,8 +67,10 @@ type regSnapshot struct {
 	Fallback   int    `json:"fallback"`
 }
 
-// check verifies that every index a snapshot holds is in range and that set
-// 0 is empty, so a served pointer can never render a missing set as empty.
+// check verifies that every index a snapshot holds is in range, that set 0
+// is empty, and that pointers and CFI sites are sorted and unique, so a
+// served pointer can never render a missing set as empty and a lookup by
+// binary search can never miss an entry the record holds.
 func (snap *resultSnapshot) check() error {
 	if len(snap.Sets) == 0 || len(snap.Sets[0]) != 0 {
 		return errors.New("set 0 is not the empty set")
@@ -77,33 +82,38 @@ func (snap *resultSnapshot) check() error {
 			}
 		}
 	}
-	for _, rg := range snap.Regs {
+	for i, rg := range snap.Regs {
 		for _, id := range []int{rg.Optimistic, rg.Fallback} {
 			if id < 0 || id >= len(snap.Sets) {
 				return fmt.Errorf("pointer %s:%s names set %d of %d", rg.Fn, rg.Reg, id, len(snap.Sets))
 			}
 		}
+		if i > 0 && comparePtr(snap.Regs[i-1], rg.Fn, rg.Reg) >= 0 {
+			return fmt.Errorf("pointer %s:%s is out of order or repeated", rg.Fn, rg.Reg)
+		}
+	}
+	for i := 1; i < len(snap.CFISites); i++ {
+		if snap.CFISites[i-1].Site >= snap.CFISites[i].Site {
+			return fmt.Errorf("CFI site %d is out of order or repeated", snap.CFISites[i].Site)
+		}
 	}
 	return nil
 }
 
-// servedResult is a snapshot plus the lookup indexes the handlers use; the
-// indexes are rebuilt on construction (never serialized).
-type servedResult struct {
-	snap  *resultSnapshot
-	regs  map[PtrKeyLite]regSets
-	sites map[int]*cfiSite
+// comparePtr orders a pointer entry against (fn, reg) as project emits
+// them: by function, then register.
+func comparePtr(rg regSnapshot, fn, reg string) int {
+	return cmp.Or(strings.Compare(rg.Fn, fn), strings.Compare(rg.Reg, reg))
 }
 
-// PtrKeyLite keys the register index: (function, register), "" = return.
-type PtrKeyLite struct{ Fn, Reg string }
+// servedResult is a checked snapshot plus each of its sets rendered once as
+// a label list (never serialized). Pointers and CFI sites are found by
+// binary search in the snapshot's own sorted lists.
+type servedResult struct {
+	snap *resultSnapshot
+	sets [][]string // snap.Sets as labels
+}
 
-// regSets is one pointer's rendered label lists; pointers with the same set
-// share one slice.
-type regSets struct{ optimistic, fallback []string }
-
-// newServedResult indexes a checked snapshot, rendering each set's label
-// list once.
 func newServedResult(snap *resultSnapshot) *servedResult {
 	sets := make([][]string, len(snap.Sets))
 	for i, ids := range snap.Sets {
@@ -113,34 +123,32 @@ func newServedResult(snap *resultSnapshot) *servedResult {
 		}
 		sets[i] = labels
 	}
-	r := &servedResult{
-		snap:  snap,
-		regs:  make(map[PtrKeyLite]regSets, len(snap.Regs)),
-		sites: make(map[int]*cfiSite, len(snap.CFISites)),
-	}
-	for _, rg := range snap.Regs {
-		r.regs[PtrKeyLite{rg.Fn, rg.Reg}] = regSets{sets[rg.Optimistic], sets[rg.Fallback]}
-	}
-	for i := range snap.CFISites {
-		site := &snap.CFISites[i]
-		r.sites[site.Site] = site
-	}
-	return r
+	return &servedResult{snap: snap, sets: sets}
 }
 
 // pointsTo returns both views' label sets for (fn, reg). Unknown pointers
 // and pointers with empty sets render identically (empty, non-nil — the
 // wire's `[]`), exactly as querying the live result did.
 func (r *servedResult) pointsTo(fn, reg string) (optimistic, fallback []string) {
-	if rs, ok := r.regs[PtrKeyLite{fn, reg}]; ok {
-		return rs.optimistic, rs.fallback
+	i, ok := slices.BinarySearchFunc(r.snap.Regs, fn, func(rg regSnapshot, fn string) int {
+		return comparePtr(rg, fn, reg)
+	})
+	if !ok {
+		return []string{}, []string{}
 	}
-	return []string{}, []string{}
+	rg := r.snap.Regs[i]
+	return r.sets[rg.Optimistic], r.sets[rg.Fallback]
 }
 
 // site returns the CFI snapshot of one callsite (nil = no indirect call
 // there, the handler's 400).
-func (r *servedResult) site(id int) *cfiSite { return r.sites[id] }
+func (r *servedResult) site(id int) *cfiSite {
+	i, ok := slices.BinarySearchFunc(r.snap.CFISites, id, func(s cfiSite, id int) int { return cmp.Compare(s.Site, id) })
+	if !ok {
+		return nil
+	}
+	return &r.snap.CFISites[i]
+}
 
 // abortIfDone returns the typed abort of a request whose context ended
 // during stage. Projection and the record write run under the solve's

@@ -177,7 +177,8 @@ func TestProjectAbortsOnDoneContext(t *testing.T) {
 }
 
 // TestSnapshotCheckRejectsDanglingIDs: a snapshot whose pointers or sets
-// name missing entries fails its check instead of serving empty sets.
+// name missing entries, or whose pointers or CFI sites are out of order or
+// repeated, fails its check instead of serving wrong answers.
 func TestSnapshotCheckRejectsDanglingIDs(t *testing.T) {
 	for name, snap := range map[string]*resultSnapshot{
 		"no sets":           {},
@@ -186,6 +187,10 @@ func TestSnapshotCheckRejectsDanglingIDs(t *testing.T) {
 		"dangling set":      {Sets: [][]int{{}}, Regs: []regSnapshot{{Fn: "main", Reg: "%p", Optimistic: 1}}},
 		"negative set id":   {Sets: [][]int{{}}, Regs: []regSnapshot{{Fn: "main", Reg: "%p", Fallback: -1}}},
 		"negative label id": {Labels: []string{"@g"}, Sets: [][]int{{}, {-1}}},
+		"unsorted pointers": {Sets: [][]int{{}}, Regs: []regSnapshot{{Fn: "main", Reg: "%q"}, {Fn: "main", Reg: "%p"}}},
+		"repeated pointer":  {Sets: [][]int{{}}, Regs: []regSnapshot{{Fn: "f"}, {Fn: "f"}}},
+		"unsorted sites":    {Sets: [][]int{{}}, CFISites: []cfiSite{{Site: 9}, {Site: 4}}},
+		"repeated site":     {Sets: [][]int{{}}, CFISites: []cfiSite{{Site: 4}, {Site: 4}}},
 	} {
 		if snap.check() == nil {
 			t.Errorf("%s: check accepted the snapshot", name)
