@@ -381,9 +381,16 @@ func runSmoke(cfg serve.Config) int {
 	// (now cached) query — serve/cache/misses must not move — then inject a
 	// synthetic regression into a copy and require the comparison to trip,
 	// proving the non-zero-exit path of -compare-metrics against a URL.
+	// The baseline must already time the load's misses: every span a traced
+	// request opens adds to its name's total in the registry.
 	baseline, err := telemetry.LoadSnapshot(base + "/metricsz")
 	if err != nil {
 		return fail("compare-metrics baseline", err)
+	}
+	for _, name := range []string{"core/stage/optimistic", "serve/project"} {
+		if baseline.Timers[name].Count == 0 {
+			return fail("/metricsz timers", fmt.Errorf("no %s span total after the load", name))
+		}
 	}
 	watch := []string{"serve/cache/misses"}
 	for i := 0; i < 5; i++ {

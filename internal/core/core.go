@@ -82,26 +82,25 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o Analy
 	s := &System{Module: m, Config: cfg, Metrics: metrics}
 	// The root span follows the context: inside a traced request (a serve
 	// submission carrying a telemetry.Trace) it attaches there, and every
-	// stage/solver span below inherits that destination through its parent
-	// handle; otherwise it lands in the registry as before.
-	ctx, span, finish := telemetry.StartSpanCtx(ctx, metrics, "core/analyze")
+	// stage/solver span below inherits that destination and its parent
+	// through the context; otherwise it lands in the registry.
+	ctx, _, finish := telemetry.StartSpanCtx(ctx, metrics, "core/analyze")
 	defer finish()
-	// stage runs one IGO stage under its own span and timer (both named
-	// core/stage/<name>); run nests the solver's phase spans beneath sp.
-	stage := func(name string, run func(sp *telemetry.Span) (*pointsto.Result, error)) (*pointsto.Result, error) {
-		sp, fin := metrics.StartSpan("core/stage/"+name, span)
+	// stage runs one IGO stage under its own span, core/stage/<name>; run
+	// gets a context carrying that span, so the solver's phase spans nest
+	// beneath it.
+	stage := func(name string, run func(ctx context.Context) (*pointsto.Result, error)) (*pointsto.Result, error) {
+		ctx, _, fin := telemetry.StartSpanCtx(ctx, metrics, "core/stage/"+name)
 		defer fin()
-		defer metrics.Timer("core/stage/" + name).Start()()
-		r, err := run(sp)
+		r, err := run(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("%s stage: %w", name, err)
 		}
 		return r, nil
 	}
-	solve := func(sp *telemetry.Span) (*pointsto.Result, error) {
+	solve := func(ctx context.Context) (*pointsto.Result, error) {
 		a := pointsto.New(m, cfg)
 		a.SetMetrics(metrics)
-		a.SetSpan(sp)
 		a.SetFaults(o.Faults)
 		return a.SolveCtx(ctx, o.Budget)
 	}
@@ -115,8 +114,8 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg invariant.Config, o Analy
 		if s.Optimistic, err = stage("optimistic", solve); err != nil {
 			return nil, err
 		}
-		derive := func(sp *telemetry.Span) (*pointsto.Result, error) {
-			return s.Optimistic.RestoreAll(telemetry.WithSpan(ctx, sp), o.Budget)
+		derive := func(ctx context.Context) (*pointsto.Result, error) {
+			return s.Optimistic.RestoreAll(ctx, o.Budget)
 		}
 		if s.Fallback, err = stage("fallback", derive); err != nil {
 			return nil, err
@@ -167,8 +166,6 @@ type Hardened struct {
 func (s *System) Harden() *Hardened {
 	_, finish := s.Metrics.StartSpan("core/instrument", nil)
 	defer finish()
-	stop := s.Metrics.Timer("core/instrument").Start()
-	defer stop()
 	return &Hardened{
 		Sys:        s,
 		Optimistic: cfi.PolicyFrom(s.Optimistic),

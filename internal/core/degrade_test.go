@@ -87,7 +87,7 @@ func TestMonitorStateSurvivesDegrade(t *testing.T) {
 	}
 	violated := check("switch", e.Switcher.Violations())
 
-	ge := AnalyzeGraded(m).NewExecution(false)
+	ge := AnalyzeGraded(func(cfg invariant.Config) *System { return Analyze(m, cfg) }).NewExecution(false)
 	if tr := ge.Run("main", inputs); tr.Err != nil {
 		t.Fatalf("graded: %v", tr.Err)
 	}

@@ -27,11 +27,11 @@ type GradedSystem struct {
 	instr *interp.Instrumentation
 }
 
-// AnalyzeGraded runs every configuration (the same sweep Table 3 performs)
-// and prepares per-level CFI policies and the union instrumentation.
-func AnalyzeGraded(m *ir.Module) *GradedSystem {
+// AnalyzeGraded takes the analysis of every configuration (the same sweep
+// Table 3 performs) from analyze, which must analyze one module, and
+// prepares per-level CFI policies and the union instrumentation.
+func AnalyzeGraded(analyze func(invariant.Config) *System) *GradedSystem {
 	g := &GradedSystem{
-		Module:   m,
 		Systems:  map[string]*System{},
 		Policies: map[string]*cfi.Policy{},
 		instr: &interp.Instrumentation{
@@ -43,7 +43,8 @@ func AnalyzeGraded(m *ir.Module) *GradedSystem {
 		},
 	}
 	for _, cfg := range invariant.Ablations() {
-		s := Analyze(m, cfg)
+		s := analyze(cfg)
+		g.Module = s.Module
 		g.Systems[cfg.Name()] = s
 		g.Policies[cfg.Name()] = cfi.PolicyFrom(s.Optimistic)
 		ins := instrumentation(s.Optimistic)

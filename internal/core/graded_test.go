@@ -68,7 +68,7 @@ func gradedSystem(t *testing.T) *GradedSystem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AnalyzeGraded(m)
+	return AnalyzeGraded(func(cfg invariant.Config) *System { return Analyze(m, cfg) })
 }
 
 func TestGradedCleanRunStaysFull(t *testing.T) {

@@ -53,6 +53,43 @@ func spansNamed(snap telemetry.Snapshot, name string) []telemetry.SpanRecord {
 	return out
 }
 
+// The solver takes its parent span from its context alone. Under
+// AnalyzeCtx, the optimistic stage's build, prep and solve spans nest under
+// core/stage/optimistic; a solve run directly under a context carrying such
+// a stage span nests the same way, with no setter on the analysis.
+func TestStageSpansNestThroughContext(t *testing.T) {
+	m := workload.MbedTLS().MustModule()
+	wantNested := func(how string, snap telemetry.Snapshot) {
+		t.Helper()
+		stages := spansNamed(snap, "core/stage/optimistic")
+		if len(stages) != 1 {
+			t.Fatalf("%s: %d core/stage/optimistic spans, want 1", how, len(stages))
+		}
+		for _, name := range []string{"pointsto/build", "pointsto/prep", "pointsto/solve"} {
+			sps := spansNamed(snap, name)
+			if len(sps) == 0 || sps[0].Parent != stages[0].ID {
+				t.Errorf("%s: %s spans %+v, want the first under core/stage/optimistic (%d)", how, name, sps, stages[0].ID)
+			}
+		}
+	}
+
+	reg := telemetry.New()
+	if _, err := AnalyzeCtx(context.Background(), m, invariant.All(), AnalyzeOpts{Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	wantNested("AnalyzeCtx", reg.Snapshot())
+
+	reg = telemetry.New()
+	ctx, _, finish := telemetry.StartSpanCtx(context.Background(), reg, "core/stage/optimistic")
+	a := pointsto.New(m, invariant.All())
+	a.SetMetrics(reg)
+	if _, err := a.SolveCtx(ctx, pointsto.Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	finish()
+	wantNested("SolveCtx", reg.Snapshot())
+}
+
 // With invariants to assume, AnalyzeCtx builds and solves one constraint
 // graph: the optimistic stage, then the fallback stage deriving the
 // fallback from it. Without invariants it runs one fresh fallback solve.

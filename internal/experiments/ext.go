@@ -25,7 +25,7 @@ type ExtDebloatRow struct {
 // application, one app per worker-pool job. Debloating is pure analysis, so
 // a failure is a programming error and propagates as a panic.
 func (s *Session) ExtDebloatData() []ExtDebloatRow {
-	span, stop := s.phase("experiments/ext-debloat")
+	span, stop := s.Metrics.StartSpan("experiments/ext-debloat", nil)
 	defer stop()
 	return perApp(s, s.workers(), "experiments/ext-debloat-app", span, func(app *workload.App) ExtDebloatRow {
 		rep := debloat.Compute(s.System(app, invariant.All()), "main")
@@ -63,13 +63,13 @@ type ExtGradedRow struct {
 }
 
 // ExtGradedData computes per-level CFI tightness, one app per worker-pool
-// job. Graded analysis runs its own ablation ladder, so it bypasses the
-// session cache; like all pure-analysis drivers, failures panic.
+// job. The graded ladder is the app's eight session-cached analyses; like
+// all pure-analysis drivers, failures panic.
 func (s *Session) ExtGradedData() []ExtGradedRow {
-	span, stop := s.phase("experiments/ext-graded")
+	span, stop := s.Metrics.StartSpan("experiments/ext-graded", nil)
 	defer stop()
 	return perApp(s, s.workers(), "experiments/ext-graded-app", span, func(app *workload.App) ExtGradedRow {
-		g := core.AnalyzeGraded(app.MustModule())
+		g := core.AnalyzeGraded(func(cfg invariant.Config) *core.System { return s.System(app, cfg) })
 		row := ExtGradedRow{App: app.Name, Levels: map[string]float64{}}
 		for name, p := range g.Policies {
 			row.Levels[name] = p.AvgTargets()

@@ -21,7 +21,7 @@ type Figure1Data struct {
 // Figure1Compute runs the MbedTLS-like workload and compares static CFI
 // target counts with runtime-observed targets (paper Figure 1).
 func (s *Session) Figure1Compute() *Figure1Data {
-	_, stop := s.phase("experiments/figure1")
+	_, stop := s.Metrics.StartSpan("experiments/figure1", nil)
 	defer stop()
 	app := workload.MbedTLS()
 	h := s.System(app, invariant.Config{}).Harden()

@@ -37,7 +37,7 @@ type PerfRow struct {
 // wall-clock throughput. This is the one artifact whose numbers are not
 // byte-reproducible across runs.
 func (s *Session) Figure13Data() []PerfRow {
-	span, stop := s.phase("experiments/figure13")
+	span, stop := s.Metrics.StartSpan("experiments/figure13", nil)
 	defer stop()
 	return perApp(s, 1, "experiments/figure13-app", span, func(app *workload.App) PerfRow {
 		row := PerfRow{

@@ -54,19 +54,6 @@ func (s *Session) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// phase opens one artifact driver's instrumentation: a phase timer plus a
-// root span of the same name. The span is handed to the driver's pool jobs
-// so their per-job spans nest under the artifact in the trace; the finish
-// func closes both. Inert without a registry.
-func (s *Session) phase(name string) (*telemetry.Span, func()) {
-	stopTimer := s.Metrics.Timer(name).Start()
-	span, finishSpan := s.Metrics.StartSpan(name, nil)
-	return span, func() {
-		finishSpan()
-		stopTimer()
-	}
-}
-
 // System returns the session-cached IGO analysis of app under cfg.
 func (s *Session) System(app *workload.App, cfg invariant.Config) *core.System {
 	return s.cache.System(app, cfg)
@@ -76,7 +63,7 @@ func (s *Session) System(app *workload.App, cfg invariant.Config) *core.System {
 // the 9×8 matrix across the worker pool. Cell failures are programming
 // errors (analysis takes no runtime input) and propagate as panics.
 func (s *Session) AnalyzeAll() []*AppData {
-	span, stop := s.phase("experiments/analyze-all")
+	span, stop := s.Metrics.StartSpan("experiments/analyze-all", nil)
 	defer stop()
 	apps := workload.Apps()
 	cfgs := invariant.Ablations()

@@ -91,7 +91,7 @@ type CoverageRow struct {
 // Table4Data runs the CFI benchmark drivers and collects coverage
 // (paper Table 4), one application per worker-pool job.
 func (s *Session) Table4Data() []CoverageRow {
-	span, stop := s.phase("experiments/table4")
+	span, stop := s.Metrics.StartSpan("experiments/table4", nil)
 	defer stop()
 	return perApp(s, s.workers(), "experiments/table4-app", span, func(app *workload.App) CoverageRow {
 		h := s.System(app, invariant.All()).Harden()
@@ -118,7 +118,7 @@ func (s *Session) Table4Data() []CoverageRow {
 // Table5Data runs the fuzzing campaign (paper Table 5), one application per
 // worker-pool job.
 func (s *Session) Table5Data() []CoverageRow {
-	span, stop := s.phase("experiments/table5")
+	span, stop := s.Metrics.StartSpan("experiments/table5", nil)
 	defer stop()
 	return perApp(s, s.workers(), "experiments/table5-app", span, func(app *workload.App) CoverageRow {
 		h := s.System(app, invariant.All()).Harden()

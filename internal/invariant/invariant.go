@@ -153,10 +153,3 @@ type CtxSample struct {
 	Reg   string
 	Deref bool
 }
-
-// Monitor is a runtime check site guarding one likely invariant.
-type Monitor struct {
-	InstrID   int  // the instrumented instruction
-	Kind      Kind // which policy the monitor guards
-	Invariant int  // index into the analysis' []Record
-}

@@ -336,12 +336,11 @@ type Analysis struct {
 	flushed Stats               // stats already exported to metrics
 	metrics *telemetry.Registry // nil disables telemetry
 
-	// Tracing state. The parent span (if any) nests this analysis's phase
-	// spans under the caller's stage span; build timing is captured in New
-	// (before a registry can be attached) and exported retroactively on the
-	// first flush. Hot-path instruments are resolved once in SetMetrics so
-	// per-pop recording is an atomic add — or, with no registry, a nil check.
-	parentSpan   *telemetry.Span
+	// Tracing state. Build timing is captured in New (before a registry can
+	// be attached) and exported retroactively by the first solve, under the
+	// span its context carries. Hot-path instruments are resolved once in
+	// SetMetrics so per-pop recording is an atomic add — or, with no
+	// registry, a nil check.
 	buildStart   time.Time
 	buildDur     time.Duration
 	buildEmitted bool
@@ -413,7 +412,7 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 }
 
 // SetMetrics attaches a telemetry registry; the solver reports constraint
-// counts, worklist pops, SCC rounds, per-phase wall time, and
+// counts, worklist pops, SCC rounds, phase spans, and
 // distribution histograms (delta sizes, fixpoint points-to set sizes,
 // worklist depth per round) into it at the end of every Solve (and of every
 // incremental re-solve). A nil registry (the default) keeps the solver
@@ -425,12 +424,6 @@ func (a *Analysis) SetMetrics(r *telemetry.Registry) {
 	a.hWLDepth = r.Histogram("pointsto/worklist/depth")
 	a.hPtsSize = r.Histogram("pointsto/pts/size")
 }
-
-// SetSpan nests this analysis's phase spans (build, solve, per-round
-// propagate/scc) under parent in the attached registry's span log.
-// Optional; without it the phase spans are roots. Must be called before
-// Solve.
-func (a *Analysis) SetSpan(parent *telemetry.Span) { a.parentSpan = parent }
 
 // SetTracer installs an introspection tracer; it must be called before Solve.
 func (a *Analysis) SetTracer(t Tracer) {

@@ -1,6 +1,10 @@
 package pointsto
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/telemetry"
+)
 
 // Offline constraint preprocessing ("prep") is hybrid cycle detection plus
 // its lazy-cycle-detection fallback, both after Hardekopf & Lin.
@@ -27,12 +31,12 @@ import "time"
 
 // runPrep executes the offline stage, the offline half of hybrid cycle
 // detection. Called once, lazily, from the first resolve, before any
-// propagation.
-func (a *Analysis) runPrep() {
+// propagation; its span nests under parent.
+func (a *Analysis) runPrep(parent *telemetry.Span) {
 	start := time.Now()
 	a.offlineHCD()
-	if a.metrics != nil || a.parentSpan != nil {
-		a.metrics.RecordSpan("pointsto/prep", a.parentSpan, start, time.Since(start))
+	if a.metrics != nil || parent != nil {
+		a.metrics.RecordSpan("pointsto/prep", parent, start, time.Since(start))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/invariant"
 	"repro/internal/ir"
-	"repro/internal/telemetry"
 )
 
 // Incremental re-analysis (paper §8): instead of switching to a pre-generated
@@ -60,13 +59,6 @@ func (r *Result) Restore(rec invariant.Record) (*Result, error) {
 // current span (telemetry.WithSpan), and its Stats are cumulative: the
 // receiver's solve plus the restores.
 func (r *Result) RestoreAll(ctx context.Context, b Budget) (*Result, error) {
-	return r.restoreTo(ctx, b, invariant.Config{})
-}
-
-// restoreTo is RestoreAll down to cfg, which must be a subset of the
-// receiver's configuration: the derived analysis restores every invariant
-// of a kind cfg does not assume, and from then on solves under cfg.
-func (r *Result) restoreTo(ctx context.Context, b Budget, cfg invariant.Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -75,17 +67,11 @@ func (r *Result) restoreTo(ctx context.Context, b Budget, cfg invariant.Config) 
 		return nil, &AbortError{Steps: int64(r.a.stats.Iterations), Reason: "context done", Cause: err}
 	}
 	a := r.a.derive()
-	a.cfg = cfg
-	a.parentSpan = telemetry.SpanFrom(ctx)
+	a.cfg = invariant.Config{}
 	// Re-list after each readmit: restoring one PWC record also retires
 	// any other record whose sites it covers.
-	for {
-		recs, _ := a.invariantRecords()
-		i := slices.IndexFunc(recs, func(rec invariant.Record) bool { return !cfg.Assumes(rec.Kind) })
-		if i < 0 {
-			break
-		}
-		if err := a.readmit(recs[i]); err != nil {
+	for recs := a.invariantRecords(); len(recs) > 0; recs = a.invariantRecords() {
+		if err := a.readmit(recs[0]); err != nil {
 			return nil, err
 		}
 	}

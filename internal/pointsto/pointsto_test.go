@@ -229,7 +229,7 @@ func TestFigure6ArbitraryArithmeticOptimistic(t *testing.T) {
 	if !filtered[modAuth.Index] || !filtered[modCgi.Index] {
 		t.Errorf("filtered objects %v missing plugin objects (%d, %d)", filtered, modAuth.Index, modCgi.Index)
 	}
-	if len(r.Monitors()) == 0 {
+	if r.Stats().MonitorSites == 0 {
 		t.Error("no monitors recorded for PA invariants")
 	}
 }

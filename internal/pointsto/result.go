@@ -40,16 +40,7 @@ func (r *Result) Stats() Stats { return r.a.stats }
 
 // Invariants returns the likely invariants currently assumed by this
 // analysis (empty for the baseline; shrinks after Restore calls).
-func (r *Result) Invariants() []invariant.Record {
-	recs, _ := r.a.invariantRecords()
-	return recs
-}
-
-// Monitors returns the runtime monitor sites implied by the invariants.
-func (r *Result) Monitors() []invariant.Monitor {
-	_, mons := r.a.invariantRecords()
-	return mons
-}
+func (r *Result) Invariants() []invariant.Record { return r.a.invariantRecords() }
 
 // Objects returns all abstract objects in deterministic order.
 func (r *Result) Objects() []*Object { return r.a.objects }
@@ -230,17 +221,6 @@ func (r *Result) CallTargets(site int) []string {
 		return out
 	}
 	return nil
-}
-
-// PAFilteredAt returns the object indexes the PA invariant filtered at a
-// PtrAdd site (empty at baseline).
-func (r *Result) PAFilteredAt(site int) []int {
-	var out []int
-	for oi := range r.a.paFiltered[site] {
-		out = append(out, oi)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Provenance returns up to five recorded derivations explaining how object

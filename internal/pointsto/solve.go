@@ -11,6 +11,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/invariant"
 	"repro/internal/ir"
+	"repro/internal/telemetry"
 )
 
 // Solve runs the inclusion-constraint solver to a fixed point and returns
@@ -33,7 +34,9 @@ func (a *Analysis) Solve() *Result {
 // (errors.Is ErrSolveAborted): a bounded solve never passes off partial
 // points-to sets as a fixpoint. The aborted analysis keeps its pending
 // worklist, so calling SolveCtx again with a larger budget resumes and
-// converges to the identical fixpoint.
+// converges to the identical fixpoint. Its phase spans (build, prep, solve
+// and the per-round propagate/scc) nest under ctx's current span
+// (telemetry.WithSpan).
 func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -43,37 +46,35 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 	a.budgeted = b.MaxSteps > 0 || ctx.Done() != nil || a.faults.Armed(faultinject.SolverBudget)
 	a.abortErr = nil
 	defer func() { a.solveCtx, a.budgeted, a.stepsLeft = nil, false, 0 }()
-	if (a.metrics != nil || a.parentSpan != nil) && !a.buildEmitted {
+	// The phase spans nest under the context's current span, which may
+	// belong to a request trace.
+	parent := telemetry.SpanFrom(ctx)
+	if (a.metrics != nil || parent != nil) && !a.buildEmitted {
 		// Constraint-graph construction ran inside New, before a registry
 		// could be attached; export its interval retroactively, once. A
 		// trace-attached parent span is a destination too, registry or not.
 		a.buildEmitted = true
-		a.metrics.RecordSpan("pointsto/build", a.parentSpan, a.buildStart, a.buildDur)
+		a.metrics.RecordSpan("pointsto/build", parent, a.buildStart, a.buildDur)
 	}
 	if !a.prepDone {
 		// First solve: run offline preprocessing once.
 		a.prepDone = true
 		if a.prep {
-			a.runPrep()
+			a.runPrep(parent)
 		}
 	}
-	solveSpan, finishSolve := a.metrics.StartSpan("pointsto/solve", a.parentSpan)
-	stop := a.metrics.Timer("pointsto/phase/solve").Start()
+	solveSpan, finishSolve := a.metrics.StartSpan("pointsto/solve", parent)
 	for {
 		// One histogram sample of worklist depth per solver round.
 		a.hWLDepth.Observe(int64(len(a.worklist)))
 		_, finP := a.metrics.StartSpan("pointsto/round/propagate", solveSpan)
-		stopP := a.metrics.Timer("pointsto/phase/propagate").Start()
 		a.drain()
-		stopP()
 		finP()
 		if a.abortErr != nil {
 			break
 		}
 		_, finS := a.metrics.StartSpan("pointsto/round/scc", solveSpan)
-		stopS := a.metrics.Timer("pointsto/phase/scc").Start()
 		changed := a.sccPass()
-		stopS()
 		finS()
 		if !changed {
 			break
@@ -84,7 +85,6 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 		// cleanly without presenting the intermediate state as a fixpoint.
 		// The unpopped worklist stays queued, so a later SolveCtx resumes
 		// and converges to the identical fixpoint.
-		stop()
 		finishSolve()
 		a.flushMetrics()
 		err := a.abortErr
@@ -94,8 +94,7 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 		}
 		return nil, err
 	}
-	_, mons := a.invariantRecords()
-	a.stats.MonitorSites = len(mons)
+	a.stats.MonitorSites = monitorSites(a.invariantRecords())
 	// The spare delta sets only serve a running solve. So do the empty
 	// deltas a union that added nothing left behind (unionSetInto takes
 	// the target's delta first); a shared node's delta is its parent's,
@@ -110,7 +109,6 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 	// resolve representatives without path-compression writes; a finished
 	// analysis may then be read from many goroutines concurrently.
 	a.flattenReps()
-	stop()
 	finishSolve()
 	a.flushMetrics()
 	return newResult(a), nil
@@ -507,17 +505,11 @@ func (a *Analysis) recordPWC(positive []*gepEdge) {
 	a.pwcList = append(a.pwcList, rec)
 }
 
-// invariantRecords derives the current invariant and monitor lists: Ctx
-// records fixed at build time, PWC records found during solving (minus
-// restored ones), and PA records from the live filtering state. Indexes in
-// the monitor list refer to the returned record slice.
-func (a *Analysis) invariantRecords() ([]invariant.Record, []invariant.Monitor) {
-	var recs []invariant.Record
-	var mons []invariant.Monitor
-	for _, rec := range a.ctxRecords {
-		mons = append(mons, invariant.Monitor{InstrID: rec.Site, Kind: invariant.Ctx, Invariant: len(recs)})
-		recs = append(recs, rec)
-	}
+// invariantRecords derives the current invariant list: Ctx records fixed
+// at build time, PWC records found during solving (minus restored ones), and
+// PA records from the live filtering state.
+func (a *Analysis) invariantRecords() []invariant.Record {
+	recs := append([]invariant.Record(nil), a.ctxRecords...)
 	for _, rec := range a.pwcList {
 		restored := true
 		for _, s := range rec.CycleFieldSites {
@@ -528,9 +520,6 @@ func (a *Analysis) invariantRecords() ([]invariant.Record, []invariant.Monitor) 
 		}
 		if restored {
 			continue
-		}
-		for _, s := range rec.CycleFieldSites {
-			mons = append(mons, invariant.Monitor{InstrID: s, Kind: invariant.PWC, Invariant: len(recs)})
 		}
 		recs = append(recs, rec)
 	}
@@ -551,7 +540,6 @@ func (a *Analysis) invariantRecords() ([]invariant.Record, []invariant.Monitor) 
 		for _, oi := range objs {
 			names = append(names, a.objects[oi].Label())
 		}
-		mons = append(mons, invariant.Monitor{InstrID: site, Kind: invariant.PA, Invariant: len(recs)})
 		recs = append(recs, invariant.Record{
 			Kind:         invariant.PA,
 			Site:         site,
@@ -559,7 +547,21 @@ func (a *Analysis) invariantRecords() ([]invariant.Record, []invariant.Monitor) 
 			Desc:         "arbitrary arithmetic never addresses struct objects " + strings.Join(names, ", "),
 		})
 	}
-	return recs, mons
+	return recs
+}
+
+// monitorSites counts the runtime monitor sites that guard recs: one per Ctx
+// or PA record, one per field site of a PWC record.
+func monitorSites(recs []invariant.Record) int {
+	n := 0
+	for _, rec := range recs {
+		if rec.Kind == invariant.PWC {
+			n += len(rec.CycleFieldSites)
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
 // sccs returns the strongly connected components of the copy+gep subgraph

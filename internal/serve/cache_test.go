@@ -101,7 +101,7 @@ func TestCacheCompact(t *testing.T) {
 	want := func(what string, n int64) {
 		t.Helper()
 		solves, analyses := metrics.Counter("serve/cache/solves").Value(), metrics.Counter("core/analyses").Value()
-		if fallbacks := metrics.Timer("core/stage/fallback").Count(); solves != n || analyses != n || fallbacks != n {
+		if fallbacks := metrics.Snapshot().Timers["core/stage/fallback"].Count; solves != n || analyses != n || fallbacks != n {
 			t.Fatalf("%s: %d solves / %d analyses / %d fallback stages, want %d each", what, solves, analyses, fallbacks, n)
 		}
 	}

@@ -233,25 +233,26 @@ func New(cfg Config) *Server {
 func (s *Server) PersistError() error { return s.persistErr }
 
 // Route describes one registered endpoint. docs/API.md documents exactly
-// this table; TestAPIDocCoversRoutes diffs the two.
+// this table; TestAPIDocCoversEveryRoute diffs the two.
 type Route struct {
 	Method  string
 	Path    string
 	Summary string
+	handle  func(*Server, http.ResponseWriter, *http.Request) *apiError
 }
 
 // Routes returns every endpoint the server registers, in documentation
 // order.
 func Routes() []Route {
 	return []Route{
-		{"POST", "/analyze", "compile + analyze a MiniC program, return the analysis summary"},
-		{"POST", "/pointsto", "points-to set of one register under both memory views"},
-		{"POST", "/cfi-targets", "permitted indirect-call targets per callsite, both views"},
-		{"POST", "/invariants", "likely invariants assumed by the optimistic analysis"},
-		{"GET", "/healthz", "liveness, service view, admission and cache occupancy"},
-		{"GET", "/readyz", "readiness: 503 while warm-loading the persistent store or draining for shutdown"},
-		{"GET", "/metricsz", "telemetry snapshot (counters, gauges, timers, histograms)"},
-		{"GET", "/tracez", "recent and slowest request traces; ?id= exports one as Chrome trace JSON"},
+		{"POST", "/analyze", "compile + analyze a MiniC program, return the analysis summary", (*Server).handleAnalyze},
+		{"POST", "/pointsto", "points-to set of one register under both memory views", (*Server).handlePointsTo},
+		{"POST", "/cfi-targets", "permitted indirect-call targets per callsite, both views", (*Server).handleCFITargets},
+		{"POST", "/invariants", "likely invariants assumed by the optimistic analysis", (*Server).handleInvariants},
+		{"GET", "/healthz", "liveness, service view, admission and cache occupancy", (*Server).handleHealthz},
+		{"GET", "/readyz", "readiness: 503 while warm-loading the persistent store or draining for shutdown", (*Server).handleReadyz},
+		{"GET", "/metricsz", "telemetry snapshot (counters, gauges, span totals as timers, histograms, spans)", (*Server).handleMetricsz},
+		{"GET", "/tracez", "recent and slowest request traces; ?id= exports one as Chrome trace JSON", (*Server).handleTracez},
 	}
 }
 
@@ -269,39 +270,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Metrics returns the server's telemetry registry (the /metricsz source).
 func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
 
-// handler is the signature shared by all endpoint handlers: a nil return
-// means the handler already wrote its (successful) response.
-type handler func(w http.ResponseWriter, r *http.Request) *apiError
-
 // instrumented wires one route's method check, request counter, latency
-// histogram, per-request trace, and access-log line around its handler.
+// histogram, per-request trace, and access-log line around its handler,
+// which returns nil when it has written its (successful) response.
 // When tracing is enabled it opens a telemetry.Trace per request (honoring a
 // client-supplied X-Kscope-Trace id, emitting the effective id back on the
 // same header), carries it through the request context so every span the
 // pipeline opens attaches to it, and files the finished trace into the
 // flight recorder for /tracez.
 func (s *Server) instrumented(rt Route) http.HandlerFunc {
-	var h handler
-	switch rt.Path {
-	case "/analyze":
-		h = s.handleAnalyze
-	case "/pointsto":
-		h = s.handlePointsTo
-	case "/cfi-targets":
-		h = s.handleCFITargets
-	case "/invariants":
-		h = s.handleInvariants
-	case "/healthz":
-		h = s.handleHealthz
-	case "/readyz":
-		h = s.handleReadyz
-	case "/metricsz":
-		h = s.handleMetricsz
-	case "/tracez":
-		h = s.handleTracez
-	default:
-		panic("serve: route with no handler: " + rt.Path)
-	}
 	latency := s.metrics.Histogram("serve/latency-ns" + rt.Path)
 	requests := s.metrics.Counter("serve/requests" + rt.Path)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -326,7 +303,7 @@ func (s *Server) instrumented(rt Route) http.HandlerFunc {
 			s.writeError(sw, &apiError{Status: http.StatusServiceUnavailable, Kind: "draining",
 				Msg:        "daemon is draining for shutdown; not accepting new analysis requests",
 				RetryAfter: s.cfg.RetryAfter})
-		} else if apiErr := h(sw, r); apiErr != nil {
+		} else if apiErr := rt.handle(s, sw, r); apiErr != nil {
 			s.writeError(sw, apiErr)
 		}
 		lat := time.Since(start)

@@ -338,3 +338,31 @@ func TestMissTraceShowsProjectAndPersist(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedMissesTotalInMetricsz: the spans a traced miss files into its
+// request trace also add to the registry's per-name totals, so /metricsz
+// times every layer of n misses, from the stage spans down to the solver
+// and the projection. A hit opens no span and adds to no total.
+func TestTracedMissesTotalInMetricsz(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const n = 3
+	for i := 0; i <= n; i++ { // the last request is a hit on the first program
+		status, _, hdr := post(t, ts, "/analyze", map[string]any{"source": variantSource(i % n), "config": "baseline"})
+		if status != http.StatusOK || hdr.Get(TraceHeader) == "" {
+			t.Fatalf("analyze %d: status %d, trace %q", i, status, hdr.Get(TraceHeader))
+		}
+	}
+	status, raw := rawGet(t, ts.URL+"/metricsz")
+	if status != http.StatusOK {
+		t.Fatalf("metricsz: status %d", status)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"core/stage/fallback", "pointsto/solve", "serve/project", "minic/compile"} {
+		if got := snap.Timers[name]; got.Count != n || got.Total <= 0 {
+			t.Errorf("/metricsz timer %s = %+v, want %d spans", name, got, n)
+		}
+	}
+}

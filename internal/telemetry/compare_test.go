@@ -11,7 +11,7 @@ func snapshotPair() (Snapshot, Snapshot) {
 	oldR.Counter("pops").Add(100)
 	oldR.Counter("hits").Add(50)
 	oldR.Gauge("nodes").Set(10)
-	oldR.Timer("solve").Observe(100 * time.Millisecond)
+	oldR.RecordSpan("solve", nil, time.Now(), 100*time.Millisecond)
 	oldR.Histogram("lat").Observe(64)
 
 	newR := New()
@@ -19,7 +19,7 @@ func snapshotPair() (Snapshot, Snapshot) {
 	newR.Counter("hits").Add(51)  // +2% — within threshold
 	newR.Counter("fresh").Add(7)  // not in old snapshot
 	newR.Gauge("nodes").Set(12)
-	newR.Timer("solve").Observe(101 * time.Millisecond)
+	newR.RecordSpan("solve", nil, time.Now(), 101*time.Millisecond)
 	newR.Histogram("lat").Observe(64)
 	return oldR.Snapshot(), newR.Snapshot()
 }

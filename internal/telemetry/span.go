@@ -32,6 +32,7 @@ func (r *Registry) spanEpoch() time.Time { return r.epoch }
 // Registry hands out, it is accepted as a parent, and all its methods no-op.
 type Span struct {
 	sink   spanSink
+	reg    *Registry // adds the finished span to its per-name total; nil = none
 	id     int64
 	parent int64
 	name   string
@@ -69,23 +70,26 @@ func spanSinkFor(r *Registry, parent *Span) spanSink {
 // other goroutines as the parent of child spans; the finish func must be
 // called exactly once (later calls no-op). A nil registry returns a nil span
 // and a no-op finish — unless the parent carries its own sink (it belongs to
-// a Trace), in which case the child records there.
+// a Trace), in which case the child records there. A finished span also adds
+// its duration to r's total for its name, wherever it records.
 func (r *Registry) StartSpan(name string, parent *Span) (*Span, func()) {
 	sink := spanSinkFor(r, parent)
 	if sink == nil {
 		return nil, func() {}
 	}
-	s := &Span{
-		sink:  sink,
-		id:    sink.nextSpanID(),
-		name:  name,
-		start: time.Now(),
-	}
+	s := openSpan(sink, r, name, parent, time.Now())
+	return s, s.finish
+}
+
+// openSpan returns a span of name under parent (nil = root), recording into
+// sink and totalled in r.
+func openSpan(sink spanSink, r *Registry, name string, parent *Span, start time.Time) *Span {
+	s := &Span{sink: sink, reg: r, id: sink.nextSpanID(), name: name, start: start}
 	if parent != nil {
 		s.parent = parent.id
 		s.worker = atomic.LoadInt32(&parent.worker)
 	}
-	return s, s.finish
+	return s
 }
 
 // SetWorker tags the span with a worker-pool lane. Children started after
@@ -97,54 +101,52 @@ func (s *Span) SetWorker(id int) {
 	}
 }
 
-// finish records the completed span into its sink.
+// finish records the completed span.
 func (s *Span) finish() {
 	if s == nil || !atomic.CompareAndSwapInt32(&s.done, 0, 1) {
 		return
 	}
+	s.record(time.Since(s.start))
+}
+
+// record files the span, lasting d, into its sink and adds it to its
+// registry's total.
+func (s *Span) record(d time.Duration) {
 	s.sink.recordSpan(SpanRecord{
 		ID:     s.id,
 		Parent: s.parent,
 		Name:   s.name,
 		Start:  s.start.Sub(s.sink.spanEpoch()),
-		Dur:    time.Since(s.start),
+		Dur:    d,
 		Worker: int(atomic.LoadInt32(&s.worker)),
 	})
+	if s.reg != nil {
+		s.reg.addSpan(s.name, d)
+	}
 }
 
 // RecordSpan appends an already-measured interval as a finished span — the
 // retroactive form of StartSpan for phases whose timing was captured before
 // a registry was attached (e.g. constraint-graph construction inside
 // pointsto.New). It returns a handle usable as a parent. Like StartSpan, the
-// record follows a sink-bearing parent into its Trace; with a nil registry
-// and no such parent it returns nil and records nothing.
+// record follows a sink-bearing parent into its Trace and adds to r's total;
+// with a nil registry and no such parent it returns nil and records nothing.
 func (r *Registry) RecordSpan(name string, parent *Span, start time.Time, d time.Duration) *Span {
 	sink := spanSinkFor(r, parent)
 	if sink == nil {
 		return nil
 	}
-	s := &Span{sink: sink, id: sink.nextSpanID(), name: name, done: 1}
-	var worker int32
-	if parent != nil {
-		s.parent = parent.id
-		worker = atomic.LoadInt32(&parent.worker)
-		s.worker = worker
-	}
-	sink.recordSpan(SpanRecord{
-		ID:     s.id,
-		Parent: s.parent,
-		Name:   name,
-		Start:  start.Sub(sink.spanEpoch()),
-		Dur:    d,
-		Worker: int(worker),
-	})
+	s := openSpan(sink, r, name, parent, start)
+	s.done = 1
+	s.record(d)
 	return s
 }
 
 // recordSpan appends one finished record, dropping past the retention cap
 // (counted in "telemetry/spans/dropped") so a snapshot is bounded no matter
 // how long the registry lives — a long-running daemon keeps the first
-// spanCap spans as a sample instead of growing without bound.
+// spanCap spans as a sample instead of growing without bound. The span's
+// total counts it either way.
 func (r *Registry) recordSpan(rec SpanRecord) {
 	r.spanMu.Lock()
 	if r.spanCap > 0 && len(r.spans) >= r.spanCap {

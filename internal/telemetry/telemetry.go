@@ -1,6 +1,8 @@
 // Package telemetry is a lightweight metrics substrate for the analysis
-// pipeline: named counters, gauges, and phase timers backed by sync/atomic,
-// collected in a Registry and exported as aligned text or JSON snapshots.
+// pipeline: named counters, gauges, histograms and spans backed by
+// sync/atomic, collected in a Registry and exported as aligned text or JSON
+// snapshots. Spans are the one timing instrument: every finished span adds
+// its duration to a per-name total, exported as the snapshot's Timers.
 //
 // The solver (internal/pointsto), the IGO engine (internal/core), the
 // monitored interpreter (internal/interp), and the batch runner
@@ -75,45 +77,11 @@ func (g *Gauge) Value() int64 {
 	return atomic.LoadInt64(&g.v)
 }
 
-// Timer accumulates wall time and an invocation count for one phase.
-type Timer struct {
+// spanTotal accumulates the wall time and count of every finished span of
+// one name.
+type spanTotal struct {
 	ns    int64
 	count int64
-}
-
-// Observe adds one measured duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	atomic.AddInt64(&t.ns, int64(d))
-	atomic.AddInt64(&t.count, 1)
-}
-
-// Start begins a measurement and returns the function that stops it. A nil
-// Timer returns a no-op stop without reading the clock.
-func (t *Timer) Start() func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&t.ns))
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&t.count)
 }
 
 // Registry holds named instruments. Instruments are created on first use and
@@ -122,7 +90,7 @@ type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
+	totals     map[string]*spanTotal
 	histograms map[string]*Histogram
 
 	// Span state: a monotonically increasing id, the time origin every
@@ -147,7 +115,7 @@ func New() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
-		timers:     map[string]*Timer{},
+		totals:     map[string]*spanTotal{},
 		histograms: map[string]*Histogram{},
 		epoch:      time.Now(),
 		spanCap:    DefaultSpanCap,
@@ -207,24 +175,23 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns the named phase timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
+// addSpan adds one finished span of the named kind to its total, creating
+// the total on first use. Totals are uncapped: the span log's retention cap
+// drops records, never their time.
+func (r *Registry) addSpan(name string, d time.Duration) {
 	r.mu.RLock()
-	t := r.timers[name]
+	t := r.totals[name]
 	r.mu.RUnlock()
-	if t != nil {
-		return t
+	if t == nil {
+		r.mu.Lock()
+		if t = r.totals[name]; t == nil {
+			t = &spanTotal{}
+			r.totals[name] = t
+		}
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.timers[name]; t == nil {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
+	atomic.AddInt64(&t.ns, int64(d))
+	atomic.AddInt64(&t.count, 1)
 }
 
 // Histogram returns the named histogram, creating it on first use. A nil
@@ -248,7 +215,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// TimerStat is one timer's exported state.
+// TimerStat is the exported total of every finished span of one name.
 type TimerStat struct {
 	Count   int64         `json:"count"`
 	Total   time.Duration `json:"total_ns"`
@@ -256,7 +223,9 @@ type TimerStat struct {
 }
 
 // Snapshot is a point-in-time copy of every instrument, suitable for
-// rendering or serialization after the measured run completes.
+// rendering or serialization after the measured run completes. Timers holds
+// one total per span name, over every span of that name finished so far,
+// whether Spans retains it or not.
 type Snapshot struct {
 	Counters   map[string]int64     `json:"counters,omitempty"`
 	Gauges     map[string]int64     `json:"gauges,omitempty"`
@@ -284,10 +253,10 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, t := range r.timers {
-		total := t.Total()
+	for name, t := range r.totals {
+		total := time.Duration(atomic.LoadInt64(&t.ns))
 		s.Timers[name] = TimerStat{
-			Count:   t.Count(),
+			Count:   atomic.LoadInt64(&t.count),
 			Total:   total,
 			TotalMS: float64(total) / float64(time.Millisecond),
 		}

@@ -24,7 +24,7 @@ func TestConcurrentWriters(t *testing.T) {
 				r.Counter("c").Inc()
 				r.Counter("c2").Add(2)
 				r.Gauge("g").SetMax(int64(w*perWorker + i))
-				r.Timer("t").Observe(time.Microsecond)
+				r.RecordSpan("t", nil, time.Now(), time.Microsecond)
 			}
 		}(w)
 	}
@@ -38,11 +38,8 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := r.Gauge("g").Value(); got != workers*perWorker-1 {
 		t.Errorf("gauge g = %d, want %d", got, workers*perWorker-1)
 	}
-	if got := r.Timer("t").Count(); got != workers*perWorker {
-		t.Errorf("timer t count = %d, want %d", got, workers*perWorker)
-	}
-	if got := r.Timer("t").Total(); got < workers*perWorker*time.Microsecond {
-		t.Errorf("timer t total = %v, too small", got)
+	if got := r.Snapshot().Timers["t"]; got.Count != workers*perWorker || got.Total != workers*perWorker*time.Microsecond {
+		t.Errorf("span total t = %+v, want %d spans over %v", got, workers*perWorker, workers*perWorker*time.Microsecond)
 	}
 }
 
@@ -55,9 +52,6 @@ func TestRegistryInterning(t *testing.T) {
 	}
 	if r.Gauge("x") != r.Gauge("x") {
 		t.Error("Gauge not interned")
-	}
-	if r.Timer("x") != r.Timer("x") {
-		t.Error("Timer not interned")
 	}
 }
 
@@ -76,11 +70,9 @@ func TestNilSafety(t *testing.T) {
 	if r.Gauge("g").Value() != 0 {
 		t.Error("nil gauge should read 0")
 	}
-	r.Timer("t").Observe(time.Second)
-	stop := r.Timer("t").Start()
-	stop()
-	if r.Timer("t").Count() != 0 || r.Timer("t").Total() != 0 {
-		t.Error("nil timer should read 0")
+	r.RecordSpan("t", nil, time.Now(), time.Second)
+	if len(r.Snapshot().Timers) != 0 {
+		t.Error("nil registry should hold no span totals")
 	}
 }
 
@@ -90,7 +82,7 @@ func TestSnapshotText(t *testing.T) {
 	r.Counter("b/second").Add(2)
 	r.Counter("a/first").Add(1)
 	r.Gauge("nodes").Set(42)
-	r.Timer("solve").Observe(1500 * time.Millisecond)
+	r.RecordSpan("solve", nil, time.Now(), 1500*time.Millisecond)
 	text := r.Snapshot().Text()
 	for _, want := range []string{
 		"telemetry snapshot",
@@ -111,7 +103,7 @@ func TestSnapshotText(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	r := New()
 	r.Counter("c").Add(3)
-	r.Timer("t").Observe(2 * time.Second)
+	r.RecordSpan("t", nil, time.Now(), 2*time.Second)
 	data, err := r.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -131,16 +123,30 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestTimerStart checks the closure form accumulates elapsed time.
-func TestTimerStart(t *testing.T) {
+// TestSpanTotals checks that every finished span adds its elapsed time to
+// its name's total, and that the span log's retention cap drops records but
+// never their totals.
+func TestSpanTotals(t *testing.T) {
 	r := New()
-	stop := r.Timer("t").Start()
+	_, fin := r.StartSpan("t", nil)
 	time.Sleep(time.Millisecond)
-	stop()
-	if r.Timer("t").Count() != 1 {
-		t.Errorf("count = %d, want 1", r.Timer("t").Count())
+	fin()
+	if got := r.Snapshot().Timers["t"]; got.Count != 1 || got.Total < time.Millisecond {
+		t.Errorf("span total t = %+v, want 1 span over >= 1ms", got)
 	}
-	if r.Timer("t").Total() < time.Millisecond {
-		t.Errorf("total = %v, want >= 1ms", r.Timer("t").Total())
+
+	r = New()
+	r.SetSpanCap(1)
+	const n = 5
+	for i := 0; i < n; i++ {
+		_, fin := r.StartSpan("capped", nil)
+		fin()
+	}
+	snap := r.Snapshot()
+	if len(snap.Spans) != 1 || snap.Counters["telemetry/spans/dropped"] != n-1 {
+		t.Fatalf("retained %d spans, dropped %d; want 1 and %d", len(snap.Spans), snap.Counters["telemetry/spans/dropped"], n-1)
+	}
+	if got := snap.Timers["capped"].Count; got != n {
+		t.Errorf("span total count = %d under a cap of 1, want %d", got, n)
 	}
 }

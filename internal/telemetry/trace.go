@@ -6,9 +6,9 @@ package telemetry
 // offline without digging it out of a process-wide span log. Attachment is
 // structural, not lexical — a Trace implements the same span sink the
 // Registry does, and child spans inherit their parent's sink — so the
-// pipeline's existing StartSpan(name, parent) call sites (core stages,
-// solver rounds, pool jobs) flow into a trace whenever their parent chain
-// roots in one, without knowing traces exist.
+// pipeline's StartSpan(name, parent) call sites (solver phases and rounds,
+// pool jobs) flow into a trace whenever their parent chain roots in one,
+// without knowing traces exist.
 //
 // The context carries two things: the active *Trace (WithTrace/TraceFrom)
 // and the current parent *Span (WithSpan/SpanFrom). StartSpanCtx is the
@@ -88,22 +88,21 @@ func (t *Trace) Root() *Span {
 }
 
 // StartSpan opens a span inside the trace; a nil parent parents to the
-// trace's root. Same contract as Registry.StartSpan. Safe on a nil trace.
+// trace's root. Same contract as Registry.StartSpan, but the span adds to no
+// registry's total. Safe on a nil trace.
 func (t *Trace) StartSpan(name string, parent *Span) (*Span, func()) {
+	return t.startSpan(nil, name, parent)
+}
+
+// startSpan is StartSpan with the span totalled in r.
+func (t *Trace) startSpan(r *Registry, name string, parent *Span) (*Span, func()) {
 	if t == nil {
 		return nil, func() {}
 	}
 	if parent == nil {
 		parent = t.root
 	}
-	s := &Span{
-		sink:   t,
-		id:     t.nextSpanID(),
-		parent: parent.id,
-		name:   name,
-		start:  time.Now(),
-		worker: atomic.LoadInt32(&parent.worker),
-	}
+	s := openSpan(t, r, name, parent, time.Now())
 	return s, s.finish
 }
 
@@ -290,7 +289,8 @@ func SpanFrom(ctx context.Context) *Span {
 // StartSpanCtx opens a span wherever the context says it belongs: on the
 // active trace when one is present (parented to the context's current span,
 // else the trace root), otherwise on the registry exactly like
-// Registry.StartSpan. The returned context carries the new span as the
+// Registry.StartSpan. Either way the finished span adds to r's total for
+// its name. The returned context carries the new span as the
 // current parent, so nested StartSpanCtx calls build the tree without
 // threading handles explicitly. With neither a trace nor a registry the span
 // is nil and the finish a no-op.
@@ -301,7 +301,7 @@ func StartSpanCtx(ctx context.Context, r *Registry, name string) (context.Contex
 		fin func()
 	)
 	if tr := TraceFrom(ctx); tr != nil {
-		s, fin = tr.StartSpan(name, parent)
+		s, fin = tr.startSpan(r, name, parent)
 	} else {
 		s, fin = r.StartSpan(name, parent)
 	}

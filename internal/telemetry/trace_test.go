@@ -14,8 +14,8 @@ import (
 
 // TestTraceSpanAttachment is the sink-inheritance contract: spans opened
 // under a context carrying a trace — and their descendants, opened through
-// the registry's own StartSpan with a traced parent — land in the trace, and
-// the registry's global span log stays empty.
+// the registry's own StartSpan with a traced parent — land in the trace, the
+// registry's global span log stays empty, and the registry still totals them.
 func TestTraceSpanAttachment(t *testing.T) {
 	r := New()
 	tr := NewTrace("req-1", "serve/analyze")
@@ -40,6 +40,11 @@ func TestTraceSpanAttachment(t *testing.T) {
 
 	if got := len(r.Snapshot().Spans); got != 0 {
 		t.Fatalf("registry retained %d spans; all belong to the trace", got)
+	}
+	for _, name := range []string{"serve/solve", "pointsto/round", "pointsto/prep"} {
+		if got := r.Snapshot().Timers[name].Count; got != 1 {
+			t.Errorf("registry total of traced span %q counts %d, want 1", name, got)
+		}
 	}
 	tr.Finish()
 	e := tr.Export()
@@ -234,7 +239,7 @@ func TestPrometheus(t *testing.T) {
 	r.Counter("serve/requests/analyze").Inc()
 	r.Counter("serve/requests/analyze").Inc()
 	r.Gauge("serve/cache/programs").Set(7)
-	stop := r.Timer("core/analyze").Start()
+	_, stop := r.StartSpan("core/analyze", nil)
 	stop()
 	for i := 1; i <= 100; i++ {
 		r.Histogram("serve/latency-ns").Observe(int64(i))
