@@ -171,6 +171,37 @@ func BenchmarkExecution(b *testing.B) {
 	}
 }
 
+// BenchmarkHardenedRequests is the repository benchmark's exec-hardened
+// loop (kbench/exec.go) without the harness: the nine paper apps hardened
+// under every invariant, and each operation one NewExecution plus a
+// 400-request Run, cycling through the apps and four seeded input sets.
+func BenchmarkHardenedRequests(b *testing.B) {
+	type app struct {
+		h      *core.Hardened
+		inputs [][]int64
+	}
+	var apps []app
+	for _, w := range workload.Apps() {
+		sys, err := core.AnalyzeCtx(context.Background(), w.MustModule(), invariant.All(), core.AnalyzeOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		a := app{h: sys.Harden()}
+		for k := int64(0); k < 4; k++ {
+			a.inputs = append(a.inputs, w.Requests(400, 1000+k))
+		}
+		apps = append(apps, a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := apps[i%len(apps)]
+		if tr := a.h.NewExecution(false).Run("main", a.inputs[(i/len(apps))%len(a.inputs)]); tr.Err != nil {
+			b.Fatal(tr.Err)
+		}
+	}
+}
+
 // BenchmarkFuzzer measures fuzzing executions per second on the smallest
 // workload.
 func BenchmarkFuzzer(b *testing.B) {

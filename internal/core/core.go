@@ -19,6 +19,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/cfi"
 	"repro/internal/faultinject"
@@ -154,12 +155,18 @@ func (s *System) Sizes(r *pointsto.Result) []int {
 }
 
 // Hardened is a CFI-instrumented program: both policy views plus everything
-// needed to construct monitored executions. The policies are read-only, so
-// every execution shares them.
+// needed to construct monitored executions. The policies and the compiled
+// program are read-only, so every execution shares them.
 type Hardened struct {
 	Sys        *System
 	Optimistic *cfi.Policy
 	Fallback   *cfi.Policy
+
+	// prog is the module compiled under the monitors' instrumentation,
+	// built by the first execution: hardening itself compiles nothing, so
+	// analyses that never execute never pay for it.
+	progOnce sync.Once
+	prog     *interp.Program
 }
 
 // Harden derives the CFI policies for both views (stage ③ preparation).
@@ -200,17 +207,26 @@ func (h *Hardened) NewExecution(track bool) *Execution {
 // the runtime's monitor hooks for the execution's lifetime.
 func (h *Hardened) NewExecutionChecked(track bool, faults *faultinject.Plan) (*Execution, error) {
 	sw, secret := memview.NewSwitcher(h.Optimistic, h.Fallback)
-	rt, ins, err := memview.BuildRuntime(h.Sys.Optimistic, sw.Handler(secret), faults)
+	rt, _, err := memview.BuildRuntime(h.Sys.Optimistic, sw.Handler(secret), faults)
 	if err != nil {
 		return nil, err
 	}
-	mc := interp.New(h.Sys.Module, interp.Config{
+	mc := h.program().NewMachine(interp.Config{
 		Hooks:         rt,
-		Instr:         ins,
 		TrackPointsTo: track,
 		Metrics:       h.Sys.Metrics,
 	})
 	return &Execution{Machine: mc, Runtime: rt, Switcher: sw}, nil
+}
+
+// program returns the compiled program every execution runs, compiling it
+// on first use. Its instrumentation is the optimistic result's monitors,
+// which is what every execution's runtime installs first.
+func (h *Hardened) program() *interp.Program {
+	h.progOnce.Do(func() {
+		h.prog = interp.Compile(h.Sys.Module, instrumentation(h.Sys.Optimistic))
+	})
+	return h.prog
 }
 
 // MonitorSites returns the number of distinct instrumented monitor sites in

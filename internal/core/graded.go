@@ -22,9 +22,10 @@ type GradedSystem struct {
 	Module   *ir.Module
 	Systems  map[string]*System     // config name -> analysis
 	Policies map[string]*cfi.Policy // config name -> optimistic policy of that config
-	// instr is the union of every level's monitor sites, so degraded levels
-	// find their monitors already in place.
-	instr *interp.Instrumentation
+	// prog is the module compiled under the union of every level's monitor
+	// sites, so degraded levels find their monitors already in place. All
+	// executions share it.
+	prog *interp.Program
 }
 
 // AnalyzeGraded takes the analysis of every configuration (the same sweep
@@ -34,13 +35,13 @@ func AnalyzeGraded(analyze func(invariant.Config) *System) *GradedSystem {
 	g := &GradedSystem{
 		Systems:  map[string]*System{},
 		Policies: map[string]*cfi.Policy{},
-		instr: &interp.Instrumentation{
-			PtrAddSites: map[int]bool{},
-			FieldSites:  map[int]bool{},
-			CtxCallArgs: map[int][]int{},
-			CtxChecks:   map[int][]invariant.CtxSample{},
-			CheckICalls: true,
-		},
+	}
+	union := &interp.Instrumentation{
+		PtrAddSites: map[int]bool{},
+		FieldSites:  map[int]bool{},
+		CtxCallArgs: map[int][]int{},
+		CtxChecks:   map[int][]invariant.CtxSample{},
+		CheckICalls: true,
 	}
 	for _, cfg := range invariant.Ablations() {
 		s := analyze(cfg)
@@ -49,18 +50,19 @@ func AnalyzeGraded(analyze func(invariant.Config) *System) *GradedSystem {
 		g.Policies[cfg.Name()] = cfi.PolicyFrom(s.Optimistic)
 		ins := instrumentation(s.Optimistic)
 		for site := range ins.PtrAddSites {
-			g.instr.PtrAddSites[site] = true
+			union.PtrAddSites[site] = true
 		}
 		for site := range ins.FieldSites {
-			g.instr.FieldSites[site] = true
+			union.FieldSites[site] = true
 		}
 		for site, args := range ins.CtxCallArgs {
-			g.instr.CtxCallArgs[site] = args
+			union.CtxCallArgs[site] = args
 		}
 		for site, samples := range ins.CtxChecks {
-			g.instr.CtxChecks[site] = samples
+			union.CtxChecks[site] = samples
 		}
 	}
+	g.prog = interp.Compile(g.Module, union)
 	return g
 }
 
@@ -128,9 +130,8 @@ func (g *GradedSystem) NewExecution(track bool) *GradedExecution {
 		panic(err) // unreachable: no fault plan
 	}
 	ctrl.rt = rt
-	mc := interp.New(g.Module, interp.Config{
+	mc := g.prog.NewMachine(interp.Config{
 		Hooks:         rt,
-		Instr:         g.instr,
 		TrackPointsTo: track,
 	})
 	return &GradedExecution{Machine: mc, Runtime: rt, Controller: ctrl}

@@ -7,11 +7,24 @@ import (
 	"repro/internal/ir"
 )
 
-// The interpreter pre-compiles KIR into an index-based form: registers
-// become slots in a flat frame array, block names become indexes, field
-// offsets and layouts are resolved once, and instrumentation decisions are
-// folded into per-instruction flags. This keeps the hot execution loop free
-// of map lookups and string comparisons.
+// Program is a module compiled for execution under one instrumentation:
+// registers become slots in a frame, block names become indexes, field
+// offsets and the layouts of allocas, typed mallocs and globals are resolved
+// once, alloca labels are rendered, and instrumentation decisions are folded
+// into per-instruction flags. This keeps the hot execution loop free of map
+// lookups, string building and string comparisons. A Program is immutable
+// once Compile returns, so any number of machines may run it at once, on any
+// goroutines; each machine owns only its frames, memory and trace.
+type Program struct {
+	funcs   []*cfunc // module order; a function value's Off indexes it
+	byName  map[string]*cfunc
+	globals []objInfo // module order; an AddrGlobal's off indexes it
+	// branchSites maps a branch index to its CondJump site. Branch i owns
+	// edge counters 2i (not taken) and 2i+1 (taken) of a trace.
+	branchSites []int
+	maxSite     int  // largest instruction ID; sizes a trace's monitor set
+	checkICalls bool // CFI-check every indirect callsite
+}
 
 type copcode uint8
 
@@ -45,10 +58,13 @@ type csample struct {
 
 // cinstr is one compiled instruction. Field use varies by opcode:
 //
-//	dst, a, b — register indexes (-1 when unused)
+//	dst       — destination register index (the frame's sink when unused)
+//	a, b      — operand register indexes (-1 when unused)
 //	val       — Const literal
 //	blkA,blkB — branch targets (block indexes)
-//	off       — FieldAddr runtime offset / IndexAddr element size
+//	off       — FieldAddr runtime offset / IndexAddr element size /
+//	            AddrGlobal global index / AddrFunc function index (-1 for a
+//	            function outside the module) / CondJump branch index
 //	site      — original instruction ID
 type cinstr struct {
 	op   copcode
@@ -61,14 +77,13 @@ type cinstr struct {
 	site int
 
 	binop   ir.BinOpKind
-	ty      ir.Type    // Alloca type; Malloc SizeOf (nil = unknown)
-	layout  *ir.Layout // resolved layout for Alloca/typed Malloc
-	name    string     // AddrGlobal/AddrFunc/Call target, Alloca var label
-	callee  *cfunc     // resolved direct callee
-	args    []int      // Call/ICall argument registers
-	hooked  bool       // site is instrumented (PtrAdd/FieldAddr monitors)
-	samples []csample  // Ctx check samples (Store/Ret sites)
-	ctxArgs []int      // Ctx callsite argument positions (Call sites)
+	obj     *objInfo  // Alloca/Malloc: what the allocated objects are
+	fn      *RObj     // AddrFunc target's function object
+	callee  *cfunc    // resolved direct callee
+	args    []int     // Call/ICall argument registers
+	hooked  bool      // site is instrumented (PtrAdd/FieldAddr monitors)
+	samples []csample // Ctx check samples (Store/Ret sites)
+	ctxArgs []int     // Ctx callsite argument positions (Call sites)
 }
 
 // cblock is a compiled basic block.
@@ -78,36 +93,52 @@ type cblock struct {
 
 // cfunc is a compiled function.
 type cfunc struct {
-	fn       *ir.Function
 	name     string
-	nRegs    int
+	idx      int   // position in Program.funcs
+	obj      *RObj // the object every pointer to this function refers to
+	nRegs    int   // frame size: the registers, then the sink
 	params   []int // register indexes of the parameters
 	blocks   []cblock
 	regNames []string // inverse register map (dynamic points-to tracking)
 }
 
-// compiler translates one module for one machine configuration.
+// compiler translates one module under one instrumentation.
 type compiler struct {
-	mod     *ir.Module
-	layouts *ir.Layouts
-	instr   *Instrumentation
-	funcs   map[string]*cfunc
+	layouts   *ir.Layouts
+	instr     *Instrumentation
+	prog      *Program
+	globalIdx map[string]int
 }
 
-func compileModule(mod *ir.Module, layouts *ir.Layouts, instr *Instrumentation) map[string]*cfunc {
-	c := &compiler{mod: mod, layouts: layouts, instr: instr, funcs: map[string]*cfunc{}}
+// Compile compiles m for execution under instr (nil: uninstrumented).
+func Compile(m *ir.Module, instr *Instrumentation) *Program {
+	if instr == nil {
+		instr = &Instrumentation{}
+	}
+	p := &Program{byName: make(map[string]*cfunc, len(m.Funcs)), checkICalls: instr.CheckICalls}
+	c := &compiler{layouts: ir.NewLayouts(), instr: instr, prog: p, globalIdx: make(map[string]int, len(m.Globals))}
 	// Create shells first so direct calls can resolve callee pointers.
-	for _, f := range mod.Funcs {
-		c.funcs[f.Name] = &cfunc{fn: f, name: f.Name}
+	for i, f := range m.Funcs {
+		cf := &cfunc{name: f.Name, idx: i, obj: funcObj(f.Name)}
+		p.funcs = append(p.funcs, cf)
+		p.byName[f.Name] = cf
 	}
-	for _, f := range mod.Funcs {
-		c.compileFunc(f)
+	for i, g := range m.Globals {
+		c.globalIdx[g.Name] = i
+		p.globals = append(p.globals, objInfo{
+			Key:    AbsKey{Kind: AbsGlobal, Name: g.Name},
+			Type:   g.Type,
+			layout: c.layouts.Of(g.Type),
+			name:   "@" + g.Name,
+		})
 	}
-	return c.funcs
+	for i, f := range m.Funcs {
+		c.compileFunc(p.funcs[i], f)
+	}
+	return p
 }
 
-func (c *compiler) compileFunc(f *ir.Function) {
-	cf := c.funcs[f.Name]
+func (c *compiler) compileFunc(cf *cfunc, f *ir.Function) {
 	regIdx := map[string]int{}
 	reg := func(name string) int {
 		if name == "" {
@@ -131,19 +162,30 @@ func (c *compiler) compileFunc(f *ir.Function) {
 	for bi, b := range f.Blocks {
 		instrs := make([]cinstr, 0, len(b.Instrs))
 		for _, in := range b.Instrs {
-			instrs = append(instrs, c.compileInstr(in, reg, blkIdx))
+			instrs = append(instrs, c.compileInstr(cf, in, reg, blkIdx))
 		}
 		cf.blocks[bi] = cblock{instrs: instrs}
 	}
-	cf.nRegs = len(regIdx)
+	// The register after the last is the frame's sink: an instruction
+	// without a destination register writes there, so none needs a check.
+	sink := len(regIdx)
+	for bi := range cf.blocks {
+		for ii := range cf.blocks[bi].instrs {
+			if in := &cf.blocks[bi].instrs[ii]; in.dst < 0 {
+				in.dst = sink
+			}
+		}
+	}
+	cf.nRegs = sink + 1
 	cf.regNames = make([]string, len(regIdx))
 	for name, i := range regIdx {
 		cf.regNames[i] = name
 	}
 }
 
-func (c *compiler) compileInstr(in ir.Instr, reg func(string) int, blkIdx map[string]int) cinstr {
+func (c *compiler) compileInstr(cf *cfunc, in ir.Instr, reg func(string) int, blkIdx map[string]int) cinstr {
 	site := ir.InstrID(in)
+	c.prog.maxSite = max(c.prog.maxSite, site)
 	ci := cinstr{site: site, dst: -1, a: -1, b: -1}
 	switch in := in.(type) {
 	case *ir.Const:
@@ -165,25 +207,37 @@ func (c *compiler) compileInstr(in ir.Instr, reg func(string) int, blkIdx map[st
 	case *ir.Alloca:
 		ci.op = opAlloca
 		ci.dst = reg(in.Dest)
-		ci.ty = in.Ty
-		ci.layout = c.layouts.Of(in.Ty)
-		ci.name = in.Var
+		ci.obj = &objInfo{
+			Key:    AbsKey{Kind: AbsStack, Site: site},
+			Type:   in.Ty,
+			layout: c.layouts.Of(in.Ty),
+			name:   cf.name + "/" + in.Var,
+		}
 	case *ir.Malloc:
 		ci.op = opMalloc
 		ci.dst = reg(in.Dest)
-		ci.ty = in.SizeOf
 		ci.a = reg(in.Size)
+		ci.obj = &objInfo{Key: AbsKey{Kind: AbsHeap, Site: site}, Type: in.SizeOf}
 		if in.SizeOf != nil {
-			ci.layout = c.layouts.Of(in.SizeOf)
+			ci.obj.layout = c.layouts.Of(in.SizeOf)
 		}
 	case *ir.AddrGlobal:
 		ci.op = opAddrGlobal
 		ci.dst = reg(in.Dest)
-		ci.name = in.Global
+		gi, ok := c.globalIdx[in.Global]
+		if !ok {
+			panic(fmt.Sprintf("interp: address of unknown global %q", in.Global))
+		}
+		ci.off = gi
 	case *ir.AddrFunc:
 		ci.op = opAddrFunc
 		ci.dst = reg(in.Dest)
-		ci.name = in.Func
+		if tgt := c.prog.byName[in.Func]; tgt != nil {
+			ci.fn, ci.off = tgt.obj, tgt.idx
+		} else {
+			// Calling it faults as an unknown function, as it must.
+			ci.fn, ci.off = funcObj(in.Func), -1
+		}
 	case *ir.Copy:
 		ci.op = opCopy
 		ci.dst = reg(in.Dest)
@@ -220,8 +274,7 @@ func (c *compiler) compileInstr(in ir.Instr, reg func(string) int, blkIdx map[st
 	case *ir.Call:
 		ci.op = opCall
 		ci.dst = reg(in.Dest)
-		ci.callee = c.funcs[in.Callee]
-		ci.name = in.Callee
+		ci.callee = c.prog.byName[in.Callee]
 		for _, a := range in.Args {
 			ci.args = append(ci.args, reg(a))
 		}
@@ -250,6 +303,8 @@ func (c *compiler) compileInstr(in ir.Instr, reg func(string) int, blkIdx map[st
 		ci.a = reg(in.Cond)
 		ci.blkA = blkIdx[in.True]
 		ci.blkB = blkIdx[in.False]
+		ci.off = len(c.prog.branchSites)
+		c.prog.branchSites = append(c.prog.branchSites, site)
 	default:
 		panic(fmt.Sprintf("interp: cannot compile %T", in))
 	}

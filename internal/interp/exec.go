@@ -6,39 +6,65 @@ import (
 	"repro/internal/ir"
 )
 
-// frame is one activation record over the compiled register file.
-type frame struct {
-	cf   *cfunc
-	regs []Value
-}
-
-func (mc *Machine) set(fr *frame, idx int, v Value) {
-	if idx < 0 {
-		return
-	}
-	fr.regs[idx] = v
-	if mc.cfg.TrackPointsTo {
-		if key, ok := AbsValueKey(v); ok {
-			mc.trace.recordReg(fr.cf.name, fr.cf.regNames[idx], key)
-		}
+// track records a register write for dynamic points-to observation.
+func (mc *Machine) track(cf *cfunc, idx int, v Value) {
+	if key, ok := AbsValueKey(v); ok {
+		mc.trace.recordReg(cf.name, cf.regNames[idx], key)
 	}
 }
 
-// call executes a compiled function.
-func (mc *Machine) call(cf *cfunc, args []Value) (Value, error) {
+// call executes a compiled function in a new frame on top of the register
+// stack. Its arguments are the registers args of the caller's frame (both
+// nil for the entry call); they are copied straight into the parameters.
+func (mc *Machine) call(cf *cfunc, caller []Value, args []int) (Value, error) {
 	if mc.depth >= mc.cfg.MaxDepth {
 		return Value{}, &RuntimeError{Msg: "call-stack depth limit exceeded"}
 	}
-	mc.depth++
-	defer func() { mc.depth-- }()
-
-	fr := &frame{cf: cf, regs: make([]Value, cf.nRegs)}
+	base, top := mc.sp, mc.sp+cf.nRegs
+	if top > len(mc.stack) {
+		mc.grow(top)
+	}
+	// A new frame reads as integer 0 until written, whatever an earlier
+	// call left in this region of the stack. The caller's frame may sit in
+	// the stack grow just replaced; it is read-only here, so that is fine.
+	regs := mc.stack[base:top:top]
+	clear(regs)
 	for i, p := range cf.params {
 		if i < len(args) {
-			mc.set(fr, p, args[i])
+			regs[p] = caller[args[i]]
+			if mc.cfg.TrackPointsTo {
+				mc.track(cf, p, regs[p])
+			}
 		}
 	}
+	mc.sp = top
+	mc.depth++
+	v, err := mc.exec(cf, base)
+	mc.sp = base
+	mc.depth--
+	return v, err
+}
 
+// initialStack is the register stack's first size, in registers. Runs of
+// the nine paper apps' request drivers peak at 100 to 190.
+const initialStack = 256
+
+// grow reallocates the register stack to hold at least need registers,
+// moving the live frames below sp. A running frame re-slices its registers
+// after every call it makes, since the callee may have grown the stack.
+func (mc *Machine) grow(need int) {
+	s := make([]Value, max(need, 2*len(mc.stack), initialStack))
+	copy(s, mc.stack[:mc.sp])
+	mc.stack = s
+}
+
+// exec runs the body of cf in the frame at base. Every instruction writes
+// its destination register directly (the sink, for one without); under
+// TrackPointsTo the written value is observed once the instruction is done.
+func (mc *Machine) exec(cf *cfunc, base int) (Value, error) {
+	top := base + cf.nRegs
+	regs := mc.stack[base:top:top]
+	track := mc.cfg.TrackPointsTo
 	blk := 0
 	for {
 		instrs := cf.blocks[blk].instrs
@@ -50,75 +76,65 @@ func (mc *Machine) call(cf *cfunc, args []Value) (Value, error) {
 			}
 			switch in.op {
 			case opConst:
-				mc.set(fr, in.dst, IntVal(in.val))
+				regs[in.dst] = IntVal(in.val)
 			case opBinOp:
-				v, err := mc.binop(in, fr.regs[in.a], fr.regs[in.b])
+				v, err := mc.binop(in, regs[in.a], regs[in.b])
 				if err != nil {
 					return Value{}, err
 				}
-				mc.set(fr, in.dst, v)
+				regs[in.dst] = v
 			case opInput:
 				var v int64
 				if mc.inPos < len(mc.inputs) {
 					v = mc.inputs[mc.inPos]
 					mc.inPos++
 				}
-				mc.set(fr, in.dst, IntVal(v))
+				regs[in.dst] = IntVal(v)
 			case opOutput:
-				mc.trace.Outputs = append(mc.trace.Outputs, fr.regs[in.a].Int)
+				mc.trace.Outputs = append(mc.trace.Outputs, regs[in.a].Int)
 			case opAlloca:
-				obj := &RObj{
-					Key:    AbsKey{Kind: AbsStack, Site: in.site},
-					Type:   in.ty,
-					Slots:  make([]Value, in.layout.RuntimeSize),
-					layout: in.layout,
-					name:   cf.name + "/" + in.name,
-				}
-				mc.set(fr, in.dst, PtrVal(obj, 0))
+				obj := &RObj{objInfo: in.obj, Slots: make([]Value, in.obj.layout.RuntimeSize)}
+				regs[in.dst] = PtrVal(obj, 0)
 			case opMalloc:
-				key := AbsKey{Kind: AbsHeap, Site: in.site}
-				var obj *RObj
-				if in.layout != nil {
-					obj = &RObj{Key: key, Type: in.ty, Slots: make([]Value, in.layout.RuntimeSize), layout: in.layout}
-				} else {
-					slots := mc.cfg.HeapSlots
-					if in.a >= 0 {
-						if n := fr.regs[in.a].Int; n > 0 && n <= 1<<16 {
-							slots = int(n)
-						}
+				slots := mc.cfg.HeapSlots
+				if in.obj.layout != nil {
+					slots = in.obj.layout.RuntimeSize
+				} else if in.a >= 0 {
+					if n := regs[in.a].Int; n > 0 && n <= 1<<16 {
+						slots = int(n)
 					}
-					obj = &RObj{Key: key, Slots: make([]Value, slots)}
 				}
-				mc.set(fr, in.dst, PtrVal(obj, 0))
+				obj := &RObj{objInfo: in.obj, Slots: make([]Value, slots)}
+				regs[in.dst] = PtrVal(obj, 0)
 			case opAddrGlobal:
-				mc.set(fr, in.dst, PtrVal(mc.globals[in.name], 0))
+				regs[in.dst] = PtrVal(&mc.globals[in.off], 0)
 			case opAddrFunc:
-				mc.set(fr, in.dst, FnVal(in.name))
+				regs[in.dst] = Value{Kind: KindFn, Obj: in.fn, Off: in.off}
 			case opCopy:
-				mc.set(fr, in.dst, fr.regs[in.a])
+				regs[in.dst] = regs[in.a]
 			case opLoad:
 				mc.trace.MemOps++
-				addr := fr.regs[in.a]
+				addr := regs[in.a]
 				if addr.Kind != KindPtr {
 					return Value{}, &RuntimeError{Site: in.site, Msg: "load through invalid pointer " + addr.String()}
 				}
 				if addr.Off < 0 || addr.Off >= len(addr.Obj.Slots) {
 					return Value{}, &RuntimeError{Site: in.site, Msg: oobMsg("load", addr)}
 				}
-				mc.set(fr, in.dst, addr.Obj.Slots[addr.Off])
+				regs[in.dst] = addr.Obj.Slots[addr.Off]
 			case opStore:
 				if in.samples != nil {
-					mc.fireCtxCheck(fr, in)
+					mc.fireCtxCheck(regs, in)
 				}
 				mc.trace.MemOps++
-				addr := fr.regs[in.a]
+				addr := regs[in.a]
 				if addr.Kind != KindPtr {
 					return Value{}, &RuntimeError{Site: in.site, Msg: "store through invalid pointer " + addr.String()}
 				}
 				if addr.Off < 0 || addr.Off >= len(addr.Obj.Slots) {
 					return Value{}, &RuntimeError{Site: in.site, Msg: oobMsg("store", addr)}
 				}
-				v := fr.regs[in.b]
+				v := regs[in.b]
 				addr.Obj.Slots[addr.Off] = v
 				if mc.cfg.TrackPointsTo {
 					if key, ok := AbsValueKey(v); ok {
@@ -126,7 +142,7 @@ func (mc *Machine) call(cf *cfunc, args []Value) (Value, error) {
 					}
 				}
 			case opFieldAddr:
-				base := fr.regs[in.a]
+				base := regs[in.a]
 				if base.Kind != KindPtr {
 					return Value{}, &RuntimeError{Site: in.site, Msg: "field access through non-pointer " + base.String()}
 				}
@@ -136,15 +152,15 @@ func (mc *Machine) call(cf *cfunc, args []Value) (Value, error) {
 					mc.fires.field++
 					mc.hooks.FieldAddr(in.site, base, res)
 				}
-				mc.set(fr, in.dst, res)
+				regs[in.dst] = res
 			case opIndexAddr:
-				base := fr.regs[in.a]
+				base := regs[in.a]
 				if base.Kind != KindPtr {
 					return Value{}, &RuntimeError{Site: in.site, Msg: "indexing non-pointer " + base.String()}
 				}
-				mc.set(fr, in.dst, PtrVal(base.Obj, base.Off+int(fr.regs[in.b].Int)*in.off))
+				regs[in.dst] = PtrVal(base.Obj, base.Off+int(regs[in.b].Int)*in.off)
 			case opPtrAdd:
-				base := fr.regs[in.a]
+				base := regs[in.a]
 				if base.Kind != KindPtr {
 					return Value{}, &RuntimeError{Site: in.site, Msg: "pointer arithmetic on non-pointer " + base.String()}
 				}
@@ -153,66 +169,71 @@ func (mc *Machine) call(cf *cfunc, args []Value) (Value, error) {
 					mc.fires.ptrAdd++
 					mc.hooks.PtrAdd(in.site, base)
 				}
-				mc.set(fr, in.dst, PtrVal(base.Obj, base.Off+int(fr.regs[in.b].Int)))
+				regs[in.dst] = PtrVal(base.Obj, base.Off+int(regs[in.b].Int))
 			case opCall:
-				args := mc.gatherArgs(fr, in.args)
 				if in.hooked {
 					mc.trace.recordMonitor(in.site)
 					mc.fires.ctxCall++
 					rec := make([]Value, 0, len(in.ctxArgs))
 					for _, i := range in.ctxArgs {
-						if i < len(args) {
-							rec = append(rec, args[i])
+						if i < len(in.args) {
+							rec = append(rec, regs[in.args[i]])
 						}
 					}
 					mc.hooks.CtxCall(in.site, rec)
 				}
-				rv, err := mc.call(in.callee, args)
+				rv, err := mc.call(in.callee, regs, in.args)
 				if err != nil {
 					return Value{}, err
 				}
-				mc.set(fr, in.dst, rv)
+				regs = mc.stack[base:top:top]
+				regs[in.dst] = rv
 			case opICall:
-				fv := fr.regs[in.a]
+				fv := regs[in.a]
 				if fv.Kind != KindFn {
 					return Value{}, &RuntimeError{Site: in.site, Msg: "indirect call through non-function value " + fv.String()}
 				}
-				mc.trace.recordICall(in.site, fv.Fn)
-				if mc.instr.CheckICalls {
+				name := fv.fnName()
+				mc.trace.recordICall(in.site, name)
+				if mc.prog.checkICalls {
 					mc.fires.cfi++
-					if !mc.hooks.CheckICall(in.site, fv.Fn) {
-						return Value{}, &CFIViolation{Site: in.site, Target: fv.Fn}
+					if !mc.hooks.CheckICall(in.site, name) {
+						return Value{}, &CFIViolation{Site: in.site, Target: name}
 					}
 				}
-				callee := mc.funcs[fv.Fn]
+				callee := mc.prog.funcOf(fv)
 				if callee == nil {
-					return Value{}, &RuntimeError{Site: in.site, Msg: "indirect call to unknown function " + fv.Fn}
+					return Value{}, &RuntimeError{Site: in.site, Msg: "indirect call to unknown function " + name}
 				}
-				rv, err := mc.call(callee, mc.gatherArgs(fr, in.args))
+				rv, err := mc.call(callee, regs, in.args)
 				if err != nil {
 					return Value{}, err
 				}
-				mc.set(fr, in.dst, rv)
+				regs = mc.stack[base:top:top]
+				regs[in.dst] = rv
 			case opRet:
 				if in.samples != nil {
-					mc.fireCtxCheck(fr, in)
+					mc.fireCtxCheck(regs, in)
 				}
 				if in.a >= 0 {
-					return fr.regs[in.a], nil
+					return regs[in.a], nil
 				}
 				return IntVal(0), nil
 			case opJump:
 				blk = in.blkA
 				goto nextBlock
 			case opCondJump:
-				if fr.regs[in.a].Truthy() {
-					mc.trace.recordBranch(in.site, true)
+				if regs[in.a].Truthy() {
+					mc.trace.edges[2*in.off+1]++
 					blk = in.blkA
 				} else {
-					mc.trace.recordBranch(in.site, false)
+					mc.trace.edges[2*in.off]++
 					blk = in.blkB
 				}
 				goto nextBlock
+			}
+			if track && in.dst < len(cf.regNames) {
+				mc.track(cf, in.dst, regs[in.dst])
 			}
 		}
 		return Value{}, &RuntimeError{Msg: "fell off end of block in " + cf.name}
@@ -220,12 +241,14 @@ func (mc *Machine) call(cf *cfunc, args []Value) (Value, error) {
 	}
 }
 
-func (mc *Machine) gatherArgs(fr *frame, idxs []int) []Value {
-	args := make([]Value, len(idxs))
-	for i, a := range idxs {
-		args[i] = fr.regs[a]
+// funcOf resolves the function a function pointer refers to: by its index
+// when the value came from this program, by name otherwise (nil if the
+// program has no such function).
+func (p *Program) funcOf(fv Value) *cfunc {
+	if i := fv.Off; i >= 0 && i < len(p.funcs) && p.funcs[i].obj == fv.Obj {
+		return p.funcs[i]
 	}
-	return args
+	return p.byName[fv.fnName()]
 }
 
 func oobMsg(op string, addr Value) string {
@@ -235,12 +258,12 @@ func oobMsg(op string, addr Value) string {
 // fireCtxCheck samples the critical parameters' current values and invokes
 // the Ctx monitor hook. Deref samples read through the parameter's backing
 // stack slot (the register holds the slot address).
-func (mc *Machine) fireCtxCheck(fr *frame, in *cinstr) {
+func (mc *Machine) fireCtxCheck(regs []Value, in *cinstr) {
 	mc.trace.recordMonitor(in.site)
 	mc.fires.ctxCheck++
 	vals := make([]Value, len(in.samples))
 	for i, s := range in.samples {
-		v := fr.regs[s.reg]
+		v := regs[s.reg]
 		if s.deref {
 			if v.Kind == KindPtr && v.Off >= 0 && v.Off < len(v.Obj.Slots) {
 				v = v.Obj.Slots[v.Off]

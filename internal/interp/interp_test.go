@@ -436,7 +436,7 @@ int main() {
 }
 
 func TestValueSemantics(t *testing.T) {
-	o := &RObj{Slots: make([]Value, 2), name: "o"}
+	o := &RObj{objInfo: &objInfo{name: "o"}, Slots: make([]Value, 2)}
 	if !IntVal(0).IsNull() || IntVal(1).IsNull() || PtrVal(o, 0).IsNull() {
 		t.Error("IsNull wrong")
 	}

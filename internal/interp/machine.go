@@ -72,9 +72,11 @@ type Config struct {
 	StepLimit     int64 // 0 = default (50M)
 	TrackPointsTo bool  // record dynamic points-to observations
 	Hooks         Hooks
-	Instr         *Instrumentation
-	HeapSlots     int // runtime slots for unknown-type mallocs (default 16)
-	MaxDepth      int // call-stack depth limit (default 512)
+	// Instr selects the instrumented sites New compiles in. A Program fixes
+	// its own, so Program.NewMachine takes none.
+	Instr     *Instrumentation
+	HeapSlots int // runtime slots for unknown-type mallocs (default 16)
+	MaxDepth  int // call-stack depth limit (default 512)
 	// Metrics, when non-nil, receives per-run execution telemetry: steps,
 	// memory operations, monitor fires per invariant kind, and CFI lookups.
 	Metrics *telemetry.Registry
@@ -99,16 +101,22 @@ type RuntimeError struct {
 
 func (e *RuntimeError) Error() string { return fmt.Sprintf("interp: #%d: %s", e.Site, e.Msg) }
 
-// Machine executes one module.
+// Machine executes one compiled program. It owns only what an execution
+// changes: the register stack, the globals, heap objects and trace of the
+// current run, and its hook state; the program is shared and read-only.
 type Machine struct {
-	mod     *ir.Module
-	layouts *ir.Layouts
-	cfg     Config
-	hooks   Hooks
-	instr   *Instrumentation
-	funcs   map[string]*cfunc
+	prog  *Program
+	cfg   Config
+	hooks Hooks
 
-	globals map[string]*RObj
+	// stack is the register stack. A call's frame is the window of nRegs
+	// registers above the caller's, cleared on entry and popped on return.
+	// Frames are addressed by their base offset, so growing (reallocating)
+	// the stack leaves every frame below valid.
+	stack []Value
+	sp    int // first free register
+
+	globals []RObj // this run's globals, indexed like Program.globals
 	trace   *Trace
 	inputs  []int64
 	inPos   int
@@ -128,8 +136,19 @@ type monitorFires struct {
 	cfi      int64 // CFI target lookups
 }
 
-// New creates a machine for m.
+// New compiles m under cfg.Instr and creates a machine for it.
 func New(m *ir.Module, cfg Config) *Machine {
+	p := Compile(m, cfg.Instr)
+	cfg.Instr = nil
+	return p.NewMachine(cfg)
+}
+
+// NewMachine creates a machine that runs p. The program fixed its
+// instrumentation when it was compiled, so cfg.Instr must be nil.
+func (p *Program) NewMachine(cfg Config) *Machine {
+	if cfg.Instr != nil {
+		panic("interp: NewMachine with Config.Instr; the program's instrumentation applies")
+	}
 	if cfg.StepLimit == 0 {
 		cfg.StepLimit = 50_000_000
 	}
@@ -142,18 +161,7 @@ func New(m *ir.Module, cfg Config) *Machine {
 	if cfg.Hooks == nil {
 		cfg.Hooks = NopHooks{}
 	}
-	if cfg.Instr == nil {
-		cfg.Instr = &Instrumentation{}
-	}
-	mc := &Machine{
-		mod:     m,
-		layouts: ir.NewLayouts(),
-		cfg:     cfg,
-		hooks:   cfg.Hooks,
-		instr:   cfg.Instr,
-	}
-	mc.funcs = compileModule(m, mc.layouts, mc.instr)
-	return mc
+	return &Machine{prog: p, cfg: cfg, hooks: cfg.Hooks}
 }
 
 // Run executes the named entry function on a fresh memory image with the
@@ -163,29 +171,20 @@ func New(m *ir.Module, cfg Config) *Machine {
 func (mc *Machine) Run(entry string, inputs []int64) *Trace {
 	_, finish := mc.cfg.Metrics.StartSpan("interp/run", nil)
 	defer finish()
-	mc.globals = map[string]*RObj{}
-	for _, g := range mc.mod.Globals {
-		l := mc.layouts.Of(g.Type)
-		mc.globals[g.Name] = &RObj{
-			Key:    AbsKey{Kind: AbsGlobal, Name: g.Name},
-			Type:   g.Type,
-			Slots:  make([]Value, l.RuntimeSize),
-			layout: l,
-			name:   "@" + g.Name,
-		}
-	}
-	mc.trace = newTrace(mc.mod)
+	mc.newGlobals()
+	mc.trace = newTrace(mc.prog)
 	mc.inputs = inputs
 	mc.inPos = 0
 	mc.steps = 0
 	mc.depth = 0
+	mc.sp = 0
 	mc.fires = monitorFires{}
-	f := mc.funcs[entry]
+	f := mc.prog.byName[entry]
 	if f == nil {
 		mc.trace.Err = &RuntimeError{Msg: fmt.Sprintf("no entry function %q", entry)}
 		return mc.trace
 	}
-	ret, err := mc.call(f, nil)
+	ret, err := mc.call(f, nil, nil)
 	mc.trace.Err = err
 	if err == nil && ret.Kind == KindInt {
 		mc.trace.Result = ret.Int
@@ -193,6 +192,23 @@ func (mc *Machine) Run(entry string, inputs []int64) *Trace {
 	mc.trace.Steps = mc.steps
 	mc.flushMetrics()
 	return mc.trace
+}
+
+// newGlobals lays out a fresh, zeroed set of globals: one object array and
+// one slot array for all of them.
+func (mc *Machine) newGlobals() {
+	gs := mc.prog.globals
+	n := 0
+	for i := range gs {
+		n += gs[i].layout.RuntimeSize
+	}
+	slots := make([]Value, n)
+	mc.globals = make([]RObj, len(gs))
+	for i := range gs {
+		size := gs[i].layout.RuntimeSize
+		mc.globals[i] = RObj{objInfo: &gs[i], Slots: slots[:size:size]}
+		slots = slots[size:]
+	}
 }
 
 // flushMetrics exports one run's execution counts into the telemetry

@@ -1,9 +1,9 @@
 package interp
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
-
-	"repro/internal/ir"
 )
 
 // RegPt identifies a register for dynamic points-to observation.
@@ -18,12 +18,6 @@ type SlotPt struct {
 	Slot int
 }
 
-// branchEdge is one direction of a conditional branch.
-type branchEdge struct {
-	site  int
-	taken bool
-}
-
 // Trace collects the observable behaviour of one Run.
 type Trace struct {
 	Outputs []int64
@@ -35,8 +29,11 @@ type Trace struct {
 	// paper's monitor-check density figure).
 	MemOps int64
 
-	totalBranches int
-	branches      map[branchEdge]int // edge -> hit count
+	// edges counts the hits of each conditional-branch edge: edge 2i is
+	// branch i not taken, 2i+1 taken. branchSites is the program's branch
+	// index -> site table, shared read-only.
+	edges       []int64
+	branchSites []int
 
 	// ICallObserved maps indirect callsites to the function targets that
 	// actually executed (the "Runtime Observed" series of Figure 1).
@@ -46,29 +43,21 @@ type Trace struct {
 	RegPoints  map[RegPt]map[AbsKey]bool
 	SlotPoints map[SlotPt]map[AbsKey]bool
 
-	// monitorsExecuted records which instrumented monitor sites fired.
-	monitorsExecuted map[int]bool
+	// monitors is the set of instrumented monitor sites that fired, one bit
+	// per instruction ID.
+	monitors []uint64
 }
 
-func newTrace(m *ir.Module) *Trace {
-	t := &Trace{
-		branches:         map[branchEdge]int{},
-		ICallObserved:    map[int]map[string]bool{},
-		RegPoints:        map[RegPt]map[AbsKey]bool{},
-		SlotPoints:       map[SlotPt]map[AbsKey]bool{},
-		monitorsExecuted: map[int]bool{},
+func newTrace(p *Program) *Trace {
+	return &Trace{
+		edges:         make([]int64, 2*len(p.branchSites)),
+		branchSites:   p.branchSites,
+		ICallObserved: map[int]map[string]bool{},
+		RegPoints:     map[RegPt]map[AbsKey]bool{},
+		SlotPoints:    map[SlotPt]map[AbsKey]bool{},
+		monitors:      make([]uint64, p.maxSite/64+1),
 	}
-	for _, f := range m.Funcs {
-		f.Instrs(func(_ *ir.Block, in ir.Instr) {
-			if _, ok := in.(*ir.CondJump); ok {
-				t.totalBranches += 2
-			}
-		})
-	}
-	return t
 }
-
-func (t *Trace) recordBranch(site int, taken bool) { t.branches[branchEdge{site, taken}]++ }
 
 func (t *Trace) recordICall(site int, target string) {
 	m := t.ICallObserved[site]
@@ -99,13 +88,17 @@ func (t *Trace) recordSlot(obj AbsKey, slot int, key AbsKey) {
 	m[key] = true
 }
 
-func (t *Trace) recordMonitor(site int) { t.monitorsExecuted[site] = true }
+func (t *Trace) recordMonitor(site int) { t.monitors[site/64] |= 1 << (site % 64) }
 
 // Merge folds another trace's coverage and observations into t (used to
-// aggregate multi-request campaigns).
+// aggregate multi-request campaigns). Both traces must come from runs of the
+// same module.
 func (t *Trace) Merge(o *Trace) {
-	for e, n := range o.branches {
-		t.branches[e] += n
+	if !slices.Equal(t.branchSites, o.branchSites) || len(t.monitors) != len(o.monitors) {
+		panic("interp: Merge of traces from different modules")
+	}
+	for e, n := range o.edges {
+		t.edges[e] += n
 	}
 	for site, targets := range o.ICallObserved {
 		for tg := range targets {
@@ -122,8 +115,8 @@ func (t *Trace) Merge(o *Trace) {
 			t.recordSlot(p.Obj, p.Slot, k)
 		}
 	}
-	for s := range o.monitorsExecuted {
-		t.monitorsExecuted[s] = true
+	for i, w := range o.monitors {
+		t.monitors[i] |= w
 	}
 	t.Steps += o.Steps
 	t.MemOps += o.MemOps
@@ -131,31 +124,35 @@ func (t *Trace) Merge(o *Trace) {
 
 // BranchCoverage returns (executed, total) branch edges.
 func (t *Trace) BranchCoverage() (executed, total int) {
-	return len(t.branches), t.totalBranches
+	for _, n := range t.edges {
+		if n > 0 {
+			executed++
+		}
+	}
+	return executed, len(t.edges)
 }
 
 // BranchBuckets returns, per executed branch edge, the AFL-style log2 hit
 // bucket (1, 2, 3-4, 5-8, ...). Fuzzers use new buckets as a coverage
 // signal.
 func (t *Trace) BranchBuckets() map[[2]int]int {
-	out := make(map[[2]int]int, len(t.branches))
-	for e, n := range t.branches {
-		b := 0
-		for n > 0 {
-			n >>= 1
-			b++
+	out := map[[2]int]int{}
+	for e, n := range t.edges {
+		if n > 0 {
+			out[[2]int{t.branchSites[e/2], e % 2}] = bits.Len64(uint64(n))
 		}
-		k := [2]int{e.site, 0}
-		if e.taken {
-			k[1] = 1
-		}
-		out[k] = b
 	}
 	return out
 }
 
 // MonitorsExecuted returns the number of distinct monitor sites that fired.
-func (t *Trace) MonitorsExecuted() int { return len(t.monitorsExecuted) }
+func (t *Trace) MonitorsExecuted() int {
+	n := 0
+	for _, w := range t.monitors {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // ObservedTargets returns the sorted observed targets of an indirect
 // callsite.

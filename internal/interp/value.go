@@ -22,13 +22,16 @@ const (
 )
 
 // Value is a runtime value: an integer, a pointer (object + runtime slot
-// offset), or a function pointer.
+// offset), or a function pointer. A function pointer's Obj is the function's
+// object, which has no slots and whose Key names the function; its Off is the
+// function's index in the program that made the value (-1 for FnVal), so an
+// indirect call resolves its callee without a name lookup. A Value is 32
+// bytes and holds no string, so register writes stay cheap.
 type Value struct {
 	Kind ValueKind
 	Int  int64
 	Obj  *RObj
 	Off  int
-	Fn   string
 }
 
 // IntVal makes an integer value.
@@ -37,8 +40,16 @@ func IntVal(v int64) Value { return Value{Kind: KindInt, Int: v} }
 // PtrVal makes a pointer value.
 func PtrVal(obj *RObj, off int) Value { return Value{Kind: KindPtr, Obj: obj, Off: off} }
 
-// FnVal makes a function-pointer value.
-func FnVal(name string) Value { return Value{Kind: KindFn, Fn: name} }
+// FnVal makes a function-pointer value to the named function, outside any
+// program.
+func FnVal(name string) Value { return Value{Kind: KindFn, Obj: funcObj(name), Off: -1} }
+
+// funcObj makes the object a function pointer to the named function refers
+// to.
+func funcObj(name string) *RObj { return NewObj(AbsKey{Kind: AbsFunc, Name: name}, 0) }
+
+// fnName returns the name of the function a function pointer refers to.
+func (v Value) fnName() string { return v.Obj.Key.Name }
 
 // IsNull reports whether v is the null pointer (integer zero).
 func (v Value) IsNull() bool { return v.Kind == KindInt && v.Int == 0 }
@@ -67,7 +78,7 @@ func (v Value) Equal(w Value) bool {
 	case KindPtr:
 		return v.Obj == w.Obj && v.Off == w.Off
 	default:
-		return v.Fn == w.Fn
+		return v.Obj == w.Obj || v.fnName() == w.fnName()
 	}
 }
 
@@ -78,7 +89,7 @@ func (v Value) String() string {
 	case KindPtr:
 		return fmt.Sprintf("&%s+%d", v.Obj.Label(), v.Off)
 	default:
-		return "&" + v.Fn
+		return "&" + v.fnName()
 	}
 }
 
@@ -115,13 +126,26 @@ func (k AbsKey) String() string {
 	}
 }
 
-// RObj is a runtime memory object.
+// RObj is a runtime memory object: its slots, and what it is.
 type RObj struct {
+	*objInfo
+	Slots []Value
+}
+
+// objInfo is what a runtime object is. It is fixed when a program is
+// compiled, one per global, allocation site and function, and every object
+// made there shares it read-only.
+type objInfo struct {
 	Key    AbsKey
-	Type   ir.Type // nil for unknown-type heap objects
-	Slots  []Value
+	Type   ir.Type    // nil for unknown-type heap objects
 	layout *ir.Layout // nil for unknown-type heap objects
 	name   string     // diagnostics
+}
+
+// NewObj makes a standalone object with the given identity and n zeroed,
+// untyped slots, like the objects an unknown-type malloc makes.
+func NewObj(key AbsKey, n int) *RObj {
+	return &RObj{objInfo: &objInfo{Key: key}, Slots: make([]Value, n)}
 }
 
 // Label renders the object for error messages.
@@ -144,11 +168,8 @@ func (o *RObj) AnalysisSlot(off int) int {
 // AbsValueKey returns the abstract identity a stored pointer value refers
 // to, and ok=false for plain integers.
 func AbsValueKey(v Value) (AbsKey, bool) {
-	switch v.Kind {
-	case KindPtr:
-		return v.Obj.Key, true
-	case KindFn:
-		return AbsKey{Kind: AbsFunc, Name: v.Fn}, true
+	if v.Kind == KindInt {
+		return AbsKey{}, false
 	}
-	return AbsKey{}, false
+	return v.Obj.Key, true
 }

@@ -84,8 +84,8 @@ func TestPAMonitorFiresOnlyForFilteredObjects(t *testing.T) {
 	if paSite == 0 {
 		t.Fatal("no PA monitor site")
 	}
-	mod := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "mod"}, Slots: make([]interp.Value, 2)}
-	buff := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "buff"}, Slots: make([]interp.Value, 16)}
+	mod := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "mod"}, 2)
+	buff := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "buff"}, 16)
 
 	rt.PtrAdd(paSite, interp.PtrVal(buff, 0))
 	if len(rec.got) != 0 {
@@ -152,7 +152,7 @@ func TestPWCMonitorDetectsAddressReuse(t *testing.T) {
 	if site == 0 {
 		t.Skip("no PWC monitor in fixture")
 	}
-	obj := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsHeap, Site: 1}, Slots: make([]interp.Value, 2)}
+	obj := interp.NewObj(interp.AbsKey{Kind: interp.AbsHeap, Site: 1}, 2)
 	base := interp.PtrVal(obj, 0)
 	generated := interp.PtrVal(obj, 1)
 	// First access: base is fresh, records `generated`.
@@ -206,9 +206,9 @@ func TestCtxMonitorComparesRecordedActuals(t *testing.T) {
 	if callSite == 0 || checkSite == 0 {
 		t.Fatal("ctx sites missing")
 	}
-	h1 := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "h1"}, Slots: make([]interp.Value, 2)}
-	v1 := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "v1"}, Slots: make([]interp.Value, 1)}
-	sneaky := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "sneaky"}, Slots: make([]interp.Value, 2)}
+	h1 := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "h1"}, 2)
+	v1 := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "v1"}, 1)
+	sneaky := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "sneaky"}, 2)
 
 	args := []interp.Value{interp.PtrVal(h1, 0), interp.PtrVal(v1, 0)}
 	rt.CtxCall(callSite, args)
@@ -255,8 +255,8 @@ func TestInstallKeepsMonitorState(t *testing.T) {
 	rec := &recorder{}
 	rt, ins := buildRuntime(t, ctx, rec)
 	callSite, checkSite := firstSite(t, ins.CtxCallArgs), firstSite(t, ins.CtxChecks)
-	h1 := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "h1"}, Slots: make([]interp.Value, 2)}
-	h2 := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsGlobal, Name: "h2"}, Slots: make([]interp.Value, 2)}
+	h1 := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "h1"}, 2)
+	h2 := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "h2"}, 2)
 	rt.CtxCall(callSite, []interp.Value{interp.PtrVal(h1, 0)})
 	install := func(r *pointsto.Result) {
 		t.Helper()
@@ -280,7 +280,7 @@ func TestInstallKeepsMonitorState(t *testing.T) {
 	rec = &recorder{}
 	rt, ins = buildRuntime(t, pwc, rec)
 	site := firstSite(t, ins.FieldSites)
-	obj := &interp.RObj{Key: interp.AbsKey{Kind: interp.AbsHeap, Site: 1}, Slots: make([]interp.Value, 2)}
+	obj := interp.NewObj(interp.AbsKey{Kind: interp.AbsHeap, Site: 1}, 2)
 	rt.FieldAddr(site, interp.PtrVal(obj, 0), interp.PtrVal(obj, 1))
 	install(solveSrc(t, pwcSrc, invariant.Config{PWC: true}))
 	rt.FieldAddr(site, interp.PtrVal(obj, 1), interp.PtrVal(obj, 2))

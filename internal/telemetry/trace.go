@@ -87,14 +87,8 @@ func (t *Trace) Root() *Span {
 	return t.root
 }
 
-// StartSpan opens a span inside the trace; a nil parent parents to the
-// trace's root. Same contract as Registry.StartSpan, but the span adds to no
-// registry's total. Safe on a nil trace.
-func (t *Trace) StartSpan(name string, parent *Span) (*Span, func()) {
-	return t.startSpan(nil, name, parent)
-}
-
-// startSpan is StartSpan with the span totalled in r.
+// startSpan opens a span inside the trace, totalled in r (none when r is
+// nil); a nil parent parents to the trace's root. Safe on a nil trace.
 func (t *Trace) startSpan(r *Registry, name string, parent *Span) (*Span, func()) {
 	if t == nil {
 		return nil, func() {}

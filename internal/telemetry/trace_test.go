@@ -123,8 +123,9 @@ func TestRegistrySpanCap(t *testing.T) {
 // TestTraceSpanCap bounds one trace's span log the same way.
 func TestTraceSpanCap(t *testing.T) {
 	tr := NewTrace("", "hammer")
+	ctx := WithTrace(context.Background(), tr)
 	for i := 0; i < DefaultTraceSpanCap+10; i++ {
-		_, fin := tr.StartSpan("s", nil)
+		_, _, fin := StartSpanCtx(ctx, nil, "s")
 		fin()
 	}
 	tr.Finish()
