@@ -102,14 +102,16 @@ persist-smoke:
 	$(GO) test -race -run '^(TestGracefulDrain|TestCacheDirOpenFailure)' -v ./cmd/kscope-serve
 	$(GO) run ./cmd/kscope-bench -chaos 1 -chaos-plans 1 -chaos-restart
 
-## fuzz-smoke: ~20s native-fuzz sanity pass over the model-based bitset
+## fuzz-smoke: ~25s native-fuzz sanity pass over the model-based bitset
 ## fuzzer, the solver-equivalence fuzzer, the persistent-store round-trip
-## fuzzer, and the MiniC front-end fuzzer
+## fuzzer, the MiniC front-end fuzzer, and the daemon's request-decode
+## differential fuzzer (plain pass vs the json.Decoder path)
 fuzz-smoke:
 	$(GO) test ./internal/bitset -run '^$$' -fuzz '^FuzzBitsetModel$$' -fuzztime 5s
 	$(GO) test ./internal/pointsto -run '^$$' -fuzz '^FuzzSolverEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzPersistRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s
 
 ## check: everything a PR must pass
 check: fmt build vet test examples kbench-test race fuzz-smoke

@@ -132,16 +132,16 @@ func checkKey(key string) error {
 	return nil
 }
 
-// encode frames a payload: magic | version | length | checksum | payload.
-func encode(payload []byte) []byte {
-	out := make([]byte, headerBytes+len(payload))
-	copy(out, magic)
-	binary.LittleEndian.PutUint32(out[4:], version)
-	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
+// frameHeader returns the frame header of a payload: magic | version |
+// length | checksum. The payload follows it on disk.
+func frameHeader(payload []byte) [headerBytes]byte {
+	var h [headerBytes]byte
+	copy(h[:], magic)
+	binary.LittleEndian.PutUint32(h[4:], version)
+	binary.LittleEndian.PutUint64(h[8:], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	copy(out[16:], sum[:])
-	copy(out[headerBytes:], payload)
-	return out
+	copy(h[16:], sum[:])
+	return h
 }
 
 // decode verifies a frame and returns its payload; a non-empty reason means
@@ -179,17 +179,18 @@ func (s *Store) Save(key string, payload []byte) error {
 		s.counter("persist/save-failures").Inc()
 		return fmt.Errorf("persist: save %s: %w", key, err)
 	}
-	frame := encode(payload)
+	header := frameHeader(payload)
 	// Torn write: keep only a prefix of the frame but let the rename land,
 	// simulating a crash where the directory entry hit disk before the data.
 	// The Save still "succeeds" — exactly like the real crash it models —
 	// and the damage is discovered by the next Load's checksum.
+	body := payload
 	if s.faults.Fire(faultinject.PersistTornWrite) {
-		frame = frame[:headerBytes+len(payload)/2]
+		body = payload[:len(payload)/2]
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writeAtomic(s.path(key), frame); err != nil {
+	if err := s.writeAtomic(s.path(key), header[:], body); err != nil {
 		s.counter("persist/save-failures").Inc()
 		return fmt.Errorf("persist: save %s: %w", key, err)
 	}
@@ -202,16 +203,19 @@ func (s *Store) Save(key string, payload []byte) error {
 	return nil
 }
 
-// writeAtomic writes data to path via temp file + fsync + rename.
-func (s *Store) writeAtomic(path string, data []byte) error {
+// writeAtomic writes the concatenation of parts to path via temp file +
+// fsync + rename.
+func (s *Store) writeAtomic(path string, parts ...[]byte) error {
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	for _, data := range parts {
+		if _, err := tmp.Write(data); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

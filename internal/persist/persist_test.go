@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"os"
 	"path/filepath"
@@ -298,5 +299,36 @@ func TestCallerQuarantine(t *testing.T) {
 	}
 	if count(reg, "persist/corrupt-quarantined") != 1 || s.QuarantinedCount() != 1 {
 		t.Fatal("caller-detected corruption not quarantined")
+	}
+}
+
+// TestSaveFrameBytes pins the on-disk frame, written without a frame copy:
+// magic, version 1 and the payload length (little-endian), the payload's
+// SHA-256, then the payload; a torn write keeps the header and the first
+// half of the payload.
+func TestSaveFrameBytes(t *testing.T) {
+	payload := []byte(`{"format":2,"source":"int main() { return 0; }"}`)
+	want := append([]byte("KSPR\x01\x00\x00\x00"), byte(len(payload)), 0, 0, 0, 0, 0, 0, 0)
+	sum := sha256.Sum256(payload)
+	want = append(append(want, sum[:]...), payload...)
+	for _, torn := range []bool{false, true} {
+		s, _ := newStore(t)
+		if torn {
+			s.SetFaults(faultinject.Explicit(faultinject.PersistTornWrite))
+		}
+		if err := s.Save("k.cfg", payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(s.path("k.cfg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFile := want
+		if torn {
+			wantFile = want[:len(want)-len(payload)+len(payload)/2]
+		}
+		if !bytes.Equal(got, wantFile) {
+			t.Fatalf("torn=%v: record file is\n%x\nwant\n%x", torn, got, wantFile)
+		}
 	}
 }

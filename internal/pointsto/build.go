@@ -1,7 +1,9 @@
 package pointsto
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/invariant"
 	"repro/internal/ir"
@@ -83,6 +85,8 @@ func (a *Analysis) build() {
 	if a.cfg.Ctx {
 		a.wireCtxCallsites()
 	}
+	// Result.CallTargets finds a site by binary search.
+	slices.SortFunc(a.icallSites, func(x, y *icallSite) int { return cmp.Compare(x.site, y.site) })
 }
 
 // addAddrOf installs the primitive Addr-Of constraint {obj} ⊆ pts(n).

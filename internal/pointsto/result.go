@@ -1,7 +1,9 @@
 package pointsto
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/invariant"
 	"repro/internal/ir"
@@ -55,47 +57,74 @@ func (r *Result) ObjectByGlobal(name string) *Object { return r.a.objByGlobal[na
 // ObjectByFunc returns the abstract object of a function, or nil.
 func (r *Result) ObjectByFunc(name string) *Object { return r.a.objByFunc[name] }
 
-// canonicalRefs converts a raw points-to set into deduplicated ObjRefs.
+// ObjSlot is one element of a canonical points-to set at the id level: an
+// object's index in Objects() and the analysis slot within it (0 for the
+// base, single-slot objects, and objects that lost field sensitivity).
+type ObjSlot struct {
+	Obj, Slot int32
+}
+
+func (k ObjSlot) compare(l ObjSlot) int {
+	return cmp.Or(cmp.Compare(k.Obj, l.Obj), cmp.Compare(k.Slot, l.Slot))
+}
+
+// AppendSet appends to dst the canonical points-to set of node: the
+// (object, slot) keys of its representative's set, sorted and deduplicated.
 // Elements are always concrete object-slot node ids; slots of objects that
 // lost field sensitivity collapse onto slot 0. Representative lookups use
 // the read-only find so a finished Result can serve concurrent readers.
 //
 // Serialization must never depend on set representation: this reads the set
-// only through ForEach and builds fresh, independently sorted output, so
-// inline and bit-vector sets render identically and callers never alias
-// solver storage.
-func (r *Result) canonicalRefs(ptsNode int) []ObjRef {
+// only through ForEach, so inline and bit-vector sets yield the same keys,
+// and callers never alias solver storage. newObject numbers an object's slot
+// nodes contiguously in index order, so ForEach's ascending ids arrive in
+// key order and a collapsed object's slots adjacent; the sort runs only if a
+// set ever holds keys out of that order.
+func (r *Result) AppendSet(dst []ObjSlot, node int) []ObjSlot {
 	a := r.a
-	n := a.findRead(ptsNode)
-	if a.pts[n] == nil {
-		return nil
+	set := a.pts[a.findRead(node)]
+	if set == nil {
+		return dst
 	}
-	seen := map[int64]bool{}
-	var out []ObjRef
-	a.pts[n].ForEach(func(o int) bool {
-		nn := a.nodes[o]
+	start, sorted := len(dst), true
+	set.ForEach(func(o int) bool {
+		nn := &a.nodes[o]
 		if nn.kind != nodeObj {
 			return true
 		}
-		obj := a.objects[nn.obj]
-		slot := int(nn.slot)
-		if obj.Insens {
-			slot = 0
+		k := ObjSlot{nn.obj, nn.slot}
+		if a.objects[nn.obj].Insens {
+			k.Slot = 0
 		}
-		key := int64(obj.Index)<<32 | int64(slot)
-		if seen[key] {
-			return true
+		if len(dst) > start {
+			switch c := k.compare(dst[len(dst)-1]); {
+			case c == 0:
+				return true
+			case c < 0:
+				sorted = false
+			}
 		}
-		seen[key] = true
-		out = append(out, ObjRef{Obj: obj, Slot: slot})
+		dst = append(dst, k)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Obj.Index != out[j].Obj.Index {
-			return out[i].Obj.Index < out[j].Obj.Index
-		}
-		return out[i].Slot < out[j].Slot
-	})
+	if !sorted {
+		keys := dst[start:]
+		slices.SortFunc(keys, ObjSlot.compare)
+		dst = dst[:start+len(slices.Compact(keys))]
+	}
+	return dst
+}
+
+// canonicalRefs returns node's canonical points-to set as ObjRefs.
+func (r *Result) canonicalRefs(node int) []ObjRef {
+	keys := r.AppendSet(nil, node)
+	if len(keys) == 0 {
+		return nil
+	}
+	out := make([]ObjRef, len(keys))
+	for i, k := range keys {
+		out[i] = ObjRef{Obj: r.a.objects[k.Obj], Slot: int(k.Slot)}
+	}
 	return out
 }
 
@@ -123,14 +152,14 @@ func (r *Result) SlotPointsTo(obj *Object, slot int) []ObjRef {
 // whose set sizes Table 3 reports.
 func (r *Result) TopLevelPointers() []PtrRef {
 	var out []PtrRef
-	nonEmpty := map[int]bool{}
+	var keys []ObjSlot
+	nonEmpty := make([]int8, len(r.a.nodes)) // per representative: 0 unknown, 1 empty, 2 non-empty
 	for _, p := range r.PointerReps() {
-		ne, ok := nonEmpty[p.Rep]
-		if !ok {
-			ne = len(r.canonicalRefs(p.Rep)) > 0
-			nonEmpty[p.Rep] = ne
+		if nonEmpty[p.Rep] == 0 {
+			keys = r.AppendSet(keys[:0], p.Rep)
+			nonEmpty[p.Rep] = 1 + int8(min(len(keys), 1))
 		}
-		if ne {
+		if nonEmpty[p.Rep] == 2 {
 			out = append(out, p.PtrRef)
 		}
 	}
@@ -149,18 +178,55 @@ type PtrRep struct {
 // renders many pointers' sets can render each representative once: all
 // pointers sharing it have the same PointsTo/ReturnPointsTo answer. Like
 // every Result accessor it is read-only, so concurrent readers may share
-// the Result.
+// the Result. The sort moves node ids, not names.
 func (r *Result) PointerReps() []PtrRep {
 	a := r.a
-	out := make([]PtrRep, 0, len(a.regNodes)+len(a.retNodes))
-	for k, id := range a.regNodes {
-		out = append(out, PtrRep{PtrRef{Fn: k.fn, Reg: k.reg}, a.findRead(id)})
+	ids := make([]int32, 0, len(a.regNodes)+len(a.retNodes))
+	for id := range a.nodes {
+		if k := a.nodes[id].kind; k == nodeReg || k == nodeRet {
+			ids = append(ids, int32(id))
+		}
 	}
-	for fn, id := range a.retNodes {
-		out = append(out, PtrRep{PtrRef{Fn: fn}, a.findRead(id)})
+	slices.SortFunc(ids, func(x, y int32) int {
+		p, q := &a.nodes[x], &a.nodes[y]
+		return cmp.Or(strings.Compare(p.fn, q.fn), strings.Compare(p.reg, q.reg))
+	})
+	out := make([]PtrRep, len(ids))
+	for i, id := range ids {
+		n := &a.nodes[id]
+		out[i] = PtrRep{PtrRef{Fn: n.fn, Reg: n.reg}, a.findRead(int(id))}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PtrRef.Less(out[j].PtrRef) })
 	return out
+}
+
+// PointerRepsAlong returns r's PointerReps given like, the PointerReps of
+// another analysis of the same module (such as the one r derives from).
+// When r holds exactly like's pointers it keeps like's order and looks each
+// pointer's node up instead of sorting; otherwise it sorts its own.
+func (r *Result) PointerRepsAlong(like []PtrRep) []PtrRep {
+	a := r.a
+	if len(like) != len(a.regNodes)+len(a.retNodes) {
+		return r.PointerReps()
+	}
+	out := make([]PtrRep, len(like))
+	for i, p := range like {
+		id, ok := a.ptrNode(p.PtrRef)
+		if !ok {
+			return r.PointerReps()
+		}
+		out[i] = PtrRep{p.PtrRef, a.findRead(id)}
+	}
+	return out
+}
+
+// ptrNode returns the node of a top-level pointer.
+func (a *Analysis) ptrNode(p PtrRef) (int, bool) {
+	if p.Reg == "" {
+		id, ok := a.retNodes[p.Fn]
+		return id, ok
+	}
+	id, ok := a.regNodes[regKey{p.Fn, p.Reg}]
+	return id, ok
 }
 
 // Less orders pointers by function, then register; a function's return
@@ -184,43 +250,40 @@ func (r *Result) ReturnPointsTo(fn string) []ObjRef {
 
 // SizeOf returns the canonical points-to set size of a PtrRef.
 func (r *Result) SizeOf(p PtrRef) int {
-	if p.Reg == "" {
-		id, ok := r.a.retNodes[p.Fn]
-		if !ok {
-			return 0
-		}
-		return len(r.canonicalRefs(id))
+	id, ok := r.a.ptrNode(p)
+	if !ok {
+		return 0
 	}
-	return len(r.PointsTo(p.Fn, p.Reg))
+	var buf [16]ObjSlot
+	return len(r.AppendSet(buf[:0], id))
 }
 
-// ICallSites returns the instruction IDs of all indirect callsites.
+// ICallSites returns the instruction IDs of all indirect callsites, sorted.
 func (r *Result) ICallSites() []int {
 	var out []int
 	for _, s := range r.a.icallSites {
 		out = append(out, int(s.site))
 	}
-	sort.Ints(out)
 	return out
 }
 
 // CallTargets returns the function names this analysis permits at the given
 // indirect callsite, sorted. This is the CFI target set for the site.
 func (r *Result) CallTargets(site int) []string {
-	for _, s := range r.a.icallSites {
-		if int(s.site) != site {
-			continue
-		}
-		var out []string
-		for _, ref := range r.canonicalRefs(int(s.fptr)) {
-			if ref.Obj.Kind == ObjFunc {
-				out = append(out, ref.Obj.Name)
-			}
-		}
-		sort.Strings(out)
-		return out
+	sites := r.a.icallSites
+	i, ok := slices.BinarySearchFunc(sites, site, func(s *icallSite, site int) int { return cmp.Compare(int(s.site), site) })
+	if !ok {
+		return nil
 	}
-	return nil
+	var out []string
+	var buf [16]ObjSlot
+	for _, k := range r.AppendSet(buf[:0], int(sites[i].fptr)) {
+		if obj := r.a.objects[k.Obj]; obj.Kind == ObjFunc {
+			out = append(out, obj.Name)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Provenance returns up to five recorded derivations explaining how object

@@ -43,7 +43,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -401,23 +400,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) // a failed write means the client is gone; nothing to do
-}
-
-// decode parses a JSON request body under the body-size cap.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *apiError {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &apiError{Status: http.StatusRequestEntityTooLarge, Kind: "oversized",
-				Msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return &apiError{Status: http.StatusBadRequest, Kind: "validation",
-			Msg: "malformed request body: " + err.Error()}
-	}
-	return nil
 }
 
 // admit acquires an admission slot, waiting up to QueueTimeout on the

@@ -16,7 +16,6 @@ import (
 	"cmp"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -160,13 +159,14 @@ func abortIfDone(ctx context.Context, stage string) error {
 	return nil
 }
 
-// project renders a solved optimistic view and its fallback into a
-// snapshot. Sets are read through the Result's canonical accessors, so
-// inline and bit-vector sets project identically, and each solver
-// representative is rendered once per view: the cost follows the number of
-// distinct sets, not the sum of their sizes. Table indexes are assigned in
-// first-use order along the sorted pointer list, so two solves of one
-// program marshal to the same bytes. ctx is polled every 256 pointers.
+// project renders a solved optimistic view and its fallback, two analyses
+// of one module, into a snapshot. Sets are read at the id level through the
+// Result's canonical AppendSet, so inline and bit-vector sets project
+// identically, and each solver representative is interned once per view:
+// the cost follows the number of distinct sets, not the sum of their sizes.
+// Table indexes are assigned in first-use order along the sorted pointer
+// list, so two solves of one program marshal to the same bytes. ctx is
+// polled every 256 pointers.
 func project(ctx context.Context, opt, fb *pointsto.Result) (*resultSnapshot, error) {
 	snap := &resultSnapshot{
 		Objects:          len(opt.Objects()),
@@ -182,14 +182,15 @@ func project(ctx context.Context, opt, fb *pointsto.Result) (*resultSnapshot, er
 			Kind: rec.Kind.String(), Site: rec.Site, Desc: rec.Desc,
 		})
 	}
-	t := &setTable{snap: snap, labels: map[string]int{}, sets: map[string]int{"": 0}}
+	t := newSetTable(snap, opt.Objects())
 	optSet, optPtrs := t.view(opt), opt.PointerReps()
 	fbSet, fbPtrs := optSet, optPtrs // the baseline's optimistic view is its fallback
 	if fb != opt {
-		fbSet, fbPtrs = t.view(fb), fb.PointerReps()
+		fbSet, fbPtrs = t.view(fb), fb.PointerRepsAlong(optPtrs)
 	}
 	// Merge the two sorted pointer lists: the populations usually agree,
-	// but only usually.
+	// but only usually. Nearly every pointer has a non-empty set.
+	snap.Regs = make([]regSnapshot, 0, max(len(optPtrs), len(fbPtrs)))
 	for i, j, n := 0, 0, 0; i < len(optPtrs) || j < len(fbPtrs); n++ {
 		if n&255 == 0 {
 			if err := abortIfDone(ctx, "projection"); err != nil {
@@ -199,19 +200,22 @@ func project(ctx context.Context, opt, fb *pointsto.Result) (*resultSnapshot, er
 		var rg regSnapshot
 		switch {
 		case j == len(fbPtrs) || i < len(optPtrs) && optPtrs[i].Less(fbPtrs[j].PtrRef):
-			rg = regSnapshot{Fn: optPtrs[i].Fn, Reg: optPtrs[i].Reg, Optimistic: optSet(optPtrs[i])}
+			rg = regSnapshot{Fn: optPtrs[i].Fn, Reg: optPtrs[i].Reg, Optimistic: optSet(optPtrs[i].Rep)}
 			i++
 		case i == len(optPtrs) || fbPtrs[j].Less(optPtrs[i].PtrRef):
-			rg = regSnapshot{Fn: fbPtrs[j].Fn, Reg: fbPtrs[j].Reg, Fallback: fbSet(fbPtrs[j])}
+			rg = regSnapshot{Fn: fbPtrs[j].Fn, Reg: fbPtrs[j].Reg, Fallback: fbSet(fbPtrs[j].Rep)}
 			j++
 		default:
 			rg = regSnapshot{Fn: optPtrs[i].Fn, Reg: optPtrs[i].Reg,
-				Optimistic: optSet(optPtrs[i]), Fallback: fbSet(fbPtrs[j])}
+				Optimistic: optSet(optPtrs[i].Rep), Fallback: fbSet(fbPtrs[j].Rep)}
 			i, j = i+1, j+1
 		}
 		if rg.Optimistic != 0 || rg.Fallback != 0 {
 			snap.Regs = append(snap.Regs, rg)
 		}
+	}
+	if len(snap.Regs) == 0 {
+		snap.Regs = nil // marshals as null, as a snapshot without pointers always has
 	}
 	po, pf := cfi.PolicyFrom(opt), cfi.PolicyFrom(fb)
 	for _, site := range po.Sites {
@@ -224,54 +228,80 @@ func project(ctx context.Context, opt, fb *pointsto.Result) (*resultSnapshot, er
 	return snap, nil
 }
 
-// setTable interns a snapshot's labels and sets, each distinct one once.
+// setTable interns a snapshot's labels and sets by solver ids: a label is
+// rendered once per object slot, and a set is found by its label indexes.
+// Both views share the object index space, so one table serves both.
 type setTable struct {
-	snap   *resultSnapshot
-	labels map[string]int // label → index in snap.Labels
-	sets   map[string]int // a set's label indexes, varint-encoded → index in snap.Sets
+	snap     *resultSnapshot
+	slotBase []int32            // object index → its slot 0's position in labels
+	labels   []int32            // object slot → 1 + its index in snap.Labels; 0 = not yet rendered
+	sets     map[uint64]int32   // hash of a set's label indexes → the last set in snap.Sets with it
+	next     []int32            // set index → the previous set with the same hash (0 = none)
+	keys     []pointsto.ObjSlot // scratch: one set's keys
+	ids      []int              // scratch: one set's label indexes
+}
+
+func newSetTable(snap *resultSnapshot, objs []*pointsto.Object) *setTable {
+	t := &setTable{snap: snap, slotBase: make([]int32, len(objs)), sets: map[uint64]int32{}, next: []int32{0}}
+	slots := 0
+	for i, o := range objs {
+		t.slotBase[i] = int32(slots)
+		slots += o.Size
+	}
+	t.labels = make([]int32, slots)
+	return t
 }
 
 // view returns the set-index function of one view, memoized on the solver
-// representative: a representative's set is rendered on first use only.
-func (t *setTable) view(r *pointsto.Result) func(pointsto.PtrRep) int {
-	memo := map[int]int{}
-	return func(p pointsto.PtrRep) int {
-		if id, ok := memo[p.Rep]; ok {
-			return id
+// representative: a representative's set is interned on first use only.
+func (t *setTable) view(r *pointsto.Result) func(rep int) int {
+	memo := make([]int32, r.NodeCount()) // representative → 1 + set index; 0 = not yet interned
+	return func(rep int) int {
+		if id := memo[rep]; id != 0 {
+			return int(id - 1)
 		}
-		refs := r.PointsTo(p.Fn, p.Reg)
-		if p.Reg == "" {
-			refs = r.ReturnPointsTo(p.Fn)
-		}
-		id := t.intern(refs)
-		memo[p.Rep] = id
+		id := t.intern(r, rep)
+		memo[rep] = int32(id + 1)
 		return id
 	}
 }
 
-// intern returns the index of refs' canonical label sequence in the set
-// table, adding the sequence (and any new labels) on first sight.
-func (t *setTable) intern(refs []pointsto.ObjRef) int {
-	ids := make([]int, len(refs))
-	var key []byte
-	for k, ref := range refs {
-		label := ref.String()
-		id, ok := t.labels[label]
-		if !ok {
-			id = len(t.snap.Labels)
-			t.labels[label] = id
-			t.snap.Labels = append(t.snap.Labels, label)
+// intern returns the index of rep's canonical set in the set table, adding
+// the set (and any new labels) on first sight.
+func (t *setTable) intern(r *pointsto.Result, rep int) int {
+	t.keys = r.AppendSet(t.keys[:0], rep)
+	if len(t.keys) == 0 {
+		return 0
+	}
+	ids, h := t.ids[:0], uint64(14695981039346656037) // FNV-1a over the label indexes
+	for _, k := range t.keys {
+		id := t.label(r, k)
+		ids = append(ids, id)
+		h = (h ^ uint64(id)) * 1099511628211
+	}
+	t.ids = ids
+	for s := t.sets[h]; s != 0; s = t.next[s] {
+		if slices.Equal(t.snap.Sets[s], ids) {
+			return int(s)
 		}
-		ids[k] = id
-		key = binary.AppendUvarint(key, uint64(id))
 	}
-	id, ok := t.sets[string(key)]
-	if !ok {
-		id = len(t.snap.Sets)
-		t.sets[string(key)] = id
-		t.snap.Sets = append(t.snap.Sets, ids)
+	s := len(t.snap.Sets)
+	t.snap.Sets = append(t.snap.Sets, slices.Clone(ids))
+	t.next = append(t.next, t.sets[h])
+	t.sets[h] = int32(s)
+	return s
+}
+
+// label returns the index of k's label in snap.Labels, rendering it on the
+// first use of its object slot.
+func (t *setTable) label(r *pointsto.Result, k pointsto.ObjSlot) int {
+	pos := t.slotBase[k.Obj] + k.Slot
+	if id := t.labels[pos]; id != 0 {
+		return int(id - 1)
 	}
-	return id
+	t.snap.Labels = append(t.snap.Labels, pointsto.ObjRef{Obj: r.Objects()[k.Obj], Slot: int(k.Slot)}.String())
+	t.labels[pos] = int32(len(t.snap.Labels))
+	return len(t.snap.Labels) - 1
 }
 
 // persistRecord is the JSON payload a stored record frames: its format, the

@@ -129,6 +129,21 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
+// TestProjectSmallProgramBytes pins the marshalled snapshots of two tiny
+// programs, one without any non-empty pointer, so the empty tables keep
+// their JSON form (null, not []) as well as their contents.
+func TestProjectSmallProgramBytes(t *testing.T) {
+	for src, want := range map[string]string{
+		"int main() { return 0; }":                         `{"objects":1,"constraint_nodes":3,"solver_iterations":0,"monitor_sites":0,"icall_sites":null,"labels":null,"sets":[[]],"regs":null,"cfi_sites":null,"invariants":[]}`,
+		"int g;\nint main() { int* p; p = &g; return 0; }": `{"objects":3,"constraint_nodes":7,"solver_iterations":3,"monitor_sites":0,"icall_sites":null,"labels":["main/p#1","@g"],"sets":[[],[0],[1]],"regs":[{"fn":"main","reg":"%t1","optimistic":1,"fallback":1},{"fn":"main","reg":"%t2","optimistic":2,"fallback":2}],"cfi_sites":null,"invariants":[]}`,
+	} {
+		sys := solveViews(t, "tiny", src)[len(invariant.Ablations())-1]
+		if got, _ := json.Marshal(mustProject(t, sys.Optimistic, sys.Fallback)); string(got) != want {
+			t.Errorf("snapshot of %q:\n got %s\nwant %s", src, got, want)
+		}
+	}
+}
+
 // TestSnapshotStoresEachSetOnce: the set table holds no duplicate, and
 // every pointer whose views agree names one set for both.
 func TestSnapshotStoresEachSetOnce(t *testing.T) {
