@@ -64,10 +64,6 @@ type ObjSlot struct {
 	Obj, Slot int32
 }
 
-func (k ObjSlot) compare(l ObjSlot) int {
-	return cmp.Or(cmp.Compare(k.Obj, l.Obj), cmp.Compare(k.Slot, l.Slot))
-}
-
 // AppendSet appends to dst the canonical points-to set of node: the
 // (object, slot) keys of its representative's set, sorted and deduplicated.
 // Elements are always concrete object-slot node ids; slots of objects that
@@ -76,17 +72,16 @@ func (k ObjSlot) compare(l ObjSlot) int {
 //
 // Serialization must never depend on set representation: this reads the set
 // only through ForEach, so inline and bit-vector sets yield the same keys,
-// and callers never alias solver storage. newObject numbers an object's slot
-// nodes contiguously in index order, so ForEach's ascending ids arrive in
-// key order and a collapsed object's slots adjacent; the sort runs only if a
-// set ever holds keys out of that order.
+// and callers never alias solver storage. newObject numbers each object's
+// slot nodes contiguously, in object index order, so ForEach's ascending ids
+// arrive in key order and the slots a collapse merges arrive adjacent.
 func (r *Result) AppendSet(dst []ObjSlot, node int) []ObjSlot {
 	a := r.a
 	set := a.pts[a.findRead(node)]
 	if set == nil {
 		return dst
 	}
-	start, sorted := len(dst), true
+	start := len(dst)
 	set.ForEach(func(o int) bool {
 		nn := &a.nodes[o]
 		if nn.kind != nodeObj {
@@ -96,22 +91,11 @@ func (r *Result) AppendSet(dst []ObjSlot, node int) []ObjSlot {
 		if a.objects[nn.obj].Insens {
 			k.Slot = 0
 		}
-		if len(dst) > start {
-			switch c := k.compare(dst[len(dst)-1]); {
-			case c == 0:
-				return true
-			case c < 0:
-				sorted = false
-			}
+		if len(dst) == start || dst[len(dst)-1] != k {
+			dst = append(dst, k)
 		}
-		dst = append(dst, k)
 		return true
 	})
-	if !sorted {
-		keys := dst[start:]
-		slices.SortFunc(keys, ObjSlot.compare)
-		dst = dst[:start+len(slices.Compact(keys))]
-	}
 	return dst
 }
 

@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 // fuzzBodyCap is the body cap of the server FuzzDecodeRequest drives.
@@ -55,10 +53,10 @@ func checkDecode(t *testing.T, s *Server, body []byte, length int64) {
 // reference json.Decoder path, for all three request types: both must give
 // the same value, or the same status, kind and message.
 func FuzzDecodeRequest(f *testing.F) {
-	small := workload.ScaledProgram(3, 3)
+	small := "int g;\nint* pick() { return &g; }\nint main() { int* p; p = pick(); return *p < 3; }"
 	for _, v := range []any{
 		map[string]any{"source": small},
-		map[string]any{"source": small, "config": "all", "name": "scaled-3"},
+		map[string]any{"source": small, "config": "all", "name": "pick"},
 		map[string]any{"source": small, "config": "pa-pwc", "fn": "main", "reg": "%t1"},
 		map[string]any{"source": small, "site": 12},
 		map[string]any{"source": "int* p; if (a < b && c > d) { p = &g; }"},
@@ -71,7 +69,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"source":"x","sourcecode":"y"}`, `{"source":"x","parallel":true}`,
 		`{"source":"a","source":"b"}`, `{"site":1,"site":2}`, `{"fn":"f","fn":"g","source":"x"}`,
 		`{"Source":"x"}`, `{"SOURCE":"x"}`, `{"ſource":"x"}`, `{"Fn":"main","source":"x"}`, `{"source":"x"}`,
-		`{"source":"😀"}`, `{"source":"\ud83d"}`, `{"source":"\udc00x"}`, `{"source":"é<&￿"}`,
+		`{"source":"😀"}`, `{"source":"\ud83d\ude00"}`, `{"source":"\ud83d"}`, `{"source":"\udc00x"}`, `{"source":"é<&￿"}`,
 		"{\"source\":\"\xff\xfe\"}", "{\"source\":\"\xed\xa0\x80\"}", "{\"source\":\"caf\xc3\xa9\"}", "{\"source\":\"a\x01b\"}",
 		`{"source":null}`, `{"site":null}`, `null`, `{"name":null,"source":"x"}`,
 		`{"source":"x"} `, `{"source":"x"}garbage`, `{"source":"x"}{"source":"y"}`, ` {"source":"x"}` + "\n\t\r",
@@ -91,7 +89,6 @@ func FuzzDecodeRequest(f *testing.F) {
 			return
 		}
 		checkDecode(t, s, body, int64(len(body)))
-		checkDecode(t, s, body, -1)
 	})
 }
 
