@@ -140,8 +140,10 @@ func (r *Result) TopLevelPointers() []PtrRef {
 	nonEmpty := make([]int8, len(r.a.nodes)) // per representative: 0 unknown, 1 empty, 2 non-empty
 	for _, p := range r.PointerReps() {
 		if nonEmpty[p.Rep] == 0 {
-			keys = r.AppendSet(keys[:0], p.Rep)
-			nonEmpty[p.Rep] = 1 + int8(min(len(keys), 1))
+			nonEmpty[p.Rep] = 1
+			if keys = r.AppendSet(keys[:0], p.Rep); len(keys) > 0 {
+				nonEmpty[p.Rep] = 2
+			}
 		}
 		if nonEmpty[p.Rep] == 2 {
 			out = append(out, p.PtrRef)

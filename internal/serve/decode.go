@@ -30,6 +30,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *apiEr
 	if n < 0 || n > s.cfg.MaxBodyBytes {
 		return decodeJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), into)
 	}
+	// Not io.ReadFull: it turns a short body's io.EOF into
+	// io.ErrUnexpectedEOF, and the decoder words the two differently.
 	body := make([]byte, n)
 	k := 0
 	var err error
