@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build test race vet kbench-test examples bench profile bench-json fuzz-smoke chaos-smoke serve-smoke persist-smoke check
+.PHONY: all fmt build test race vet kbench-test examples bench profile bench-json fuzz-smoke chaos-smoke serve-smoke persist-smoke loc check
 
 all: check
 
@@ -112,6 +112,12 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzPersistRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s
+
+## loc: print the lines of tracked Go outside kbench/ (the benchmark's own
+## module), non-test and test, the counts ROADMAP and CHANGES.md quote
+loc:
+	@printf 'non-test Go: %s\n' $$(git ls-files '*.go' ':(exclude)kbench/' | grep -v '_test\.go$$' | xargs cat | wc -l)
+	@printf 'test Go: %s\n' $$(git ls-files '*_test.go' ':(exclude)kbench/' | xargs cat | wc -l)
 
 ## check: everything a PR must pass
 check: fmt build vet test examples kbench-test race fuzz-smoke

@@ -255,44 +255,39 @@ func (e *Execution) Run(entry string, inputs []int64) *interp.Trace {
 // SoundnessReport compares a dynamic trace against a points-to result and
 // returns a description of every dynamic points-to fact absent from the
 // static result (empty = the result soundly over-approximates the run).
+// The trace names objects by their IR numbers, which index r.Objects().
 func SoundnessReport(r *pointsto.Result, tr *interp.Trace) []string {
 	var bad []string
-	lookup := func(key interp.AbsKey) *pointsto.Object {
-		switch key.Kind {
-		case interp.AbsGlobal:
-			return r.ObjectByGlobal(key.Name)
-		case interp.AbsFunc:
-			return r.ObjectByFunc(key.Name)
-		default:
-			return r.ObjectBySite(key.Site)
+	objs := r.Objects()
+	label := func(id int) string {
+		if id >= 0 && id < len(objs) {
+			return objs[id].Label()
 		}
+		return fmt.Sprintf("object #%d", id)
 	}
 	for pt, targets := range tr.RegPoints {
 		static := map[int]bool{}
 		for _, ref := range r.PointsTo(pt.Fn, pt.Reg) {
 			static[ref.Obj.Index] = true
 		}
-		for key := range targets {
-			obj := lookup(key)
-			if obj == nil || !static[obj.Index] {
-				bad = append(bad, fmt.Sprintf("register %s:%s dynamically points to %s, statically absent", pt.Fn, pt.Reg, key))
+		for id := range targets {
+			if !static[id] {
+				bad = append(bad, fmt.Sprintf("register %s:%s dynamically points to %s, statically absent", pt.Fn, pt.Reg, label(id)))
 			}
 		}
 	}
 	for pt, targets := range tr.SlotPoints {
-		container := lookup(pt.Obj)
-		if container == nil {
-			bad = append(bad, fmt.Sprintf("no abstract object for runtime container %s", pt.Obj))
+		if pt.Obj < 0 || pt.Obj >= len(objs) {
+			bad = append(bad, fmt.Sprintf("no abstract object for runtime container %s", label(pt.Obj)))
 			continue
 		}
 		static := map[int]bool{}
-		for _, ref := range r.SlotPointsTo(container, pt.Slot) {
+		for _, ref := range r.SlotPointsTo(objs[pt.Obj], pt.Slot) {
 			static[ref.Obj.Index] = true
 		}
-		for key := range targets {
-			obj := lookup(key)
-			if obj == nil || !static[obj.Index] {
-				bad = append(bad, fmt.Sprintf("slot %s+%d dynamically points to %s, statically absent", pt.Obj, pt.Slot, key))
+		for id := range targets {
+			if !static[id] {
+				bad = append(bad, fmt.Sprintf("slot %s+%d dynamically points to %s, statically absent", label(pt.Obj), pt.Slot, label(id)))
 			}
 		}
 	}

@@ -105,19 +105,13 @@ func (c *IncrementalController) OnViolation(v memview.Violation) {
 	}
 }
 
-// fullInstrumentation instruments every PtrAdd and FieldAddr site plus all
-// Ctx sites of the current invariants. Restored analyses may grow PA filter
-// sets at sites that previously filtered nothing, so all arithmetic and
-// field-access sites must carry hooks from the start (the hooks no-op while
-// the runtime has no entry for a site).
+// fullInstrumentation is the instrumentation the monitors of opt need,
+// plus a hook at every PtrAdd and FieldAddr site. Restored analyses may
+// grow PA filter sets at sites that previously filtered nothing, so all
+// arithmetic and field-access sites must carry hooks from the start (the
+// hooks no-op while the runtime has no entry for a site).
 func fullInstrumentation(m *ir.Module, opt *pointsto.Result) *interp.Instrumentation {
-	ins := &interp.Instrumentation{
-		PtrAddSites: map[int]bool{},
-		FieldSites:  map[int]bool{},
-		CtxCallArgs: map[int][]int{},
-		CtxChecks:   map[int][]invariant.CtxSample{},
-		CheckICalls: true,
-	}
+	ins := instrumentation(opt)
 	for _, f := range m.Funcs {
 		f.Instrs(func(_ *ir.Block, in ir.Instr) {
 			switch in.(type) {
@@ -127,15 +121,6 @@ func fullInstrumentation(m *ir.Module, opt *pointsto.Result) *interp.Instrumenta
 				ins.FieldSites[ir.InstrID(in)] = true
 			}
 		})
-	}
-	for _, rec := range opt.Invariants() {
-		if rec.Kind != invariant.Ctx {
-			continue
-		}
-		ins.CtxChecks[rec.Site] = rec.CtxSamples
-		for _, cs := range rec.Callsites {
-			ins.CtxCallArgs[cs] = rec.CtxParams
-		}
 	}
 	return ins
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/invariant"
 	"repro/internal/ir"
@@ -18,7 +19,7 @@ import (
 type Program struct {
 	funcs   []*cfunc // module order; a function value's Off indexes it
 	byName  map[string]*cfunc
-	globals []objInfo // module order; an AddrGlobal's off indexes it
+	globals []objInfo // module order, so a global's IR number indexes it
 	// branchSites maps a branch index to its CondJump site. Branch i owns
 	// edge counters 2i (not taken) and 2i+1 (taken) of a trace.
 	branchSites []int
@@ -63,7 +64,7 @@ type csample struct {
 //	val       — Const literal
 //	blkA,blkB — branch targets (block indexes)
 //	off       — FieldAddr runtime offset / IndexAddr element size /
-//	            AddrGlobal global index / AddrFunc function index (-1 for a
+//	            AddrGlobal global IR number / AddrFunc function index (-1 for a
 //	            function outside the module) / CondJump branch index
 //	site      — original instruction ID
 type cinstr struct {
@@ -104,10 +105,10 @@ type cfunc struct {
 
 // compiler translates one module under one instrumentation.
 type compiler struct {
-	layouts   *ir.Layouts
-	instr     *Instrumentation
-	prog      *Program
-	globalIdx map[string]int
+	mod     *ir.Module
+	layouts *ir.Layouts
+	instr   *Instrumentation
+	prog    *Program
 }
 
 // Compile compiles m for execution under instr (nil: uninstrumented).
@@ -116,20 +117,19 @@ func Compile(m *ir.Module, instr *Instrumentation) *Program {
 		instr = &Instrumentation{}
 	}
 	p := &Program{byName: make(map[string]*cfunc, len(m.Funcs)), checkICalls: instr.CheckICalls}
-	c := &compiler{layouts: ir.NewLayouts(), instr: instr, prog: p, globalIdx: make(map[string]int, len(m.Globals))}
+	c := &compiler{mod: m, layouts: ir.NewLayouts(), instr: instr, prog: p}
 	// Create shells first so direct calls can resolve callee pointers.
 	for i, f := range m.Funcs {
-		cf := &cfunc{name: f.Name, idx: i, obj: funcObj(f.Name)}
+		cf := &cfunc{name: f.Name, idx: i, obj: funcObj(f.Obj, f.Name)}
 		p.funcs = append(p.funcs, cf)
 		p.byName[f.Name] = cf
 	}
-	for i, g := range m.Globals {
-		c.globalIdx[g.Name] = i
+	for _, g := range m.Globals {
 		p.globals = append(p.globals, objInfo{
-			Key:    AbsKey{Kind: AbsGlobal, Name: g.Name},
+			ID:     g.Obj,
 			Type:   g.Type,
 			layout: c.layouts.Of(g.Type),
-			name:   "@" + g.Name,
+			key:    "@" + g.Name,
 		})
 	}
 	for i, f := range m.Funcs {
@@ -208,27 +208,28 @@ func (c *compiler) compileInstr(cf *cfunc, in ir.Instr, reg func(string) int, bl
 		ci.op = opAlloca
 		ci.dst = reg(in.Dest)
 		ci.obj = &objInfo{
-			Key:    AbsKey{Kind: AbsStack, Site: site},
+			ID:     in.Obj,
 			Type:   in.Ty,
 			layout: c.layouts.Of(in.Ty),
+			key:    "stack#" + strconv.Itoa(site),
 			name:   cf.name + "/" + in.Var,
 		}
 	case *ir.Malloc:
 		ci.op = opMalloc
 		ci.dst = reg(in.Dest)
 		ci.a = reg(in.Size)
-		ci.obj = &objInfo{Key: AbsKey{Kind: AbsHeap, Site: site}, Type: in.SizeOf}
+		ci.obj = &objInfo{ID: in.Obj, Type: in.SizeOf, key: "heap#" + strconv.Itoa(site)}
 		if in.SizeOf != nil {
 			ci.obj.layout = c.layouts.Of(in.SizeOf)
 		}
 	case *ir.AddrGlobal:
 		ci.op = opAddrGlobal
 		ci.dst = reg(in.Dest)
-		gi, ok := c.globalIdx[in.Global]
-		if !ok {
+		g := c.mod.Global(in.Global)
+		if g == nil {
 			panic(fmt.Sprintf("interp: address of unknown global %q", in.Global))
 		}
-		ci.off = gi
+		ci.off = g.Obj
 	case *ir.AddrFunc:
 		ci.op = opAddrFunc
 		ci.dst = reg(in.Dest)
@@ -236,7 +237,7 @@ func (c *compiler) compileInstr(cf *cfunc, in ir.Instr, reg func(string) int, bl
 			ci.fn, ci.off = tgt.obj, tgt.idx
 		} else {
 			// Calling it faults as an unknown function, as it must.
-			ci.fn, ci.off = funcObj(in.Func), -1
+			ci.fn, ci.off = funcObj(-1, in.Func), -1
 		}
 	case *ir.Copy:
 		ci.op = opCopy

@@ -8,8 +8,8 @@ import (
 
 // track records a register write for dynamic points-to observation.
 func (mc *Machine) track(cf *cfunc, idx int, v Value) {
-	if key, ok := AbsValueKey(v); ok {
-		mc.trace.recordReg(cf.name, cf.regNames[idx], key)
+	if v.Kind != KindInt {
+		mc.trace.recordReg(cf.name, cf.regNames[idx], v.Obj.ID)
 	}
 }
 
@@ -136,10 +136,8 @@ func (mc *Machine) exec(cf *cfunc, base int) (Value, error) {
 				}
 				v := regs[in.b]
 				addr.Obj.Slots[addr.Off] = v
-				if mc.cfg.TrackPointsTo {
-					if key, ok := AbsValueKey(v); ok {
-						mc.trace.recordSlot(addr.Obj.Key, addr.Obj.AnalysisSlot(addr.Off), key)
-					}
+				if mc.cfg.TrackPointsTo && v.Kind != KindInt {
+					mc.trace.recordSlot(addr.Obj.ID, addr.Obj.AnalysisSlot(addr.Off), v.Obj.ID)
 				}
 			case opFieldAddr:
 				base := regs[in.a]

@@ -132,8 +132,8 @@ int main() {
 	}
 	// The pointer stored into g.p must be recorded at analysis slot 2
 	// (a=0, arr[]=1, p=2), regardless of arr's runtime expansion.
-	pt := SlotPt{Obj: AbsKey{Kind: AbsGlobal, Name: "g"}, Slot: 2}
-	if !tr.SlotPoints[pt][AbsKey{Kind: AbsGlobal, Name: "target"}] {
+	pt := SlotPt{Obj: m.Global("g").Obj, Slot: 2}
+	if !tr.SlotPoints[pt][m.Global("target").Obj] {
 		t.Errorf("slot mapping wrong: %v", tr.SlotPoints)
 	}
 }

@@ -331,14 +331,15 @@ int main() {
   return 0;
 }
 `
-	tr := run(t, src, nil)
-	gKey := AbsKey{Kind: AbsGlobal, Name: "g"}
-	slot0 := tr.SlotPoints[SlotPt{Obj: gKey, Slot: 0}]
-	slot1 := tr.SlotPoints[SlotPt{Obj: gKey, Slot: 1}]
-	if len(slot0) != 1 || !slot0[AbsKey{Kind: AbsGlobal, Name: "x"}] {
+	m := minic.MustCompile("test", src)
+	tr := New(m, Config{TrackPointsTo: true}).Run("main", nil)
+	g := m.Global("g").Obj
+	slot0 := tr.SlotPoints[SlotPt{Obj: g, Slot: 0}]
+	slot1 := tr.SlotPoints[SlotPt{Obj: g, Slot: 1}]
+	if len(slot0) != 1 || !slot0[m.Global("x").Obj] {
 		t.Errorf("slot0 = %v", slot0)
 	}
-	if len(slot1) != 1 || !slot1[AbsKey{Kind: AbsGlobal, Name: "y"}] {
+	if len(slot1) != 1 || !slot1[m.Global("y").Obj] {
 		t.Errorf("slot1 = %v", slot1)
 	}
 }

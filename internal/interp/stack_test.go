@@ -120,15 +120,17 @@ int cb(int* x) { return 7; }
 int other(int* x) { return 8; }
 int main() { return 0; }
 `
-	p := Compile(minic.MustCompile("fns", src), nil)
+	m := minic.MustCompile("fns", src)
+	p := Compile(m, nil)
 	cf := p.byName["cb"]
 	prog := Value{Kind: KindFn, Obj: cf.obj, Off: cf.idx}
-	for _, v := range []Value{FnVal("cb"), prog} {
+	for i, v := range []Value{FnVal("cb"), prog} {
 		if got := v.String(); got != "&cb" {
 			t.Errorf("String = %q, want &cb", got)
 		}
-		if key, ok := AbsValueKey(v); !ok || key != (AbsKey{Kind: AbsFunc, Name: "cb"}) {
-			t.Errorf("AbsValueKey = %v, %v; want cb(), true", key, ok)
+		wantID := []int{-1, m.Func("cb").Obj}[i] // FnVal is made outside the program
+		if v.Obj.ID != wantID || v.Obj.Key() != "cb()" {
+			t.Errorf("object %d %q; want %d cb()", v.Obj.ID, v.Obj.Key(), wantID)
 		}
 		if !v.Equal(FnVal("cb")) || !FnVal("cb").Equal(v) || !v.Equal(prog) {
 			t.Errorf("%v does not equal the other pointers to cb", v)

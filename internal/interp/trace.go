@@ -12,9 +12,10 @@ type RegPt struct {
 	Reg string
 }
 
-// SlotPt identifies an analysis slot of an abstract object.
+// SlotPt identifies an analysis slot of an abstract object, by the
+// object's IR number.
 type SlotPt struct {
-	Obj  AbsKey
+	Obj  int
 	Slot int
 }
 
@@ -39,9 +40,10 @@ type Trace struct {
 	// actually executed (the "Runtime Observed" series of Figure 1).
 	ICallObserved map[int]map[string]bool
 
-	// Dynamic points-to observations (TrackPointsTo only).
-	RegPoints  map[RegPt]map[AbsKey]bool
-	SlotPoints map[SlotPt]map[AbsKey]bool
+	// Dynamic points-to observations (TrackPointsTo only): the IR numbers
+	// of the objects each register and slot was seen pointing to.
+	RegPoints  map[RegPt]map[int]bool
+	SlotPoints map[SlotPt]map[int]bool
 
 	// monitors is the set of instrumented monitor sites that fired, one bit
 	// per instruction ID.
@@ -53,8 +55,8 @@ func newTrace(p *Program) *Trace {
 		edges:         make([]int64, 2*len(p.branchSites)),
 		branchSites:   p.branchSites,
 		ICallObserved: map[int]map[string]bool{},
-		RegPoints:     map[RegPt]map[AbsKey]bool{},
-		SlotPoints:    map[SlotPt]map[AbsKey]bool{},
+		RegPoints:     map[RegPt]map[int]bool{},
+		SlotPoints:    map[SlotPt]map[int]bool{},
 		monitors:      make([]uint64, p.maxSite/64+1),
 	}
 }
@@ -68,24 +70,24 @@ func (t *Trace) recordICall(site int, target string) {
 	m[target] = true
 }
 
-func (t *Trace) recordReg(fn, reg string, key AbsKey) {
+func (t *Trace) recordReg(fn, reg string, target int) {
 	p := RegPt{fn, reg}
 	m := t.RegPoints[p]
 	if m == nil {
-		m = map[AbsKey]bool{}
+		m = map[int]bool{}
 		t.RegPoints[p] = m
 	}
-	m[key] = true
+	m[target] = true
 }
 
-func (t *Trace) recordSlot(obj AbsKey, slot int, key AbsKey) {
+func (t *Trace) recordSlot(obj, slot, target int) {
 	p := SlotPt{obj, slot}
 	m := t.SlotPoints[p]
 	if m == nil {
-		m = map[AbsKey]bool{}
+		m = map[int]bool{}
 		t.SlotPoints[p] = m
 	}
-	m[key] = true
+	m[target] = true
 }
 
 func (t *Trace) recordMonitor(site int) { t.monitors[site/64] |= 1 << (site % 64) }

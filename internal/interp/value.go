@@ -23,7 +23,7 @@ const (
 
 // Value is a runtime value: an integer, a pointer (object + runtime slot
 // offset), or a function pointer. A function pointer's Obj is the function's
-// object, which has no slots and whose Key names the function; its Off is the
+// object, which has no slots and names the function; its Off is the
 // function's index in the program that made the value (-1 for FnVal), so an
 // indirect call resolves its callee without a name lookup. A Value is 32
 // bytes and holds no string, so register writes stay cheap.
@@ -42,14 +42,16 @@ func PtrVal(obj *RObj, off int) Value { return Value{Kind: KindPtr, Obj: obj, Of
 
 // FnVal makes a function-pointer value to the named function, outside any
 // program.
-func FnVal(name string) Value { return Value{Kind: KindFn, Obj: funcObj(name), Off: -1} }
+func FnVal(name string) Value { return Value{Kind: KindFn, Obj: funcObj(-1, name), Off: -1} }
 
 // funcObj makes the object a function pointer to the named function refers
-// to.
-func funcObj(name string) *RObj { return NewObj(AbsKey{Kind: AbsFunc, Name: name}, 0) }
+// to; id is the function's IR object number.
+func funcObj(id int, name string) *RObj {
+	return &RObj{objInfo: &objInfo{ID: id, key: name + "()", fn: name}}
+}
 
 // fnName returns the name of the function a function pointer refers to.
-func (v Value) fnName() string { return v.Obj.Key.Name }
+func (v Value) fnName() string { return v.Obj.fn }
 
 // IsNull reports whether v is the null pointer (integer zero).
 func (v Value) IsNull() bool { return v.Kind == KindInt && v.Int == 0 }
@@ -93,39 +95,6 @@ func (v Value) String() string {
 	}
 }
 
-// AbsKey identifies the abstract (analysis-level) object a runtime object
-// corresponds to: globals and functions by name, stack/heap objects by
-// allocation-site instruction ID.
-type AbsKey struct {
-	Kind AbsKind
-	Name string // global/function name
-	Site int    // allocation instruction ID
-}
-
-// AbsKind mirrors the abstract object classes.
-type AbsKind uint8
-
-// Abstract object classes for runtime→analysis mapping.
-const (
-	AbsGlobal AbsKind = iota
-	AbsStack
-	AbsHeap
-	AbsFunc
-)
-
-func (k AbsKey) String() string {
-	switch k.Kind {
-	case AbsGlobal:
-		return "@" + k.Name
-	case AbsFunc:
-		return k.Name + "()"
-	case AbsStack:
-		return fmt.Sprintf("stack#%d", k.Site)
-	default:
-		return fmt.Sprintf("heap#%d", k.Site)
-	}
-}
-
 // RObj is a runtime memory object: its slots, and what it is.
 type RObj struct {
 	*objInfo
@@ -134,26 +103,35 @@ type RObj struct {
 
 // objInfo is what a runtime object is. It is fixed when a program is
 // compiled, one per global, allocation site and function, and every object
-// made there shares it read-only.
+// made there shares it read-only. ID is the abstract object's IR number
+// (ir.Module.Finalize), which is also its index in the analysis's
+// pointsto.Result.Objects; -1 marks an object made outside a program.
 type objInfo struct {
-	Key    AbsKey
+	ID     int
 	Type   ir.Type    // nil for unknown-type heap objects
 	layout *ir.Layout // nil for unknown-type heap objects
-	name   string     // diagnostics
+	key    string     // the identity's text: @g, f(), stack#N or heap#N
+	name   string     // diagnostics, when they say more than key (an alloca's fn/var)
+	fn     string     // a function object's function name
 }
 
-// NewObj makes a standalone object with the given identity and n zeroed,
-// untyped slots, like the objects an unknown-type malloc makes.
-func NewObj(key AbsKey, n int) *RObj {
-	return &RObj{objInfo: &objInfo{Key: key}, Slots: make([]Value, n)}
+// NewObj makes a standalone object with IR object number id, identity text
+// key, and n zeroed, untyped slots, like the objects an unknown-type malloc
+// makes.
+func NewObj(id int, key string, n int) *RObj {
+	return &RObj{objInfo: &objInfo{ID: id, key: key}, Slots: make([]Value, n)}
 }
+
+// Key renders the object's abstract identity: @g for a global, f() for a
+// function, stack#N or heap#N for the objects allocation site N makes.
+func (o *RObj) Key() string { return o.key }
 
 // Label renders the object for error messages.
 func (o *RObj) Label() string {
 	if o.name != "" {
 		return o.name
 	}
-	return o.Key.String()
+	return o.key
 }
 
 // AnalysisSlot maps a runtime slot offset to the analysis slot it belongs to
@@ -163,13 +141,4 @@ func (o *RObj) AnalysisSlot(off int) int {
 		return 0
 	}
 	return o.layout.RToA[off]
-}
-
-// AbsValueKey returns the abstract identity a stored pointer value refers
-// to, and ok=false for plain integers.
-func AbsValueKey(v Value) (AbsKey, bool) {
-	if v.Kind == KindInt {
-		return AbsKey{}, false
-	}
-	return v.Obj.Key, true
 }

@@ -114,6 +114,7 @@ type Alloca struct {
 	Dest string
 	Ty   Type
 	Var  string // source-level variable name, for diagnostics
+	Obj  int    // abstract-object number, assigned by Module.Finalize
 }
 
 func (i *Alloca) Def() string                      { return i.Dest }
@@ -268,6 +269,7 @@ type Malloc struct {
 	Dest   string
 	SizeOf Type   // may be nil: type not named at the allocation site
 	Size   string // size register for dynamic allocations ("" when SizeOf set)
+	Obj    int    // abstract-object number, assigned by Module.Finalize
 }
 
 func (i *Malloc) Def() string { return i.Dest }

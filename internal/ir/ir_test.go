@@ -208,6 +208,16 @@ func TestFinalizeAssignsIDsAndAddressTaken(t *testing.T) {
 	if got := m.AddressTakenFuncs(); len(got) != 1 || got[0] != "target" {
 		t.Errorf("AddressTakenFuncs = %v", got)
 	}
+	// Object numbers: globals, then functions, then allocation sites.
+	var alloca *Alloca
+	m.Func("main").Instrs(func(_ *Block, in Instr) {
+		if a, ok := in.(*Alloca); ok {
+			alloca = a
+		}
+	})
+	if got := []int{m.Global("o").Obj, m.Func("target").Obj, m.Func("main").Obj, alloca.Obj, m.NumObjects()}; !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("object numbers of @o, target, main, q and their count = %v, want [0 1 2 3 4]", got)
+	}
 }
 
 // TestInstrTables: a module built with FuncBuilder alone gets IDs 1..n in

@@ -11,6 +11,7 @@ import (
 type Global struct {
 	Name string
 	Type Type
+	Obj  int // abstract-object number, assigned by Module.Finalize
 }
 
 // Block is a basic block: a label and a straight-line instruction list ending
@@ -40,6 +41,7 @@ type Function struct {
 	RetType      Type // nil means void
 	Blocks       []*Block
 	AddressTaken bool // set by Finalize: the function's address is taken somewhere
+	Obj          int  // abstract-object number, assigned by Module.Finalize
 }
 
 // Entry returns the entry block.
@@ -75,6 +77,7 @@ type Module struct {
 	globalIndex map[string]*Global
 	instrByID   []Instr     // instrByID[id-1] is the instruction with ID id
 	instrFunc   []*Function // instrFunc[id-1] contains it
+	numObjects  int
 	finalized   bool
 }
 
@@ -143,9 +146,20 @@ func (m *Module) FuncOfInstr(id int) *Function {
 // NumInstrs returns the number of instructions in the module (post-Finalize).
 func (m *Module) NumInstrs() int { return len(m.instrByID) }
 
+// NumObjects returns the number of abstract objects in the module
+// (post-Finalize): its globals, functions and allocation sites.
+func (m *Module) NumObjects() int { return m.numObjects }
+
 // Finalize assigns module-unique instruction IDs 1..n in block order, builds
 // lookup indexes, and computes address-taken facts. It must be called once
 // construction is done and before analysis or execution.
+//
+// Finalize also numbers the module's abstract objects 0..NumObjects()-1 and
+// stores each number on its IR value (the Obj fields): the globals in
+// order, then the functions in order, then every Alloca and Malloc in
+// instruction-ID order. That number is the one identity of an object: the
+// pointer analysis places its object there, and the interpreter, the
+// monitors and the soundness report name runtime objects by it.
 func (m *Module) Finalize() error {
 	if m.finalized {
 		return nil
@@ -160,17 +174,22 @@ func (m *Module) Finalize() error {
 	m.globalIndex = make(map[string]*Global, len(m.Globals))
 	m.instrByID = make([]Instr, 0, n)
 	m.instrFunc = make([]*Function, 0, n)
+	obj := 0
 	for _, g := range m.Globals {
 		if _, dup := m.globalIndex[g.Name]; dup {
 			return fmt.Errorf("ir: duplicate global %q", g.Name)
 		}
 		m.globalIndex[g.Name] = g
+		g.Obj = obj
+		obj++
 	}
 	for _, f := range m.Funcs {
 		if _, dup := m.funcIndex[f.Name]; dup {
 			return fmt.Errorf("ir: duplicate function %q", f.Name)
 		}
 		m.funcIndex[f.Name] = f
+		f.Obj = obj
+		obj++
 	}
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
@@ -178,16 +197,24 @@ func (m *Module) Finalize() error {
 				m.instrByID = append(m.instrByID, in)
 				m.instrFunc = append(m.instrFunc, f)
 				in.base().ID = len(m.instrByID)
-				if af, ok := in.(*AddrFunc); ok {
-					tgt := m.funcIndex[af.Func]
+				switch in := in.(type) {
+				case *Alloca:
+					in.Obj = obj
+					obj++
+				case *Malloc:
+					in.Obj = obj
+					obj++
+				case *AddrFunc:
+					tgt := m.funcIndex[in.Func]
 					if tgt == nil {
-						return fmt.Errorf("ir: %s: address of unknown function %q", f.Name, af.Func)
+						return fmt.Errorf("ir: %s: address of unknown function %q", f.Name, in.Func)
 					}
 					tgt.AddressTaken = true
 				}
 			}
 		}
 	}
+	m.numObjects = obj
 	m.finalized = true
 	return m.Validate()
 }

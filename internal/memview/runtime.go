@@ -3,6 +3,7 @@ package memview
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/interp"
 	"repro/internal/invariant"
@@ -40,11 +41,11 @@ type Runtime struct {
 	// field addresses and a Ctx invariant's recorded actuals are monitor
 	// state: Install keeps them, keyed by the record, for every record the
 	// new result still assumes.
-	paFiltered  map[int]map[interp.AbsKey]bool // PtrAdd site -> filtered objects
-	pwcGroups   map[int][]map[slotAddr]bool    // FieldAddr site -> generated addresses of each cycle through it
-	pwcGen      map[string]map[slotAddr]bool   // PWC cycle (its sorted field sites) -> generated field addresses
-	ctxCallInv  map[int]*ctxState              // callsite -> state of its Ctx invariant
-	ctxCheckInv map[int]*ctxState              // store/ret site (the record's Site) -> state of its Ctx invariant
+	paFiltered  map[int]*bitset.Set          // PtrAdd site -> IR numbers of the filtered objects
+	pwcGroups   map[int][]map[slotAddr]bool  // FieldAddr site -> generated addresses of each cycle through it
+	pwcGen      map[string]map[slotAddr]bool // PWC cycle (its sorted field sites) -> generated field addresses
+	ctxCallInv  map[int]*ctxState            // callsite -> state of its Ctx invariant
+	ctxCheckInv map[int]*ctxState            // store/ret site (the record's Site) -> state of its Ctx invariant
 
 	// ChecksPerformed counts monitor checks (not CFI lookups), for the
 	// check-density figure (§7.2).
@@ -56,20 +57,6 @@ type Runtime struct {
 // ctxState is a Ctx invariant's monitor state: the critical actuals last
 // recorded at one of its callsites.
 type ctxState struct{ recorded []interp.Value }
-
-// AbsKeyOf maps an analysis object to its runtime abstract identity.
-func AbsKeyOf(o *pointsto.Object) interp.AbsKey {
-	switch o.Kind {
-	case pointsto.ObjGlobal:
-		return interp.AbsKey{Kind: interp.AbsGlobal, Name: o.Name}
-	case pointsto.ObjFunc:
-		return interp.AbsKey{Kind: interp.AbsFunc, Name: o.Name}
-	case pointsto.ObjStack:
-		return interp.AbsKey{Kind: interp.AbsStack, Site: o.Site}
-	default:
-		return interp.AbsKey{Kind: interp.AbsHeap, Site: o.Site}
-	}
-}
 
 // CorruptRecordError reports an invariant record that failed validation
 // while monitors were being installed from it. Installing refuses the whole
@@ -122,22 +109,28 @@ func (rt *Runtime) Install(opt *pointsto.Result) (*interp.Instrumentation, error
 		CtxChecks:   map[int][]invariant.CtxSample{},
 		CheckICalls: true,
 	}
-	paFiltered := map[int]map[interp.AbsKey]bool{}
+	paFiltered := map[int]*bitset.Set{}
 	pwcGroups := map[int][]map[slotAddr]bool{}
 	pwcGen := map[string]map[slotAddr]bool{}
 	ctxCallInv := map[int]*ctxState{}
 	ctxCheckInv := map[int]*ctxState{}
-	objs := opt.Objects()
+	numObjs := len(opt.Objects())
 	for idx, rec := range corruptRecords(opt.Invariants(), rt.faults) {
-		if reason := validateRecord(rec, len(objs)); reason != "" {
+		if reason := validateRecord(rec, numObjs); reason != "" {
 			return nil, &CorruptRecordError{Index: idx, Kind: rec.Kind, Reason: reason}
 		}
 		switch rec.Kind {
 		case invariant.PA:
 			ins.PtrAddSites[rec.Site] = true
-			filtered := map[interp.AbsKey]bool{}
+			// An analysis object's index is its IR number, and so the ID
+			// of every runtime object made for it.
+			n := 0
 			for _, oi := range rec.FilteredObjs {
-				filtered[AbsKeyOf(objs[oi])] = true
+				n = max(n, oi+1)
+			}
+			filtered := bitset.New(n)
+			for _, oi := range rec.FilteredObjs {
+				filtered.Add(oi)
 			}
 			paFiltered[rec.Site] = filtered
 		case invariant.PWC:
@@ -248,8 +241,8 @@ func (rt *Runtime) PtrAdd(site int, base interp.Value) {
 	if base.Kind != interp.KindPtr {
 		return
 	}
-	if rt.paFiltered[site][base.Obj.Key] {
-		rt.violate(invariant.PA, site, fmt.Sprintf("arithmetic pointer refers to filtered object %s", base.Obj.Key))
+	if f := rt.paFiltered[site]; f != nil && f.Has(base.Obj.ID) {
+		rt.violate(invariant.PA, site, "arithmetic pointer refers to filtered object "+base.Obj.Key())
 	}
 }
 

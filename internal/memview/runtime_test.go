@@ -38,23 +38,10 @@ func optimisticResult(t *testing.T) *pointsto.Result {
 	return pointsto.New(m, invariant.All()).Solve()
 }
 
-func TestAbsKeyOf(t *testing.T) {
-	r := optimisticResult(t)
-	g := r.ObjectByGlobal("mod")
-	if key := AbsKeyOf(g); key.Kind != interp.AbsGlobal || key.Name != "mod" {
-		t.Errorf("global key = %+v", key)
-	}
-	f := r.ObjectByFunc("cb")
-	if key := AbsKeyOf(f); key.Kind != interp.AbsFunc || key.Name != "cb" {
-		t.Errorf("func key = %+v", key)
-	}
-	for _, o := range r.Objects() {
-		if o.Kind == pointsto.ObjStack {
-			if key := AbsKeyOf(o); key.Kind != interp.AbsStack || key.Site != o.Site {
-				t.Errorf("stack key = %+v for %s", key, o.Label())
-			}
-		}
-	}
+// globalObj makes a runtime object for global name of r's module, under
+// the global's IR number.
+func globalObj(r *pointsto.Result, name string, n int) *interp.RObj {
+	return interp.NewObj(r.ObjectByGlobal(name).Index, "@"+name, n)
 }
 
 // recorder collects violations without switching anything.
@@ -84,8 +71,8 @@ func TestPAMonitorFiresOnlyForFilteredObjects(t *testing.T) {
 	if paSite == 0 {
 		t.Fatal("no PA monitor site")
 	}
-	mod := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "mod"}, 2)
-	buff := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "buff"}, 16)
+	mod := globalObj(r, "mod", 2)
+	buff := globalObj(r, "buff", 16)
 
 	rt.PtrAdd(paSite, interp.PtrVal(buff, 0))
 	if len(rec.got) != 0 {
@@ -152,7 +139,7 @@ func TestPWCMonitorDetectsAddressReuse(t *testing.T) {
 	if site == 0 {
 		t.Skip("no PWC monitor in fixture")
 	}
-	obj := interp.NewObj(interp.AbsKey{Kind: interp.AbsHeap, Site: 1}, 2)
+	obj := interp.NewObj(-1, "heap#1", 2)
 	base := interp.PtrVal(obj, 0)
 	generated := interp.PtrVal(obj, 1)
 	// First access: base is fresh, records `generated`.
@@ -206,9 +193,9 @@ func TestCtxMonitorComparesRecordedActuals(t *testing.T) {
 	if callSite == 0 || checkSite == 0 {
 		t.Fatal("ctx sites missing")
 	}
-	h1 := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "h1"}, 2)
-	v1 := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "v1"}, 1)
-	sneaky := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "sneaky"}, 2)
+	h1 := globalObj(r, "h1", 2)
+	v1 := globalObj(r, "v1", 1)
+	sneaky := interp.NewObj(-1, "@sneaky", 2)
 
 	args := []interp.Value{interp.PtrVal(h1, 0), interp.PtrVal(v1, 0)}
 	rt.CtxCall(callSite, args)
@@ -255,8 +242,8 @@ func TestInstallKeepsMonitorState(t *testing.T) {
 	rec := &recorder{}
 	rt, ins := buildRuntime(t, ctx, rec)
 	callSite, checkSite := firstSite(t, ins.CtxCallArgs), firstSite(t, ins.CtxChecks)
-	h1 := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "h1"}, 2)
-	h2 := interp.NewObj(interp.AbsKey{Kind: interp.AbsGlobal, Name: "h2"}, 2)
+	h1 := globalObj(ctx, "h1", 2)
+	h2 := globalObj(ctx, "h2", 2)
 	rt.CtxCall(callSite, []interp.Value{interp.PtrVal(h1, 0)})
 	install := func(r *pointsto.Result) {
 		t.Helper()
@@ -280,7 +267,7 @@ func TestInstallKeepsMonitorState(t *testing.T) {
 	rec = &recorder{}
 	rt, ins = buildRuntime(t, pwc, rec)
 	site := firstSite(t, ins.FieldSites)
-	obj := interp.NewObj(interp.AbsKey{Kind: interp.AbsHeap, Site: 1}, 2)
+	obj := interp.NewObj(-1, "heap#1", 2)
 	rt.FieldAddr(site, interp.PtrVal(obj, 0), interp.PtrVal(obj, 1))
 	install(solveSrc(t, pwcSrc, invariant.Config{PWC: true}))
 	rt.FieldAddr(site, interp.PtrVal(obj, 1), interp.PtrVal(obj, 2))

@@ -12,14 +12,14 @@ import (
 // build creates all abstract objects and primitive constraints for the
 // module, applying the Ctx policy's constraint rewrites when enabled.
 func (a *Analysis) build() {
-	// Objects for globals and functions, in module order (the object index
-	// space is therefore identical across configurations, which lets memory
-	// views and the interpreter share object identities).
+	// Every object sits at its IR number (ir.Module.Finalize), so the
+	// object index space is the module's, identical across configurations,
+	// and memory views and the interpreter name objects by the same number.
 	for _, g := range a.mod.Globals {
-		a.objByGlobal[g.Name] = a.newObject(ObjGlobal, g.Name, "", 0, g.Type)
+		a.newObject(g.Obj, ObjGlobal, g.Name, "", 0, g.Type)
 	}
 	for _, f := range a.mod.Funcs {
-		a.objByFunc[f.Name] = a.newObject(ObjFunc, f.Name, "", 0, nil)
+		a.newObject(f.Obj, ObjFunc, f.Name, "", 0, nil)
 	}
 
 	// Ctx pre-pass: find precision-critical arguments (§4.4). The plan is
@@ -40,18 +40,16 @@ func (a *Analysis) build() {
 		f.Instrs(func(_ *ir.Block, in ir.Instr) {
 			switch in := in.(type) {
 			case *ir.Alloca:
-				o := a.newObject(ObjStack, in.Var, fn, in.ID, in.Ty)
-				a.objBySite[in.ID] = o
+				o := a.newObject(in.Obj, ObjStack, in.Var, fn, in.ID, in.Ty)
 				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.Malloc:
-				o := a.newObject(ObjHeap, "heap", fn, in.ID, in.SizeOf)
-				a.objBySite[in.ID] = o
+				o := a.newObject(in.Obj, ObjHeap, "heap", fn, in.ID, in.SizeOf)
 				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.AddrGlobal:
-				o := a.objByGlobal[in.Global]
+				o := a.objects[a.mod.Global(in.Global).Obj]
 				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.AddrFunc:
-				o := a.objByFunc[in.Func]
+				o := a.objects[a.mod.Func(in.Func).Obj]
 				a.addAddrOf(a.regNode(fn, in.Dest), o.NodeBase, in.ID)
 			case *ir.Copy:
 				a.addCopy(a.regNode(fn, in.Src), a.regNode(fn, in.Dest), in.ID, false)

@@ -261,13 +261,10 @@ type Analysis struct {
 	arithTo   [][]arithEdge
 	icallsAt  [][]*icallSite
 
-	copyEdges   edgeSet // every copy edge addCopy inserted, for dedupe
-	regNodes    map[regKey]int
-	retNodes    map[string]int
-	objBySite   map[int]*Object
-	objByGlobal map[string]*Object
-	objByFunc   map[string]*Object
-	icallSites  []*icallSite
+	copyEdges  edgeSet // every copy edge addCopy inserted, for dedupe
+	regNodes   map[regKey]int
+	retNodes   map[string]int
+	icallSites []*icallSite
 
 	worklist []int32
 	inWL     []bool
@@ -377,32 +374,30 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 	// the tables by append.
 	hint := m.NumInstrs() + len(m.Globals) + len(m.Funcs)
 	a := &Analysis{
-		mod:         m,
-		layouts:     ir.NewLayouts(),
-		cfg:         cfg,
-		regNodes:    map[regKey]int{},
-		retNodes:    map[string]int{},
-		objBySite:   map[int]*Object{},
-		objByGlobal: map[string]*Object{},
-		objByFunc:   map[string]*Object{},
-		paFiltered:  map[int]map[int]bool{},
-		ctxSkip:     map[int]bool{},
-		pwcRecords:  map[string]bool{},
-		paDisabled:  map[int]bool{},
-		pwcDone:     map[int]bool{},
-		prep:        true,
-		walking:     -1,
-		nodes:       make([]node, 0, hint),
-		rep:         make([]int32, 0, hint),
-		pts:         make([]*bitset.Set, 0, hint),
-		delta:       make([]*bitset.Set, 0, hint),
-		inWL:        make([]bool, 0, hint),
-		copyTo:      make([][]copyEdge, 0, hint),
-		gepTo:       make([][]*gepEdge, 0, hint),
-		loadTo:      make([][]depEdge, 0, hint),
-		storeFrom:   make([][]depEdge, 0, hint),
-		arithTo:     make([][]arithEdge, 0, hint),
-		icallsAt:    make([][]*icallSite, 0, hint),
+		mod:        m,
+		layouts:    ir.NewLayouts(),
+		cfg:        cfg,
+		regNodes:   map[regKey]int{},
+		retNodes:   map[string]int{},
+		paFiltered: map[int]map[int]bool{},
+		ctxSkip:    map[int]bool{},
+		pwcRecords: map[string]bool{},
+		paDisabled: map[int]bool{},
+		pwcDone:    map[int]bool{},
+		prep:       true,
+		walking:    -1,
+		nodes:      make([]node, 0, hint),
+		rep:        make([]int32, 0, hint),
+		pts:        make([]*bitset.Set, 0, hint),
+		delta:      make([]*bitset.Set, 0, hint),
+		objects:    make([]*Object, m.NumObjects()),
+		inWL:       make([]bool, 0, hint),
+		copyTo:     make([][]copyEdge, 0, hint),
+		gepTo:      make([][]*gepEdge, 0, hint),
+		loadTo:     make([][]depEdge, 0, hint),
+		storeFrom:  make([][]depEdge, 0, hint),
+		arithTo:    make([][]arithEdge, 0, hint),
+		icallsAt:   make([][]*icallSite, 0, hint),
 	}
 	a.buildStart = time.Now()
 	a.build()

@@ -172,7 +172,7 @@ const (
 	tabICall                      // the icall lists and their sites
 	tabHCD                        // the HCD lists and entries
 	tabRep                        // the union-find table
-	tabObjects                    // the objects and the maps onto them
+	tabObjects                    // the objects
 	tabNames                      // the register and return node maps
 
 	// nodeTables are the tables with one entry per node.
@@ -309,9 +309,6 @@ func (a *Analysis) unshareTables(t tables) {
 			own[i] = &objs[i]
 		}
 		a.objects = own
-		a.objBySite = remapObjects(a.objBySite, a.objects)
-		a.objByGlobal = remapObjects(a.objByGlobal, a.objects)
-		a.objByFunc = remapObjects(a.objByFunc, a.objects)
 	}
 	if t&tabNames != 0 {
 		a.regNodes = maps.Clone(a.regNodes)
@@ -363,15 +360,6 @@ func copyICalls(sites []*icallSite, lists [][]*icallSite) ([]*icallSite, [][]*ic
 		}
 	}
 	return outSites, out
-}
-
-// remapObjects points an object index at the copied objects.
-func remapObjects[K comparable](m map[K]*Object, objs []*Object) map[K]*Object {
-	out := make(map[K]*Object, len(m))
-	for k, o := range m {
-		out[k] = objs[o.Index]
-	}
-	return out
 }
 
 // clipEach copies an adjacency list's outer slice and clips every inner

@@ -46,7 +46,7 @@ func (k ObjKind) String() string {
 // objects occupy Size consecutive slot nodes starting at NodeBase; slot k
 // corresponds to FlattenedFields(Type)[k].
 type Object struct {
-	Index    int // position in Analysis.Objects()
+	Index    int // position in Analysis.Objects(): the object's IR number
 	NodeBase int // node ID of slot 0
 	Size     int // number of analysis slots
 	Kind     ObjKind
@@ -181,14 +181,15 @@ func (a *Analysis) retNode(fn string) int {
 	return id
 }
 
-// newObject creates an abstract object with the given layout and returns it.
-func (a *Analysis) newObject(kind ObjKind, name, fn string, site int, t ir.Type) *Object {
+// newObject creates the abstract object with IR number idx and the given
+// layout, places it at a.objects[idx], and returns it.
+func (a *Analysis) newObject(idx int, kind ObjKind, name, fn string, site int, t ir.Type) *Object {
 	size := 1
 	if t != nil {
 		size = a.layouts.Of(t).AnalysisSize
 	}
 	o := &Object{
-		Index: len(a.objects),
+		Index: idx,
 		Kind:  kind,
 		Name:  name,
 		Fn:    fn,
@@ -200,7 +201,7 @@ func (a *Analysis) newObject(kind ObjKind, name, fn string, site int, t ir.Type)
 	for s := 0; s < size; s++ {
 		a.newNode(node{kind: nodeObj, obj: int32(o.Index), slot: int32(s)})
 	}
-	a.objects = append(a.objects, o)
+	a.objects[idx] = o
 	if t == nil && kind == ObjHeap {
 		// Unknown-type heap objects are modeled as a single collapsed slot:
 		// any field access resolves to the base (sound, imprecise), and §6's

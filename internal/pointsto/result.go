@@ -44,18 +44,25 @@ func (r *Result) Stats() Stats { return r.a.stats }
 // analysis (empty for the baseline; shrinks after Restore calls).
 func (r *Result) Invariants() []invariant.Record { return r.a.invariantRecords() }
 
-// Objects returns all abstract objects in deterministic order.
+// Objects returns all abstract objects, each at its IR number
+// (ir.Module.Finalize).
 func (r *Result) Objects() []*Object { return r.a.objects }
 
-// ObjectBySite returns the abstract object allocated at instruction id
-// (alloca or malloc sites), or nil.
-func (r *Result) ObjectBySite(id int) *Object { return r.a.objBySite[id] }
-
 // ObjectByGlobal returns the abstract object of a global, or nil.
-func (r *Result) ObjectByGlobal(name string) *Object { return r.a.objByGlobal[name] }
+func (r *Result) ObjectByGlobal(name string) *Object {
+	if g := r.a.mod.Global(name); g != nil {
+		return r.a.objects[g.Obj]
+	}
+	return nil
+}
 
 // ObjectByFunc returns the abstract object of a function, or nil.
-func (r *Result) ObjectByFunc(name string) *Object { return r.a.objByFunc[name] }
+func (r *Result) ObjectByFunc(name string) *Object {
+	if f := r.a.mod.Func(name); f != nil {
+		return r.a.objects[f.Obj]
+	}
+	return nil
+}
 
 // ObjSlot is one element of a canonical points-to set at the id level: an
 // object's index in Objects() and the analysis slot within it (0 for the
