@@ -469,3 +469,35 @@ int main() {
 		t.Errorf("stores = %d, want >= 4", n)
 	}
 }
+
+// TestDiagnosticPrecedence: a character the lexer rejects, or a block
+// comment that never closes, is the reported diagnostic even when a parse
+// error comes earlier in the source.
+func TestDiagnosticPrecedence(t *testing.T) {
+	cases := []struct {
+		name, src string
+		line      int
+		msg       string
+	}{
+		{
+			"parse error then bad character",
+			"int main() {\n  int x\n  x = 1;\n  return x;\n}\n\nint f() {\n  int y;\n  y = 1 @ 2;\n  return y;\n}\n",
+			9, `unexpected character '@'`,
+		},
+		{
+			"parse error then unterminated comment",
+			"int main() {\n  return 0\n}\n/* never closed\nint g;\n",
+			4, "unterminated /* comment",
+		},
+	}
+	for _, c := range cases {
+		_, err := Compile("t", c.src)
+		var e *Error
+		if !errors.As(err, &e) {
+			t.Fatalf("%s: Compile = %v, want *Error", c.name, err)
+		}
+		if e.Line != c.line || e.Msg != c.msg {
+			t.Errorf("%s: Compile = %v, want line %d: %s", c.name, err, c.line, c.msg)
+		}
+	}
+}
