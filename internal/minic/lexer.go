@@ -53,55 +53,62 @@ func errf(line int, format string, args ...any) *Error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// lexer scans MiniC source one token at a time; the parser pulls tokens
+// through a three-token window (parser.go), so compiling holds no token
+// table and a token costs no allocation: its text is a substring of the
+// source. The first lex error stops the scan: from then on next returns
+// tokEOF and err holds the error.
 type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []token
+	err  error
 }
 
-// lex tokenizes src, returning all tokens (terminated by tokEOF). The token
-// slice is sized once from the source length: generated and hand-written
-// MiniC both run above two bytes per token, so len(src)/2+1 holds every
-// token in one allocation (16 bytes per source byte up front); a denser
-// source grows by append.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1, toks: make([]token, 0, len(src)/2+1)}
-	for {
-		if err := l.skipSpaceAndComments(); err != nil {
-			return nil, err
-		}
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, line: l.line})
-			return l.toks, nil
-		}
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(c):
-			start := l.pos
-			for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
-				l.pos++
-			}
-			text := l.src[start:l.pos]
-			kind := tokIdent
-			if keywords[text] {
-				kind = tokKeyword
-			}
-			l.toks = append(l.toks, token{kind: kind, text: text, line: l.line})
-		case c >= '0' && c <= '9':
-			start := l.pos
-			for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tokInt, text: l.src[start:l.pos], line: l.line})
-		default:
-			p, err := l.punct()
-			if err != nil {
-				return nil, err
-			}
-			l.toks = append(l.toks, token{kind: tokPunct, text: p, line: l.line})
-		}
+// next scans and returns the next token, or tokEOF at the end of the
+// source or after a lex error.
+func (l *lexer) next() token {
+	if l.err != nil {
+		return token{kind: tokEOF, line: l.line}
 	}
+	if l.err = l.skipSpaceAndComments(); l.err != nil || l.pos >= len(l.src) {
+		return token{kind: tokEOF, line: l.line}
+	}
+	c := l.src[l.pos]
+	switch {
+	case isIdentStart(c):
+		start := l.pos
+		for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
+			l.pos++
+		}
+		text := l.src[start:l.pos]
+		kind := tokIdent
+		if keywords[text] {
+			kind = tokKeyword
+		}
+		return token{kind: kind, text: text, line: l.line}
+	case c >= '0' && c <= '9':
+		start := l.pos
+		for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
+			l.pos++
+		}
+		return token{kind: tokInt, text: l.src[start:l.pos], line: l.line}
+	}
+	p, err := l.punct()
+	if err != nil {
+		l.err = err
+		return token{kind: tokEOF, line: l.line}
+	}
+	return token{kind: tokPunct, text: p, line: l.line}
+}
+
+// finish scans what the parser left unread and returns the source's first
+// lex error, or nil. A lex error anywhere outranks any parse error, so
+// Compile reports this before the parser's own diagnostic.
+func (l *lexer) finish() error {
+	for l.next().kind != tokEOF {
+	}
+	return l.err
 }
 
 // skipSpaceAndComments advances past whitespace and comments. A block

@@ -6,11 +6,11 @@ import (
 
 // Compile parses and lowers MiniC source to a finalized KIR module.
 func Compile(name, src string) (*ir.Module, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	p := newParser(src)
+	prog, err := p.parseProgram()
+	if lexErr := p.lx.finish(); lexErr != nil {
+		return nil, lexErr
 	}
-	prog, err := parseProgram(toks)
 	if err != nil {
 		return nil, err
 	}

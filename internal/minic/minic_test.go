@@ -41,8 +41,24 @@ func countInstr[T ir.Instr](m *ir.Module) int {
 	return n
 }
 
+// lexAll scans src to the end and returns its tokens, tokEOF last.
+func lexAll(src string) ([]token, error) {
+	l := lexer{src: src, line: 1}
+	var toks []token
+	for {
+		tk := l.next()
+		if l.err != nil {
+			return nil, l.err
+		}
+		toks = append(toks, tk)
+		if tk.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
-	toks, err := lex("int x; // comment\n/* block\ncomment */ x = x -> y && 12;")
+	toks, err := lexAll("int x; // comment\n/* block\ncomment */ x = x -> y && 12;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +83,7 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexRejectsBadChar(t *testing.T) {
-	if _, err := lex("int x @ y;"); err == nil {
+	if _, err := lexAll("int x @ y;"); err == nil {
 		t.Fatal("lex accepted '@'")
 	}
 }
@@ -97,7 +113,7 @@ func TestLexRejectsUnterminatedComment(t *testing.T) {
 	}
 	// Closed comments, including "/*/" openers and one ending the source,
 	// still lex, and lines inside them are counted.
-	toks, err := lex("/*/ a */ int\n/* b\n*/ x; /* c */")
+	toks, err := lexAll("/*/ a */ int\n/* b\n*/ x; /* c */")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,32 +122,34 @@ func TestLexRejectsUnterminatedComment(t *testing.T) {
 	}
 }
 
-// TestLexAllocs: lexing makes the same small number of allocations whatever
-// the source size (the token slice is sized once from the source length,
-// and token texts are substrings of the source).
+// TestLexAllocs: scanning every token of a source makes the same small
+// number of allocations whatever its size, so the scanner allocates nothing
+// per token (token texts are substrings of the source, and no token table
+// is kept).
 func TestLexAllocs(t *testing.T) {
 	small := mbedSnippet
 	large := strings.Repeat(mbedSnippet, 100)
 	var want float64
 	for i, src := range []string{small, large} {
 		n := testing.AllocsPerRun(10, func() {
-			if _, err := lex(src); err != nil {
-				t.Fatal(err)
+			l := lexer{src: src, line: 1}
+			if l.finish() != nil {
+				t.Fatal(l.err)
 			}
 		})
-		if n > 2 {
-			t.Errorf("lex(%d bytes): %.0f allocations, want <= 2", len(src), n)
+		if n > 0 {
+			t.Errorf("scan(%d bytes): %.0f allocations, want 0", len(src), n)
 		}
 		if i == 0 {
 			want = n
 		} else if n != want {
-			t.Errorf("lex(%d bytes): %.0f allocations, lex(%d bytes): %.0f; want the same", len(small), want, len(src), n)
+			t.Errorf("scan(%d bytes): %.0f allocations, scan(%d bytes): %.0f; want the same", len(small), want, len(src), n)
 		}
 	}
 }
 
 func TestLexTracksLines(t *testing.T) {
-	toks, err := lex("int x;\n\nint y;")
+	toks, err := lexAll("int x;\n\nint y;")
 	if err != nil {
 		t.Fatal(err)
 	}

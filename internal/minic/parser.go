@@ -2,19 +2,29 @@ package minic
 
 import "strconv"
 
+// parser is a recursive-descent parser over a window of the lexer's next
+// three tokens: win[0] is the current token, and parseProgram's struct test
+// looks furthest ahead, at win[2]. Past the end every window slot holds
+// tokEOF.
 type parser struct {
-	toks []token
-	pos  int
+	lx  lexer
+	win [3]token
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func newParser(src string) *parser {
+	p := &parser{lx: lexer{src: src, line: 1}}
+	for i := range p.win {
+		p.win[i] = p.lx.next()
+	}
+	return p
+}
+
+func (p *parser) cur() token  { return p.win[0] }
+func (p *parser) peek() token { return p.win[1] }
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
-	}
+	t := p.win[0]
+	p.win[0], p.win[1], p.win[2] = p.win[1], p.win[2], p.lx.next()
 	return t
 }
 
@@ -81,11 +91,10 @@ func (p *parser) parseTypeSpec() (typeSpec, error) {
 }
 
 // parseProgram parses a whole translation unit.
-func parseProgram(toks []token) (*program, error) {
-	p := &parser{toks: toks}
+func (p *parser) parseProgram() (*program, error) {
 	prog := &program{}
 	for p.cur().kind != tokEOF {
-		if p.at(tokKeyword, "struct") && p.peek().kind == tokIdent && p.toks[min(p.pos+2, len(p.toks)-1)].text == "{" {
+		if p.at(tokKeyword, "struct") && p.peek().kind == tokIdent && p.win[2].text == "{" {
 			sd, err := p.parseStructDecl()
 			if err != nil {
 				return nil, err
