@@ -207,7 +207,7 @@ func (h *Hardened) NewExecution(track bool) *Execution {
 // the runtime's monitor hooks for the execution's lifetime.
 func (h *Hardened) NewExecutionChecked(track bool, faults *faultinject.Plan) (*Execution, error) {
 	sw, secret := memview.NewSwitcher(h.Optimistic, h.Fallback)
-	rt, _, err := memview.BuildRuntime(h.Sys.Optimistic, sw.Handler(secret), faults)
+	rt, err := memview.BuildRuntime(h.Sys.Optimistic, sw.Handler(secret), faults)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func (h *Hardened) NewExecutionChecked(track bool, faults *faultinject.Plan) (*E
 // which is what every execution's runtime installs first.
 func (h *Hardened) program() *interp.Program {
 	h.progOnce.Do(func() {
-		h.prog = interp.Compile(h.Sys.Module, instrumentation(h.Sys.Optimistic))
+		h.prog = interp.Compile(h.Sys.Module, memview.Instrumentation(h.Sys.Optimistic))
 	})
 	return h.prog
 }
@@ -232,19 +232,7 @@ func (h *Hardened) program() *interp.Program {
 // MonitorSites returns the number of distinct instrumented monitor sites in
 // a hardened execution (the "Total" column of Tables 4 and 5).
 func (h *Hardened) MonitorSites() int {
-	return instrumentation(h.Sys.Optimistic).NumMonitorSites()
-}
-
-// instrumentation returns the interpreter instrumentation the monitors of
-// opt need.
-func instrumentation(opt *pointsto.Result) *interp.Instrumentation {
-	_, ins, err := memview.BuildRuntime(opt, nil, nil)
-	if err != nil {
-		// Unreachable: without a fault plan, only a defect in the analysis
-		// can produce a corrupt record.
-		panic(err)
-	}
-	return ins
+	return memview.Instrumentation(h.Sys.Optimistic).NumMonitorSites()
 }
 
 // Run executes the entry function under monitoring.

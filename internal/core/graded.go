@@ -48,7 +48,7 @@ func AnalyzeGraded(analyze func(invariant.Config) *System) *GradedSystem {
 		g.Module = s.Module
 		g.Systems[cfg.Name()] = s
 		g.Policies[cfg.Name()] = cfi.PolicyFrom(s.Optimistic)
-		ins := instrumentation(s.Optimistic)
+		ins := memview.Instrumentation(s.Optimistic)
 		for site := range ins.PtrAddSites {
 			union.PtrAddSites[site] = true
 		}
@@ -107,7 +107,7 @@ func (c *GradedController) OnViolation(v memview.Violation) {
 	if next == c.cur {
 		return // policy already degraded; nothing further to drop
 	}
-	if _, err := c.rt.Install(c.g.Systems[next.Name()].Optimistic); err != nil {
+	if err := c.rt.Install(c.g.Systems[next.Name()].Optimistic); err != nil {
 		panic(err) // unreachable: the controller arms no fault plan
 	}
 	c.cur = next
@@ -125,7 +125,7 @@ type GradedExecution struct {
 // instrumented with every level's monitor sites.
 func (g *GradedSystem) NewExecution(track bool) *GradedExecution {
 	ctrl := &GradedController{g: g, cur: invariant.All()}
-	rt, _, err := memview.BuildRuntime(g.Systems[ctrl.cur.Name()].Optimistic, ctrl, nil)
+	rt, err := memview.BuildRuntime(g.Systems[ctrl.cur.Name()].Optimistic, ctrl, nil)
 	if err != nil {
 		panic(err) // unreachable: no fault plan
 	}

@@ -45,7 +45,7 @@ type IncrementalExecution struct {
 // any number of executions may run on one System concurrently.
 func (s *System) NewIncrementalExecution(track bool) *IncrementalExecution {
 	ctrl := &IncrementalController{opt: s.Optimistic, policy: cfi.PolicyFrom(s.Optimistic)}
-	rt, _, err := memview.BuildRuntime(s.Optimistic, ctrl, nil)
+	rt, err := memview.BuildRuntime(s.Optimistic, ctrl, nil)
 	if err != nil {
 		panic(err) // unreachable: no fault plan
 	}
@@ -97,7 +97,7 @@ func (c *IncrementalController) OnViolation(v memview.Violation) {
 			c.opt = next
 			c.Restores++
 			c.policy = cfi.PolicyFrom(next)
-			if _, err := c.rt.Install(next); err != nil {
+			if err := c.rt.Install(next); err != nil {
 				panic(err) // unreachable: the controller arms no fault plan
 			}
 		}
@@ -111,7 +111,7 @@ func (c *IncrementalController) OnViolation(v memview.Violation) {
 // arithmetic and field-access sites must carry hooks from the start (the
 // hooks no-op while the runtime has no entry for a site).
 func fullInstrumentation(m *ir.Module, opt *pointsto.Result) *interp.Instrumentation {
-	ins := instrumentation(opt)
+	ins := memview.Instrumentation(opt)
 	for _, f := range m.Funcs {
 		f.Instrs(func(_ *ir.Block, in ir.Instr) {
 			switch in.(type) {

@@ -39,11 +39,11 @@ func sharedApps(t *testing.T) []sharedApp {
 func freshRun(t *testing.T, h *Hardened, track bool, in []int64) *interp.Trace {
 	t.Helper()
 	sw, secret := memview.NewSwitcher(h.Optimistic, h.Fallback)
-	rt, ins, err := memview.BuildRuntime(h.Sys.Optimistic, sw.Handler(secret), nil)
+	rt, err := memview.BuildRuntime(h.Sys.Optimistic, sw.Handler(secret), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return interp.New(h.Sys.Module, interp.Config{Hooks: rt, Instr: ins, TrackPointsTo: track}).Run("main", in)
+	return interp.New(h.Sys.Module, interp.Config{Hooks: rt, Instr: memview.Instrumentation(h.Sys.Optimistic), TrackPointsTo: track}).Run("main", in)
 }
 
 // traceDiff lists every observable on which got and want differ.

@@ -74,34 +74,23 @@ func (e *CorruptRecordError) Error() string {
 }
 
 // BuildRuntime builds the monitor runtime of one execution, with h as its
-// handler and the monitors of the optimistic analysis result installed, and
-// returns it with the interpreter instrumentation those monitors need. A
-// caller that wants only the instrumentation may pass a nil handler and
-// drop the runtime. faults optionally arms fault injection: a
-// SpuriousViolation fires inside a monitor hook (reporting a violation no
-// real breach caused), and a CorruptRecord mutates one invariant record
-// before wiring, which validation must then catch.
-func BuildRuntime(opt *pointsto.Result, h Handler, faults *faultinject.Plan) (*Runtime, *interp.Instrumentation, error) {
+// handler and the monitors of the optimistic analysis result installed.
+// The interpreter sites those monitors watch are Instrumentation(opt).
+// faults optionally arms fault injection: a SpuriousViolation fires inside
+// a monitor hook (reporting a violation no real breach caused), and a
+// CorruptRecord mutates one invariant record before wiring, which
+// validation must then catch.
+func BuildRuntime(opt *pointsto.Result, h Handler, faults *faultinject.Plan) (*Runtime, error) {
 	rt := &Runtime{handler: h, faults: faults}
-	ins, err := rt.Install(opt)
-	if err != nil {
-		return nil, nil, err
+	if err := rt.Install(opt); err != nil {
+		return nil, err
 	}
-	return rt, ins, nil
+	return rt, nil
 }
 
-// Install replaces the runtime's monitors with those of opt and returns the
-// instrumentation they need. Monitor state carries over for every
-// invariant both results assume: a Ctx invariant by its site, a PWC
-// invariant by its cycle. Every invariant record is validated before any
-// monitor is wired from it; a record that fails validation, whether from an
-// injected CorruptRecord fault or a real defect upstream, surfaces as a
-// typed *CorruptRecordError and leaves the runtime as it was.
-//
-// A handler may Install from inside OnViolation, that is, inside a hook: a
-// hook that is still running finishes against the tables it started with,
-// and its writes to kept state land in the state the new tables hold.
-func (rt *Runtime) Install(opt *pointsto.Result) (*interp.Instrumentation, error) {
+// Instrumentation returns the interpreter instrumentation the monitors of
+// opt need: the sites whose execution calls a Runtime hook.
+func Instrumentation(opt *pointsto.Result) *interp.Instrumentation {
 	ins := &interp.Instrumentation{
 		PtrAddSites: map[int]bool{},
 		FieldSites:  map[int]bool{},
@@ -109,6 +98,36 @@ func (rt *Runtime) Install(opt *pointsto.Result) (*interp.Instrumentation, error
 		CtxChecks:   map[int][]invariant.CtxSample{},
 		CheckICalls: true,
 	}
+	for _, rec := range opt.Invariants() {
+		switch rec.Kind {
+		case invariant.PA:
+			ins.PtrAddSites[rec.Site] = true
+		case invariant.PWC:
+			for _, site := range rec.CycleFieldSites {
+				ins.FieldSites[site] = true
+			}
+		case invariant.Ctx:
+			ins.CtxChecks[rec.Site] = rec.CtxSamples
+			for _, cs := range rec.Callsites {
+				ins.CtxCallArgs[cs] = rec.CtxParams
+			}
+		}
+	}
+	return ins
+}
+
+// Install replaces the runtime's monitors with those of opt. Monitor state
+// carries over for every invariant both results assume: a Ctx invariant by
+// its site, a PWC invariant by its cycle. Every invariant record is
+// validated before any monitor is wired from it; a record that fails
+// validation, whether from an injected CorruptRecord fault or a real defect
+// upstream, surfaces as a typed *CorruptRecordError and leaves the runtime
+// as it was.
+//
+// A handler may Install from inside OnViolation, that is, inside a hook: a
+// hook that is still running finishes against the tables it started with,
+// and its writes to kept state land in the state the new tables hold.
+func (rt *Runtime) Install(opt *pointsto.Result) error {
 	paFiltered := map[int]*bitset.Set{}
 	pwcGroups := map[int][]map[slotAddr]bool{}
 	pwcGen := map[string]map[slotAddr]bool{}
@@ -117,11 +136,10 @@ func (rt *Runtime) Install(opt *pointsto.Result) (*interp.Instrumentation, error
 	numObjs := len(opt.Objects())
 	for idx, rec := range corruptRecords(opt.Invariants(), rt.faults) {
 		if reason := validateRecord(rec, numObjs); reason != "" {
-			return nil, &CorruptRecordError{Index: idx, Kind: rec.Kind, Reason: reason}
+			return &CorruptRecordError{Index: idx, Kind: rec.Kind, Reason: reason}
 		}
 		switch rec.Kind {
 		case invariant.PA:
-			ins.PtrAddSites[rec.Site] = true
 			// An analysis object's index is its IR number, and so the ID
 			// of every runtime object made for it.
 			n := 0
@@ -143,7 +161,6 @@ func (rt *Runtime) Install(opt *pointsto.Result) (*interp.Instrumentation, error
 			}
 			pwcGen[cycle] = gen
 			for _, site := range rec.CycleFieldSites {
-				ins.FieldSites[site] = true
 				pwcGroups[site] = append(pwcGroups[site], gen)
 			}
 		case invariant.Ctx:
@@ -151,17 +168,15 @@ func (rt *Runtime) Install(opt *pointsto.Result) (*interp.Instrumentation, error
 			if st == nil {
 				st = &ctxState{}
 			}
-			ins.CtxChecks[rec.Site] = rec.CtxSamples
 			ctxCheckInv[rec.Site] = st
 			for _, cs := range rec.Callsites {
-				ins.CtxCallArgs[cs] = rec.CtxParams
 				ctxCallInv[cs] = st
 			}
 		}
 	}
 	rt.paFiltered, rt.pwcGroups, rt.pwcGen = paFiltered, pwcGroups, pwcGen
 	rt.ctxCallInv, rt.ctxCheckInv = ctxCallInv, ctxCheckInv
-	return ins, nil
+	return nil
 }
 
 // validateRecord checks the structural integrity of one invariant record

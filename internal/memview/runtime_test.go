@@ -53,11 +53,11 @@ func (r *recorder) Permits(_ int, _ string) bool { return true }
 // buildRuntime builds a runtime whose handler is h.
 func buildRuntime(t *testing.T, r *pointsto.Result, h Handler) (*Runtime, *interp.Instrumentation) {
 	t.Helper()
-	rt, ins, err := BuildRuntime(r, h, nil)
+	rt, err := BuildRuntime(r, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt, ins
+	return rt, Instrumentation(r)
 }
 
 func TestPAMonitorFiresOnlyForFilteredObjects(t *testing.T) {
@@ -247,7 +247,7 @@ func TestInstallKeepsMonitorState(t *testing.T) {
 	rt.CtxCall(callSite, []interp.Value{interp.PtrVal(h1, 0)})
 	install := func(r *pointsto.Result) {
 		t.Helper()
-		if _, err := rt.Install(r); err != nil {
+		if err := rt.Install(r); err != nil {
 			t.Fatal(err)
 		}
 	}

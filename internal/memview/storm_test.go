@@ -87,8 +87,8 @@ func TestBuildRuntimeRejectsCorruptRecord(t *testing.T) {
 	}
 	sw, secret := NewSwitcher(&cfi.Policy{}, &cfi.Policy{})
 	plan := faultinject.Explicit(faultinject.CorruptRecord)
-	rt, ins, err := BuildRuntime(r, sw.Handler(secret), plan)
-	if rt != nil || ins != nil {
+	rt, err := BuildRuntime(r, sw.Handler(secret), plan)
+	if rt != nil {
 		t.Fatal("corrupt record still produced a runtime")
 	}
 	var cre *CorruptRecordError
@@ -100,7 +100,7 @@ func TestBuildRuntimeRejectsCorruptRecord(t *testing.T) {
 	}
 	// Clean build from the same (unmutated) result must still succeed: the
 	// corruption happened in a copy.
-	if _, _, err := BuildRuntime(r, sw.Handler(secret), nil); err != nil {
+	if _, err := BuildRuntime(r, sw.Handler(secret), nil); err != nil {
 		t.Fatalf("clean rebuild failed: %v", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestInjectedSpuriousViolationSwitches(t *testing.T) {
 	r := pointsto.New(m, invariant.All()).Solve()
 	sw, secret := NewSwitcher(&cfi.Policy{}, &cfi.Policy{})
 	plan := faultinject.Explicit(faultinject.SpuriousViolation)
-	rt, _, err := BuildRuntime(r, sw.Handler(secret), plan)
+	rt, err := BuildRuntime(r, sw.Handler(secret), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

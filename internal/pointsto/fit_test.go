@@ -1,0 +1,62 @@
+package pointsto
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/invariant"
+	"repro/internal/ir"
+	"repro/internal/minic"
+	"repro/internal/workload"
+)
+
+// nodeTableCaps returns the capacity of every per-node table.
+func nodeTableCaps(a *Analysis) [11]int {
+	return [11]int{
+		cap(a.nodes), cap(a.rep), cap(a.pts), cap(a.delta), cap(a.inWL),
+		cap(a.copyTo), cap(a.gepTo), cap(a.loadTo), cap(a.storeFrom),
+		cap(a.arithTo), cap(a.icallsAt),
+	}
+}
+
+// TestNodeTablesFit: New sizes the per-node tables once, from the module's
+// own counts. Neither the build nor the solve, which adds parameter and
+// return nodes as indirect calls resolve, grows any of them, and on
+// analyze-30k's program the reserve stays within a quarter of the nodes the
+// solved graph holds.
+func TestNodeTablesFit(t *testing.T) {
+	type unit struct {
+		name string
+		m    *ir.Module
+	}
+	var units []unit
+	for _, app := range workload.Apps() {
+		units = append(units, unit{app.Name, app.MustModule()})
+	}
+	compile := func(name, src string) {
+		m, err := minic.Compile(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		units = append(units, unit{name, m})
+	}
+	for _, n := range []int{10, 34, 1000} {
+		compile(fmt.Sprintf("scaled-1-%d", n), workload.ScaledProgram(1, n))
+	}
+	for _, seed := range []int64{1, 7, 13} {
+		compile(fmt.Sprintf("randprog-%d", seed), workload.RandomProgram(seed))
+	}
+	for _, u := range units {
+		for _, cfg := range []invariant.Config{{}, invariant.All()} {
+			a := New(u.m, cfg)
+			before := nodeTableCaps(a)
+			a.Solve()
+			if after := nodeTableCaps(a); after != before {
+				t.Errorf("%s %s: node table capacities %v after Solve, %v after New", u.name, cfg.Name(), after, before)
+			}
+			if u.name == "scaled-1-1000" && 4*before[0] > 5*len(a.nodes) {
+				t.Errorf("%s %s: reserved %d node slots for %d nodes, want at most 1.25x", u.name, cfg.Name(), before[0], len(a.nodes))
+			}
+		}
+	}
+}

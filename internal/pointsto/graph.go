@@ -369,15 +369,10 @@ const DeltaAutoThreshold = 2048
 // New builds the constraint graph for m under cfg. Call Solve to run the
 // analysis.
 func New(m *ir.Module, cfg invariant.Config) *Analysis {
-	// Presize the per-node tables: one node per instruction, global and
-	// function covers the usual program, and nodes beyond the hint grow
-	// the tables by append.
-	hint := m.NumInstrs() + len(m.Globals) + len(m.Funcs)
 	a := &Analysis{
 		mod:        m,
 		layouts:    ir.NewLayouts(),
 		cfg:        cfg,
-		regNodes:   map[regKey]int{},
 		retNodes:   map[string]int{},
 		paFiltered: map[int]map[int]bool{},
 		ctxSkip:    map[int]bool{},
@@ -386,19 +381,24 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		pwcDone:    map[int]bool{},
 		prep:       true,
 		walking:    -1,
-		nodes:      make([]node, 0, hint),
-		rep:        make([]int32, 0, hint),
-		pts:        make([]*bitset.Set, 0, hint),
-		delta:      make([]*bitset.Set, 0, hint),
 		objects:    make([]*Object, m.NumObjects()),
-		inWL:       make([]bool, 0, hint),
-		copyTo:     make([][]copyEdge, 0, hint),
-		gepTo:      make([][]*gepEdge, 0, hint),
-		loadTo:     make([][]depEdge, 0, hint),
-		storeFrom:  make([][]depEdge, 0, hint),
-		arithTo:    make([][]arithEdge, 0, hint),
-		icallsAt:   make([][]*icallSite, 0, hint),
 	}
+	// Size the per-node tables once, from the module's own counts, so
+	// neither the build nor the solve (which adds parameter and return
+	// nodes as indirect calls resolve) grows them.
+	regs, hint := a.nodeBound()
+	a.regNodes = make(map[regKey]int, regs)
+	a.nodes = make([]node, 0, hint)
+	a.rep = make([]int32, 0, hint)
+	a.pts = make([]*bitset.Set, 0, hint)
+	a.delta = make([]*bitset.Set, 0, hint)
+	a.inWL = make([]bool, 0, hint)
+	a.copyTo = make([][]copyEdge, 0, hint)
+	a.gepTo = make([][]*gepEdge, 0, hint)
+	a.loadTo = make([][]depEdge, 0, hint)
+	a.storeFrom = make([][]depEdge, 0, hint)
+	a.arithTo = make([][]arithEdge, 0, hint)
+	a.icallsAt = make([][]*icallSite, 0, hint)
 	a.buildStart = time.Now()
 	a.build()
 	a.buildDur = time.Since(a.buildStart)

@@ -55,28 +55,21 @@ type hcdEntry struct {
 func (a *Analysis) offlineHCD() {
 	n := len(a.nodes)
 	// Ids: [0,n) regular nodes, [n,2n) ref nodes (ref(v) = n+v), built only
-	// for reps with load/store constraints.
-	adj := make([][]int32, 2*n)
-	for v := 0; v < n; v++ {
-		if a.find(v) != v {
-			continue
-		}
-		for _, e := range a.copyTo[v] {
-			if w := a.find(e.to()); w != v {
-				adj[v] = append(adj[v], int32(w))
-			}
-		}
-		for _, e := range a.loadTo[v] {
-			adj[n+v] = append(adj[n+v], int32(a.find(int(e.other))))
-		}
-		for _, e := range a.storeFrom[v] {
-			adj[a.find(int(e.other))] = append(adj[a.find(int(e.other))], int32(n+v))
-		}
+	// for reps with load/store constraints. The graph is one flat adjacency:
+	// a first pass counts each node's out-edges, a second fills them in the
+	// same order, so node u's successors are edges[off[u]:off[u+1]].
+	off := make([]int32, 2*n+2)
+	edges := a.hcdEdges(n, off, nil)
+	for u := 2; u < len(off); u++ {
+		off[u] += off[u-1]
 	}
+	// off[u+1] is now where u's edges start; filling advances it to where
+	// they end, which is where u+1's start.
+	edges = a.hcdEdges(n, off, make([]int32, off[2*n+1]))
 	a.hcdAt = make([][]int32, n)
 	succ := func(v, i int) (int, bool) {
-		if i < len(adj[v]) {
-			return int(adj[v][i]), true
+		if j := int(off[v]) + i; j < int(off[v+1]) {
+			return int(edges[j]), true
 		}
 		return 0, false
 	}
@@ -109,6 +102,38 @@ func (a *Analysis) offlineHCD() {
 			a.hcdAt[r] = append(a.hcdAt[r], idx)
 		}
 	})
+}
+
+// hcdEdges visits the edges of offlineHCD's ref graph over n nodes, source
+// by source in a fixed order. With edges nil it counts each source u's
+// out-edges into off[u+2]; otherwise it stores each edge at off[u+1] and
+// advances off[u+1] past it. It returns edges.
+func (a *Analysis) hcdEdges(n int, off, edges []int32) []int32 {
+	add := func(u, w int) {
+		if edges == nil {
+			off[u+2]++
+			return
+		}
+		edges[off[u+1]] = int32(w)
+		off[u+1]++
+	}
+	for v := 0; v < n; v++ {
+		if a.find(v) != v {
+			continue
+		}
+		for _, e := range a.copyTo[v] {
+			if w := a.find(e.to()); w != v {
+				add(v, w)
+			}
+		}
+		for _, e := range a.loadTo[v] {
+			add(n+v, a.find(int(e.other)))
+		}
+		for _, e := range a.storeFrom[v] {
+			add(a.find(int(e.other)), n+v)
+		}
+	}
+	return edges
 }
 
 // hcdFire runs the recorded offline collapses for node v: every object slot

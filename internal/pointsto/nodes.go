@@ -181,13 +181,47 @@ func (a *Analysis) retNode(fn string) int {
 	return id
 }
 
+// nodeBound bounds, from counts the module already has, the registers the
+// analysis gives nodes to and the nodes it holds: every register an
+// instruction defines and every parameter, one return node per function,
+// and every analysis slot of every object. New sizes the per-node tables
+// and the register map from it, so they are allocated once.
+func (a *Analysis) nodeBound() (regs, nodes int) {
+	slots := 0
+	for _, g := range a.mod.Globals {
+		slots += a.objectSize(g.Type)
+	}
+	for _, f := range a.mod.Funcs {
+		regs += len(f.Params)
+		slots += a.objectSize(nil)
+		f.Instrs(func(_ *ir.Block, in ir.Instr) {
+			if in.Def() != "" {
+				regs++
+			}
+			switch in := in.(type) {
+			case *ir.Alloca:
+				slots += a.objectSize(in.Ty)
+			case *ir.Malloc:
+				slots += a.objectSize(in.SizeOf)
+			}
+		})
+	}
+	return regs, regs + len(a.mod.Funcs) + slots
+}
+
+// objectSize returns the number of analysis slots of an object of type t:
+// one for an object of unknown type.
+func (a *Analysis) objectSize(t ir.Type) int {
+	if t == nil {
+		return 1
+	}
+	return a.layouts.Of(t).AnalysisSize
+}
+
 // newObject creates the abstract object with IR number idx and the given
 // layout, places it at a.objects[idx], and returns it.
 func (a *Analysis) newObject(idx int, kind ObjKind, name, fn string, site int, t ir.Type) *Object {
-	size := 1
-	if t != nil {
-		size = a.layouts.Of(t).AnalysisSize
-	}
+	size := a.objectSize(t)
 	o := &Object{
 		Index: idx,
 		Kind:  kind,

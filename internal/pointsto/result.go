@@ -26,10 +26,11 @@ type ObjRef struct {
 // analysis once its Result exists: a restore derives a new analysis and
 // returns a new Result, so a Result can be shared and read concurrently.
 type Result struct {
-	a *Analysis
+	a    *Analysis
+	recs []invariant.Record // the invariants a assumes, derived once by the solve
 }
 
-func newResult(a *Analysis) *Result { return &Result{a: a} }
+func newResult(a *Analysis, recs []invariant.Record) *Result { return &Result{a: a, recs: recs} }
 
 // Config returns the invariant configuration the result was computed under.
 func (r *Result) Config() invariant.Config { return r.a.cfg }
@@ -41,8 +42,10 @@ func (r *Result) Module() *ir.Module { return r.a.mod }
 func (r *Result) Stats() Stats { return r.a.stats }
 
 // Invariants returns the likely invariants currently assumed by this
-// analysis (empty for the baseline; shrinks after Restore calls).
-func (r *Result) Invariants() []invariant.Record { return r.a.invariantRecords() }
+// analysis (empty for the baseline; shrinks after Restore calls). The solve
+// derives the records once; every caller shares them and must not modify
+// them.
+func (r *Result) Invariants() []invariant.Record { return r.recs[:len(r.recs):len(r.recs)] }
 
 // Objects returns all abstract objects, each at its IR number
 // (ir.Module.Finalize).

@@ -94,7 +94,8 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 		}
 		return nil, err
 	}
-	a.stats.MonitorSites = monitorSites(a.invariantRecords())
+	recs := a.invariantRecords()
+	a.stats.MonitorSites = monitorSites(recs)
 	// The spare delta sets only serve a running solve. So do the empty
 	// deltas a union that added nothing left behind (unionSetInto takes
 	// the target's delta first); a shared node's delta is its parent's,
@@ -111,7 +112,7 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 	a.flattenReps()
 	finishSolve()
 	a.flushMetrics()
-	return newResult(a), nil
+	return newResult(a, recs), nil
 }
 
 // flattenReps fully path-compresses every union-find pointer. It writes
