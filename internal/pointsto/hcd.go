@@ -59,13 +59,14 @@ func (a *Analysis) offlineHCD() {
 	// a first pass counts each node's out-edges, a second fills them in the
 	// same order, so node u's successors are edges[off[u]:off[u+1]].
 	off := make([]int32, 2*n+2)
-	edges := a.hcdEdges(n, off, nil)
+	a.hcdEdges(n, off, nil)
 	for u := 2; u < len(off); u++ {
 		off[u] += off[u-1]
 	}
 	// off[u+1] is now where u's edges start; filling advances it to where
 	// they end, which is where u+1's start.
-	edges = a.hcdEdges(n, off, make([]int32, off[2*n+1]))
+	edges := make([]int32, off[2*n+1])
+	a.hcdEdges(n, off, edges)
 	a.hcdAt = make([][]int32, n)
 	succ := func(v, i int) (int, bool) {
 		if j := int(off[v]) + i; j < int(off[v+1]) {
@@ -107,8 +108,8 @@ func (a *Analysis) offlineHCD() {
 // hcdEdges visits the edges of offlineHCD's ref graph over n nodes, source
 // by source in a fixed order. With edges nil it counts each source u's
 // out-edges into off[u+2]; otherwise it stores each edge at off[u+1] and
-// advances off[u+1] past it. It returns edges.
-func (a *Analysis) hcdEdges(n int, off, edges []int32) []int32 {
+// advances off[u+1] past it.
+func (a *Analysis) hcdEdges(n int, off, edges []int32) {
 	add := func(u, w int) {
 		if edges == nil {
 			off[u+2]++
@@ -133,7 +134,6 @@ func (a *Analysis) hcdEdges(n int, off, edges []int32) []int32 {
 			add(a.find(int(e.other)), n+v)
 		}
 	}
-	return edges
 }
 
 // hcdFire runs the recorded offline collapses for node v: every object slot

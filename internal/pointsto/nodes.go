@@ -185,7 +185,10 @@ func (a *Analysis) retNode(fn string) int {
 // analysis gives nodes to and the nodes it holds: every register an
 // instruction defines and every parameter, one return node per function,
 // and every analysis slot of every object. New sizes the per-node tables
-// and the register map from it, so they are allocated once.
+// and the register map from it, so they are allocated once. Registers that
+// get no node (constants, arithmetic, inputs) leave room for the Ctx
+// policy's per-callsite dummy nodes; a graph that still outgrows the bound
+// grows its tables by append.
 func (a *Analysis) nodeBound() (regs, nodes int) {
 	slots := 0
 	for _, g := range a.mod.Globals {
