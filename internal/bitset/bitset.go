@@ -278,34 +278,6 @@ func (s *Set) UnionDelta(t, delta *Set) int {
 	return added
 }
 
-// Intersects reports whether s and t share any element.
-func (s *Set) Intersects(t *Set) bool {
-	if t == nil {
-		return false
-	}
-	if s.inline() {
-		for i := 0; i < s.count; i++ {
-			if t.Has(int(s.small[i])) {
-				return true
-			}
-		}
-		return false
-	}
-	if t.inline() {
-		return t.Intersects(s)
-	}
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // SubsetOf reports whether every element of s is in t.
 func (s *Set) SubsetOf(t *Set) bool {
 	if s.inline() {
@@ -346,17 +318,6 @@ func (s *Set) SubsetOf(t *Set) bool {
 		}
 	}
 	return true
-}
-
-// Equal reports whether s and t contain exactly the same elements.
-func (s *Set) Equal(t *Set) bool {
-	if t == nil {
-		return s.count == 0
-	}
-	if s.count != t.count {
-		return false
-	}
-	return s.SubsetOf(t)
 }
 
 // Clone returns an independent copy of s, preserving its representation.
@@ -424,38 +385,6 @@ func (s *Set) AppendElements(buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// Min returns the smallest element, or -1 if the set is empty.
-func (s *Set) Min() int {
-	if s.inline() {
-		if s.count == 0 {
-			return -1
-		}
-		return int(s.small[0])
-	}
-	for i, w := range s.words {
-		if w != 0 {
-			return i*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// Max returns the largest element, or -1 if the set is empty.
-func (s *Set) Max() int {
-	if s.inline() {
-		if s.count == 0 {
-			return -1
-		}
-		return int(s.small[s.count-1])
-	}
-	for i := len(s.words) - 1; i >= 0; i-- {
-		if w := s.words[i]; w != 0 {
-			return i*wordBits + wordBits - 1 - bits.LeadingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // String renders the set as "{1, 5, 9}".

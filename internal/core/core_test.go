@@ -131,9 +131,8 @@ func TestViolationRunBlockedWithoutSwitch(t *testing.T) {
 	e := h.NewExecution(false)
 	// Disable the PA monitor by removing its instrumentation: rebuild an
 	// execution whose instrumentation lacks PtrAdd sites.
-	mc := interp.New(s.Module, interp.Config{
+	mc := interp.Compile(s.Module, &interp.Instrumentation{CheckICalls: true}).NewMachine(interp.Config{
 		Hooks: staticHooks{policy: h.Optimistic.Targets},
-		Instr: &interp.Instrumentation{CheckICalls: true},
 	})
 	tr := mc.Run("main", []int64{1, 0})
 	var cv *interp.CFIViolation

@@ -50,9 +50,8 @@ func (s *System) NewIncrementalExecution(track bool) *IncrementalExecution {
 		panic(err) // unreachable: no fault plan
 	}
 	ctrl.rt = rt
-	mc := interp.New(s.Module, interp.Config{
+	mc := interp.Compile(s.Module, fullInstrumentation(s.Module, s.Optimistic)).NewMachine(interp.Config{
 		Hooks:         rt,
-		Instr:         fullInstrumentation(s.Module, s.Optimistic),
 		TrackPointsTo: track,
 	})
 	return &IncrementalExecution{Machine: mc, Runtime: rt, Controller: ctrl}

@@ -149,7 +149,7 @@ func TestValueTextPinned(t *testing.T) {
 		ins.CtxCallArgs[id] = []int{0}
 	}
 	rec := &recordValues{}
-	tr := interp.New(s.Module, interp.Config{Hooks: rec, Instr: ins}).Run("main", []int64{3})
+	tr := interp.Compile(s.Module, ins).NewMachine(interp.Config{Hooks: rec}).Run("main", []int64{3})
 	if tr.Err != nil {
 		t.Fatal(tr.Err)
 	}

@@ -43,7 +43,7 @@ func freshRun(t *testing.T, h *Hardened, track bool, in []int64) *interp.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return interp.New(h.Sys.Module, interp.Config{Hooks: rt, Instr: memview.Instrumentation(h.Sys.Optimistic), TrackPointsTo: track}).Run("main", in)
+	return interp.Compile(h.Sys.Module, memview.Instrumentation(h.Sys.Optimistic)).NewMachine(interp.Config{Hooks: rt, TrackPointsTo: track}).Run("main", in)
 }
 
 // traceDiff lists every observable on which got and want differ.

@@ -397,7 +397,7 @@ int main() {
 		FieldSites:  map[int]bool{fieldSite: true},
 		CheckICalls: true,
 	}
-	tr := New(m, Config{Hooks: h, Instr: ins}).Run("main", []int64{2})
+	tr := Compile(m, ins).NewMachine(Config{Hooks: h}).Run("main", []int64{2})
 	if tr.Err != nil {
 		t.Fatalf("run: %v", tr.Err)
 	}
@@ -429,7 +429,7 @@ int main() {
 `
 	m := minic.MustCompile("cfi", src)
 	h := &recHooks{allow: false}
-	tr := New(m, Config{Hooks: h, Instr: &Instrumentation{CheckICalls: true}}).Run("main", nil)
+	tr := Compile(m, &Instrumentation{CheckICalls: true}).NewMachine(Config{Hooks: h}).Run("main", nil)
 	var cv *CFIViolation
 	if !errors.As(tr.Err, &cv) || cv.Target != "cb" {
 		t.Fatalf("err = %v, want CFI violation on cb", tr.Err)

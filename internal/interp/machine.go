@@ -72,11 +72,8 @@ type Config struct {
 	StepLimit     int64 // 0 = default (50M)
 	TrackPointsTo bool  // record dynamic points-to observations
 	Hooks         Hooks
-	// Instr selects the instrumented sites New compiles in. A Program fixes
-	// its own, so Program.NewMachine takes none.
-	Instr     *Instrumentation
-	HeapSlots int // runtime slots for unknown-type mallocs (default 16)
-	MaxDepth  int // call-stack depth limit (default 512)
+	HeapSlots     int // runtime slots for unknown-type mallocs (default 16)
+	MaxDepth      int // call-stack depth limit (default 512)
 	// Metrics, when non-nil, receives per-run execution telemetry: steps,
 	// memory operations, monitor fires per invariant kind, and CFI lookups.
 	Metrics *telemetry.Registry
@@ -136,19 +133,15 @@ type monitorFires struct {
 	cfi      int64 // CFI target lookups
 }
 
-// New compiles m under cfg.Instr and creates a machine for it.
+// New compiles m without instrumentation and creates a machine for it. An
+// instrumented machine comes from Compile(m, instr).NewMachine(cfg).
 func New(m *ir.Module, cfg Config) *Machine {
-	p := Compile(m, cfg.Instr)
-	cfg.Instr = nil
-	return p.NewMachine(cfg)
+	return Compile(m, nil).NewMachine(cfg)
 }
 
-// NewMachine creates a machine that runs p. The program fixed its
-// instrumentation when it was compiled, so cfg.Instr must be nil.
+// NewMachine creates a machine that runs p, with the instrumentation p was
+// compiled under.
 func (p *Program) NewMachine(cfg Config) *Machine {
-	if cfg.Instr != nil {
-		panic("interp: NewMachine with Config.Instr; the program's instrumentation applies")
-	}
 	if cfg.StepLimit == 0 {
 		cfg.StepLimit = 50_000_000
 	}

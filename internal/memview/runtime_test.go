@@ -1,6 +1,9 @@
 package memview
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/interp"
@@ -273,5 +276,57 @@ func TestInstallKeepsMonitorState(t *testing.T) {
 	rt.FieldAddr(site, interp.PtrVal(obj, 1), interp.PtrVal(obj, 2))
 	if len(rec.got) != 1 || rec.got[0].Kind != invariant.PWC {
 		t.Fatalf("reuse after an Install that keeps the cycle: violations %v, want one PWC", rec.got)
+	}
+}
+
+// TestInstallCarriesOverlappingPWCState installs the results of restoring,
+// one by one, the invariants of a program whose two positive-weight cycles
+// join into one (testdata/overlap_pwc.mc): the result that abandons the
+// first cycle assumes the second cycle and the joined one, both through
+// the second cycle's field site. The second cycle's generated addresses
+// must survive that Install, the joined cycle must start without any, and
+// an Install that retires both must drop every PWC monitor.
+func TestInstallCarriesOverlappingPWCState(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "overlap_pwc.mc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(r *pointsto.Result, i int) *pointsto.Result {
+		t.Helper()
+		next, err := r.Restore(r.Invariants()[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	joined := restore(solveSrc(t, string(src), invariant.All()), 0) // abandon the Ctx record
+	recs := joined.Invariants()
+	if len(recs) != 2 || recs[1].Kind != invariant.PWC || len(recs[1].CycleFieldSites) != 1 {
+		t.Fatalf("records %+v, want two one-site PWC records", recs)
+	}
+	site := recs[1].Site
+	rec := &recorder{}
+	rt, _ := buildRuntime(t, joined, rec)
+	obj := interp.NewObj(-1, "heap#1", 3)
+	rt.FieldAddr(site, interp.PtrVal(obj, 0), interp.PtrVal(obj, 2))
+
+	overlap := restore(joined, 0)
+	if recs := overlap.Invariants(); len(recs) != 2 || !slices.Equal(recs[0].CycleFieldSites, []int{site}) || len(recs[1].CycleFieldSites) != 2 {
+		t.Fatalf("records %+v, want PWC [%d] and the joined cycle", recs, site)
+	}
+	if err := rt.Install(overlap); err != nil {
+		t.Fatal(err)
+	}
+	rt.FieldAddr(site, interp.PtrVal(obj, 2), interp.PtrVal(obj, 3))
+	if len(rec.got) != 1 || rec.got[0].Kind != invariant.PWC {
+		t.Fatalf("reuse after an Install that keeps the cycle: violations %v, want one PWC (the joined cycle starts empty)", rec.got)
+	}
+
+	if err := rt.Install(restore(overlap, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rt.FieldAddr(site, interp.PtrVal(obj, 3), interp.PtrVal(obj, 4))
+	if len(rec.got) != 1 || len(rt.pwcGroups) != 0 {
+		t.Fatalf("after restoring the joined cycle: violations %v, %d PWC monitor sites; want none new", rec.got, len(rt.pwcGroups))
 	}
 }

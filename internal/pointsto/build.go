@@ -24,14 +24,28 @@ func (a *Analysis) build() {
 
 	// Ctx pre-pass: find precision-critical arguments (§4.4). The plan is
 	// always computed (it is reported by introspection) but constraints are
-	// rewritten only under cfg.Ctx.
+	// rewritten only under cfg.Ctx, which assumes one record per critical
+	// store or return: the walk below skips its generic constraint, and
+	// wireCtxCallsites adds the callsites that replace it.
 	a.ctxPlan = detectCtx(a.mod)
 	if a.cfg.Ctx {
 		for _, cs := range a.ctxPlan.stores {
-			a.ctxSkip[cs.store.ID] = true
+			a.assume(invariant.Record{
+				Kind:       invariant.Ctx,
+				Site:       cs.store.ID,
+				CtxParams:  []int{cs.baseParam, cs.valParam},
+				CtxSamples: []invariant.CtxSample{cs.baseSample, cs.valSample},
+				Desc:       fmt.Sprintf("precision-critical store in %s: *(arg%d chain) = arg%d", cs.fn, cs.baseParam, cs.valParam),
+			})
 		}
 		for _, cr := range a.ctxPlan.rets {
-			a.ctxSkip[cr.ret.ID] = true
+			a.assume(invariant.Record{
+				Kind:       invariant.Ctx,
+				Site:       cr.ret.ID,
+				CtxParams:  []int{cr.param},
+				CtxSamples: []invariant.CtxSample{cr.sample},
+				Desc:       fmt.Sprintf("precision-critical return in %s: returns arg%d", cr.fn, cr.param),
+			})
 		}
 	}
 
@@ -56,7 +70,7 @@ func (a *Analysis) build() {
 			case *ir.Load:
 				a.addLoad(a.regNode(fn, in.Addr), a.regNode(fn, in.Dest), in.ID)
 			case *ir.Store:
-				if !a.ctxSkip[in.ID] {
+				if a.assumedAt(invariant.Ctx, in.ID) == nil {
 					a.addStore(a.regNode(fn, in.Addr), a.regNode(fn, in.Src), in.ID)
 				}
 			case *ir.FieldAddr:
@@ -73,7 +87,7 @@ func (a *Analysis) build() {
 			case *ir.ICall:
 				a.wireICallSite(fn, in)
 			case *ir.Ret:
-				if in.Src != "" && !a.ctxSkip[in.ID] {
+				if in.Src != "" && a.assumedAt(invariant.Ctx, in.ID) == nil {
 					a.addCopy(a.regNode(fn, in.Src), a.retNode(fn), in.ID, false)
 				}
 			}
@@ -134,18 +148,12 @@ func (a *Analysis) wireICallSite(caller string, c *ir.ICall) {
 // wireCtxCallsites rewires precision-critical stores and returns
 // context-sensitively: per callsite, a private dummy-node chain reproduces
 // the callee's address derivation on the actual arguments, so callsites no
-// longer pollute each other through the shared formals (§4.4).
+// longer pollute each other through the shared formals (§4.4). Each wired
+// callsite joins its Ctx record.
 func (a *Analysis) wireCtxCallsites() {
 	for _, cs := range a.ctxPlan.stores {
-		sites := a.ctxPlan.callsites[cs.fn]
-		rec := invariant.Record{
-			Kind:       invariant.Ctx,
-			Site:       cs.store.ID,
-			CtxParams:  []int{cs.baseParam, cs.valParam},
-			CtxSamples: []invariant.CtxSample{cs.baseSample, cs.valSample},
-			Desc:       fmt.Sprintf("precision-critical store in %s: *(arg%d chain) = arg%d", cs.fn, cs.baseParam, cs.valParam),
-		}
-		for _, c := range sites {
+		rec := a.assumedAt(invariant.Ctx, cs.store.ID)
+		for _, c := range a.ctxPlan.callsites[cs.fn] {
 			if cs.baseParam >= len(c.call.Args) || cs.valParam >= len(c.call.Args) {
 				continue
 			}
@@ -153,18 +161,10 @@ func (a *Analysis) wireCtxCallsites() {
 			base := a.applyChain(a.regNode(c.caller, c.call.Args[cs.baseParam]), cs.chain, c.call.ID)
 			a.addStore(base, a.regNode(c.caller, c.call.Args[cs.valParam]), c.call.ID)
 		}
-		a.ctxRecords = append(a.ctxRecords, rec)
 	}
 	for _, cr := range a.ctxPlan.rets {
-		sites := a.ctxPlan.callsites[cr.fn]
-		rec := invariant.Record{
-			Kind:       invariant.Ctx,
-			Site:       cr.ret.ID,
-			CtxParams:  []int{cr.param},
-			CtxSamples: []invariant.CtxSample{cr.sample},
-			Desc:       fmt.Sprintf("precision-critical return in %s: returns arg%d", cr.fn, cr.param),
-		}
-		for _, c := range sites {
+		rec := a.assumedAt(invariant.Ctx, cr.ret.ID)
+		for _, c := range a.ctxPlan.callsites[cr.fn] {
 			if cr.param >= len(c.call.Args) || c.call.Dest == "" {
 				continue
 			}
@@ -172,7 +172,6 @@ func (a *Analysis) wireCtxCallsites() {
 			v := a.applyChain(a.regNode(c.caller, c.call.Args[cr.param]), cr.chain, c.call.ID)
 			a.addCopy(v, a.regNode(c.caller, c.call.Dest), c.call.ID, false)
 		}
-		a.ctxRecords = append(a.ctxRecords, rec)
 	}
 }
 

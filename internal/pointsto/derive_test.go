@@ -3,6 +3,8 @@ package pointsto
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -132,7 +134,7 @@ func TestDeriveOwnsOnlyWrittenNodes(t *testing.T) {
 			owned++
 		}
 		p, q := opt.a.pts[n], d.a.pts[n]
-		if (p == nil) != (q == nil) || p != nil && !p.Equal(q) || len(opt.a.copyTo[n]) != len(d.a.copyTo[n]) {
+		if (p == nil) != (q == nil) || p != nil && (p.Len() != q.Len() || !p.SubsetOf(q)) || len(opt.a.copyTo[n]) != len(d.a.copyTo[n]) {
 			changed++
 		}
 	}
@@ -274,7 +276,8 @@ func TestSpareSetsDistinct(t *testing.T) {
 // per node the representative, points-to set, delta and every constraint
 // list (Field-Of flags and copy-edge probe marks included), each icall
 // site's connected targets, the HCD entries' fired marks, every object's
-// field sensitivity, and the sizes of the copy-edge set and node maps.
+// field sensitivity, the assumption table with the restored PWC sites, and
+// the sizes of the copy-edge set and node maps.
 func stateOf(a *Analysis) string {
 	var b strings.Builder
 	for n := range a.nodes {
@@ -297,6 +300,10 @@ func stateOf(a *Analysis) string {
 	for _, o := range a.objects {
 		fmt.Fprintf(&b, "%s insens=%v\n", o.Label(), o.Insens)
 	}
+	for _, e := range a.assumed {
+		fmt.Fprintf(&b, "assumed held=%v %+v\n", e.held, e.Record)
+	}
+	fmt.Fprintf(&b, "pwc restored=%v\n", a.pwcRestored)
 	fmt.Fprintf(&b, "edges=%d regs=%d rets=%d\n", a.copyEdges.n, len(a.regNodes), len(a.retNodes))
 	// Appends past the end of a per-node table write its spare capacity.
 	fmt.Fprintf(&b, "spare capacity: pts %d delta %d copy %d gep %d load %d store %d arith %d icall %d rep %d\n",
@@ -442,4 +449,135 @@ func listsPastLen[T any](table [][]T) int {
 		}
 	}
 	return n
+}
+
+// pwcSites lists the field sites of every record in recs, PWC records
+// only, in order.
+func pwcSites(recs []invariant.Record) [][]int {
+	var out [][]int
+	for _, rec := range recs {
+		if rec.Kind == invariant.PWC {
+			out = append(out, rec.CycleFieldSites)
+		}
+	}
+	return out
+}
+
+// TestOverlappingPWCRecords drives a program whose two positive-weight
+// cycles join once a Ctx record is restored (testdata/overlap_pwc.mc).
+// Restoring one of the two cycles' records re-finds the joined cycle, which
+// stays assumed through the other site, so the result holds two PWC
+// records, one covering the other's sites. Restoring either then retires
+// both, and every way of restoring the rest ends at the fallback.
+func TestOverlappingPWCRecords(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "overlap_pwc.mc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := minic.Compile("overlap_pwc", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallback := fingerprint(New(m, invariant.Config{}).Solve())
+	restore := func(r *Result, rec invariant.Record) *Result {
+		t.Helper()
+		next, err := r.Restore(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+
+	opt := New(m, invariant.All()).Solve()
+	recs := opt.Invariants()
+	cycles := pwcSites(recs)
+	if len(recs) != 3 || recs[0].Kind != invariant.Ctx || len(cycles) != 2 || len(cycles[0]) != 1 || len(cycles[1]) != 1 {
+		t.Fatalf("optimistic records %+v, want one Ctx record and two one-site PWC records", recs)
+	}
+	a, b := cycles[0][0], cycles[1][0]
+
+	joined := restore(opt, recs[0])
+	if got := pwcSites(joined.Invariants()); !slices.EqualFunc(got, cycles, slices.Equal) || len(joined.Invariants()) != 2 {
+		t.Fatalf("after restoring the Ctx record: records %+v, want the two PWC records unchanged", joined.Invariants())
+	}
+	overlap := restore(joined, joined.Invariants()[0])
+	recs = overlap.Invariants()
+	if got, want := pwcSites(recs), [][]int{{b}, {a, b}}; len(recs) != 2 || !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("after restoring PWC %v: records %+v, want PWC sites %v", cycles[0], recs, want)
+	}
+
+	for i, rec := range recs {
+		r := restore(overlap, rec)
+		if left := r.Invariants(); len(left) != 0 {
+			t.Errorf("restoring PWC %v left %+v, want both records retired", rec.CycleFieldSites, left)
+		}
+		if got := fingerprint(r); got != fallback {
+			t.Errorf("restoring PWC record %d differs from a fresh fallback:\n%s", i, diffLines(fallback, got))
+		}
+	}
+	if len(overlap.Invariants()) != 2 {
+		t.Fatalf("restores wrote their receiver: %+v", overlap.Invariants())
+	}
+	all, err := overlap.RestoreAll(context.Background(), Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(all); got != fallback {
+		t.Errorf("RestoreAll of the overlapping records differs from a fresh fallback:\n%s", diffLines(fallback, got))
+	}
+}
+
+// paGrowSrc filters three struct objects at its PtrAdd site under the Ctx
+// invariant; restoring the Ctx record of id lets a fourth, with a smaller
+// object number than the three, reach the site.
+const paGrowSrc = `
+struct S { int a; int b; }
+S s0;
+S s1;
+S s2;
+S s3;
+char* id(char* p) { return p; }
+int main() {
+  char* x;
+  char* y;
+  int i;
+  i = input();
+  x = id(&s1);
+  if (input()) { x = &s2; }
+  if (input()) { x = &s3; }
+  y = id(&s0);
+  *(x + i) = 0;
+  *y = 0;
+  return 0;
+}
+`
+
+// TestRestoreGrowsPARecordAlone: a restore whose re-solve filters one more
+// object at a PA site that stays assumed reports the grown record, while
+// the receiver's records and state stay as they were.
+func TestRestoreGrowsPARecordAlone(t *testing.T) {
+	m, err := minic.Compile("pagrow", paGrowSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := New(m, invariant.All()).Solve()
+	recs := opt.Invariants()
+	if len(recs) != 2 || recs[0].Kind != invariant.Ctx || recs[1].Kind != invariant.PA || len(recs[1].FilteredObjs) != 3 {
+		t.Fatalf("optimistic records %+v, want a Ctx record and a PA record of three objects", recs)
+	}
+	before, state := fmt.Sprintf("%+v", recs), stateOf(opt.a)
+	grown, err := opt.Restore(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := grown.Invariants(); len(got) != 1 || got[0].Kind != invariant.PA || len(got[0].FilteredObjs) != 4 ||
+		!slices.IsSorted(got[0].FilteredObjs) || got[0].FilteredObjs[0] >= recs[1].FilteredObjs[0] {
+		t.Fatalf("after restoring the Ctx record: %+v, want the PA record grown by a smaller object", got)
+	}
+	if got := fmt.Sprintf("%+v", opt.Invariants()); got != before {
+		t.Errorf("the restore changed its receiver's records:\n%s", diffLines(before, got))
+	}
+	if got := stateOf(opt.a); got != state {
+		t.Errorf("the restore wrote its receiver's state:\n%s", diffLines(state, got))
+	}
 }

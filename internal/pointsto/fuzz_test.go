@@ -14,7 +14,8 @@ import (
 // (delta, full) and preprocessing mode (prep on/off) must produce an
 // identical Result, under the invariant configuration selected by cfgBits,
 // and restoring every invariant of that Result must give back a fresh
-// fallback solve. The generator (workload.RandomProgram) emits the
+// fallback solve, both at once (RestoreAll) and one record at a time
+// (Restore of the first remaining record until none is left). The generator (workload.RandomProgram) emits the
 // pointer-analysis-relevant constructs — multi-level pointers,
 // struct fields holding function pointers, heap wrappers, arbitrary
 // arithmetic, indirect calls — so the fuzzer explores solver interleavings
@@ -65,6 +66,16 @@ func FuzzSolverEquivalence(f *testing.F) {
 		}
 		if got := fingerprint(derived); got != fallback {
 			t.Errorf("seed %d cfg %+v: RestoreAll differs from a fresh fallback solve:\n%s",
+				seed, cfg, diffLines(fallback, got))
+		}
+		cur := solveVariant(m, cfg, true, true)
+		for len(cur.Invariants()) > 0 {
+			if cur, err = cur.Restore(cur.Invariants()[0]); err != nil {
+				t.Fatalf("seed %d cfg %+v: Restore: %v", seed, cfg, err)
+			}
+		}
+		if got := fingerprint(cur); got != fallback {
+			t.Errorf("seed %d cfg %+v: restoring one record at a time differs from a fresh fallback solve:\n%s",
 				seed, cfg, diffLines(fallback, got))
 		}
 		if t.Failed() {

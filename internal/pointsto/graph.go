@@ -240,6 +240,19 @@ type Tracer interface {
 	Cycle(size int, pwc bool)
 }
 
+// assumption is one likely invariant an optimistic solve holds (§4.2–4.4):
+// the record it reports, and whether it is still held. Ctx and PWC records
+// are complete when assumed; a PA record gathers its filtered objects,
+// sorted, as the solve filters them, and gets its Desc when listed. No
+// record's lists are written after they are made, so copies of an entry
+// (a derived table, a reported record) share them. A restore clears held
+// and keeps the entry: a restored PtrAdd site stays unfiltered, and a
+// restored cycle is not recorded again.
+type assumption struct {
+	invariant.Record
+	held bool
+}
+
 // Analysis is one pointer-analysis run over a module: constraint graph,
 // solver state, and results.
 type Analysis struct {
@@ -269,24 +282,17 @@ type Analysis struct {
 	worklist []int32
 	inWL     []bool
 
-	// PA policy state: PtrAdd site -> filtered object indexes.
-	paFiltered map[int]map[int]bool
-	// Ctx policy state, computed by the ctx pre-pass.
-	ctxPlan   *ctxPlan
-	ctxSkip   map[int]bool // instruction IDs whose generic constraint is skipped
+	ctxPlan   *ctxPlan // the Ctx pre-pass's findings, computed under every configuration
 	provs     map[provKey][]provEntry
 	traceProv bool
 
-	// Invariant records are kept per kind so they can be rebuilt after an
-	// incremental Restore: Ctx records are fixed at build time, PWC records
-	// accumulate during solving, and PA records derive from the live
-	// paFiltered state.
-	ctxRecords []invariant.Record
-	pwcList    []invariant.Record
-	pwcRecords map[string]bool // dedupe of recorded PWC cycles
-	paDisabled map[int]bool    // PtrAdd sites whose PA assumption was restored
-	pwcDone    map[int]bool    // PWC field sites already restored to baseline
-	noDelta    bool            // full re-propagation: set by New below DeltaAutoThreshold nodes
+	// The likely invariants this analysis assumes, one entry per record
+	// (assumption), and the PWC field sites a restore has abandoned: §4.3
+	// assumes a cycle while any of its sites is unrestored, so a cycle
+	// re-found after a restore is judged per site.
+	assumed     []assumption
+	pwcRestored map[int]bool
+	noDelta     bool // full re-propagation: set by New below DeltaAutoThreshold nodes
 
 	// Offline preprocessing (hcd.go): the offline half of hybrid cycle
 	// detection runs once, lazily, at the first resolve, before any
@@ -370,18 +376,14 @@ const DeltaAutoThreshold = 2048
 // analysis.
 func New(m *ir.Module, cfg invariant.Config) *Analysis {
 	a := &Analysis{
-		mod:        m,
-		layouts:    ir.NewLayouts(),
-		cfg:        cfg,
-		retNodes:   map[string]int{},
-		paFiltered: map[int]map[int]bool{},
-		ctxSkip:    map[int]bool{},
-		pwcRecords: map[string]bool{},
-		paDisabled: map[int]bool{},
-		pwcDone:    map[int]bool{},
-		prep:       true,
-		walking:    -1,
-		objects:    make([]*Object, m.NumObjects()),
+		mod:         m,
+		layouts:     ir.NewLayouts(),
+		cfg:         cfg,
+		retNodes:    map[string]int{},
+		pwcRestored: map[int]bool{},
+		prep:        true,
+		walking:     -1,
+		objects:     make([]*Object, m.NumObjects()),
 	}
 	// Size the per-node tables once, from the module's own counts, so
 	// neither the build nor the solve (which adds parameter and return
@@ -517,26 +519,27 @@ func (a *Analysis) typeCount(n int) int {
 	return len(seen)
 }
 
-// backtrackFn builds the lazy provenance walker for a growth event.
-func (a *Analysis) backtrackFn(n, o int) func(int) []int {
-	return func(maxLevels int) []int {
-		var sites []int
-		cur := int32(a.find(n))
-		target := int32(o)
-		for level := 0; level < maxLevels; level++ {
-			entries := a.provs[provKey{cur, target}]
-			if len(entries) == 0 {
-				break
-			}
-			e := entries[len(entries)-1]
-			sites = append(sites, int(e.site))
-			if e.srcNode < 0 {
-				break
-			}
-			cur = int32(a.find(int(e.srcNode)))
+// backtrack walks derivation provenance from object-slot node o in pts(n)
+// toward primitive constraints, up to maxLevels derivations, returning the
+// constraint sites it passes (most recent derivation first). It writes
+// nothing, so it serves the tracer during a solve and concurrent readers of
+// a finished analysis alike.
+func (a *Analysis) backtrack(n, o, maxLevels int) []int {
+	var sites []int
+	cur := a.findRead(n)
+	for level := 0; level < maxLevels; level++ {
+		entries := a.provs[provKey{int32(cur), int32(o)}]
+		if len(entries) == 0 {
+			break
 		}
-		return sites
+		e := entries[len(entries)-1]
+		sites = append(sites, int(e.site))
+		if e.srcNode < 0 {
+			break // primitive Addr-Of
+		}
+		cur = a.findRead(int(e.srcNode))
 	}
+	return sites
 }
 
 // emitGrowth dispatches a growth event to the tracer.
@@ -549,7 +552,7 @@ func (a *Analysis) emitGrowth(n, added, site, obj int, derived bool) {
 		Types:     a.typeCount(n),
 		Site:      site,
 		Derived:   derived,
-		Backtrack: a.backtrackFn(n, obj),
+		Backtrack: func(maxLevels int) []int { return a.backtrack(n, obj, maxLevels) },
 	})
 }
 

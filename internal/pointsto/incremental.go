@@ -68,11 +68,13 @@ func (r *Result) RestoreAll(ctx context.Context, b Budget) (*Result, error) {
 	}
 	a := r.a.derive()
 	a.cfg = invariant.Config{}
-	// Re-list after each readmit: restoring one PWC record also retires
-	// any other record whose sites it covers.
-	for recs := a.invariantRecords(); len(recs) > 0; recs = a.invariantRecords() {
-		if err := a.readmit(recs[0]); err != nil {
-			return nil, err
+	// One pass in report order. Restoring a PWC record also retires every
+	// other record whose sites it covers, so the pass skips those.
+	for i := range a.assumed {
+		if a.assumed[i].held {
+			if err := a.readmit(a.assumed[i].Record); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return a.SolveCtx(ctx, b)
@@ -83,10 +85,11 @@ func (r *Result) RestoreAll(ctx context.Context, b Budget) (*Result, error) {
 func (a *Analysis) readmit(rec invariant.Record) error {
 	switch rec.Kind {
 	case invariant.PA:
-		if a.paFiltered[rec.Site] == nil || a.paDisabled[rec.Site] {
+		e := a.assumedAt(invariant.PA, rec.Site)
+		if e == nil || !e.held {
 			return fmt.Errorf("pointsto: no active PA assumption at site %d", rec.Site)
 		}
-		a.paDisabled[rec.Site] = true
+		e.held = false
 		// Reprocess every PtrAdd base feeding this site: the previously
 		// filtered struct objects now flow through with baseline handling,
 		// so the base's full set is flushed back into its delta.
@@ -102,16 +105,20 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 			return fmt.Errorf("pointsto: PWC record without field sites")
 		}
 		found := false
-		sites := map[int]bool{}
 		for _, s := range rec.CycleFieldSites {
-			sites[s] = true
-			if !a.pwcDone[s] {
-				found = true
-			}
-			a.pwcDone[s] = true
+			found = found || !a.pwcRestored[s]
+			a.pwcRestored[s] = true
 		}
 		if !found {
 			return fmt.Errorf("pointsto: PWC at sites %v already restored", rec.CycleFieldSites)
+		}
+		// The record is no longer held, nor is any other whose sites are
+		// now all restored.
+		for i := range a.assumed {
+			if e := &a.assumed[i]; e.Kind == invariant.PWC && e.held &&
+				!slices.ContainsFunc(e.CycleFieldSites, func(s int) bool { return !a.pwcRestored[s] }) {
+				e.held = false
+			}
 		}
 		// Forget that the cycle was seen. The next sccPass re-finds it with
 		// every site restored and applies the baseline mitigation exactly
@@ -120,7 +127,7 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 		a.unshare(tabGep)
 		for _, es := range a.gepTo {
 			for _, e := range es {
-				if sites[int(e.site)] {
+				if slices.Contains(rec.CycleFieldSites, int(e.site)) {
 					e.pwcSeen = false
 				}
 			}
@@ -128,10 +135,11 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 	case invariant.Ctx:
 		in := a.mod.InstrByID(rec.Site)
 		f := a.mod.FuncOfInstr(rec.Site)
-		if in == nil || f == nil || !a.ctxSkip[rec.Site] {
+		e := a.assumedAt(invariant.Ctx, rec.Site)
+		if in == nil || f == nil || e == nil || !e.held {
 			return fmt.Errorf("pointsto: no Ctx assumption at site %d", rec.Site)
 		}
-		delete(a.ctxSkip, rec.Site)
+		e.held = false
 		// Re-admit the generic (context-insensitive) constraint the
 		// optimistic analysis had skipped. The per-callsite dummy wiring
 		// stays: it is now a harmless refinement.
@@ -143,14 +151,6 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 		default:
 			return fmt.Errorf("pointsto: Ctx site %d is not a store or return", rec.Site)
 		}
-		// Drop the record: the assumption is no longer held.
-		kept := a.ctxRecords[:0]
-		for _, cr := range a.ctxRecords {
-			if cr.Site != rec.Site {
-				kept = append(kept, cr)
-			}
-		}
-		a.ctxRecords = kept
 	default:
 		return fmt.Errorf("pointsto: unknown invariant kind %v", rec.Kind)
 	}
@@ -185,9 +185,9 @@ const (
 // points-to set, delta and copy list the first time it writes that node
 // (own). a must be finished: it is never written again, so any number of
 // analyses derived from it may run concurrently with its readers. Only what
-// a restore always writes is copied up front: the worklist, the invariant
-// bookkeeping and the provenance log. Only what never changes after build
-// is shared for good: the module, layouts, Ctx plan and node descriptors.
+// a restore always writes is copied up front: the worklist, the assumption
+// table and the provenance log. Only what never changes after build is
+// shared for good: the module, layouts, Ctx plan and node descriptors.
 func (a *Analysis) derive() *Analysis {
 	c := *a
 	c.shared = allTables
@@ -202,16 +202,8 @@ func (a *Analysis) derive() *Analysis {
 			c.provs[k] = slices.Clip(es)
 		}
 	}
-	c.paFiltered = make(map[int]map[int]bool, len(a.paFiltered))
-	for site, objs := range a.paFiltered {
-		c.paFiltered[site] = maps.Clone(objs)
-	}
-	c.ctxSkip = maps.Clone(a.ctxSkip)
-	c.ctxRecords = slices.Clone(a.ctxRecords)
-	c.pwcList = slices.Clone(a.pwcList)
-	c.pwcRecords = maps.Clone(a.pwcRecords)
-	c.paDisabled = maps.Clone(a.paDisabled)
-	c.pwcDone = maps.Clone(a.pwcDone)
+	c.assumed = slices.Clone(a.assumed)
+	c.pwcRestored = maps.Clone(a.pwcRestored)
 	// Scratch buffers and spare sets are per solve: sharing them would let
 	// two analyses derived concurrently from a write the same memory.
 	c.elemBuf, c.lcdVisit, c.lcdGen, c.lcdStack, c.spare = nil, nil, 0, nil, nil

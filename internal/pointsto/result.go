@@ -59,14 +59,6 @@ func (r *Result) ObjectByGlobal(name string) *Object {
 	return nil
 }
 
-// ObjectByFunc returns the abstract object of a function, or nil.
-func (r *Result) ObjectByFunc(name string) *Object {
-	if f := r.a.mod.Func(name); f != nil {
-		return r.a.objects[f.Obj]
-	}
-	return nil
-}
-
 // ObjSlot is one element of a canonical points-to set at the id level: an
 // object's index in Objects() and the analysis slot within it (0 for the
 // base, single-slot objects, and objects that lost field sensitivity).
@@ -302,30 +294,11 @@ func (r *Result) Provenance(fn, reg string, obj *Object, slot int) []Origin {
 // constraints, up to five levels (§4.1), returning the constraint sites
 // encountered (most recent derivation first).
 func (r *Result) Backtrack(fn, reg string, obj *Object) []int {
-	a := r.a
-	if a.provs == nil {
-		return nil
-	}
-	id, ok := a.regNodes[regKey{fn, reg}]
+	id, ok := r.a.regNodes[regKey{fn, reg}]
 	if !ok {
 		return nil
 	}
-	var sites []int
-	cur := int32(a.findRead(id))
-	target := int32(obj.NodeBase)
-	for level := 0; level < 5; level++ {
-		entries := a.provs[provKey{cur, target}]
-		if len(entries) == 0 {
-			break
-		}
-		e := entries[len(entries)-1]
-		sites = append(sites, int(e.site))
-		if e.srcNode < 0 {
-			break // primitive Addr-Of
-		}
-		cur = int32(a.findRead(int(e.srcNode)))
-	}
-	return sites
+	return r.a.backtrack(id, obj.NodeBase, 5)
 }
 
 // NodeCount returns the number of constraint-graph nodes (diagnostics).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/bitset"
@@ -321,19 +320,28 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 func (a *Analysis) processArith(n int, e arithEdge, elems []int) {
 	to := a.find(int(e.to))
 	site := int(e.site)
+	var pa *assumption // the site's PA entry, found at its first struct object
 	for _, o := range elems {
 		obj := a.objOfNode(o)
 		if obj == nil {
 			continue
 		}
-		switch {
-		case a.cfg.PA && !a.paDisabled[site] && obj.Type != nil && ir.IsStruct(obj.Type):
-			m := a.paFiltered[site]
-			if m == nil {
-				m = map[int]bool{}
-				a.paFiltered[site] = m
+		if a.cfg.PA && obj.Type != nil && ir.IsStruct(obj.Type) {
+			if pa == nil {
+				if pa = a.assumedAt(invariant.PA, site); pa == nil {
+					pa = a.assume(invariant.Record{Kind: invariant.PA, Site: site})
+				}
 			}
-			m[obj.Index] = true
+			if pa.held {
+				if i, found := slices.BinarySearch(pa.FilteredObjs, obj.Index); !found {
+					// A new list, never a write to the old one: derived
+					// tables and reported records share the old list.
+					pa.FilteredObjs = slices.Insert(slices.Clip(pa.FilteredObjs), i, obj.Index)
+				}
+				continue
+			}
+		}
+		switch {
 		case obj.Size == 1:
 			a.addToPts(to, o, site, n, true)
 		default:
@@ -468,85 +476,77 @@ func (a *Analysis) positiveEdges(scc []int32, inSCC map[int]bool) []*gepEdge {
 // positive edge's site has not been restored. A cycle whose sites are all
 // restored gets the baseline mitigation, as in a fresh baseline solve.
 func (a *Analysis) pwcAssumed(positive []*gepEdge) bool {
-	for _, e := range positive {
-		if !a.pwcDone[int(e.site)] {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(positive, func(e *gepEdge) bool { return !a.pwcRestored[int(e.site)] })
 }
 
-// recordPWC emits the PWC likely-invariant record and one monitor per
-// Field-Of instruction in the cycle.
+// recordPWC assumes the PWC likely invariant of a cycle, once per set of
+// Field-Of sites; it implies one monitor per site.
 func (a *Analysis) recordPWC(positive []*gepEdge) {
-	sites := map[int]bool{}
+	var sites []int
 	for _, e := range positive {
-		sites[int(e.site)] = true
+		sites = append(sites, int(e.site))
 	}
-	var sorted []int
-	for s := range sites {
-		sorted = append(sorted, s)
-	}
-	sort.Ints(sorted)
-	key := fmt.Sprint(sorted)
-	if a.pwcRecords[key] {
+	slices.Sort(sites)
+	sites = slices.Compact(sites)
+	if slices.ContainsFunc(a.assumed, func(e assumption) bool {
+		return e.Kind == invariant.PWC && slices.Equal(e.CycleFieldSites, sites)
+	}) {
 		return
 	}
-	a.pwcRecords[key] = true
-	var parts []string
-	for _, s := range sorted {
-		parts = append(parts, fmt.Sprintf("#%d", s))
+	parts := make([]string, len(sites))
+	for i, s := range sites {
+		parts[i] = fmt.Sprintf("#%d", s)
 	}
-	rec := invariant.Record{
+	a.assume(invariant.Record{
 		Kind:            invariant.PWC,
-		Site:            sorted[0],
-		CycleFieldSites: sorted,
+		Site:            sites[0],
+		CycleFieldSites: sites,
 		Desc:            "positive-weight cycle through field accesses " + strings.Join(parts, ", "),
-	}
-	a.pwcList = append(a.pwcList, rec)
+	})
 }
 
-// invariantRecords derives the current invariant list: Ctx records fixed
-// at build time, PWC records found during solving (minus restored ones), and
-// PA records from the live filtering state.
-func (a *Analysis) invariantRecords() []invariant.Record {
-	recs := append([]invariant.Record(nil), a.ctxRecords...)
-	for _, rec := range a.pwcList {
-		restored := true
-		for _, s := range rec.CycleFieldSites {
-			if !a.pwcDone[s] {
-				restored = false
-				break
-			}
+// assume adds a held entry for rec and returns it. The table stays in the
+// order Invariants reports: Ctx entries (all assumed by build), then PWC
+// entries in discovery order, then PA entries by site.
+func (a *Analysis) assume(rec invariant.Record) *assumption {
+	i := slices.IndexFunc(a.assumed, func(e assumption) bool {
+		return e.Kind == invariant.PA && (rec.Kind != invariant.PA || e.Site > rec.Site)
+	})
+	if i < 0 {
+		i = len(a.assumed)
+	}
+	a.assumed = slices.Insert(a.assumed, i, assumption{Record: rec, held: true})
+	return &a.assumed[i]
+}
+
+// assumedAt returns the Ctx or PA entry of an instruction, held or not, or
+// nil if the analysis never assumed one there.
+func (a *Analysis) assumedAt(kind invariant.Kind, site int) *assumption {
+	for i := range a.assumed {
+		if e := &a.assumed[i]; e.Kind == kind && e.Site == site {
+			return e
 		}
-		if restored {
+	}
+	return nil
+}
+
+// invariantRecords lists the records of every held assumption, in table
+// order, rendering each PA record's Desc.
+func (a *Analysis) invariantRecords() []invariant.Record {
+	var recs []invariant.Record
+	for _, e := range a.assumed {
+		if !e.held {
 			continue
 		}
+		rec := e.Record
+		if rec.Kind == invariant.PA {
+			names := make([]string, len(rec.FilteredObjs))
+			for i, oi := range rec.FilteredObjs {
+				names[i] = a.objects[oi].Label()
+			}
+			rec.Desc = "arbitrary arithmetic never addresses struct objects " + strings.Join(names, ", ")
+		}
 		recs = append(recs, rec)
-	}
-	var sites []int
-	for s := range a.paFiltered {
-		if !a.paDisabled[s] {
-			sites = append(sites, s)
-		}
-	}
-	sort.Ints(sites)
-	for _, site := range sites {
-		var objs []int
-		for oi := range a.paFiltered[site] {
-			objs = append(objs, oi)
-		}
-		sort.Ints(objs)
-		var names []string
-		for _, oi := range objs {
-			names = append(names, a.objects[oi].Label())
-		}
-		recs = append(recs, invariant.Record{
-			Kind:         invariant.PA,
-			Site:         site,
-			FilteredObjs: objs,
-			Desc:         "arbitrary arithmetic never addresses struct objects " + strings.Join(names, ", "),
-		})
 	}
 	return recs
 }
