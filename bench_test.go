@@ -136,6 +136,26 @@ func BenchmarkScaledAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkRestoreAll times the derived fallback alone on analyze-30k's
+// program: ScaledProgram(1, 1000) is compiled and solved under every
+// invariant once, and each operation is one RestoreAll of that result
+// (derivation plus incremental re-solve). Its allocations are what a
+// derived analysis pays to share its parent's state.
+func BenchmarkRestoreAll(b *testing.B) {
+	m, err := minic.Compile("scaled-1", workload.ScaledProgram(1, 1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := pointsto.New(m, invariant.All()).Solve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.RestoreAll(context.Background(), pointsto.Budget{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExecution measures interpreter throughput per hardening level:
 // Unhardened (no checks), Baseline (fallback CFI only), and Kaleidoscope
 // (optimistic CFI + monitors) — the microbenchmark behind Figure 13.

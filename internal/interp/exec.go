@@ -17,7 +17,7 @@ func (mc *Machine) track(cf *cfunc, idx int, v Value) {
 // stack. Its arguments are the registers args of the caller's frame (both
 // nil for the entry call); they are copied straight into the parameters.
 func (mc *Machine) call(cf *cfunc, caller []Value, args []int) (Value, error) {
-	if mc.depth >= mc.cfg.MaxDepth {
+	if mc.depth >= maxDepth {
 		return Value{}, &RuntimeError{Msg: "call-stack depth limit exceeded"}
 	}
 	base, top := mc.sp, mc.sp+cf.nRegs
@@ -96,7 +96,7 @@ func (mc *Machine) exec(cf *cfunc, base int) (Value, error) {
 				obj := &RObj{objInfo: in.obj, Slots: make([]Value, in.obj.layout.RuntimeSize)}
 				regs[in.dst] = PtrVal(obj, 0)
 			case opMalloc:
-				slots := mc.cfg.HeapSlots
+				slots := heapSlots
 				if in.obj.layout != nil {
 					slots = in.obj.layout.RuntimeSize
 				} else if in.a >= 0 {

@@ -166,7 +166,7 @@ int main() {
 	if tr := New(m2, Config{}).Run("main", nil); tr.Err == nil {
 		t.Fatal("expected out-of-bounds beyond dynamic size")
 	}
-	// Non-positive sizes fall back to the configured slab.
+	// Non-positive sizes fall back to the default slab (heapSlots).
 	src3 := `
 int main() {
   int* p;
@@ -176,7 +176,7 @@ int main() {
 }
 `
 	m3 := minic.MustCompile("hs3", src3)
-	if tr := New(m3, Config{HeapSlots: 8}).Run("main", []int64{0}); tr.Err != nil || tr.Result != 9 {
+	if tr := New(m3, Config{}).Run("main", []int64{0}); tr.Err != nil || tr.Result != 9 {
 		t.Fatalf("fallback slab: result = %d, err = %v", tr.Result, tr.Err)
 	}
 }

@@ -239,7 +239,7 @@ int f(int n) { return f(n + 1); }
 int main() { return f(0); }
 `
 	m := minic.MustCompile("deep", src)
-	tr := New(m, Config{MaxDepth: 64}).Run("main", nil)
+	tr := New(m, Config{}).Run("main", nil)
 	var re *RuntimeError
 	if !errors.As(tr.Err, &re) || !strings.Contains(re.Msg, "depth limit") {
 		t.Fatalf("err = %v, want depth limit", tr.Err)

@@ -67,13 +67,18 @@ func (ins *Instrumentation) NumMonitorSites() int {
 	return len(seen)
 }
 
+// heapSlots is the runtime size of a malloc of unknown type whose size
+// operand is not a positive count of at most 1<<16 slots.
+const heapSlots = 16
+
+// maxDepth is the call-stack depth limit.
+const maxDepth = 512
+
 // Config controls execution.
 type Config struct {
 	StepLimit     int64 // 0 = default (50M)
 	TrackPointsTo bool  // record dynamic points-to observations
 	Hooks         Hooks
-	HeapSlots     int // runtime slots for unknown-type mallocs (default 16)
-	MaxDepth      int // call-stack depth limit (default 512)
 	// Metrics, when non-nil, receives per-run execution telemetry: steps,
 	// memory operations, monitor fires per invariant kind, and CFI lookups.
 	Metrics *telemetry.Registry
@@ -144,12 +149,6 @@ func New(m *ir.Module, cfg Config) *Machine {
 func (p *Program) NewMachine(cfg Config) *Machine {
 	if cfg.StepLimit == 0 {
 		cfg.StepLimit = 50_000_000
-	}
-	if cfg.HeapSlots == 0 {
-		cfg.HeapSlots = 16
-	}
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 512
 	}
 	if cfg.Hooks == nil {
 		cfg.Hooks = NopHooks{}

@@ -140,7 +140,8 @@ func (a *Analysis) wireICallSite(caller string, c *ir.ICall) {
 		dest:      dest,
 		connected: map[int]bool{},
 	}
-	a.icallsAt[a.find(fptr)] = append(a.icallsAt[a.find(fptr)], site)
+	ns := a.own(a.find(fptr))
+	ns.icalls = append(ns.icalls, site)
 	a.icallSites = append(a.icallSites, site)
 	a.seedDelta(fptr)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -133,8 +134,8 @@ func TestDeriveOwnsOnlyWrittenNodes(t *testing.T) {
 		if d.a.owned[n] {
 			owned++
 		}
-		p, q := opt.a.pts[n], d.a.pts[n]
-		if (p == nil) != (q == nil) || p != nil && (p.Len() != q.Len() || !p.SubsetOf(q)) || len(opt.a.copyTo[n]) != len(d.a.copyTo[n]) {
+		p, q := opt.a.state[n].pts, d.a.state[n].pts
+		if (p == nil) != (q == nil) || p != nil && (p.Len() != q.Len() || !p.SubsetOf(q)) || len(opt.a.state[n].copyTo) != len(d.a.state[n].copyTo) {
 			changed++
 		}
 	}
@@ -168,8 +169,8 @@ func TestFinishedSolveHoldsNoDelta(t *testing.T) {
 			}
 			for view, res := range views {
 				held := 0
-				for _, d := range res.a.delta {
-					if d != nil {
+				for _, ns := range res.a.state {
+					if ns.delta != nil {
 						held++
 					}
 				}
@@ -194,16 +195,16 @@ func TestSpareSetsDistinct(t *testing.T) {
 	check := func(a *Analysis, when string) {
 		t.Helper()
 		held := map[*bitset.Set]string{}
-		for n, s := range a.delta {
-			if s != nil {
+		for n, ns := range a.state {
+			if s := ns.delta; s != nil {
 				if prev, ok := held[s]; ok {
 					t.Fatalf("%s: node %d's delta is also %s", when, n, prev)
 				}
 				held[s] = "a node's delta"
 			}
 		}
-		for n, s := range a.pts {
-			if s != nil {
+		for n, ns := range a.state {
+			if s := ns.pts; s != nil {
 				if prev, ok := held[s]; ok {
 					t.Fatalf("%s: node %d's points-to set is also %s", when, n, prev)
 				}
@@ -273,26 +274,23 @@ func TestSpareSetsDistinct(t *testing.T) {
 }
 
 // stateOf renders every part of an analysis's state a re-solve may write:
-// per node the representative, points-to set, delta and every constraint
-// list (Field-Of flags and copy-edge probe marks included), each icall
-// site's connected targets, the HCD entries' fired marks, every object's
-// field sensitivity, the assumption table with the restored PWC sites, and
-// the sizes of the copy-edge set and node maps.
+// per node the representative and the record, that is the points-to set,
+// delta and every constraint list (Field-Of flags, copy-edge probe marks and
+// each icall site's connected targets included), the HCD entries' fired
+// marks, every object's field sensitivity, the assumption table with the
+// restored PWC sites, and the sizes of the copy-edge set and node maps.
 func stateOf(a *Analysis) string {
 	var b strings.Builder
-	for n := range a.nodes {
-		fmt.Fprintf(&b, "%d rep=%d pts=%v delta=%v copy=%v load=%v store=%v arith=%v icall=%d",
-			n, a.rep[n], a.pts[n], a.delta[n], a.copyTo[n], a.loadTo[n], a.storeFrom[n], a.arithTo[n], len(a.icallsAt[n]))
-		for _, e := range a.gepTo[n] {
+	for n, ns := range a.state {
+		fmt.Fprintf(&b, "%d rep=%d pts=%v delta=%v copy=%v load=%v store=%v arith=%v hcd=%v",
+			n, a.rep[n], ns.pts, ns.delta, ns.copyTo, ns.loadTo, ns.storeFrom, ns.arithTo, ns.hcd)
+		for _, e := range ns.gepTo {
 			fmt.Fprintf(&b, " gep%+v", *e)
 		}
-		if a.hcdAt != nil {
-			fmt.Fprintf(&b, " hcd=%v", a.hcdAt[n])
+		for _, s := range ns.icalls {
+			fmt.Fprintf(&b, " icall %d %v", s.site, s.connected)
 		}
 		b.WriteByte('\n')
-	}
-	for _, s := range a.icallSites {
-		fmt.Fprintf(&b, "icall %d %v\n", s.site, s.connected)
 	}
 	for i, e := range a.hcdEntries {
 		fmt.Fprintf(&b, "hcd %d fired=%v\n", i, e.fired)
@@ -305,10 +303,9 @@ func stateOf(a *Analysis) string {
 	}
 	fmt.Fprintf(&b, "pwc restored=%v\n", a.pwcRestored)
 	fmt.Fprintf(&b, "edges=%d regs=%d rets=%d\n", a.copyEdges.n, len(a.regNodes), len(a.retNodes))
-	// Appends past the end of a per-node table write its spare capacity.
-	fmt.Fprintf(&b, "spare capacity: pts %d delta %d copy %d gep %d load %d store %d arith %d icall %d rep %d\n",
-		pastLen(a.pts), pastLen(a.delta), listsPastLen(a.copyTo), listsPastLen(a.gepTo), listsPastLen(a.loadTo),
-		listsPastLen(a.storeFrom), listsPastLen(a.arithTo), listsPastLen(a.icallsAt), pastLen(a.rep))
+	// Appends past the end of a table or a list write its spare capacity.
+	fmt.Fprintf(&b, "spare capacity: state %d rep %d inWL %d records %d\n",
+		pastLen(a.state), pastLen(a.rep), pastLen(a.inWL), recordsPastLen(a))
 	return b.String()
 }
 
@@ -320,6 +317,22 @@ func pastLen[T comparable](table []T) int {
 		if v != zero {
 			n++
 		}
+	}
+	return n
+}
+
+// recordsPastLen counts the non-zero records in a's slab past its length,
+// and the non-zero entries past the length of every record's lists.
+func recordsPastLen(a *Analysis) int {
+	n := 0
+	for _, r := range a.slab[len(a.slab):cap(a.slab)] {
+		if !reflect.ValueOf(r).IsZero() {
+			n++
+		}
+	}
+	for _, ns := range a.state {
+		n += pastLen(ns.copyTo) + pastLen(ns.gepTo) + pastLen(ns.loadTo) + pastLen(ns.storeFrom) +
+			pastLen(ns.arithTo) + pastLen(ns.icalls) + pastLen(ns.hcd)
 	}
 	return n
 }
@@ -340,21 +353,28 @@ int main() {
 
 // TestDerivedWritesNoParentState drives analyses derived from finished
 // ones down the write paths the restore corpus rarely reaches, each on a
-// fresh derivation so no earlier write has unshared the table it needs: a
+// fresh derivation so no earlier write has owned the node it needs: a
 // positive-weight cycle first seen after the derivation, merges of nodes
-// with load and with store lists, a first HCD firing, a new node, and a
-// field collapse.
-// Each derived analysis re-solves, and the finished analysis must keep its
+// with load and with store lists, a first HCD firing, a new node, a field
+// collapse, a PWC restore clearing the cycle's marks, a new icall target,
+// the store and return a Ctx restore re-admits (paGrowSrc's id returns its
+// argument), a positive-weight cycle whose Field-Of source no new fact
+// reaches, new Field-Of, load and PtrAdd constraints, and a full-set flush
+// into a delta set. Each derived analysis re-solves, and the finished analysis must keep its
 // state byte for byte.
 func TestDerivedWritesNoParentState(t *testing.T) {
-	m, err := minic.Compile("unfired-hcd", unfiredHCDSrc)
-	if err != nil {
-		t.Fatal(err)
+	mods := []*ir.Module{workload.MbedTLS().MustModule()}
+	for i, src := range []string{unfiredHCDSrc, paGrowSrc} {
+		m, err := minic.Compile([]string{"unfired-hcd", "pagrow"}[i], src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, m)
 	}
 	for _, w := range derivedWrites {
 		took := false
-		for _, mod := range []*ir.Module{workload.MbedTLS().MustModule(), m} {
-			parent := New(mod, invariant.Config{}).Solve().a
+		for _, mod := range mods {
+			parent := New(mod, w.cfg).Solve().a
 			before := stateOf(parent)
 			d := parent.derive()
 			if !w.apply(d) {
@@ -385,17 +405,19 @@ func reps(a *Analysis, keep func(n int) bool) []int {
 	return out
 }
 
-// derivedWrites are the rare writes TestDerivedWritesNoParentState drives;
-// apply reports whether the analysis offered the write.
+// derivedWrites are the rare writes TestDerivedWritesNoParentState drives,
+// on an analysis derived from one solved under cfg; apply reports whether
+// the analysis offered the write.
 var derivedWrites = []struct {
 	name  string
+	cfg   invariant.Config
 	apply func(d *Analysis) bool
 }{
-	{"new positive-weight cycle", func(d *Analysis) bool {
+	{"new positive-weight cycle", invariant.Config{}, func(d *Analysis) bool {
 		// A positive Field-Of edge outside every cycle, closed by a new
 		// copy edge back to its source.
 		for _, n := range reps(d, func(int) bool { return true }) {
-			for _, e := range d.gepTo[n] {
+			for _, e := range d.state[n].gepTo {
 				if to := d.find(int(e.to)); e.off > 0 && !e.pwcSeen && to != n {
 					d.addCopy(to, n, 0, false)
 					return true
@@ -404,17 +426,17 @@ var derivedWrites = []struct {
 		}
 		return false
 	}},
-	{"merge of load holders", func(d *Analysis) bool {
-		ns := reps(d, func(n int) bool { return len(d.loadTo[n]) > 0 })
+	{"merge of load holders", invariant.Config{}, func(d *Analysis) bool {
+		ns := reps(d, func(n int) bool { return len(d.state[n].loadTo) > 0 })
 		return len(ns) >= 2 && d.mergeNodes(ns[0], ns[1])
 	}},
-	{"merge of store holders", func(d *Analysis) bool {
-		ns := reps(d, func(n int) bool { return len(d.storeFrom[n]) > 0 })
+	{"merge of store holders", invariant.Config{}, func(d *Analysis) bool {
+		ns := reps(d, func(n int) bool { return len(d.state[n].storeFrom) > 0 })
 		return len(ns) >= 2 && d.mergeNodes(ns[0], ns[1])
 	}},
-	{"first HCD firing", func(d *Analysis) bool {
-		for v, es := range d.hcdAt {
-			for _, ei := range es {
+	{"first HCD firing", invariant.Config{}, func(d *Analysis) bool {
+		for v, ns := range d.state {
+			for _, ei := range ns.hcd {
 				if !d.hcdEntries[ei].fired && d.find(v) == v {
 					d.hcdFire(v, nil)
 					return true
@@ -423,12 +445,12 @@ var derivedWrites = []struct {
 		}
 		return false
 	}},
-	{"new register node", func(d *Analysis) bool {
+	{"new register node", invariant.Config{}, func(d *Analysis) bool {
 		n := d.regNode("main", "%fresh")
 		d.addCopy(n, n-1, 0, false)
 		return true
 	}},
-	{"field collapse", func(d *Analysis) bool {
+	{"field collapse", invariant.Config{}, func(d *Analysis) bool {
 		for _, o := range d.objects {
 			if !o.Insens && o.Size > 1 {
 				d.makeFieldInsensitive(o)
@@ -437,18 +459,81 @@ var derivedWrites = []struct {
 		}
 		return false
 	}},
+	{"PWC restore", invariant.All(), func(d *Analysis) bool {
+		// The restore clears the cycle's pwcSeen marks, and the re-solve
+		// re-finds the cycle and collapses it.
+		for _, rec := range d.invariantRecords() {
+			if rec.Kind == invariant.PWC {
+				return d.readmit(rec) == nil
+			}
+		}
+		return false
+	}},
+	{"new icall target", invariant.Config{}, func(d *Analysis) bool {
+		// A function object the site has not connected reaches its function
+		// pointer; the re-solve connects it.
+		for _, n := range reps(d, func(n int) bool { return len(d.state[n].icalls) > 0 }) {
+			s := d.state[n].icalls[0]
+			for _, o := range d.objects {
+				if o.Kind == ObjFunc && !s.connected[o.Index] {
+					return d.addToPts(n, o.NodeBase, 0, -1, false)
+				}
+			}
+		}
+		return false
+	}},
+	{"positive-weight cycle through an unowned node", invariant.Config{}, func(d *Analysis) bool {
+		// The new copy edge adds nothing to the Field-Of edge's source, so
+		// only the cycle's first sighting writes that node.
+		for _, n := range reps(d, func(int) bool { return true }) {
+			for _, e := range d.state[n].gepTo {
+				to := d.find(int(e.to))
+				if e.off > 0 && !e.pwcSeen && to != n && subset(d.state[to].pts, d.state[n].pts) {
+					d.addCopy(to, n, 0, false)
+					return !d.owned[n]
+				}
+			}
+		}
+		return false
+	}},
+	{"constraints added after the solve", invariant.Config{}, func(d *Analysis) bool {
+		ns := reps(d, func(n int) bool { return d.nodes[n].kind == nodeReg && d.state[n].pts != nil })
+		if len(ns) < 4 {
+			return false
+		}
+		// One source each, so each constraint is the first write to its node.
+		d.addGep(ns[0], ns[3], 1, 0)
+		d.addLoad(ns[1], ns[3], 0)
+		d.addArith(ns[2], ns[3], 0)
+		return true
+	}},
+	{"full-set flush with delta sets on", invariant.Config{}, func(d *Analysis) bool {
+		ns := reps(d, func(n int) bool { return d.state[n].pts != nil && !d.state[n].pts.Empty() })
+		if len(ns) == 0 {
+			return false
+		}
+		d.noDelta = false
+		d.seedDelta(ns[0])
+		return true
+	}},
+	{"Ctx restore of a store", invariant.All(), func(d *Analysis) bool { return readmitCtx[*ir.Store](d) }},
+	{"Ctx restore of a return", invariant.All(), func(d *Analysis) bool { return readmitCtx[*ir.Ret](d) }},
 }
 
-// listsPastLen counts the non-nil lists in a table's capacity past its
-// length.
-func listsPastLen[T any](table [][]T) int {
-	n := 0
-	for _, l := range table[len(table):cap(table)] {
-		if l != nil {
-			n++
+// subset reports whether every element of x is in y; nil is empty.
+func subset(x, y *bitset.Set) bool {
+	return x == nil || x.Empty() || y != nil && x.SubsetOf(y)
+}
+
+// readmitCtx restores the first Ctx record whose site is an instruction of
+// type T and reports whether it found one.
+func readmitCtx[T ir.Instr](d *Analysis) bool {
+	for _, rec := range d.invariantRecords() {
+		if _, ok := d.mod.InstrByID(rec.Site).(T); ok && rec.Kind == invariant.Ctx {
+			return d.readmit(rec) == nil
 		}
 	}
-	return n
+	return false
 }
 
 // pwcSites lists the field sites of every record in recs, PWC records
@@ -579,5 +664,51 @@ func TestRestoreGrowsPARecordAlone(t *testing.T) {
 	}
 	if got := stateOf(opt.a); got != state {
 		t.Errorf("the restore wrote its receiver's state:\n%s", diffLines(state, got))
+	}
+}
+
+// TestRestoreRejectsUnassumedPWC: Restore returns an error, and writes
+// nothing of its receiver, for a PWC record the receiver does not hold: on
+// curl under every invariant, which assumes no PWC record, and on mbedtls
+// for its held record with another site list, for one without sites, and
+// for the record once it is restored.
+func TestRestoreRejectsUnassumedPWC(t *testing.T) {
+	curl := New(workload.ByName("curl").MustModule(), invariant.All()).Solve()
+	if len(pwcSites(curl.Invariants())) != 0 {
+		t.Fatalf("curl assumes PWC records %v", pwcSites(curl.Invariants()))
+	}
+	mbed := New(workload.MbedTLS().MustModule(), invariant.All()).Solve()
+	i := slices.IndexFunc(mbed.Invariants(), func(rec invariant.Record) bool { return rec.Kind == invariant.PWC })
+	if i < 0 {
+		t.Fatal("mbedtls assumes no PWC record")
+	}
+	held := mbed.Invariants()[i]
+	restored, err := mbed.Restore(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider := held
+	wider.CycleFieldSites = append(slices.Clone(held.CycleFieldSites), held.CycleFieldSites[len(held.CycleFieldSites)-1]+1)
+	cases := []struct {
+		name string
+		r    *Result
+		rec  invariant.Record
+	}{
+		{"curl", curl, invariant.Record{Kind: invariant.PWC, Site: 1, CycleFieldSites: []int{1}}},
+		{"mbedtls, other sites", mbed, wider},
+		{"mbedtls, no sites", mbed, invariant.Record{Kind: invariant.PWC, Site: held.Site}},
+		{"mbedtls, restored", restored, held},
+	}
+	for _, c := range cases {
+		recs, state := fmt.Sprintf("%+v", c.r.Invariants()), stateOf(c.r.a)
+		if got, err := c.r.Restore(c.rec); err == nil {
+			t.Errorf("%s: Restore(%+v) = %d records, want an error", c.name, c.rec, len(got.Invariants()))
+		}
+		if got := fmt.Sprintf("%+v", c.r.Invariants()); got != recs {
+			t.Errorf("%s: the rejected restore changed the receiver's records:\n%s", c.name, diffLines(recs, got))
+		}
+		if got := stateOf(c.r.a); got != state {
+			t.Errorf("%s: the rejected restore wrote the receiver's state:\n%s", c.name, diffLines(state, got))
+		}
 	}
 }

@@ -280,9 +280,9 @@ func TestRestoreAllConcurrent(t *testing.T) {
 	fallback := fingerprint(New(m, invariant.Config{}).Solve())
 	opt := New(m, invariant.All()).Solve()
 	before := fingerprint(opt)
-	copyLists := make([][]copyEdge, len(opt.a.copyTo))
-	for n, es := range opt.a.copyTo {
-		copyLists[n] = slices.Clone(es)
+	copyLists := make([][]copyEdge, len(opt.a.state))
+	for n, ns := range opt.a.state {
+		copyLists[n] = slices.Clone(ns.copyTo)
 	}
 	ptrs := opt.TopLevelPointers()
 	sites := opt.ICallSites()
@@ -340,47 +340,56 @@ func TestRestoreAllConcurrent(t *testing.T) {
 	if got := fingerprint(opt); got != before {
 		t.Errorf("concurrent RestoreAll changed its receiver:\n%s", diffLines(before, got))
 	}
-	for n, es := range opt.a.copyTo {
-		if !slices.Equal(es, copyLists[n]) {
+	for n, ns := range opt.a.state {
+		if !slices.Equal(ns.copyTo, copyLists[n]) {
 			t.Fatalf("concurrent RestoreAll changed node %d's copy list or probe marks", n)
 		}
 	}
 }
 
 // checkOwnership asserts the sharing contract of an analysis d derived from
-// parent: a set or copy list of a node d owns is in no array of the
-// parent's, and a node d does not own still has the parent's set and copy
-// list, the same memory and the same length.
+// parent: a node d does not own still has the parent's record, and a node d
+// owns has a record of its own whose sets, copy list, Field-Of edges and
+// icall sites are none of the parent's.
 func checkOwnership(t *testing.T, what string, d, parent *Analysis) {
 	t.Helper()
 	parentSets := map[*bitset.Set]bool{}
 	parentLists := map[*copyEdge]bool{}
-	for n := range parent.nodes {
-		for _, s := range []*bitset.Set{parent.pts[n], parent.delta[n]} {
+	parentEdges := map[*gepEdge]bool{}
+	parentSites := map[*icallSite]bool{}
+	for _, ns := range parent.state {
+		for _, s := range []*bitset.Set{ns.pts, ns.delta} {
 			if s != nil {
 				parentSets[s] = true
 			}
 		}
-		if es := parent.copyTo[n]; cap(es) > 0 {
+		if es := ns.copyTo; cap(es) > 0 {
 			parentLists[&es[:1][0]] = true
 		}
+		for _, e := range ns.gepTo {
+			parentEdges[e] = true
+		}
+		for _, s := range ns.icalls {
+			parentSites[s] = true
+		}
 	}
-	for n := range parent.nodes {
-		if d.owned[n] {
-			if parentSets[d.pts[n]] || parentSets[d.delta[n]] {
-				t.Fatalf("%s owns node %d but shares a set with its parent", what, n)
-			}
-			if es := d.copyTo[n]; cap(es) > 0 && parentLists[&es[:1][0]] {
-				t.Fatalf("%s owns node %d but shares a copy list with its parent", what, n)
+	for n, ps := range parent.state {
+		ds := d.state[n]
+		if !d.owned[n] {
+			if ds != ps {
+				t.Fatalf("%s does not own node %d but holds another record than its parent", what, n)
 			}
 			continue
 		}
-		if d.pts[n] != parent.pts[n] || d.delta[n] != parent.delta[n] {
-			t.Fatalf("%s does not own node %d but holds other sets than its parent", what, n)
+		if ds == ps || parentSets[ds.pts] || parentSets[ds.delta] {
+			t.Fatalf("%s owns node %d but shares its record or a set with its parent", what, n)
 		}
-		if es, pes := d.copyTo[n], parent.copyTo[n]; len(es) != len(pes) || (cap(pes) > 0) != (cap(es) > 0) ||
-			(cap(pes) > 0 && !sharesArray(es, pes)) {
-			t.Fatalf("%s does not own node %d but holds another copy list than its parent", what, n)
+		if es := ds.copyTo; cap(es) > 0 && parentLists[&es[:1][0]] {
+			t.Fatalf("%s owns node %d but shares a copy list with its parent", what, n)
+		}
+		if slices.ContainsFunc(ds.gepTo, func(e *gepEdge) bool { return parentEdges[e] }) ||
+			slices.ContainsFunc(ds.icalls, func(s *icallSite) bool { return parentSites[s] }) {
+			t.Fatalf("%s owns node %d but shares a Field-Of edge or icall site with its parent", what, n)
 		}
 	}
 }

@@ -10,18 +10,16 @@ import (
 	"repro/internal/workload"
 )
 
-// nodeTableCaps returns the capacity of every per-node table.
-func nodeTableCaps(a *Analysis) [11]int {
-	return [11]int{
-		cap(a.nodes), cap(a.rep), cap(a.pts), cap(a.delta), cap(a.inWL),
-		cap(a.copyTo), cap(a.gepTo), cap(a.loadTo), cap(a.storeFrom),
-		cap(a.arithTo), cap(a.icallsAt),
-	}
+// nodeTableCaps returns the capacity of every per-node table and of the
+// record slab.
+func nodeTableCaps(a *Analysis) [5]int {
+	return [5]int{cap(a.nodes), cap(a.rep), cap(a.state), cap(a.inWL), cap(a.slab)}
 }
 
-// TestNodeTablesFit: New sizes the per-node tables once, from the module's
-// own counts. Neither the build nor the solve, which adds parameter and
-// return nodes as indirect calls resolve, grows any of them, and on
+// TestNodeTablesFit: New sizes the per-node tables and the record slab
+// once, from the module's own counts. Neither the build nor the solve,
+// which adds parameter and return nodes as indirect calls resolve, grows
+// any of them, every node's record sits in the slab, and on
 // analyze-30k's program the reserve stays within a quarter of the nodes the
 // solved graph holds.
 func TestNodeTablesFit(t *testing.T) {
@@ -53,6 +51,9 @@ func TestNodeTablesFit(t *testing.T) {
 			a.Solve()
 			if after := nodeTableCaps(a); after != before {
 				t.Errorf("%s %s: node table capacities %v after Solve, %v after New", u.name, cfg.Name(), after, before)
+			}
+			if len(a.slab) != len(a.nodes) {
+				t.Errorf("%s %s: %d of %d node records in the slab", u.name, cfg.Name(), len(a.slab), len(a.nodes))
 			}
 			if u.name == "scaled-1-1000" && 4*before[0] > 5*len(a.nodes) {
 				t.Errorf("%s %s: reserved %d node slots for %d nodes, want at most 1.25x", u.name, cfg.Name(), before[0], len(a.nodes))

@@ -46,7 +46,23 @@ type icallSite struct {
 	connected map[int]bool // object index -> already wired
 }
 
-// copyEdge is one entry of copyTo[from], the constraint pts(to) ⊇
+// nodeState is one constraint node's solver state: its points-to set, the
+// pointees added since its last processing (delta), and every constraint
+// list keyed on it. A node merged away holds nothing; its representative
+// holds what it had. A derived analysis reads its parent's record until it
+// first writes the node (own).
+type nodeState struct {
+	pts, delta *bitset.Set
+	copyTo     []copyEdge
+	gepTo      []*gepEdge
+	loadTo     []depEdge
+	storeFrom  []depEdge
+	arithTo    []arithEdge
+	icalls     []*icallSite
+	hcd        []int32 // indexes into hcdEntries (offline HCD)
+}
+
+// copyEdge is one entry of a node's copy list, the constraint pts(to) ⊇
 // pts(from): the target node id, with the sign bit set once the LCD
 // fallback has probed the edge (hcd.go). The mark lives inside the int32 so
 // copy lists stay flat and merges concatenate them without allocating per
@@ -263,16 +279,9 @@ type Analysis struct {
 
 	nodes   []node
 	rep     []int32
-	pts     []*bitset.Set
-	delta   []*bitset.Set // per-node pointees added since the node's last processing
+	state   []*nodeState // per node: its solver state (nodeState)
+	slab    []nodeState  // the records New reserves; state points into it
 	objects []*Object
-
-	copyTo    [][]copyEdge
-	gepTo     [][]*gepEdge
-	loadTo    [][]depEdge
-	storeFrom [][]depEdge
-	arithTo   [][]arithEdge
-	icallsAt  [][]*icallSite
 
 	copyEdges  edgeSet // every copy edge addCopy inserted, for dedupe
 	regNodes   map[regKey]int
@@ -301,7 +310,6 @@ type Analysis struct {
 	prep       bool
 	prepDone   bool
 	hcdEntries []hcdEntry
-	hcdAt      [][]int32 // rep node -> indexes into hcdEntries
 
 	// Scratch buffers reused across the propagation loop so it allocates
 	// nothing per pop: the pending pointees processNode lists, and the LCD
@@ -321,13 +329,13 @@ type Analysis struct {
 	spare []*bitset.Set
 
 	// Copy-on-write derivation (incremental.go). A derived analysis shares
-	// its parent's state until its first write: shared marks the tables
-	// that are still the parent's, and owned[n] the nodes whose points-to
-	// set, delta and copy list are this analysis's own. A root analysis
-	// shares nothing and owns every node (owned is nil), so its solve pays
-	// one nil check per write.
-	shared tables
-	owned  []bool
+	// its parent's node records until its first write: owned[n] marks the
+	// nodes whose record is this analysis's own. A root analysis owns every
+	// node (owned is nil), so its solve pays one nil check per write. The
+	// objects and the node maps are shared whole until their first write.
+	owned       []bool
+	sharedObjs  bool
+	sharedNames bool
 
 	// Position of processNode's copy-list walk (solve.go): the node whose
 	// list it walks (-1 if none), and how far merges have moved the walked
@@ -385,22 +393,16 @@ func New(m *ir.Module, cfg invariant.Config) *Analysis {
 		walking:     -1,
 		objects:     make([]*Object, m.NumObjects()),
 	}
-	// Size the per-node tables once, from the module's own counts, so
-	// neither the build nor the solve (which adds parameter and return
-	// nodes as indirect calls resolve) grows them.
+	// Size the per-node tables and the record slab once, from the module's
+	// own counts, so neither the build nor the solve (which adds parameter
+	// and return nodes as indirect calls resolve) grows them.
 	regs, hint := a.nodeBound()
 	a.regNodes = make(map[regKey]int, regs)
 	a.nodes = make([]node, 0, hint)
 	a.rep = make([]int32, 0, hint)
-	a.pts = make([]*bitset.Set, 0, hint)
-	a.delta = make([]*bitset.Set, 0, hint)
+	a.state = make([]*nodeState, 0, hint)
+	a.slab = make([]nodeState, 0, hint)
 	a.inWL = make([]bool, 0, hint)
-	a.copyTo = make([][]copyEdge, 0, hint)
-	a.gepTo = make([][]*gepEdge, 0, hint)
-	a.loadTo = make([][]depEdge, 0, hint)
-	a.storeFrom = make([][]depEdge, 0, hint)
-	a.arithTo = make([][]arithEdge, 0, hint)
-	a.icallsAt = make([][]*icallSite, 0, hint)
 	a.buildStart = time.Now()
 	a.build()
 	a.buildDur = time.Since(a.buildStart)
@@ -450,26 +452,27 @@ func (a *Analysis) push(n int) {
 // ptsOf returns the points-to set of the representative of n, allocating it
 // on first use.
 func (a *Analysis) ptsOf(n int) *bitset.Set {
-	n = a.find(n)
-	if a.pts[n] == nil {
-		a.pts[n] = bitset.New(0)
+	ns := a.own(a.find(n))
+	if ns.pts == nil {
+		ns.pts = bitset.New(0)
 	}
-	return a.pts[n]
+	return ns.pts
 }
 
 // deltaOf returns the pending-delta set of representative node n, taking a
 // spare set or allocating one on first use. Callers must resolve n to its
-// representative first.
+// representative and own it first.
 func (a *Analysis) deltaOf(n int) *bitset.Set {
-	if a.delta[n] == nil {
+	ns := a.state[n]
+	if ns.delta == nil {
 		if k := len(a.spare) - 1; k >= 0 {
-			a.delta[n] = a.spare[k]
+			ns.delta = a.spare[k]
 			a.spare = a.spare[:k]
 		} else {
-			a.delta[n] = bitset.New(0)
+			ns.delta = bitset.New(0)
 		}
 	}
-	return a.delta[n]
+	return ns.delta
 }
 
 // release empties a delta set no node holds any more and puts it on the
@@ -487,9 +490,9 @@ func (a *Analysis) release(s *bitset.Set) {
 // incremental Restore re-admitting constraints.
 func (a *Analysis) seedDelta(n int) {
 	n = a.find(n)
-	if !a.noDelta && a.pts[n] != nil && !a.pts[n].Empty() {
+	if p := a.state[n].pts; !a.noDelta && p != nil && !p.Empty() {
 		a.own(n)
-		a.deltaOf(n).UnionWith(a.pts[n])
+		a.deltaOf(n).UnionWith(p) // p may be the parent's: read, not written
 		a.stats.DeltaFlushes++
 	}
 	a.push(n)
@@ -498,11 +501,11 @@ func (a *Analysis) seedDelta(n int) {
 // typeCount returns the number of distinct object types currently in
 // pts(n). Introspection-only (O(set) per call).
 func (a *Analysis) typeCount(n int) int {
-	if a.pts[n] == nil {
+	if a.state[n].pts == nil {
 		return 0
 	}
 	seen := map[string]bool{}
-	a.pts[n].ForEach(func(o int) bool {
+	a.state[n].pts.ForEach(func(o int) bool {
 		obj := a.objOfNode(o)
 		if obj == nil {
 			return true
@@ -548,7 +551,7 @@ func (a *Analysis) emitGrowth(n, added, site, obj int, derived bool) {
 		Node:      n,
 		Desc:      a.describeNode(n),
 		Added:     added,
-		Total:     a.pts[n].Len(),
+		Total:     a.state[n].pts.Len(),
 		Types:     a.typeCount(n),
 		Site:      site,
 		Derived:   derived,
@@ -561,11 +564,10 @@ func (a *Analysis) emitGrowth(n, added, site, obj int, derived bool) {
 // node's delta so the next processing propagates exactly them.
 func (a *Analysis) addToPts(n, o, site, srcNode int, derived bool) bool {
 	n = a.find(n)
-	if a.shares(n) {
-		if p := a.pts[n]; p != nil && p.Has(o) {
+	if a.borrowed(n) {
+		if p := a.state[n].pts; p != nil && p.Has(o) {
 			return false
 		}
-		a.ownNode(n)
 	}
 	if !a.ptsOf(n).Add(o) {
 		return false
@@ -590,7 +592,7 @@ func (a *Analysis) addToPts(n, o, site, srcNode int, derived bool) bool {
 // edge is first created and must see the source's full set).
 func (a *Analysis) unionPts(dst, src, site int, derived bool) bool {
 	src = a.find(src)
-	return a.unionSetInto(dst, a.pts[src], src, site, derived)
+	return a.unionSetInto(dst, a.state[src].pts, src, site, derived)
 }
 
 // unionSetInto merges an explicit pointee set into pts(dst), recording the
@@ -604,11 +606,8 @@ func (a *Analysis) unionSetInto(dst int, set *bitset.Set, srcNode, site int, der
 	if dst == srcNode || set == nil || set.Empty() {
 		return false
 	}
-	if a.shares(dst) {
-		if set.SubsetOf(a.pts[dst]) {
-			return false
-		}
-		a.ownNode(dst)
+	if a.borrowed(dst) && set.SubsetOf(a.state[dst].pts) {
+		return false
 	}
 	d := a.ptsOf(dst)
 	if a.traceProv {
@@ -661,8 +660,8 @@ func (a *Analysis) addCopy(from, to, site int, derived bool) {
 	if !a.copyEdges.insert(packEdge(from, to)) {
 		return
 	}
-	a.own(from)
-	a.copyTo[from] = append(a.copyTo[from], copyEdge(to))
+	ns := a.own(from)
+	ns.copyTo = append(ns.copyTo, copyEdge(to))
 	a.stats.CopyEdges++
 	if derived {
 		a.stats.DerivedEdges++
@@ -674,24 +673,24 @@ func (a *Analysis) addCopy(from, to, site int, derived bool) {
 // so the node's full set is flushed back into its delta.
 func (a *Analysis) addGep(from, to, off, site int) {
 	from = a.find(from)
-	a.unshare(tabGep)
-	a.gepTo[from] = append(a.gepTo[from], &gepEdge{to: int32(to), off: int32(off), site: int32(site)})
+	ns := a.own(from)
+	ns.gepTo = append(ns.gepTo, &gepEdge{to: int32(to), off: int32(off), site: int32(site)})
 	a.seedDelta(from)
 }
 
 // addLoad registers the Load constraint dest = *addr, flushing addr's set.
 func (a *Analysis) addLoad(addr, dest, site int) {
 	addr = a.find(addr)
-	a.unshare(tabLoad)
-	a.loadTo[addr] = append(a.loadTo[addr], depEdge{other: int32(dest), site: int32(site)})
+	ns := a.own(addr)
+	ns.loadTo = append(ns.loadTo, depEdge{other: int32(dest), site: int32(site)})
 	a.seedDelta(addr)
 }
 
 // addStore registers the Store constraint *addr = src, flushing addr's set.
 func (a *Analysis) addStore(addr, src, site int) {
 	addr = a.find(addr)
-	a.unshare(tabStore)
-	a.storeFrom[addr] = append(a.storeFrom[addr], depEdge{other: int32(src), site: int32(site)})
+	ns := a.own(addr)
+	ns.storeFrom = append(ns.storeFrom, depEdge{other: int32(src), site: int32(site)})
 	a.seedDelta(addr)
 }
 
@@ -699,8 +698,8 @@ func (a *Analysis) addStore(addr, src, site int) {
 // set.
 func (a *Analysis) addArith(base, dest, site int) {
 	base = a.find(base)
-	a.unshare(tabArith)
-	a.arithTo[base] = append(a.arithTo[base], arithEdge{to: int32(dest), site: int32(site)})
+	ns := a.own(base)
+	ns.arithTo = append(ns.arithTo, arithEdge{to: int32(dest), site: int32(site)})
 	a.seedDelta(base)
 }
 
@@ -727,42 +726,32 @@ func (a *Analysis) mergeNodes(x, y int) bool {
 	if x == y {
 		return false
 	}
-	a.own(x)
-	a.own(y)
-	a.unshare(tabRep | tabGep | tabLoad | tabStore | tabArith | tabICall | tabHCD)
+	xs, ys := a.own(x), a.own(y)
 	a.rep[y] = int32(x)
-	if a.pts[y] != nil {
-		a.ptsOf(x).UnionWith(a.pts[y])
-		a.pts[y] = nil
+	if ys.pts != nil {
+		a.ptsOf(x).UnionWith(ys.pts)
+		ys.pts = nil
 	}
-	if a.delta[y] != nil {
-		a.release(a.delta[y])
-		a.delta[y] = nil
+	if ys.delta != nil {
+		a.release(ys.delta)
+		ys.delta = nil
 	}
 	// Copy lists are the longest adjacency lists; growing the longer one
 	// copies fewer edges. Their order only decides propagation order.
-	if len(a.copyTo[y]) > len(a.copyTo[x]) {
+	if len(ys.copyTo) > len(xs.copyTo) {
 		if x == a.walking {
-			a.walkOff += len(a.copyTo[y])
+			a.walkOff += len(ys.copyTo)
 		}
-		a.copyTo[x], a.copyTo[y] = a.copyTo[y], a.copyTo[x]
+		xs.copyTo, ys.copyTo = ys.copyTo, xs.copyTo
 	}
-	a.copyTo[x] = append(a.copyTo[x], a.copyTo[y]...)
-	a.copyTo[y] = nil
-	a.gepTo[x] = append(a.gepTo[x], a.gepTo[y]...)
-	a.gepTo[y] = nil
-	a.loadTo[x] = append(a.loadTo[x], a.loadTo[y]...)
-	a.loadTo[y] = nil
-	a.storeFrom[x] = append(a.storeFrom[x], a.storeFrom[y]...)
-	a.storeFrom[y] = nil
-	a.arithTo[x] = append(a.arithTo[x], a.arithTo[y]...)
-	a.arithTo[y] = nil
-	a.icallsAt[x] = append(a.icallsAt[x], a.icallsAt[y]...)
-	a.icallsAt[y] = nil
-	if a.hcdAt != nil {
-		a.hcdAt[x] = append(a.hcdAt[x], a.hcdAt[y]...)
-		a.hcdAt[y] = nil
-	}
+	xs.copyTo = append(xs.copyTo, ys.copyTo...)
+	xs.gepTo = append(xs.gepTo, ys.gepTo...)
+	xs.loadTo = append(xs.loadTo, ys.loadTo...)
+	xs.storeFrom = append(xs.storeFrom, ys.storeFrom...)
+	xs.arithTo = append(xs.arithTo, ys.arithTo...)
+	xs.icalls = append(xs.icalls, ys.icalls...)
+	xs.hcd = append(xs.hcd, ys.hcd...)
+	*ys = nodeState{}
 	a.seedDelta(x)
 	return true
 }

@@ -67,7 +67,6 @@ func (a *Analysis) offlineHCD() {
 	// they end, which is where u+1's start.
 	edges := make([]int32, off[2*n+1])
 	a.hcdEdges(n, off, edges)
-	a.hcdAt = make([][]int32, n)
 	succ := func(v, i int) (int, bool) {
 		if j := int(off[v]) + i; j < int(off[v+1]) {
 			return int(edges[j]), true
@@ -100,7 +99,7 @@ func (a *Analysis) offlineHCD() {
 		idx := int32(len(a.hcdEntries))
 		a.hcdEntries = append(a.hcdEntries, hcdEntry{target: target, members: regs})
 		for _, r := range refs {
-			a.hcdAt[r] = append(a.hcdAt[r], idx)
+			a.state[r].hcd = append(a.state[r].hcd, idx)
 		}
 	})
 }
@@ -122,15 +121,16 @@ func (a *Analysis) hcdEdges(n int, off, edges []int32) {
 		if a.find(v) != v {
 			continue
 		}
-		for _, e := range a.copyTo[v] {
+		ns := a.state[v]
+		for _, e := range ns.copyTo {
 			if w := a.find(e.to()); w != v {
 				add(v, w)
 			}
 		}
-		for _, e := range a.loadTo[v] {
+		for _, e := range ns.loadTo {
 			add(n+v, a.find(int(e.other)))
 		}
-		for _, e := range a.storeFrom[v] {
+		for _, e := range ns.storeFrom {
 			add(a.find(int(e.other)), n+v)
 		}
 	}
@@ -142,13 +142,11 @@ func (a *Analysis) hcdEdges(n int, off, edges []int32) {
 // Merges reschedule the survivor with a full-set flush (mergeNodes), so no
 // derived fact is lost even when v itself is merged away mid-processing.
 func (a *Analysis) hcdFire(v int, elems []int) {
-	for _, ei := range a.hcdAt[v] {
+	for _, ei := range a.state[v].hcd {
 		e := &a.hcdEntries[ei]
 		t := a.find(int(e.target))
 		merged := 0
 		if !e.fired {
-			a.unshare(tabHCD)
-			e = &a.hcdEntries[ei]
 			e.fired = true
 			for _, m := range e.members {
 				if a.mergeNodes(t, int(m)) {
@@ -208,7 +206,7 @@ func (a *Analysis) lcdProbe(src, dst int) {
 		v := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		budget--
-		for _, e := range a.copyTo[v] {
+		for _, e := range a.state[v].copyTo {
 			w := a.find(e.to())
 			if w == src {
 				// Collapse the cycle src -> dst -> ... -> v -> src.

@@ -93,24 +93,22 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 		// Reprocess every PtrAdd base feeding this site: the previously
 		// filtered struct objects now flow through with baseline handling,
 		// so the base's full set is flushed back into its delta.
-		for n := range a.arithTo {
-			for _, e := range a.arithTo[n] {
+		for n, ns := range a.state {
+			for _, e := range ns.arithTo {
 				if int(e.site) == rec.Site {
 					a.seedDelta(n)
 				}
 			}
 		}
 	case invariant.PWC:
-		if len(rec.CycleFieldSites) == 0 {
-			return fmt.Errorf("pointsto: PWC record without field sites")
+		i := slices.IndexFunc(a.assumed, func(e assumption) bool {
+			return e.Kind == invariant.PWC && e.held && slices.Equal(e.CycleFieldSites, rec.CycleFieldSites)
+		})
+		if i < 0 {
+			return fmt.Errorf("pointsto: no active PWC assumption at sites %v", rec.CycleFieldSites)
 		}
-		found := false
 		for _, s := range rec.CycleFieldSites {
-			found = found || !a.pwcRestored[s]
 			a.pwcRestored[s] = true
-		}
-		if !found {
-			return fmt.Errorf("pointsto: PWC at sites %v already restored", rec.CycleFieldSites)
 		}
 		// The record is no longer held, nor is any other whose sites are
 		// now all restored.
@@ -124,11 +122,13 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 		// every site restored and applies the baseline mitigation exactly
 		// as a fresh solve does: the Field-Of edges collapse, the objects in
 		// the cycle lose field sensitivity, and the cycle merges.
-		a.unshare(tabGep)
-		for _, es := range a.gepTo {
-			for _, e := range es {
-				if slices.Contains(rec.CycleFieldSites, int(e.site)) {
-					e.pwcSeen = false
+		seen := func(e *gepEdge) bool { return e.pwcSeen && slices.Contains(rec.CycleFieldSites, int(e.site)) }
+		for n, ns := range a.state {
+			if slices.ContainsFunc(ns.gepTo, seen) {
+				for _, e := range a.own(n).gepTo {
+					if seen(e) {
+						e.pwcSeen = false
+					}
 				}
 			}
 		}
@@ -157,45 +157,28 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 	return nil
 }
 
-// tables names the parts of an analysis's state a derived analysis shares
-// with its parent until it first writes them, one bit each.
-type tables uint16
-
-const (
-	tabPts     tables = 1 << iota // the points-to table (per node: owned)
-	tabDelta                      // the delta table (per node: owned)
-	tabCopy                       // the copy lists (per node: owned)
-	tabGep                        // the Field-Of lists and their edges
-	tabLoad                       // the load lists
-	tabStore                      // the store lists
-	tabArith                      // the PtrAdd lists
-	tabICall                      // the icall lists and their sites
-	tabHCD                        // the HCD lists and entries
-	tabRep                        // the union-find table
-	tabObjects                    // the objects
-	tabNames                      // the register and return node maps
-
-	// nodeTables are the tables with one entry per node.
-	nodeTables = tabPts | tabDelta | tabCopy | tabGep | tabLoad | tabStore | tabArith | tabICall | tabHCD | tabRep
-	allTables  = nodeTables | tabObjects | tabNames
-)
-
-// derive returns an analysis that starts from a's state and shares it,
-// copying a table the first time it writes one (unshare) and a node's
-// points-to set, delta and copy list the first time it writes that node
-// (own). a must be finished: it is never written again, so any number of
-// analyses derived from it may run concurrently with its readers. Only what
-// a restore always writes is copied up front: the worklist, the assumption
-// table and the provenance log. Only what never changes after build is
-// shared for good: the module, layouts, Ctx plan and node descriptors.
+// derive returns an analysis that starts from a's state and shares it: it
+// reads a's node records until it first writes a node (own), and a's objects
+// and node maps until it first writes them. a must be finished: it is never
+// written again, so any number of analyses derived from it may run
+// concurrently with its readers. Only what a restore always writes is copied
+// up front: the record and union-find tables, the worklist, the assumption
+// table, the HCD entries' fired marks and the provenance log. Only what never
+// changes after build is shared for good: the module, layouts, Ctx plan,
+// node descriptors and the icall site list (Result reads only each site's
+// instruction and function-pointer node).
 func (a *Analysis) derive() *Analysis {
 	c := *a
-	c.shared = allTables
+	c.state = slices.Clone(a.state)
+	c.slab = nil // a's spare records are a's: a new node gets a new record
 	c.owned = make([]bool, len(a.nodes))
+	c.sharedObjs, c.sharedNames = true, true
 	c.nodes = slices.Clip(a.nodes)
+	c.rep = slices.Clone(a.rep)
 	c.copyEdges = a.copyEdges.derive()
 	c.worklist = slices.Clone(a.worklist)
 	c.inWL = slices.Clone(a.inWL)
+	c.hcdEntries = slices.Clone(a.hcdEntries)
 	if a.provs != nil {
 		c.provs = maps.Clone(a.provs)
 		for k, es := range c.provs {
@@ -212,157 +195,84 @@ func (a *Analysis) derive() *Analysis {
 	return &c
 }
 
-// shares reports whether node n's points-to set, delta and copy list are
-// still the parent's.
-func (a *Analysis) shares(n int) bool { return a.owned != nil && !a.owned[n] }
+// borrowed reports whether node n's record is still the parent's.
+func (a *Analysis) borrowed(n int) bool { return a.owned != nil && !a.owned[n] }
 
-// own makes node n's points-to set, delta and copy list this analysis's own
-// before a write.
-func (a *Analysis) own(n int) {
-	if a.shares(n) {
+// own returns node n's record, made this analysis's own before a write.
+func (a *Analysis) own(n int) *nodeState {
+	if a.borrowed(n) {
 		a.ownNode(n)
 	}
+	return a.state[n]
 }
 
-// ownNode copies node n's points-to set, delta and copy list. The copied
-// copy list carries no LCD probe marks: the marks only save repeated
-// probes, and the derived solve starts as if nothing had been probed, as a
-// fresh solve would.
+// ownNode copies node n's record with its sets. The lists that only grow by
+// append are clipped, so an append reallocates instead of writing past the
+// end of the parent's array. The copy list, the Field-Of edges and the icall
+// sites (with their connected targets) are written in place, so they are
+// copied. The copied copy list carries no LCD probe marks: the marks only
+// save repeated probes, and the derived solve starts as if nothing had been
+// probed, as a fresh solve would.
 func (a *Analysis) ownNode(n int) {
-	a.unshare(tabPts | tabDelta | tabCopy)
 	a.owned[n] = true
-	if s := a.pts[n]; s != nil {
-		a.pts[n] = s.Clone()
+	ns := *a.state[n]
+	if ns.pts != nil {
+		ns.pts = ns.pts.Clone()
 	}
-	if s := a.delta[n]; s != nil {
-		a.delta[n] = s.Clone()
+	if ns.delta != nil {
+		ns.delta = ns.delta.Clone()
 	}
-	if es := a.copyTo[n]; es != nil {
-		own := make([]copyEdge, len(es))
-		for i, e := range es {
+	if ns.copyTo != nil {
+		own := make([]copyEdge, len(ns.copyTo))
+		for i, e := range ns.copyTo {
 			own[i] = e &^ probedBit
 		}
-		a.copyTo[n] = own
+		ns.copyTo = own
 	}
-}
-
-// unshare makes the tables in t this analysis's own before a write; a root
-// analysis shares none, so it pays one test.
-func (a *Analysis) unshare(t tables) {
-	if t &= a.shared; t != 0 {
-		a.unshareTables(t)
-	}
-}
-
-// unshareTables copies the shared tables in t. The per-node tables get a
-// new outer slice whose entries are still the parent's: the owned-node
-// tables copy an entry in ownNode, and the lists that only grow by append
-// are clipped, so an append reallocates instead of writing past the end of
-// the parent's array. The Field-Of edges and icall sites carry mutable
-// flags, so their tables copy every edge and site.
-func (a *Analysis) unshareTables(t tables) {
-	a.shared &^= t
-	if t&tabPts != 0 {
-		a.pts = slices.Clone(a.pts)
-	}
-	if t&tabDelta != 0 {
-		a.delta = slices.Clone(a.delta)
-	}
-	if t&tabCopy != 0 {
-		a.copyTo = slices.Clone(a.copyTo)
-	}
-	if t&tabGep != 0 {
-		a.gepTo = copyGepLists(a.gepTo)
-	}
-	if t&tabLoad != 0 {
-		a.loadTo = clipEach(a.loadTo)
-	}
-	if t&tabStore != 0 {
-		a.storeFrom = clipEach(a.storeFrom)
-	}
-	if t&tabArith != 0 {
-		a.arithTo = clipEach(a.arithTo)
-	}
-	if t&tabICall != 0 {
-		a.icallSites, a.icallsAt = copyICalls(a.icallSites, a.icallsAt)
-	}
-	if t&tabHCD != 0 {
-		a.hcdAt = clipEach(a.hcdAt)
-		a.hcdEntries = slices.Clone(a.hcdEntries)
-	}
-	if t&tabRep != 0 {
-		a.rep = slices.Clone(a.rep)
-	}
-	if t&tabObjects != 0 {
-		objs := make([]Object, len(a.objects))
-		own := make([]*Object, len(a.objects))
-		for i, o := range a.objects {
-			objs[i] = *o
-			own[i] = &objs[i]
+	if ns.gepTo != nil {
+		edges := make([]gepEdge, len(ns.gepTo))
+		own := make([]*gepEdge, len(ns.gepTo))
+		for i, e := range ns.gepTo {
+			edges[i] = *e
+			own[i] = &edges[i]
 		}
-		a.objects = own
+		ns.gepTo = own
 	}
-	if t&tabNames != 0 {
+	if ns.icalls != nil {
+		own := make([]*icallSite, len(ns.icalls))
+		for i, s := range ns.icalls {
+			sc := *s
+			sc.connected = maps.Clone(s.connected)
+			own[i] = &sc
+		}
+		ns.icalls = own
+	}
+	ns.loadTo, ns.storeFrom = slices.Clip(ns.loadTo), slices.Clip(ns.storeFrom)
+	ns.arithTo, ns.hcd = slices.Clip(ns.arithTo), slices.Clip(ns.hcd)
+	a.state[n] = &ns
+}
+
+// unshareObjects makes the objects this analysis's own before a write.
+func (a *Analysis) unshareObjects() {
+	if !a.sharedObjs {
+		return
+	}
+	a.sharedObjs = false
+	objs := make([]Object, len(a.objects))
+	own := make([]*Object, len(a.objects))
+	for i, o := range a.objects {
+		objs[i] = *o
+		own[i] = &objs[i]
+	}
+	a.objects = own
+}
+
+// unshareNames makes the register and return node maps this analysis's own
+// before a write.
+func (a *Analysis) unshareNames() {
+	if a.sharedNames {
+		a.sharedNames = false
 		a.regNodes = maps.Clone(a.regNodes)
 		a.retNodes = maps.Clone(a.retNodes)
 	}
-}
-
-// copyGepLists copies every Field-Of edge into one backing array; each edge
-// sits in exactly one list.
-func copyGepLists(lists [][]*gepEdge) [][]*gepEdge {
-	edges := 0
-	for _, es := range lists {
-		edges += len(es)
-	}
-	all := make([]gepEdge, 0, edges)
-	out := make([][]*gepEdge, len(lists))
-	for n, es := range lists {
-		if es == nil {
-			continue
-		}
-		out[n] = make([]*gepEdge, len(es))
-		for i, e := range es {
-			all = append(all, *e)
-			out[n][i] = &all[len(all)-1]
-		}
-	}
-	return out
-}
-
-// copyICalls copies every indirect callsite with its connected-target set,
-// and points the site list and the per-node lists at the copies.
-func copyICalls(sites []*icallSite, lists [][]*icallSite) ([]*icallSite, [][]*icallSite) {
-	copies := make(map[*icallSite]*icallSite, len(sites))
-	outSites := make([]*icallSite, len(sites))
-	for i, s := range sites {
-		sc := *s
-		sc.connected = maps.Clone(s.connected)
-		copies[s] = &sc
-		outSites[i] = &sc
-	}
-	out := make([][]*icallSite, len(lists))
-	for n, ss := range lists {
-		if ss == nil {
-			continue
-		}
-		out[n] = make([]*icallSite, len(ss))
-		for i, s := range ss {
-			out[n][i] = copies[s]
-		}
-	}
-	return outSites, out
-}
-
-// clipEach copies an adjacency list's outer slice and clips every inner
-// slice to its length; a nil list stays nil.
-func clipEach[T any](lists [][]T) [][]T {
-	if lists == nil {
-		return nil
-	}
-	out := make([][]T, len(lists))
-	for i, l := range lists {
-		out[i] = slices.Clip(l)
-	}
-	return out
 }

@@ -115,8 +115,7 @@ func (a *Analysis) describeNode(id int) string {
 
 // find resolves the union-find representative of node x with path
 // halving. A node whose parent is a root is left as it is, so on a flat
-// table (flattenReps) find writes nothing, and a derived analysis can read
-// its parent's table until its first merge.
+// table (flattenReps) find writes nothing.
 func (a *Analysis) find(x int) int {
 	for {
 		p := a.rep[x]
@@ -132,26 +131,21 @@ func (a *Analysis) find(x int) int {
 	}
 }
 
-// newNode appends a node and its empty points-to set.
+// newNode appends a node with an empty record, taken from the slab New
+// reserved while it lasts.
 func (a *Analysis) newNode(n node) int {
-	if a.owned != nil {
-		a.unshare(nodeTables)
-		a.owned = append(a.owned, true)
-	}
 	id := len(a.nodes)
 	a.nodes = append(a.nodes, n)
 	a.rep = append(a.rep, int32(id))
-	a.pts = append(a.pts, nil)
-	a.delta = append(a.delta, nil)
 	a.inWL = append(a.inWL, false)
-	a.copyTo = append(a.copyTo, nil)
-	a.gepTo = append(a.gepTo, nil)
-	a.loadTo = append(a.loadTo, nil)
-	a.storeFrom = append(a.storeFrom, nil)
-	a.arithTo = append(a.arithTo, nil)
-	a.icallsAt = append(a.icallsAt, nil)
-	if a.hcdAt != nil {
-		a.hcdAt = append(a.hcdAt, nil)
+	if k := len(a.slab); k < cap(a.slab) {
+		a.slab = a.slab[:k+1]
+		a.state = append(a.state, &a.slab[k])
+	} else {
+		a.state = append(a.state, new(nodeState))
+	}
+	if a.owned != nil {
+		a.owned = append(a.owned, true)
 	}
 	return id
 }
@@ -165,7 +159,7 @@ func (a *Analysis) regNode(fn, reg string) int {
 		return id
 	}
 	id := a.newNode(node{kind: nodeReg, fn: fn, reg: reg})
-	a.unshare(tabNames)
+	a.unshareNames()
 	a.regNodes[k] = id
 	return id
 }
@@ -176,7 +170,7 @@ func (a *Analysis) retNode(fn string) int {
 		return id
 	}
 	id := a.newNode(node{kind: nodeRet, fn: fn})
-	a.unshare(tabNames)
+	a.unshareNames()
 	a.retNodes[fn] = id
 	return id
 }
@@ -184,8 +178,8 @@ func (a *Analysis) retNode(fn string) int {
 // nodeBound bounds, from counts the module already has, the registers the
 // analysis gives nodes to and the nodes it holds: every register an
 // instruction defines and every parameter, one return node per function,
-// and every analysis slot of every object. New sizes the per-node tables
-// and the register map from it, so they are allocated once. Registers that
+// and every analysis slot of every object. New sizes the per-node tables,
+// the record slab and the register map from it, so they are allocated once. Registers that
 // get no node (constants, arithmetic, inputs) leave room for the Ctx
 // policy's per-callsite dummy nodes; a graph that still outgrows the bound
 // grows its tables by append.
@@ -289,7 +283,7 @@ func (a *Analysis) makeFieldInsensitive(o *Object) {
 	if o.Insens {
 		return
 	}
-	a.unshare(tabObjects)
+	a.unshareObjects()
 	o = a.objects[o.Index]
 	o.Insens = true
 	a.stats.FieldCollapses++
@@ -313,11 +307,12 @@ func (a *Analysis) reseedSlotHolders(o *Object) {
 		return
 	}
 	for n := range a.nodes {
-		if a.find(n) != n || a.pts[n] == nil {
+		p := a.state[n].pts
+		if a.find(n) != n || p == nil {
 			continue
 		}
 		for s := 0; s < o.Size; s++ {
-			if a.pts[n].Has(o.NodeBase + s) {
+			if p.Has(o.NodeBase + s) {
 				a.seedDelta(n)
 				break
 			}

@@ -145,13 +145,13 @@ func TestMergeKeepsWalkedEdges(t *testing.T) {
 	a := New(m, invariant.Config{})
 	x, y := 0, 1
 	walked := []copyEdge{2 | probedBit, 3}
-	a.copyTo[x] = slices.Clone(walked)
-	a.copyTo[y] = []copyEdge{4, 5, 6}
+	a.state[x].copyTo = slices.Clone(walked)
+	a.state[y].copyTo = []copyEdge{4, 5, 6}
 	a.walking, a.walkOff = x, 0
 	if !a.mergeNodes(x, y) {
 		t.Fatal("nodes 0 and 1 did not merge")
 	}
-	if got := a.copyTo[x]; len(got) != 5 || !slices.Equal(got[a.walkOff:a.walkOff+len(walked)], walked) {
+	if got := a.state[x].copyTo; len(got) != 5 || !slices.Equal(got[a.walkOff:a.walkOff+len(walked)], walked) {
 		t.Errorf("merged list %v, walk offset %d: lost the walked edges %v", got, a.walkOff, walked)
 	}
 }
@@ -179,18 +179,19 @@ func TestProcessNodeDropsMergedEdges(t *testing.T) {
 	}
 	n := v[0]
 	a.rep[v[1]], a.rep[v[2]], a.rep[v[3]] = int32(n), int32(n), int32(v[1])
-	a.gepTo[n], a.loadTo[n], a.storeFrom[n], a.arithTo[n], a.icallsAt[n] = nil, nil, nil, nil, nil
+	ns := a.state[n]
+	ns.gepTo, ns.loadTo, ns.storeFrom, ns.arithTo, ns.icalls = nil, nil, nil, nil, nil
 	e := func(i int) copyEdge { return copyEdge(v[i]) }
-	a.copyTo[n] = []copyEdge{e(1), e(4), e(2) | probedBit, e(5) | probedBit, e(3), e(6)}
+	ns.copyTo = []copyEdge{e(1), e(4), e(2) | probedBit, e(5) | probedBit, e(3), e(6)}
 	a.noDelta = false
 	a.ptsOf(n).Add(obj)
 	a.deltaOf(n).Add(obj)
 	a.processNode(n)
-	if want := []copyEdge{e(4), e(5) | probedBit, e(6)}; !slices.Equal(a.copyTo[n], want) {
-		t.Errorf("copy list after processNode = %v, want %v", a.copyTo[n], want)
+	if want := []copyEdge{e(4), e(5) | probedBit, e(6)}; !slices.Equal(a.state[n].copyTo, want) {
+		t.Errorf("copy list after processNode = %v, want %v", a.state[n].copyTo, want)
 	}
 	for _, to := range v[4:] {
-		if a.pts[to] == nil || !a.pts[to].Has(obj) {
+		if p := a.state[to].pts; p == nil || !p.Has(obj) {
 			t.Errorf("live edge to %d did not propagate the pending pointee", to)
 		}
 	}
@@ -199,8 +200,8 @@ func TestProcessNodeDropsMergedEdges(t *testing.T) {
 // probeMarks counts the copy edges of a marked as probed by LCD.
 func probeMarks(a *Analysis) int {
 	n := 0
-	for _, es := range a.copyTo {
-		for _, e := range es {
+	for _, ns := range a.state {
+		for _, e := range ns.copyTo {
 			if e.probed() {
 				n++
 			}

@@ -79,7 +79,7 @@ type ObjSlot struct {
 // arrive in key order and the slots a collapse merges arrive adjacent.
 func (r *Result) AppendSet(dst []ObjSlot, node int) []ObjSlot {
 	a := r.a
-	set := a.pts[a.findRead(node)]
+	set := a.state[a.findRead(node)].pts
 	if set == nil {
 		return dst
 	}

@@ -97,12 +97,12 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 	a.stats.MonitorSites = monitorSites(recs)
 	// The spare delta sets only serve a running solve. So do the empty
 	// deltas a union that added nothing left behind (unionSetInto takes
-	// the target's delta first); a shared node's delta is its parent's,
-	// already dropped.
+	// the target's delta first); a borrowed record's delta is its
+	// parent's, already dropped.
 	a.spare = nil
-	for n, d := range a.delta {
-		if d != nil && !a.shares(n) {
-			a.delta[n] = nil
+	for _, ns := range a.state {
+		if ns.delta != nil {
+			ns.delta = nil
 		}
 	}
 	// Flatten the union-find so post-solve readers (Result methods) can
@@ -114,14 +114,10 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 	return newResult(a, recs), nil
 }
 
-// flattenReps fully path-compresses every union-find pointer. It writes
-// only the pointers that change, so a table that is already flat, such as a
-// derived analysis's unmerged share of its parent's, stays untouched.
+// flattenReps fully path-compresses every union-find pointer.
 func (a *Analysis) flattenReps() {
 	for i := range a.rep {
-		if r := int32(a.find(i)); a.rep[i] != r {
-			a.rep[i] = r
-		}
+		a.rep[i] = int32(a.find(i))
 	}
 }
 
@@ -163,8 +159,8 @@ func (a *Analysis) flushMetrics() {
 	// Distribution of points-to set sizes at this fixpoint, over
 	// representative nodes with non-empty sets (reps are flattened by now).
 	for i := range a.nodes {
-		if int(a.rep[i]) == i && a.pts[i] != nil && !a.pts[i].Empty() {
-			a.hPtsSize.Observe(int64(a.pts[i].Len()))
+		if p := a.state[i].pts; int(a.rep[i]) == i && p != nil && !p.Empty() {
+			a.hPtsSize.Observe(int64(p.Len()))
 		}
 	}
 }
@@ -198,13 +194,13 @@ func (a *Analysis) drain() {
 // facts that are already present.
 func (a *Analysis) processNode(n int) {
 	a.stats.Iterations++
-	a.own(n)
-	work := a.pts[n]
+	ns := a.own(n)
+	work := ns.pts
 	if !a.noDelta {
 		// Take the delta: pointees that reach n while it is processed start
 		// a fresh one.
-		work = a.delta[n]
-		a.delta[n] = nil
+		work = ns.delta
+		ns.delta = nil
 	}
 	if work == nil {
 		return
@@ -216,15 +212,15 @@ func (a *Analysis) processNode(n int) {
 		a.applyConstraints(n, work)
 		return
 	}
-	if a.pts[n] != nil {
-		a.stats.BitsAvoided += a.pts[n].Len() - size
+	if ns.pts != nil {
+		a.stats.BitsAvoided += ns.pts.Len() - size
 	}
 	a.applyConstraints(n, work)
 	a.release(work)
 }
 
 // applyConstraints propagates work, n's pending pointees, through every
-// outgoing constraint of n.
+// outgoing constraint of n. n's record is this analysis's own (processNode).
 func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 	if work.Empty() {
 		// Nothing pending: every edge has already consumed the node's full
@@ -233,7 +229,8 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 	}
 	elems := work.AppendElements(a.elemBuf[:0])
 	a.elemBuf = elems
-	if a.hcdAt != nil && len(a.hcdAt[n]) > 0 {
+	ns := a.state[n]
+	if len(ns.hcd) > 0 {
 		// Hybrid cycle detection: new pointees of n close offline-predicted
 		// copy cycles; collapse them now, in O(members), instead of waiting
 		// for the next whole-graph sccPass. This may merge n itself away —
@@ -242,7 +239,7 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 		// lists below simply have nothing left to do.
 		a.hcdFire(n, elems)
 	}
-	for _, e := range a.gepTo[n] {
+	for _, e := range ns.gepTo {
 		to := a.find(int(e.to))
 		for _, o := range elems {
 			if e.collapse {
@@ -255,7 +252,7 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 			}
 		}
 	}
-	for _, e := range a.loadTo[n] {
+	for _, e := range ns.loadTo {
 		for _, o := range elems {
 			if a.nodes[o].kind != nodeObj {
 				continue
@@ -263,7 +260,7 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 			a.addCopy(a.find(o), int(e.other), int(e.site), true)
 		}
 	}
-	for _, e := range a.storeFrom[n] {
+	for _, e := range ns.storeFrom {
 		for _, o := range elems {
 			if a.nodes[o].kind != nodeObj {
 				continue
@@ -271,33 +268,30 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 			a.addCopy(int(e.other), a.find(o), int(e.site), true)
 		}
 	}
-	for _, e := range a.arithTo[n] {
+	for _, e := range ns.arithTo {
 		a.processArith(n, e, elems)
 	}
-	if len(a.icallsAt[n]) > 0 {
-		a.unshare(tabICall) // connectICall marks the sites' targets
-	}
-	for _, s := range a.icallsAt[n] {
+	for _, s := range ns.icalls {
 		a.connectICall(n, s, elems)
 	}
 	// Drop the copy edges whose target a collapse already merged into n:
 	// they would propagate nothing, and since merges are never undone they
 	// never will. Order and probe marks of the live edges stay.
-	live := a.copyTo[n][:0]
-	for _, e := range a.copyTo[n] {
+	live := ns.copyTo[:0]
+	for _, e := range ns.copyTo {
 		if a.find(e.to()) != n {
 			live = append(live, e)
 		}
 	}
-	a.copyTo[n] = live
+	ns.copyTo = live
 	// An LCD collapse merges into n while this loop walks n's list, and a
 	// merge may put the other node's longer list in front of n's edges;
 	// mergeNodes then advances walkOff, so the loop reads and marks the
 	// same edges in the live list.
 	a.walking, a.walkOff = n, 0
-	for i, k := 0, len(a.copyTo[n]); i < k; i++ {
+	for i, k := 0, len(ns.copyTo); i < k; i++ {
 		j := a.walkOff + i
-		e := a.copyTo[n][j]
+		e := ns.copyTo[j]
 		if a.unionSetInto(e.to(), work, n, 0, false) || !a.prep || e.probed() {
 			continue
 		}
@@ -305,7 +299,7 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 		// the signature of a converged copy cycle. Probe lazily for one,
 		// once per edge.
 		if dst := a.find(e.to()); dst != n {
-			a.copyTo[n][j] |= probedBit
+			ns.copyTo[j] |= probedBit
 			a.lcdProbe(n, dst)
 		}
 	}
@@ -407,9 +401,11 @@ func (a *Analysis) sccPass() bool {
 			continue
 		}
 		// Positive-weight cycle. A first sighting writes the edges' flags,
-		// so the Field-Of edges must be this analysis's own first.
-		if a.shared&tabGep != 0 && slices.ContainsFunc(positive, func(e *gepEdge) bool { return !e.pwcSeen }) {
-			a.unshare(tabGep)
+		// so the cycle's records must be this analysis's own first.
+		if a.owned != nil && slices.ContainsFunc(positive, func(e *gepEdge) bool { return !e.pwcSeen }) {
+			for _, n := range scc {
+				a.own(int(n))
+			}
 			positive = a.positiveEdges(scc, inSCC)
 		}
 		unseen := false
@@ -441,10 +437,10 @@ func (a *Analysis) sccPass() bool {
 			e.collapse = true
 		}
 		for _, n := range scc {
-			if a.pts[n] == nil {
+			if a.state[n].pts == nil {
 				continue
 			}
-			for _, o := range a.pts[n].Elements() {
+			for _, o := range a.state[n].pts.Elements() {
 				if obj := a.objOfNode(o); obj != nil {
 					a.makeFieldInsensitive(obj)
 				}
@@ -463,7 +459,7 @@ func (a *Analysis) sccPass() bool {
 func (a *Analysis) positiveEdges(scc []int32, inSCC map[int]bool) []*gepEdge {
 	var positive []*gepEdge
 	for _, n := range scc {
-		for _, e := range a.gepTo[n] {
+		for _, e := range a.state[n].gepTo {
 			if e.off > 0 && inSCC[a.find(int(e.to))] {
 				positive = append(positive, e)
 			}
@@ -573,11 +569,12 @@ func (a *Analysis) sccs() [][]int32 {
 	var out [][]int32
 	root := func(v int) bool { return a.find(v) == v }
 	succ := func(v, i int) (int, bool) {
-		if i < len(a.copyTo[v]) {
-			return a.find(a.copyTo[v][i].to()), true
+		ns := a.state[v]
+		if i < len(ns.copyTo) {
+			return a.find(ns.copyTo[i].to()), true
 		}
-		if i -= len(a.copyTo[v]); i < len(a.gepTo[v]) {
-			return a.find(int(a.gepTo[v][i].to)), true
+		if i -= len(ns.copyTo); i < len(ns.gepTo) {
+			return a.find(int(ns.gepTo[i].to)), true
 		}
 		return 0, false
 	}
@@ -592,7 +589,7 @@ func (a *Analysis) sccs() [][]int32 {
 // hasSelfGep reports whether v has a positive-weight gep self-loop (a PWC
 // that collapsed onto a single node).
 func (a *Analysis) hasSelfGep(v int) bool {
-	for _, e := range a.gepTo[v] {
+	for _, e := range a.state[v].gepTo {
 		if e.off > 0 && a.find(int(e.to)) == v {
 			return true
 		}
