@@ -140,8 +140,8 @@ func (a *Analysis) wireICallSite(caller string, c *ir.ICall) {
 		dest:      dest,
 		connected: map[int]bool{},
 	}
-	ns := a.own(a.find(fptr))
-	ns.icalls = append(ns.icalls, site)
+	nc := a.ownCons(a.find(fptr))
+	nc.icalls = append(nc.icalls, site)
 	a.icallSites = append(a.icallSites, site)
 	a.seedDelta(fptr)
 }

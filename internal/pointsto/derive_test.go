@@ -282,12 +282,13 @@ func TestSpareSetsDistinct(t *testing.T) {
 func stateOf(a *Analysis) string {
 	var b strings.Builder
 	for n, ns := range a.state {
-		fmt.Fprintf(&b, "%d rep=%d pts=%v delta=%v copy=%v load=%v store=%v arith=%v hcd=%v",
-			n, a.rep[n], ns.pts, ns.delta, ns.copyTo, ns.loadTo, ns.storeFrom, ns.arithTo, ns.hcd)
-		for _, e := range ns.gepTo {
+		c := ns.cons()
+		fmt.Fprintf(&b, "%d rep=%d pts=%v delta=%v copy=%v cold=%v load=%v store=%v arith=%v hcd=%v",
+			n, a.rep[n], ns.pts, ns.delta, ns.copyTo, ns.cold != nil, c.loadTo, c.storeFrom, c.arithTo, c.hcd)
+		for _, e := range c.gepTo {
 			fmt.Fprintf(&b, " gep%+v", *e)
 		}
-		for _, s := range ns.icalls {
+		for _, s := range c.icalls {
 			fmt.Fprintf(&b, " icall %d %v", s.site, s.connected)
 		}
 		b.WriteByte('\n')
@@ -322,7 +323,8 @@ func pastLen[T comparable](table []T) int {
 }
 
 // recordsPastLen counts the non-zero records in a's slab past its length,
-// and the non-zero entries past the length of every record's lists.
+// and the non-zero entries past the length of every record's lists, cold
+// ones included.
 func recordsPastLen(a *Analysis) int {
 	n := 0
 	for _, r := range a.slab[len(a.slab):cap(a.slab)] {
@@ -331,8 +333,9 @@ func recordsPastLen(a *Analysis) int {
 		}
 	}
 	for _, ns := range a.state {
-		n += pastLen(ns.copyTo) + pastLen(ns.gepTo) + pastLen(ns.loadTo) + pastLen(ns.storeFrom) +
-			pastLen(ns.arithTo) + pastLen(ns.icalls) + pastLen(ns.hcd)
+		c := ns.cons()
+		n += pastLen(ns.copyTo) + pastLen(c.gepTo) + pastLen(c.loadTo) + pastLen(c.storeFrom) +
+			pastLen(c.arithTo) + pastLen(c.icalls) + pastLen(c.hcd)
 	}
 	return n
 }
@@ -417,7 +420,7 @@ var derivedWrites = []struct {
 		// A positive Field-Of edge outside every cycle, closed by a new
 		// copy edge back to its source.
 		for _, n := range reps(d, func(int) bool { return true }) {
-			for _, e := range d.state[n].gepTo {
+			for _, e := range d.state[n].cons().gepTo {
 				if to := d.find(int(e.to)); e.off > 0 && !e.pwcSeen && to != n {
 					d.addCopy(to, n, 0, false)
 					return true
@@ -427,16 +430,16 @@ var derivedWrites = []struct {
 		return false
 	}},
 	{"merge of load holders", invariant.Config{}, func(d *Analysis) bool {
-		ns := reps(d, func(n int) bool { return len(d.state[n].loadTo) > 0 })
+		ns := reps(d, func(n int) bool { return len(d.state[n].cons().loadTo) > 0 })
 		return len(ns) >= 2 && d.mergeNodes(ns[0], ns[1])
 	}},
 	{"merge of store holders", invariant.Config{}, func(d *Analysis) bool {
-		ns := reps(d, func(n int) bool { return len(d.state[n].storeFrom) > 0 })
+		ns := reps(d, func(n int) bool { return len(d.state[n].cons().storeFrom) > 0 })
 		return len(ns) >= 2 && d.mergeNodes(ns[0], ns[1])
 	}},
 	{"first HCD firing", invariant.Config{}, func(d *Analysis) bool {
 		for v, ns := range d.state {
-			for _, ei := range ns.hcd {
+			for _, ei := range ns.cons().hcd {
 				if !d.hcdEntries[ei].fired && d.find(v) == v {
 					d.hcdFire(v, nil)
 					return true
@@ -472,8 +475,8 @@ var derivedWrites = []struct {
 	{"new icall target", invariant.Config{}, func(d *Analysis) bool {
 		// A function object the site has not connected reaches its function
 		// pointer; the re-solve connects it.
-		for _, n := range reps(d, func(n int) bool { return len(d.state[n].icalls) > 0 }) {
-			s := d.state[n].icalls[0]
+		for _, n := range reps(d, func(n int) bool { return len(d.state[n].cons().icalls) > 0 }) {
+			s := d.state[n].cons().icalls[0]
 			for _, o := range d.objects {
 				if o.Kind == ObjFunc && !s.connected[o.Index] {
 					return d.addToPts(n, o.NodeBase, 0, -1, false)
@@ -486,7 +489,7 @@ var derivedWrites = []struct {
 		// The new copy edge adds nothing to the Field-Of edge's source, so
 		// only the cycle's first sighting writes that node.
 		for _, n := range reps(d, func(int) bool { return true }) {
-			for _, e := range d.state[n].gepTo {
+			for _, e := range d.state[n].cons().gepTo {
 				to := d.find(int(e.to))
 				if e.off > 0 && !e.pwcSeen && to != n && subset(d.state[to].pts, d.state[n].pts) {
 					d.addCopy(to, n, 0, false)

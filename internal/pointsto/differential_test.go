@@ -349,14 +349,15 @@ func TestRestoreAllConcurrent(t *testing.T) {
 
 // checkOwnership asserts the sharing contract of an analysis d derived from
 // parent: a node d does not own still has the parent's record, and a node d
-// owns has a record of its own whose sets, copy list, Field-Of edges and
-// icall sites are none of the parent's.
+// owns has a record of its own whose sets, copy list, cold record, Field-Of
+// edges and icall sites are none of the parent's.
 func checkOwnership(t *testing.T, what string, d, parent *Analysis) {
 	t.Helper()
 	parentSets := map[*bitset.Set]bool{}
 	parentLists := map[*copyEdge]bool{}
 	parentEdges := map[*gepEdge]bool{}
 	parentSites := map[*icallSite]bool{}
+	parentCold := map[*nodeCons]bool{}
 	for _, ns := range parent.state {
 		for _, s := range []*bitset.Set{ns.pts, ns.delta} {
 			if s != nil {
@@ -366,10 +367,13 @@ func checkOwnership(t *testing.T, what string, d, parent *Analysis) {
 		if es := ns.copyTo; cap(es) > 0 {
 			parentLists[&es[:1][0]] = true
 		}
-		for _, e := range ns.gepTo {
+		if ns.cold != nil {
+			parentCold[ns.cold] = true
+		}
+		for _, e := range ns.cons().gepTo {
 			parentEdges[e] = true
 		}
-		for _, s := range ns.icalls {
+		for _, s := range ns.cons().icalls {
 			parentSites[s] = true
 		}
 	}
@@ -381,14 +385,14 @@ func checkOwnership(t *testing.T, what string, d, parent *Analysis) {
 			}
 			continue
 		}
-		if ds == ps || parentSets[ds.pts] || parentSets[ds.delta] {
-			t.Fatalf("%s owns node %d but shares its record or a set with its parent", what, n)
+		if ds == ps || parentCold[ds.cold] || parentSets[ds.pts] || parentSets[ds.delta] {
+			t.Fatalf("%s owns node %d but shares its record, cold record or a set with its parent", what, n)
 		}
 		if es := ds.copyTo; cap(es) > 0 && parentLists[&es[:1][0]] {
 			t.Fatalf("%s owns node %d but shares a copy list with its parent", what, n)
 		}
-		if slices.ContainsFunc(ds.gepTo, func(e *gepEdge) bool { return parentEdges[e] }) ||
-			slices.ContainsFunc(ds.icalls, func(s *icallSite) bool { return parentSites[s] }) {
+		if slices.ContainsFunc(ds.cons().gepTo, func(e *gepEdge) bool { return parentEdges[e] }) ||
+			slices.ContainsFunc(ds.cons().icalls, func(s *icallSite) bool { return parentSites[s] }) {
 			t.Fatalf("%s owns node %d but shares a Field-Of edge or icall site with its parent", what, n)
 		}
 	}

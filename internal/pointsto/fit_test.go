@@ -2,7 +2,9 @@ package pointsto
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/invariant"
 	"repro/internal/ir"
@@ -21,8 +23,14 @@ func nodeTableCaps(a *Analysis) [5]int {
 // which adds parameter and return nodes as indirect calls resolve, grows
 // any of them, every node's record sits in the slab, and on
 // analyze-30k's program the reserve stays within a quarter of the nodes the
-// solved graph holds.
+// solved graph holds. The slab's record is 48 bytes: after the solve a node
+// has a cold record exactly when it is a representative with a constraint
+// other than a copy edge, a merged-away node holds nothing, and the shared
+// empty cold record is still empty.
 func TestNodeTablesFit(t *testing.T) {
+	if size := unsafe.Sizeof(nodeState{}); size != 48 {
+		t.Errorf("nodeState is %d bytes, want 48", size)
+	}
 	type unit struct {
 		name string
 		m    *ir.Module
@@ -57,6 +65,22 @@ func TestNodeTablesFit(t *testing.T) {
 			}
 			if u.name == "scaled-1-1000" && 4*before[0] > 5*len(a.nodes) {
 				t.Errorf("%s %s: reserved %d node slots for %d nodes, want at most 1.25x", u.name, cfg.Name(), before[0], len(a.nodes))
+			}
+			for n, ns := range a.state {
+				if a.find(n) != n {
+					if ns.pts != nil || ns.delta != nil || ns.copyTo != nil || ns.cold != nil {
+						t.Errorf("%s %s: merged-away node %d holds %+v", u.name, cfg.Name(), n, *ns)
+					}
+					continue
+				}
+				c := ns.cons()
+				holds := len(c.gepTo)+len(c.loadTo)+len(c.storeFrom)+len(c.arithTo)+len(c.icalls)+len(c.hcd) > 0
+				if (ns.cold != nil) != holds {
+					t.Errorf("%s %s: node %d has a cold record %v, holds a cold constraint %v", u.name, cfg.Name(), n, ns.cold != nil, holds)
+				}
+			}
+			if !reflect.ValueOf(noCons).IsZero() {
+				t.Fatalf("%s %s: the shared empty cold record was written: %+v", u.name, cfg.Name(), noCons)
 			}
 		}
 	}

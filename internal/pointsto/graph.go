@@ -47,19 +47,50 @@ type icallSite struct {
 }
 
 // nodeState is one constraint node's solver state: its points-to set, the
-// pointees added since its last processing (delta), and every constraint
-// list keyed on it. A node merged away holds nothing; its representative
-// holds what it had. A derived analysis reads its parent's record until it
-// first writes the node (own).
+// pointees added since its last processing (delta) and its copy list, which
+// every pop reads, and its other constraint lists, which most nodes never
+// get, held apart in a cold record. A node merged away holds nothing; its
+// representative holds what it had. A derived analysis reads its parent's
+// record until it first writes the node (own).
 type nodeState struct {
 	pts, delta *bitset.Set
 	copyTo     []copyEdge
-	gepTo      []*gepEdge
-	loadTo     []depEdge
-	storeFrom  []depEdge
-	arithTo    []arithEdge
-	icalls     []*icallSite
-	hcd        []int32 // indexes into hcdEntries (offline HCD)
+	cold       *nodeCons // nil until the node's first such constraint
+}
+
+// nodeCons is the cold part of a node's record: the constraint lists other
+// than copy edges. A node gets one at its first such constraint and keeps
+// it while it is a representative. Read it through cons; write it through
+// ownCons.
+type nodeCons struct {
+	gepTo     []*gepEdge
+	loadTo    []depEdge
+	storeFrom []depEdge
+	arithTo   []arithEdge
+	icalls    []*icallSite
+	hcd       []int32 // indexes into hcdEntries (offline HCD)
+}
+
+// noCons is the cold record of every node without one. It is shared and
+// read-only.
+var noCons nodeCons
+
+// cons returns the node's cold record for reading, or the shared empty one.
+func (ns *nodeState) cons() *nodeCons {
+	if ns.cold == nil {
+		return &noCons
+	}
+	return ns.cold
+}
+
+// ownCons returns representative n's cold record, made this analysis's own
+// (with the rest of the record) and allocated on first use, before a write.
+func (a *Analysis) ownCons(n int) *nodeCons {
+	ns := a.own(n)
+	if ns.cold == nil {
+		ns.cold = new(nodeCons)
+	}
+	return ns.cold
 }
 
 // copyEdge is one entry of a node's copy list, the constraint pts(to) ⊇
@@ -320,6 +351,12 @@ type Analysis struct {
 	lcdVisit []lcdVisit
 	lcdGen   uint32
 	lcdStack []int32
+
+	// Tarjan's working state, shared by offlineHCD, which sizes it for its
+	// ref graph of twice the nodes, and every later sccPass. Like spare, it
+	// is per solve: a derived analysis starts without one, and a finished
+	// solve drops it.
+	sccScratch tarjanScratch
 
 	// Consumed delta sets, emptied, that deltaOf hands out again before it
 	// allocates: processNode releases the set it propagated and mergeNodes
@@ -673,24 +710,24 @@ func (a *Analysis) addCopy(from, to, site int, derived bool) {
 // so the node's full set is flushed back into its delta.
 func (a *Analysis) addGep(from, to, off, site int) {
 	from = a.find(from)
-	ns := a.own(from)
-	ns.gepTo = append(ns.gepTo, &gepEdge{to: int32(to), off: int32(off), site: int32(site)})
+	c := a.ownCons(from)
+	c.gepTo = append(c.gepTo, &gepEdge{to: int32(to), off: int32(off), site: int32(site)})
 	a.seedDelta(from)
 }
 
 // addLoad registers the Load constraint dest = *addr, flushing addr's set.
 func (a *Analysis) addLoad(addr, dest, site int) {
 	addr = a.find(addr)
-	ns := a.own(addr)
-	ns.loadTo = append(ns.loadTo, depEdge{other: int32(dest), site: int32(site)})
+	c := a.ownCons(addr)
+	c.loadTo = append(c.loadTo, depEdge{other: int32(dest), site: int32(site)})
 	a.seedDelta(addr)
 }
 
 // addStore registers the Store constraint *addr = src, flushing addr's set.
 func (a *Analysis) addStore(addr, src, site int) {
 	addr = a.find(addr)
-	ns := a.own(addr)
-	ns.storeFrom = append(ns.storeFrom, depEdge{other: int32(src), site: int32(site)})
+	c := a.ownCons(addr)
+	c.storeFrom = append(c.storeFrom, depEdge{other: int32(src), site: int32(site)})
 	a.seedDelta(addr)
 }
 
@@ -698,8 +735,8 @@ func (a *Analysis) addStore(addr, src, site int) {
 // set.
 func (a *Analysis) addArith(base, dest, site int) {
 	base = a.find(base)
-	ns := a.own(base)
-	ns.arithTo = append(ns.arithTo, arithEdge{to: int32(dest), site: int32(site)})
+	c := a.ownCons(base)
+	c.arithTo = append(c.arithTo, arithEdge{to: int32(dest), site: int32(site)})
 	a.seedDelta(base)
 }
 
@@ -745,12 +782,18 @@ func (a *Analysis) mergeNodes(x, y int) bool {
 		xs.copyTo, ys.copyTo = ys.copyTo, xs.copyTo
 	}
 	xs.copyTo = append(xs.copyTo, ys.copyTo...)
-	xs.gepTo = append(xs.gepTo, ys.gepTo...)
-	xs.loadTo = append(xs.loadTo, ys.loadTo...)
-	xs.storeFrom = append(xs.storeFrom, ys.storeFrom...)
-	xs.arithTo = append(xs.arithTo, ys.arithTo...)
-	xs.icalls = append(xs.icalls, ys.icalls...)
-	xs.hcd = append(xs.hcd, ys.hcd...)
+	// The other lists keep their order: x's entries, then y's. A survivor
+	// without a cold record takes y's whole, as an append would copy it.
+	if xc, yc := xs.cold, ys.cold; xc == nil {
+		xs.cold = yc
+	} else if yc != nil {
+		xc.gepTo = append(xc.gepTo, yc.gepTo...)
+		xc.loadTo = append(xc.loadTo, yc.loadTo...)
+		xc.storeFrom = append(xc.storeFrom, yc.storeFrom...)
+		xc.arithTo = append(xc.arithTo, yc.arithTo...)
+		xc.icalls = append(xc.icalls, yc.icalls...)
+		xc.hcd = append(xc.hcd, yc.hcd...)
+	}
 	*ys = nodeState{}
 	a.seedDelta(x)
 	return true

@@ -73,7 +73,7 @@ func (a *Analysis) offlineHCD() {
 		}
 		return 0, false
 	}
-	tarjan(2*n, nil, succ, func(scc []int32) {
+	tarjan(&a.sccScratch, 2*n, nil, succ, func(scc []int32) {
 		if len(scc) < 2 {
 			return
 		}
@@ -99,7 +99,8 @@ func (a *Analysis) offlineHCD() {
 		idx := int32(len(a.hcdEntries))
 		a.hcdEntries = append(a.hcdEntries, hcdEntry{target: target, members: regs})
 		for _, r := range refs {
-			a.state[r].hcd = append(a.state[r].hcd, idx)
+			c := a.ownCons(int(r))
+			c.hcd = append(c.hcd, idx)
 		}
 	})
 }
@@ -127,10 +128,11 @@ func (a *Analysis) hcdEdges(n int, off, edges []int32) {
 				add(v, w)
 			}
 		}
-		for _, e := range ns.loadTo {
+		c := ns.cons()
+		for _, e := range c.loadTo {
 			add(n+v, a.find(int(e.other)))
 		}
-		for _, e := range ns.storeFrom {
+		for _, e := range c.storeFrom {
 			add(a.find(int(e.other)), n+v)
 		}
 	}
@@ -142,7 +144,7 @@ func (a *Analysis) hcdEdges(n int, off, edges []int32) {
 // Merges reschedule the survivor with a full-set flush (mergeNodes), so no
 // derived fact is lost even when v itself is merged away mid-processing.
 func (a *Analysis) hcdFire(v int, elems []int) {
-	for _, ei := range a.state[v].hcd {
+	for _, ei := range a.state[v].cons().hcd {
 		e := &a.hcdEntries[ei]
 		t := a.find(int(e.target))
 		merged := 0

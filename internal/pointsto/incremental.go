@@ -94,7 +94,7 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 		// filtered struct objects now flow through with baseline handling,
 		// so the base's full set is flushed back into its delta.
 		for n, ns := range a.state {
-			for _, e := range ns.arithTo {
+			for _, e := range ns.cons().arithTo {
 				if int(e.site) == rec.Site {
 					a.seedDelta(n)
 				}
@@ -124,8 +124,8 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 		// the cycle lose field sensitivity, and the cycle merges.
 		seen := func(e *gepEdge) bool { return e.pwcSeen && slices.Contains(rec.CycleFieldSites, int(e.site)) }
 		for n, ns := range a.state {
-			if slices.ContainsFunc(ns.gepTo, seen) {
-				for _, e := range a.own(n).gepTo {
+			if slices.ContainsFunc(ns.cons().gepTo, seen) {
+				for _, e := range a.ownCons(n).gepTo {
 					if seen(e) {
 						e.pwcSeen = false
 					}
@@ -190,6 +190,7 @@ func (a *Analysis) derive() *Analysis {
 	// Scratch buffers and spare sets are per solve: sharing them would let
 	// two analyses derived concurrently from a write the same memory.
 	c.elemBuf, c.lcdVisit, c.lcdGen, c.lcdStack, c.spare = nil, nil, 0, nil, nil
+	c.sccScratch = tarjanScratch{}
 	// The derivation built nothing: the build span belongs to a alone.
 	c.buildEmitted = true
 	return &c
@@ -206,13 +207,14 @@ func (a *Analysis) own(n int) *nodeState {
 	return a.state[n]
 }
 
-// ownNode copies node n's record with its sets. The lists that only grow by
-// append are clipped, so an append reallocates instead of writing past the
-// end of the parent's array. The copy list, the Field-Of edges and the icall
-// sites (with their connected targets) are written in place, so they are
-// copied. The copied copy list carries no LCD probe marks: the marks only
-// save repeated probes, and the derived solve starts as if nothing had been
-// probed, as a fresh solve would.
+// ownNode copies node n's record with its sets, and its cold record if it
+// has one. The lists that only grow by append are clipped, so an append
+// reallocates instead of writing past the end of the parent's array. The
+// copy list, the Field-Of edges and the icall sites (with their connected
+// targets) are written in place, so they are copied. The copied copy list
+// carries no LCD probe marks: the marks only save repeated probes, and the
+// derived solve starts as if nothing had been probed, as a fresh solve
+// would.
 func (a *Analysis) ownNode(n int) {
 	a.owned[n] = true
 	ns := *a.state[n]
@@ -229,26 +231,30 @@ func (a *Analysis) ownNode(n int) {
 		}
 		ns.copyTo = own
 	}
-	if ns.gepTo != nil {
-		edges := make([]gepEdge, len(ns.gepTo))
-		own := make([]*gepEdge, len(ns.gepTo))
-		for i, e := range ns.gepTo {
-			edges[i] = *e
-			own[i] = &edges[i]
+	if ns.cold != nil {
+		c := *ns.cold
+		if c.gepTo != nil {
+			edges := make([]gepEdge, len(c.gepTo))
+			own := make([]*gepEdge, len(c.gepTo))
+			for i, e := range c.gepTo {
+				edges[i] = *e
+				own[i] = &edges[i]
+			}
+			c.gepTo = own
 		}
-		ns.gepTo = own
-	}
-	if ns.icalls != nil {
-		own := make([]*icallSite, len(ns.icalls))
-		for i, s := range ns.icalls {
-			sc := *s
-			sc.connected = maps.Clone(s.connected)
-			own[i] = &sc
+		if c.icalls != nil {
+			own := make([]*icallSite, len(c.icalls))
+			for i, s := range c.icalls {
+				sc := *s
+				sc.connected = maps.Clone(s.connected)
+				own[i] = &sc
+			}
+			c.icalls = own
 		}
-		ns.icalls = own
+		c.loadTo, c.storeFrom = slices.Clip(c.loadTo), slices.Clip(c.storeFrom)
+		c.arithTo, c.hcd = slices.Clip(c.arithTo), slices.Clip(c.hcd)
+		ns.cold = &c
 	}
-	ns.loadTo, ns.storeFrom = slices.Clip(ns.loadTo), slices.Clip(ns.storeFrom)
-	ns.arithTo, ns.hcd = slices.Clip(ns.arithTo), slices.Clip(ns.hcd)
 	a.state[n] = &ns
 }
 

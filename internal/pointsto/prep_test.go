@@ -180,7 +180,7 @@ func TestProcessNodeDropsMergedEdges(t *testing.T) {
 	n := v[0]
 	a.rep[v[1]], a.rep[v[2]], a.rep[v[3]] = int32(n), int32(n), int32(v[1])
 	ns := a.state[n]
-	ns.gepTo, ns.loadTo, ns.storeFrom, ns.arithTo, ns.icalls = nil, nil, nil, nil, nil
+	ns.cold = nil
 	e := func(i int) copyEdge { return copyEdge(v[i]) }
 	ns.copyTo = []copyEdge{e(1), e(4), e(2) | probedBit, e(5) | probedBit, e(3), e(6)}
 	a.noDelta = false

@@ -1,34 +1,50 @@
 package pointsto
 
+// tarjanScratch is tarjan's working state: per node the visit index, the
+// low link and the on-stack mark, plus the node stack and the DFS frames.
+// It carries nothing between calls, so a caller reuses one across calls
+// instead of allocating the arrays each time.
+type tarjanScratch struct {
+	index, low []int32
+	onStack    []bool
+	stack      []int32
+	frames     []tarjanFrame
+}
+
+// tarjanFrame is one DFS frame: node v, and the index of its next successor.
+type tarjanFrame struct {
+	v int
+	i int
+}
+
 // tarjan computes the strongly connected components of a graph over node
-// ids [0, n) with an iterative Tarjan. Roots are tried in id order, skipping
-// any for which root (if non-nil) reports false; nodes reached as successors
-// are visited regardless. succ(v, i) returns v's i-th successor, or false
-// past the last one; self-loops are ignored. emit receives every component,
-// singletons included, in completion order (successors first), with members
-// in stack-pop order, so the component's root comes last. The slice aliases
-// the traversal stack: it is valid only during the call, and emit must not
+// ids [0, n) with an iterative Tarjan, in the scratch s (grown to n if it is
+// smaller). Roots are tried in id order, skipping any for which root (if
+// non-nil) reports false; nodes reached as successors are visited
+// regardless. succ(v, i) returns v's i-th successor, or false past the last
+// one; self-loops are ignored. emit receives every component, singletons
+// included, in completion order (successors first), with members in
+// stack-pop order, so the component's root comes last. The slice aliases the
+// traversal stack: it is valid only during the call, and emit must not
 // change the graph succ reads.
-func tarjan(n int, root func(v int) bool, succ func(v, i int) (int, bool), emit func(scc []int32)) {
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
+func tarjan(s *tarjanScratch, n int, root func(v int) bool, succ func(v, i int) (int, bool), emit func(scc []int32)) {
+	if len(s.index) < n {
+		s.index, s.low, s.onStack = make([]int32, n), make([]int32, n), make([]bool, n)
+	}
+	// A finished call leaves every on-stack mark cleared; low is written
+	// before it is read.
+	index, low, onStack := s.index[:n], s.low[:n], s.onStack[:n]
 	for i := range index {
 		index[i] = -1
 	}
-	var stack []int32
+	stack, frames := s.stack[:0], s.frames[:0]
 	next := int32(0)
-	type frame struct {
-		v int
-		i int
-	}
-	var frames []frame
 	visit := func(v int) {
 		index[v], low[v] = next, next
 		next++
 		stack = append(stack, int32(v))
 		onStack[v] = true
-		frames = append(frames, frame{v: v})
+		frames = append(frames, tarjanFrame{v: v})
 	}
 	for r := 0; r < n; r++ {
 		if index[r] != -1 || (root != nil && !root(r)) {
@@ -74,4 +90,5 @@ func tarjan(n int, root func(v int) bool, succ func(v, i int) (int, bool), emit 
 			stack = stack[:k]
 		}
 	}
+	s.stack, s.frames = stack, frames // keep the grown arrays
 }

@@ -8,8 +8,10 @@ import (
 // TestTarjan pins the shared SCC routine's contract: roots in id order,
 // successors in edge order, self-loops ignored, filtered-out roots skipped,
 // components in completion order with members in stack-pop order (the
-// component's root last).
+// component's root last). Every case runs on one scratch, so reusing a
+// scratch, grown or not, must not change a result.
 func TestTarjan(t *testing.T) {
+	var scratch tarjanScratch
 	for _, tc := range []struct {
 		name string
 		adj  [][]int32
@@ -51,7 +53,7 @@ func TestTarjan(t *testing.T) {
 				}
 				return 0, false
 			}
-			tarjan(len(tc.adj), root, succ, func(scc []int32) {
+			tarjan(&scratch, len(tc.adj), root, succ, func(scc []int32) {
 				got = append(got, append([]int32(nil), scc...))
 			})
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {

@@ -95,11 +95,11 @@ func (a *Analysis) SolveCtx(ctx context.Context, b Budget) (*Result, error) {
 	}
 	recs := a.invariantRecords()
 	a.stats.MonitorSites = monitorSites(recs)
-	// The spare delta sets only serve a running solve. So do the empty
-	// deltas a union that added nothing left behind (unionSetInto takes
-	// the target's delta first); a borrowed record's delta is its
-	// parent's, already dropped.
-	a.spare = nil
+	// The spare delta sets and the Tarjan scratch only serve a running
+	// solve. So do the empty deltas a union that added nothing left behind
+	// (unionSetInto takes the target's delta first); a borrowed record's
+	// delta is its parent's, already dropped.
+	a.spare, a.sccScratch = nil, tarjanScratch{}
 	for _, ns := range a.state {
 		if ns.delta != nil {
 			ns.delta = nil
@@ -230,16 +230,20 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 	elems := work.AppendElements(a.elemBuf[:0])
 	a.elemBuf = elems
 	ns := a.state[n]
-	if len(ns.hcd) > 0 {
+	c := ns.cons()
+	if len(c.hcd) > 0 {
 		// Hybrid cycle detection: new pointees of n close offline-predicted
 		// copy cycles; collapse them now, in O(members), instead of waiting
 		// for the next whole-graph sccPass. This may merge n itself away —
 		// safe, because the merge moves n's adjacency to the survivor and
-		// re-seeds it with the combined full set, so the (now empty) edge
-		// lists below simply have nothing left to do.
+		// re-seeds it with the combined full set, so n has nothing left to
+		// do.
 		a.hcdFire(n, elems)
+		if a.rep[n] != int32(n) {
+			return
+		}
 	}
-	for _, e := range ns.gepTo {
+	for _, e := range c.gepTo {
 		to := a.find(int(e.to))
 		for _, o := range elems {
 			if e.collapse {
@@ -252,7 +256,7 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 			}
 		}
 	}
-	for _, e := range ns.loadTo {
+	for _, e := range c.loadTo {
 		for _, o := range elems {
 			if a.nodes[o].kind != nodeObj {
 				continue
@@ -260,7 +264,7 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 			a.addCopy(a.find(o), int(e.other), int(e.site), true)
 		}
 	}
-	for _, e := range ns.storeFrom {
+	for _, e := range c.storeFrom {
 		for _, o := range elems {
 			if a.nodes[o].kind != nodeObj {
 				continue
@@ -268,10 +272,15 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 			a.addCopy(int(e.other), a.find(o), int(e.site), true)
 		}
 	}
-	for _, e := range ns.arithTo {
+	for _, e := range c.arithTo {
 		a.processArith(n, e, elems)
 	}
-	for _, s := range ns.icalls {
+	if a.rep[n] != int32(n) {
+		// A field collapse merged n away (processArith): the survivor has
+		// its lists and a full-set flush.
+		return
+	}
+	for _, s := range c.icalls {
 		a.connectICall(n, s, elems)
 	}
 	// Drop the copy edges whose target a collapse already merged into n:
@@ -459,7 +468,7 @@ func (a *Analysis) sccPass() bool {
 func (a *Analysis) positiveEdges(scc []int32, inSCC map[int]bool) []*gepEdge {
 	var positive []*gepEdge
 	for _, n := range scc {
-		for _, e := range a.state[n].gepTo {
+		for _, e := range a.state[n].cons().gepTo {
 			if e.off > 0 && inSCC[a.find(int(e.to))] {
 				positive = append(positive, e)
 			}
@@ -573,12 +582,12 @@ func (a *Analysis) sccs() [][]int32 {
 		if i < len(ns.copyTo) {
 			return a.find(ns.copyTo[i].to()), true
 		}
-		if i -= len(ns.copyTo); i < len(ns.gepTo) {
-			return a.find(int(ns.gepTo[i].to)), true
+		if i -= len(ns.copyTo); i < len(ns.cons().gepTo) {
+			return a.find(int(ns.cons().gepTo[i].to)), true
 		}
 		return 0, false
 	}
-	tarjan(len(a.nodes), root, succ, func(scc []int32) {
+	tarjan(&a.sccScratch, len(a.nodes), root, succ, func(scc []int32) {
 		if len(scc) > 1 || a.hasSelfGep(int(scc[0])) {
 			out = append(out, append([]int32(nil), scc...))
 		}
@@ -589,7 +598,7 @@ func (a *Analysis) sccs() [][]int32 {
 // hasSelfGep reports whether v has a positive-weight gep self-loop (a PWC
 // that collapsed onto a single node).
 func (a *Analysis) hasSelfGep(v int) bool {
-	for _, e := range a.state[v].gepTo {
+	for _, e := range a.state[v].cons().gepTo {
 		if e.off > 0 && a.find(int(e.to)) == v {
 			return true
 		}
