@@ -46,9 +46,11 @@ examples:
 		$(GO) run ./examples/$$e | diff -u examples/$$e/stdout.txt - || { echo "examples: $$e output changed" >&2; exit 1; }; \
 	done
 
-## bench: run the evaluation benchmarks
+## bench: run the evaluation benchmarks, then the front end alone on
+## analyze-30k's program (BenchmarkCompileScaled)
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=CompileScaled -benchmem -run=^$$ ./internal/minic
 
 ## profile: CPU and memory profiles of BenchmarkScaledAnalysis (one
 ## analyze-30k operation: compile, solve, derive the fallback, harden), six

@@ -105,10 +105,9 @@ type cfunc struct {
 
 // compiler translates one module under one instrumentation.
 type compiler struct {
-	mod     *ir.Module
-	layouts *ir.Layouts
-	instr   *Instrumentation
-	prog    *Program
+	mod   *ir.Module
+	instr *Instrumentation
+	prog  *Program
 }
 
 // Compile compiles m for execution under instr (nil: uninstrumented).
@@ -117,7 +116,7 @@ func Compile(m *ir.Module, instr *Instrumentation) *Program {
 		instr = &Instrumentation{}
 	}
 	p := &Program{byName: make(map[string]*cfunc, len(m.Funcs)), checkICalls: instr.CheckICalls}
-	c := &compiler{mod: m, layouts: ir.NewLayouts(), instr: instr, prog: p}
+	c := &compiler{mod: m, instr: instr, prog: p}
 	// Create shells first so direct calls can resolve callee pointers.
 	for i, f := range m.Funcs {
 		cf := &cfunc{name: f.Name, idx: i, obj: funcObj(f.Obj, f.Name)}
@@ -127,8 +126,7 @@ func Compile(m *ir.Module, instr *Instrumentation) *Program {
 	for _, g := range m.Globals {
 		p.globals = append(p.globals, objInfo{
 			ID:     g.Obj,
-			Type:   g.Type,
-			layout: c.layouts.Of(g.Type),
+			layout: g.Type.Layout(),
 			key:    "@" + g.Name,
 		})
 	}
@@ -209,8 +207,7 @@ func (c *compiler) compileInstr(cf *cfunc, in ir.Instr, reg func(string) int, bl
 		ci.dst = reg(in.Dest)
 		ci.obj = &objInfo{
 			ID:     in.Obj,
-			Type:   in.Ty,
-			layout: c.layouts.Of(in.Ty),
+			layout: in.Ty.Layout(),
 			key:    "stack#" + strconv.Itoa(site),
 			name:   cf.name + "/" + in.Var,
 		}
@@ -218,9 +215,9 @@ func (c *compiler) compileInstr(cf *cfunc, in ir.Instr, reg func(string) int, bl
 		ci.op = opMalloc
 		ci.dst = reg(in.Dest)
 		ci.a = reg(in.Size)
-		ci.obj = &objInfo{ID: in.Obj, Type: in.SizeOf, key: "heap#" + strconv.Itoa(site)}
+		ci.obj = &objInfo{ID: in.Obj, key: "heap#" + strconv.Itoa(site)}
 		if in.SizeOf != nil {
-			ci.obj.layout = c.layouts.Of(in.SizeOf)
+			ci.obj.layout = in.SizeOf.Layout()
 		}
 	case *ir.AddrGlobal:
 		ci.op = opAddrGlobal
@@ -258,14 +255,14 @@ func (c *compiler) compileInstr(cf *cfunc, in ir.Instr, reg func(string) int, bl
 		ci.op = opFieldAddr
 		ci.dst = reg(in.Dest)
 		ci.a = reg(in.Base)
-		ci.off = c.layouts.Of(in.Struct).FieldRuntimeOff[in.Field]
+		ci.off = in.Struct.Layout().FieldRuntimeOff[in.Field]
 		ci.hooked = c.instr.FieldSites[site]
 	case *ir.IndexAddr:
 		ci.op = opIndexAddr
 		ci.dst = reg(in.Dest)
 		ci.a = reg(in.Base)
 		ci.b = reg(in.Index)
-		ci.off = c.layouts.Of(in.Elem).RuntimeSize
+		ci.off = in.Elem.Layout().RuntimeSize
 	case *ir.PtrAdd:
 		ci.op = opPtrAdd
 		ci.dst = reg(in.Dest)

@@ -108,7 +108,6 @@ type RObj struct {
 // pointsto.Result.Objects; -1 marks an object made outside a program.
 type objInfo struct {
 	ID     int
-	Type   ir.Type    // nil for unknown-type heap objects
 	layout *ir.Layout // nil for unknown-type heap objects
 	key    string     // the identity's text: @g, f(), stack#N or heap#N
 	name   string     // diagnostics, when they say more than key (an alloca's fn/var)

@@ -14,18 +14,9 @@ package ir
 // Malloc.SizeOf fields in place.
 func PropagateHeapTypes(m *Module) {
 	p := &heapTypeProp{
-		m:      m,
-		defs:   map[string]map[string]Instr{},
-		sites:  map[string][]*callRef{},
-		memo:   map[string]Type{},
-		failed: map[string]bool{},
-	}
-	for _, f := range m.Funcs {
-		f.Instrs(func(_ *Block, in Instr) {
-			if c, ok := in.(*Call); ok {
-				p.sites[c.Callee] = append(p.sites[c.Callee], &callRef{caller: f.Name, call: c})
-			}
-		})
+		m:    m,
+		defs: map[string]map[string]Instr{},
+		memo: map[string]Type{},
 	}
 	for _, f := range m.Funcs {
 		f.Instrs(func(_ *Block, in Instr) {
@@ -46,11 +37,10 @@ type callRef struct {
 }
 
 type heapTypeProp struct {
-	m      *Module
-	defs   map[string]map[string]Instr // per function, built on first use
-	sites  map[string][]*callRef
-	memo   map[string]Type
-	failed map[string]bool
+	m     *Module
+	defs  map[string]map[string]Instr // per function, built on first use
+	sites map[string][]callRef        // direct callsites per callee, built on first use
+	memo  map[string]Type             // nil: unresolved, or being resolved
 }
 
 // resolve walks the definition chain of (fn, reg) toward a sizeof-tagged
@@ -63,16 +53,10 @@ func (p *heapTypeProp) resolve(fn, reg string, depth int) Type {
 	if t, ok := p.memo[key]; ok {
 		return t
 	}
-	if p.failed[key] {
-		return nil
-	}
 	// Break recursion cycles conservatively.
-	p.failed[key] = true
+	p.memo[key] = nil
 	t := p.resolveUncached(fn, reg, depth)
-	if t != nil {
-		delete(p.failed, key)
-		p.memo[key] = t
-	}
+	p.memo[key] = t
 	return t
 }
 
@@ -91,7 +75,7 @@ func (p *heapTypeProp) resolveUncached(fn, reg string, depth int) Type {
 		if f.AddressTaken {
 			return nil
 		}
-		sites := p.sites[fn]
+		sites := p.callSites(fn)
 		if len(sites) == 0 {
 			return nil
 		}
@@ -106,7 +90,7 @@ func (p *heapTypeProp) resolveUncached(fn, reg string, depth int) Type {
 			}
 			if agreed == nil {
 				agreed = t
-			} else if !TypeEqual(agreed, t) {
+			} else if agreed != t {
 				return nil
 			}
 		}
@@ -119,6 +103,22 @@ func (p *heapTypeProp) resolveUncached(fn, reg string, depth int) Type {
 		return p.resolve(fn, d.Src, depth)
 	}
 	return nil
+}
+
+// callSites returns fn's direct callsites, indexing every call of the
+// module the first time a resolution reaches a parameter.
+func (p *heapTypeProp) callSites(fn string) []callRef {
+	if p.sites == nil {
+		p.sites = map[string][]callRef{}
+		for _, f := range p.m.Funcs {
+			f.Instrs(func(_ *Block, in Instr) {
+				if c, ok := in.(*Call); ok {
+					p.sites[c.Callee] = append(p.sites[c.Callee], callRef{caller: f.Name, call: c})
+				}
+			})
+		}
+	}
+	return p.sites[fn]
 }
 
 // defsOf returns f's register -> defining instruction map, building it the

@@ -10,7 +10,7 @@ func buildWrapperModule(t *testing.T, callerConsts []*Const) *Module {
 	t.Helper()
 	m := NewModule("wrap")
 
-	ab := NewFuncBuilder("alloc", []string{"%n"}, []Type{Int}, PointerTo(Int))
+	ab := NewFuncBuilder("alloc", []string{"%n"}, []Type{Int}, m.PointerTo(Int))
 	h := ab.Temp()
 	ab.Emit(&Malloc{Dest: h, Size: "%n"})
 	ab.Ret(h)
@@ -44,8 +44,8 @@ func mallocIn(m *Module, fn string) *Malloc {
 func TestPropagateHeapTypesThroughWrapper(t *testing.T) {
 	st := &StructType{Name: "sess", Fields: []Field{{Name: "a", Type: Int}, {Name: "fp", Type: Fn}}}
 	m := buildWrapperModule(t, []*Const{
-		{Val: int64(NumSlots(st)), SizeOfType: st},
-		{Val: int64(NumSlots(st)), SizeOfType: st},
+		{Val: int64(st.Layout().RuntimeSize), SizeOfType: st},
+		{Val: int64(st.Layout().RuntimeSize), SizeOfType: st},
 	})
 	PropagateHeapTypes(m)
 	mal := mallocIn(m, "alloc")
@@ -58,8 +58,8 @@ func TestPropagateHeapTypesMixedCallersStayUnknown(t *testing.T) {
 	s1 := &StructType{Name: "a1", Fields: []Field{{Name: "x", Type: Int}}}
 	s2 := &StructType{Name: "a2", Fields: []Field{{Name: "y", Type: Fn}}}
 	m := buildWrapperModule(t, []*Const{
-		{Val: int64(NumSlots(s1)), SizeOfType: s1},
-		{Val: int64(NumSlots(s2)), SizeOfType: s2},
+		{Val: int64(s1.Layout().RuntimeSize), SizeOfType: s1},
+		{Val: int64(s2.Layout().RuntimeSize), SizeOfType: s2},
 	})
 	PropagateHeapTypes(m)
 	if mal := mallocIn(m, "alloc"); mal.SizeOf != nil {
@@ -77,7 +77,7 @@ func TestPropagateHeapTypesPlainSizeStaysUnknown(t *testing.T) {
 
 func TestPropagateHeapTypesAddressTakenWrapperStaysUnknown(t *testing.T) {
 	st := &StructType{Name: "s", Fields: []Field{{Name: "x", Type: Int}}}
-	m := buildWrapperModule(t, []*Const{{Val: int64(NumSlots(st)), SizeOfType: st}})
+	m := buildWrapperModule(t, []*Const{{Val: int64(st.Layout().RuntimeSize), SizeOfType: st}})
 	// Take the wrapper's address: indirect callers are invisible, so the
 	// propagation must refuse.
 	mainF := m.Func("main")

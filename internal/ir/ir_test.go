@@ -1,147 +1,10 @@
 package ir
 
 import (
-	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 )
-
-func sslStruct() *StructType {
-	return &StructType{
-		Name: "ssl_context",
-		Fields: []Field{
-			{Name: "f_send", Type: Fn},
-			{Name: "f_recv", Type: Fn},
-			{Name: "buf", Type: &ArrayType{Elem: Int, Len: 8}},
-			{Name: "peer", Type: PointerTo(Int)},
-		},
-	}
-}
-
-func TestNumSlots(t *testing.T) {
-	st := sslStruct()
-	cases := []struct {
-		t    Type
-		want int
-	}{
-		{Int, 1},
-		{PointerTo(Int), 1},
-		{Fn, 1},
-		{st, 1 + 1 + 8 + 1},
-		{&ArrayType{Elem: st, Len: 3}, 33},
-		{&StructType{Name: "empty"}, 1},
-	}
-	for _, c := range cases {
-		if got := NumSlots(c.t); got != c.want {
-			t.Errorf("NumSlots(%s) = %d, want %d", c.t, got, c.want)
-		}
-	}
-}
-
-func TestFlattenedFields(t *testing.T) {
-	st := sslStruct()
-	flat := FlattenedFields(st)
-	// arrays collapse to a single slot for the analysis
-	if len(flat) != 4 {
-		t.Fatalf("flattened slots = %d, want 4: %+v", len(flat), flat)
-	}
-	if flat[0].Path != "f_send" || flat[2].Path != "buf[]" || flat[3].Path != "peer" {
-		t.Errorf("paths = %v %v %v %v", flat[0].Path, flat[1].Path, flat[2].Path, flat[3].Path)
-	}
-	if _, ok := flat[0].Type.(FuncType); !ok {
-		t.Errorf("f_send slot type = %s", flat[0].Type)
-	}
-}
-
-func TestFlattenedNestedStruct(t *testing.T) {
-	inner := &StructType{Name: "inner", Fields: []Field{
-		{Name: "a", Type: Int},
-		{Name: "fp", Type: Fn},
-	}}
-	outer := &StructType{Name: "outer", Fields: []Field{
-		{Name: "x", Type: PointerTo(Int)},
-		{Name: "in", Type: inner},
-	}}
-	flat := FlattenedFields(outer)
-	if len(flat) != 3 {
-		t.Fatalf("flattened slots = %d, want 3", len(flat))
-	}
-	if flat[1].Path != "in.a" || flat[2].Path != "in.fp" {
-		t.Errorf("nested paths = %q, %q", flat[1].Path, flat[2].Path)
-	}
-}
-
-func TestLayoutStruct(t *testing.T) {
-	st := sslStruct()
-	l := NewLayouts().Of(st)
-	if l.RuntimeSize != 11 {
-		t.Errorf("RuntimeSize = %d, want 11", l.RuntimeSize)
-	}
-	if l.AnalysisSize != 4 {
-		t.Errorf("AnalysisSize = %d, want 4", l.AnalysisSize)
-	}
-	wantROff := []int{0, 1, 2, 10}
-	wantAOff := []int{0, 1, 2, 3}
-	for k := range st.Fields {
-		if l.FieldRuntimeOff[k] != wantROff[k] {
-			t.Errorf("FieldRuntimeOff[%d] = %d, want %d", k, l.FieldRuntimeOff[k], wantROff[k])
-		}
-		if l.FieldAnalysisOff[k] != wantAOff[k] {
-			t.Errorf("FieldAnalysisOff[%d] = %d, want %d", k, l.FieldAnalysisOff[k], wantAOff[k])
-		}
-	}
-	// all 8 array slots map onto analysis slot 2
-	for r := 2; r < 10; r++ {
-		if l.RToA[r] != 2 {
-			t.Errorf("RToA[%d] = %d, want 2", r, l.RToA[r])
-		}
-	}
-	if l.RToA[0] != 0 || l.RToA[1] != 1 || l.RToA[10] != 3 {
-		t.Errorf("scalar RToA mapping wrong: %v", l.RToA)
-	}
-}
-
-func TestLayoutArrayOfStructs(t *testing.T) {
-	st := &StructType{Name: "pair", Fields: []Field{
-		{Name: "p", Type: PointerTo(Int)},
-		{Name: "q", Type: PointerTo(Int)},
-	}}
-	arr := &ArrayType{Elem: st, Len: 4}
-	l := NewLayouts().Of(arr)
-	if l.RuntimeSize != 8 || l.AnalysisSize != 2 {
-		t.Fatalf("sizes = %d/%d, want 8/2", l.RuntimeSize, l.AnalysisSize)
-	}
-	for i := 0; i < 4; i++ {
-		if l.RToA[2*i] != 0 || l.RToA[2*i+1] != 1 {
-			t.Errorf("element %d maps to %d/%d", i, l.RToA[2*i], l.RToA[2*i+1])
-		}
-	}
-}
-
-func TestTypeEqual(t *testing.T) {
-	a := sslStruct()
-	b := sslStruct()
-	if !TypeEqual(a, b) {
-		t.Error("same-named structs unequal")
-	}
-	if TypeEqual(PointerTo(Int), PointerTo(PointerTo(Int))) {
-		t.Error("int* equals int**")
-	}
-	if !TypeEqual(PointerTo(a), PointerTo(b)) {
-		t.Error("struct pointers unequal")
-	}
-	if TypeEqual(Int, Fn) {
-		t.Error("int equals fn")
-	}
-	if !TypeEqual(&ArrayType{Elem: Int, Len: 3}, &ArrayType{Elem: Int, Len: 3}) {
-		t.Error("identical arrays unequal")
-	}
-	if TypeEqual(&ArrayType{Elem: Int, Len: 3}, &ArrayType{Elem: Int, Len: 4}) {
-		t.Error("different-length arrays equal")
-	}
-}
 
 // buildTinyModule constructs:
 //
@@ -165,7 +28,7 @@ func buildTinyModule(t *testing.T) *Module {
 	b := NewFuncBuilder("main", nil, nil, Int)
 	p := b.Temp()
 	b.Emit(&AddrGlobal{Dest: p, Global: "o"})
-	q := b.Alloca("q", PointerTo(Int))
+	q := b.Alloca("q", m.PointerTo(Int))
 	b.Store(q, p)
 	b.Load(q)
 	f := b.Temp()
@@ -335,7 +198,7 @@ func TestValidateRejectsBadFieldIndex(t *testing.T) {
 	st := &StructType{Name: "s", Fields: []Field{{Name: "a", Type: Int}}}
 	m := NewModule("bad")
 	m.Structs["s"] = st
-	b := NewFuncBuilder("f", []string{"%p"}, []Type{PointerTo(st)}, nil)
+	b := NewFuncBuilder("f", []string{"%p"}, []Type{m.PointerTo(st)}, nil)
 	b.Emit(&FieldAddr{Dest: "%x", Base: "%p", Struct: st, Field: 3})
 	b.Emit(&Ret{})
 	m.AddFunc(b.F)
@@ -406,7 +269,7 @@ func TestInstrStrings(t *testing.T) {
 }
 
 func TestBuilderBlocksAndTemps(t *testing.T) {
-	b := NewFuncBuilder("f", []string{"%p"}, []Type{PointerTo(Int)}, nil)
+	b := NewFuncBuilder("f", []string{"%p"}, []Type{&PointerType{Elem: Int}}, nil)
 	if b.Cur().Name != "entry" {
 		t.Fatalf("entry block = %q", b.Cur().Name)
 	}
@@ -432,71 +295,55 @@ func TestBuilderBlocksAndTemps(t *testing.T) {
 	}
 }
 
-// Property: runtime-to-analysis slot mapping is total and within bounds for
-// randomly shaped nested types.
-func TestQuickLayoutMapping(t *testing.T) {
-	buildType := func(seed int64) Type {
-		r := rand.New(rand.NewSource(seed))
-		var mk func(depth int) Type
-		mk = func(depth int) Type {
-			if depth >= 3 {
-				return Int
+// TestBuilderReuseAndFinish: one builder builds two functions in turn.
+// Finish leaves each function's blocks in one instruction store, every block
+// a full-capacity sub-slice of it, so appending to a finished block leaves
+// its neighbour alone; building the second function through the same
+// builder leaves the first intact.
+func TestBuilderReuseAndFinish(t *testing.T) {
+	b := NewFuncBuilder("f", nil, nil, Int)
+	c := b.Const(1)
+	entry := b.Cur()
+	b.NewBlock("then")
+	b.Ret(c)
+	b.SetBlock(entry)
+	b.Jump("then") // a block revisited for its terminator
+	f := b.Finish()
+	want := "entry: %t1 = const 1; jmp then | then: ret %t1"
+	got := func(f *Function) string {
+		var parts []string
+		for _, blk := range f.Blocks {
+			var ins []string
+			for _, in := range blk.Instrs {
+				ins = append(ins, in.String())
 			}
-			switch r.Intn(5) {
-			case 0:
-				return Int
-			case 1:
-				return PointerTo(mk(depth + 1))
-			case 2:
-				return Fn
-			case 3:
-				return &ArrayType{Elem: mk(depth + 1), Len: 1 + r.Intn(5)}
-			default:
-				n := 1 + r.Intn(4)
-				st := &StructType{Name: fmt.Sprintf("s%d_%d", seed, depth)}
-				for i := 0; i < n; i++ {
-					st.Fields = append(st.Fields, Field{Name: fmt.Sprintf("f%d", i), Type: mk(depth + 1)})
-				}
-				return st
-			}
+			parts = append(parts, blk.Name+": "+strings.Join(ins, "; "))
 		}
-		return mk(0)
+		return strings.Join(parts, " | ")
 	}
-	ls := NewLayouts()
-	for seed := int64(0); seed < 200; seed++ {
-		ty := buildType(seed)
-		l := ls.Of(ty)
-		if l.RuntimeSize != NumSlots(ty) {
-			t.Fatalf("seed %d: RuntimeSize %d != NumSlots %d for %s", seed, l.RuntimeSize, NumSlots(ty), ty)
+	if s := got(f); s != want {
+		t.Fatalf("finished f = %q, want %q", s, want)
+	}
+	b.Start("g", nil, nil, nil)
+	b.NewBlock("then")
+	b.Emit(&Ret{})
+	b.SetBlock(b.F.Blocks[0])
+	b.Jump("then")
+	g := b.Finish()
+	if s := got(f); s != want {
+		t.Errorf("after building g, f = %q, want %q", s, want)
+	}
+	if s := got(g); s != "entry: jmp then | then: ret" {
+		t.Errorf("g = %q", s)
+	}
+	for _, blk := range f.Blocks {
+		if len(blk.Instrs) != cap(blk.Instrs) {
+			t.Errorf("block %s: len %d, cap %d", blk.Name, len(blk.Instrs), cap(blk.Instrs))
 		}
-		if l.AnalysisSize != len(FlattenedFields(ty)) {
-			t.Fatalf("seed %d: AnalysisSize %d != flattened %d", seed, l.AnalysisSize, len(FlattenedFields(ty)))
-		}
-		if len(l.RToA) != l.RuntimeSize {
-			t.Fatalf("seed %d: RToA length %d != runtime size %d", seed, len(l.RToA), l.RuntimeSize)
-		}
-		covered := make([]bool, l.AnalysisSize)
-		for r, a := range l.RToA {
-			if a < 0 || a >= l.AnalysisSize {
-				t.Fatalf("seed %d: RToA[%d] = %d out of range %d", seed, r, a, l.AnalysisSize)
-			}
-			covered[a] = true
-		}
-		for a, ok := range covered {
-			if !ok {
-				t.Fatalf("seed %d: analysis slot %d unreachable from runtime slots (%s)", seed, a, ty)
-			}
-		}
-		if st, ok := ty.(*StructType); ok && len(st.Fields) > 0 {
-			if l.FieldRuntimeOff[0] != 0 || l.FieldAnalysisOff[0] != 0 {
-				t.Fatalf("seed %d: first field offsets nonzero", seed)
-			}
-			for k := 1; k < len(st.Fields); k++ {
-				if l.FieldRuntimeOff[k] <= l.FieldRuntimeOff[k-1] {
-					t.Fatalf("seed %d: runtime offsets not increasing", seed)
-				}
-			}
-		}
+	}
+	f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, &Ret{})
+	if s := f.Blocks[1].Instrs[0].String(); s != "ret %t1" {
+		t.Errorf("appending to entry overwrote then's first instruction: %q", s)
 	}
 }
 

@@ -42,20 +42,12 @@ type Function struct {
 	Blocks       []*Block
 	AddressTaken bool // set by Finalize: the function's address is taken somewhere
 	Obj          int  // abstract-object number, assigned by Module.Finalize
+
+	firstID int // the ID Finalize gives the function's first instruction
 }
 
 // Entry returns the entry block.
 func (f *Function) Entry() *Block { return f.Blocks[0] }
-
-// Block returns the named block, or nil.
-func (f *Function) Block(name string) *Block {
-	for _, b := range f.Blocks {
-		if b.Name == name {
-			return b
-		}
-	}
-	return nil
-}
 
 // Instrs iterates over all instructions in block order.
 func (f *Function) Instrs(visit func(b *Block, in Instr)) {
@@ -75,10 +67,16 @@ type Module struct {
 
 	funcIndex   map[string]*Function
 	globalIndex map[string]*Global
-	instrByID   []Instr     // instrByID[id-1] is the instruction with ID id
-	instrFunc   []*Function // instrFunc[id-1] contains it
+	numInstrs   int
 	numObjects  int
 	finalized   bool
+	derived     map[derivedKey]Type // PointerTo and ArrayOf results
+}
+
+// derivedKey names a pointer type (n < 0) or an array type of length n.
+type derivedKey struct {
+	elem Type
+	n    int
 }
 
 // NewModule returns an empty module.
@@ -86,7 +84,28 @@ func NewModule(name string) *Module {
 	return &Module{
 		Name:    name,
 		Structs: map[string]*StructType{},
+		derived: map[derivedKey]Type{},
 	}
+}
+
+// PointerTo returns the module's pointer type with element type t: the same
+// value on every call.
+func (m *Module) PointerTo(t Type) *PointerType {
+	k := derivedKey{t, -1}
+	if m.derived[k] == nil {
+		m.derived[k] = &PointerType{Elem: t}
+	}
+	return m.derived[k].(*PointerType)
+}
+
+// ArrayOf returns the module's type of n-element arrays of elem: the same
+// value on every call.
+func (m *Module) ArrayOf(elem Type, n int) *ArrayType {
+	k := derivedKey{elem, n}
+	if m.derived[k] == nil {
+		m.derived[k] = &ArrayType{Elem: elem, Len: n}
+	}
+	return m.derived[k].(*ArrayType)
 }
 
 // AddGlobal registers a global object.
@@ -128,23 +147,33 @@ func (m *Module) Global(name string) *Global {
 // InstrByID returns the instruction with the given Finalize-assigned ID, or
 // nil if id is outside 1..NumInstrs().
 func (m *Module) InstrByID(id int) Instr {
-	if id < 1 || id > len(m.instrByID) {
+	f := m.FuncOfInstr(id)
+	if f == nil {
 		return nil
 	}
-	return m.instrByID[id-1]
+	off := id - f.firstID
+	for _, b := range f.Blocks {
+		if off < len(b.Instrs) {
+			return b.Instrs[off]
+		}
+		off -= len(b.Instrs)
+	}
+	return nil
 }
 
 // FuncOfInstr returns the function containing the instruction with id, or
 // nil if id is outside 1..NumInstrs().
 func (m *Module) FuncOfInstr(id int) *Function {
-	if id < 1 || id > len(m.instrFunc) {
+	if id < 1 || id > m.numInstrs {
 		return nil
 	}
-	return m.instrFunc[id-1]
+	// The last function whose first ID is at most id.
+	i := sort.Search(len(m.Funcs), func(i int) bool { return m.Funcs[i].firstID > id })
+	return m.Funcs[i-1]
 }
 
 // NumInstrs returns the number of instructions in the module (post-Finalize).
-func (m *Module) NumInstrs() int { return len(m.instrByID) }
+func (m *Module) NumInstrs() int { return m.numInstrs }
 
 // NumObjects returns the number of abstract objects in the module
 // (post-Finalize): its globals, functions and allocation sites.
@@ -153,6 +182,10 @@ func (m *Module) NumObjects() int { return m.numObjects }
 // Finalize assigns module-unique instruction IDs 1..n in block order, builds
 // lookup indexes, and computes address-taken facts. It must be called once
 // construction is done and before analysis or execution.
+//
+// Finalize lays out every struct in Structs and every type PointerTo and
+// ArrayOf made (Type.Layout), so the analysis and the interpreter only read
+// layouts.
 //
 // Finalize also numbers the module's abstract objects 0..NumObjects()-1 and
 // stores each number on its IR value (the Obj fields): the globals in
@@ -164,16 +197,14 @@ func (m *Module) Finalize() error {
 	if m.finalized {
 		return nil
 	}
-	n := 0
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			n += len(b.Instrs)
-		}
+	for _, st := range m.Structs {
+		st.Layout()
+	}
+	for _, t := range m.derived {
+		t.Layout()
 	}
 	m.funcIndex = make(map[string]*Function, len(m.Funcs))
 	m.globalIndex = make(map[string]*Global, len(m.Globals))
-	m.instrByID = make([]Instr, 0, n)
-	m.instrFunc = make([]*Function, 0, n)
 	obj := 0
 	for _, g := range m.Globals {
 		if _, dup := m.globalIndex[g.Name]; dup {
@@ -192,11 +223,11 @@ func (m *Module) Finalize() error {
 		obj++
 	}
 	for _, f := range m.Funcs {
+		f.firstID = m.numInstrs + 1
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				m.instrByID = append(m.instrByID, in)
-				m.instrFunc = append(m.instrFunc, f)
-				in.base().ID = len(m.instrByID)
+				m.numInstrs++
+				in.base().ID = m.numInstrs
 				switch in := in.(type) {
 				case *Alloca:
 					in.Obj = obj

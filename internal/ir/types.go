@@ -13,39 +13,45 @@ import (
 	"strings"
 )
 
-// Type is the interface implemented by all KIR types.
+// Type is the interface implemented by all KIR types. A module holds one
+// value per type (Module.PointerTo, Module.ArrayOf; structs by name), so
+// two types of one module are equal exactly when they are ==.
 type Type interface {
 	String() string
+	// Layout returns the type's slot layout. A struct or array type lays
+	// itself out on first use; Module.Finalize lays out every type of the
+	// module, so afterwards Layout only reads.
+	Layout() *Layout
 	isType()
 }
 
 // IntType is the sole scalar type (covers C's int/char/void in MiniC).
 type IntType struct{}
 
-func (IntType) isType()        {}
-func (IntType) String() string { return "int" }
+func (IntType) isType()         {}
+func (IntType) String() string  { return "int" }
+func (IntType) Layout() *Layout { return scalarLayout }
 
 // Int is the canonical IntType instance.
 var Int = IntType{}
 
-// PointerType is a pointer to Elem.
+// PointerType is a pointer to Elem. Make one with Module.PointerTo.
 type PointerType struct {
 	Elem Type
 }
 
-func (*PointerType) isType() {}
+func (*PointerType) isType()         {}
+func (*PointerType) Layout() *Layout { return scalarLayout }
 
 func (p *PointerType) String() string { return p.Elem.String() + "*" }
-
-// PointerTo returns the pointer type with element type t.
-func PointerTo(t Type) *PointerType { return &PointerType{Elem: t} }
 
 // FuncType is the type of a function pointer. KIR function pointers are
 // signature-erased, matching the paper's points-to-based (not type-based) CFI.
 type FuncType struct{}
 
-func (FuncType) isType()        {}
-func (FuncType) String() string { return "fn" }
+func (FuncType) isType()         {}
+func (FuncType) String() string  { return "fn" }
+func (FuncType) Layout() *Layout { return scalarLayout }
 
 // Fn is the canonical FuncType instance.
 var Fn = FuncType{}
@@ -60,6 +66,7 @@ type Field struct {
 type StructType struct {
 	Name   string
 	Fields []Field
+	layout *Layout
 }
 
 func (*StructType) isType() {}
@@ -76,104 +83,16 @@ func (s *StructType) FieldIndex(name string) int {
 	return -1
 }
 
-// ArrayType is a fixed-length array of Elem.
+// ArrayType is a fixed-length array of Elem. Make one with Module.ArrayOf.
 type ArrayType struct {
-	Elem Type
-	Len  int
+	Elem   Type
+	Len    int
+	layout *Layout
 }
 
 func (*ArrayType) isType() {}
 
 func (a *ArrayType) String() string { return fmt.Sprintf("%s[%d]", a.Elem, a.Len) }
-
-// NumSlots returns the number of flattened scalar slots a value of type t
-// occupies in the interpreter memory model and in the field-sensitive object
-// layout. Structs flatten recursively; arrays contribute their element slots
-// once per element for the interpreter, but the pointer analysis collapses
-// array elements (array-index insensitivity, as in the paper's baseline).
-func NumSlots(t Type) int {
-	switch t := t.(type) {
-	case IntType, *PointerType, FuncType:
-		return 1
-	case *StructType:
-		n := 0
-		for _, f := range t.Fields {
-			n += NumSlots(f.Type)
-		}
-		if n == 0 {
-			return 1
-		}
-		return n
-	case *ArrayType:
-		return t.Len * NumSlots(t.Elem)
-	default:
-		panic(fmt.Sprintf("ir: unknown type %T", t))
-	}
-}
-
-// FlattenedFields returns one entry per analysis-visible slot of type t,
-// collapsing arrays to a single element (index-insensitive). The returned
-// slice describes the layout used by field-sensitive points-to objects: entry
-// i holds the scalar type and a dotted path for diagnostics.
-func FlattenedFields(t Type) []FlatField {
-	var out []FlatField
-	flatten(t, "", &out)
-	return out
-}
-
-// FlatField describes one analysis slot of a flattened aggregate.
-type FlatField struct {
-	Path string // dotted path, e.g. "ctx.f_send"
-	Type Type   // scalar type at this slot
-}
-
-func flatten(t Type, prefix string, out *[]FlatField) {
-	switch t := t.(type) {
-	case IntType, *PointerType, FuncType:
-		*out = append(*out, FlatField{Path: prefix, Type: t})
-	case *StructType:
-		if len(t.Fields) == 0 {
-			*out = append(*out, FlatField{Path: prefix, Type: Int})
-			return
-		}
-		for _, f := range t.Fields {
-			p := f.Name
-			if prefix != "" {
-				p = prefix + "." + f.Name
-			}
-			flatten(f.Type, p, out)
-		}
-	case *ArrayType:
-		// Arrays are index-insensitive for the analysis: a single element
-		// stands for all of them.
-		p := prefix + "[]"
-		flatten(t.Elem, p, out)
-	default:
-		panic(fmt.Sprintf("ir: unknown type %T", t))
-	}
-}
-
-// TypeEqual reports structural equality of two types (structs by name).
-func TypeEqual(a, b Type) bool {
-	switch a := a.(type) {
-	case IntType:
-		_, ok := b.(IntType)
-		return ok
-	case FuncType:
-		_, ok := b.(FuncType)
-		return ok
-	case *PointerType:
-		bp, ok := b.(*PointerType)
-		return ok && TypeEqual(a.Elem, bp.Elem)
-	case *StructType:
-		bs, ok := b.(*StructType)
-		return ok && a.Name == bs.Name
-	case *ArrayType:
-		ba, ok := b.(*ArrayType)
-		return ok && a.Len == ba.Len && TypeEqual(a.Elem, ba.Elem)
-	}
-	return false
-}
 
 // IsPointerLike reports whether values of t can hold an address (pointer or
 // function pointer).

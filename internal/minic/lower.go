@@ -16,8 +16,9 @@ func Compile(name, src string) (*ir.Module, error) {
 	}
 	lw := &lowerer{
 		mod:     ir.NewModule(name),
-		funcs:   map[string]*funcDecl{},
-		globals: map[string]ir.Type{},
+		b:       &ir.FuncBuilder{},
+		funcs:   make(map[string]*funcDecl, len(prog.Funcs)),
+		globals: make(map[string]ir.Type, len(prog.Globals)),
 	}
 	if err := lw.run(prog); err != nil {
 		return nil, err
@@ -41,8 +42,13 @@ func MustCompile(name, src string) *ir.Module {
 
 type lowerer struct {
 	mod     *ir.Module
+	b       *ir.FuncBuilder // builds every function in turn
 	funcs   map[string]*funcDecl
 	globals map[string]ir.Type
+	// scopes are the open scopes, innermost last; a closed scope's map is
+	// reused by the next scope opened at its depth.
+	scopes []map[string]varInfo
+	loops  []loopCtx // enclosing loops, innermost last
 }
 
 // varInfo describes a name visible in the current scope.
@@ -55,11 +61,8 @@ type varInfo struct {
 // fnLowerer lowers one function body.
 type fnLowerer struct {
 	*lowerer
-	b      *ir.FuncBuilder
-	fd     *funcDecl
-	ret    ir.Type
-	scopes []map[string]*varInfo
-	loops  []loopCtx // enclosing loops, innermost last
+	fd  *funcDecl
+	ret ir.Type
 }
 
 // loopCtx names the jump targets break and continue lower to.
@@ -94,6 +97,14 @@ func (lw *lowerer) run(prog *program) error {
 				return errf(f.Line, "duplicate field %q in struct %s", f.Name, sd.Name)
 			}
 			st.Fields = append(st.Fields, ir.Field{Name: f.Name, Type: ft})
+		}
+	}
+	// A struct that holds itself through other structs or arrays has no
+	// finite layout.
+	for _, sd := range prog.Structs {
+		st := lw.mod.Structs[sd.Name]
+		if holds(st, st, map[*ir.StructType]bool{}) {
+			return errf(sd.Line, "struct %s contains itself", sd.Name)
 		}
 	}
 	// Pass 3: globals.
@@ -153,12 +164,32 @@ func (lw *lowerer) resolveType(ts typeSpec, arrayLen int) (ir.Type, error) {
 	}
 	t := base
 	for i := 0; i < ts.Ptr; i++ {
-		t = ir.PointerTo(t)
+		t = lw.mod.PointerTo(t)
 	}
 	if arrayLen >= 0 {
-		t = &ir.ArrayType{Elem: t, Len: arrayLen}
+		t = lw.mod.ArrayOf(t, arrayLen)
 	}
 	return t, nil
+}
+
+// holds reports whether a value of struct type st contains a target value,
+// through its fields and their array elements.
+func holds(st, target *ir.StructType, seen map[*ir.StructType]bool) bool {
+	for _, f := range st.Fields {
+		t := f.Type
+		if a, ok := t.(*ir.ArrayType); ok {
+			t = a.Elem
+		}
+		inner, ok := t.(*ir.StructType)
+		if !ok || seen[inner] {
+			continue
+		}
+		seen[inner] = true
+		if inner == target || holds(inner, target, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 func (lw *lowerer) lowerFunc(fd *funcDecl) error {
@@ -179,23 +210,24 @@ func (lw *lowerer) lowerFunc(fd *funcDecl) error {
 		params[i] = "%" + p.Name
 		ptypes[i] = pt
 	}
+	lw.b.Start(fd.Name, params, ptypes, ret)
 	fl := &fnLowerer{
 		lowerer: lw,
-		b:       ir.NewFuncBuilder(fd.Name, params, ptypes, ret),
 		fd:      fd,
 		ret:     ret,
 	}
+	lw.scopes, lw.loops = lw.scopes[:0], lw.loops[:0]
 	fl.pushScope()
 	mutated := paramsNeedingSlots(fd)
 	for i, p := range fd.Params {
-		info := &varInfo{ty: ptypes[i]}
+		info := varInfo{ty: ptypes[i]}
 		if mutated[p.Name] {
 			info.addr = fl.b.Alloca(p.Name, ptypes[i])
 			fl.b.Store(info.addr, params[i])
 		} else {
 			info.reg = params[i]
 		}
-		if fl.scopes[0][p.Name] != nil {
+		if _, dup := fl.scopes[0][p.Name]; dup {
 			return errf(p.Line, "duplicate parameter %q", p.Name)
 		}
 		fl.scopes[0][p.Name] = info
@@ -206,7 +238,7 @@ func (lw *lowerer) lowerFunc(fd *funcDecl) error {
 	if !fl.b.Terminated() {
 		fl.emitDefaultReturn()
 	}
-	lw.mod.AddFunc(fl.b.F)
+	lw.mod.AddFunc(fl.b.Finish())
 	return nil
 }
 
@@ -218,16 +250,29 @@ func (fl *fnLowerer) emitDefaultReturn() {
 	fl.b.Ret(fl.b.Const(0))
 }
 
-func (fl *fnLowerer) pushScope() { fl.scopes = append(fl.scopes, map[string]*varInfo{}) }
-func (fl *fnLowerer) popScope()  { fl.scopes = fl.scopes[:len(fl.scopes)-1] }
+func (fl *fnLowerer) pushScope() {
+	if n := len(fl.scopes); n < cap(fl.scopes) && fl.scopes[:n+1][n] != nil {
+		fl.scopes = fl.scopes[:n+1]
+		clear(fl.scopes[n])
+		return
+	}
+	fl.scopes = append(fl.scopes, map[string]varInfo{})
+}
 
-func (fl *fnLowerer) lookup(name string) *varInfo {
+func (fl *fnLowerer) popScope() { fl.scopes = fl.scopes[:len(fl.scopes)-1] }
+
+func (fl *fnLowerer) lookup(name string) (varInfo, bool) {
 	for i := len(fl.scopes) - 1; i >= 0; i-- {
-		if v := fl.scopes[i][name]; v != nil {
-			return v
+		if v, ok := fl.scopes[i][name]; ok {
+			return v, true
 		}
 	}
-	return nil
+	return varInfo{}, false
+}
+
+func (fl *fnLowerer) isLocal(name string) bool {
+	_, ok := fl.lookup(name)
+	return ok
 }
 
 // paramsNeedingSlots returns the set of parameter names that are assigned or
@@ -394,11 +439,11 @@ func (fl *fnLowerer) lowerDecl(d *varDecl) error {
 	if t == nil {
 		return errf(d.Line, "variable %q has void type", d.Name)
 	}
-	if fl.scopes[len(fl.scopes)-1][d.Name] != nil {
+	if _, dup := fl.scopes[len(fl.scopes)-1][d.Name]; dup {
 		return errf(d.Line, "duplicate variable %q in scope", d.Name)
 	}
 	addr := fl.b.Alloca(d.Name, t)
-	fl.scopes[len(fl.scopes)-1][d.Name] = &varInfo{addr: addr, ty: t}
+	fl.scopes[len(fl.scopes)-1][d.Name] = varInfo{addr: addr, ty: t}
 	if d.Init != nil {
 		v, err := fl.lowerExpr(d.Init)
 		if err != nil {
@@ -444,7 +489,7 @@ func (fl *fnLowerer) lowerStructCopy(s *assignStmt, dst loc) error {
 		return err
 	}
 	st, ok := dst.ty.(*ir.StructType)
-	if !ok || !ir.TypeEqual(dst.ty, src.ty) {
+	if !ok || dst.ty != src.ty {
 		return errf(s.Line, "struct assignment requires matching struct types")
 	}
 	for k, f := range st.Fields {
@@ -630,7 +675,7 @@ func (fl *fnLowerer) checkAssignable(dst ir.Type, v val, line int) error {
 	if src == nil { // null literal (or integer 0 constant)
 		return nil
 	}
-	if ir.TypeEqual(dst, src) {
+	if dst == src {
 		return nil
 	}
 	_, dstInt := dst.(ir.IntType)

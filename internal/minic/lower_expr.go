@@ -35,7 +35,7 @@ func (fl *fnLowerer) lowerExpr(e expr) (val, error) {
 			return val{}, errf(e.Line, "sizeof(void)")
 		}
 		t := fl.b.Temp()
-		fl.b.Emit(&ir.Const{Dest: t, Val: int64(ir.NumSlots(ty)), SizeOfType: ty})
+		fl.b.Emit(&ir.Const{Dest: t, Val: int64(ty.Layout().RuntimeSize), SizeOfType: ty})
 		return val{reg: t, ty: ir.Int}, nil
 	case *identExpr:
 		return fl.lowerIdentValue(e)
@@ -76,7 +76,7 @@ func (fl *fnLowerer) lowerExprAllowVoid(e expr) (val, error) {
 func (fl *fnLowerer) loadLoc(l loc, line int) (val, error) {
 	switch t := l.ty.(type) {
 	case *ir.ArrayType:
-		return val{reg: l.addr, ty: ir.PointerTo(t.Elem)}, nil
+		return val{reg: l.addr, ty: fl.mod.PointerTo(t.Elem)}, nil
 	case *ir.StructType:
 		return val{}, errf(line, "cannot use struct %s as a value; take a field or its address", t.Name)
 	default:
@@ -85,7 +85,7 @@ func (fl *fnLowerer) loadLoc(l loc, line int) (val, error) {
 }
 
 func (fl *fnLowerer) lowerIdentValue(e *identExpr) (val, error) {
-	if v := fl.lookup(e.Name); v != nil {
+	if v, ok := fl.lookup(e.Name); ok {
 		if v.reg != "" {
 			return val{reg: v.reg, ty: v.ty}, nil
 		}
@@ -115,7 +115,7 @@ func (fl *fnLowerer) lowerMalloc(e *mallocExpr) (val, error) {
 			return val{}, errf(e.Line, "malloc(sizeof(void))")
 		}
 		fl.b.Emit(&ir.Malloc{Dest: t, SizeOf: ty})
-		return val{reg: t, ty: ir.PointerTo(ty)}, nil
+		return val{reg: t, ty: fl.mod.PointerTo(ty)}, nil
 	}
 	// Dynamic-size allocation: the type is not named at this site; the
 	// analysis may still recover it from sizeof-tagged constants (§6).
@@ -124,13 +124,13 @@ func (fl *fnLowerer) lowerMalloc(e *mallocExpr) (val, error) {
 		return val{}, err
 	}
 	fl.b.Emit(&ir.Malloc{Dest: t, Size: sz.reg})
-	return val{reg: t, ty: ir.PointerTo(ir.Int)}, nil
+	return val{reg: t, ty: fl.mod.PointerTo(ir.Int)}, nil
 }
 
 func (fl *fnLowerer) lowerUnary(e *unaryExpr) (val, error) {
 	switch e.Op {
 	case "&":
-		if id, ok := e.X.(*identExpr); ok && fl.lookup(id.Name) == nil {
+		if id, ok := e.X.(*identExpr); ok && !fl.isLocal(id.Name) {
 			if _, isGlobal := fl.globals[id.Name]; !isGlobal {
 				if _, isFunc := fl.funcs[id.Name]; isFunc {
 					t := fl.b.Temp()
@@ -145,9 +145,9 @@ func (fl *fnLowerer) lowerUnary(e *unaryExpr) (val, error) {
 		}
 		if at, ok := l.ty.(*ir.ArrayType); ok {
 			// &arr decays like arr.
-			return val{reg: l.addr, ty: ir.PointerTo(at.Elem)}, nil
+			return val{reg: l.addr, ty: fl.mod.PointerTo(at.Elem)}, nil
 		}
-		return val{reg: l.addr, ty: ir.PointerTo(l.ty)}, nil
+		return val{reg: l.addr, ty: fl.mod.PointerTo(l.ty)}, nil
 	case "*":
 		v, err := fl.lowerExpr(e.X)
 		if err != nil {
@@ -281,7 +281,7 @@ func (fl *fnLowerer) lowerShortCircuit(e *binaryExpr) (val, error) {
 func (fl *fnLowerer) lowerAddr(e expr) (loc, error) {
 	switch e := e.(type) {
 	case *identExpr:
-		if v := fl.lookup(e.Name); v != nil {
+		if v, ok := fl.lookup(e.Name); ok {
 			if v.addr == "" {
 				return loc{}, errf(e.Line, "internal: parameter %q has no storage slot", e.Name)
 			}
@@ -376,7 +376,7 @@ func (fl *fnLowerer) lowerIndexAddr(e *indexExpr) (loc, error) {
 func (fl *fnLowerer) tryLowerArrayAddr(e expr) (*loc, error) {
 	switch x := e.(type) {
 	case *identExpr:
-		if v := fl.lookup(x.Name); v != nil {
+		if v, ok := fl.lookup(x.Name); ok {
 			if ir.IsArray(v.ty) {
 				l, err := fl.lowerAddr(e)
 				if err != nil {
@@ -436,7 +436,7 @@ func (fl *fnLowerer) staticFieldType(e *fieldExpr) (ir.Type, error) {
 func (fl *fnLowerer) staticExprType(e expr) ir.Type {
 	switch e := e.(type) {
 	case *identExpr:
-		if v := fl.lookup(e.Name); v != nil {
+		if v, ok := fl.lookup(e.Name); ok {
 			return v.ty
 		}
 		if gt, ok := fl.globals[e.Name]; ok {
@@ -452,7 +452,7 @@ func (fl *fnLowerer) staticExprType(e expr) ir.Type {
 func (fl *fnLowerer) lowerCall(e *callExpr) (val, error) {
 	// Direct call: callee is an identifier naming a function not shadowed by
 	// a local variable.
-	if id, ok := e.Callee.(*identExpr); ok && fl.lookup(id.Name) == nil {
+	if id, ok := e.Callee.(*identExpr); ok && !fl.isLocal(id.Name) {
 		if fd, isFunc := fl.funcs[id.Name]; isFunc {
 			return fl.lowerDirectCall(e, fd)
 		}

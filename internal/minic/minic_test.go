@@ -397,6 +397,8 @@ func TestCompileErrors(t *testing.T) {
 		{"missing return value", `int f() { return; } int main() { return 0; }`, "missing return value"},
 		{"call non-fn", `int main() { int x; x = 1; return x(); }`, "not fn"},
 		{"self struct", `struct s { s inner; } int main() { return 0; }`, "contains itself"},
+		{"mutual struct", `struct a { b x; } struct b { a y; } int main() { a v; return 0; }`, "struct a contains itself"},
+		{"self struct array", `struct s { s arr[2]; } int main() { return 0; }`, "struct s contains itself"},
 		{"lt on pointers", `int g; int main() { int* p; p = &g; if (p < p) { return 1; } return 0; }`, "requires integers"},
 	}
 	for _, c := range cases {

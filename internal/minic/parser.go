@@ -1,6 +1,11 @@
 package minic
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+
+	"repro/internal/slab"
+)
 
 // parser is a recursive-descent parser over a window of the lexer's next
 // three tokens: win[0] is the current token, and parseProgram's struct test
@@ -9,6 +14,12 @@ import "strconv"
 type parser struct {
 	lx  lexer
 	win [3]token
+	// stmts stacks the statements of the blocks being parsed, innermost
+	// last; each block copies its own out at exact length when it closes.
+	stmts []stmt
+	// The most common nodes come from slabs.
+	idents  slab.Slab[identExpr]
+	assigns slab.Slab[assignStmt]
 }
 
 func newParser(src string) *parser {
@@ -228,7 +239,7 @@ func (p *parser) parseBlock() ([]stmt, error) {
 	if _, err := p.expect(tokPunct, "{"); err != nil {
 		return nil, err
 	}
-	var stmts []stmt
+	base := len(p.stmts)
 	for !p.accept(tokPunct, "}") {
 		if p.cur().kind == tokEOF {
 			return nil, errf(p.cur().line, "unexpected end of file in block")
@@ -237,8 +248,13 @@ func (p *parser) parseBlock() ([]stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
+	var stmts []stmt
+	if len(p.stmts) > base {
+		stmts = slices.Clone(p.stmts[base:])
+	}
+	p.stmts = p.stmts[:base]
 	return stmts, nil
 }
 
@@ -305,7 +321,7 @@ func (p *parser) parseStmt() (stmt, error) {
 			if _, err := p.expect(tokPunct, ";"); err != nil {
 				return nil, err
 			}
-			return &assignStmt{LHS: e, RHS: rhs, Line: t.line}, nil
+			return p.assigns.New(assignStmt{LHS: e, RHS: rhs, Line: t.line}), nil
 		}
 		if _, err := p.expect(tokPunct, ";"); err != nil {
 			return nil, err
@@ -411,7 +427,7 @@ func (p *parser) parseForPost() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &assignStmt{LHS: e, RHS: rhs, Line: t.line}, nil
+		return p.assigns.New(assignStmt{LHS: e, RHS: rhs, Line: t.line}), nil
 	}
 	return &exprStmt{E: e, Line: t.line}, nil
 }
@@ -550,7 +566,7 @@ func (p *parser) parsePrimary() (expr, error) {
 		return &intLit{Val: v, Line: t.line}, nil
 	case t.kind == tokIdent:
 		p.next()
-		return &identExpr{Name: t.text, Line: t.line}, nil
+		return p.idents.New(identExpr{Name: t.text, Line: t.line}), nil
 	case p.accept(tokPunct, "("):
 		e, err := p.parseExpr()
 		if err != nil {

@@ -74,7 +74,7 @@ func (a *Analysis) build() {
 					a.addStore(a.regNode(fn, in.Addr), a.regNode(fn, in.Src), in.ID)
 				}
 			case *ir.FieldAddr:
-				off := a.layouts.Of(in.Struct).FieldAnalysisOff[in.Field]
+				off := in.Struct.Layout().FieldAnalysisOff[in.Field]
 				a.addGep(a.regNode(fn, in.Base), a.regNode(fn, in.Dest), off, in.ID)
 			case *ir.IndexAddr:
 				// Array-index insensitive: the element shares the base's

@@ -143,7 +143,7 @@ func detectCtxInFunc(f *ir.Function, plan *ctxPlan) {
 			if !ok {
 				return 0, nil, smp, false
 			}
-			off := fieldAnalysisOff(d)
+			off := d.Struct.Layout().FieldAnalysisOff[d.Field]
 			return i, append(chain, ctxStep{kind: stepField, off: int32(off)}), smp, true
 		case *ir.IndexAddr:
 			i, chain, smp, ok := derive(d.Base, depth+1)
@@ -195,14 +195,4 @@ func detectCtxInFunc(f *ir.Function, plan *ctxPlan) {
 			plan.rets = append(plan.rets, criticalRet{fn: f.Name, ret: in, param: i, chain: chain, sample: smp})
 		}
 	})
-}
-
-// fieldAnalysisOff computes the analysis-slot offset of a FieldAddr without
-// needing a layout cache (field offsets are small; recompute).
-func fieldAnalysisOff(d *ir.FieldAddr) int {
-	off := 0
-	for k := 0; k < d.Field; k++ {
-		off += len(ir.FlattenedFields(d.Struct.Fields[k].Type))
-	}
-	return off
 }

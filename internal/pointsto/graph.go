@@ -303,10 +303,9 @@ type assumption struct {
 // Analysis is one pointer-analysis run over a module: constraint graph,
 // solver state, and results.
 type Analysis struct {
-	mod     *ir.Module
-	layouts *ir.Layouts
-	cfg     invariant.Config
-	tracer  Tracer
+	mod    *ir.Module
+	cfg    invariant.Config
+	tracer Tracer
 
 	nodes   []node
 	rep     []int32
@@ -422,7 +421,6 @@ const DeltaAutoThreshold = 2048
 func New(m *ir.Module, cfg invariant.Config) *Analysis {
 	a := &Analysis{
 		mod:         m,
-		layouts:     ir.NewLayouts(),
 		cfg:         cfg,
 		retNodes:    map[string]int{},
 		pwcRestored: map[int]bool{},

@@ -164,7 +164,7 @@ func (a *Analysis) readmit(rec invariant.Record) error {
 // concurrently with its readers. Only what a restore always writes is copied
 // up front: the record and union-find tables, the worklist, the assumption
 // table, the HCD entries' fired marks and the provenance log. Only what never
-// changes after build is shared for good: the module, layouts, Ctx plan,
+// changes after build is shared for good: the module, Ctx plan,
 // node descriptors and the icall site list (Result reads only each site's
 // instruction and function-pointer node).
 func (a *Analysis) derive() *Analysis {

@@ -44,7 +44,7 @@ func (k ObjKind) String() string {
 
 // Object is an abstract memory object (allocation site). Field-sensitive
 // objects occupy Size consecutive slot nodes starting at NodeBase; slot k
-// corresponds to FlattenedFields(Type)[k].
+// corresponds to Type.Layout().Paths[k].
 type Object struct {
 	Index    int // position in Analysis.Objects(): the object's IR number
 	NodeBase int // node ID of slot 0
@@ -97,17 +97,7 @@ func (a *Analysis) describeNode(id int) string {
 	case nodeRet:
 		return fmt.Sprintf("ret(%s)", n.fn)
 	case nodeObj:
-		o := a.objects[n.obj]
-		if o.Size == 1 || n.slot == 0 {
-			return o.Label()
-		}
-		if o.Type != nil {
-			flat := ir.FlattenedFields(o.Type)
-			if int(n.slot) < len(flat) {
-				return o.Label() + "." + flat[n.slot].Path
-			}
-		}
-		return fmt.Sprintf("%s+%d", o.Label(), n.slot)
+		return ObjRef{Obj: a.objects[n.obj], Slot: int(n.slot)}.String()
 	default:
 		return fmt.Sprintf("dummy%d", id)
 	}
@@ -212,7 +202,7 @@ func (a *Analysis) objectSize(t ir.Type) int {
 	if t == nil {
 		return 1
 	}
-	return a.layouts.Of(t).AnalysisSize
+	return t.Layout().AnalysisSize
 }
 
 // newObject creates the abstract object with IR number idx and the given

@@ -310,9 +310,8 @@ func (ref ObjRef) String() string {
 	if ref.Obj.Type == nil || ref.Obj.Size == 1 || ref.Slot == 0 {
 		return label
 	}
-	flat := ir.FlattenedFields(ref.Obj.Type)
-	if ref.Slot < len(flat) {
-		return label + "." + flat[ref.Slot].Path
+	if paths := ref.Obj.Type.Layout().Paths; ref.Slot < len(paths) {
+		return label + "." + paths[ref.Slot]
 	}
 	return label
 }
