@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -180,6 +181,34 @@ func TestValidateRegistersArePerFunction(t *testing.T) {
 	m.AddFunc(b.F)
 	if err := m.Finalize(); err == nil || !strings.Contains(err.Error(), "b/entry: use of undefined register \"%x\"") {
 		t.Fatalf("Finalize err = %v, want undefined register %%x in b", err)
+	}
+}
+
+// TestValidateBlocksArePerFunction: a block name may recur across
+// functions but not within one, and a jump resolves only within its own
+// function.
+func TestValidateBlocksArePerFunction(t *testing.T) {
+	build := func(names ...[]string) *Module {
+		m := NewModule("blocks")
+		for i, blocks := range names {
+			f := &Function{Name: fmt.Sprintf("f%d", i)}
+			for _, name := range blocks {
+				f.Blocks = append(f.Blocks, &Block{Name: name, Instrs: []Instr{&Jump{Target: blocks[0]}}})
+			}
+			m.AddFunc(f)
+		}
+		return m
+	}
+	if err := build([]string{"entry", "loop"}, []string{"entry", "loop"}).Finalize(); err != nil {
+		t.Errorf("block names shared across functions: %v", err)
+	}
+	if err := build([]string{"entry"}, []string{"entry", "loop", "entry"}).Finalize(); err == nil || !strings.Contains(err.Error(), `f1: duplicate block "entry"`) {
+		t.Errorf("Finalize err = %v, want duplicate block entry in f1", err)
+	}
+	m := build([]string{"entry", "loop"}, []string{"entry"})
+	m.Funcs[1].Blocks[0].Instrs[0] = &Jump{Target: "loop"}
+	if err := m.Finalize(); err == nil || !strings.Contains(err.Error(), `f1: jump to unknown block "loop"`) {
+		t.Errorf("Finalize err = %v, want unknown block loop in f1", err)
 	}
 }
 

@@ -255,29 +255,41 @@ func (m *Module) Finalize() error {
 // use within a function (conservatively: defined somewhere in the function),
 // and field indices are in range.
 func (m *Module) Validate() error {
-	defined := map[string]bool{}
-	var uses []string // one instruction's uses, reused across instructions
+	// One block map and one register map serve every function, sized for
+	// the largest: a function defines at most a register per instruction
+	// besides its parameters. Each maps a name to the function that last
+	// defined it (its index + 1), so neither is cleared between functions.
+	nblocks, nregs := 0, 0
 	for _, f := range m.Funcs {
+		n := len(f.Params)
+		for _, b := range f.Blocks {
+			n += len(b.Instrs)
+		}
+		nblocks, nregs = max(nblocks, len(f.Blocks)), max(nregs, n)
+	}
+	blocks := make(map[string]int, nblocks)
+	defined := make(map[string]int, nregs)
+	var uses []string // one instruction's uses, reused across instructions
+	for i, f := range m.Funcs {
+		fn := i + 1
 		if len(f.Blocks) == 0 {
 			return fmt.Errorf("ir: function %s has no blocks", f.Name)
 		}
 		if len(f.Params) != len(f.ParamTypes) {
 			return fmt.Errorf("ir: function %s: %d params, %d param types", f.Name, len(f.Params), len(f.ParamTypes))
 		}
-		blocks := map[string]bool{}
 		for _, b := range f.Blocks {
-			if blocks[b.Name] {
+			if blocks[b.Name] == fn {
 				return fmt.Errorf("ir: %s: duplicate block %q", f.Name, b.Name)
 			}
-			blocks[b.Name] = true
+			blocks[b.Name] = fn
 		}
-		clear(defined)
 		for _, p := range f.Params {
-			defined[p] = true
+			defined[p] = fn
 		}
 		f.Instrs(func(_ *Block, in Instr) {
 			if d := in.Def(); d != "" {
-				defined[d] = true
+				defined[d] = fn
 			}
 		})
 		var err error
@@ -291,7 +303,7 @@ func (m *Module) Validate() error {
 				}
 				uses = in.AppendUses(uses[:0])
 				for _, u := range uses {
-					if !defined[u] {
+					if defined[u] != fn {
 						return fmt.Errorf("ir: %s/%s: use of undefined register %q in %q", f.Name, b.Name, u, in)
 					}
 				}
@@ -313,11 +325,11 @@ func (m *Module) Validate() error {
 						err = fmt.Errorf("ir: %s: field index %d out of range for %s", f.Name, in.Field, in.Struct.Name)
 					}
 				case *Jump:
-					if !blocks[in.Target] {
+					if blocks[in.Target] != fn {
 						err = fmt.Errorf("ir: %s: jump to unknown block %q", f.Name, in.Target)
 					}
 				case *CondJump:
-					if !blocks[in.True] || !blocks[in.False] {
+					if blocks[in.True] != fn || blocks[in.False] != fn {
 						err = fmt.Errorf("ir: %s: branch to unknown block (%q/%q)", f.Name, in.True, in.False)
 					}
 				}

@@ -135,7 +135,7 @@ func TestDeriveOwnsOnlyWrittenNodes(t *testing.T) {
 			owned++
 		}
 		p, q := opt.a.state[n].pts, d.a.state[n].pts
-		if (p == nil) != (q == nil) || p != nil && (p.Len() != q.Len() || !p.SubsetOf(q)) || len(opt.a.state[n].copyTo) != len(d.a.state[n].copyTo) {
+		if (p == nil) != (q == nil) || p != nil && (p.Len() != q.Len() || !p.SubsetOf(q)) || len(opt.a.state[n].copies()) != len(d.a.state[n].copies()) {
 			changed++
 		}
 	}
@@ -278,13 +278,18 @@ func TestSpareSetsDistinct(t *testing.T) {
 // delta and every constraint list (Field-Of flags, copy-edge probe marks and
 // each icall site's connected targets included), the HCD entries' fired
 // marks, every object's field sensitivity, the assumption table with the
-// restored PWC sites, and the sizes of the copy-edge set and node maps.
+// restored PWC sites, and the sizes of the node maps. A node's copy record
+// renders as its list and the targets it inserted (seen).
 func stateOf(a *Analysis) string {
 	var b strings.Builder
 	for n, ns := range a.state {
 		c := ns.cons()
-		fmt.Fprintf(&b, "%d rep=%d pts=%v delta=%v copy=%v cold=%v load=%v store=%v arith=%v hcd=%v",
-			n, a.rep[n], ns.pts, ns.delta, ns.copyTo, ns.cold != nil, c.loadTo, c.storeFrom, c.arithTo, c.hcd)
+		var seen *bitset.Set
+		if ns.out != nil {
+			seen = &ns.out.seen
+		}
+		fmt.Fprintf(&b, "%d rep=%d pts=%v delta=%v copy=%v seen=%v cold=%v load=%v store=%v arith=%v hcd=%v",
+			n, a.rep[n], ns.pts, ns.delta, ns.copies(), seen, ns.cold != nil, c.loadTo, c.storeFrom, c.arithTo, c.hcd)
 		for _, e := range c.gepTo {
 			fmt.Fprintf(&b, " gep%+v", *e)
 		}
@@ -303,7 +308,7 @@ func stateOf(a *Analysis) string {
 		fmt.Fprintf(&b, "assumed held=%v %+v\n", e.held, e.Record)
 	}
 	fmt.Fprintf(&b, "pwc restored=%v\n", a.pwcRestored)
-	fmt.Fprintf(&b, "edges=%d regs=%d rets=%d\n", a.copyEdges.n, len(a.regNodes), len(a.retNodes))
+	fmt.Fprintf(&b, "regs=%d rets=%d\n", len(a.regNodes), len(a.retNodes))
 	// Appends past the end of a table or a list write its spare capacity.
 	fmt.Fprintf(&b, "spare capacity: state %d rep %d inWL %d records %d\n",
 		pastLen(a.state), pastLen(a.rep), pastLen(a.inWL), recordsPastLen(a))
@@ -334,7 +339,7 @@ func recordsPastLen(a *Analysis) int {
 	}
 	for _, ns := range a.state {
 		c := ns.cons()
-		n += pastLen(ns.copyTo) + pastLen(c.gepTo) + pastLen(c.loadTo) + pastLen(c.storeFrom) +
+		n += pastLen(ns.copies()) + pastLen(c.gepTo) + pastLen(c.loadTo) + pastLen(c.storeFrom) +
 			pastLen(c.arithTo) + pastLen(c.icalls) + pastLen(c.hcd)
 	}
 	return n

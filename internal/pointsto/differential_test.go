@@ -281,8 +281,12 @@ func TestRestoreAllConcurrent(t *testing.T) {
 	opt := New(m, invariant.All()).Solve()
 	before := fingerprint(opt)
 	copyLists := make([][]copyEdge, len(opt.a.state))
+	targets := make([]string, len(opt.a.state))
 	for n, ns := range opt.a.state {
-		copyLists[n] = slices.Clone(ns.copyTo)
+		copyLists[n] = slices.Clone(ns.copies())
+		if ns.out != nil {
+			targets[n] = ns.out.seen.String()
+		}
 	}
 	ptrs := opt.TopLevelPointers()
 	sites := opt.ICallSites()
@@ -341,20 +345,24 @@ func TestRestoreAllConcurrent(t *testing.T) {
 		t.Errorf("concurrent RestoreAll changed its receiver:\n%s", diffLines(before, got))
 	}
 	for n, ns := range opt.a.state {
-		if !slices.Equal(ns.copyTo, copyLists[n]) {
+		if !slices.Equal(ns.copies(), copyLists[n]) {
 			t.Fatalf("concurrent RestoreAll changed node %d's copy list or probe marks", n)
+		}
+		if ns.out != nil && ns.out.seen.String() != targets[n] {
+			t.Fatalf("concurrent RestoreAll changed node %d's inserted copy targets", n)
 		}
 	}
 }
 
 // checkOwnership asserts the sharing contract of an analysis d derived from
 // parent: a node d does not own still has the parent's record, and a node d
-// owns has a record of its own whose sets, copy list, cold record, Field-Of
-// edges and icall sites are none of the parent's.
+// owns has a record of its own whose sets, copy record and list, cold
+// record, Field-Of edges and icall sites are none of the parent's.
 func checkOwnership(t *testing.T, what string, d, parent *Analysis) {
 	t.Helper()
 	parentSets := map[*bitset.Set]bool{}
 	parentLists := map[*copyEdge]bool{}
+	parentOut := map[*copyOut]bool{}
 	parentEdges := map[*gepEdge]bool{}
 	parentSites := map[*icallSite]bool{}
 	parentCold := map[*nodeCons]bool{}
@@ -364,7 +372,10 @@ func checkOwnership(t *testing.T, what string, d, parent *Analysis) {
 				parentSets[s] = true
 			}
 		}
-		if es := ns.copyTo; cap(es) > 0 {
+		if ns.out != nil {
+			parentOut[ns.out] = true
+		}
+		if es := ns.copies(); cap(es) > 0 {
 			parentLists[&es[:1][0]] = true
 		}
 		if ns.cold != nil {
@@ -388,7 +399,10 @@ func checkOwnership(t *testing.T, what string, d, parent *Analysis) {
 		if ds == ps || parentCold[ds.cold] || parentSets[ds.pts] || parentSets[ds.delta] {
 			t.Fatalf("%s owns node %d but shares its record, cold record or a set with its parent", what, n)
 		}
-		if es := ds.copyTo; cap(es) > 0 && parentLists[&es[:1][0]] {
+		if ds.out != nil && parentOut[ds.out] {
+			t.Fatalf("%s owns node %d but shares its copy record with its parent", what, n)
+		}
+		if es := ds.copies(); cap(es) > 0 && parentLists[&es[:1][0]] {
 			t.Fatalf("%s owns node %d but shares a copy list with its parent", what, n)
 		}
 		if slices.ContainsFunc(ds.cons().gepTo, func(e *gepEdge) bool { return parentEdges[e] }) ||

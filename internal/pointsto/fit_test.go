@@ -1,8 +1,11 @@
 package pointsto
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -23,13 +26,13 @@ func nodeTableCaps(a *Analysis) [5]int {
 // which adds parameter and return nodes as indirect calls resolve, grows
 // any of them, every node's record sits in the slab, and on
 // analyze-30k's program the reserve stays within a quarter of the nodes the
-// solved graph holds. The slab's record is 48 bytes: after the solve a node
+// solved graph holds. The slab's record is 32 bytes: after the solve a node
 // has a cold record exactly when it is a representative with a constraint
-// other than a copy edge, a merged-away node holds nothing, and the shared
-// empty cold record is still empty.
+// other than a copy edge, a merged-away node holds nothing (no copy record
+// in particular), and the shared empty cold record is still empty.
 func TestNodeTablesFit(t *testing.T) {
-	if size := unsafe.Sizeof(nodeState{}); size != 48 {
-		t.Errorf("nodeState is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(nodeState{}); size != 32 {
+		t.Errorf("nodeState is %d bytes, want 32", size)
 	}
 	type unit struct {
 		name string
@@ -68,7 +71,10 @@ func TestNodeTablesFit(t *testing.T) {
 			}
 			for n, ns := range a.state {
 				if a.find(n) != n {
-					if ns.pts != nil || ns.delta != nil || ns.copyTo != nil || ns.cold != nil {
+					if ns.out != nil {
+						t.Errorf("%s %s: merged-away node %d holds a copy record of %d edges", u.name, cfg.Name(), n, len(ns.out.to))
+					}
+					if ns.pts != nil || ns.delta != nil || ns.cold != nil {
 						t.Errorf("%s %s: merged-away node %d holds %+v", u.name, cfg.Name(), n, *ns)
 					}
 					continue
@@ -83,5 +89,43 @@ func TestNodeTablesFit(t *testing.T) {
 				t.Fatalf("%s %s: the shared empty cold record was written: %+v", u.name, cfg.Name(), noCons)
 			}
 		}
+	}
+}
+
+// solveBytes bounds the bytes one New, Solve and RestoreAll of
+// ScaledProgram(1, 100) allocate. It was measured at 1,289,848 when each
+// node came to own its copy edges' dedupe set (1,312,344 with one global
+// copy-edge table grown by doubling); the runtime's own allocations now and
+// then add a few hundred bytes to a run, hence the last kilobyte.
+const solveBytes = 1_291_000
+
+// TestSolveBytes pins the solver's bytes the way TestCompileAllocs pins the
+// front end's allocations: the optimistic solve of a 100-unit scaled
+// program and its derived fallback must not allocate more than measured,
+// so a table that grows by doubling cannot come back unnoticed. The figure
+// is the least TotalAlloc delta of three runs, since the runtime's own
+// allocations now and then add to one. The race detector's build allocates
+// more, so it skips.
+func TestSolveBytes(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's build allocates more than the bound measures")
+	}
+	m, err := minic.Compile("scaled", scaledSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		r := New(m, invariant.All()).Solve()
+		if _, err := r.RestoreAll(context.Background(), Budget{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > solveBytes {
+		t.Errorf("New+Solve+RestoreAll of ScaledProgram(1, 100): %d bytes, want at most %d", least, solveBytes)
 	}
 }

@@ -3,7 +3,6 @@ package pointsto
 import (
 	"context"
 	"math"
-	"math/bits"
 	"time"
 
 	"repro/internal/bitset"
@@ -47,15 +46,34 @@ type icallSite struct {
 }
 
 // nodeState is one constraint node's solver state: its points-to set, the
-// pointees added since its last processing (delta) and its copy list, which
+// pointees added since its last processing (delta) and its copy edges, which
 // every pop reads, and its other constraint lists, which most nodes never
 // get, held apart in a cold record. A node merged away holds nothing; its
 // representative holds what it had. A derived analysis reads its parent's
 // record until it first writes the node (own).
 type nodeState struct {
 	pts, delta *bitset.Set
-	copyTo     []copyEdge
+	out        *copyOut  // nil until the node's first copy edge
 	cold       *nodeCons // nil until the node's first such constraint
+}
+
+// copyOut is a node's copy edges: its copy list, and for dedupe the targets
+// addCopy inserted from the node while it was a representative. The
+// targets are those of the insertions, not of the live list: a node that
+// absorbs another in a merge takes its edges but not its targets, so an
+// edge re-added after the merge is admitted again, and a node merged away
+// is never asked again.
+type copyOut struct {
+	to   []copyEdge
+	seen bitset.Set
+}
+
+// copies returns the node's copy list.
+func (ns *nodeState) copies() []copyEdge {
+	if ns.out == nil {
+		return nil
+	}
+	return ns.out.to
 }
 
 // nodeCons is the cold part of a node's record: the constraint lists other
@@ -108,122 +126,6 @@ func (e copyEdge) to() int { return int(e &^ probedBit) }
 
 // probed reports whether the LCD fallback has probed the edge.
 func (e copyEdge) probed() bool { return e&probedBit != 0 }
-
-// edgeSet is the set of copy edges addCopy has inserted, for dedupe: an
-// open-addressing hash table of packed (from, to) keys with linear probing
-// and a Fibonacci hash, doubled at ¾ load. Slot value 0 marks an empty
-// slot; the only pair that packs to 0 is the self-edge 0→0, and addCopy
-// never inserts a self-edge. The zero value is an empty set.
-//
-// A derived analysis layers its set on its parent's (derive): the keys
-// below are read through base, and inserts land in the top table alone.
-type edgeSet struct {
-	slots  []uint64
-	n      int      // occupied slots
-	shift  uint8    // 64 - log2(len(slots))
-	base   *edgeSet // read-only layers below this one; nil in a root
-	layers int      // length of the base chain
-}
-
-// maxEdgeLayers bounds the base chain a lookup walks; deriving past it
-// flattens every layer into one table.
-const maxEdgeLayers = 4
-
-// edgeSetMinSlots is the table size of the first insert.
-const edgeSetMinSlots = 64
-
-// packEdge packs a copy edge into its edgeSet key.
-func packEdge(from, to int) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
-
-// insert adds key k (nonzero) and reports whether it was absent.
-func (s *edgeSet) insert(k uint64) bool {
-	if s.base != nil && s.base.has(k) {
-		return false
-	}
-	if s.slots == nil {
-		s.resize(edgeSetMinSlots)
-	}
-	i := s.probe(k)
-	if s.slots[i] == k {
-		return false
-	}
-	if 4*(s.n+1) > 3*len(s.slots) {
-		s.resize(2 * len(s.slots))
-		i = s.probe(k)
-	}
-	s.slots[i] = k
-	s.n++
-	return true
-}
-
-// probe returns the slot holding k, or the empty slot where k belongs.
-func (s *edgeSet) probe(k uint64) int {
-	mask := len(s.slots) - 1
-	i := int((k * 0x9E3779B97F4A7C15) >> s.shift)
-	for s.slots[i] != 0 && s.slots[i] != k {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// resize rehashes every key into a table of size slots, a power of two.
-func (s *edgeSet) resize(size int) {
-	old := s.slots
-	s.slots = make([]uint64, size)
-	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-	for _, k := range old {
-		if k != 0 {
-			s.slots[s.probe(k)] = k
-		}
-	}
-}
-
-// has reports whether k is in s or in a layer below it.
-func (s *edgeSet) has(k uint64) bool {
-	for ; s != nil; s = s.base {
-		if s.slots != nil && s.slots[s.probe(k)] == k {
-			return true
-		}
-	}
-	return false
-}
-
-// derive returns a set holding every key of s, into which inserts do not
-// reach s. It reads s's tables as layers instead of copying them, so s must
-// not change while the derived set is in use; past maxEdgeLayers layers it
-// copies them into one table instead. The derived set holds its own copy
-// of s's header, so it does not keep the struct s lives in reachable.
-func (s *edgeSet) derive() edgeSet {
-	if s.n == 0 {
-		s = s.base // an empty table adds nothing to read through
-	}
-	if s == nil {
-		return edgeSet{}
-	}
-	if s.layers < maxEdgeLayers-1 {
-		layer := *s
-		return edgeSet{base: &layer, layers: s.layers + 1}
-	}
-	n := 0
-	for l := s; l != nil; l = l.base {
-		n += l.n // layers are disjoint: insert checks the ones below
-	}
-	size := edgeSetMinSlots
-	for 4*(n+1) > 3*size {
-		size *= 2
-	}
-	var f edgeSet
-	f.resize(size)
-	for l := s; l != nil; l = l.base {
-		for _, k := range l.slots {
-			if k != 0 {
-				f.slots[f.probe(k)] = k
-			}
-		}
-	}
-	f.n = n
-	return f
-}
 
 // Origin is one recorded derivation of an object in a points-to set
 // (Provenance): the constraint site that added it and the node it flowed
@@ -313,7 +215,6 @@ type Analysis struct {
 	slab    []nodeState  // the records New reserves; state points into it
 	objects []*Object
 
-	copyEdges  edgeSet // every copy edge addCopy inserted, for dedupe
 	regNodes   map[regKey]int
 	retNodes   map[string]int
 	icallSites []*icallSite
@@ -686,17 +587,23 @@ func (a *Analysis) unionSetInto(dst int, set *bitset.Set, srcNode, site int, der
 }
 
 // addCopy inserts a copy edge from→to, once per pair of representatives.
-// The source's current points-to set is propagated immediately.
+// The source's current points-to set is propagated immediately. A
+// duplicate is rejected on the record as it stands, so it never makes a
+// derived analysis own the source.
 func (a *Analysis) addCopy(from, to, site int, derived bool) {
 	from, to = a.find(from), a.find(to)
 	if from == to {
 		return
 	}
-	if !a.copyEdges.insert(packEdge(from, to)) {
+	if o := a.state[from].out; o != nil && o.seen.Has(to) {
 		return
 	}
 	ns := a.own(from)
-	ns.copyTo = append(ns.copyTo, copyEdge(to))
+	if ns.out == nil {
+		ns.out = new(copyOut)
+	}
+	ns.out.seen.Add(to)
+	ns.out.to = append(ns.out.to, copyEdge(to))
 	a.stats.CopyEdges++
 	if derived {
 		a.stats.DerivedEdges++
@@ -772,14 +679,23 @@ func (a *Analysis) mergeNodes(x, y int) bool {
 		ys.delta = nil
 	}
 	// Copy lists are the longest adjacency lists; growing the longer one
-	// copies fewer edges. Their order only decides propagation order.
-	if len(ys.copyTo) > len(xs.copyTo) {
-		if x == a.walking {
-			a.walkOff += len(ys.copyTo)
+	// copies fewer edges. Their order only decides propagation order. y's
+	// targets go with y: x keeps its own, and a survivor without a copy
+	// record takes y's with its targets emptied.
+	if yo := ys.out; yo != nil {
+		if xo := xs.out; xo == nil {
+			yo.seen = bitset.Set{}
+			xs.out = yo
+		} else {
+			if len(yo.to) > len(xo.to) {
+				if x == a.walking {
+					a.walkOff += len(yo.to)
+				}
+				xo.to, yo.to = yo.to, xo.to
+			}
+			xo.to = append(xo.to, yo.to...)
 		}
-		xs.copyTo, ys.copyTo = ys.copyTo, xs.copyTo
 	}
-	xs.copyTo = append(xs.copyTo, ys.copyTo...)
 	// The other lists keep their order: x's entries, then y's. A survivor
 	// without a cold record takes y's whole, as an append would copy it.
 	if xc, yc := xs.cold, ys.cold; xc == nil {

@@ -123,7 +123,7 @@ func (a *Analysis) hcdEdges(n int, off, edges []int32) {
 			continue
 		}
 		ns := a.state[v]
-		for _, e := range ns.copyTo {
+		for _, e := range ns.copies() {
 			if w := a.find(e.to()); w != v {
 				add(v, w)
 			}
@@ -208,7 +208,7 @@ func (a *Analysis) lcdProbe(src, dst int) {
 		v := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		budget--
-		for _, e := range a.state[v].copyTo {
+		for _, e := range a.state[v].copies() {
 			w := a.find(e.to())
 			if w == src {
 				// Collapse the cycle src -> dst -> ... -> v -> src.

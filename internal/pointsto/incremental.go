@@ -175,7 +175,6 @@ func (a *Analysis) derive() *Analysis {
 	c.sharedObjs, c.sharedNames = true, true
 	c.nodes = slices.Clip(a.nodes)
 	c.rep = slices.Clone(a.rep)
-	c.copyEdges = a.copyEdges.derive()
 	c.worklist = slices.Clone(a.worklist)
 	c.inWL = slices.Clone(a.inWL)
 	c.hcdEntries = slices.Clone(a.hcdEntries)
@@ -207,14 +206,14 @@ func (a *Analysis) own(n int) *nodeState {
 	return a.state[n]
 }
 
-// ownNode copies node n's record with its sets, and its cold record if it
-// has one. The lists that only grow by append are clipped, so an append
-// reallocates instead of writing past the end of the parent's array. The
-// copy list, the Field-Of edges and the icall sites (with their connected
-// targets) are written in place, so they are copied. The copied copy list
-// carries no LCD probe marks: the marks only save repeated probes, and the
-// derived solve starts as if nothing had been probed, as a fresh solve
-// would.
+// ownNode copies node n's record with its sets, its copy record (list and
+// inserted targets) and its cold record if it has them. The lists that
+// only grow by append are clipped, so an append reallocates instead of
+// writing past the end of the parent's array. The copy list, the Field-Of
+// edges and the icall sites (with their connected targets) are written in
+// place, so they are copied. The copied copy list carries no LCD probe
+// marks: the marks only save repeated probes, and the derived solve starts
+// as if nothing had been probed, as a fresh solve would.
 func (a *Analysis) ownNode(n int) {
 	a.owned[n] = true
 	ns := *a.state[n]
@@ -224,12 +223,12 @@ func (a *Analysis) ownNode(n int) {
 	if ns.delta != nil {
 		ns.delta = ns.delta.Clone()
 	}
-	if ns.copyTo != nil {
-		own := make([]copyEdge, len(ns.copyTo))
-		for i, e := range ns.copyTo {
-			own[i] = e &^ probedBit
+	if o := ns.out; o != nil {
+		own := &copyOut{to: make([]copyEdge, len(o.to)), seen: *o.seen.Clone()}
+		for i, e := range o.to {
+			own.to[i] = e &^ probedBit
 		}
-		ns.copyTo = own
+		ns.out = own
 	}
 	if ns.cold != nil {
 		c := *ns.cold

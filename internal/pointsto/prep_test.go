@@ -145,13 +145,13 @@ func TestMergeKeepsWalkedEdges(t *testing.T) {
 	a := New(m, invariant.Config{})
 	x, y := 0, 1
 	walked := []copyEdge{2 | probedBit, 3}
-	a.state[x].copyTo = slices.Clone(walked)
-	a.state[y].copyTo = []copyEdge{4, 5, 6}
+	a.state[x].out = &copyOut{to: slices.Clone(walked)}
+	a.state[y].out = &copyOut{to: []copyEdge{4, 5, 6}}
 	a.walking, a.walkOff = x, 0
 	if !a.mergeNodes(x, y) {
 		t.Fatal("nodes 0 and 1 did not merge")
 	}
-	if got := a.state[x].copyTo; len(got) != 5 || !slices.Equal(got[a.walkOff:a.walkOff+len(walked)], walked) {
+	if got := a.state[x].copies(); len(got) != 5 || !slices.Equal(got[a.walkOff:a.walkOff+len(walked)], walked) {
 		t.Errorf("merged list %v, walk offset %d: lost the walked edges %v", got, a.walkOff, walked)
 	}
 }
@@ -182,13 +182,13 @@ func TestProcessNodeDropsMergedEdges(t *testing.T) {
 	ns := a.state[n]
 	ns.cold = nil
 	e := func(i int) copyEdge { return copyEdge(v[i]) }
-	ns.copyTo = []copyEdge{e(1), e(4), e(2) | probedBit, e(5) | probedBit, e(3), e(6)}
+	ns.out = &copyOut{to: []copyEdge{e(1), e(4), e(2) | probedBit, e(5) | probedBit, e(3), e(6)}}
 	a.noDelta = false
 	a.ptsOf(n).Add(obj)
 	a.deltaOf(n).Add(obj)
 	a.processNode(n)
-	if want := []copyEdge{e(4), e(5) | probedBit, e(6)}; !slices.Equal(a.state[n].copyTo, want) {
-		t.Errorf("copy list after processNode = %v, want %v", a.state[n].copyTo, want)
+	if want := []copyEdge{e(4), e(5) | probedBit, e(6)}; !slices.Equal(a.state[n].copies(), want) {
+		t.Errorf("copy list after processNode = %v, want %v", a.state[n].copies(), want)
 	}
 	for _, to := range v[4:] {
 		if p := a.state[to].pts; p == nil || !p.Has(obj) {
@@ -201,7 +201,7 @@ func TestProcessNodeDropsMergedEdges(t *testing.T) {
 func probeMarks(a *Analysis) int {
 	n := 0
 	for _, ns := range a.state {
-		for _, e := range ns.copyTo {
+		for _, e := range ns.copies() {
 			if e.probed() {
 				n++
 			}

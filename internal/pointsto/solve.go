@@ -286,21 +286,25 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 	// Drop the copy edges whose target a collapse already merged into n:
 	// they would propagate nothing, and since merges are never undone they
 	// never will. Order and probe marks of the live edges stay.
-	live := ns.copyTo[:0]
-	for _, e := range ns.copyTo {
+	out := ns.out
+	if out == nil {
+		return
+	}
+	live := out.to[:0]
+	for _, e := range out.to {
 		if a.find(e.to()) != n {
 			live = append(live, e)
 		}
 	}
-	ns.copyTo = live
+	out.to = live
 	// An LCD collapse merges into n while this loop walks n's list, and a
 	// merge may put the other node's longer list in front of n's edges;
 	// mergeNodes then advances walkOff, so the loop reads and marks the
 	// same edges in the live list.
 	a.walking, a.walkOff = n, 0
-	for i, k := 0, len(ns.copyTo); i < k; i++ {
+	for i, k := 0, len(out.to); i < k; i++ {
 		j := a.walkOff + i
-		e := ns.copyTo[j]
+		e := out.to[j]
 		if a.unionSetInto(e.to(), work, n, 0, false) || !a.prep || e.probed() {
 			continue
 		}
@@ -308,7 +312,7 @@ func (a *Analysis) applyConstraints(n int, work *bitset.Set) {
 		// the signature of a converged copy cycle. Probe lazily for one,
 		// once per edge.
 		if dst := a.find(e.to()); dst != n {
-			ns.copyTo[j] |= probedBit
+			out.to[j] |= probedBit
 			a.lcdProbe(n, dst)
 		}
 	}
@@ -579,10 +583,11 @@ func (a *Analysis) sccs() [][]int32 {
 	root := func(v int) bool { return a.find(v) == v }
 	succ := func(v, i int) (int, bool) {
 		ns := a.state[v]
-		if i < len(ns.copyTo) {
-			return a.find(ns.copyTo[i].to()), true
+		cp := ns.copies()
+		if i < len(cp) {
+			return a.find(cp[i].to()), true
 		}
-		if i -= len(ns.copyTo); i < len(ns.cons().gepTo) {
+		if i -= len(cp); i < len(ns.cons().gepTo) {
 			return a.find(int(ns.cons().gepTo[i].to)), true
 		}
 		return 0, false

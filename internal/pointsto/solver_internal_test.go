@@ -2,9 +2,10 @@ package pointsto
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/invariant"
 	"repro/internal/minic"
 	"repro/internal/workload"
@@ -177,65 +178,70 @@ func TestPopulationStableAcrossConfigs(t *testing.T) {
 	}
 }
 
-// TestEdgeSet: the flat copy-edge set behaves as a set of packed pairs
-// across several doublings, ids up to math.MaxInt32 included; a derived set
-// sees its base's keys and keeps its own inserts from the base, and a chain
-// of derivations longer than maxEdgeLayers flattens without losing a key.
-func TestEdgeSet(t *testing.T) {
-	var keys []uint64
-	for i := 0; i < 50000; i++ {
-		keys = append(keys, packEdge(i, i+1), packEdge(math.MaxInt32-i, i))
+// TestCopyDedupePerSource: addCopy rejects an edge its source inserted
+// while it was a representative, and only that. On a hand-built graph: a
+// duplicate from the same representative is rejected; an edge re-added
+// after its source absorbed a node holding that target is admitted, whether
+// or not the survivor had copy edges of its own; a derived analysis's
+// insert stays invisible to its parent; and a rejected duplicate does not
+// make the derived analysis own the source.
+func TestCopyDedupePerSource(t *testing.T) {
+	a := &Analysis{walking: -1}
+	for i := 0; i < 16; i++ {
+		a.newNode(node{kind: nodeDummy})
 	}
-	keys = append(keys, packEdge(math.MaxInt32, math.MaxInt32-1), packEdge(0, math.MaxInt32))
-	var s edgeSet
-	for i, k := range keys {
-		if !s.insert(k) {
-			t.Fatalf("key %d (%#x) reported present on its first insert", i, k)
-		}
+	src, y, z, w := 0, 1, 2, 3
+	// More targets than a set holds inline, so src's target set is a bit
+	// vector a shared copy would write through.
+	var targets []int
+	for to := 4; len(targets) <= bitset.InlineThreshold; to++ {
+		targets = append(targets, to)
+		a.addCopy(src, to, 0, false)
 	}
-	if s.n != len(keys) || len(s.slots) < 4*len(keys)/3 {
-		t.Fatalf("%d keys in %d slots after %d inserts", s.n, len(s.slots), len(keys))
+	edges := a.stats.CopyEdges
+	a.addCopy(src, targets[0], 0, false)
+	if a.stats.CopyEdges != edges || len(a.state[src].copies()) != len(targets) {
+		t.Fatalf("a duplicate from the same representative was admitted: %d edges, list %v", a.stats.CopyEdges, a.state[src].copies())
 	}
-	for i, k := range keys {
-		if s.insert(k) {
-			t.Fatalf("key %d (%#x) reported absent on a re-insert", i, k)
-		}
+
+	// src absorbs y, which inserted y→12: src's list now holds 12, but src
+	// never inserted it, so src→12 is admitted.
+	a.addCopy(y, 12, 0, false)
+	a.mergeNodes(src, y)
+	if a.state[y].out != nil {
+		t.Errorf("merged-away node %d holds a copy record", y)
 	}
-	c := s.derive()
-	for i, k := range keys {
-		if c.insert(k) {
-			t.Fatalf("key %d (%#x) of the base reported absent in the derived set", i, k)
-		}
+	if !slices.Contains(a.state[src].copies(), 12) {
+		t.Fatalf("the survivor did not take the merged node's edge: %v", a.state[src].copies())
 	}
-	onlyC := packEdge(7, math.MaxInt32)
-	if !c.insert(onlyC) {
-		t.Fatal("a fresh key reported present")
+	edges = a.stats.CopyEdges
+	a.addCopy(src, 12, 0, false)
+	if a.stats.CopyEdges != edges+1 {
+		t.Error("an edge re-added after its source absorbed a node holding that target was rejected")
 	}
-	if s.has(onlyC) {
-		t.Error("an insert into the derived set is visible to its base")
+	// The same for a survivor without copy edges of its own.
+	a.addCopy(w, 13, 0, false)
+	a.mergeNodes(z, w)
+	edges = a.stats.CopyEdges
+	a.addCopy(z, 13, 0, false)
+	if a.stats.CopyEdges != edges+1 {
+		t.Error("an edge re-added after a survivor without copy edges absorbed a node holding that target was rejected")
 	}
-	// Derive a chain, one fresh key per level, past the layer bound.
-	chain := []*edgeSet{&s, &c}
-	fresh := []uint64{onlyC}
-	for level := 0; level < 2*maxEdgeLayers; level++ {
-		d := chain[len(chain)-1].derive()
-		if d.layers >= maxEdgeLayers {
-			t.Fatalf("level %d reads through %d layers, want fewer than %d", level, d.layers, maxEdgeLayers)
-		}
-		k := packEdge(1<<20+level, 3)
-		if !d.insert(k) {
-			t.Fatalf("level %d: fresh key reported present", level)
-		}
-		chain = append(chain, &d)
-		fresh = append(fresh, k)
+
+	d := a.derive()
+	d.addCopy(src, targets[1], 0, false)
+	if d.owned[src] || d.stats.CopyEdges != a.stats.CopyEdges {
+		t.Errorf("a rejected duplicate was admitted (%v) or owned its source (%v)", d.stats.CopyEdges != a.stats.CopyEdges, d.owned[src])
 	}
-	last := chain[len(chain)-1]
-	for i, k := range append(keys, fresh...) {
-		if !last.has(k) {
-			t.Fatalf("key %d (%#x) lost along the derivation chain", i, k)
-		}
+	list := slices.Clone(a.state[src].copies())
+	d.addCopy(src, 14, 0, false)
+	if !d.owned[src] || !slices.Contains(d.state[src].copies(), 14) || !d.state[src].out.seen.Has(14) {
+		t.Fatal("the derived analysis did not insert a fresh edge into its own record")
 	}
-	if empty := (&edgeSet{}).derive(); empty.base != nil || empty.slots != nil {
-		t.Error("deriving an empty set layers on it")
+	if a.state[src].out.seen.Has(14) || !slices.Equal(a.state[src].copies(), list) {
+		t.Error("an insert into the derived analysis is visible to its parent")
+	}
+	if got := len(d.state[src].copies()); got != len(list)+1 {
+		t.Errorf("the derived copy list has %d edges, want %d", got, len(list)+1)
 	}
 }
